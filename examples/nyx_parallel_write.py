@@ -19,12 +19,11 @@ import tempfile
 import numpy as np
 
 from repro.compression import SZCompressor
-from repro.core import build_workload, simulate_strategy
-from repro.core.pipeline import filter_write_pipeline, predictive_write_pipeline
+from repro.core import RealDriver, build_workload, simulate_strategy
 from repro.core.workload import scale_workload
-from repro.data import NyxGenerator, grid_partition
+from repro.data import NyxGenerator
+from repro.data.partition import rank_payload, rank_regions
 from repro.hdf5 import File, FileAccessProps
-from repro.mpi import run_spmd
 from repro.sim import SUMMIT
 
 SHAPE = (48, 48, 48)
@@ -35,33 +34,17 @@ def functional_comparison(workdir: str) -> None:
     """Run the real pipelines and check the files agree."""
     gen = NyxGenerator(SHAPE, seed=42)
     names = list(gen.field_names)
-    parts = grid_partition(SHAPE, NRANKS)
     codecs = {n: SZCompressor(bound=gen.error_bound(n), mode="abs") for n in names}
-
-    def payload(rank):
-        p = parts[rank]
-        local = {n: np.ascontiguousarray(p.extract(gen.field(n))) for n in names}
-        return local, [[s.start, s.stop] for s in p.slices]
+    # One (fields, region) pair per rank: the near-cubic grid decomposition.
+    payload = rank_payload({n: gen.field(n) for n in names}, SHAPE, rank_regions(SHAPE, NRANKS))
 
     path_pred = os.path.join(workdir, "nyx_predictive.phd5")
-    fpred = File(path_pred, "w", fapl=FileAccessProps(async_io=True, async_workers=4))
-
-    def rank_pred(comm):
-        local, region = payload(comm.rank)
-        return predictive_write_pipeline(comm, fpred, local, region, SHAPE, codecs)
-
-    stats = run_spmd(NRANKS, rank_pred)
-    fpred.close()
+    with File(path_pred, "w", fapl=FileAccessProps(async_io=True, async_workers=4)) as f:
+        stats = RealDriver("reorder").write(f, payload, SHAPE, codecs)
 
     path_filt = os.path.join(workdir, "nyx_filter.phd5")
-    ffilt = File(path_filt, "w")
-
-    def rank_filt(comm):
-        local, region = payload(comm.rank)
-        return filter_write_pipeline(comm, ffilt, local, region, SHAPE, codecs)
-
-    run_spmd(NRANKS, rank_filt)
-    ffilt.close()
+    with File(path_filt, "w") as f:
+        RealDriver("filter").write(f, payload, SHAPE, codecs)
 
     size_pred = os.path.getsize(path_pred)
     size_filt = os.path.getsize(path_filt)

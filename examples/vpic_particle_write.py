@@ -19,11 +19,9 @@ import tempfile
 import numpy as np
 
 from repro.compression import SZCompressor
-from repro.core import PipelineConfig
-from repro.core.pipeline import predictive_write_pipeline
+from repro.core import PipelineConfig, RealDriver
 from repro.data import VPICGenerator, partition_particles
 from repro.hdf5 import File, FileAccessProps
-from repro.mpi import run_spmd
 
 N_PARTICLES = 1 << 18
 NRANKS = 8
@@ -39,19 +37,17 @@ def main() -> None:
           f"({gen.logical_nbytes() / 1e6:.1f} MB logical)")
 
     path = os.path.join(tempfile.mkdtemp(prefix="vpic_"), "dump.phd5")
-    f = File(path, "w", fapl=FileAccessProps(async_io=True, async_workers=4))
-
-    def rank_fn(comm):
-        p = parts[comm.rank]
-        local = {n: np.ascontiguousarray(p.extract(gen.field(n))) for n in names}
-        region = [[s.start, s.stop] for s in p.slices]
-        return predictive_write_pipeline(
-            comm, f, local, region, (N_PARTICLES,), codecs,
-            config=PipelineConfig(extra_space_ratio=1.25, reorder=True),
+    # One (fields, region) pair per rank: equal contiguous particle ranges.
+    payload = [
+        (
+            {n: np.ascontiguousarray(p.extract(gen.field(n))) for n in names},
+            [[s.start, s.stop] for s in p.slices],
         )
-
-    stats = run_spmd(NRANKS, rank_fn)
-    f.close()
+        for p in parts
+    ]
+    driver = RealDriver("reorder", config=PipelineConfig(extra_space_ratio=1.25, reorder=True))
+    with File(path, "w", fapl=FileAccessProps(async_io=True, async_workers=4)) as f:
+        stats = driver.write(f, payload, (N_PARTICLES,), codecs)
 
     print("\nper-rank optimized compression order (big writes first):")
     for s in stats[:4]:

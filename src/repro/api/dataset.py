@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.api.settings import DatasetSettings
+from repro.data.partition import assemble_tiles
 from repro.errors import (
     HDF5Error,
     IncompleteWriteError,
@@ -254,10 +255,7 @@ class Dataset:
 
     def _reference(self) -> np.ndarray:
         """The written data, reassembled from the retained staged blocks."""
-        out = np.zeros(self._base_shape, dtype=self._dtype)
-        for regions, block in self._blocks:
-            out[tuple(slice(a, b) for a, b in regions)] = block
-        return out
+        return assemble_tiles(self._blocks, self._base_shape)
 
     # -- reading -------------------------------------------------------------
 
@@ -317,7 +315,7 @@ class Dataset:
                 f"{self._path}: step {step} not written yet "
                 f"({steps} step(s) so far)"
             )
-        return self._file._read_step_field(self, i)
+        return self._file._step_engine_dataset(self, i).read()
 
     def _get_step(self, key):
         if isinstance(key, (int, np.integer)):

@@ -26,9 +26,10 @@ Two parallelism modes:
   ``ds[region] = arr`` is immediately collective over the communicator.
   File ``close()`` is collective too, as in parallel HDF5.
 
-The old entry points (``predictive_write_pipeline``, ``TimestepSession``,
-``RealDriver``, ``repro.hdf5.File``) remain the engine underneath — the
-facade adds no second write path, only the routing.
+``TimestepSession``, ``RealDriver`` and ``repro.hdf5.File`` remain the
+engine underneath — the facade adds no second write path, only the
+routing: every flush and every streamed step is one
+:meth:`RealDriver.write <repro.core.pipeline.RealDriver.write>`.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ import numpy as np
 from repro.api.dataset import Dataset
 from repro.api.settings import AUTO, DatasetSettings, validate_strategy
 from repro.compression.sz import SZCompressor
-from repro.core.autotune import AutoTuner, measured_workload
+from repro.core.autotune import AutoTuner, tune_payload
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import RealDriver
 from repro.core.session import TimestepSession, step_group
-from repro.core.strategy import PredictPhase, get_strategy
-from repro.data.partition import grid_partition, slab_partition
+from repro.core.strategy import get_strategy
+from repro.data.partition import rank_payload, rank_regions
 from repro.data.timesteps import ArraySeries
 from repro.errors import (
     ConfigError,
@@ -103,8 +104,9 @@ def open(
     executor:
         Fan-out backend (name, instance, or None → the config's).
     server:
-        Address of a running ``repro serve`` daemon (``"host:port"`` or a
-        unix socket path).  Writes then route over the wire and coalesce
+        Address of a running ``repro serve`` daemon: ``"host:port"``,
+        ``"unix:<path>"``, or a bare unix socket path (absolute or
+        relative).  Writes then route over the wire and coalesce
         with other clients' requests into shared collective runs; the
         returned :class:`~repro.serve.client.RemoteFile` supports the
         write surface (``create_dataset``, ``ds[region] = arr``,
@@ -211,7 +213,6 @@ class Group:
         strategy: str | None = None,
         extra_space_ratio: float | None = None,
         performance_weight: float | None = None,
-        executor: "str | Executor | None" = None,
         nranks: int | None = None,
     ) -> Dataset:
         """Create a dataset whose writes run the predictive pipeline.
@@ -220,8 +221,8 @@ class Group:
         for lossless raw storage); ``strategy`` picks a registered write
         strategy or ``"auto"``; ``maxshape=(None, *shape)`` declares a
         time-streamed dataset (one snapshot per appended step);
-        ``extra_space_ratio`` / ``performance_weight`` / ``executor`` /
-        ``nranks`` override the file-level configuration per dataset.
+        ``extra_space_ratio`` / ``performance_weight`` / ``nranks``
+        override the file-level configuration per dataset.
         ``data=`` assigns immediately, as in h5py.
         """
         self._file._require_writable(f"create dataset {name!r}")
@@ -243,7 +244,6 @@ class Group:
             strategy=strategy,
             extra_space_ratio=extra_space_ratio,
             performance_weight=performance_weight,
-            executor=executor,
             nranks=nranks,
         )
         parts = [p for p in name.split("/") if p]
@@ -390,9 +390,9 @@ class File(Group):
         self.mode = mode
         spec = executor if executor is not None else self.config.executor
         self._executor = resolve_executor(spec)
-        self._owned_executors: list[Executor] = (
-            [] if isinstance(spec, Executor) else [self._executor]
-        )
+        # A pool built here from a *name* is ours to shut down on close;
+        # caller-passed instances keep caller-managed lifetimes.
+        self._owns_executor = not isinstance(spec, Executor)
         self._engine = EngineFile(
             path, mode,
             fapl=FileAccessProps(
@@ -475,14 +475,19 @@ class File(Group):
         :class:`~repro.errors.IncompleteWriteError` and leaves the file
         *open* on purpose: assign the missing region(s) and close again.
         """
+        self._close_collective(verify)
+
+    def _close_collective(self, verify: bool | None, on_error: bool = False) -> None:
+        """Rank 0 closes between two barriers (``comm=`` mode); without a
+        communicator the caller closes directly."""
         comm = self._comm
-        if comm is not None:
-            comm.barrier()
-            if comm.rank == 0:
-                self._close_impl(verify)
-            comm.barrier()
+        if comm is None:
+            self._close_impl(verify, on_error)
             return
-        self._close_impl(verify)
+        comm.barrier()
+        if comm.rank == 0:
+            self._close_impl(verify, on_error)
+        comm.barrier()
 
     def _close_impl(self, verify: bool | None, on_error: bool = False) -> None:
         if self._engine.storage.closed:
@@ -526,9 +531,8 @@ class File(Group):
             self._session.close(verify=False)
             self._session = None
         self._engine.close()
-        for ex in self._owned_executors:
-            ex.close()
-        self._owned_executors = []
+        if self._owns_executor:
+            self._executor.close()
         if do_verify and wrote and not on_error:
             report = self.verify()
             self.verification = report
@@ -604,14 +608,7 @@ class File(Group):
             return
         # Close without flushing half-staged state or verifying: a facade
         # error must not be masked by close-time failures.
-        comm = self._comm
-        if comm is not None:
-            comm.barrier()
-            if comm.rank == 0:
-                self._close_impl(False, on_error=True)
-            comm.barrier()
-        else:
-            self._close_impl(False, on_error=True)
+        self._close_collective(False, on_error=True)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._engine.storage.closed else self.mode
@@ -744,76 +741,15 @@ class File(Group):
                 regions_key,
                 ds.settings.resolved_strategy(self.default_strategy),
                 ds.settings.resolved_config(self.config),
-                ds.settings.executor,
                 ds.settings.nranks,
             )
             batches.setdefault(key, []).append(ds)
         for key, dss in batches.items():
-            parent, shape, regions_key, strat, cfg, exec_spec, nranks = key
-            self._flush_batch(parent, shape, regions_key, strat, cfg,
-                              exec_spec, nranks, dss)
-
-    def _resolve_executor(self, spec) -> Executor:
-        if spec is None:
-            return self._executor
-        if isinstance(spec, Executor):
-            return spec
-        ex = resolve_executor(spec)
-        self._owned_executors.append(ex)
-        return ex
-
-    def _partition_layout(self, shape, regions, style, nranks_req):
-        """Per-rank regions for one batch: the caller's block tiling when
-        it exists, an internal partition of a single full assignment
-        otherwise (``style`` is ``"grid"`` for compressing strategies,
-        ``"slab"`` for raw row writes)."""
-        single_full = len(regions) == 1
-        if not single_full:
-            if style == "grid" or all(
-                a == 0 and b == dim
-                for r in regions for (a, b), dim in zip(r[1:], shape[1:])
-            ):
-                return [list(map(list, r)) for r in regions], None
-            # Raw writes need row slabs; re-partition the assembled array.
-            parts = slab_partition(shape, min(len(regions), shape[0]))
-            return [[[s.start, s.stop] for s in p.slices] for p in parts], parts
-        want = nranks_req or self.nranks
-        try:
-            if style == "grid":
-                parts = grid_partition(shape, want)
-            else:
-                parts = slab_partition(shape, min(want, max(1, shape[0])))
-        except ValueError as exc:
-            raise ConfigError(
-                f"cannot partition shape {shape} across {want} ranks: {exc}; "
-                "reduce nranks (per dataset or at repro.open)"
-            ) from None
-        return [[[s.start, s.stop] for s in p.slices] for p in parts], parts
-
-    def _rank_blocks(self, ds: Dataset, region_list, parts) -> list[np.ndarray]:
-        if parts is not None or len(ds._blocks) == 1:
-            # Extract from the (single or assembled) global array.
-            source = ds._blocks[0][1] if len(ds._blocks) == 1 else ds._reference()
-            return [
-                np.ascontiguousarray(
-                    source[tuple(slice(a, b) for a, b in region)]
-                )
-                for region in region_list
-            ]
-        by_region = {
-            tuple(tuple(ab) for ab in r): block for r, block in ds._blocks
-        }
-        return [
-            by_region[tuple(tuple(ab) for ab in region)]
-            for region in region_list
-        ]
+            self._flush_batch(*key, dss)
 
     def _flush_batch(
-        self, parent, shape, regions_key, strategy_name, cfg, exec_spec,
-        nranks_req, dss,
+        self, parent, shape, regions_key, strategy_name, cfg, nranks_req, dss
     ) -> None:
-        executor = self._resolve_executor(exec_spec)
-        regions = [list(map(list, r)) for r in regions_key]
         names = [ds.leaf for ds in dss]
         codecs = {
             ds.leaf: SZCompressor(
@@ -822,66 +758,42 @@ class File(Group):
             for ds in dss
             if ds.settings.error_bound is not None
         }
-        region_list, parts = self._partition_layout(
-            shape, regions, "grid", nranks_req
-        )
-        blocks = {
-            ds.leaf: self._rank_blocks(ds, region_list, parts) for ds in dss
-        }
+        tiles = {ds.leaf: ds._blocks for ds in dss}
+        nranks = nranks_req or self.nranks
+
+        def split(slabs: bool):
+            # The caller's block tiling is the decomposition when it
+            # exists; a single full assignment is partitioned internally
+            # (grid blocks for compressing strategies, row slabs for raw).
+            try:
+                regions = rank_regions(shape, nranks, slabs=slabs, tiling=regions_key)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"cannot partition shape {shape} across {nranks} ranks: "
+                    f"{exc}; reduce nranks (per dataset or at repro.open)"
+                ) from None
+            return rank_payload(tiles, shape, regions)
+
         if strategy_name == AUTO:
-            strategy_name = self._autotune_snapshot(
-                names, blocks, region_list, codecs, cfg, executor, parent
-            )
-        strat = get_strategy(strategy_name)
-        if not strat.compresses:
-            region_list, parts = self._partition_layout(
-                shape, regions, "slab", nranks_req
-            )
-            blocks = {
-                ds.leaf: self._rank_blocks(ds, region_list, parts) for ds in dss
-            }
+            # Price every registered strategy from sampled size predictions
+            # and execute the winner (the cold-write analogue of the
+            # streaming session's per-step re-tuning).
+            tuner = AutoTuner(machine=self.machine, config=cfg, executor=self._executor)
+            strategy_name = tune_payload(
+                tuner, names, split(slabs=False), codecs, name=f"facade:{parent}"
+            ).choice
         driver = RealDriver(
             strategy_name, config=cfg, machine_name=self.machine,
-            executor=executor,
+            executor=self._executor,
         )
-        engine = self._engine
-        codecs_arg = codecs if strat.compresses else None
-
-        def rank_fn(comm):
-            local = {leaf: blocks[leaf][comm.rank] for leaf in names}
-            return driver.run(
-                comm, engine, local, region_list[comm.rank], shape,
-                codecs_arg, group=parent,
-            )
-
-        stats = driver.executor.map_ranks(len(region_list), rank_fn)
+        payload = split(slabs=not driver.strategy.compresses)
+        stats = driver.write(self._engine, payload, shape, codecs, group=parent)
         for ds in dss:
-            engine_ds = engine[ds._path]
+            engine_ds = self._engine[ds._path]
             engine_ds.attrs.update(ds._attrs)
-            engine_ds.attrs.update(
-                self._meta_attrs(ds, strategy_name, len(region_list))
-            )
+            engine_ds.attrs.update(self._meta_attrs(ds, strategy_name, len(payload)))
             ds._engine = engine_ds
             ds.stats = stats
-
-    def _autotune_snapshot(
-        self, names, blocks, region_list, codecs, cfg, executor, parent
-    ) -> str:
-        """Price every registered strategy from sampled size predictions
-        and execute the winner (the cold-write analogue of the streaming
-        session's per-step re-tuning)."""
-        probe = PredictPhase(enabled=True)
-        sizes = []
-        n_values = []
-        for rank in range(len(region_list)):
-            local = {leaf: blocks[leaf][rank] for leaf in names}
-            sizes.append(probe.predict_sizes(local, codecs, cfg))
-            n_values.append(int(next(iter(local.values())).size))
-        workload = measured_workload(
-            names, sizes, n_values, name=f"facade:{parent}"
-        )
-        tuner = AutoTuner(machine=self.machine, config=cfg, executor=executor)
-        return tuner.evaluate(workload).choice
 
     # -- caller-managed SPMD (comm mode) -------------------------------------
 
@@ -963,11 +875,6 @@ class File(Group):
                 "create_dataset(name, shape, maxshape=(None, *shape), "
                 "error_bound=...)"
             )
-        if self.mode == "r+" and self._loaded_steps:
-            raise InvalidStateError(
-                "appending to an existing step series is not supported; "
-                "rewrite the file in 'w' mode"
-            )
         names = [ds.leaf for ds in self._time]
         if set(fields) != set(names):
             missing = sorted(set(names) - set(fields))
@@ -977,37 +884,30 @@ class File(Group):
                 + (f"; missing {missing}" if missing else "")
                 + (f"; unexpected {extra}" if extra else "")
             )
-        arrays = {}
-        for ds in self._time:
-            a = np.asarray(fields[ds.leaf])
-            if tuple(a.shape) != ds._base_shape:
-                raise ShapeMismatchError(
-                    f"{ds._path}: step array shape {tuple(a.shape)} != "
-                    f"dataset shape {ds._base_shape}"
-                )
-            arrays[ds.leaf] = np.ascontiguousarray(a, dtype=ds._dtype)
-        return arrays
+        return {ds.leaf: self._step_array(ds, fields[ds.leaf]) for ds in self._time}
+
+    def _step_array(self, ds: Dataset, value) -> np.ndarray:
+        """One field of the next step, validated and in the dataset dtype."""
+        if self.mode == "r+" and self._loaded_steps:
+            raise InvalidStateError(
+                "appending to an existing step series is not supported; "
+                "rewrite the file in 'w' mode"
+            )
+        a = np.asarray(value)
+        if tuple(a.shape) != ds._base_shape:
+            raise ShapeMismatchError(
+                f"{ds._path}: step array shape {tuple(a.shape)} != "
+                f"dataset shape {ds._base_shape}"
+            )
+        return np.ascontiguousarray(a, dtype=ds._dtype)
 
     def _write_step(self, arrays: dict[str, np.ndarray]):
-        if self._series is None:
-            first = self._time[0]
-            self._series = ArraySeries(
-                first._base_shape,
-                [ds.leaf for ds in self._time],
-                {
-                    ds.leaf: float(ds.settings.error_bound)
-                    for ds in self._time
-                },
-            )
+        self._ensure_session()
+        result = self._session.write_arrays(arrays)
+        # Only a step that landed becomes reference data, so the series
+        # and the file cannot drift apart.
         self._series.append(arrays)
-        try:
-            self._ensure_session()
-            return self._session.write_step()
-        except ReproError:
-            # The step never landed: forget its reference data so the
-            # series and the file cannot drift apart.
-            self._series._steps.pop()
-            raise
+        return result
 
     def _ensure_session(self) -> None:
         if self._session is not None:
@@ -1025,8 +925,8 @@ class File(Group):
         if len(configs) > 1:
             raise ConfigError(
                 "time-axis datasets declare conflicting pipeline overrides "
-                "(extra_space_ratio / performance_weight / executor must "
-                "agree across the series)"
+                "(extra_space_ratio / performance_weight must agree across "
+                "the series)"
             )
         nranks_set = {
             ds.settings.nranks for ds in self._time
@@ -1036,28 +936,22 @@ class File(Group):
             raise ConfigError(
                 f"time-axis datasets declare conflicting nranks {sorted(nranks_set)}"
             )
-        exec_specs = {
-            ds.settings.executor for ds in self._time
-            if ds.settings.executor is not None
-        }
-        if len(exec_specs) > 1:
-            raise ConfigError(
-                "time-axis datasets declare conflicting executors; the "
-                "shared session runs on exactly one backend"
-            )
-        executor = self._resolve_executor(
-            exec_specs.pop() if exec_specs else None
+        series = ArraySeries(
+            self._time[0]._base_shape,
+            [ds.leaf for ds in self._time],
+            {ds.leaf: float(ds.settings.error_bound) for ds in self._time},
         )
         self._session = TimestepSession(
             None,
-            self._series,
+            series,
             nranks_set.pop() if nranks_set else self.nranks,
             strategy=strategies.pop(),
             config=configs.pop(),
             machine_name=self.machine,
-            executor=executor,
+            executor=self._executor,
             file=self._engine,
         )
+        self._series = series
 
     def _stage_step_field(self, ds: Dataset, step: int, value) -> None:
         expected = self.steps_written
@@ -1066,24 +960,10 @@ class File(Group):
                 f"{ds._path}: steps append in order; next step is "
                 f"{expected}, got {step}"
             )
-        if self.mode == "r+" and self._loaded_steps:
-            raise InvalidStateError(
-                "appending to an existing step series is not supported; "
-                "rewrite the file in 'w' mode"
-            )
-        a = np.asarray(value)
-        if tuple(a.shape) != ds._base_shape:
-            raise ShapeMismatchError(
-                f"{ds._path}: step array shape {tuple(a.shape)} != "
-                f"dataset shape {ds._base_shape}"
-            )
-        self._step_stage[ds.leaf] = np.ascontiguousarray(a, dtype=ds._dtype)
+        self._step_stage[ds.leaf] = self._step_array(ds, value)
         if set(self._step_stage) == {d.leaf for d in self._time}:
             stage, self._step_stage = self._step_stage, {}
             self._write_step(stage)
-
-    def _read_step_field(self, ds: Dataset, step: int) -> np.ndarray:
-        return self._engine[f"{step_group(step)}/{ds.leaf}"].read()
 
     def _step_engine_dataset(self, ds: Dataset, step: int) -> EngineDataset:
         return self._engine[f"{step_group(step)}/{ds.leaf}"]

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from repro.core.config import PipelineConfig, extra_space_for_weight
 from repro.core.strategy import get_strategy, registered_strategies
 from repro.errors import ConfigError, UnknownStrategyError
-from repro.exec import EXECUTOR_NAMES, Executor
 
 #: Strategy name asking the facade to auto-tune per write (snapshot
 #: datasets price every registered strategy from predicted sizes; time-axis
@@ -57,8 +56,6 @@ class DatasetSettings:
     extra_space_ratio: float | None = None
     #: Fig. 9 performance-vs-storage weight (mapped onto Rspace).
     performance_weight: float | None = None
-    #: executor backend override (name or instance).
-    executor: "str | Executor | None" = None
     #: SPMD width override for facade-partitioned writes.
     nranks: int | None = None
 
@@ -80,10 +77,6 @@ class DatasetSettings:
         if self.performance_weight is not None:
             # Validate eagerly so the error points at dataset creation.
             extra_space_for_weight(self.performance_weight)
-        if isinstance(self.executor, str) and self.executor not in EXECUTOR_NAMES:
-            raise ConfigError(
-                f"executor must be one of {list(EXECUTOR_NAMES)}; got {self.executor!r}"
-            )
         if self.nranks is not None and self.nranks <= 0:
             raise ConfigError("nranks must be positive")
 
@@ -94,8 +87,6 @@ class DatasetSettings:
             overrides["extra_space_ratio"] = float(self.extra_space_ratio)
         if self.performance_weight is not None:
             overrides["extra_space_ratio"] = extra_space_for_weight(self.performance_weight)
-        if isinstance(self.executor, str):
-            overrides["executor"] = self.executor
         return replace(base, **overrides) if overrides else base
 
     def resolved_strategy(self, file_default: str) -> str:

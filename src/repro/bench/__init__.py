@@ -3,8 +3,8 @@
 :mod:`harness` provides row-oriented result recording and table printing;
 :mod:`figures` computes the data series behind each figure (scaled-down by
 default so the suite runs in minutes on one machine — every function takes
-scale parameters for larger runs); :mod:`run_all` executes the full set and
-emits the EXPERIMENTS.md comparison tables.
+scale parameters for larger runs); the ``benchmarks/`` pytest tree runs
+each of them and saves its table under ``results/``.
 """
 
 from repro.bench.harness import ExperimentResult, format_table, save_result

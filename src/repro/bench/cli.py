@@ -39,12 +39,10 @@ from repro.bench.harness import format_table, results_dir
 from repro.bench.read import measure_read_extras
 from repro.bench.serve import measure_serve_saturation
 from repro.core.config import PipelineConfig
-from repro.core.pipeline import RealDriver
 from repro.core.scenarios import Scenario, get_scenario
 from repro.core.strategy import get_strategy
 from repro.exec import EXECUTOR_NAMES, Executor, get_executor
 from repro.hdf5.file import File
-from repro.hdf5.properties import FileAccessProps
 
 #: Bench artifact schema (bump on any shape change).
 #: v2: added the ``read`` matrix bench and the artifact-level ``read``
@@ -106,6 +104,13 @@ def digest(parts: "list[bytes | str]") -> str:
     for p in parts:
         h.update(p.encode("utf-8") if isinstance(p, str) else p)
     return h.hexdigest()[:16]
+
+
+def file_fingerprint(path: str) -> str:
+    """Short digest of a finished file's bytes (the ``write``/``facade``
+    cells' fingerprint, and the verify parity pillar's)."""
+    with open(path, "rb") as fh:
+        return digest([hashlib.sha256(fh.read()).digest()])
 
 
 def _payload(sc: Scenario, quick: bool):
@@ -172,27 +177,20 @@ def setup_write(sc: Scenario, quick: bool):
 
 
 def run_write(ex: Executor, arrays) -> str:
-    """The multi-rank write microbenchmark: RealDriver on SPMD ranks.
+    """The multi-rank write microbenchmark: one ``RealDriver.write``.
 
     Every backend must produce byte-identical files — the declared
     layout's offsets are deterministic, so the fingerprint is the digest
-    of the finished file.
+    of the finished file.  The write itself is
+    :func:`repro.verify.workloads.write_scenario_file`, shared with the
+    verify pillars like :func:`run_facade`'s.
     """
-    driver = RealDriver("reorder", executor=ex)
+    from repro.verify.workloads import write_scenario_file
+
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         path = os.path.join(tmp, "bench.phd5")
-        f = File(path, "w", fapl=FileAccessProps(async_io=True, async_workers=2))
-
-        def rank_fn(comm):
-            local, region = arrays.payload[comm.rank]
-            return driver.run(comm, f, local, region, arrays.shape, arrays.codecs)
-
-        try:
-            ex.map_ranks(arrays.nranks, rank_fn)
-        finally:
-            f.close()
-        with open(path, "rb") as fh:
-            return digest([hashlib.sha256(fh.read()).digest()])
+        write_scenario_file(arrays, "reorder", path, executor=ex)
+        return file_fingerprint(path)
 
 
 def setup_facade(sc: Scenario, quick: bool):
@@ -218,8 +216,7 @@ def run_facade(ex: Executor, arrays) -> str:
             arrays, "reorder", path,
             config=PipelineConfig(async_workers=2), executor=ex,
         )
-        with open(path, "rb") as fh:
-            return digest([hashlib.sha256(fh.read()).digest()])
+        return file_fingerprint(path)
 
 
 def setup_read(sc: Scenario, quick: bool):

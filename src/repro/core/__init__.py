@@ -14,16 +14,20 @@
 * :mod:`writers` — the SimDriver executing any registered strategy on the
   discrete-event simulator (timing at scale);
 * :mod:`pipeline` — the RealDriver executing the same strategies for real
-  on thread ranks against a PHD5 file (functional correctness);
+  on thread ranks against a PHD5 file (functional correctness):
+  ``RealDriver.write`` is the one collective write every caller goes
+  through, ``RealDriver.run`` the SPMD rank body underneath it;
 * :mod:`session` — the TimestepSession streaming write loop (Fig. 15):
-  one persistent file, one group per step, warm-started predictions, and
-  the ``strategy="auto"`` per-step re-tuning mode;
+  one persistent file, one group per step (each one ``RealDriver.write``),
+  warm-started predictions, and the ``strategy="auto"`` per-step
+  re-tuning mode;
 * :mod:`workload` — workload construction: real compression of partitioned
   synthetic datasets, plus deterministic stat-pool scaling for rank counts
   beyond what pure Python can compress in reasonable time;
 * :mod:`autotune` — the AutoTuner: analytic per-strategy makespan
   estimates (calibrated models + the shared phase objects) selecting the
-  best registered strategy per workload/time-step;
+  best registered strategy per workload/time-step, and ``tune_payload``,
+  the probe → workload → evaluate step the facade and the session share;
 * :mod:`scenarios` — deterministic named workload regimes (skew,
   imbalance, drift, overflow stress, ...) consumed by the auto-tuner
   tests, the parity matrix, and the ablation benchmarks;
@@ -38,8 +42,8 @@ from repro.core.autotune import (
     choice_regret,
     exhaustive_oracle,
     measured_workload,
+    tune_payload,
 )
-
 from repro.core.config import (
     EXTRA_SPACE_MAX,
     EXTRA_SPACE_MIN,
@@ -48,14 +52,7 @@ from repro.core.config import (
 )
 from repro.core.offsets import OffsetTable, effective_extra_space
 from repro.core.overflow import OverflowPlan
-from repro.core.pipeline import (
-    RankWriteStats,
-    RealDriver,
-    filter_write_pipeline,
-    nocomp_write_pipeline,
-    predictive_write_pipeline,
-)
-from repro.core.reader import parallel_read_pipeline, read_rank_partition
+from repro.core.pipeline import RankWriteStats, RealDriver
 from repro.core.scenarios import (
     SCENARIOS,
     Scenario,
@@ -121,6 +118,7 @@ __all__ = [
     "StrategyEstimate",
     "TuningDecision",
     "measured_workload",
+    "tune_payload",
     "exhaustive_oracle",
     "choice_regret",
     "Scenario",
@@ -138,11 +136,6 @@ __all__ = [
     "best_per_case",
     "RealDriver",
     "RankWriteStats",
-    "predictive_write_pipeline",
-    "filter_write_pipeline",
-    "nocomp_write_pipeline",
     "TimestepSession",
     "StepResult",
-    "parallel_read_pipeline",
-    "read_rank_partition",
 ]

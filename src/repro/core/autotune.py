@@ -39,6 +39,7 @@ import numpy as np
 from repro.core.config import PipelineConfig
 from repro.core.scheduler import CompressionTask, queue_time
 from repro.core.strategy import (
+    PredictPhase,
     WriteStrategy,
     get_strategy,
     predict_phase_costs,
@@ -437,7 +438,7 @@ class _Estimator:
 
 
 # ---------------------------------------------------------------------------
-# Helpers shared by the streaming session and the acceptance tests
+# Helpers shared by the facade, the streaming session and the acceptance tests
 # ---------------------------------------------------------------------------
 
 def measured_workload(
@@ -473,6 +474,36 @@ def measured_workload(
         actual_nbytes=actual,
         predicted_nbytes=predicted,
     )
+
+
+def tune_payload(
+    tuner: AutoTuner,
+    field_names: Sequence[str],
+    payload: Sequence[tuple[Mapping[str, np.ndarray], object]],
+    codecs: Mapping,
+    sizes: Sequence[Mapping[str, int]] | None = None,
+    *,
+    margin: float = 1.0,
+    name: str = "measured",
+    warm_start: bool = False,
+) -> TuningDecision:
+    """Price every candidate for one collective write's per-rank payload.
+
+    ``sizes`` are the per-rank compressed sizes a compressing run just
+    measured; without them (a cold snapshot write, or a raw step that
+    measured nothing) the sampling predict phase probes them, so the tuner
+    keeps observing compressibility either way.  Sizes become a
+    :func:`measured_workload` and the tuner evaluates it — the one
+    probe → workload → evaluate sequence behind the facade's
+    ``strategy="auto"`` flush and the streaming session's per-step
+    re-tuning.
+    """
+    if sizes is None:
+        probe = PredictPhase(enabled=True)
+        sizes = [probe.predict_sizes(local, codecs, tuner.config) for local, _ in payload]
+    n_values = [int(next(iter(local.values())).size) for local, _ in payload]
+    workload = measured_workload(field_names, sizes, n_values, margin=margin, name=name)
+    return tuner.evaluate(workload, warm_start=warm_start)
 
 
 def exhaustive_oracle(

@@ -9,19 +9,19 @@ error bounds.  Sim-vs-real parity — identical per-rank predicted/actual/
 overflow byte counts — is what the shared phase definitions guarantee and
 what the strategy-engine tests assert.
 
-The driver is an SPMD function: call :meth:`RealDriver.run` from each rank
-with that rank's communicator (usually via
-:func:`repro.mpi.executor.run_spmd`).  Rank 0 creates the file objects;
-all ranks then operate on the shared handles (thread ranks share memory,
-as MPI ranks share the parallel file system).
+There is one write path.  :meth:`RealDriver.write` is the collective
+write — it fans the per-rank payload out over SPMD thread ranks, and it is
+what the facade's flush, the streaming session's step, the ingest
+daemon's commit, the verify pillars and the bench all call.  Each rank
+runs :meth:`RealDriver.run`, the SPMD rank body: rank 0 creates the file
+objects; all ranks then operate on the shared handles (thread ranks share
+memory, as MPI ranks share the parallel file system).  Callers that
+already run under :func:`repro.mpi.executor.run_spmd` (the facade's
+``comm=`` mode) call :meth:`RealDriver.run` with their own communicator.
 
-``predicted_hint`` / ``order_hint`` let a caller warm-start the predict
-and reorder phases from a previous time-step's measured sizes — the
+Warm-start hints let a caller seed the predict and reorder phases from a
+previous time-step's measured sizes — the
 :class:`~repro.core.session.TimestepSession` streaming hot path.
-
-The legacy entry points (``predictive_write_pipeline``,
-``filter_write_pipeline``, ``nocomp_write_pipeline``) are thin wrappers
-resolving a registered strategy and delegating to the driver.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 from repro.compression.codec import compress_fields
 from repro.compression.sz import SZCompressor
 from repro.core.config import PipelineConfig
+from repro.core.offsets import OffsetTable
 from repro.core.strategy import WriteStrategy, field_index_map, get_strategy, predict_phase_costs
 from repro.core.writers import default_models
 from repro.errors import ConfigError, OverflowHandlingError
@@ -76,49 +77,35 @@ def _field_datasets(
     file: File,
     fields: Mapping[str, np.ndarray],
     global_shape: tuple[int, ...],
-    codecs: Mapping[str, SZCompressor],
-    layout: str,
-    group: str = "fields",
+    codecs: Mapping[str, SZCompressor] | None,
+    group: str,
 ) -> dict[str, Dataset]:
-    """Rank 0 creates one dataset per field; everyone resolves them."""
-    names = list(fields)
+    """Rank 0 creates one dataset per field; everyone resolves them.
+
+    With ``codecs`` each dataset is a declared-partition SZ dataset;
+    without (raw strategies) it is a plain contiguous array.
+    """
     if comm.rank == 0:
         grp = file.require_group(group)
-        for name in names:
-            codec = codecs[name]
-            dcpl = DatasetCreateProps(
-                chunks=tuple(global_shape),
-                filters=(
-                    (
-                        FILTER_SZ,
-                        {
-                            "bound": codec.quantizer.requested_bound,
-                            "mode": codec.quantizer.mode,
-                            "radius": codec.radius,
-                        },
-                    ),
-                ),
-            )
+        for name, data in fields.items():
             # The dataset dtype follows the data (float32/float64); the
             # codec streams are self-describing either way, but the footer
             # metadata must not promise float32 for a float64 field.
-            grp.create_dataset(name, shape=global_shape, dtype=fields[name].dtype,
-                               layout=layout, dcpl=dcpl)
+            if codecs is None:
+                grp.create_dataset(name, shape=global_shape, dtype=data.dtype)
+                continue
+            codec = codecs[name]
+            options = {
+                "bound": codec.quantizer.requested_bound,
+                "mode": codec.quantizer.mode,
+                "radius": codec.radius,
+            }
+            dcpl = DatasetCreateProps(chunks=tuple(global_shape), filters=((FILTER_SZ, options),))
+            grp.create_dataset(
+                name, shape=global_shape, dtype=data.dtype, layout="declared", dcpl=dcpl
+            )
     comm.barrier()
-    return {name: file[f"{group}/{name}"] for name in names}
-
-
-def _shared_base_offset(watermarks: Sequence[int], base_offset: int | None) -> int:
-    """Deterministic data-region base every rank derives identically.
-
-    Fresh files land at the fixed 4096 header gap; a persistent streaming
-    file (one group per time-step) starts each step's region past the
-    all-gathered high-water mark, page-aligned.
-    """
-    if base_offset is not None:
-        return int(base_offset)
-    high = max(int(w) for w in watermarks)
-    return max(_BASE_OFFSET, -(-high // _BASE_OFFSET) * _BASE_OFFSET)
+    return {name: file[f"{group}/{name}"] for name in fields}
 
 
 class RealDriver:
@@ -132,20 +119,52 @@ class RealDriver:
         machine_name: str = "bebop",
         executor: "str | Executor | None" = None,
     ) -> None:
-        self.strategy = (
-            strategy if isinstance(strategy, WriteStrategy) else get_strategy(strategy)
-        )
+        self.strategy = strategy if isinstance(strategy, WriteStrategy) else get_strategy(strategy)
         self.strategy.validate()
         self.config = config or PipelineConfig()
         self.machine_name = machine_name
-        # Per-field compression fan-out *within* each rank; the serial
-        # default preserves the historical compress-then-queue loop.
+        # Schedules the SPMD ranks of :meth:`write` and the per-field
+        # compression fan-out *within* each rank; the serial default
+        # preserves the historical compress-then-queue loop.
         # Note: a pool resolved here from a *name* lives until process
         # exit (drivers are stateless values with no close hook) — pass
         # an Executor instance, or let TimestepSession own the lifecycle.
-        self.executor = resolve_executor(
-            executor if executor is not None else self.config.executor
-        )
+        self.executor = resolve_executor(executor if executor is not None else self.config.executor)
+
+    def write(
+        self,
+        file: File,
+        payload: "Sequence[tuple[Mapping[str, np.ndarray], list[list[int]]]]",
+        shape: tuple[int, ...],
+        codecs: Mapping[str, SZCompressor] | None = None,
+        *,
+        group: str = "fields",
+        hints: "Sequence[tuple[Mapping[str, int] | None, Sequence[str] | None]] | None" = None,
+    ) -> list[RankWriteStats]:
+        """One collective write: ``payload[r]`` is rank *r*'s
+        ``(fields, region)`` and the SPMD width is ``len(payload)``.
+
+        Every rank runs :meth:`run` on this driver's executor; the
+        per-rank stats come back in rank order.  ``hints[r]`` optionally
+        warm-starts rank *r* with ``(predicted_hint, order_hint)``.
+        """
+
+        def rank_fn(comm: RankComm) -> RankWriteStats:
+            fields, region = payload[comm.rank]
+            predicted_hint, order_hint = hints[comm.rank] if hints else (None, None)
+            return self.run(
+                comm,
+                file,
+                fields,
+                region,
+                shape,
+                codecs,
+                group=group,
+                predicted_hint=predicted_hint,
+                order_hint=order_hint,
+            )
+
+        return self.executor.map_ranks(len(payload), rank_fn)
 
     def run(
         self,
@@ -157,7 +176,6 @@ class RealDriver:
         codecs: Mapping[str, SZCompressor] | None = None,
         *,
         group: str = "fields",
-        base_offset: int | None = None,
         predicted_hint: Mapping[str, int] | None = None,
         order_hint: Sequence[str] | None = None,
     ) -> RankWriteStats:
@@ -175,62 +193,32 @@ class RealDriver:
         group:
             Group path the field datasets live under (nested paths are
             created on demand — per-time-step groups use ``steps/NNNN``).
-        base_offset:
-            Explicit data-region base; default derives a shared base from
-            the all-gathered storage watermark.
         predicted_hint / order_hint:
             Warm-start values for the predict/reorder phases (streaming).
         """
-        strat = self.strategy
-        if not strat.compress_write.compress:
+        strat, config = self.strategy, self.config
+        if not strat.compresses:
+            # The one real fork: raw storage is contiguous row slabs, not
+            # declared partitions, so no size plan applies.
             return self._run_raw(comm, file, fields, region, global_shape, group)
         if codecs is None:
             raise ConfigError(f"strategy {strat.name!r} requires per-field codecs")
-        if strat.plan is not None and strat.plan.source == "actual":
-            return self._run_postplanned(
-                comm, file, fields, region, global_shape, codecs, group, base_offset
-            )
-        return self._run_predictive(
-            comm, file, fields, region, global_shape, codecs,
-            group, base_offset, predicted_hint, order_hint,
-        )
-
-    # -- predictive path (predict → plan → overlap → overflow) ---------------
-
-    def _run_predictive(
-        self, comm, file, fields, region, global_shape, codecs,
-        group, base_offset, predicted_hint, order_hint,
-    ) -> RankWriteStats:
-        strat, config = self.strategy, self.config
         names = list(fields)
         index = field_index_map(names)
-        datasets = _field_datasets(comm, file, fields, global_shape, codecs,
-                                   "declared", group)
+        datasets = _field_datasets(comm, file, fields, global_shape, codecs, group)
 
-        # Phase 1: predict sizes (sampling — or warm-start hints).
-        predicted = strat.predict.predict_sizes(fields, codecs, config,
-                                                hints=predicted_hint)
+        # Phase 1: the sizes the plan is built from — predicted before
+        # compressing (sampling, or warm-start hints), or exact after
+        # compressing everything up front (the filter baseline).
+        if strat.predictive:
+            streams = None
+            planned = strat.predict.predict_sizes(fields, codecs, config, hints=predicted_hint)
+        else:
+            streams = compress_fields(fields, codecs, executor=self.executor)
+            planned = {n: len(streams[n]) for n in names}
 
         # Phase 2: one all-gather; every rank computes the same offset table.
-        gathered = comm.allgather(
-            {
-                "predicted": [predicted[n] for n in names],
-                "original": [int(fields[n].nbytes) for n in names],
-                "region": region,
-                "watermark": int(file.storage.end_of_data),
-            }
-        )
-        pred_matrix = np.array([[g["predicted"][f] for g in gathered] for f in range(len(names))])
-        orig_matrix = np.array([[g["original"][f] for g in gathered] for f in range(len(names))])
-        regions = [g["region"] for g in gathered]
-        base = _shared_base_offset([g["watermark"] for g in gathered], base_offset)
-        table = strat.plan.compute_table(pred_matrix, orig_matrix, config, base)
-        for f, name in enumerate(names):
-            datasets[name].declare_partitions(
-                offsets=table.offsets[f].tolist(),
-                reserved=table.reserved[f].tolist(),
-                regions=regions,
-            )
+        table = self._plan(comm, file, datasets, fields, planned, region)
 
         # Phase 3: optimize the compression order from predicted times.
         if order_hint is not None:
@@ -240,9 +228,7 @@ class RealDriver:
         elif strat.compress_write.reorder and config.reorder:
             tmodel, wmodel = default_models(self.machine_name, comm.size)
             compress_s, write_s = predict_phase_costs(
-                tmodel, wmodel,
-                [fields[n].size for n in names],
-                [predicted[n] for n in names],
+                tmodel, wmodel, [fields[n].size for n in names], [planned[n] for n in names]
             )
             order = strat.compress_write.field_order(names, compress_s, write_s)
         else:
@@ -260,11 +246,8 @@ class RealDriver:
         # default, or a rank already running *on* the pool, where nested
         # cells execute inline — keep the historical compress-then-queue
         # loop so overlapped writes still hide behind compression.
-        streams = (
-            compress_fields(fields, codecs, order=order, executor=self.executor)
-            if self.executor.cells_parallel_here
-            else None
-        )
+        if streams is None and self.executor.cells_parallel_here:
+            streams = compress_fields(fields, codecs, order=order, executor=self.executor)
         actual: dict[str, int] = {}
         tails: dict[str, bytes] = {}
         for name in order:
@@ -277,106 +260,92 @@ class RealDriver:
         if es is not None:
             es.wait_all(60.0)
 
-        overflow: dict[str, int] = {n: 0 for n in names}
-        if not strat.overflow.enabled:
+        overflow = dict.fromkeys(names, 0)
+        if strat.overflow.enabled:
+            # Phase 5: second all-gather, overflow plan, independent tail writes.
+            actual_gathered = comm.allgather([actual[n] for n in names])
+            actual_matrix = np.array([[g[f] for g in actual_gathered] for f in range(len(names))])
+            plan = strat.overflow.compute_plan(actual_matrix, table.reserved, table.data_end)
+            es2 = EventSet()
+            vol2 = AsyncVOL(file.async_engine, event_set=es2)
+            for name, tail in tails.items():
+                off, nbytes = plan.tail(index[name], comm.rank)
+                assert nbytes == len(tail)
+                vol2.overflow_write(datasets[name], comm.rank, tail, off)
+                overflow[name] = nbytes
+            es2.wait_all(60.0)
+        elif tails:
             # No repair phase: a strategy that disables overflow handling
-            # must never produce truncated slots.
-            if tails:
-                raise OverflowHandlingError(
-                    f"strategy {strat.name!r} disables overflow handling but "
-                    f"rank {comm.rank} overflowed {sorted(tails)}"
-                )
-            comm.barrier()
-            return RankWriteStats(
-                rank=comm.rank,
-                predicted_nbytes=predicted,
-                actual_nbytes=actual,
-                overflow_nbytes=overflow,
-                order=order,
+            # (or plans from exact sizes) must never produce truncated slots.
+            raise OverflowHandlingError(
+                f"strategy {strat.name!r} disables overflow handling but "
+                f"rank {comm.rank} overflowed {sorted(tails)}"
             )
-
-        # Phase 5: second all-gather, overflow plan, independent tail writes.
-        actual_gathered = comm.allgather([actual[n] for n in names])
-        actual_matrix = np.array([[g[f] for g in actual_gathered] for f in range(len(names))])
-        plan = strat.overflow.compute_plan(actual_matrix, table.reserved, table.data_end)
-        es2 = EventSet()
-        vol2 = AsyncVOL(file.async_engine, event_set=es2)
-        for name, tail in tails.items():
-            off, nbytes = plan.tail(index[name], comm.rank)
-            assert nbytes == len(tail)
-            vol2.overflow_write(datasets[name], comm.rank, tail, off)
-            overflow[name] = nbytes
-        es2.wait_all(60.0)
-        comm.barrier()
+        comm.barrier()  # collective semantics: everyone leaves together
         return RankWriteStats(
             rank=comm.rank,
-            predicted_nbytes=predicted,
+            predicted_nbytes=planned,
             actual_nbytes=actual,
             overflow_nbytes=overflow,
             order=order,
         )
 
-    # -- post-planned path (compress → plan from actual → collective) --------
-
-    def _run_postplanned(
-        self, comm, file, fields, region, global_shape, codecs, group, base_offset
-    ) -> RankWriteStats:
-        strat = self.strategy
+    def _plan(
+        self,
+        comm: RankComm,
+        file: File,
+        datasets: Mapping[str, Dataset],
+        fields: Mapping[str, np.ndarray],
+        sizes: Mapping[str, int],
+        region: list[list[int]],
+    ) -> OffsetTable:
+        """The planning step every compressing strategy shares: all-gather
+        the per-field ``sizes`` (predicted or exact), compute the offset
+        table every rank derives identically, declare the partitions."""
         names = list(fields)
-        datasets = _field_datasets(comm, file, fields, global_shape, codecs,
-                                   "declared", group)
-        streams = compress_fields(fields, codecs, executor=self.executor)
-        actual = {name: len(streams[name]) for name in names}
         gathered = comm.allgather(
             {
-                "actual": [actual[n] for n in names],
+                "sizes": [sizes[n] for n in names],
                 "original": [int(fields[n].nbytes) for n in names],
                 "region": region,
                 "watermark": int(file.storage.end_of_data),
             }
         )
-        actual_matrix = np.array([[g["actual"][f] for g in gathered] for f in range(len(names))])
+        size_matrix = np.array([[g["sizes"][f] for g in gathered] for f in range(len(names))])
         orig_matrix = np.array([[g["original"][f] for g in gathered] for f in range(len(names))])
         regions = [g["region"] for g in gathered]
-        base = _shared_base_offset([g["watermark"] for g in gathered], base_offset)
-        table = strat.plan.compute_table(actual_matrix, orig_matrix, self.config, base)
-        vol = NativeVOL()
+        # Fresh files land at the fixed 4096 header gap; a persistent
+        # streaming file (one group per time-step) starts each step's region
+        # past the all-gathered high-water mark, page-aligned.
+        high = max(g["watermark"] for g in gathered)
+        base = max(_BASE_OFFSET, -(-high // _BASE_OFFSET) * _BASE_OFFSET)
+        table = self.strategy.plan.compute_table(size_matrix, orig_matrix, self.config, base)
         for f, name in enumerate(names):
             datasets[name].declare_partitions(
                 offsets=table.offsets[f].tolist(),
                 reserved=table.reserved[f].tolist(),
                 regions=regions,
             )
-            leftover = vol.partition_write(datasets[name], comm.rank, streams[name])
-            assert leftover == 0  # exact sizes: nothing can overflow
-        comm.barrier()  # collective semantics: everyone leaves together
-        return RankWriteStats(
-            rank=comm.rank,
-            predicted_nbytes=dict(actual),
-            actual_nbytes=actual,
-            overflow_nbytes={n: 0 for n in names},
-            order=names,
-        )
-
-    # -- raw path (no compression) -------------------------------------------
+        return table
 
     def _run_raw(
-        self, comm, file, fields, region, global_shape, group
+        self,
+        comm: RankComm,
+        file: File,
+        fields: Mapping[str, np.ndarray],
+        region: list[list[int]],
+        global_shape: tuple[int, ...],
+        group: str,
     ) -> RankWriteStats:
+        """Raw path (no compression): independent contiguous row-slab writes."""
         names = list(fields)
-        if comm.rank == 0:
-            grp = file.require_group(group)
-            for name in names:
-                grp.create_dataset(name, shape=global_shape, dtype=fields[name].dtype)
-        comm.barrier()
+        datasets = _field_datasets(comm, file, fields, global_shape, None, group)
         overlapped = self.strategy.compress_write.overlap
         es = EventSet() if overlapped else None
         vol = AsyncVOL(file.async_engine, event_set=es) if overlapped else NativeVOL()
-        row_start = int(region[0][0])
+        start = (int(region[0][0]),) + (0,) * (len(global_shape) - 1)
         for name in names:
-            ds = file[f"{group}/{name}"]
-            start = (row_start,) + (0,) * (len(global_shape) - 1)
-            vol.slab_write(ds, fields[name], start)
+            vol.slab_write(datasets[name], fields[name], start)
         if es is not None:
             es.wait_all(60.0)
         comm.barrier()
@@ -385,58 +354,6 @@ class RealDriver:
             rank=comm.rank,
             predicted_nbytes=sizes,
             actual_nbytes=sizes,
-            overflow_nbytes={n: 0 for n in names},
+            overflow_nbytes=dict.fromkeys(names, 0),
             order=names,
         )
-
-
-# ---------------------------------------------------------------------------
-# Legacy entry points (kept for API stability; no phase math of their own)
-# ---------------------------------------------------------------------------
-
-def predictive_write_pipeline(
-    comm: RankComm,
-    file: File,
-    fields: Mapping[str, np.ndarray],
-    region: list[list[int]],
-    global_shape: tuple[int, ...],
-    codecs: Mapping[str, SZCompressor],
-    config: PipelineConfig | None = None,
-    machine_name: str = "bebop",
-) -> RankWriteStats:
-    """The paper's solution: predictive offsets + overlap (+ reordering).
-
-    Resolves the registered ``reorder`` strategy (or ``overlap`` when the
-    config disables Algorithm 1) and runs it through the real driver.
-    """
-    config = config or PipelineConfig()
-    name = "reorder" if config.reorder else "overlap"
-    driver = RealDriver(name, config=config, machine_name=machine_name)
-    return driver.run(comm, file, fields, region, global_shape, codecs)
-
-
-def filter_write_pipeline(
-    comm: RankComm,
-    file: File,
-    fields: Mapping[str, np.ndarray],
-    region: list[list[int]],
-    global_shape: tuple[int, ...],
-    codecs: Mapping[str, SZCompressor],
-) -> RankWriteStats:
-    """The H5Z-SZ baseline: compress everything, then a synchronized write."""
-    return RealDriver("filter").run(comm, file, fields, region, global_shape, codecs)
-
-
-def nocomp_write_pipeline(
-    comm: RankComm,
-    file: File,
-    fields: Mapping[str, np.ndarray],
-    row_start: int,
-    global_shape: tuple[int, ...],
-) -> RankWriteStats:
-    """The non-compression baseline: independent raw slab writes."""
-    nrows = next(iter(fields.values())).shape[0] if fields else 0
-    region = [[int(row_start), int(row_start) + int(nrows)]] + [
-        [0, int(s)] for s in global_shape[1:]
-    ]
-    return RealDriver("nocomp").run(comm, file, fields, region, global_shape, None)

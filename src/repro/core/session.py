@@ -31,15 +31,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
 from repro.compression.sz import SZCompressor
-from repro.core.autotune import AutoTuner, TuningDecision, measured_workload
+from repro.core.autotune import AutoTuner, TuningDecision, tune_payload
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import RankWriteStats, RealDriver
-from repro.core.strategy import PredictPhase, WriteStrategy
-from repro.data.partition import grid_partition, slab_partition
+from repro.core.strategy import WriteStrategy
+from repro.data.partition import rank_payload, rank_regions
 from repro.data.timesteps import TimestepSeries
 from repro.errors import ConfigError, InvalidStateError
 from repro.exec import Executor, resolve_executor
@@ -172,26 +173,19 @@ class TimestepSession:
         else:
             self.tuner = None
             driver = RealDriver(
-                strategy, config=self.config, machine_name=machine_name,
-                executor=self.executor,
+                strategy, config=self.config, machine_name=machine_name, executor=self.executor
             )
             self._drivers[driver.strategy.name] = driver
             self._current = driver.strategy.name
         self.warm_start = warm_start
-        gen0 = series.snapshot_generator(0)
-        self.field_names = list(field_names or gen0.field_names)
-        unknown = set(self.field_names) - set(gen0.field_names)
+        self.field_names = list(field_names or series.field_names)
+        unknown = set(self.field_names) - set(series.field_names)
         if unknown:
             raise ConfigError(f"unknown fields {sorted(unknown)}")
         self.codecs = {
-            name: SZCompressor(bound=gen0.error_bound(name) * bound_scale, mode="abs")
+            name: SZCompressor(bound=series.error_bound(name) * bound_scale, mode="abs")
             for name in self.field_names
         }
-        # Raw (non-compressing) writes need row-slab regions; compressed
-        # partitions can be arbitrary grid blocks.  An auto session may
-        # alternate, so both decompositions are kept.
-        self._grid_partitions = grid_partition(series.shape, self.nranks)
-        self._slab_partitions = slab_partition(series.shape, self.nranks)
         if file is not None:
             # A caller-provided file (the facade's shared engine handle):
             # the session streams into it but never closes it — lifecycle
@@ -200,10 +194,8 @@ class TimestepSession:
             self.file = file
             self._owns_file = False
         else:
-            self.file = File(
-                path, "w",
-                fapl=FileAccessProps(async_io=True, async_workers=self.config.async_workers),
-            )
+            fapl = FileAccessProps(async_io=True, async_workers=self.config.async_workers)
+            self.file = File(path, "w", fapl=fapl)
             self._owns_file = True
         self.results: list[StepResult] = []
         #: close-time certification report (populated by ``close(verify=True)``
@@ -214,8 +206,6 @@ class TimestepSession:
         # field orders from the most recent *compressing* step.
         self._prev_actual: list[dict[str, int]] | None = None
         self._prev_orders: list[list[str]] | None = None
-        # Most recent measurement the auto-tuner can re-tune from.
-        self._measured = None
 
     # -- strategy resolution --------------------------------------------------
 
@@ -226,21 +216,11 @@ class TimestepSession:
 
     @property
     def driver(self) -> RealDriver:
-        """The driver executing the current strategy."""
-        return self._driver_for(self._current)
-
-    @property
-    def partitions(self):
-        """The domain decomposition the current strategy writes with."""
-        if self.driver.strategy.compresses:
-            return self._grid_partitions
-        return self._slab_partitions
-
-    def _driver_for(self, name: str) -> RealDriver:
+        """The driver executing the current strategy (built on first use)."""
+        name = self._current
         if name not in self._drivers:
             self._drivers[name] = RealDriver(
-                name, config=self.config, machine_name=self.machine_name,
-                executor=self.executor,
+                name, config=self.config, machine_name=self.machine_name, executor=self.executor
             )
         return self._drivers[name]
 
@@ -306,7 +286,8 @@ class TimestepSession:
     # -- streaming -----------------------------------------------------------
 
     def write_step(self, step: int | None = None) -> StepResult:
-        """Stream one snapshot into its own group of the session file.
+        """Stream one snapshot of the series into its own group of the
+        session file.
 
         Steps must be written in order (the warm-start state is a chain);
         ``step`` defaults to the next unwritten step.
@@ -319,42 +300,41 @@ class TimestepSession:
             )
         if step >= len(self.series):
             raise InvalidStateError(f"series has only {len(self.series)} steps")
-        driver = self.driver
-        partitions = self.partitions
         gen = self.series.snapshot_generator(step)
+        return self.write_arrays({n: gen.field(n) for n in self.field_names})
+
+    def write_arrays(self, arrays: Mapping[str, np.ndarray]) -> StepResult:
+        """Stream one snapshot — every field's full array, handed over by
+        the caller — as the next step (the push-style write body;
+        :meth:`write_step` pulls the arrays from the series and lands here).
+        """
+        step = self._next_step
+        driver = self.driver
         names = self.field_names
-        payload = []
-        for p in partitions:
-            local = {n: np.ascontiguousarray(p.extract(gen.field(n))) for n in names}
-            region = [[s.start, s.stop] for s in p.slices]
-            payload.append((local, region))
+        shape = self.series.shape
+        # Raw (non-compressing) writes need row-slab regions; compressed
+        # partitions are near-cubic grid blocks.  An auto session may
+        # alternate between the two from step to step.
+        regions = rank_regions(shape, self.nranks, slabs=not driver.strategy.compresses)
+        payload = rank_payload({n: arrays[n] for n in names}, shape, regions)
         warm = (
             self.warm_start
             and driver.strategy.predictive
             and driver.strategy.predict.enabled
             and self._prev_actual is not None
         )
+        hints = None
+        if warm:
+            margin = self.config.warm_start_margin
+            orders = self._prev_orders or [None] * len(self._prev_actual)
+            hints = [
+                ({n: max(1, int(round(prev[n] * margin))) for n in names}, order)
+                for prev, order in zip(self._prev_actual, orders)
+            ]
         group = step_group(step)
-        margin = self.config.warm_start_margin
-
-        def rank_fn(comm):
-            local, region = payload[comm.rank]
-            hint = None
-            order_hint = None
-            if warm:
-                hint = {
-                    n: max(1, int(round(self._prev_actual[comm.rank][n] * margin)))
-                    for n in names
-                }
-                if self._prev_orders is not None:
-                    order_hint = self._prev_orders[comm.rank]
-            return driver.run(
-                comm, self.file, local, region, self.series.shape, self.codecs,
-                group=group, predicted_hint=hint, order_hint=order_hint,
-            )
 
         t0 = time.perf_counter()
-        stats = self.executor.map_ranks(self.nranks, rank_fn)
+        stats = driver.write(self.file, payload, shape, self.codecs, group=group, hints=hints)
         seconds = time.perf_counter() - t0
         if driver.strategy.compresses:
             # Raw-write actuals are partition sizes, useless as compressed-
@@ -364,52 +344,40 @@ class TimestepSession:
             # reusing; seeding a later reorder step with another strategy's
             # insertion order would silently disable the optimization.
             self._prev_orders = (
-                [list(s.order) for s in stats]
-                if driver.strategy.compress_write.reorder
-                else None
+                [list(s.order) for s in stats] if driver.strategy.compress_write.reorder else None
             )
-        tuning = self._retune(driver, partitions, payload, stats, step)
+        tuning = None
+        if self.auto:
+            # Re-pick the next step's strategy from this step's measured
+            # actuals; a raw step measured no compressed sizes, so they are
+            # probed instead — otherwise a session that once picked a raw
+            # strategy could never notice the series drifting back into a
+            # compressible regime.  The next step warm-starts (skips the
+            # sampling pass) whenever compressed hints exist, so predictive
+            # candidates are priced without the prediction overhead then.
+            tuning = tune_payload(
+                self.tuner,
+                names,
+                payload,
+                self.codecs,
+                [s.actual_nbytes for s in stats] if driver.strategy.compresses else None,
+                margin=self.config.warm_start_margin,
+                name=f"step{step}",
+                warm_start=self.warm_start and self._prev_actual is not None,
+            )
+            self._current = tuning.choice
         self._next_step = step + 1
         result = StepResult(
-            step=step, group=group, warm_started=warm, seconds=seconds, stats=stats,
-            strategy=driver.strategy.name, tuning=tuning,
+            step=step,
+            group=group,
+            warm_started=warm,
+            seconds=seconds,
+            stats=stats,
+            strategy=driver.strategy.name,
+            tuning=tuning,
         )
         self.results.append(result)
         return result
-
-    def _retune(self, driver, partitions, payload, stats, step) -> TuningDecision | None:
-        """Auto mode: re-pick the next step's strategy from measured actuals."""
-        if not self.auto:
-            return None
-        if driver.strategy.compresses:
-            sizes = [s.actual_nbytes for s in stats]
-        else:
-            # A raw step measures no compressed sizes; probe them with the
-            # sampling predict phase so the tuner keeps observing
-            # compressibility — otherwise a session that once picked a raw
-            # strategy could never notice the series drifting back into a
-            # compressible regime.
-            probe = PredictPhase(enabled=True)
-            sizes = [
-                probe.predict_sizes(local, self.codecs, self.config)
-                for local, _ in payload
-            ]
-        self._measured = measured_workload(
-            self.field_names,
-            sizes,
-            [p.n_values for p in partitions],
-            margin=self.config.warm_start_margin,
-            name=f"step{step}",
-        )
-        # The next step warm-starts (skips the sampling pass) whenever
-        # compressed hints exist, so predictive candidates are priced
-        # without the prediction overhead in that case.
-        decision = self.tuner.evaluate(
-            self._measured,
-            warm_start=self.warm_start and self._prev_actual is not None,
-        )
-        self._current = decision.choice
-        return decision
 
     def write_all(self) -> list[StepResult]:
         """Stream every remaining step; returns the per-step results."""

@@ -4,11 +4,15 @@ Grid datasets are split into a near-cubic process grid (as Nyx does);
 particle datasets are split into equal contiguous ranges.  Each rank's piece
 is described by a :class:`Partition` carrying the slices into the global
 array, so the SPMD runtime and the simulator share one decomposition.
+
+:func:`rank_regions` + :func:`rank_payload` turn that decomposition into
+the per-rank ``(fields, region)`` payload of one collective write — the
+one layout rule the facade's flush and the streaming session share.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,3 +122,80 @@ def partition_particles(n_particles: int, nranks: int) -> list[Partition]:
         raise ValueError("fewer particles than ranks")
     splits = _axis_splits(int(n_particles), nranks)
     return [Partition(rank=r, slices=(sl,)) for r, sl in enumerate(splits)]
+
+
+# ---------------------------------------------------------------------------
+# Per-rank payload of one collective write
+# ---------------------------------------------------------------------------
+
+#: ``[[start, stop], ...]`` of one block in the global grid.
+Region = list[list[int]]
+
+
+def region_slices(region: Region) -> tuple[slice, ...]:
+    """The indexing tuple selecting ``region`` out of the global array."""
+    return tuple(slice(a, b) for a, b in region)
+
+
+def rank_regions(
+    shape: Sequence[int],
+    nranks: int,
+    *,
+    slabs: bool = False,
+    tiling: Sequence[Region] | None = None,
+) -> list[Region]:
+    """The per-rank regions of one collective write over ``shape``.
+
+    A caller's own block ``tiling`` *is* the decomposition whenever the
+    storage layout can take it: always for compressed partitions, and for
+    raw ``slabs`` only when every block spans the full trailing
+    dimensions.  Otherwise the grid is split internally — near-cubic
+    blocks across ``nranks``, or contiguous row slabs (never more than
+    there are rows; a rejected tiling keeps its rank count).
+    """
+    if tiling is not None and len(tiling) > 1:
+        if not slabs or all(
+            a == 0 and b == dim for r in tiling for (a, b), dim in zip(r[1:], shape[1:])
+        ):
+            return [[list(ab) for ab in r] for r in tiling]
+        nranks = len(tiling)
+    if slabs:
+        parts = slab_partition(shape, min(nranks, max(1, shape[0])))
+    else:
+        parts = grid_partition(shape, nranks)
+    return [[[s.start, s.stop] for s in p.slices] for p in parts]
+
+
+def assemble_tiles(tiles: Sequence[tuple[Region, np.ndarray]], shape: Sequence[int]) -> np.ndarray:
+    """The global array rebuilt from disjoint ``(region, block)`` tiles."""
+    out = np.zeros(tuple(shape), dtype=tiles[0][1].dtype)
+    for region, block in tiles:
+        out[region_slices(region)] = block
+    return out
+
+
+def rank_payload(
+    fields: Mapping[str, "np.ndarray | Sequence[tuple[Region, np.ndarray]]"],
+    shape: Sequence[int],
+    regions: Sequence[Region],
+) -> list[tuple[dict[str, np.ndarray], Region]]:
+    """Rank *r*'s ``(fields, region)`` for every entry of ``regions``.
+
+    ``fields[name]`` is the field's whole array, or the ``(region, block)``
+    tiles it was handed over as.  A rank region that is itself a tile
+    takes that block as is; anything else is cut out of the whole array
+    (reassembled first when it arrived as several tiles).
+    """
+    keys = [tuple(map(tuple, r)) for r in regions]
+    blocks: dict[str, list[np.ndarray]] = {}
+    for name, data in fields.items():
+        if isinstance(data, np.ndarray):
+            whole = data
+        else:
+            by_region = {tuple(map(tuple, r)): block for r, block in data}
+            if all(k in by_region for k in keys):
+                blocks[name] = [by_region[k] for k in keys]
+                continue
+            whole = data[0][1] if len(data) == 1 else assemble_tiles(data, shape)
+        blocks[name] = [np.ascontiguousarray(whole[region_slices(r)]) for r in regions]
+    return [({name: blocks[name][r] for name in fields}, reg) for r, reg in enumerate(regions)]

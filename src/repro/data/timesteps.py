@@ -17,7 +17,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.data.nyx import NyxGenerator
+from repro.data.nyx import NYX_ABS_ERROR_BOUNDS, NYX_FIELDS, NyxGenerator
 
 
 class TimestepSeries:
@@ -70,6 +70,13 @@ class TimestepSeries:
         """All fields of the step's snapshot."""
         return self.snapshot_generator(step).snapshot()
 
+    #: Field names every snapshot of the series provides (grid fields only).
+    field_names = NYX_FIELDS
+
+    def error_bound(self, name: str) -> float:
+        """The absolute error bound of one field (the same at every step)."""
+        return NYX_ABS_ERROR_BOUNDS[name]
+
     def __len__(self) -> int:
         return self.n_steps
 
@@ -107,10 +114,9 @@ class ArraySeries:
     :class:`TimestepSeries` regenerates snapshots deterministically from a
     seed; :class:`ArraySeries` is the push-model counterpart the facade's
     ``File.append_step`` uses — the application hands over each step's
-    arrays, and the retained snapshots double as the reference data for
-    close-time certification.  It grows as steps are appended, so
-    :class:`~repro.core.session.TimestepSession`'s ``step < len(series)``
-    bound always admits exactly the steps that exist.
+    arrays (pushed through ``TimestepSession.write_arrays``), and every
+    step that landed is appended here, so the retained snapshots double
+    as the reference data for close-time certification.
     """
 
     def __init__(
@@ -145,6 +151,10 @@ class ArraySeries:
         ordered = {name: np.asarray(fields[name]) for name in self.field_names}
         self._steps.append(ArraySnapshot(ordered, self.bounds))
         return len(self._steps) - 1
+
+    def error_bound(self, name: str) -> float:
+        """The absolute error bound declared for one field."""
+        return self.bounds[name]
 
     def snapshot_generator(self, step: int) -> ArraySnapshot:
         """The retained snapshot for one appended step."""

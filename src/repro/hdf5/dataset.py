@@ -207,7 +207,7 @@ class Dataset:
             return np.frombuffer(blob, dtype=self.dtype).reshape(self.shape).copy()
         if self.layout == "chunked":
             return self._read_chunked()
-        return self._read_declared(executor)
+        return self.read_region(tuple(slice(0, s) for s in self.shape), executor)
 
     # -- chunked layout ------------------------------------------------------
 
@@ -347,7 +347,10 @@ class Dataset:
         try:
             return self._partitions[index]
         except KeyError:
-            raise InvalidStateError(f"partition {index} not declared") from None
+            raise InvalidStateError(
+                f"dataset {self.path!r} declares {self.n_partitions} partitions; "
+                f"partition {index} is not one of them"
+            ) from None
 
     def write_partition(self, index: int, payload: bytes) -> int:
         """Write a compressed stream into its reserved slot.
@@ -401,11 +404,12 @@ class Dataset:
         """Read a rectangular sub-region of the dataset.
 
         For the declared layout only the partitions whose recorded regions
-        intersect the request are decoded — the partial-read path the
-        facade's ``ds[a:b, ...]`` indexing rides on.  ``executor``
-        optionally decodes the intersecting partitions in parallel (the
-        serial default is bit-identical).  Contiguous and chunked layouts
-        fall back to a full read plus slicing.
+        intersect the request are decoded — the one reassembly loop behind
+        :meth:`read` (the full extent) and the facade's ``ds[a:b, ...]``
+        indexing.  ``executor`` optionally decodes the intersecting
+        partitions in parallel (the serial default is bit-identical).
+        Contiguous and chunked layouts fall back to a full read plus
+        slicing.
         """
         if len(slices) != len(self.shape):
             raise HDF5Error("region rank mismatch")
@@ -529,18 +533,6 @@ class Dataset:
                 self.file.read_stats.record_decode(data.nbytes)
                 results[i] = cache.put(self._cache_key(i), data)
         return [results[i] for i in indexes]
-
-    def _read_declared(self, executor: "Executor | None" = None) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.dtype)
-        entries = sorted(self._partitions.items())
-        for _, entry in entries:
-            if entry.region is None:
-                raise HDF5Error("cannot reassemble: partitions carry no regions")
-        blocks = self._partition_arrays([i for i, _ in entries], executor)
-        for (_, entry), data in zip(entries, blocks):
-            sl = tuple(slice(a, b) for a, b in entry.region)
-            out[sl] = data
-        return out
 
     # -- footer serialization -------------------------------------------------
 

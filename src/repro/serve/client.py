@@ -39,14 +39,15 @@ from repro.serve.protocol import QueueFullError, ServeError
 
 
 def _connect(address: str, timeout: "float | None") -> socket.socket:
-    """Dial ``host:port`` or a unix socket path."""
-    if ":" in address and not address.startswith("/"):
+    """Dial ``host:port``, ``unix:<path>``, or a bare unix socket path."""
+    path = address.removeprefix("unix:")
+    if path == address and ":" in address and not address.startswith("/"):
         host, _, port = address.rpartition(":")
         sock = socket.create_connection((host, int(port)), timeout=timeout)
     else:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.settimeout(timeout)
-        sock.connect(address)
+        sock.connect(path)
     sock.settimeout(None)
     return sock
 

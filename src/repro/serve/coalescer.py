@@ -6,10 +6,10 @@ The daemon does not grow a second write path.  Every open file is one
 ``create_dataset``, ``ds[region] = block``, ``append_step``.  Commit
 (an explicit ``flush``, the closing of a file, or the shutdown drain)
 then calls the facade's own :meth:`~repro.api.file.File.flush`, whose
-``(group, shape, partitioning, strategy, config, executor, nranks)``
+``(group, shape, partitioning, strategy, config, nranks)``
 batching is the daemon's coalescing rule: blocks from *different
 clients* that tile compatible datasets land together as one collective
-multi-field RealDriver run, cross-field Algorithm-1 reordering included.
+multi-field ``RealDriver.write``, cross-field Algorithm-1 reordering included.
 
 Sessions are shared: two clients opening the same path attach to the
 same session (reference-counted); the last release closes the engine
@@ -243,8 +243,8 @@ class Coalescer:
         """Coalescing commit: every complete staged dataset lands now.
 
         Compatible datasets — same group, shape, partitioning, strategy,
-        config, executor, nranks, *whichever clients staged them* — flush
-        as one collective multi-field RealDriver run (the facade's own
+        config, nranks, *whichever clients staged them* — flush as one
+        collective multi-field ``RealDriver.write`` (the facade's own
         batching).  Returns what landed plus the accumulated async errors.
         """
         session = self.session(fid)

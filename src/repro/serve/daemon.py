@@ -22,8 +22,9 @@ Request classes:
   pending ingest from any tenant, so a commit can never split another
   client's in-flight batch.
 * **admin** (``ping`` / ``stats`` / ``shutdown``) — ``ping``/``stats``
-  answer inline from the reader thread; ``shutdown`` drains the queue,
-  flushes what is complete, closes every file, then answers.
+  answer inline from the reader thread; ``shutdown`` answers first (the
+  process may exit the moment the drain ends), then drains the queue,
+  flushes what is complete and closes every file.
 
 A client disconnecting mid-stream (torn frame or EOF) releases its file
 handles with incomplete staged data dropped; other clients are
@@ -32,6 +33,7 @@ untouched.
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 
@@ -111,6 +113,7 @@ class ReproServer:
             config=config, nranks=nranks, strategy=strategy, machine=machine
         )
         self._sock: socket.socket | None = None
+        self._bound_unix = False
         self._threads: list[threading.Thread] = []
         self._writer: threading.Thread | None = None
         self._stopping = threading.Event()
@@ -139,6 +142,7 @@ class ReproServer:
         if self._unix_path is not None:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.bind(self._unix_path)
+            self._bound_unix = True  # the socket file is ours to unlink
         else:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -158,21 +162,28 @@ class ReproServer:
         return self
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Clean shutdown: stop accepting, drain the queue, flush complete
-        datasets, drop incomplete ones, close every file (idempotent)."""
-        if self._stopping.is_set():
-            self._drained.wait(timeout)
-            return
-        self._stopping.set()
-        self.queue.close()
-        if self._writer is not None:
-            self._writer.join(timeout)
+        """Clean shutdown: stop accepting (closing the listening socket and
+        unlinking the unix socket file this server bound), drain the queue,
+        flush complete datasets, drop incomplete ones, close every file
+        (idempotent)."""
+        with self._lock:
+            first = not self._stopping.is_set()
+            self._stopping.set()
+            if first and self._sock is not None:
+                try:
+                    self._sock.close()
+                except OSError:
+                    pass
+                if self._bound_unix:
+                    try:
+                        os.unlink(self._unix_path)
+                    except FileNotFoundError:
+                        pass
+        if first:
+            self.queue.close()
+            if self._writer is not None:
+                self._writer.join(timeout)
         self._drained.wait(timeout)
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
 
     def __enter__(self) -> "ReproServer":
         return self.start()
@@ -262,8 +273,10 @@ class ReproServer:
             conn.send({"ok": True, "rid": rid, "stats": self.stats()})
             return True
         if op == "shutdown":
+            # Reply before tearing down: once stop() returns the process
+            # may exit, and the client must not see a dropped connection.
+            conn.send({"ok": True, "rid": rid, "draining": True})
             self.stop()
-            conn.send({"ok": True, "rid": rid, "draining": False})
             return False
         if op in INGEST_OPS:
             return self._enqueue_ingest(conn, op, header, payload, rid)

@@ -21,7 +21,7 @@ from repro.utils.stats import (
     value_range,
 )
 from repro.utils.rng import resolve_rng, spawn_rngs
-from repro.utils.timer import Timer, TimerRegistry
+from repro.utils.timer import Timer
 
 __all__ = [
     "BitReader",
@@ -41,5 +41,4 @@ __all__ = [
     "resolve_rng",
     "spawn_rngs",
     "Timer",
-    "TimerRegistry",
 ]

@@ -1,14 +1,12 @@
-"""Lightweight wall-clock timers for calibration and benchmarking.
+"""Lightweight wall-clock timer for calibration.
 
-The paper's offline calibration measures real compression wall time; these
-helpers wrap ``time.perf_counter`` with an accumulating registry so the
-calibration code and the benchmark harness share one idiom.
+The paper's offline calibration measures real compression wall time;
+:class:`Timer` wraps ``time.perf_counter`` as an accumulating stopwatch.
 """
 
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 
@@ -44,33 +42,3 @@ class Timer:
     def mean(self) -> float:
         """Average seconds per timed section (0.0 before first use)."""
         return self.elapsed / self.count if self.count else 0.0
-
-
-class TimerRegistry:
-    """Named collection of :class:`Timer` objects.
-
-    >>> reg = TimerRegistry()
-    >>> with reg.section("compress"):
-    ...     pass
-    >>> reg.elapsed("compress") >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._timers: dict[str, Timer] = defaultdict(Timer)
-
-    def section(self, name: str) -> Timer:
-        """Return (creating if needed) the timer for ``name``."""
-        return self._timers[name]
-
-    def elapsed(self, name: str) -> float:
-        """Accumulated seconds for ``name`` (0.0 if never used)."""
-        return self._timers[name].elapsed if name in self._timers else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        """Snapshot of all accumulated times."""
-        return {k: v.elapsed for k, v in self._timers.items()}
-
-    def reset(self) -> None:
-        """Clear every timer."""
-        self._timers.clear()

@@ -17,13 +17,12 @@ strategies certify against their declared error bound.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.bench.cli import digest
+from repro.bench.cli import file_fingerprint
 from repro.core.config import PipelineConfig
 from repro.core.scenarios import get_scenario
 from repro.core.strategy import registered_strategies
@@ -34,12 +33,6 @@ from repro.verify.workloads import reference_fields, write_scenario_file
 
 #: The canonical parity workload: the paper's target regime.
 CANONICAL_SCENARIO = "balanced"
-
-
-def file_fingerprint(path: str) -> str:
-    """Short digest of a finished file's bytes (bench-compatible)."""
-    with open(path, "rb") as fh:
-        return digest([hashlib.sha256(fh.read()).digest()])
 
 
 @dataclass(frozen=True)

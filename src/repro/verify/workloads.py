@@ -4,8 +4,8 @@ Certification, differential parity, and the scenario fuzzer all need the
 same primitive: take one scenario's real-array payload, push it through a
 registered strategy on some executor backend, and land a finished PHD5
 file on disk.  Centralizing it keeps the three pillars exercising the
-*production* write path (RealDriver + SPMD ranks + async VOL), not a
-test-only shortcut.
+*production* write path (``RealDriver.write``: SPMD ranks + async VOL),
+not a test-only shortcut.
 """
 
 from __future__ import annotations
@@ -55,16 +55,8 @@ def write_scenario_file(
             ({n: np.ascontiguousarray(a, dtype=dt) for n, a in local.items()}, region)
             for local, region in payload
         ]
-    f = File(path, "w", fapl=FileAccessProps(async_io=True, async_workers=2))
-
-    def rank_fn(comm):
-        local, region = payload[comm.rank]
-        return driver.run(comm, f, local, region, arrays.shape, codecs)
-
-    try:
-        return driver.executor.map_ranks(arrays.nranks, rank_fn)
-    finally:
-        f.close()
+    with File(path, "w", fapl=FileAccessProps(async_io=True, async_workers=2)) as f:
+        return driver.write(f, payload, arrays.shape, codecs)
 
 
 def write_scenario_file_facade(

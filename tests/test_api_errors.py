@@ -180,18 +180,6 @@ def test_conflicting_time_axis_settings(tmp_path, data):
                              error_bound=1e-3)
 
 
-def test_conflicting_executor_instances_raise(tmp_path, data):
-    from repro.exec import SerialExecutor
-
-    with repro.open(str(tmp_path / "ex.phd5"), "w") as f:
-        f.create_dataset("a", SHAPE, maxshape=(None,) + SHAPE,
-                         error_bound=1e-3, executor=SerialExecutor())
-        f.create_dataset("b", SHAPE, maxshape=(None,) + SHAPE,
-                         error_bound=1e-3, executor=SerialExecutor())
-        with pytest.raises(ConfigError, match="conflicting executors"):
-            f.append_step({"a": data, "b": data})
-
-
 def test_comm_mode_restrictions(tmp_path):
     from repro.mpi import run_spmd
 

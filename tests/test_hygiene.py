@@ -6,11 +6,18 @@ implementation importable — Python happily loads sourceless bytecode
 placed next to real modules, and a leftover ``__pycache__`` entry from a
 renamed module survives checkouts on machines that never clean.  These
 tests fail the suite the moment either appears under ``src/``.
+
+A dead module is the same problem in source form: code nothing calls
+still has to be read, kept importable and refactored around.  The last
+guard fails the suite when a module under ``src/repro`` loses its last
+importer.
 """
 
 from __future__ import annotations
 
+import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -46,3 +53,79 @@ def test_no_sourceless_bytecode_outside_pycache():
         if p.parent.name != "__pycache__"
     )
     assert not strays, f"bytecode files outside __pycache__ under src/: {strays}"
+
+
+# ---------------------------------------------------------------------------
+# Dead-module guard
+# ---------------------------------------------------------------------------
+
+ROOT = SRC.parent
+#: Where live code may import ``repro`` from.  ``benchmarks/`` regenerates
+#: the paper's figures and ``examples/``/``perfbench/`` drive the package
+#: from outside — consumers, unlike ``tests/``, which would keep anything
+#: alive just by testing it.
+CONSUMER_DIRS = ("src", "examples", "benchmarks", "perfbench")
+
+
+def _module_name(path: pathlib.Path) -> str:
+    parts = list(path.relative_to(SRC).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _imports(path: pathlib.Path, package: str) -> list[tuple[str, str | None]]:
+    """``(module, name)`` for every import statement in one file (``name``
+    is None for plain ``import x.y``; relative imports are resolved)."""
+    out: list[tuple[str, str | None]] = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                up = package.split(".")[: len(package.split(".")) - node.level + 1]
+                base = ".".join(up + ([base] if base else []))
+            out += [(base, alias.name) for alias in node.names]
+    return out
+
+
+def test_every_module_has_a_live_importer():
+    """Every module under ``src/repro`` is imported by some other non-test
+    module, or is a declared entry point (a ``__main__`` or a ``setup.py``
+    console script).  A package ``__init__`` re-export is not an importer:
+    ``from pkg import name`` is credited to the module ``name`` really
+    lives in, so a module only its own package re-exports is dead."""
+    modules = {_module_name(p): p for p in SRC.rglob("*.py")}
+    reexports = {
+        name: {n: m for m, n in _imports(path, name) if n is not None}
+        for name, path in modules.items()
+        if path.name == "__init__.py"
+    }
+
+    def origin(module: str, name: str | None) -> str:
+        if name is None:
+            return module
+        if f"{module}.{name}" in modules:
+            return f"{module}.{name}"
+        source = reexports.get(module, {}).get(name)
+        return origin(source, name) if source not in (None, module) else module
+
+    live = set(re.findall(r"=\s*([\w.]+):\w+", (ROOT / "setup.py").read_text(encoding="utf-8")))
+    for top in CONSUMER_DIRS:
+        for path in (ROOT / top).rglob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            inside = SRC in path.parents
+            package = _module_name(path).rpartition(".")[0] if inside else ""
+            me = _module_name(path) if inside else None
+            live |= {origin(m, n) for m, n in _imports(path, package)} - {me}
+    dead = sorted(
+        name
+        for name, path in modules.items()
+        if path.name not in ("__init__.py", "__main__.py") and name not in live
+    )
+    assert not dead, (
+        "modules nothing imports (a re-export from their own package "
+        f"__init__ does not count) — delete them or give them a caller: {dead}"
+    )

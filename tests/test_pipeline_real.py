@@ -3,21 +3,19 @@
 These exercise the paper's full functional path end to end — prediction,
 one all-gather, identical offset tables on every rank, overlapped async
 writes, overflow redirection, and a shared file that reads back within the
-error bounds.
+error bounds — all through ``RealDriver.write``, the one collective write
+every production caller uses.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.compression import SZCompressor
-from repro.core import PipelineConfig
-from repro.core.pipeline import (
-    filter_write_pipeline,
-    nocomp_write_pipeline,
-    predictive_write_pipeline,
-)
-from repro.data import NyxGenerator, grid_partition
-from repro.data.partition import slab_partition
+from repro.core import PipelineConfig, RealDriver, registered_strategies
+from repro.data import NyxGenerator
+from repro.data.partition import rank_payload, rank_regions
 from repro.hdf5 import File, FileAccessProps
 from repro.mpi import run_spmd
 
@@ -25,46 +23,72 @@ SHAPE = (32, 32, 32)
 NRANKS = 4
 
 
-def _setup(seed=21, bound_scale=1.0, fields=None):
+def _setup(seed=21, bound_scale=1.0, fields=None, slabs=False):
     gen = NyxGenerator(SHAPE, seed=seed)
     names = list(fields or gen.field_names[:4])
-    parts = grid_partition(SHAPE, NRANKS)
     codecs = {
         n: SZCompressor(bound=gen.error_bound(n) * bound_scale, mode="abs") for n in names
     }
-    payload = []
-    for p in parts:
-        local = {n: np.ascontiguousarray(p.extract(gen.field(n))) for n in names}
-        region = [[s.start, s.stop] for s in p.slices]
-        payload.append((local, region))
+    payload = rank_payload(
+        {n: gen.field(n) for n in names}, SHAPE, rank_regions(SHAPE, NRANKS, slabs=slabs)
+    )
     return gen, names, codecs, payload
+
+
+def _write(path, strategy, payload, codecs, config=None):
+    with File(str(path), "w", fapl=FileAccessProps(async_io=True, async_workers=4)) as f:
+        return RealDriver(strategy, config=config).write(f, payload, SHAPE, codecs)
 
 
 def _run_predictive(tmp_path, config=None, bound_scale=1.0, seed=21):
     gen, names, codecs, payload = _setup(seed=seed, bound_scale=bound_scale)
     path = str(tmp_path / "pred.phd5")
-    f = File(path, "w", fapl=FileAccessProps(async_io=True, async_workers=4))
-
-    def rank_fn(comm):
-        local, region = payload[comm.rank]
-        return predictive_write_pipeline(
-            comm, f, local, region, SHAPE, codecs, config=config
-        )
-
-    stats = run_spmd(NRANKS, rank_fn)
-    f.close()
+    stats = _write(path, "reorder", payload, codecs, config)
     return gen, names, codecs, path, stats
+
+
+def _assert_within_bounds(path, gen, names, codecs):
+    with File(path, "r") as f:
+        for name in names:
+            out = f[f"fields/{name}"].read()
+            bound = codecs[name].quantizer.requested_bound
+            err = np.max(np.abs(out.astype(np.float64) - gen.field(name)))
+            assert err <= bound * (1 + 1e-6), name
+
+
+@pytest.mark.parametrize("strategy", registered_strategies())
+def test_write_equals_hand_rolled_spmd_over_run(tmp_path, strategy):
+    """``RealDriver.write`` is nothing but ``run`` on every rank: the file
+    it produces is byte-identical to a hand-rolled ``run_spmd`` loop over
+    ``RealDriver.run``, and the per-rank stats are equal."""
+    driver = RealDriver(strategy)
+    gen, names, codecs, payload = _setup(seed=26, slabs=not driver.strategy.compresses)
+    fapl = FileAccessProps(async_io=True, async_workers=4)
+    digests, all_stats = [], []
+    for leaf in ("write.phd5", "spmd.phd5"):
+        path = str(tmp_path / leaf)
+        with File(path, "w", fapl=fapl) as f:
+            if leaf == "write.phd5":
+                stats = driver.write(f, payload, SHAPE, codecs)
+            else:
+
+                def rank_fn(comm):
+                    local, region = payload[comm.rank]
+                    return driver.run(comm, f, local, region, SHAPE, codecs)
+
+                stats = run_spmd(NRANKS, rank_fn)
+        with open(path, "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
+        all_stats.append(stats)
+    assert digests[0] == digests[1]
+    assert all_stats[0] == all_stats[1]
+    assert [s.rank for s in all_stats[0]] == list(range(NRANKS))
 
 
 class TestPredictivePipeline:
     def test_file_reads_back_within_bounds(self, tmp_path):
         gen, names, codecs, path, stats = _run_predictive(tmp_path)
-        with File(path, "r") as f:
-            for name in names:
-                out = f[f"fields/{name}"].read()
-                bound = codecs[name].quantizer.requested_bound
-                err = np.max(np.abs(out.astype(np.float64) - gen.field(name)))
-                assert err <= bound * (1 + 1e-6), name
+        _assert_within_bounds(path, gen, names, codecs)
 
     def test_all_ranks_agree_on_predictions(self, tmp_path):
         gen, names, codecs, path, stats = _run_predictive(tmp_path)
@@ -86,6 +110,9 @@ class TestPredictivePipeline:
         )
         for s in stats:
             assert s.order == names
+        _, _, codecs, payload = _setup()
+        for s in _write(tmp_path / "overlap.phd5", "overlap", payload, codecs):
+            assert s.order == names
 
     def test_overflow_path_exercised_and_correct(self, tmp_path):
         """At Rspace=1.1 with a high-ratio config, some partitions overflow
@@ -96,14 +123,8 @@ class TestPredictivePipeline:
             bound_scale=50.0,  # extreme ratio -> weakest prediction accuracy
             seed=33,
         )
-        with File(path, "r") as f:
-            total_overflow = sum(s.total_overflow for s in stats)
-            for name in names:
-                ds = f[f"fields/{name}"]
-                out = ds.read()
-                bound = codecs[name].quantizer.requested_bound
-                err = np.max(np.abs(out.astype(np.float64) - gen.field(name)))
-                assert err <= bound * (1 + 1e-6), name
+        assert sum(s.total_overflow for s in stats) > 0
+        _assert_within_bounds(path, gen, names, codecs)
 
     def test_partition_metadata_persisted(self, tmp_path):
         gen, names, codecs, path, stats = _run_predictive(tmp_path)
@@ -120,50 +141,22 @@ class TestFilterPipeline:
     def test_roundtrip(self, tmp_path):
         gen, names, codecs, payload = _setup(seed=22)
         path = str(tmp_path / "filt.phd5")
-        f = File(path, "w")
-
-        def rank_fn(comm):
-            local, region = payload[comm.rank]
-            return filter_write_pipeline(comm, f, local, region, SHAPE, codecs)
-
-        stats = run_spmd(NRANKS, rank_fn)
-        f.close()
-        with File(path, "r") as f:
-            for name in names:
-                out = f[f"fields/{name}"].read()
-                bound = codecs[name].quantizer.requested_bound
-                err = np.max(np.abs(out.astype(np.float64) - gen.field(name)))
-                assert err <= bound * (1 + 1e-6)
+        _write(path, "filter", payload, codecs)
+        _assert_within_bounds(path, gen, names, codecs)
 
     def test_no_overflow_by_construction(self, tmp_path):
         gen, names, codecs, payload = _setup(seed=23)
-        path = str(tmp_path / "filt2.phd5")
-        f = File(path, "w")
-
-        def rank_fn(comm):
-            local, region = payload[comm.rank]
-            return filter_write_pipeline(comm, f, local, region, SHAPE, codecs)
-
-        stats = run_spmd(NRANKS, rank_fn)
-        f.close()
+        stats = _write(tmp_path / "filt2.phd5", "filter", payload, codecs)
         assert all(s.total_overflow == 0 for s in stats)
+        # Exact-size plan: what was planned is what was written.
+        assert all(s.predicted_nbytes == s.actual_nbytes for s in stats)
 
 
 class TestNocompPipeline:
     def test_raw_roundtrip(self, tmp_path):
-        gen = NyxGenerator(SHAPE, seed=24)
-        names = list(gen.field_names[:2])
-        parts = slab_partition(SHAPE, NRANKS)
+        gen, names, _, payload = _setup(seed=24, slabs=True)
         path = str(tmp_path / "raw.phd5")
-        f = File(path, "w", fapl=FileAccessProps(async_io=True))
-
-        def rank_fn(comm):
-            p = parts[comm.rank]
-            local = {n: np.ascontiguousarray(p.extract(gen.field(n))) for n in names}
-            return nocomp_write_pipeline(comm, f, local, p.slices[0].start, SHAPE)
-
-        run_spmd(NRANKS, rank_fn)
-        f.close()
+        _write(path, "nocomp", payload, None)
         with File(path, "r") as f:
             for name in names:
                 assert np.array_equal(f[f"fields/{name}"].read(), gen.field(name))
@@ -176,21 +169,8 @@ class TestCrossValidation:
         gen, names, codecs, payload = _setup(seed=25)
         path_a = str(tmp_path / "a.phd5")
         path_b = str(tmp_path / "b.phd5")
-        fa = File(path_a, "w", fapl=FileAccessProps(async_io=True))
-        fb = File(path_b, "w")
-
-        def rank_a(comm):
-            local, region = payload[comm.rank]
-            return predictive_write_pipeline(comm, fa, local, region, SHAPE, codecs)
-
-        def rank_b(comm):
-            local, region = payload[comm.rank]
-            return filter_write_pipeline(comm, fb, local, region, SHAPE, codecs)
-
-        run_spmd(NRANKS, rank_a)
-        run_spmd(NRANKS, rank_b)
-        fa.close()
-        fb.close()
+        _write(path_a, "reorder", payload, codecs)
+        _write(path_b, "filter", payload, codecs)
         with File(path_a, "r") as fa2, File(path_b, "r") as fb2:
             for name in names:
                 a = fa2[f"fields/{name}"].read()

@@ -1,15 +1,20 @@
-"""Tests for the parallel read-back pipeline."""
+"""Tests for per-partition read-back through the engine dataset.
+
+Each rank of a predictively written snapshot locates its own partition
+through the declared-partition table and decodes it independently
+(``hdf5.Dataset.read_partition_array``); ``Dataset.read`` reassembles the
+same partitions into the global array.
+"""
 
 import numpy as np
 import pytest
 
 from repro.compression import SZCompressor
-from repro.core.pipeline import predictive_write_pipeline
-from repro.core.reader import parallel_read_pipeline, read_rank_partition
+from repro.core.pipeline import RealDriver
 from repro.data import NyxGenerator, grid_partition
+from repro.data.partition import rank_payload, rank_regions
 from repro.errors import HDF5Error
 from repro.hdf5 import File, FileAccessProps
-from repro.mpi import run_spmd
 
 SHAPE = (24, 24, 24)
 NRANKS = 4
@@ -21,59 +26,23 @@ def written_file(tmp_path):
     names = list(gen.field_names[:3])
     parts = grid_partition(SHAPE, NRANKS)
     codecs = {n: SZCompressor(bound=gen.error_bound(n), mode="abs") for n in names}
+    payload = rank_payload({n: gen.field(n) for n in names}, SHAPE, rank_regions(SHAPE, NRANKS))
     path = str(tmp_path / "snap.phd5")
-    f = File(path, "w", fapl=FileAccessProps(async_io=True))
-
-    def rank_fn(comm):
-        p = parts[comm.rank]
-        local = {n: np.ascontiguousarray(p.extract(gen.field(n))) for n in names}
-        region = [[s.start, s.stop] for s in p.slices]
-        return predictive_write_pipeline(comm, f, local, region, SHAPE, codecs)
-
-    run_spmd(NRANKS, rank_fn)
-    f.close()
+    with File(path, "w", fapl=FileAccessProps(async_io=True)) as f:
+        RealDriver("reorder").write(f, payload, SHAPE, codecs)
     return path, gen, names, parts
 
 
 class TestParallelRead:
-    @pytest.mark.parametrize("overlap", [True, False])
-    def test_each_rank_reads_its_partition(self, written_file, overlap):
-        path, gen, names, parts = written_file
-        f = File(path, "r", fapl=FileAccessProps(async_io=True))
-
-        def rank_fn(comm):
-            arrays, stats = parallel_read_pipeline(comm, f, overlap=overlap)
-            p = parts[comm.rank]
-            for n in names:
-                expected = p.extract(gen.field(n))
-                err = np.max(np.abs(arrays[n].astype(np.float64) - expected))
-                assert err <= gen.error_bound(n) * (1 + 1e-6)
-            return stats
-
-        stats = run_spmd(NRANKS, rank_fn)
-        f.close()
-        assert all(s.ratio > 1.0 for s in stats)
-        assert all(s.fields_read == names for s in stats)
-
-    def test_field_subset(self, written_file):
-        path, gen, names, parts = written_file
-        f = File(path, "r", fapl=FileAccessProps(async_io=True))
-
-        def rank_fn(comm):
-            arrays, stats = parallel_read_pipeline(comm, f, field_names=names[:1])
-            return sorted(arrays)
-
-        out = run_spmd(NRANKS, rank_fn)
-        f.close()
-        assert all(o == [names[0]] for o in out)
-
     def test_single_partition_helper(self, written_file):
         path, gen, names, parts = written_file
         with File(path, "r") as f:
             ds = f[f"fields/{names[0]}"]
-            block = read_rank_partition(ds, 2)
+            block = ds.read_partition_array(2)
             expected = parts[2].extract(gen.field(names[0]))
             assert block.shape == expected.shape
+            err = np.max(np.abs(block.astype(np.float64) - expected))
+            assert err <= gen.error_bound(names[0]) * (1 + 1e-6)
 
     def test_requires_declared_layout(self, tmp_path):
         path = str(tmp_path / "raw.phd5")
@@ -81,7 +50,7 @@ class TestParallelRead:
             ds = f.create_dataset("d", shape=(4,))
             ds.write(np.zeros(4, np.float32))
             with pytest.raises(HDF5Error):
-                read_rank_partition(ds, 0)
+                ds.read_partition_array(0)
 
 
 class TestReaderEdgeCases:
@@ -89,20 +58,10 @@ class TestReaderEdgeCases:
 
     @staticmethod
     def _write(path, regions, shape, data, bound=1e-3, strategy="reorder"):
-        from repro.core.pipeline import RealDriver
-
         codecs = {"a": SZCompressor(bound=bound, mode="abs")}
-        driver = RealDriver(strategy)
-        f = File(path, "w", fapl=FileAccessProps(async_io=True))
-
-        def rank_fn(comm):
-            reg = regions[comm.rank]
-            sl = tuple(slice(a, b) for a, b in reg)
-            local = {"a": np.ascontiguousarray(data[sl])}
-            return driver.run(comm, f, local, reg, shape, codecs)
-
-        run_spmd(len(regions), rank_fn)
-        f.close()
+        payload = rank_payload({"a": data}, shape, regions)
+        with File(path, "w", fapl=FileAccessProps(async_io=True)) as f:
+            RealDriver(strategy).write(f, payload, shape, codecs)
 
     def test_zero_size_rank_partition_roundtrip(self, tmp_path):
         """A rank with an empty share writes and reads back cleanly."""
@@ -114,7 +73,7 @@ class TestReaderEdgeCases:
         with File(path, "r") as f:
             ds = f["fields/a"]
             assert np.max(np.abs(ds.read() - data)) <= 1e-3 * (1 + 1e-6)
-            empty = read_rank_partition(ds, 1)
+            empty = ds.read_partition_array(1)
             assert empty.shape == (0, 4)
             assert empty.dtype == np.float32
 
@@ -125,13 +84,12 @@ class TestReaderEdgeCases:
         gen = np.random.default_rng(11)
         data = gen.normal(0, 1, shape).astype(np.float32)
         parts = grid_partition(shape, 5)
-        regions = [[[s.start, s.stop] for s in p.slices] for p in parts]
         path = str(tmp_path / "remainder.phd5")
-        self._write(path, regions, shape, data)
+        self._write(path, rank_regions(shape, 5), shape, data)
         with File(path, "r") as f:
             ds = f["fields/a"]
             for p in parts:
-                block = read_rank_partition(ds, p.rank)
+                block = ds.read_partition_array(p.rank)
                 expected = p.extract(data)
                 assert block.shape == expected.shape
                 assert np.max(np.abs(block - expected)) <= 1e-3 * (1 + 1e-6)
@@ -145,7 +103,7 @@ class TestReaderEdgeCases:
         self._write(path, regions, shape, data)
         with File(path, "r") as f:
             with pytest.raises(HDF5Error, match="declares 2 partitions"):
-                read_rank_partition(f["fields/a"], 2)
+                f["fields/a"].read_partition_array(2)
 
     def test_float64_fields_keep_their_dtype(self, tmp_path):
         """Dataset metadata records the field dtype instead of forcing f32."""

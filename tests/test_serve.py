@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import socket
+import tempfile
 import threading
 import time
 
@@ -442,6 +443,84 @@ class TestServedWrites:
         with _fake_server(protocol_version=999) as address:
             with pytest.raises(ServeError, match="protocol"):
                 ServeClient(address)
+
+
+@pytest.fixture
+def sock_path():
+    # Not tmp_path: AF_UNIX paths are capped near 100 bytes.
+    with tempfile.TemporaryDirectory(prefix="rsv-") as tmp:
+        yield os.path.join(tmp, "d.sock")
+
+
+class TestAddressFormsAndTeardown:
+    def test_unix_prefix_bare_paths_and_host_port_all_connect(
+        self, sock_path, monkeypatch
+    ):
+        """``unix:<path>`` (the documented form), bare absolute and relative
+        socket paths, and ``host:port`` all dial the daemon."""
+        monkeypatch.chdir(os.path.dirname(sock_path))
+        leaf = os.path.basename(sock_path)
+        with ReproServer(unix_path=sock_path):
+            for address in ("unix:" + sock_path, "unix:" + leaf, sock_path, leaf):
+                client = ServeClient(address)
+                client.ping()
+                client.close()
+        with ReproServer(port=0) as srv:
+            client = ServeClient(srv.address)
+            client.ping()
+            client.close()
+
+    def test_open_routes_unix_prefixed_server_address(self, sock_path, tmp_path):
+        arr = _field((8, 8, 8))
+        path = str(tmp_path / "u.phd5")
+        with ReproServer(unix_path=sock_path):
+            with api.open(path, "w", server="unix:" + sock_path) as f:
+                f.create_dataset("x", arr.shape, arr.dtype, error_bound=1e-3, data=arr)
+        assert certify(path, {"x": arr}, group="/").passed
+
+    @pytest.mark.parametrize("transport", ["tcp", "unix"])
+    def test_wire_shutdown_replies_before_teardown(self, transport, sock_path):
+        """``python -m repro.serve`` exits the moment ``stop()`` returns, so
+        the shutdown reply must already be with the client by then."""
+        srv = ReproServer(port=0) if transport == "tcp" else ReproServer(unix_path=sock_path)
+        srv.start()
+        replied = threading.Event()
+        reply_preceded_stop = []
+        real_stop = srv.stop
+
+        def stop(*args, **kwargs):
+            reply_preceded_stop.append(replied.wait(5.0))
+            real_stop(*args, **kwargs)
+
+        srv.stop = stop
+        try:
+            admin = ServeClient(srv.address)
+            admin.shutdown()  # returns normally: no dropped connection
+            replied.set()
+        finally:
+            real_stop()
+        assert reply_preceded_stop == [True]
+
+    def test_stop_unlinks_its_unix_socket_so_the_path_rebinds(self, sock_path):
+        srv = ReproServer(unix_path=sock_path).start()
+        assert os.path.exists(sock_path)
+        srv.stop()
+        assert not os.path.exists(sock_path)
+        srv.stop()  # idempotent: the already-missing file is not an error
+        with ReproServer(unix_path=sock_path):
+            client = ServeClient("unix:" + sock_path)
+            client.ping()
+            client.close()
+        assert not os.path.exists(sock_path)
+
+    def test_stop_leaves_a_path_it_did_not_bind(self, sock_path):
+        with open(sock_path, "w"):
+            pass  # someone else's file sits at the address
+        srv = ReproServer(unix_path=sock_path)
+        with pytest.raises(OSError):
+            srv.start()
+        srv.stop(timeout=0.05)
+        assert os.path.exists(sock_path)
 
 
 class TestDiscardIncomplete:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import PipelineConfig
 from repro.core.session import TimestepSession, step_group
+from repro.data import grid_partition
 from repro.data.timesteps import TimestepSeries
 from repro.errors import ConfigError, InvalidStateError
 from repro.hdf5 import File
@@ -226,10 +227,9 @@ class TestAutoStrategy:
 
         tmodel, wmodel = default_models("bebop", NRANKS)
         strat = get_strategy("reorder")
+        parts = grid_partition(SHAPE, NRANKS)
         for rank, s in enumerate(res.stats):
-            n_values = [
-                sess._grid_partitions[rank].n_values for _ in sess.field_names
-            ]
+            n_values = [parts[rank].n_values for _ in sess.field_names]
             predicted = [s.predicted_nbytes[n] for n in sess.field_names]
             compress_s, write_s = predict_phase_costs(
                 tmodel, wmodel, n_values, predicted
@@ -253,9 +253,11 @@ class TestAutoStrategy:
             res = sess.write_step()
             assert res.strategy == "nocomp"
             assert res.tuning is not None
-            # The probe saw compressible data: the measured snapshot's
-            # sizes are far below raw, and the tuner moves off nocomp.
-            assert sess._measured.overall_ratio > 2.0
+            # The probe saw compressible data: the compressed write is
+            # priced below the raw one, and the tuner moves off nocomp.
+            raw = res.tuning.estimate_for("nocomp")
+            compressed = res.tuning.estimate_for("filter")
+            assert compressed.write_seconds < raw.write_seconds
             assert res.tuning.choice != "nocomp"
 
 
