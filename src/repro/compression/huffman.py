@@ -7,7 +7,12 @@ bounds for the *upper* bound).  This module provides:
 
 * :func:`build_code` — Huffman code construction from symbol frequencies,
   canonicalized (codes assigned in (length, symbol) order) so the table
-  serializes as just the per-symbol lengths;
+  serializes as just the per-symbol lengths.  Construction is O(symbols
+  present), not O(alphabet): compact the histogram once, merge the tree
+  from two queues, fill the full-alphabet arrays with one scatter.  Among
+  equal weights a leaf merges before an internal node, leaves in symbol
+  order and internal nodes in creation order — the rule that fixes the
+  code lengths, and so the bytes of every stream;
 * :func:`huffman_encode` — vectorized encoding using
   :func:`repro.utils.bits.pack_varlen_codes`;
 * :func:`huffman_decode` — vectorized table-driven decoding: every
@@ -32,7 +37,6 @@ the serialized table.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass
 
@@ -87,36 +91,61 @@ def _reverse_bits(value: int, nbits: int) -> int:
     return out
 
 
+#: ``_BYTE_REV[b]`` is byte ``b`` with its eight bits in reverse order.
+_BYTE_REV = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"),
+    axis=1,
+).ravel()
+
+
 def _lengths_from_freqs(freqs: np.ndarray) -> np.ndarray:
-    """Optimal Huffman code lengths for the given frequency vector."""
+    """Optimal Huffman code lengths for the given frequency vector.
+
+    Two-queue construction over the present symbols only: leaves sorted by
+    (frequency, symbol) and a FIFO of internal nodes, whose weights come
+    out in non-decreasing order.  Each step takes the lighter head; a tie
+    goes to the leaf, and within a queue to the earlier entry.
+    """
     nz = np.flatnonzero(freqs)
     lengths = np.zeros(freqs.size, dtype=np.uint8)
-    if nz.size == 0:
+    n = int(nz.size)
+    if n == 0:
         return lengths
-    if nz.size == 1:
+    if n == 1:
         lengths[nz[0]] = 1
         return lengths
-    # Standard two-queue-free heap construction.  Entries: (freq, tiebreak,
-    # leaf symbol list is implicit via child links).
-    heap: list[tuple[int, int]] = []  # (freq, node_id)
-    parent: dict[int, int] = {}
-    next_id = int(freqs.size)
-    for s in nz:
-        heapq.heappush(heap, (int(freqs[s]), int(s)))
-    while len(heap) > 1:
-        f1, n1 = heapq.heappop(heap)
-        f2, n2 = heapq.heappop(heap)
-        parent[n1] = next_id
-        parent[n2] = next_id
-        heapq.heappush(heap, (f1 + f2, next_id))
-        next_id += 1
-    for s in nz:
-        depth = 0
-        node = int(s)
-        while node in parent:
-            node = parent[node]
-            depth += 1
-        lengths[s] = depth
+    present = freqs[nz]
+    order = np.argsort(present, kind="stable")  # stable: ties by symbol
+    weight = present[order].tolist()
+    # Nodes 0..n-1 are the sorted leaves and n+1..2n-1 the internal nodes in
+    # creation order.  Slot n, and every internal slot not yet created,
+    # holds a sentinel heavier than any node, so an exhausted queue loses
+    # the compare without a bounds check.
+    weight += [sum(weight) + 1] * (n + 1)
+    parent = [0] * (2 * n)
+    i, j = 0, n + 1
+    for k in range(n + 1, 2 * n):
+        if weight[i] <= weight[j]:
+            a = i
+            i += 1
+        else:
+            a = j
+            j += 1
+        if weight[i] <= weight[j]:
+            b = i
+            i += 1
+        else:
+            b = j
+            j += 1
+        weight[k] = weight[a] + weight[b]
+        parent[a] = parent[b] = k
+    # A parent is created after its children, so one descending sweep over
+    # the internal nodes sees each parent's depth before its children need
+    # it; the leaves then take theirs in one gather.
+    depth = [0] * (2 * n)
+    for node in range(2 * n - 2, n, -1):
+        depth[node] = depth[parent[node]] + 1
+    lengths[nz[order]] = np.array(depth)[parent[:n]] + 1
     return lengths
 
 
@@ -132,21 +161,51 @@ def _fixed_lengths(freqs: np.ndarray) -> np.ndarray:
 
 
 def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Assign canonical (MSB-first) codes, returned bit-reversed per length."""
+    """Assign canonical (MSB-first) codes, returned bit-reversed per length.
+
+    A symbol's code is its length's first code plus its rank among the
+    symbols of that length.  ``lengths`` must satisfy the Kraft inequality
+    with no entry above ``MAX_CODE_LEN`` (built codes do;
+    :func:`deserialize_code` checks parsed ones), so codes fit 64 bits.
+    """
     codes = np.zeros(lengths.size, dtype=np.uint64)
     present = np.flatnonzero(lengths)
     if present.size == 0:
         return codes
-    order = present[np.lexsort((present, lengths[present]))]
-    code = 0
-    prev_len = int(lengths[order[0]])
-    for sym in order:
-        ln = int(lengths[sym])
-        code <<= ln - prev_len
-        prev_len = ln
-        codes[sym] = _reverse_bits(code, ln)
-        code += 1
+    lens = lengths[present]
+    order = np.argsort(lens, kind="stable")  # stable: ties by symbol
+    counts = np.bincount(lens).tolist()
+    # base[ln] = first code of length ln minus the sorted position where
+    # that length's run starts: base + sorted position = first code + rank.
+    base = [0] * len(counts)
+    first = seen = 0
+    for ln in range(1, len(counts)):
+        first = (first + counts[ln - 1]) << 1
+        base[ln] = first - seen
+        seen += counts[ln]
+    sorted_lens = lens[order]
+    msb = np.array(base, dtype=np.int64)[sorted_lens] + np.arange(order.size)
+    # Reverse all 64 bits (byte order, then bits within each byte), then
+    # drop the low zeros so the code's own bits sit reversed at the bottom.
+    flipped = _BYTE_REV[msb.astype("<u8").view(np.uint8).reshape(-1, 8)[:, ::-1]]
+    reversed64 = flipped.view("<u8").ravel()
+    codes[present[order]] = reversed64 >> (64 - sorted_lens.astype(np.uint64))
     return codes
+
+
+def _build(freqs: np.ndarray) -> HuffmanCode:
+    """:func:`build_code` on an already validated int64 histogram."""
+    present = np.flatnonzero(freqs != 0)  # several times faster on a bool mask
+    counts = freqs[present]
+    lens = _lengths_from_freqs(counts)
+    fixed = bool(lens.size) and int(lens.max()) > MAX_CODE_LEN
+    if fixed:
+        lens = _fixed_lengths(counts)
+    lengths = np.zeros(freqs.size, dtype=np.uint8)
+    codes = np.zeros(freqs.size, dtype=np.uint64)
+    lengths[present] = lens
+    codes[present] = _canonical_codes(lens)
+    return HuffmanCode(lengths=lengths, codes=codes, fixed=fixed)
 
 
 def build_code(freqs: np.ndarray) -> HuffmanCode:
@@ -154,15 +213,9 @@ def build_code(freqs: np.ndarray) -> HuffmanCode:
     freqs = np.asarray(freqs, dtype=np.int64)
     if freqs.ndim != 1:
         raise ValueError("freqs must be one-dimensional")
-    if np.any(freqs < 0):
+    if freqs.size and int(freqs.min()) < 0:
         raise ValueError("frequencies must be non-negative")
-    lengths = _lengths_from_freqs(freqs)
-    fixed = False
-    if lengths.size and int(lengths.max()) > MAX_CODE_LEN:
-        lengths = _fixed_lengths(freqs)
-        fixed = True
-    codes = _canonical_codes(lengths)
-    return HuffmanCode(lengths=lengths, codes=codes, fixed=fixed)
+    return _build(freqs)
 
 
 def serialize_code(code: HuffmanCode, nvalues: int) -> bytes:
@@ -187,6 +240,14 @@ def deserialize_code(blob: bytes) -> tuple[HuffmanCode, int, int]:
     if len(blob) < need:
         raise CorruptStreamError("huffman length table truncated")
     lengths = np.frombuffer(blob, dtype=np.uint8, count=nsyms, offset=_HDR.size).copy()
+    # The encoder never emits a length past the cap or an over-subscribed
+    # table (Kraft sum > 1, here in exact units of 2**-MAX_CODE_LEN).
+    counts = np.bincount(lengths).tolist()
+    if len(counts) > MAX_CODE_LEN + 1:
+        raise CorruptStreamError("huffman code length exceeds the cap")
+    kraft = sum(c << (MAX_CODE_LEN - ln) for ln, c in enumerate(counts) if ln)
+    if kraft > 1 << MAX_CODE_LEN:
+        raise CorruptStreamError("huffman length table is over-subscribed")
     codes = _canonical_codes(lengths)
     return HuffmanCode(lengths=lengths, codes=codes, fixed=bool(flags & 1)), nvalues, need
 
@@ -198,16 +259,14 @@ def huffman_encode(symbols: np.ndarray, nsymbols: int) -> bytes:
     8-byte bit count, packed bitstream.
     """
     symbols = np.ascontiguousarray(symbols, dtype=np.int64).ravel()
-    if symbols.size and (symbols.min() < 0 or symbols.max() >= nsymbols):
+    # One pass checks both ends: a negative symbol is huge when unsigned.
+    if symbols.size and int(symbols.view(np.uint64).max()) >= nsymbols:
         raise ValueError("symbol out of alphabet range")
-    freqs = np.bincount(symbols, minlength=nsymbols)
-    code = build_code(freqs)
+    code = _build(np.bincount(symbols, minlength=nsymbols))
     head = serialize_code(code, symbols.size)
     if symbols.size == 0:
         return head + struct.pack("<Q", 0)
-    per_code = code.codes[symbols]
-    per_len = code.lengths[symbols].astype(np.int64)
-    payload, total_bits = pack_varlen_codes(per_code, per_len)
+    payload, total_bits = pack_varlen_codes(code.codes[symbols], code.lengths[symbols])
     return head + struct.pack("<Q", total_bits) + payload
 
 
@@ -259,9 +318,7 @@ def _parse_stream(blob: bytes) -> tuple[HuffmanCode, int, int, bytes, int]:
     return code, nvalues, total_bits, payload, off + payload_nbytes
 
 
-def _decode_scalar(
-    code: HuffmanCode, nvalues: int, total_bits: int, payload: bytes
-) -> np.ndarray:
+def _decode_scalar(code: HuffmanCode, nvalues: int, total_bits: int, payload: bytes) -> np.ndarray:
     """Per-symbol reference decoder (the differential-testing oracle)."""
     out = np.empty(nvalues, dtype=np.int64)
     reader = BitReader(payload, total_bits)
@@ -285,9 +342,7 @@ def _decode_scalar(
     return out
 
 
-def _walk_long_code(
-    reader: BitReader, window: int, long_map: dict[tuple[int, int], int]
-) -> int:
+def _walk_long_code(reader: BitReader, window: int, long_map: dict[tuple[int, int], int]) -> int:
     """Decode one code longer than ``TABLE_BITS`` via an MSB-first walk.
 
     ``window`` is the (possibly zero-padded) ``TABLE_BITS``-bit peek at the
@@ -397,9 +452,7 @@ def _decode_vectorized(
     """
     hop_bits = _HOP_BITS_LARGE if nvalues >= _WIDE_HOP_MIN_VALUES else _HOP_BITS_SMALL
     table_sym, table_len, long_map = _build_decode_tables(code)
-    hop_syms, hop_cums, hop_counts, packed = _build_hop_tables(
-        table_sym, table_len, hop_bits
-    )
+    hop_syms, hop_cums, hop_counts, packed = _build_hop_tables(table_sym, table_len, hop_bits)
     chunks = _stream_chunks(payload, total_bits)
     hop_mask = (1 << hop_bits) - 1
 

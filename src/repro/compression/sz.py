@@ -202,9 +202,10 @@ class SZCompressor(Codec):
         flat = deltas.ravel()
         shifted = flat + self.radius
         predictable = (shifted >= 0) & (shifted < 2 * self.radius)
-        symbols = np.where(predictable, shifted + 1, 0)
-        outliers = flat[~predictable]
-        return symbols, outliers
+        shifted += 1
+        if predictable.all():  # the common case: nothing escapes
+            return shifted, flat[:0]
+        return np.where(predictable, shifted, 0), flat[~predictable]
 
     @staticmethod
     def _desymbolize(

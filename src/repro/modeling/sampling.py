@@ -80,10 +80,7 @@ def sample_partition_stats(
     slices = sample_block_slices(data.shape, block, fraction)
     if not slices:
         raise ModelingError("empty partition")
-    counts = np.zeros(2 * radius + 1, dtype=np.int64)
     streams: list[np.ndarray] = []
-    n_sampled = 0
-    n_outliers = 0
     for sl in slices:
         # Extend the block one layer backwards where possible so the Lorenzo
         # deltas inside the block match the *global* transform exactly (a
@@ -98,16 +95,16 @@ def sample_partition_stats(
         d = d[inner].ravel()
         shifted = d + radius
         predictable = (shifted >= 0) & (shifted < 2 * radius)
-        symbols = np.where(predictable, shifted + 1, 0)
-        counts += np.bincount(symbols, minlength=2 * radius + 1)
-        n_outliers += int((~predictable).sum())
-        n_sampled += symbols.size
-        streams.append(symbols)
+        streams.append(np.where(predictable, shifted + 1, 0))
+    sampled = np.concatenate(streams)
+    # One histogram over the whole sample, not one full-alphabet pass per
+    # block; symbol 0 is the escape, so its count is the outlier count.
+    counts = np.bincount(sampled, minlength=2 * radius + 1)
     return SampleStats(
         symbol_counts=counts,
-        outlier_fraction=n_outliers / n_sampled,
-        n_sampled=n_sampled,
+        outlier_fraction=int(counts[0]) / sampled.size,
+        n_sampled=sampled.size,
         n_total=int(data.size),
-        sampled_symbols=np.concatenate(streams),
+        sampled_symbols=sampled,
         abs_bound=spec.abs_bound,
     )

@@ -1,15 +1,18 @@
 """Vectorized variable-length bit packing.
 
-The Huffman encoder needs to concatenate, per element, a code of 1..32 bits
+The Huffman encoder needs to concatenate, per element, a code of 1..57 bits
 into a contiguous bitstream.  Doing this element-by-element in Python is far
 too slow for multi-megabyte partitions, so :func:`pack_varlen_codes` performs
-the whole scatter with numpy:
+the whole pack with numpy:
 
-1. compute each element's starting bit offset (``cumsum`` of code lengths),
-2. split every code into its contribution to 64-bit word ``w`` and ``w + 1``,
-3. OR the contributions into a zeroed ``uint64`` buffer with
-   ``np.bitwise_or.at`` (codes never collide on set bits because offsets are
-   disjoint, so OR-accumulation is exact).
+1. compute each element's starting bit offset (``cumsum`` of code lengths)
+   and shift every code to its in-word position,
+2. OR together the codes that start in the same 64-bit word with one
+   ``np.bitwise_or.reduceat`` over the word boundaries (offsets are disjoint,
+   so OR-accumulation is exact; a code is shorter than a word, so every word
+   has a code starting in it except possibly the last),
+3. OR into the next word the high bits of the one code per word that can
+   cross its end: the last code starting there.
 
 Bit order is **LSB-first within each 64-bit little-endian word**, i.e. the
 bit at global position ``p`` lives in word ``p >> 6`` at in-word position
@@ -58,25 +61,26 @@ def pack_varlen_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, in
     if lengths.min() < 1 or lengths.max() > 57:
         raise ValueError("code lengths must be in [1, 57]")
 
-    ends = np.cumsum(lengths)
-    total_bits = int(ends[-1])
-    starts = ends - lengths
+    starts = np.cumsum(lengths)
+    total_bits = int(starts[-1])
+    starts -= lengths
+    word_idx = starts >> 6
+    starts &= 63
+    shift = starts.view(np.uint64)
+    lo = codes << shift
 
+    # Only the last code starting in a word can cross into the next one.
+    last = np.flatnonzero(word_idx[1:] != word_idx[:-1])
+    first = np.concatenate(([0], last + 1))
+    last = np.append(last, codes.size - 1)
     nwords = (total_bits + _WORD_BITS - 1) // _WORD_BITS
-    # +1 guard word so the spill of the last code needs no bounds check.
-    words = np.zeros(nwords + 1, dtype=np.uint64)
-
-    word_idx = (starts >> 6).astype(np.int64)
-    shift = (starts & 63).astype(np.uint64)
-
-    lo = (codes << shift).astype(np.uint64)
-    # Contribution to the next word: bits of the code above (64 - shift).
-    # ``code >> (64 - shift)`` is UB for shift == 0 in C; numpy uint64 shifts
-    # by 64 also wrap, so split it into two well-defined shifts.
-    hi = (codes >> np.uint64(1)) >> (np.uint64(63) - shift)
-
-    np.bitwise_or.at(words, word_idx, lo)
-    np.bitwise_or.at(words, word_idx + 1, hi)
+    # One word past the final start: the final spill, or a guard word.
+    words = np.zeros(first.size + 1, dtype=np.uint64)
+    np.bitwise_or.reduceat(lo, first, out=words[:-1])
+    # Bits of the code above (64 - shift).  ``code >> (64 - shift)`` is UB
+    # for shift == 0 in C; numpy uint64 shifts by 64 also wrap, so split it
+    # into two well-defined shifts.
+    words[1:] |= (codes[last] >> np.uint64(1)) >> (np.uint64(63) - shift[last])
 
     payload = words[:nwords].tobytes()
     return payload, total_bits
@@ -93,9 +97,7 @@ def unpack_bits_lsb(payload: bytes, total_bits: int) -> np.ndarray:
     raw = np.frombuffer(payload, dtype=np.uint8)
     needed_bytes = (total_bits + 7) // 8
     if raw.size < needed_bytes:
-        raise CorruptStreamError(
-            f"bitstream truncated: need {needed_bytes} bytes, have {raw.size}"
-        )
+        raise CorruptStreamError(f"bitstream truncated: need {needed_bytes} bytes, have {raw.size}")
     bits = np.unpackbits(raw[:needed_bytes], bitorder="little")
     return bits[:total_bits]
 

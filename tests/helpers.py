@@ -22,3 +22,70 @@ def make_smooth_field(shape=(24, 24, 24), noise=0.01, seed=0, dtype=np.float32):
         f = f * np.sin(grid + ax)[tuple(expand)]
     f += rng.normal(0.0, noise, shape)
     return f.astype(dtype)
+
+
+def reference_build_code(freqs, max_code_len):
+    """The retired Huffman construction, kept as the differential oracle.
+
+    A ``(freq, node_id)`` heap (leaves carry their symbol as id, internal
+    nodes ids past the alphabet in creation order), a per-leaf walk up a
+    ``dict`` of parents for the depth, the fixed-length fallback past
+    ``max_code_len``, and canonical codes assigned one symbol at a time in
+    (length, symbol) order, bit-reversed one bit at a time.  Returns
+    ``(lengths uint8, codes uint64, fixed)`` over the full alphabet.
+    """
+    import heapq
+
+    freqs = np.asarray(freqs, dtype=np.int64)
+    nz = np.flatnonzero(freqs)
+    lengths = np.zeros(freqs.size, dtype=np.uint8)
+    if nz.size == 1:
+        lengths[nz[0]] = 1
+    elif nz.size > 1:
+        heap = [(int(freqs[s]), int(s)) for s in nz]
+        heapq.heapify(heap)
+        parent = {}
+        next_id = int(freqs.size)
+        while len(heap) > 1:
+            f1, n1 = heapq.heappop(heap)
+            f2, n2 = heapq.heappop(heap)
+            parent[n1] = parent[n2] = next_id
+            heapq.heappush(heap, (f1 + f2, next_id))
+            next_id += 1
+        for s in nz:
+            depth, node = 0, int(s)
+            while node in parent:
+                node = parent[node]
+                depth += 1
+            lengths[s] = depth
+    fixed = bool(lengths.size) and int(lengths.max()) > max_code_len
+    if fixed:
+        lengths[nz] = max(1, int(np.ceil(np.log2(nz.size))))
+    codes = np.zeros(freqs.size, dtype=np.uint64)
+    code, prev_len = 0, None
+    for sym in sorted(nz.tolist(), key=lambda s: (int(lengths[s]), s)):
+        ln = int(lengths[sym])
+        code <<= ln - (ln if prev_len is None else prev_len)
+        prev_len = ln
+        rev, value = 0, code
+        for _ in range(ln):
+            rev = (rev << 1) | (value & 1)
+            value >>= 1
+        codes[sym] = rev
+        code += 1
+    return lengths, codes, fixed
+
+
+def golden_field(edge, dtype, seed):
+    """Seeded cube whose compressed bytes are the same on every platform.
+
+    Built from integers alone — the frozen legacy ``RandomState`` stream, a
+    running sum, an exact power-of-two scale — so neither libm nor a change
+    to numpy's ``Generator`` streams can move the golden stream digests.
+    The odd numerator keeps every value off a quantization-bin edge at
+    decimal error bounds.
+    """
+    rs = np.random.RandomState(seed)
+    steps = rs.randint(-3, 4, size=(edge, edge, edge))
+    walk = steps.cumsum(axis=2) + rs.randint(-40, 41, size=(edge, edge, 1))
+    return ((4 * walk + 1) * 2.0**-10).astype(dtype)

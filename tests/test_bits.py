@@ -163,6 +163,69 @@ class TestPackVarlenCodes:
         assert r.remaining == 0
 
 
+def _assert_matches_bit_writer(codes: list[int], lengths: list[int]) -> None:
+    """The packer's bytes are ``BitWriter``'s, zero-padded to whole words."""
+    payload, nbits = pack_varlen_codes(
+        np.array(codes, dtype=np.uint64), np.array(lengths, dtype=np.int64)
+    )
+    w = BitWriter()
+    for c, n in zip(codes, lengths):
+        w.write(c, n)
+    assert nbits == w.bit_length == sum(lengths)
+    assert len(payload) == 8 * (-(-nbits // 64))
+    assert payload == w.getvalue().ljust(len(payload), b"\0")
+
+
+class TestPackerVsBitWriter:
+    """Differential suite over the full 1..57 range and the word seams."""
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [32, 32],  # total an exact multiple of 64
+            [57, 7, 57, 7],
+            [1] * 128,
+            [57] * 64,
+            [50, 14, 5],  # a code ending on bit 63
+            [57, 6, 1, 57],  # a one-bit code on bit 63
+            [57, 6, 57],  # a 57-bit code starting at bit 63, last in the stream
+            [57, 6, 57, 57, 57],  # ... and mid-stream
+            [57, 6, 2],  # a final word that holds only a spill
+            [64 - 7, 7, 57, 8],  # the spill's word gets a start as well
+            [57],
+            [1],
+        ],
+    )
+    def test_adversarial_alignments(self, lengths):
+        ones = [(1 << n) - 1 for n in lengths]
+        _assert_matches_bit_writer(ones, lengths)
+        _assert_matches_bit_writer([v & 0x155555555555555 for v in ones], lengths)
+        _assert_matches_bit_writer([1 << (n - 1) for n in lengths], lengths)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, (1 << 57) - 1), st.integers(1, 57)),
+            min_size=1,
+            max_size=400,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_full_length_range(self, fields):
+        lengths = [n for _, n in fields]
+        _assert_matches_bit_writer([v & ((1 << n) - 1) for v, n in fields], lengths)
+
+    @given(
+        st.lists(st.integers(1, 57), min_size=1, max_size=200),
+        st.integers(1, 57),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_padded_to_a_word_multiple(self, lengths, last):
+        # Top the stream up with one-bit codes to a whole number of words
+        # (or one ``last``-bit code short of it), so the tail lands on a seam.
+        lengths = lengths + [1] * (-(sum(lengths) + last) % 64) + [last]
+        _assert_matches_bit_writer([(1 << n) - 1 for n in lengths], lengths)
+
+
 class TestUnpackBits:
     def test_truncated_payload_rejected(self):
         with pytest.raises(CorruptStreamError):

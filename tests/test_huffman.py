@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.compression.huffman import (
     MAX_CODE_LEN,
     TABLE_BITS,
+    HuffmanCode,
     _decode_scalar,
     _decode_vectorized,
     _parse_stream,
@@ -19,6 +20,8 @@ from repro.compression.huffman import (
     serialize_code,
 )
 from repro.errors import CorruptStreamError
+
+from helpers import reference_build_code
 
 
 class TestBuildCode:
@@ -82,6 +85,122 @@ class TestBuildCode:
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             build_code(np.ones((2, 2)))
+
+
+def _fibonacci(n: int) -> list[int]:
+    out, a, b = [], 1, 2
+    for _ in range(n):
+        out.append(a)
+        a, b = b, a + b
+    return out
+
+
+class TestBuildCodeVsHeapOracle:
+    """Pin ``build_code`` elementwise to the retired heap construction.
+
+    Code lengths under equal frequencies depend on the merge order, and
+    every stream's bytes depend on the lengths, so the two-queue builder
+    must reproduce the heap's ``(freq, node_id)`` pop order exactly.
+    """
+
+    @staticmethod
+    def _assert_same(freqs) -> None:
+        freqs = np.asarray(freqs, dtype=np.int64)
+        code = build_code(freqs)
+        lengths, codes, fixed = reference_build_code(freqs, MAX_CODE_LEN)
+        assert code.fixed == fixed
+        assert code.lengths.dtype == lengths.dtype
+        assert code.codes.dtype == codes.dtype
+        assert np.array_equal(code.lengths, lengths)
+        assert np.array_equal(code.codes, codes)
+
+    @given(st.lists(st.integers(0, 4), max_size=120))
+    @settings(max_examples=150, deadline=None)
+    def test_tie_heavy_histograms(self, freqs):
+        self._assert_same(freqs)
+
+    @given(n=st.integers(0, 300), weight=st.integers(1, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_all_equal(self, n, weight):
+        self._assert_same([weight] * n)
+
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=80))
+    @settings(max_examples=80, deadline=None)
+    def test_powers_of_two(self, exponents):
+        self._assert_same([1 << e for e in exponents])
+
+    @given(st.lists(st.integers(0, 2**40), max_size=200))
+    @settings(max_examples=80, deadline=None)
+    def test_arbitrary_histograms(self, freqs):
+        self._assert_same(freqs)
+
+    @pytest.mark.parametrize("n", range(MAX_CODE_LEN - 2, MAX_CODE_LEN + 9))
+    def test_fibonacci_skew_around_the_cap(self, n):
+        fib = _fibonacci(n)
+        assert build_code(np.array(fib)).fixed == (n - 1 > MAX_CODE_LEN)
+        self._assert_same(fib)
+        self._assert_same(fib[::-1])
+        self._assert_same([0, *fib, 0, 1, 1])
+
+    def test_single_symbol_and_empty(self):
+        self._assert_same([0, 0, 9, 0])
+        self._assert_same([0, 0, 0])
+        self._assert_same([])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(50, 3000),
+        flat=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_sparse_in_full_alphabet(self, seed, n, flat):
+        rng = np.random.default_rng(seed)
+        freqs = np.zeros(65537, dtype=np.int64)
+        where = rng.choice(freqs.size, n, replace=False)
+        freqs[where] = 7 if flat else rng.geometric(0.02, n)
+        self._assert_same(freqs)
+
+
+def _blob_with_lengths(lengths, nvalues: int = 4) -> bytes:
+    """A stream whose serialized table is exactly ``lengths``."""
+    import struct
+
+    lengths = np.asarray(lengths, dtype=np.uint8)
+    code = HuffmanCode(lengths=lengths, codes=np.zeros(lengths.size, np.uint64))
+    return serialize_code(code, nvalues) + struct.pack("<Q", 64) + bytes(8)
+
+
+class TestCorruptLengthTable:
+    """A damaged length table fails loudly in both decoders."""
+
+    @pytest.mark.parametrize("decode", [huffman_decode, huffman_decode_scalar])
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [200, 200, 200, 200],  # used to die in an OverflowError
+            [MAX_CODE_LEN + 1, 1],
+            [1, 1, 1, 1],  # Kraft sum 2: used to decode to wrong symbols
+            [1, 2, 2, 3],
+            [MAX_CODE_LEN] * 3 + [1, 1],
+        ],
+    )
+    def test_rejected(self, decode, lengths):
+        with pytest.raises(CorruptStreamError):
+            decode(_blob_with_lengths(lengths))
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [1, 1],
+            [0, 1, 0],  # the single-symbol code (Kraft sum 1/2)
+            [2, 2, 2, 2],
+            [3, 3, 3, 3, 3],  # a fixed-length fallback over five symbols
+            [1, 2, MAX_CODE_LEN, MAX_CODE_LEN],
+        ],
+    )
+    def test_what_the_encoder_emits_is_accepted(self, lengths):
+        code, nvalues, _ = deserialize_code(_blob_with_lengths(lengths))
+        assert code.lengths.tolist() == lengths and nvalues == 4
 
 
 class TestSerialization:
@@ -189,13 +308,8 @@ def _deep_tree_symbols(nlevels: int) -> np.ndarray:
     long-code walker path.  Fibonacci counts grow exponentially, so keep
     ``nlevels`` modest (each extra level ~1.6×s the array).
     """
-    counts = []
-    a, b = 1, 2
-    for _ in range(nlevels):
-        counts.append(a)
-        a, b = b, a + b
     rng = np.random.default_rng(nlevels)
-    symbols = np.repeat(np.arange(nlevels, dtype=np.int64), counts)
+    symbols = np.repeat(np.arange(nlevels, dtype=np.int64), _fibonacci(nlevels))
     rng.shuffle(symbols)
     return symbols
 
@@ -274,12 +388,7 @@ class TestDifferentialVsScalarOracle:
         # Codes approaching MAX_CODE_LEN cannot arise from feasible symbol
         # counts, so encode under a hand-picked deep code instead.
         n = MAX_CODE_LEN + 2  # deep enough that build_code would overflow...
-        counts = np.ones(n, dtype=np.int64)
-        a, b = 1, 2
-        for i in range(n):
-            counts[i] = a
-            a, b = b, a + b
-        deep = build_code(counts)  # ...but the builder caps or falls back
+        deep = build_code(np.array(_fibonacci(n)))  # ...but the builder caps or falls back
         assert deep.max_length <= MAX_CODE_LEN
         rng = np.random.default_rng(11)
         symbols = rng.integers(0, n, 4000).astype(np.int64)
@@ -293,12 +402,7 @@ class TestDifferentialVsScalarOracle:
         # Frequencies past the depth cap flip build_code to fixed-length
         # codes; encode a feasible stream under that code explicitly.
         nlevels = MAX_CODE_LEN + 6
-        counts = np.ones(nlevels, dtype=np.int64)
-        a, b = 1, 2
-        for i in range(nlevels):
-            counts[i] = a
-            a, b = b, a + b
-        fixed = build_code(counts)
+        fixed = build_code(np.array(_fibonacci(nlevels)))
         assert fixed.fixed
         rng = np.random.default_rng(13)
         symbols = rng.integers(0, nlevels, 5000).astype(np.int64)

@@ -488,8 +488,11 @@ class TestAddressFormsAndTeardown:
         reply_preceded_stop = []
         real_stop = srv.stop
 
+        stop_called = threading.Event()
+
         def stop(*args, **kwargs):
             reply_preceded_stop.append(replied.wait(5.0))
+            stop_called.set()
             real_stop(*args, **kwargs)
 
         srv.stop = stop
@@ -497,6 +500,9 @@ class TestAddressFormsAndTeardown:
             admin = ServeClient(srv.address)
             admin.shutdown()  # returns normally: no dropped connection
             replied.set()
+            # The reader thread replies first and calls stop() after, so it
+            # may not have got there yet.
+            assert stop_called.wait(5.0)
         finally:
             real_stop()
         assert reply_preceded_stop == [True]

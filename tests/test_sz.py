@@ -1,5 +1,7 @@
 """Tests for the SZ-style compressor: round trips, error bounds, container."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from repro.compression import SZCompressor, parse_stream_info
 from repro.compression.sz import DEFAULT_RADIUS
 from repro.errors import CompressionError, CorruptStreamError
 
-from helpers import make_smooth_field
+from helpers import golden_field, make_smooth_field
 
 
 class TestRoundTrip:
@@ -162,3 +164,69 @@ class TestContainer:
         recon = other.decompress(stream)
         eb = 1e-3 * float(smooth3d.max() - smooth3d.min())
         assert np.max(np.abs(recon - smooth3d)) <= eb * (1 + 1e-9)
+
+    @pytest.mark.parametrize("to", [200, 1])
+    def test_flipped_huffman_table_byte_rejected(self, smooth3d, to):
+        codec = SZCompressor(bound=1e-3, mode="abs", lossless="none")
+        stream = bytearray(codec.compress(smooth3d))
+        table = stream.index(b"HUF1") + 17  # magic, flags, nsyms, nvalues
+        absent = table + bytes(stream[table : table + 2 * DEFAULT_RADIUS + 1]).index(0)
+        stream[absent] = to  # 200: past the cap; 1: over-subscribes a full code
+        with pytest.raises(CorruptStreamError):
+            codec.decompress(bytes(stream))
+
+
+#: sha256 of ``SZCompressor(1e-3, "abs", lossless="none", **kw).compress``
+#: over ``golden_field(edge, dtype, seed=edge)``, recorded at the commit
+#: before the encode kernels were rewritten (d8dd7f6).  The lossless stage
+#: is left out so a different zlib build cannot move them; it wraps these
+#: exact bytes.
+_GOLDEN = {
+    (16, "float32"): "015f92c4fa209fd810b8174bdb338b3e6bfdafa8db908391479e3c8e7fcbc81d",
+    (16, "float64"): "a404c64708942a050abceb6b798e6f2368aea4e796087d6a9eaa9d793ec5f19b",
+    (32, "float32"): "044070922a933c7ee47d35e5752d745965619d89ad7290e94cbec475ffd8c2aa",
+    (32, "float64"): "a535947ba1118ab1ffda9e18c9cee3b39ed0948629e12247942f470acc0676d1",
+    (64, "float32"): "fd6c36dfb1638dbe934e14f383c7adba57f91e31ce842d2a69aca3c2c5d886d4",
+    (64, "float64"): "3b8535bd9d578f7b489a12dc05ebf0ce68665c63a25ab44d57b0e0cd7280ce19",
+}
+_GOLDEN_OUTLIERS = "c8bd15f9cdf025e016482dc4b95f091d4998361a4385040993c52d8acccaea80"
+_GOLDEN_FIXED = "0ee43965452dea1057072549cdde0679a20c7dd8b1e150a55e562febf609115a"
+
+
+class TestGoldenStreams:
+    """Byte-identity of the encoder, checked in seconds.
+
+    The histograms of these integer-built fields are full of equal counts
+    (177 to 461 symbols, codes up to 18 bits), so a changed Huffman
+    tie-break or a misplaced packed bit moves a digest.
+    """
+
+    @staticmethod
+    def _digest(codec: SZCompressor, data: np.ndarray) -> str:
+        stream = codec.compress(data)
+        recon = codec.decompress(stream).astype(np.float64)
+        assert np.max(np.abs(recon - data)) <= 1e-3 * (1 + 1e-9)
+        return hashlib.sha256(stream).hexdigest()
+
+    @pytest.mark.parametrize(("edge", "dtype"), sorted(_GOLDEN))
+    def test_cubes(self, edge, dtype):
+        codec = SZCompressor(1e-3, "abs", lossless="none")
+        assert self._digest(codec, golden_field(edge, dtype, edge)) == _GOLDEN[edge, dtype]
+
+    def test_outliers_forced_by_a_small_radius(self):
+        codec = SZCompressor(1e-3, "abs", radius=4, lossless="none")
+        data = golden_field(32, np.float32, 7)
+        assert parse_stream_info(codec.compress(data)).n_outliers == 20516
+        assert self._digest(codec, data) == _GOLDEN_OUTLIERS
+
+    def test_fixed_length_fallback(self, monkeypatch):
+        # No array that fits in memory drives a Huffman code past 48 bits,
+        # so lower the cap to make this field's 15-bit code fall back.
+        data = golden_field(32, np.float32, 7)
+        codec = SZCompressor(1e-3, "abs", lossless="none")
+        with monkeypatch.context() as lowered:
+            lowered.setattr("repro.compression.huffman.MAX_CODE_LEN", 8)
+            stream = codec.compress(data)
+        assert stream[stream.index(b"HUF1") + 4] == 1  # the table's fixed flag
+        assert hashlib.sha256(stream).hexdigest() == _GOLDEN_FIXED
+        assert np.max(np.abs(codec.decompress(stream) - data)) <= 1e-3 * (1 + 1e-9)
