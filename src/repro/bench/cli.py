@@ -437,9 +437,9 @@ def build_report(
         #: (paired serial runs; 0.03 = 3% slower).  Target: < 0.05.
         "facade_overhead": facade_overhead,
         #: Read-path extras: the 80/20 hotspot trace (cache hit-rate,
-        #: p50/p99 latency; target hit-rate >= 0.7) and the vectorized
-        #: decode speedup over the scalar oracle (target >= 10x on a 1M-
-        #: symbol stream).  None when the caller skipped the measurement.
+        #: p50/p99 latency; target hit-rate >= 0.7) and the lane decoder's
+        #: speedup over the scalar oracle (target >= 30x on a 1M-symbol
+        #: stream).  None when the caller skipped the measurement.
         "read": read_extras,
         #: The serve saturation cell: N concurrent clients through the
         #: ingest daemon vs the serial sum of N direct facade writes

@@ -8,10 +8,10 @@ Two measurements back the read-scaling claims that the matrix cells in
   analysis sweeps), replayed as facade region reads.  The decoded-
   partition cache should absorb the hot set, so the artifact records the
   cache hit-rate alongside p50/p99 per-read latency.
-* **Decode speedup** — the vectorized hop-table Huffman decoder against
-  the retained scalar oracle on a ≥1M-symbol peaked stream (the symbol
-  distribution Lorenzo residuals actually produce).  This is the
-  microbenchmark the ≥10× read-path acceptance bar is judged on.
+* **Decode speedup** — the lane-parallel Huffman decoder against the
+  retained scalar oracle on a ≥1M-symbol peaked stream (the symbol
+  distribution Lorenzo residuals actually produce): how far the
+  production decode is from the per-symbol loop it is pinned to.
 """
 
 from __future__ import annotations

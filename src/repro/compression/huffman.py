@@ -15,15 +15,20 @@ bounds for the *upper* bound).  This module provides:
   code lengths, and so the bytes of every stream;
 * :func:`huffman_encode` — vectorized encoding using
   :func:`repro.utils.bits.pack_varlen_codes`;
-* :func:`huffman_decode` — vectorized table-driven decoding: every
-  ``TABLE_BITS``-bit window is precomputed into a multi-symbol "hop"
-  (symbols, cumulative lengths, bits consumed), so the decode loop advances
-  one hop — up to ``TABLE_BITS`` symbols — per iteration and emits all
-  symbols with a single masked gather; codes longer than ``TABLE_BITS``
-  fall back to an incremental tree walk;
+* :func:`huffman_decode` — lane-parallel decoding, NumPy playing the SIMD
+  lanes of a GPU decoder.  A Huffman decoder started on a wrong bit falls
+  into step with the true parse within a few dozen symbols, so the stream
+  is cut into lanes by bit offset, every lane starts a warm-up before its
+  cut, and all lanes advance in lockstep, one symbol per lane per
+  whole-array iteration, keeping the symbols that start inside their own
+  span.  The result is proved, not assumed: lane 0 starts at bit 0, and a
+  lane is right exactly when its first kept position is where the lane
+  before it left its span.  A lane whose junction disagrees is re-run from
+  that proven exit; a stream that stays unproven, shows an invalid pattern
+  or runs short goes to the scalar decoder, which so raises every error;
 * :func:`huffman_decode_scalar` — the retained per-symbol reference
-  decoder, the differential-testing oracle for the vectorized path (the
-  same pattern :mod:`repro.utils.bits` uses for the packer).
+  decoder: the differential-testing oracle for the lane decoder (the same
+  pattern :mod:`repro.utils.bits` uses for the packer) and its fall-back.
 
 Codes are generated MSB-first and stored bit-reversed so the LSB-first
 bitstream yields code bits in natural order — the same trick DEFLATE uses.
@@ -37,6 +42,7 @@ the serialized table.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -311,6 +317,10 @@ def _parse_stream(blob: bytes) -> tuple[HuffmanCode, int, int, bytes, int]:
         raise CorruptStreamError("huffman bit-count field truncated")
     (total_bits,) = struct.unpack_from("<Q", blob, off)
     off += 8
+    # Every code is at least one bit: reject a damaged count before any
+    # buffer is sized from it.
+    if nvalues > total_bits:
+        raise CorruptStreamError("huffman value count exceeds the bit count")
     payload_nbytes = (-(-total_bits // 64)) * 8
     if len(blob) < off + payload_nbytes:
         raise CorruptStreamError("huffman payload truncated")
@@ -325,8 +335,8 @@ def _decode_scalar(code: HuffmanCode, nvalues: int, total_bits: int, payload: by
     table_sym_a, table_len_a, long_map = _build_decode_tables(code)
     table_sym = table_sym_a.tolist()
     table_len = table_len_a.tolist()
-    # Bind locals for speed; the vectorized decoder below replaces this as
-    # the production path, but this loop remains the semantics oracle.
+    # Bind locals for speed; the lane decoder below is the production path,
+    # this loop remains the semantics oracle and the fall-back.
     peek = reader.peek
     skip = reader.skip
     read = reader.read
@@ -364,169 +374,166 @@ def _walk_long_code(reader: BitReader, window: int, long_map: dict[tuple[int, in
             raise CorruptStreamError("invalid huffman bitstream")
 
 
-#: Hop-window widths: every window of ``hop_bits`` is precomputed into a
-#: multi-symbol decode step.  Large streams amortize the bigger table.
-_HOP_BITS_SMALL = TABLE_BITS
-_HOP_BITS_LARGE = 16
+#: A lane carries between ``_LANE_SYMBOLS_MIN`` and ``_LANE_SYMBOLS_MAX``
+#: symbols (longer streams take longer lanes) and starts ``_WARMUP_SYMBOLS``
+#: symbols' worth of bits before its cut.
+_LANE_SYMBOLS_MIN = 32
+_LANE_SYMBOLS_MAX = 128
+_WARMUP_SYMBOLS = 48
+#: Rounds of re-running out-of-step lanes before the oracle takes the stream.
+_REPAIR_ROUNDS = 16
 
-#: Streams with at least this many values use the wide hop table.
-_WIDE_HOP_MIN_VALUES = 1 << 16
 
+def _lane_tables(code: HuffmanCode) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Decode tables ``(table, starts, entries, gcd)`` in canonical order.
 
-def _build_hop_tables(
-    table_sym: np.ndarray, table_len: np.ndarray, hop_bits: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Precompute multi-symbol decode steps for every ``hop_bits`` window.
-
-    For each of the ``2**hop_bits`` windows, greedily decode as many whole
-    codes as fit entirely inside the window (using the single-level
-    ``TABLE_BITS`` lookup for each).  Returns ``(syms, cums, counts,
-    packed)``: ``syms[w, :counts[w]]`` are the symbols the window yields in
-    stream order, ``cums[w, k]`` the cumulative bit length after symbol
-    ``k``, and ``packed[w] == (nbits << 5) | counts[w]`` the per-hop
-    advance, fused into one list lookup for the decode loop.  A window with
-    ``packed == 0`` starts with a code longer than ``TABLE_BITS`` (or an
-    invalid pattern) and falls back to the scalar walker.
-
-    Prefix-freeness makes the greedy per-window decode exact: a table hit
-    whose length fits in the window's remaining bits is necessarily the
-    code those bits spell, regardless of what follows.
+    ``entries[i]`` packs the i-th canonical code as ``(symbol << 6) |
+    length`` and ``starts[i]`` is that code left-justified in 64 bits.
+    Canonical codes tile the code space contiguously, so
+    ``searchsorted(starts, window) - 1`` decodes any code, and repeating
+    each code of at most ``TABLE_BITS`` bits over the slots it owns gives
+    the first-level ``table`` (entry 0: look further).  What an incomplete
+    code leaves uncovered is one last pseudo-code, symbol -1.  Every symbol
+    boundary of a stream is a multiple of ``gcd``, the gcd of the lengths.
     """
-    size = 1 << hop_bits
-    table_mask = (1 << TABLE_BITS) - 1
-    win = np.arange(size, dtype=np.int64)
-    pos = np.zeros(size, dtype=np.int64)
-    counts = np.zeros(size, dtype=np.int64)
-    syms = np.zeros((size, hop_bits), dtype=np.int32)
-    cums = np.zeros((size, hop_bits), dtype=np.int8)
-    active = np.ones(size, dtype=bool)
-    for k in range(hop_bits):
-        # High bits beyond the window are zero, matching BitReader.peek's
-        # zero fill at the end of a stream.
-        sub = (win >> pos) & table_mask
-        s = table_sym[sub]
-        ln = table_len[sub]
-        ok = active & (s >= 0) & (ln <= hop_bits - pos)
-        if not ok.any():
-            break
-        syms[ok, k] = s[ok]
-        pos[ok] += ln[ok]
-        cums[ok, k] = pos[ok]
-        counts[ok] += 1
-        active = ok
-    packed = ((pos << 5) | counts).tolist()
-    return syms, cums, counts, packed
+    present = np.flatnonzero(code.lengths)
+    lens = code.lengths[present].astype(np.int64)
+    order = np.argsort(lens, kind="stable")  # stable: ties by symbol
+    lens = lens[order]
+    gcd = int(np.gcd.reduce(lens))
+    entries = (present[order] << 6) | lens
+    ends = np.cumsum(np.left_shift(1, MAX_CODE_LEN - lens))  # units of 2**-MAX_CODE_LEN
+    starts = np.append(0, ends[:-1])
+    if int(ends[-1]) < 1 << MAX_CODE_LEN:
+        starts = np.append(starts, ends[-1])
+        entries = np.append(entries, (-1 << 6) | gcd)
+    starts = starts.astype(np.uint64) << np.uint64(64 - MAX_CODE_LEN)
+    nshort = int(np.searchsorted(lens, TABLE_BITS, side="right"))
+    table = np.zeros(1 << TABLE_BITS, dtype=np.int64)
+    short = np.repeat(entries[:nshort], 1 << (TABLE_BITS - lens[:nshort]))
+    table[: short.size] = short
+    return table, starts, entries, gcd
 
 
-def _stream_chunks(payload: bytes, total_bits: int) -> list[int]:
-    """Overlapping 32-bit windows of the bitstream, one per 16 bits.
+def _step_lanes(
+    stream: np.ndarray, tables: list, pos: np.ndarray, end: np.ndarray, record: bool = False
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Step every lane from ``pos`` to its first symbol boundary at or past ``end``.
 
-    ``chunks[i]`` holds bits ``[16*i, 16*i + 32)`` so any bit position can
-    be peeked with a single list index and one small-int shift — the decode
-    loop's window never exceeds ``_HOP_BITS_LARGE <= 32 - 15`` valid bits.
-    Bits past ``total_bits`` are zeroed (matching :meth:`BitReader.peek`),
-    so garbage padding in a hostile blob can't change what decodes.
+    One symbol per lane per iteration, in lockstep; a lane that has arrived
+    leaves the working set, so stragglers do not drag the others along.
+    Returns the arrival positions, the symbols each lane took and, with
+    ``record``, per iteration the decoded entries and whose they are.
     """
-    nwords = len(payload) // 8
-    words = np.zeros(nwords + 1, dtype=np.uint64)  # +1 guard word
-    if nwords:
-        words[:nwords] = np.frombuffer(payload, dtype=np.uint64)
-        if total_bits & 63:
-            words[nwords - 1] &= np.uint64((1 << (total_bits & 63)) - 1)
-    halves = words.view(np.uint16).astype(np.uint32)
-    return (halves[:-1] | (halves[1:] << np.uint32(16))).tolist()
+    table, starts, entries = tables
+    exits = pos.copy()
+    counts = np.zeros(pos.size, dtype=np.int64)
+    lanes = np.arange(pos.size)
+    recorded = []
+    two_level = not table.all()
+    top = np.uint64(64 - TABLE_BITS)
+    step = 0
+    while True:
+        live = pos < end
+        if not live.all():
+            exits[lanes[~live]] = pos[~live]
+            counts[lanes[~live]] = step
+            lanes, pos, end = lanes[live], pos[live], end[live]
+            if not lanes.size:
+                return exits, counts, recorded
+        window = stream[pos >> 4]
+        window <<= (pos & 15).view(np.uint64)
+        entry = table[(window >> top).view(np.int64)]
+        if two_level:
+            far = np.flatnonzero(entry == 0)
+            if far.size:
+                entry[far] = entries[np.searchsorted(starts, window[far], side="right") - 1]
+        if record:
+            recorded.append((entry, lanes))
+        pos = pos + (entry & 63)
+        step += 1
 
 
 def _decode_vectorized(
     code: HuffmanCode, nvalues: int, total_bits: int, payload: bytes
 ) -> np.ndarray:
-    """Whole-array decoder: hop-table walk plus one vectorized emission.
+    """Lane-parallel decoder; see the module docstring for the scheme.
 
-    The per-hop fast loop touches only Python small ints — one chunk
-    lookup, one shift/mask, one packed-table lookup — and each hop yields
-    up to ``hop_bits`` symbols; the symbol emission at the end is a single
-    masked gather.  Codes longer than ``TABLE_BITS`` drop to the same
-    scalar walker the oracle uses, and the bounds-checked tail loop
-    reproduces the oracle's error semantics (truncation, invalid streams)
-    bit for bit.
+    Returns exactly what :func:`_decode_scalar` returns, and hands the
+    stream to it whenever the junction proof does not close or the stream
+    is damaged, so every ``CorruptStreamError`` is the oracle's.
     """
-    hop_bits = _HOP_BITS_LARGE if nvalues >= _WIDE_HOP_MIN_VALUES else _HOP_BITS_SMALL
-    table_sym, table_len, long_map = _build_decode_tables(code)
-    hop_syms, hop_cums, hop_counts, packed = _build_hop_tables(table_sym, table_len, hop_bits)
-    chunks = _stream_chunks(payload, total_bits)
-    hop_mask = (1 << hop_bits) - 1
+    # ``_parse_stream`` never lets ``nvalues > total_bits`` through: that test
+    # is for direct callers (the differential tests pass truncated payloads).
+    if nvalues > total_bits or not code.lengths.any():
+        return _decode_scalar(code, nvalues, total_bits, payload)
+    *tables, gcd = _lane_tables(code)
 
-    reader: BitReader | None = None
-    wins: list[int] = []
-    append = wins.append
-    long_syms: list[int] = []
-    pos = 0
-    produced = 0
+    # Bit-reversed bytes read MSB-first through an unaligned big-endian view,
+    # bits past ``total_bits`` zeroed as BitReader.peek does.  The aligned copy
+    # ``stream[i]`` = bits [16 i, 16 i + 64) has 49 >= MAX_CODE_LEN valid bits.
+    nbytes = -(-total_bits // 8)
+    buf = np.zeros((-(-total_bits // 64) + 2) * 8, dtype=np.uint8)
+    buf[:nbytes] = _BYTE_REV[np.frombuffer(payload, dtype=np.uint8, count=nbytes)]
+    if total_bits & 7:
+        buf[nbytes - 1] &= 0xFF00 >> (total_bits & 7) & 0xFF
+    unaligned = np.ndarray((buf.size - 7,), dtype=">u8", buffer=buf, strides=(1,))
+    stream = unaligned[::2].astype(np.uint64)
 
-    # Fast loop: no bounds checks needed while a full hop can neither cross
-    # the declared bit limit nor overshoot the requested value count.
-    fast_pos = total_bits - hop_bits
-    fast_produced = nvalues - hop_bits
-    while pos <= fast_pos and produced < fast_produced:
-        window = (chunks[pos >> 4] >> (pos & 15)) & hop_mask
-        cn = packed[window]
-        if cn:
-            append(window)
-            produced += cn & 31
-            pos += cn >> 5
-            continue
-        # Long code (or corrupt pattern): scalar walker, oracle semantics.
-        if reader is None:
-            reader = BitReader(payload, total_bits)
-        reader.seek(pos)
-        long_syms.append(_walk_long_code(reader, window, long_map))
-        append(-1)
-        produced += 1
-        pos = reader.position
+    # Lanes of equal bit length.  Cuts and warm-up are multiples of the gcd
+    # of the code lengths, or equal- and even-length codes would never fall
+    # into step.  A header that understates ``nvalues`` must not leave a few
+    # lanes to walk the whole stream: expect at most 16 bits a symbol.
+    expected = max(nvalues, total_bits >> 4)
+    per_lane = min(max(math.isqrt(expected >> 5), _LANE_SYMBOLS_MIN), _LANE_SYMBOLS_MAX)
+    span = -(-total_bits // (max(1, expected // per_lane) * gcd)) * gcd
+    warm = -(-_WARMUP_SYMBOLS * total_bits // (expected * gcd)) * gcd
+    cut = np.arange(0, total_bits, span, dtype=np.int64)
+    end = np.minimum(cut + span, total_bits)
+    nlanes = cut.size
 
-    # Tail loop: same walk with full bounds checks near both stream ends.
-    while produced < nvalues:
-        if pos >= total_bits:
-            raise CorruptStreamError("bitstream exhausted")
-        window = (chunks[pos >> 4] >> (pos & 15)) & hop_mask
-        cn = packed[window]
-        n = cn & 31
-        if n == 0:
-            if reader is None:
-                reader = BitReader(payload, total_bits)
-            reader.seek(pos)
-            long_syms.append(_walk_long_code(reader, window, long_map))
-            append(-1)
-            produced += 1
-            pos = reader.position
-            continue
-        if produced + n >= nvalues:
-            need = nvalues - produced
-            if pos + int(hop_cums[window, need - 1]) > total_bits:
-                raise CorruptStreamError("bitstream exhausted")
-            append(window)
-            produced = nvalues
-            break
-        if pos + (cn >> 5) > total_bits:
-            # A mid-stream hop crosses the declared limit while every one of
-            # its symbols is still needed: the stream ran dry.
-            raise CorruptStreamError("bitstream exhausted")
-        append(window)
-        produced += n
-        pos += cn >> 5
+    first = _step_lanes(stream, tables, np.maximum(cut - warm, 0), cut)[0]
+    exits, counts, recorded = _step_lanes(stream, tables, first, end, record=True)
+    passes = [(np.arange(nlanes), recorded)]
+    final = np.zeros(nlanes, dtype=np.int64)  # the pass holding each lane's symbols
+    bad = np.flatnonzero(exits[:-1] != first[1:]) + 1
+    # This many lanes out of step after one pass: the code does not synchronise.
+    if bad.size > nlanes // 2:
+        return _decode_scalar(code, nvalues, total_bits, payload)
+    while bad.size:
+        if len(passes) > _REPAIR_ROUNDS:
+            return _decode_scalar(code, nvalues, total_bits, payload)
+        first[bad] = exits[bad - 1]
+        exits[bad], counts[bad], recorded = _step_lanes(
+            stream, tables, first[bad], end[bad], record=True
+        )
+        final[bad] = len(passes)
+        passes.append((bad, recorded))
+        bad = np.flatnonzero(exits[:-1] != first[1:]) + 1
 
-    wins_arr = np.array(wins, dtype=np.int64)
-    safe = np.where(wins_arr >= 0, wins_arr, 0)
-    cnt = np.where(wins_arr >= 0, hop_counts[safe], 1)
-    mat = hop_syms[safe]  # fresh gather: rows are writable
-    if long_syms:
-        mat[np.flatnonzero(wins_arr < 0), 0] = long_syms
-    emitted = mat[np.arange(hop_bits) < cnt[:, None]]
-    return emitted[:nvalues].astype(np.int64)
+    # Every junction agrees, so the lanes' symbols in lane order are the
+    # stream's.  The oracle still owns a stream that runs short, whose last
+    # symbol ends past ``total_bits`` or that shows an invalid pattern.
+    total = int(counts.sum())
+    if total < nvalues or (total == nvalues and int(exits[-1]) > total_bits):
+        return _decode_scalar(code, nvalues, total_bits, payload)
+    # Lane j's t-th symbol goes to base[j] + t, what a later pass superseded
+    # past the end: one scatter per recorded iteration.
+    base = np.cumsum(counts) - counts
+    out = np.empty(total + max(len(rec) for _, rec in passes), dtype=np.int64)
+    for number, (which, recorded) in enumerate(passes):
+        dest = np.where(final[which] == number, base[which], total)
+        for step, (entry, lanes) in enumerate(recorded):
+            out[dest[lanes] + step] = entry
+    out = out[:nvalues]
+    out >>= 6
+    if int(out.min()) < 0:
+        return _decode_scalar(code, nvalues, total_bits, payload)
+    return out
 
 
-#: Below this many values the hop-table build cost dominates; use the
-#: scalar loop (identical output — the differential suite pins both paths).
+#: Below this many values there are too few lanes to pay for their warm-up;
+#: use the scalar loop (identical output — the differential suite pins both).
 _VECTOR_MIN_VALUES = 1024
 
 
@@ -534,9 +541,11 @@ def huffman_decode(blob: bytes) -> tuple[np.ndarray, int]:
     """Decode a blob produced by :func:`huffman_encode`.
 
     Returns ``(symbols, bytes_consumed)`` so callers can embed the blob in a
-    larger container.  Large streams take the vectorized hop-table path;
-    tiny ones the scalar loop — both are pinned to identical output by the
-    differential test suite.
+    larger container.  Streams of ``_VECTOR_MIN_VALUES`` symbols or more are
+    decoded in lanes (:func:`_decode_vectorized`), whose junction proof
+    either closes or hands the stream to the scalar loop; tiny streams take
+    the scalar loop directly.  The two are pinned to identical output, and
+    to identical errors on damaged streams, by the differential test suite.
     """
     code, nvalues, total_bits, payload, consumed = _parse_stream(blob)
     if nvalues == 0:

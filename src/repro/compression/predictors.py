@@ -43,7 +43,8 @@ def lorenzo_inverse(d: np.ndarray) -> np.ndarray:
     """Inverse n-D Lorenzo transform: integrates residuals back to values."""
     q = np.asarray(d, dtype=np.int64)
     for axis in range(q.ndim - 1, -1, -1):
-        q = np.cumsum(q, axis=axis, dtype=np.int64)
+        # The first sum allocates the result, the rest accumulate into it.
+        q = np.cumsum(q, axis=axis, dtype=np.int64, out=q if axis < q.ndim - 1 else None)
     return q
 
 

@@ -212,13 +212,12 @@ class SZCompressor(Codec):
         symbols: np.ndarray, outliers: np.ndarray, radius: int
     ) -> np.ndarray:
         """Inverse of :meth:`_symbolize`."""
-        d = symbols.astype(np.int64) - (radius + 1)
-        esc = symbols == 0
-        n_esc = int(esc.sum())
+        d = np.asarray(symbols, dtype=np.int64) - (radius + 1)
+        n_esc = symbols.size - np.count_nonzero(symbols)
         if n_esc != outliers.size:
             raise CorruptStreamError("escape/outlier count mismatch")
         if n_esc:
-            d[esc] = outliers
+            d[symbols == 0] = outliers
         return d
 
 

@@ -1,5 +1,7 @@
 """Tests for canonical Huffman coding."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from repro.compression.huffman import (
 )
 from repro.errors import CorruptStreamError
 
-from helpers import reference_build_code
+from helpers import golden_field, reference_build_code
 
 
 class TestBuildCode:
@@ -471,3 +473,262 @@ class TestDifferentialVsScalarOracle:
             huffman_decode(blob[:-8])
         with pytest.raises(CorruptStreamError):
             huffman_decode_scalar(blob[:-8])
+
+
+def _set_nvalues(blob: bytes, nvalues: int) -> bytes:
+    """``blob`` with the header's value count overwritten."""
+    import struct
+
+    return blob[:9] + struct.pack("<Q", nvalues) + blob[17:]  # magic, flags, nsyms | nvalues
+
+
+class TestCorruptValueCount:
+    """A damaged value count fails loudly before anything is sized from it."""
+
+    @pytest.mark.parametrize("decode", [huffman_decode, huffman_decode_scalar])
+    @pytest.mark.parametrize("nvalues", [2**31, 2**50, 2**64 - 1])
+    def test_absurd_count_rejected(self, decode, nvalues):
+        # Used to be a bare MemoryError ("Unable to allocate 8.00 PiB") from the
+        # scalar decoder and a walk over the whole stream from the other.
+        symbols = np.arange(5000, dtype=np.int64) % 23
+        with pytest.raises(CorruptStreamError, match="value count"):
+            decode(_set_nvalues(huffman_encode(symbols, 23), nvalues))
+
+    @pytest.mark.parametrize("decode", [huffman_decode, huffman_decode_scalar])
+    def test_count_one_past_the_bit_count_rejected(self, decode):
+        blob = huffman_encode(np.zeros(2000, dtype=np.int64), 2)  # one bit a symbol
+        out, _ = decode(blob)
+        assert out.size == 2000
+        with pytest.raises(CorruptStreamError, match="value count"):
+            decode(_set_nvalues(blob, 2001))
+
+
+_LANE_CLASSES = (
+    "uniform2",
+    "uniform4",
+    "uniform256",
+    "factor2",
+    "near_constant",
+    "regime_change",
+    "wide_alphabet",
+)
+#: Not a lane class: inside a long run of one symbol with a code of two bits
+#: or more every parse repeats and none ever meet, so the repair rounds run
+#: out and the oracle decodes the stream.
+_LONG_RUN = "long_run"
+
+
+@functools.lru_cache(maxsize=None)
+def _lane_stream(name: str, n: int) -> tuple[np.ndarray, int, bytes]:
+    """``n`` symbols of one of the code shapes the lane decoder treats
+    differently: (symbols, alphabet size, encoded blob).  Cached: read-only."""
+    rng = np.random.default_rng([(_LANE_CLASSES + (_LONG_RUN,)).index(name), n])
+
+    def rare(m):  # one dominant symbol, the rest 8 to 10 bits
+        return np.where(rng.random(m) < 0.97, 0, rng.integers(1, 300, m))
+
+    def wide(m):  # thousands of symbols, a sixth of the stream past TABLE_BITS
+        return np.clip(np.rint(rng.standard_t(2.5, m) * 400 + 8000), 0, 16383).astype(np.int64)
+
+    if name.startswith("uniform"):
+        nsymbols = int(name[len("uniform") :])
+        symbols = rng.integers(0, nsymbols, n)
+    elif name == "factor2":
+        symbols, nsymbols = rng.choice(7, n, p=[0.25] * 3 + [0.0625] * 4), 7
+    elif name == "near_constant":
+        symbols, nsymbols = rare(n), 300
+    elif name == "regime_change":
+        symbols, nsymbols = np.concatenate([rare(n // 2), wide(n - n // 2)]), 16384
+    elif name == "wide_alphabet":
+        symbols, nsymbols = wide(n), 16384
+    else:  # _LONG_RUN: a third of the stream is one symbol with a 2-bit code
+        symbols = np.clip(np.rint(rng.normal(0, 40, n)), -300, 300).astype(np.int64) + 301
+        symbols[n // 3 : 2 * n // 3] = 301
+        nsymbols = 602
+    symbols.setflags(write=False)
+    return symbols, nsymbols, huffman_encode(symbols, nsymbols)
+
+
+def _outcome(decode, *args):
+    """What a decoder did with a stream: its bytes, or its error text."""
+    try:
+        return "ok", decode(*args).tobytes()
+    except CorruptStreamError as exc:
+        return "error", str(exc)
+
+
+class TestLaneDecoderAtScale:
+    """The differential suite at the sizes where lanes exist (2**16 symbols
+    and up: hundreds to thousands of lanes, junctions and repair rounds)."""
+
+    N = 1 << 16
+
+    @staticmethod
+    def _assert_matches_oracle(blob: bytes, expected: np.ndarray) -> None:
+        fast, consumed_fast = huffman_decode(blob)
+        slow, consumed_slow = huffman_decode_scalar(blob)
+        assert consumed_fast == consumed_slow
+        assert fast.dtype == slow.dtype == np.int64
+        assert np.array_equal(fast, slow)
+        assert np.array_equal(fast, expected)
+
+    @pytest.mark.parametrize("name", _LANE_CLASSES + (_LONG_RUN,))
+    def test_code_shapes(self, name):
+        symbols, nsymbols, blob = _lane_stream(name, self.N)
+        lengths = _parse_stream(blob)[0].lengths
+        present = lengths[lengths > 0]
+        # Each stream is in the regime it is named for.
+        if name.startswith("uniform"):
+            assert present.min() == present.max() == int(np.log2(nsymbols))
+        elif name == "factor2":
+            assert sorted(present.tolist()) == [2, 2, 2, 4, 4, 4, 4]
+        elif name == "near_constant":
+            assert lengths[0] == 1 and present[1:].min() >= 8
+        elif name == "wide_alphabet":
+            assert present.size >= 3000
+            assert np.mean(lengths[symbols] > TABLE_BITS) > 0.03
+        elif name == _LONG_RUN:
+            assert lengths[301] >= 2  # a 1-bit code would be in step anywhere
+        self._assert_matches_oracle(blob, symbols)
+
+    def test_half_a_million_equal_length_symbols(self):
+        # No warm-up ever brings an 8-bit-only parse into step: alignment must.
+        symbols, _, blob = _lane_stream("uniform256", 1 << 19)
+        self._assert_matches_oracle(blob, symbols)
+
+    def test_deep_fibonacci_code_near_the_cap(self):
+        nlevels = MAX_CODE_LEN  # depth MAX_CODE_LEN - 1: the deepest the builder keeps
+        deep = build_code(np.array(_fibonacci(nlevels)))
+        assert not deep.fixed and deep.max_length == MAX_CODE_LEN - 1
+        rng = np.random.default_rng(3)
+        weights = np.array(_fibonacci(nlevels), dtype=np.float64)
+        symbols = rng.choice(nlevels, self.N, p=weights / weights.sum())
+        where = rng.integers(0, self.N, 400)
+        symbols[where] = rng.integers(0, 16, 400)  # the 32- to 47-bit codes
+        self._assert_matches_oracle(_encode_with_code(deep, symbols), symbols)
+
+    @pytest.mark.parametrize("name", ["uniform256", "wide_alphabet"])
+    def test_count_lowered_below_what_the_stream_holds(self, name):
+        symbols, _, blob = _lane_stream(name, self.N)
+        for keep in (self.N // 2, 1500):
+            self._assert_matches_oracle(_set_nvalues(blob, keep), symbols[:keep])
+
+    @pytest.mark.parametrize("name", ["factor2", "wide_alphabet"])
+    def test_hostile_padding_after_the_last_bit(self, name):
+        symbols, _, blob = _lane_stream(name, self.N)
+        blob = bytearray(blob)
+        total_bits = _parse_stream(bytes(blob))[2]
+        assert total_bits % 64  # there is padding to fill
+        for bit in range(len(blob) * 8 - (-total_bits % 64), len(blob) * 8):
+            blob[bit >> 3] |= 1 << (bit & 7)
+        self._assert_matches_oracle(bytes(blob), symbols)
+
+    @pytest.mark.parametrize("name", ["uniform4", _LONG_RUN])
+    @pytest.mark.parametrize("fraction", [0.0, 0.37, 0.999])
+    def test_truncation_same_outcome_both_decoders(self, name, fraction):
+        code, nvalues, total_bits, payload, _ = _parse_stream(_lane_stream(name, self.N)[2])
+        cut = int(len(payload) * fraction) // 8 * 8
+        args = (code, nvalues, min(total_bits, cut * 8), payload[:cut])
+        outcome = _outcome(_decode_scalar, *args)
+        assert outcome[0] == "error"
+        assert _outcome(_decode_vectorized, *args) == outcome
+
+    @pytest.mark.parametrize("name", ["factor2", "near_constant", "wide_alphabet"])
+    def test_bit_flip_same_outcome_both_decoders(self, name):
+        code, nvalues, total_bits, payload, _ = _parse_stream(_lane_stream(name, self.N)[2])
+        damaged = bytearray(payload)
+        bit = int(np.random.default_rng(len(name)).integers(0, total_bits))
+        damaged[bit >> 3] ^= 1 << (bit & 7)
+        args = (code, nvalues, total_bits, bytes(damaged))
+        assert _outcome(_decode_vectorized, *args) == _outcome(_decode_scalar, *args)
+
+    def test_bits_shaved_off_the_end_same_outcome(self):
+        # The last symbol now ends past total_bits.
+        blob = _lane_stream("wide_alphabet", self.N)[2]
+        code, nvalues, total_bits, payload, _ = _parse_stream(blob)
+        args = (code, nvalues, total_bits - 3, payload)
+        outcome = _outcome(_decode_scalar, *args)
+        assert outcome == ("error", "bitstream exhausted")
+        assert _outcome(_decode_vectorized, *args) == outcome
+
+    def test_symbol_missing_from_the_table_same_outcome(self):
+        # An incomplete code: the stream now holds a pattern no code spells.
+        code, nvalues, total_bits, payload, _ = _parse_stream(_lane_stream("factor2", self.N)[2])
+        lengths = code.lengths.copy()
+        lengths[5] = 0
+        holed = deserialize_code(_blob_with_lengths(lengths))[0]
+        args = (holed, nvalues, total_bits, payload)
+        outcome = _outcome(_decode_scalar, *args)
+        assert outcome[0] == "error"
+        assert _outcome(_decode_vectorized, *args) == outcome
+
+
+class TestFastPathIsThePath:
+    """A silent fall-back to the Python loop must not pass for the decoder."""
+
+    @staticmethod
+    def _forbid_oracle(monkeypatch) -> None:
+        def refuse(*args):
+            raise AssertionError("the lane decoder fell back to the scalar oracle")
+
+        monkeypatch.setattr("repro.compression.huffman._decode_scalar", refuse)
+
+    @pytest.mark.parametrize("name", _LANE_CLASSES)
+    def test_lanes_decode_without_the_oracle(self, name, monkeypatch):
+        symbols, _, blob = _lane_stream(name, 1 << 16)
+        code, nvalues, total_bits, payload, _ = _parse_stream(blob)
+        self._forbid_oracle(monkeypatch)
+        assert np.array_equal(_decode_vectorized(code, nvalues, total_bits, payload), symbols)
+
+    @pytest.mark.parametrize("edge", [16, 32, 64])
+    def test_golden_fields_decode_without_the_oracle(self, edge, monkeypatch):
+        # Bit-identity of these decodes is TestGoldenStreams' job (test_sz.py).
+        from repro.compression import SZCompressor
+
+        codec = SZCompressor(1e-3, "abs", lossless="none")
+        data = golden_field(edge, np.float32, edge)
+        stream = codec.compress(data)
+        self._forbid_oracle(monkeypatch)
+        assert np.max(np.abs(codec.decompress(stream) - data)) <= 1e-3 * (1 + 1e-9)
+
+    @staticmethod
+    def _count_oracle_calls(monkeypatch) -> list:
+        from repro.compression import huffman
+
+        oracle, calls = huffman._decode_scalar, []
+
+        def counted(*args):
+            calls.append(args)
+            return oracle(*args)
+
+        monkeypatch.setattr(huffman, "_decode_scalar", counted)
+        return calls
+
+    def test_unprovable_junctions_return_the_oracles_output(self, monkeypatch):
+        # Skew every warm-up arrival but lane 0's: each lane then starts on a
+        # wrong bit, no junction agrees, and the oracle must decode the stream.
+        from repro.compression import huffman
+
+        symbols, _, blob = _lane_stream("wide_alphabet", 1 << 16)
+        code, nvalues, total_bits, payload, _ = _parse_stream(blob)
+        step_lanes = huffman._step_lanes
+
+        def skewed(stream, tables, pos, end, record=False):
+            exits, counts, recorded = step_lanes(stream, tables, pos, end, record)
+            if not record:
+                exits[1:] += 1
+            return exits, counts, recorded
+
+        monkeypatch.setattr(huffman, "_step_lanes", skewed)
+        calls = self._count_oracle_calls(monkeypatch)
+        out = _decode_vectorized(code, nvalues, total_bits, payload)
+        assert len(calls) == 1
+        assert np.array_equal(out, symbols)
+
+    def test_repair_rounds_run_out_on_a_long_run(self, monkeypatch):
+        symbols, _, blob = _lane_stream(_LONG_RUN, 1 << 16)
+        code, nvalues, total_bits, payload, _ = _parse_stream(blob)
+        calls = self._count_oracle_calls(monkeypatch)
+        out = _decode_vectorized(code, nvalues, total_bits, payload)
+        assert len(calls) == 1
+        assert np.array_equal(out, symbols)

@@ -192,6 +192,19 @@ _GOLDEN = {
 _GOLDEN_OUTLIERS = "c8bd15f9cdf025e016482dc4b95f091d4998361a4385040993c52d8acccaea80"
 _GOLDEN_FIXED = "0ee43965452dea1057072549cdde0679a20c7dd8b1e150a55e562febf609115a"
 
+#: sha256 of the bytes of the array ``decompress`` returns for each of those
+#: streams, recorded at the commit before the lane decoder (67195a6).
+_GOLDEN_DECODED = {
+    (16, "float32"): "f63472a8bb37ceed21d77b23c0387550b95a1208fe321c2d19b8e4b39ab616f7",
+    (16, "float64"): "fce92dc94c7640ed36b0882d54e6e7042a5d3008e454a5b1b24fd51a8a23f9c5",
+    (32, "float32"): "28075e0df1af18214ec32647a47c7171174f3438324adaffcea8fbb0cf379f64",
+    (32, "float64"): "6f46f72132844e3588b7ef1622da4ef31e1b63893d0b03695c433e9f03fba623",
+    (64, "float32"): "4b853fe047fe55cdc5cae29c5b8c11f54d1d9756e5646752c7be5da547ae76dc",
+    (64, "float64"): "60266f48e2c4d0348d4dc8b2008df474b27a5502e4ace6cb7bf547062b7fcfcd",
+}
+#: the outlier and fixed-length streams hold the same field: one decode.
+_GOLDEN_DECODED_SEED7 = "1587ac9180226b70bb268a66f067b5d48c739fb00d2de7e894969a2b2889f04e"
+
 
 class TestGoldenStreams:
     """Byte-identity of the encoder, checked in seconds.
@@ -230,3 +243,37 @@ class TestGoldenStreams:
         assert stream[stream.index(b"HUF1") + 4] == 1  # the table's fixed flag
         assert hashlib.sha256(stream).hexdigest() == _GOLDEN_FIXED
         assert np.max(np.abs(codec.decompress(stream) - data)) <= 1e-3 * (1 + 1e-9)
+
+    @staticmethod
+    def _decoded(codec: SZCompressor, stream: bytes) -> str:
+        return hashlib.sha256(np.ascontiguousarray(codec.decompress(stream)).tobytes()).hexdigest()
+
+    @pytest.mark.parametrize(("edge", "dtype"), sorted(_GOLDEN))
+    def test_decoded_cubes(self, edge, dtype):
+        codec = SZCompressor(1e-3, "abs", lossless="none")
+        stream = codec.compress(golden_field(edge, dtype, edge))
+        assert self._decoded(codec, stream) == _GOLDEN_DECODED[edge, dtype]
+
+    def test_decoded_outliers_and_fixed_length_fallback(self, monkeypatch):
+        data = golden_field(32, np.float32, 7)
+        small = SZCompressor(1e-3, "abs", radius=4, lossless="none")
+        assert self._decoded(small, small.compress(data)) == _GOLDEN_DECODED_SEED7
+        codec = SZCompressor(1e-3, "abs", lossless="none")
+        with monkeypatch.context() as lowered:
+            lowered.setattr("repro.compression.huffman.MAX_CODE_LEN", 8)
+            stream = codec.compress(data)
+        assert self._decoded(codec, stream) == _GOLDEN_DECODED_SEED7
+
+
+def test_damaged_value_count_rejected(smooth3d):
+    # The Huffman header's count drives every allocation of the decode: 2**50
+    # used to ask numpy for 8 PiB (a bare MemoryError), and a count the
+    # bitstream cannot hold walked the whole stream before failing.
+    codec = SZCompressor(bound=1e-3, mode="abs", lossless="none")
+    stream = bytearray(codec.compress(smooth3d))
+    count = stream.index(b"HUF1") + 9  # magic, flags, nsyms | nvalues
+    assert int.from_bytes(stream[count : count + 8], "little") == smooth3d.size
+    for nvalues in (2**50, 2**31, 8 * len(stream)):
+        stream[count : count + 8] = nvalues.to_bytes(8, "little")
+        with pytest.raises(CorruptStreamError, match="value count"):
+            codec.decompress(bytes(stream))
