@@ -24,7 +24,6 @@ import time
 import numpy as np
 
 import repro
-from repro.bench.read import WorkloadGenerator
 from repro.cache import DEFAULT_MAX_BYTES, configure, get_cache
 from repro.data import NyxGenerator
 
@@ -53,8 +52,13 @@ def main() -> None:
 
     # --- 2. the 80/20 hotspot trace against the decoded-partition LRU ------
     get_cache().clear()
-    wg = WorkloadGenerator(SHAPE[0], seed=3)
-    trace = wg.generate_hotspot(500, hot_ratio=0.8, hot_data_fraction=0.2)
+    rng = np.random.default_rng(3)
+    perm = rng.permutation(SHAPE[0])          # a random 20% of the slabs is hot
+    nhot = round(0.2 * SHAPE[0])
+    hot, cold = perm[:nhot], perm[nhot:]
+    trace = np.where(rng.random(500) < 0.8,   # and takes 80% of the accesses
+                     hot[rng.integers(0, hot.size, 500)],
+                     cold[rng.integers(0, cold.size, 500)]).tolist()
     with repro.open(path) as f:
         ds = f["fields/density"]
         latencies = []

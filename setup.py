@@ -3,7 +3,6 @@
 Installs the ``src/`` layout package plus one console script::
 
     pip install -e .
-    repro bench --quick        # == PYTHONPATH=src python -m repro.bench --quick
     repro verify --quick       # == PYTHONPATH=src python -m repro.verify --quick
     repro inspect ls f.phd5    # == PYTHONPATH=src python -m repro.tools.inspect
 """

@@ -3,8 +3,8 @@
 Every benchmark produces an :class:`ExperimentResult`: an ordered list of
 row dicts plus metadata (figure id, parameters, seed).  Results print as
 aligned text tables (the "same rows/series the paper reports") and persist
-as JSON under ``results/`` so EXPERIMENTS.md can be regenerated without
-re-running everything.
+as JSON under ``results/`` so a table can be re-read without re-running
+its experiment.
 """
 
 from __future__ import annotations
@@ -45,16 +45,6 @@ class ExperimentResult:
     def table(self) -> str:
         """Render as an aligned text table."""
         return format_table(self.title, self.rows)
-
-    def markdown(self) -> str:
-        """Render as a GitHub-markdown table."""
-        cols = self.column_names()
-        head = "| " + " | ".join(cols) + " |"
-        sep = "|" + "|".join("---" for _ in cols) + "|"
-        lines = [head, sep]
-        for row in self.rows:
-            lines.append("| " + " | ".join(_fmt(row.get(c, "")) for c in cols) + " |")
-        return "\n".join(lines)
 
 
 def _fmt(v: Any) -> str:

@@ -1,10 +1,9 @@
 """The ``repro`` console entry point.
 
 One installed script, three subcommands, each delegating to the module
-CLI it names — so ``repro bench --quick`` is exactly
-``python -m repro.bench --quick`` without the ``PYTHONPATH`` dance::
+CLI it names — so ``repro verify --quick`` is exactly
+``python -m repro.verify --quick`` without the ``PYTHONPATH`` dance::
 
-    repro bench   [args...]   # microbenchmark suite + perf-regression gate
     repro verify  [args...]   # round-trip certification / parity / fuzzing
     repro inspect [args...]   # PHD5 container inspector (ls/stat/dump/...)
     repro serve   [args...]   # multi-tenant ingest daemon (+ --smoke gate)
@@ -19,10 +18,9 @@ import sys
 from repro._version import __version__
 
 _USAGE = """\
-usage: repro [-h | --version] {bench,verify,inspect,serve} [args...]
+usage: repro [-h | --version] {verify,inspect,serve} [args...]
 
 subcommands:
-  bench    executor microbenchmark suite (python -m repro.bench)
   verify   end-to-end verification suite (python -m repro.verify)
   inspect  PHD5 container inspector      (python -m repro.tools.inspect)
   serve    multi-tenant ingest daemon    (python -m repro.serve)
@@ -41,10 +39,6 @@ def main(argv: "list[str] | None" = None) -> int:
         print(__version__)
         return 0
     command, rest = argv[0], argv[1:]
-    if command == "bench":
-        from repro.bench.cli import main as bench_main
-
-        return bench_main(rest)
     if command == "verify":
         from repro.verify.cli import main as verify_main
 

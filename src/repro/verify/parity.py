@@ -4,9 +4,8 @@ One canonical workload is pushed through every registered strategy on
 every requested executor backend.  Two properties are asserted:
 
 * **cross-backend determinism** — the finished file's byte fingerprint
-  (the same digest the bench suite gates on) must be identical across
-  backends for each strategy: parallelizing a fan-out must never change
-  what lands on disk;
+  (:func:`file_fingerprint`) must be identical across backends for each
+  strategy: parallelizing a fan-out must never change what lands on disk;
 * **bound-satisfying output** — the serial file of every strategy is
   round-trip certified, so a strategy whose layout math regressed fails
   here even if it is internally consistent across backends.
@@ -17,12 +16,12 @@ strategies certify against their declared error bound.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.bench.cli import file_fingerprint
 from repro.core.config import PipelineConfig
 from repro.core.scenarios import get_scenario
 from repro.core.strategy import registered_strategies
@@ -33,6 +32,21 @@ from repro.verify.workloads import reference_fields, write_scenario_file
 
 #: The canonical parity workload: the paper's target regime.
 CANONICAL_SCENARIO = "balanced"
+
+
+def digest(parts: "list[bytes | str]") -> str:
+    """Short stable fingerprint of an ordered byte/str sequence."""
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(p.encode("utf-8") if isinstance(p, str) else p)
+    return h.hexdigest()[:16]
+
+
+def file_fingerprint(path: str) -> str:
+    """Short digest of a finished file's bytes (the parity pillar's
+    fingerprint)."""
+    with open(path, "rb") as fh:
+        return digest([hashlib.sha256(fh.read()).digest()])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """The schema-versioned verification artifact (``VERIFY_<sha>.json``).
 
-Mirrors the bench artifact convention (``repro-bench/1``): one JSON file
-per run, a ``schema`` field bumped on shape changes, the git sha and host
-recorded, and a top-level ``passed`` flag plus flat ``failures`` list so
-CI can gate without parsing the pillar-specific sections.
+One JSON file per run, a ``schema`` field bumped on shape changes, the git
+sha and host recorded, and a top-level ``passed`` flag plus flat
+``failures`` list so CI can gate without parsing the pillar-specific
+sections.
 """
 
 from __future__ import annotations
@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 import time
 from typing import Mapping
 
-from repro.bench.cli import git_sha
 from repro.verify.certify import CertificationReport, CodecCertificate
 from repro.verify.fuzz import FuzzReport
 from repro.verify.parity import ParityResult
@@ -27,6 +27,23 @@ from repro.verify.served import ServeParityResult
 #: v3: added the ``serve_parity`` pillar (N concurrent clients through the
 #: ingest daemon vs the direct facade: byte-identical + certified).
 SCHEMA = "repro-verify/3"
+
+
+def git_sha() -> str:
+    """Short HEAD sha of the checkout this package lives in, for artifact
+    naming (``"unknown"`` outside a checkout or without ``git``)."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+        )
+        return out.stdout.strip() or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
 
 
 def build_report(

@@ -351,13 +351,16 @@ def test_facade_written_scenario_certifies(tmp_path):
 
 
 def test_run_facade_bench_cell_fingerprint_stable(tmp_path):
-    from repro.bench.cli import run_facade, setup_facade
+    """Two facade writes of one payload produce byte-identical files."""
     from repro.core.scenarios import get_scenario
-    from repro.exec import SerialExecutor
+    from repro.verify import file_fingerprint
+    from repro.verify.workloads import write_scenario_file_facade
 
-    arrays = setup_facade(get_scenario("balanced"), True)
-    ex = SerialExecutor()
-    assert run_facade(ex, arrays) == run_facade(ex, arrays)
+    arrays = get_scenario("balanced").array_payload(seed=0)
+    paths = [str(tmp_path / name) for name in ("a.phd5", "b.phd5")]
+    for path in paths:
+        write_scenario_file_facade(arrays, "reorder", path)
+    assert file_fingerprint(paths[0]) == file_fingerprint(paths[1])
 
 
 def test_stats_populated_after_implicit_flush_on_read(tmp_path):

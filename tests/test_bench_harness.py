@@ -31,13 +31,6 @@ class TestFormatting:
         assert "2.5" in table
         assert "0.000123" in table
 
-    def test_markdown_structure(self, result):
-        md = result.markdown()
-        lines = md.splitlines()
-        assert lines[0].startswith("| a | b | c |")
-        assert lines[1].startswith("|---")
-        assert len(lines) == 2 + len(result.rows)
-
     def test_empty_rows(self):
         assert "(no rows)" in format_table("empty", [])
 

@@ -11,6 +11,9 @@ A dead module is the same problem in source form: code nothing calls
 still has to be read, kept importable and refactored around.  The last
 guard fails the suite when a module under ``src/repro`` loses its last
 importer.
+
+Committed evidence is the third form: ``results/`` tracks only the small
+digest tables, never the reports they were computed from.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from __future__ import annotations
 import ast
 import pathlib
 import re
+import subprocess
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -129,3 +135,17 @@ def test_every_module_has_a_live_importer():
         "modules nothing imports (a re-export from their own package "
         f"__init__ does not count) — delete them or give them a caller: {dead}"
     )
+
+
+def test_results_tracks_only_digest_tables():
+    """``results/`` is ignored except ``VERIFY_DIGESTS_*.txt``; a 168 KB
+    ``VERIFY_*.json`` or a bench artifact only gets in by ``git add -f``."""
+    try:
+        tracked = subprocess.run(
+            ["git", "-C", str(ROOT), "ls-files", "results"],
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+    except (OSError, subprocess.SubprocessError):
+        pytest.skip("not a git checkout")
+    stray = [p for p in tracked if not re.fullmatch(r"results/VERIFY_DIGESTS_.+\.txt", p)]
+    assert not stray, f"only digest tables are committed under results/: {stray}"

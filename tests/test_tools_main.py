@@ -26,28 +26,25 @@ def facade_file(tmp_path):
 
 def test_help_and_version(capsys):
     assert main(["--help"]) == 0
-    assert "bench" in capsys.readouterr().out
+    assert "verify" in capsys.readouterr().out
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == repro.__version__
     assert main([]) == 2
 
 
 def test_unknown_subcommand(capsys):
-    assert main(["frobnicate"]) == 2
-    assert "unknown subcommand" in capsys.readouterr().err
+    # Benchmarking is perfbench/run.py, not a subcommand.
+    for command in ("frobnicate", "bench"):
+        assert main([command]) == 2
+        assert "unknown subcommand" in capsys.readouterr().err
 
 
 def test_dispatch_to_module_clis(monkeypatch):
     calls = {}
-    import repro.bench.cli as bench_cli
     import repro.verify.cli as verify_cli
 
-    monkeypatch.setattr(bench_cli, "main",
-                        lambda argv: calls.setdefault("bench", argv) and 0 or 0)
     monkeypatch.setattr(verify_cli, "main",
                         lambda argv: calls.setdefault("verify", argv) and 0 or 0)
-    assert main(["bench", "--quick", "--repeats", "1"]) == 0
-    assert calls["bench"] == ["--quick", "--repeats", "1"]
     assert main(["verify", "--quick"]) == 0
     assert calls["verify"] == ["--quick"]
 

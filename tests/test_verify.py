@@ -2,6 +2,7 @@
 
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -307,6 +308,28 @@ class TestRelativeModeAndReportShapes:
         ])
         assert status == 1
         assert "VERIFICATION FAILED" in capsys.readouterr().out
+
+    def test_git_sha_is_this_checkouts_wherever_the_caller_stands(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.verify.report import git_sha
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        try:
+            head = subprocess.run(
+                ["git", "-C", root, "rev-parse", "--short", "HEAD"],
+                capture_output=True, text=True, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            pytest.skip("not a git checkout")
+        monkeypatch.chdir(tmp_path)  # not a repository
+        assert git_sha() == head
+
+    def test_git_sha_unknown_without_git(self, tmp_path, monkeypatch):
+        from repro.verify.report import git_sha
+
+        monkeypatch.setenv("PATH", str(tmp_path))
+        assert git_sha() == "unknown"
 
 
 class TestSessionVerify:
