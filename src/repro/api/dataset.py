@@ -25,6 +25,7 @@ import numpy as np
 from repro.api.settings import DatasetSettings
 from repro.data.partition import assemble_tiles
 from repro.errors import (
+    ConfigError,
     HDF5Error,
     IncompleteWriteError,
     InvalidStateError,
@@ -84,6 +85,68 @@ def _selection(key, shape: tuple[int, ...]):
         else:
             raise HDF5Error(f"unsupported selection component {k!r}")
     return regions, tuple(value_shape)
+
+
+def select_block(name: str, key, shape: tuple[int, ...], dtype, value):
+    """Read ``ds[key] = value`` as ``(regions, block)`` — the one reading of
+    an assignment, shared by the local and the served dataset handle.
+
+    ``block`` is ``value`` as a C-contiguous ``dtype`` array of the
+    full-rank shape ``regions`` selects (it may share memory with
+    ``value``).
+    """
+    regions, value_shape = _selection(key, shape)
+    value = np.asarray(value)
+    if tuple(value.shape) != value_shape:
+        raise ShapeMismatchError(
+            f"{name}: assigned array shape {tuple(value.shape)} does "
+            f"not match the selected region shape {value_shape}"
+        )
+    block = np.ascontiguousarray(value, dtype=dtype).reshape(
+        tuple(b - a for a, b in regions)
+    )
+    return regions, block
+
+
+def resolve_extent(name: str, shape, dtype, data, maxshape):
+    """Read ``create_dataset``'s ``shape``/``dtype``/``data``/``maxshape``
+    as ``(base_shape, dtype, time_axis)`` — the one reading of those
+    arguments, shared by the local facade and the served file handle.
+
+    ``maxshape=(None, *shape)`` declares the unlimited step axis (``shape``
+    may be the snapshot shape or ``(0, *shape)``); a fixed ``maxshape`` must
+    equal ``shape``.
+    """
+    if data is not None:
+        data = np.asarray(data)
+        if shape is None:
+            shape = data.shape
+        if dtype is None:
+            dtype = data.dtype
+    if shape is None:
+        raise ConfigError(f"dataset {name!r}: pass shape=... or data=...")
+    shape = tuple(int(s) for s in shape)
+    dtype = np.dtype(np.float32 if dtype is None else dtype)
+    if maxshape is None:
+        return shape, dtype, False
+    maxshape = tuple(maxshape)
+    if any(m is None for m in maxshape[1:]):
+        raise ConfigError(
+            f"dataset {name!r}: only the first axis can be unlimited"
+        )
+    if maxshape and maxshape[0] is None:
+        rest = tuple(int(m) for m in maxshape[1:])
+        if shape not in (rest, (0,) + rest):
+            raise ShapeMismatchError(
+                f"dataset {name!r}: shape {shape} does not match "
+                f"maxshape {maxshape} (expected {rest} or {(0,) + rest})"
+            )
+        return rest, dtype, True
+    if tuple(int(m) for m in maxshape) != shape:
+        raise ConfigError(
+            f"dataset {name!r}: fixed maxshape {maxshape} != shape {shape}"
+        )
+    return shape, dtype, False
 
 
 def _overlaps(a: list[list[int]], b: list[list[int]]) -> bool:
@@ -200,21 +263,15 @@ class Dataset:
                 "layout is write-once — use a time-axis dataset "
                 "(maxshape=(None, ...)) for evolving data"
             )
-        regions, value_shape = _selection(key, self._base_shape)
-        value = np.asarray(value)
-        if tuple(value.shape) != value_shape:
-            raise ShapeMismatchError(
-                f"{self._path}: assigned array shape {tuple(value.shape)} does "
-                f"not match the selected region shape {value_shape}"
-            )
-        block_shape = tuple(b - a for a, b in regions)
-        block = np.ascontiguousarray(value, dtype=self._dtype).reshape(block_shape)
+        regions, block = select_block(
+            self._path, key, self._base_shape, self._dtype, value
+        )
         if self._file._collective:
             # Caller-managed SPMD: every rank assigns its own block and the
             # write is immediately collective over the communicator.
             self._file._write_collective(self, regions, block)
             return
-        if np.shares_memory(block, value):
+        if np.shares_memory(block, np.asarray(value)):
             # Copy at assignment time (h5py semantics): the staged block is
             # both what gets written at flush and the reference data
             # verify() certifies against, so later caller mutations of the

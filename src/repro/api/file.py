@@ -39,7 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.api.dataset import Dataset
+from repro.api.dataset import Dataset, resolve_extent
 from repro.api.settings import AUTO, DatasetSettings, validate_strategy
 from repro.compression.sz import SZCompressor
 from repro.core.autotune import AutoTuner, tune_payload
@@ -226,18 +226,7 @@ class Group:
         ``data=`` assigns immediately, as in h5py.
         """
         self._file._require_writable(f"create dataset {name!r}")
-        if data is not None:
-            data = np.asarray(data)
-            if shape is None:
-                shape = data.shape
-            if dtype is None:
-                dtype = data.dtype
-        if shape is None:
-            raise ConfigError(f"dataset {name!r}: pass shape=... or data=...")
-        if dtype is None:
-            dtype = np.float32
-        shape = tuple(int(s) for s in shape)
-        base_shape, time_axis = self._resolve_maxshape(name, shape, maxshape)
+        base_shape, dtype, time_axis = resolve_extent(name, shape, dtype, data, maxshape)
         settings = DatasetSettings(
             error_bound=error_bound,
             bound_mode=bound_mode,
@@ -264,30 +253,6 @@ class Group:
                 )
             ds[...] = data
         return ds
-
-    def _resolve_maxshape(self, name, shape, maxshape):
-        if maxshape is None:
-            return shape, False
-        maxshape = tuple(maxshape)
-        if any(m is None for m in maxshape[1:]):
-            raise ConfigError(
-                f"dataset {name!r}: only the first axis can be unlimited"
-            )
-        if maxshape and maxshape[0] is None:
-            rest = tuple(int(m) for m in maxshape[1:])
-            if shape == rest:
-                return rest, True
-            if shape == (0,) + rest:
-                return rest, True
-            raise ShapeMismatchError(
-                f"dataset {name!r}: shape {shape} does not match "
-                f"maxshape {maxshape} (expected {rest} or {(0,) + rest})"
-            )
-        if tuple(int(m) for m in maxshape) != shape:
-            raise ConfigError(
-                f"dataset {name!r}: fixed maxshape {maxshape} != shape {shape}"
-            )
-        return shape, False
 
     # -- navigation ----------------------------------------------------------
 

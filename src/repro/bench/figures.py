@@ -45,9 +45,10 @@ from repro.sim.machine import BEBOP, SUMMIT, MachineProfile
 #: Target bit-rate used by the paper's trade-off and scaling experiments.
 PAPER_TARGET_BITRATE = 2.0
 
-#: Bound scale that lands the synthetic Nyx snapshot near bit-rate 2
-#: (pre-computed with find_bound_scale_for_bitrate; kept fixed so the
-#: benchmarks are deterministic and fast).
+#: Bound scales that land the synthetic Nyx / VPIC snapshots near
+#: bit-rate 2 (found once by bisecting ``bound_scale`` on
+#: ``build_workload(...).overall_bit_rate``; pinned so the benchmarks are
+#: deterministic and fast).
 NYX_BITRATE2_BOUND_SCALE = 4.0
 VPIC_BITRATE2_BOUND_SCALE = 1.6
 

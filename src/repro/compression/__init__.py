@@ -24,7 +24,7 @@ prediction-based compression pipeline the paper builds on (SZ/SZ3):
     Rate/distortion evaluation helpers (:class:`CompressionResult`).
 """
 
-from repro.compression.codec import Codec, available_codecs, get_codec, register_codec
+from repro.compression.codec import Codec, get_codec, register_codec
 from repro.compression.huffman import (
     HuffmanCode,
     huffman_decode,
@@ -43,7 +43,6 @@ from repro.compression.zfp import ZFPCompressor
 
 __all__ = [
     "Codec",
-    "available_codecs",
     "get_codec",
     "register_codec",
     "HuffmanCode",

@@ -8,7 +8,7 @@ so one instance can be shared across ranks/threads — and, because
 per-field fan-out helpers below produce byte-identical streams under any
 :mod:`repro.exec` backend.  The compression kernels bottom out in NumPy
 ufuncs and zlib, both of which release the GIL, so the thread backend sees
-real parallelism without process-pool pickling.
+real parallelism.
 """
 
 from __future__ import annotations
@@ -71,25 +71,14 @@ def get_codec(name: str, **kwargs: object) -> Codec:
     return factory(**kwargs)
 
 
-def available_codecs() -> list[str]:
-    """Sorted list of registered codec names."""
-    return sorted(_REGISTRY)
-
-
 # ---------------------------------------------------------------------------
 # Per-field fan-out (the drivers' compression hot loop)
 # ---------------------------------------------------------------------------
 
 def _compress_cell(cell: "tuple[Codec, np.ndarray]") -> bytes:
-    """One (codec, array) compression cell (module-level: process-safe)."""
+    """One (codec, array) compression cell."""
     codec, data = cell
     return codec.compress(data)
-
-
-def _decompress_cell(cell: "tuple[Codec, bytes]") -> np.ndarray:
-    """One (codec, stream) decompression cell (module-level: process-safe)."""
-    codec, stream = cell
-    return codec.decompress(stream)
 
 
 def compress_fields(
@@ -104,8 +93,7 @@ def compress_fields(
     order); results are keyed by name so callers consume them in any
     order.  Streams are byte-identical across executor backends — each
     cell is a pure function — so parallelizing this loop can never change
-    what lands in the file.  The process backend chunks cells to amortize
-    array pickling.
+    what lands in the file.
     """
     names = list(order) if order is not None else list(fields)
     missing = [n for n in names if n not in fields or n not in codecs]
@@ -114,18 +102,3 @@ def compress_fields(
     ex = resolve_executor(executor)
     streams = ex.map_cells(_compress_cell, [(codecs[n], fields[n]) for n in names])
     return dict(zip(names, streams))
-
-
-def decompress_fields(
-    streams: Mapping[str, bytes],
-    codecs: Mapping[str, Codec],
-    executor=None,
-) -> dict[str, np.ndarray]:
-    """Inverse of :func:`compress_fields`: name → reconstructed array."""
-    names = list(streams)
-    missing = [n for n in names if n not in codecs]
-    if missing:
-        raise CompressionError(f"streams without a codec: {missing}")
-    ex = resolve_executor(executor)
-    arrays = ex.map_cells(_decompress_cell, [(codecs[n], streams[n]) for n in names])
-    return dict(zip(names, arrays))

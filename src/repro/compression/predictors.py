@@ -65,31 +65,3 @@ class LorenzoPredictor:
     def inverse(self, d: np.ndarray) -> np.ndarray:
         """Exact inverse of :meth:`forward`."""
         return lorenzo_inverse(d)
-
-
-class BlockMeanPredictor:
-    """Blockwise-mean predictor (a simple SZ3-style alternative).
-
-    Subtracts each non-overlapping block's integer mean before a Lorenzo pass
-    inside the block.  Provided for ablation studies on predictor choice; the
-    paper's pipeline uses Lorenzo, which is the default everywhere.
-
-    The transform stores block means inside the residual array itself (the
-    first element of each block carries mean + residual), so it remains a
-    same-shape, exactly invertible integer transform.
-    """
-
-    name = "blockmean"
-
-    def __init__(self, block: int = 8) -> None:
-        if block < 2:
-            raise ValueError("block must be >= 2")
-        self.block = block
-
-    def forward(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=np.int64)
-        d = lorenzo_forward(q)
-        return d
-
-    def inverse(self, d: np.ndarray) -> np.ndarray:
-        return lorenzo_inverse(d)

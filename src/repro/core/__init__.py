@@ -70,13 +70,12 @@ from repro.core.strategy import (
     PlanPhase,
     PredictPhase,
     WriteStrategy,
-    available_strategies,
     field_index_map,
     get_strategy,
     register_strategy,
     registered_strategies,
 )
-from repro.core.sweep import SweepCell, best_per_case, simulate_matrix
+from repro.core.sweep import SweepCell, simulate_matrix
 from repro.core.workload import (
     FieldPartitionStats,
     Workload,
@@ -105,7 +104,6 @@ __all__ = [
     "OverflowPhase",
     "register_strategy",
     "get_strategy",
-    "available_strategies",
     "registered_strategies",
     "field_index_map",
     "Workload",
@@ -133,7 +131,6 @@ __all__ = [
     "simulate_strategy",
     "SweepCell",
     "simulate_matrix",
-    "best_per_case",
     "RealDriver",
     "RankWriteStats",
     "TimestepSession",

@@ -133,13 +133,11 @@ class AutoTuner:
         each workload's rank count — exactly what the drivers use.
     executor:
         Fan-out backend for per-strategy pricing and the per-rank cost
-        matrix (name, instance, or None → the config's ``executor``).
-        Serial/thread backends share one workload context across all
-        candidates; the process backend prices each candidate in a
-        self-contained picklable cell.  A pool resolved here from a
-        *name* lives until process exit (tuners have no close hook) —
-        pass an Executor instance to control its lifetime, or let
-        TimestepSession own it.
+        matrix (name, instance, or None → the config's ``executor``);
+        one workload context is shared across all candidates.  A pool
+        resolved here from a *name* lives until process exit (tuners
+        have no close hook) — pass an Executor instance to control its
+        lifetime, or let TimestepSession own it.
     """
 
     def __init__(
@@ -194,24 +192,14 @@ class AutoTuner:
         names = self.strategy_names()
         if not names:
             raise ConfigError("no candidate strategies to tune over")
-        if self.executor.needs_pickling:
-            # Process backend: each candidate prices in a self-contained
-            # cell (explicit models so children skip re-calibration).
-            models = self.models or default_models(self.machine, workload.nranks)
-            cells = [
-                (self.machine, self.config, models, name, workload, warm_start)
-                for name in names
-            ]
-            estimates = tuple(self.executor.map_cells(_price_cell, cells))
-        else:
-            # The models, file-system constants, and compress-time matrix
-            # depend only on the workload — share them across candidates.
-            ctx = _WorkloadContext(workload, self)
-            estimates = tuple(
-                self.executor.map_cells(
-                    lambda name: self._estimate(name, ctx, warm_start), names
-                )
+        # The models, file-system constants, and compress-time matrix
+        # depend only on the workload — share them across candidates.
+        ctx = _WorkloadContext(workload, self)
+        estimates = tuple(
+            self.executor.map_cells(
+                lambda name: self._estimate(name, ctx, warm_start), names
             )
+        )
         choice = _first_minimum(names, [e.makespan_seconds for e in estimates])
         decision = TuningDecision(
             workload_name=workload.name, estimates=estimates, choice=choice
@@ -227,22 +215,8 @@ class AutoTuner:
         return self.evaluate(workload, warm_start).choice
 
 
-def _price_cell(cell) -> StrategyEstimate:
-    """One candidate's estimate as a self-contained picklable cell.
-
-    Used by process-backed tuners; a fresh (serial) tuner in the worker
-    reproduces the estimate exactly — pricing is deterministic in
-    (machine, config, models, workload).  The worker tuner is pinned to
-    the serial backend: honoring ``config.executor`` here would spawn a
-    nested pool inside every pool worker.
-    """
-    machine, config, models, name, workload, warm_start = cell
-    tuner = AutoTuner(machine=machine, config=config, models=models, executor="serial")
-    return tuner.estimate(name, workload, warm_start)
-
-
 def _rank_eq1_seconds(cell) -> list[float]:
-    """Eq. (1) seconds for one rank's column (module-level: process-safe)."""
+    """Eq. (1) seconds for one rank's column."""
     tmodel, n_values, actual = cell
     return [
         tmodel.predict_seconds(int(n), 8.0 * float(a) / float(n))
@@ -519,7 +493,7 @@ def exhaustive_oracle(
     Strategies the simulator refuses (infeasible phase/workload
     combinations) count as infinitely slow, again mirroring the tuner.
     The per-candidate simulations are independent, so the exhaustive
-    sweep fans out over any executor backend (cells are picklable).
+    sweep fans out over any executor backend.
     """
     machine = get_machine(machine) if isinstance(machine, str) else machine
     names = tuple(strategies) if strategies is not None else registered_strategies()

@@ -63,9 +63,9 @@ class PipelineConfig:
     #: reused as predictions in the streaming session (Fig. 15 consistency
     #: means 1.0 is usually right; raise it for fast-drifting series).
     warm_start_margin: float = 1.0
-    #: execution backend for the fan-out hot paths ("serial" / "thread" /
-    #: "process"); serial keeps the historical bit-identical in-loop
-    #: behavior, parallel backends change wall-clock only.
+    #: execution backend for the fan-out hot paths ("serial" / "thread");
+    #: serial keeps the historical bit-identical in-loop behavior, the
+    #: thread backend changes wall-clock only.
     executor: str = "serial"
     #: certify the written file on :meth:`TimestepSession.close`: every
     #: written step is read back through the partition metadata and

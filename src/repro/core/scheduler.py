@@ -95,17 +95,3 @@ def johnson_order(tasks: Sequence[CompressionTask]) -> list[CompressionTask]:
         reverse=True,
     )
     return front + back
-
-
-def reordering_benefit(tasks: Sequence[CompressionTask]) -> float:
-    """Relative makespan reduction of Algorithm 1 vs. the original order.
-
-    0.0 means no benefit (e.g. the unbalanced regimes of paper Fig. 10).
-    """
-    if not tasks:
-        return 0.0
-    base = queue_time(tasks)
-    if base <= 0:
-        return 0.0
-    best = queue_time(optimize_order(tasks))
-    return max(0.0, (base - best) / base)

@@ -322,11 +322,6 @@ def get_strategy(name: str, **kwargs: object) -> WriteStrategy:
     return factory(**kwargs)
 
 
-def available_strategies() -> list[str]:
-    """Sorted list of registered strategy names."""
-    return sorted(_REGISTRY)
-
-
 def registered_strategies() -> tuple[str, ...]:
     """Registered names in registration (paper presentation) order."""
     return tuple(_REGISTRY)

@@ -6,7 +6,7 @@ ablation, and the bench CLI.  Each cell (one strategy simulated over one
 generated workload) is independent, which makes the sweep the library's
 widest fan-out: ``len(strategies) × len(cases)`` cells.  This module names
 that sweep once so every consumer schedules it through the same
-:mod:`repro.exec` backend, with cells picklable for the process pool.
+:mod:`repro.exec` backend.
 
 Determinism contract: cell results depend only on (strategy, workload,
 machine, config) — the executor tests assert identical makespans across
@@ -51,7 +51,7 @@ class SweepCell:
 
 
 def _sweep_cell(cell) -> SweepCell:
-    """Simulate one cell (module-level: process-safe)."""
+    """Simulate one cell."""
     case_label, scenario, seed, strategy, workload, machine, config = cell
     try:
         result = simulate_strategy(strategy, workload, machine, config)
@@ -93,13 +93,3 @@ def simulate_matrix(
         # instances keep caller-managed lifetimes.
         if not isinstance(executor, Executor):
             ex.close()
-
-
-def best_per_case(cells: Sequence[SweepCell]) -> dict[str, SweepCell]:
-    """Fastest feasible strategy per case label (first-minimum tie rule)."""
-    best: dict[str, SweepCell] = {}
-    for cell in cells:
-        cur = best.get(cell.case_label)
-        if cur is None or cell.makespan_seconds < cur.makespan_seconds:
-            best[cell.case_label] = cell
-    return best

@@ -347,48 +347,3 @@ def scale_workload(
         fields=workload.fields,
         stats=tuple(rows),
     )
-
-
-def find_bound_scale_for_bitrate(
-    target_bit_rate: float,
-    dataset: str = "nyx",
-    nranks: int = 8,
-    shape: tuple[int, int, int] = (48, 48, 48),
-    n_particles: int = 1 << 18,
-    seed: int | None = None,
-    tolerance: float = 0.1,
-    max_iters: int = 18,
-) -> float:
-    """Bisect the bound scale achieving a snapshot-level target bit-rate.
-
-    The paper's trade-off/scaling experiments fix "target compressed
-    bit-rate 2"; this is the knob search that realizes it on the synthetic
-    data.  Returns the multiplicative bound scale.
-    """
-    if target_bit_rate <= 0:
-        raise ConfigError("target bit rate must be positive")
-
-    def bitrate_at(scale: float) -> float:
-        wl = build_workload(
-            dataset=dataset,
-            nranks=nranks,
-            shape=shape,
-            n_particles=n_particles,
-            bound_scale=scale,
-            seed=seed,
-            sample_fraction=0.05,
-        )
-        return wl.overall_bit_rate
-
-    lo, hi = 1e-3, 1e4
-    # Bit-rate decreases as the bound grows; bisect in log space.
-    for _ in range(max_iters):
-        mid = float(np.sqrt(lo * hi))
-        br = bitrate_at(mid)
-        if abs(br - target_bit_rate) <= tolerance:
-            return mid
-        if br > target_bit_rate:
-            lo = mid
-        else:
-            hi = mid
-    return float(np.sqrt(lo * hi))

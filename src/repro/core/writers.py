@@ -169,9 +169,8 @@ def simulate_strategy(
 def _rank_compression_seconds(cell) -> list[float]:
     """Eq. (1) compression seconds for one rank's field column.
 
-    Module-level (and fed plain arrays) so the cell pickles cleanly into
-    a process-pool worker; the cost-model evaluation is the simulator's
-    per-rank hot loop, not the event engine itself.
+    The cost-model evaluation is the simulator's per-rank hot loop, not
+    the event engine itself.
     """
     cost_model, n_values, actual, outliers, unique = cell
     return [
@@ -186,7 +185,7 @@ def _rank_compression_seconds(cell) -> list[float]:
 
 
 def _rank_field_order(cell) -> list[int]:
-    """Algorithm 1 ordering for one rank (module-level: process-safe)."""
+    """Algorithm 1 ordering for one rank."""
     cw, tmodel, wmodel, n_values, plan_sizes = cell
     nfields = len(n_values)
     if not cw.reorder:

@@ -20,15 +20,6 @@ class CorruptStreamError(CompressionError):
     """Raised when a compressed stream fails structural validation."""
 
 
-class ErrorBoundViolation(CompressionError):
-    """Raised when reconstruction verification detects an error-bound breach.
-
-    This should never fire for the SZ codec (the bound holds by construction);
-    it exists for the verification utilities and the simplified ZFP codec,
-    whose fixed-rate mode does not guarantee a point-wise bound.
-    """
-
-
 class VerificationError(ReproError):
     """Raised when end-to-end verification fails: a certified read-back
     breaches its declared error bound, a cross-backend fingerprint differs,

@@ -12,16 +12,13 @@ goes through one :class:`~repro.exec.executors.Executor` API:
   :func:`~repro.mpi.executor.run_spmd` semantics.
 
 Backends: ``serial`` (the default — bit-identical to the historical
-in-loop behavior), ``thread`` (a shared ``concurrent.futures`` thread
-pool; NumPy/zlib release the GIL, so compression scales), and
-``process`` (a process pool for GIL-bound work; items are chunked to
-amortize pickling).
+in-loop behavior) and ``thread`` (a shared ``concurrent.futures`` thread
+pool; NumPy/zlib release the GIL, so compression scales).
 """
 
 from repro.exec.executors import (
     EXECUTOR_NAMES,
     Executor,
-    ProcessPoolExecutor,
     SerialExecutor,
     ThreadPoolExecutor,
     get_executor,
@@ -31,7 +28,6 @@ from repro.exec.executors import (
 __all__ = [
     "EXECUTOR_NAMES",
     "Executor",
-    "ProcessPoolExecutor",
     "SerialExecutor",
     "ThreadPoolExecutor",
     "get_executor",

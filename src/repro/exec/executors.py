@@ -14,9 +14,7 @@ Semantics shared by every backend (and asserted by the executor tests):
   cannot run one-after-another, so ``map_ranks`` always gives each rank
   its own thread.  ``SerialExecutor.map_ranks`` is therefore exactly the
   historical ``run_spmd`` (dedicated threads); the thread backend reuses
-  its pool threads when the pool is wide enough; the process backend
-  falls back to threads (ranks share file handles and barriers, which do
-  not cross process boundaries).
+  its pool threads when the pool is wide enough.
 
 The ``serial`` backend is the default everywhere so existing numerics
 stay bit-identical; parallel backends change wall-clock only — written
@@ -30,13 +28,13 @@ import concurrent.futures
 import os
 import threading
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro.errors import ConfigError
 from repro.mpi.executor import run_spmd
 
 #: Registered backend names, selection order (serial is the default).
-EXECUTOR_NAMES = ("serial", "thread", "process")
+EXECUTOR_NAMES = ("serial", "thread")
 
 
 def _settle(results: list[Any], errors: list[BaseException | None]) -> list[Any]:
@@ -50,11 +48,8 @@ def _settle(results: list[Any], errors: list[BaseException | None]) -> list[Any]
 class Executor(ABC):
     """One scheduling backend for the library's fan-out hot paths."""
 
-    #: registry name ("serial" / "thread" / "process").
+    #: registry name ("serial" / "thread").
     name: str = "abstract"
-
-    #: True when submitted callables/items cross a pickle boundary.
-    needs_pickling: bool = False
 
     @property
     def parallel(self) -> bool:
@@ -203,22 +198,6 @@ class ThreadPoolExecutor(Executor):
                 errors[i] = exc
         return _settle(results, errors)
 
-    def __getstate__(self) -> dict:
-        # Live pools never cross a pickle boundary (objects holding an
-        # executor may be shipped to process workers); the copy re-creates
-        # its pool lazily on first use.
-        state = self.__dict__.copy()
-        state["_pool"] = None
-        state["_ranks_in_flight"] = 0
-        del state["_pool_lock"]
-        del state["_tls"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._pool_lock = threading.Lock()
-        self._tls = threading.local()
-
     def map_ranks(
         self,
         nranks: int,
@@ -256,100 +235,9 @@ class ThreadPoolExecutor(Executor):
             self._pool = None
 
 
-def _run_cell_chunk(fn: Callable[[Any], Any], chunk: Sequence[Any]) -> list[tuple[bool, Any]]:
-    """Worker-side chunk runner: per-item success/error capture.
-
-    Runs in the child process; exceptions travel back as values so one
-    bad cell cannot mask its chunk-mates' results (the lowest-index rule
-    is applied parent-side across the whole item list).
-    """
-    out: list[tuple[bool, Any]] = []
-    for item in chunk:
-        try:
-            out.append((True, fn(item)))
-        except Exception as exc:  # noqa: BLE001 - re-raised parent-side
-            out.append((False, exc))
-    return out
-
-
-class ProcessPoolExecutor(Executor):
-    """A process pool for GIL-bound per-cell work.
-
-    ``fn`` and every item must be picklable (module-level functions,
-    ``functools.partial`` over module-level functions, plain data).
-    Items are submitted in contiguous chunks to amortize pickling — the
-    per-field compression path ships NumPy arrays, so chunking matters.
-
-    ``map_ranks`` uses dedicated threads: SPMD ranks share barriers and
-    file handles, which do not cross process boundaries.
-    """
-
-    name = "process"
-    needs_pickling = True
-
-    def __init__(self, max_workers: int | None = None, chunksize: int | None = None) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ConfigError("max_workers must be positive")
-        self.max_workers = int(max_workers or (os.cpu_count() or 1))
-        if chunksize is not None and chunksize <= 0:
-            raise ConfigError("chunksize must be positive")
-        self.chunksize = chunksize
-        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        # Guarded: dedicated rank threads can hit first use concurrently.
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.max_workers)
-            return self._pool
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_pool"] = None
-        del state["_pool_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._pool_lock = threading.Lock()
-
-    def _chunk(self, n_items: int) -> int:
-        if self.chunksize is not None:
-            return self.chunksize
-        # ~4 chunks per worker balances pickling overhead against skew.
-        return max(1, -(-n_items // (self.max_workers * 4)))
-
-    def map_cells(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-        items = list(items)
-        if len(items) <= 1:
-            return SerialExecutor().map_cells(fn, items)
-        pool = self._ensure_pool()
-        size = self._chunk(len(items))
-        chunks = [items[i : i + size] for i in range(0, len(items), size)]
-        futures = [pool.submit(_run_cell_chunk, fn, chunk) for chunk in chunks]
-        results: list[Any] = [None] * len(items)
-        errors: list[BaseException | None] = [None] * len(items)
-        i = 0
-        for fut in futures:
-            for ok, value in fut.result():
-                if ok:
-                    results[i] = value
-                else:
-                    errors[i] = value
-                i += 1
-        return _settle(results, errors)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 _EXECUTORS: dict[str, Callable[..., Executor]] = {
     "serial": SerialExecutor,
     "thread": ThreadPoolExecutor,
-    "process": ProcessPoolExecutor,
 }
 
 

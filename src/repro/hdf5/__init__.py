@@ -38,11 +38,7 @@ from repro.hdf5.filters import (
     register_filter,
 )
 from repro.hdf5.group import Group
-from repro.hdf5.properties import (
-    DatasetCreateProps,
-    FileAccessProps,
-    TransferProps,
-)
+from repro.hdf5.properties import DatasetCreateProps, FileAccessProps
 from repro.hdf5.vol import AsyncVOL, NativeVOL, VOLConnector
 
 __all__ = [
@@ -61,7 +57,6 @@ __all__ = [
     "dtype_from_tag",
     "DatasetCreateProps",
     "FileAccessProps",
-    "TransferProps",
     "VOLConnector",
     "NativeVOL",
     "AsyncVOL",

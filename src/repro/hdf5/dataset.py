@@ -1,14 +1,9 @@
-"""Datasets: contiguous, chunked+filtered, and declared-partition layouts.
+"""Datasets: contiguous and declared-partition layouts.
 
-Three layouts cover the paper's three write paths:
+Two layouts cover the paper's write paths:
 
 ``contiguous``
     Raw array bytes at one (offset, size) — the non-compression baseline.
-
-``chunked``
-    A chunk index mapping chunk coordinates to (offset, stored size); each
-    chunk passes through the filter pipeline — the H5Z-SZ baseline.  As in
-    parallel HDF5 with filters, writes must be whole-chunk.
 
 ``declared``
     The paper's deep integration: a partition table whose offsets and
@@ -17,7 +12,9 @@ Three layouts cover the paper's three write paths:
     independently into their reserved slots; payload beyond the slot is
     redirected by the caller to an overflow region at end-of-file and
     recorded per partition.  The table itself is the "metadata for the
-    decompression purpose" the paper describes (≈ KBs, negligible).
+    decompression purpose" the paper describes (≈ KBs, negligible).  The
+    H5Z-SZ ``filter`` baseline is the same layout with offsets planned
+    from exact compressed sizes.
 """
 
 from __future__ import annotations
@@ -37,13 +34,6 @@ from repro.hdf5.filters import FilterPipeline
 if TYPE_CHECKING:  # pragma: no cover
     from repro.exec import Executor
     from repro.hdf5.file import File
-
-
-def _decode_partition_cell(item: tuple) -> np.ndarray:
-    """Decode one partition payload (module-level: picklable for the
-    process backend — raw bytes travel, open file handles do not)."""
-    payload, shape, dtype_str, filters_json = item
-    return FilterPipeline.from_json(filters_json).invert(payload, shape, dtype_str)
 
 
 class PartitionEntry:
@@ -106,12 +96,8 @@ class Dataset:
         chunks: tuple[int, ...] | None = None,
         filters: FilterPipeline | None = None,
     ) -> None:
-        if layout not in ("contiguous", "chunked", "declared"):
+        if layout not in ("contiguous", "declared"):
             raise HDF5Error(f"unknown layout {layout!r}")
-        if layout == "chunked" and chunks is None:
-            raise HDF5Error("chunked layout requires a chunk shape")
-        if layout == "chunked" and len(chunks) != len(shape):
-            raise HDF5Error("chunk rank must match dataset rank")
         self.file = file
         self.path = path
         self.shape = tuple(int(s) for s in shape)
@@ -125,8 +111,6 @@ class Dataset:
         self._filters_digest: str | None = None  # lazy cache-key component
         # contiguous state
         self._data_offset: int | None = None
-        # chunked state: "i,j,k" -> [offset, stored_nbytes]
-        self._chunk_index: dict[str, list[int]] = {}
         # declared state
         self._partitions: dict[int, PartitionEntry] = {}
 
@@ -205,83 +189,13 @@ class Dataset:
             if len(blob) != self.nbytes:
                 raise FileFormatError("contiguous data truncated")
             return np.frombuffer(blob, dtype=self.dtype).reshape(self.shape).copy()
-        if self.layout == "chunked":
-            return self._read_chunked()
         return self.read_region(tuple(slice(0, s) for s in self.shape), executor)
-
-    # -- chunked layout ------------------------------------------------------
-
-    def _chunk_key(self, coords: Sequence[int]) -> str:
-        return ",".join(str(int(c)) for c in coords)
-
-    def _chunk_slices(self, coords: Sequence[int]) -> tuple[slice, ...]:
-        return tuple(
-            slice(c * ch, min((c + 1) * ch, s))
-            for c, ch, s in zip(coords, self.chunks, self.shape)
-        )
-
-    def write_chunk(self, coords: Sequence[int], data: np.ndarray) -> int:
-        """Write one whole chunk through the filter pipeline.
-
-        Returns the stored (post-filter) size in bytes.
-        """
-        if self.layout != "chunked":
-            raise HDF5Error("write_chunk() requires chunked layout")
-        self._require_writable()
-        if len(coords) != len(self.shape):
-            raise HDF5Error("chunk coordinate rank mismatch")
-        slices = self._chunk_slices(coords)
-        expected = tuple(s.stop - s.start for s in slices)
-        if any(s.start >= dim for s, dim in zip(slices, self.shape)):
-            raise HDF5Error(f"chunk {tuple(coords)} out of bounds")
-        data = np.ascontiguousarray(data, dtype=self.dtype)
-        if data.shape != expected:
-            raise HDF5Error(f"chunk shape mismatch: {data.shape} != {expected}")
-        payload = self.filters.apply(data) if self.filters else data.tobytes()
-        offset = self.file.storage.allocate(len(payload))
-        self.file.storage.write_at(payload, offset)
-        with self._lock:
-            self._chunk_index[self._chunk_key(coords)] = [offset, len(payload)]
-        return len(payload)
-
-    def read_chunk(self, coords: Sequence[int]) -> np.ndarray:
-        """Read one chunk back through the filter pipeline."""
-        if self.layout != "chunked":
-            raise HDF5Error("read_chunk() requires chunked layout")
-        key = self._chunk_key(coords)
-        try:
-            offset, stored = self._chunk_index[key]
-        except KeyError:
-            raise InvalidStateError(f"chunk {key} was never written") from None
-        payload = self.file.storage.read_at(stored, offset)
-        slices = self._chunk_slices(coords)
-        shape = tuple(s.stop - s.start for s in slices)
-        if self.filters:
-            return self.filters.invert(payload, shape, dtype_tag(self.dtype))
-        return np.frombuffer(payload, dtype=self.dtype).reshape(shape).copy()
-
-    def _read_chunked(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.dtype)
-        counts = [-(-s // c) for s, c in zip(self.shape, self.chunks)]
-        total = int(np.prod(counts)) if counts else 0
-        for flat in range(total):
-            coords = []
-            rem = flat
-            for c in reversed(counts):
-                coords.append(rem % c)
-                rem //= c
-            coords.reverse()
-            if self._chunk_key(coords) in self._chunk_index:
-                out[self._chunk_slices(coords)] = self.read_chunk(coords)
-        return out
 
     @property
     def stored_nbytes(self) -> int:
         """Bytes of file space this dataset occupies (compressed/reserved)."""
         if self.layout == "contiguous":
             return self.nbytes if self._data_offset is not None else 0
-        if self.layout == "chunked":
-            return sum(v[1] for v in self._chunk_index.values())
         return sum(p.reserved + p.overflow_nbytes for p in self._partitions.values())
 
     # -- declared layout -----------------------------------------------------
@@ -408,8 +322,7 @@ class Dataset:
         :meth:`read` (the full extent) and the facade's ``ds[a:b, ...]``
         indexing.  ``executor`` optionally decodes the intersecting
         partitions in parallel (the serial default is bit-identical).
-        Contiguous and chunked layouts fall back to a full read plus
-        slicing.
+        The contiguous layout falls back to a full read plus slicing.
         """
         if len(slices) != len(self.shape):
             raise HDF5Error("region rank mismatch")
@@ -472,39 +385,20 @@ class Dataset:
         Decoded arrays are served **read-only** from the process-wide
         decoded-partition cache (:mod:`repro.cache`); copy before mutating.
         """
-        cached = get_cache().get(self._cache_key(index))
-        if cached is not None:
-            self.file.read_stats.record_hit()
-            return cached
-        payload = self.read_partition(index)
-        if not self.filters.has_array_filter:
-            raise HDF5Error("declared dataset has no array filter to decode with")
-        entry = self.partition(index)
-        data = self.filters.invert(
-            payload, self._partition_shape(entry), dtype_tag(self.dtype)
-        )
-        self.file.read_stats.record_decode(data.nbytes)
-        return get_cache().put(self._cache_key(index), data)
+        return self._partition_arrays([index])[0]
 
     def _partition_arrays(
         self, indexes: Sequence[int], executor: "Executor | None" = None
     ) -> list[np.ndarray]:
-        """Decoded (read-only) arrays for ``indexes``, in order.
+        """Decoded (read-only) arrays for ``indexes``, in order — the one
+        route every declared read takes.
 
-        Cache hits are collected up front; the remaining decodes either run
-        inline (serial / no executor) or fan out through
-        ``executor.map_cells`` on raw payload bytes — picklable items and a
-        module-level cell function, so the process backend works too.  The
-        slot/overflow ``pread`` calls stay on the calling thread: positioned
-        reads are cheap and thread-safe, decode is the CPU-bound part.
+        Cache hits are collected up front; the misses decode through
+        ``executor.map_cells`` when that fans out from this thread, inline
+        (one payload in memory at a time) otherwise.  The slot/overflow
+        ``pread`` calls stay on the calling thread: positioned reads are
+        cheap and thread-safe, decode is the CPU-bound part.
         """
-        indexes = list(indexes)
-        if (
-            executor is None
-            or not getattr(executor, "cells_parallel_here", False)
-            or len(indexes) <= 1
-        ):
-            return [self.read_partition_array(i) for i in indexes]
         cache = get_cache()
         results: dict[int, np.ndarray] = {}
         misses: list[int] = []
@@ -518,18 +412,21 @@ class Dataset:
         if misses:
             if not self.filters.has_array_filter:
                 raise HDF5Error("declared dataset has no array filter to decode with")
-            filters_json = self.filters.to_json()
             dtype_str = dtype_tag(self.dtype)
-            items = [
-                (
-                    self.read_partition(i),
-                    self._partition_shape(self.partition(i)),
-                    dtype_str,
-                    filters_json,
-                )
+
+            def decode(item: tuple) -> np.ndarray:
+                payload, shape = item
+                return self.filters.invert(payload, shape, dtype_str)
+
+            items = (
+                (self.read_partition(i), self._partition_shape(self.partition(i)))
                 for i in misses
-            ]
-            for i, data in zip(misses, executor.map_cells(_decode_partition_cell, items)):
+            )
+            if executor is not None and executor.cells_parallel_here:
+                decoded = executor.map_cells(decode, items)
+            else:
+                decoded = map(decode, items)
+            for i, data in zip(misses, decoded):
                 self.file.read_stats.record_decode(data.nbytes)
                 results[i] = cache.put(self._cache_key(i), data)
         return [results[i] for i in indexes]
@@ -548,8 +445,6 @@ class Dataset:
         }
         if self.layout == "contiguous":
             blob["data_offset"] = self._data_offset
-        elif self.layout == "chunked":
-            blob["chunk_index"] = dict(self._chunk_index)
         else:
             blob["partitions"] = [
                 e.to_json() for _, e in sorted(self._partitions.items())
@@ -571,8 +466,6 @@ class Dataset:
         ds.attrs = dict(blob.get("attrs", {}))
         if ds.layout == "contiguous":
             ds._data_offset = blob.get("data_offset")
-        elif ds.layout == "chunked":
-            ds._chunk_index = {k: list(v) for k, v in blob.get("chunk_index", {}).items()}
         else:
             for e in blob.get("partitions", []):
                 entry = PartitionEntry.from_json(e)

@@ -84,8 +84,9 @@ class Group:
     ) -> Dataset:
         """Create (and link) a dataset.
 
-        A :class:`DatasetCreateProps` with chunks/filters selects the
-        chunked+filtered layout automatically, as in HDF5.
+        A :class:`DatasetCreateProps` with chunks/filters describes a
+        ``declared`` dataset; the contiguous layout stores raw bytes and
+        refuses one rather than quietly dropping the filters.
         """
         self.file.require_writable()
         name = _validate_name(name)
@@ -93,7 +94,9 @@ class Group:
         chunks = dcpl.chunks
         pipeline = FilterPipeline(tuple(FilterSpec(fid, opts) for fid, opts in dcpl.filters))
         if chunks is not None and layout == "contiguous":
-            layout = "chunked"
+            raise HDF5Error(
+                "chunks/filters need layout='declared'; contiguous datasets store raw bytes"
+            )
         with self._lock:
             if name in self._links:
                 raise ObjectExistsError(f"{self._child_path(name)} already exists")

@@ -34,7 +34,7 @@ class FileAccessProps:
 class DatasetCreateProps:
     """How a dataset is laid out (dcpl analogue)."""
 
-    #: chunk shape for the filtered/chunked layout (None = contiguous).
+    #: chunk shape of a filtered (declared) dataset (None = contiguous).
     chunks: tuple[int, ...] | None = None
     #: filter pipeline entries: list of (filter_id, options dict).
     filters: tuple[tuple[int, dict], ...] = ()
@@ -44,16 +44,4 @@ class DatasetCreateProps:
             if len(self.chunks) == 0 or any(c <= 0 for c in self.chunks):
                 raise ConfigError("chunk dimensions must be positive")
         if self.filters and self.chunks is None:
-            raise ConfigError("filters require a chunked layout (as in HDF5)")
-
-
-@dataclass(frozen=True)
-class TransferProps:
-    """How a write is performed (dxpl analogue)."""
-
-    #: "independent" (each rank on its own) or "collective" (synchronized).
-    mode: str = "independent"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("independent", "collective"):
-            raise ConfigError(f"unknown transfer mode {self.mode!r}")
+            raise ConfigError("filters require a chunk shape (as in HDF5)")

@@ -5,7 +5,7 @@ async VOL connector is what the paper leans on to overlap compression with
 writes.  Here:
 
 * :class:`VOLConnector` — the interface (three operations suffice for the
-  paper's pipeline: raw partition write, overflow write, chunk write);
+  paper's pipeline: partition write, overflow write, raw slab write);
 * :class:`NativeVOL` — executes synchronously against the file;
 * :class:`AsyncVOL` — wraps another connector, queueing each operation on
   the file's background engine and returning an :class:`AsyncRequest`.
@@ -35,10 +35,6 @@ class VOLConnector(ABC):
         """Write a partition's overflow tail at a computed offset."""
 
     @abstractmethod
-    def chunk_write(self, dataset: Dataset, coords: Sequence[int], data: np.ndarray) -> Any:
-        """Write one chunk through the filter pipeline."""
-
-    @abstractmethod
     def slab_write(self, dataset: Dataset, data: np.ndarray, start: Sequence[int]) -> Any:
         """Write a raw hyperslab (non-compressed path)."""
 
@@ -51,9 +47,6 @@ class NativeVOL(VOLConnector):
 
     def overflow_write(self, dataset: Dataset, index: int, tail: bytes, offset: int) -> None:
         dataset.write_partition_overflow(index, tail, offset)
-
-    def chunk_write(self, dataset: Dataset, coords: Sequence[int], data: np.ndarray) -> int:
-        return dataset.write_chunk(coords, data)
 
     def slab_write(self, dataset: Dataset, data: np.ndarray, start: Sequence[int]) -> None:
         dataset.write_slab(data, start)
@@ -97,17 +90,6 @@ class AsyncVOL(VOLConnector):
             self.engine.submit(
                 lambda: self.inner.overflow_write(dataset, index, tail, offset),
                 label=f"overflow_write[{dataset.path}#{index}]",
-            )
-        )
-
-    def chunk_write(
-        self, dataset: Dataset, coords: Sequence[int], data: np.ndarray
-    ) -> AsyncRequest:
-        coords = tuple(coords)
-        return self._track(
-            self.engine.submit(
-                lambda: self.inner.chunk_write(dataset, coords, data),
-                label=f"chunk_write[{dataset.path}@{coords}]",
             )
         )
 

@@ -5,8 +5,7 @@
 
 * ``barrier()`` — ``threading.Barrier`` under the hood;
 * ``allgather(obj)`` — everyone contributes, everyone gets the full list;
-* ``bcast(obj, root)`` / ``gather(obj, root)``;
-* ``send(obj, dest, tag)`` / ``recv(source, tag)`` — per-(rank, tag) queues.
+* ``bcast(obj, root)`` — for caller-managed (``comm=``) SPMD code.
 
 Collectives are *generation based*: each call allocates a slot list guarded
 by a barrier pair, so back-to-back collectives never race.  Objects are
@@ -17,7 +16,6 @@ through these calls should be treated as read-only by receivers.
 
 from __future__ import annotations
 
-import queue
 import threading
 from typing import Any
 
@@ -35,7 +33,6 @@ class ThreadCommWorld:
         self._lock = threading.Lock()
         self._slots: dict[str, list[Any]] = {}
         self._generation: dict[str, int] = {}
-        self._queues: dict[tuple[int, int], queue.Queue] = {}
 
     def rank_comm(self, rank: int) -> "RankComm":
         """The communicator facade for one rank."""
@@ -46,14 +43,6 @@ class ThreadCommWorld:
     def comms(self) -> list["RankComm"]:
         """Facades for all ranks, rank order."""
         return [self.rank_comm(r) for r in range(self.size)]
-
-    def _queue_for(self, dest: int, tag: int) -> queue.Queue:
-        with self._lock:
-            key = (dest, tag)
-            q = self._queues.get(key)
-            if q is None:
-                q = self._queues[key] = queue.Queue()
-            return q
 
     def _slot_list(self, op: str) -> list[Any]:
         with self._lock:
@@ -111,46 +100,6 @@ class RankComm:
             self.world._advance("bcast")
         self.world._barrier.wait()
         return out
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        """Root receives the list of contributions; others receive None."""
-        self._check_root(root)
-        slots = self.world._slot_list("gather")
-        slots[self.rank] = obj
-        self.barrier()
-        out = list(slots) if self.rank == root else None
-        if self.world._barrier.wait() == 0:
-            self.world._advance("gather")
-        self.world._barrier.wait()
-        return out
-
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Enqueue ``obj`` for ``dest`` (non-blocking, unbounded queue)."""
-        if not 0 <= dest < self.size:
-            raise CommunicatorError(f"bad destination rank {dest}")
-        self.world._queue_for(dest, tag).put((self.rank, obj))
-
-    def recv(self, source: int | None = None, tag: int = 0, timeout: float = 30.0) -> Any:
-        """Dequeue the next message with ``tag``; optionally filter by source.
-
-        Messages from other sources arriving first are re-queued, preserving
-        per-source FIFO order for typical two-party exchanges.
-        """
-        q = self.world._queue_for(self.rank, tag)
-        stash = []
-        try:
-            while True:
-                src, obj = q.get(timeout=timeout)
-                if source is None or src == source:
-                    return obj
-                stash.append((src, obj))
-        except queue.Empty:
-            raise CommunicatorError(
-                f"recv timeout on rank {self.rank} (tag={tag}, source={source})"
-            ) from None
-        finally:
-            for item in stash:
-                q.put(item)
 
     def _check_root(self, root: int) -> None:
         if not 0 <= root < self.size:

@@ -1,16 +1,9 @@
 """``python -m repro.serve`` / ``repro serve`` — run the ingest daemon.
 
-Two modes:
-
-* **daemon** (default): bind a local socket, print the address, serve
-  until SIGINT/SIGTERM, then drain cleanly (flush complete datasets,
-  drop incomplete ones, close every file).
-* **smoke** (``--smoke``): the CI gate.  Starts an in-process daemon,
-  drives N concurrent writer clients into one shared file (each client
-  writes its own error-bounded dataset over its own connection), commits
-  one coalescing flush, shuts the daemon down cleanly, then *certifies*
-  the served file — every field read back within its declared bound —
-  and exits non-zero on any failure.
+Binds a local socket, prints the address, serves until SIGINT/SIGTERM,
+then drains cleanly (flush complete datasets, drop incomplete ones, close
+every file).  The daemon's CI gates are ``repro.verify``'s ``serve_parity``
+pillar and ``perfbench``'s ``served_shared`` selftest.
 """
 
 from __future__ import annotations
@@ -18,8 +11,6 @@ from __future__ import annotations
 import argparse
 import signal
 import threading
-
-import numpy as np
 
 from repro.core.config import PipelineConfig
 from repro.serve.daemon import ReproServer
@@ -47,11 +38,6 @@ def _parse_args(argv) -> argparse.Namespace:
                         help="per-tenant ingest queue cap (backpressure knob)")
     parser.add_argument("--total-depth", type=int, default=1024,
                         help="aggregate ingest queue cap (backpressure knob)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI smoke: serve, drive concurrent writers, "
-                             "verify the file, shut down; exit non-zero on failure")
-    parser.add_argument("--smoke-clients", type=int, default=4,
-                        help="concurrent writer clients in --smoke (default 4)")
     return parser.parse_args(argv)
 
 
@@ -68,89 +54,8 @@ def _build_server(args) -> ReproServer:
     )
 
 
-def run_smoke(args) -> int:
-    """Start a daemon, drive concurrent writers, verify, shut down."""
-    import os
-    import tempfile
-
-    from repro import api
-    from repro.serve.client import ServeClient, open_remote
-    from repro.verify.certify import certify
-
-    n_clients = max(2, args.smoke_clients)
-    shape, bound = (24, 24, 24), 1e-3
-    rng = np.random.default_rng(7)
-    payloads = {
-        f"fields/f{i:02d}": (rng.normal(0.0, 1.0, shape) * 0.05).astype(np.float32)
-        for i in range(n_clients)
-    }
-    args.port = 0 if args.unix is None else args.port  # never collide in CI
-    server = _build_server(args)
-    server.start()
-    print(f"smoke: daemon on {server.address}, {n_clients} concurrent writers")
-    failures: list[str] = []
-    with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
-        path = os.path.join(tmp, "smoke.phd5")
-        try:
-            control = open_remote(server.address, path, "w", tenant="control")
-            for name in payloads:
-                control.create_dataset(name, shape, np.float32, error_bound=bound)
-
-            def write_one(name: str, arr: np.ndarray) -> None:
-                f = open_remote(server.address, path, "w", tenant=name)
-                f[name][...] = arr
-                f.close()
-
-            threads = [
-                threading.Thread(target=write_one, args=(n, a), daemon=True)
-                for n, a in payloads.items()
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60.0)
-            landed = control.flush()
-            print(f"smoke: coalesced flush landed {len(landed)} datasets")
-            if len(landed) != n_clients:
-                failures.append(f"expected {n_clients} datasets, landed {landed}")
-            admin = ServeClient(server.address)
-            stats = admin.stats()
-            print(f"smoke: server stats {stats}")
-            control.close()
-            admin.close()
-        finally:
-            server.stop()
-        if not failures:
-            report = certify(
-                path, {k.split("/")[-1]: v for k, v in payloads.items()}
-            )
-            for cert in report.certificates:
-                print(
-                    f"smoke: {cert.field} max_error={cert.max_error:.3e} "
-                    f"bound={cert.bound:.3e} passed={cert.passed}"
-                )
-            if not report.passed:
-                failures.append("certification failed for the served file")
-            # Read back through the plain local facade too: a served file
-            # is an ordinary PHD5 container.
-            with api.open(path, "r") as f:
-                for name, ref in payloads.items():
-                    got = f[name][...]
-                    if np.max(np.abs(got.astype(np.float64) - ref)) > bound * 1.0001:
-                        failures.append(f"{name}: local read-back breached bound")
-    if failures:
-        print("SMOKE FAILED:")
-        for line in failures:
-            print(" ", line)
-        return 1
-    print("smoke passed: concurrent served writes verified, clean shutdown")
-    return 0
-
-
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    if args.smoke:
-        return run_smoke(args)
     server = _build_server(args)
     server.start()
     print(f"repro serve: listening on {server.address} "

@@ -29,12 +29,12 @@ import time
 
 import numpy as np
 
-from repro.api.dataset import _selection
+from repro.api.dataset import resolve_extent, select_block
 from repro.api.settings import DatasetSettings
 from repro.core.config import PipelineConfig
-from repro.errors import ConfigError, ReadOnlyError, ShapeMismatchError
+from repro.errors import ConfigError, ReadOnlyError
 from repro.serve import protocol
-from repro.serve.coalescer import DATASET_FIELDS, config_to_wire
+from repro.serve.coalescer import config_to_wire
 from repro.serve.protocol import QueueFullError, ServeError
 
 
@@ -165,13 +165,9 @@ class RemoteDataset:
     ) -> None:
         self._file = file
         self.name = name
-        self._base_shape = tuple(int(s) for s in shape)
+        self.shape = tuple(int(s) for s in shape)
         self.dtype = np.dtype(dtype)
         self.time_axis = bool(time_axis)
-
-    @property
-    def shape(self) -> tuple:
-        return self._base_shape
 
     def __setitem__(self, key, value) -> None:
         if self.time_axis:
@@ -179,16 +175,7 @@ class RemoteDataset:
                 f"{self.name}: served time-axis datasets stream whole steps; "
                 "use RemoteFile.append_step"
             )
-        regions, value_shape = _selection(key, self._base_shape)
-        value = np.asarray(value)
-        if tuple(value.shape) != value_shape:
-            raise ShapeMismatchError(
-                f"{self.name}: assigned array shape {tuple(value.shape)} does "
-                f"not match the selected region shape {value_shape}"
-            )
-        block = np.ascontiguousarray(value, dtype=self.dtype).reshape(
-            tuple(b - a for a, b in regions)
-        )
+        regions, block = select_block(self.name, key, self.shape, self.dtype, value)
         meta, payload = protocol.pack_array(block)
         self._file._client.request(
             {
@@ -206,7 +193,7 @@ class RemoteDataset:
         kind = "time-axis " if self.time_axis else ""
         return (
             f"<repro.serve.RemoteDataset {self.name!r} {kind}"
-            f"shape={self._base_shape} dtype={self.dtype}>"
+            f"shape={self.shape} dtype={self.dtype}>"
         )
 
 
@@ -237,39 +224,16 @@ class RemoteFile:
     ) -> RemoteDataset:
         """Create a dataset on the served file (same keywords as the local
         facade: ``error_bound``, ``strategy``, ``nranks``, ...)."""
-        unknown = sorted(set(settings) - set(DATASET_FIELDS))
+        supported = list(DatasetSettings.__dataclass_fields__)
+        unknown = sorted(set(settings) - set(supported))
         if unknown:
             raise ConfigError(
                 f"unsupported dataset setting(s) {unknown} over the wire; "
-                f"supported: {list(DATASET_FIELDS)}"
+                f"supported: {supported}"
             )
-        if data is not None:
-            data = np.asarray(data)
-            shape = shape or data.shape
-            dtype = dtype or data.dtype
-        if shape is None:
-            raise ConfigError(f"dataset {name!r}: pass shape=... or data=...")
-        shape = tuple(int(s) for s in shape)
-        time_axis = False
-        if maxshape is not None:
-            maxshape = tuple(maxshape)
-            if maxshape[0] is not None or any(m is None for m in maxshape[1:]):
-                raise ConfigError(
-                    f"dataset {name!r}: only maxshape=(None, *shape) is "
-                    "supported (the unlimited step axis)"
-                )
-            rest = tuple(int(m) for m in maxshape[1:])
-            if shape not in (rest, (0, *rest)):
-                raise ShapeMismatchError(
-                    f"dataset {name!r}: shape {shape} does not match "
-                    f"maxshape {maxshape}"
-                )
-            shape = rest
-            time_axis = True
-        dtype = np.dtype(dtype if dtype is not None else np.float32)
+        shape, dtype, time_axis = resolve_extent(name, shape, dtype, data, maxshape)
         # Validate eagerly client-side so errors point here, not at flush.
-        DatasetSettings(**{k: v for k, v in settings.items()
-                           if k in DatasetSettings.__dataclass_fields__})
+        DatasetSettings(**settings)
         self._client.request({
             "op": "create",
             "fid": self._fid,

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api.file import File as FacadeFile
+from repro.api.settings import DatasetSettings
 from repro.core.config import PipelineConfig
 from repro.errors import ReproError
 from repro.serve.protocol import RemoteOpError, ServeError
@@ -46,17 +47,6 @@ CONFIG_FIELDS = (
     "executor",
     "verify",
 )
-
-#: Per-dataset settings clients may set over the wire.
-DATASET_FIELDS = (
-    "error_bound",
-    "bound_mode",
-    "strategy",
-    "extra_space_ratio",
-    "performance_weight",
-    "nranks",
-)
-
 
 def config_from_wire(spec: "dict | None") -> "PipelineConfig | None":
     """Rebuild a :class:`PipelineConfig` from its wire dict (None passes
@@ -192,11 +182,12 @@ class Coalescer:
         time_axis: bool = False,
         **settings,
     ) -> None:
-        unknown = sorted(set(settings) - set(DATASET_FIELDS))
+        supported = list(DatasetSettings.__dataclass_fields__)
+        unknown = sorted(set(settings) - set(supported))
         if unknown:
             raise ServeError(
                 f"unsupported dataset setting(s) {unknown}; "
-                f"supported: {list(DATASET_FIELDS)}"
+                f"supported: {supported}"
             )
         session = self.session(fid)
         shape = tuple(int(s) for s in shape)

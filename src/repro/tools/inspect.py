@@ -45,11 +45,7 @@ def _walk(obj, depth: int = 0, out=None) -> None:
             _walk(child, depth + 1, out)
     else:
         ds: Dataset = obj
-        extra = ""
-        if ds.layout == "chunked":
-            extra = f", chunks={ds.chunks}"
-        elif ds.layout == "declared":
-            extra = f", partitions={ds.n_partitions}"
+        extra = f", partitions={ds.n_partitions}" if ds.layout == "declared" else ""
         filt = ""
         if ds.filters:
             names = available_filters()

@@ -6,7 +6,7 @@ CLI it names — so ``repro verify --quick`` is exactly
 
     repro verify  [args...]   # round-trip certification / parity / fuzzing
     repro inspect [args...]   # PHD5 container inspector (ls/stat/dump/...)
-    repro serve   [args...]   # multi-tenant ingest daemon (+ --smoke gate)
+    repro serve   [args...]   # multi-tenant ingest daemon
 
 Registered in ``setup.py`` as ``console_scripts: repro=repro.tools.main:main``.
 """

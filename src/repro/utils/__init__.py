@@ -1,17 +1,7 @@
 """Shared low-level utilities: bit packing, block iteration, statistics, RNG."""
 
-from repro.utils.bits import (
-    BitReader,
-    BitWriter,
-    pack_varlen_codes,
-    unpack_bits_lsb,
-)
-from repro.utils.blocks import (
-    block_view_slices,
-    iter_blocks,
-    num_blocks,
-    sample_block_slices,
-)
+from repro.utils.bits import BitReader, BitWriter, pack_varlen_codes
+from repro.utils.blocks import block_view_slices, sample_block_slices
 from repro.utils.stats import (
     compression_ratio,
     bit_rate,
@@ -27,10 +17,7 @@ __all__ = [
     "BitReader",
     "BitWriter",
     "pack_varlen_codes",
-    "unpack_bits_lsb",
     "block_view_slices",
-    "iter_blocks",
-    "num_blocks",
     "sample_block_slices",
     "compression_ratio",
     "bit_rate",

@@ -86,22 +86,6 @@ def pack_varlen_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, in
     return payload, total_bits
 
 
-def unpack_bits_lsb(payload: bytes, total_bits: int) -> np.ndarray:
-    """Expand a packed stream into a ``uint8`` array of individual bits.
-
-    Mostly a debugging / property-testing helper: returns ``total_bits``
-    entries, each 0 or 1, in global bit order.
-    """
-    if total_bits == 0:
-        return np.zeros(0, dtype=np.uint8)
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    needed_bytes = (total_bits + 7) // 8
-    if raw.size < needed_bytes:
-        raise CorruptStreamError(f"bitstream truncated: need {needed_bytes} bytes, have {raw.size}")
-    bits = np.unpackbits(raw[:needed_bytes], bitorder="little")
-    return bits[:total_bits]
-
-
 class BitWriter:
     """Scalar LSB-first bit writer producing the same layout as the packer."""
 

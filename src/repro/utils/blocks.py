@@ -12,18 +12,6 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 
-def num_blocks(shape: Sequence[int], block: Sequence[int]) -> int:
-    """Number of blocks of size ``block`` tiling ``shape`` (edges ragged)."""
-    if len(shape) != len(block):
-        raise ValueError("shape and block must have equal rank")
-    total = 1
-    for s, b in zip(shape, block):
-        if b <= 0:
-            raise ValueError("block dimensions must be positive")
-        total *= -(-s // b)
-    return total
-
-
 def block_view_slices(
     shape: Sequence[int], block: Sequence[int]
 ) -> Iterator[tuple[slice, ...]]:
@@ -45,14 +33,6 @@ def block_view_slices(
         yield tuple(
             slice(i * b, min((i + 1) * b, s)) for i, b, s in zip(idx, block, shape)
         )
-
-
-def iter_blocks(
-    data: np.ndarray, block: Sequence[int]
-) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:
-    """Yield ``(slices, view)`` pairs over ``data`` in block order."""
-    for sl in block_view_slices(data.shape, block):
-        yield sl, data[sl]
 
 
 def sample_block_slices(

@@ -2,8 +2,6 @@
 
 from repro.verify.cli import main
 
-# Guarded: the process executor backend re-imports the main module in its
-# spawn-started workers; without the guard every worker would re-run the
-# whole verification suite.
+# Guarded: importing this module must not run the verification suite.
 if __name__ == "__main__":
     raise SystemExit(main())

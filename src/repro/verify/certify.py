@@ -10,7 +10,7 @@ data, and issues one :class:`FieldCertificate` per field with the bound,
 the measured maximum error, PSNR/NRMSE distortion statistics, and the
 overflow traffic the read path had to reassemble.
 
-The bound itself is discovered from the *file*: declared/chunked datasets
+The bound itself is discovered from the *file*: declared datasets
 record their SZ filter options (bound + mode) in the footer, so a
 certificate asserts the file against its own declared promise, not against
 whatever the caller believes was configured.  Relative-mode bounds are

@@ -117,9 +117,9 @@ def _parse_args(argv) -> argparse.Namespace:
                         help="comma-separated scenario names (default: all)")
     parser.add_argument("--strategies", default=",".join(registered_strategies()),
                         help="comma-separated strategy names (default: all)")
-    parser.add_argument("--backends", default=None,
+    parser.add_argument("--backends", default=",".join(EXECUTOR_NAMES),
                         help="comma-separated executor backends for the parity "
-                             "pillar (default: serial,thread quick; all full)")
+                             "pillar (default: all)")
     parser.add_argument("--fuzz-cases", type=int, default=None,
                         help="generated scenario-fuzz cases (default: 4 quick, "
                              "12 full; 0 disables)")
@@ -147,10 +147,7 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    if args.backends is not None:
-        backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    else:
-        backends = ["serial", "thread"] if args.quick else list(EXECUTOR_NAMES)
+    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     n_fuzz = args.fuzz_cases if args.fuzz_cases is not None else (4 if args.quick else 12)
 
     certifications = run_certification(scenarios, strategies, args.seed)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CorruptStreamError
-from repro.utils.bits import BitReader, BitWriter, pack_varlen_codes, unpack_bits_lsb
+from repro.utils.bits import BitReader, BitWriter, pack_varlen_codes
 
 
 class TestBitWriterReader:
@@ -114,17 +114,7 @@ class TestPackVarlenCodes:
         codes = np.array(
             [rng.integers(0, 1 << int(l)) for l in lengths], dtype=np.uint64
         )
-        payload, nbits = pack_varlen_codes(codes, lengths)
-        w = BitWriter()
-        for c, l in zip(codes.tolist(), lengths.tolist()):
-            w.write(int(c), int(l))
-        scalar = w.getvalue()
-        assert nbits == w.bit_length
-        assert payload[: len(scalar) - 1] == scalar[:-1]
-        # Final partial byte may differ only in padding; compare bit-wise.
-        assert np.array_equal(
-            unpack_bits_lsb(payload, nbits), unpack_bits_lsb(scalar, nbits)
-        )
+        _assert_matches_bit_writer(codes.tolist(), lengths.tolist())
 
     def test_word_boundary_spanning(self):
         # Two 57-bit codes force a span across the first word boundary.
@@ -224,16 +214,3 @@ class TestPackerVsBitWriter:
         # (or one ``last``-bit code short of it), so the tail lands on a seam.
         lengths = lengths + [1] * (-(sum(lengths) + last) % 64) + [last]
         _assert_matches_bit_writer([(1 << n) - 1 for n in lengths], lengths)
-
-
-class TestUnpackBits:
-    def test_truncated_payload_rejected(self):
-        with pytest.raises(CorruptStreamError):
-            unpack_bits_lsb(b"\x01", 9)
-
-    def test_zero_bits(self):
-        assert unpack_bits_lsb(b"", 0).size == 0
-
-    def test_bit_order(self):
-        bits = unpack_bits_lsb(b"\x03", 8)
-        assert bits.tolist() == [1, 1, 0, 0, 0, 0, 0, 0]

@@ -31,7 +31,6 @@ from repro.data.timesteps import TimestepSeries
 from repro.errors import ConfigError
 from repro.exec import (
     EXECUTOR_NAMES,
-    ProcessPoolExecutor,
     SerialExecutor,
     ThreadPoolExecutor,
     get_executor,
@@ -41,11 +40,10 @@ from repro.hdf5 import File, FileAccessProps
 from repro.mpi import run_spmd
 from repro.sim.machine import BEBOP
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 
 
 def _square(x):
-    """Module-level so the process backend can pickle it."""
     return x * x
 
 
@@ -105,6 +103,8 @@ class TestMapCells:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):
             get_executor("gpu")
+        with pytest.raises(ConfigError, match=r"available: \['serial', 'thread'\]"):
+            get_executor("process")
         with pytest.raises(ConfigError):
             resolve_executor(42)
 
@@ -112,15 +112,13 @@ class TestMapCells:
         for bad in (0, -1):
             with pytest.raises(ConfigError):
                 ThreadPoolExecutor(max_workers=bad)
-            with pytest.raises(ConfigError):
-                ProcessPoolExecutor(max_workers=bad)
 
     def test_resolve_passthrough_and_default(self):
         ex = ThreadPoolExecutor(max_workers=1)
         assert resolve_executor(ex) is ex
         assert resolve_executor(None).name == "serial"
-        assert resolve_executor("process").name == "process"
-        assert tuple(EXECUTOR_NAMES) == ("serial", "thread", "process")
+        assert resolve_executor("thread").name == "thread"
+        assert tuple(EXECUTOR_NAMES) == ("serial", "thread")
 
 
 class TestMapRanks:
@@ -170,8 +168,6 @@ class TestMapRanks:
                 False,
                 False,
             ]
-        with ProcessPoolExecutor(max_workers=2) as pex:
-            assert pex.cells_parallel_here
 
     def test_nested_map_cells_inside_pooled_ranks_cannot_deadlock(self):
         # Rank tasks fill the whole pool, then fan out cells: the nested
@@ -245,13 +241,11 @@ class TestDeterminismAcrossBackends:
                 {"max_workers": 2} if backend != "serial" else {}
             )) as ex:
                 decisions[backend] = AutoTuner(BEBOP, executor=ex).evaluate(wl)
-        serial = decisions["serial"]
-        for backend in ("thread", "process"):
-            other = decisions[backend]
-            assert other.choice == serial.choice
-            assert [e.makespan_seconds for e in other.estimates] == pytest.approx(
-                [e.makespan_seconds for e in serial.estimates]
-            )
+        serial, threaded = decisions["serial"], decisions["thread"]
+        assert threaded.choice == serial.choice
+        assert [e.makespan_seconds for e in threaded.estimates] == pytest.approx(
+            [e.makespan_seconds for e in serial.estimates]
+        )
 
     def test_oracle_identical(self):
         wl = get_scenario("many-small-fields").scaled(nranks=8).workload(0)
@@ -366,6 +360,4 @@ def test_codec_fanout_bit_identical_across_backends():
     serial = compress_fields(fields, codecs)
     with ThreadPoolExecutor(max_workers=2) as tex:
         threaded = compress_fields(fields, codecs, executor=tex)
-    with ProcessPoolExecutor(max_workers=2) as pex:
-        processed = compress_fields(fields, codecs, executor=pex)
-    assert serial == threaded == processed
+    assert serial == threaded

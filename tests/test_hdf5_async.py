@@ -133,21 +133,16 @@ class TestVOLConnectors:
             out = ds.read_partition_array(0)
             assert np.max(np.abs(out - data)) <= 1e-3
 
-    def test_async_vol_slab_and_chunk(self, tmp_path):
+    def test_async_vol_slab(self, tmp_path):
         data = make_smooth_field((8, 8))
         fapl = FileAccessProps(async_io=True)
         with File(str(tmp_path / "avs.phd5"), "w", fapl=fapl) as f:
             ds_raw = f.create_dataset("raw", shape=(8, 8))
-            ds_ch = f.create_dataset(
-                "ch", shape=(8, 8), dcpl=DatasetCreateProps(chunks=(8, 8))
-            )
             es = EventSet()
             vol = AsyncVOL(f.async_engine, event_set=es)
             vol.slab_write(ds_raw, data, (0, 0))
-            vol.chunk_write(ds_ch, (0, 0), data)
             es.wait_all(10.0)
             assert np.array_equal(ds_raw.read(), data)
-            assert np.array_equal(ds_ch.read(), data)
 
     def test_file_async_engine_lifecycle(self, tmp_path):
         f = File(str(tmp_path / "ae.phd5"), "w", fapl=FileAccessProps(async_io=True))

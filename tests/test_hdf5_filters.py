@@ -1,4 +1,4 @@
-"""Tests for the filter pipeline and chunked/declared dataset layouts."""
+"""Tests for the filter pipeline and the declared dataset layout."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from repro.hdf5 import (
     FILTER_SHUFFLE,
     FILTER_SZ,
     FILTER_ZFP,
+    Dataset,
     DatasetCreateProps,
     File,
     FilterPipeline,
@@ -99,66 +100,24 @@ class TestFilterPipeline:
 
 
 class TestChunkedDataset:
-    def test_chunked_roundtrip_with_sz(self, tmp_path):
-        data = make_smooth_field((16, 16))
-        dcpl = DatasetCreateProps(
-            chunks=(8, 8), filters=((FILTER_SZ, {"bound": 1e-3, "mode": "abs"}),)
-        )
-        path = str(tmp_path / "ch.phd5")
-        with File(path, "w") as f:
-            ds = f.create_dataset("d", shape=(16, 16), dcpl=dcpl)
-            for i in range(2):
-                for j in range(2):
-                    ds.write_chunk((i, j), data[8 * i : 8 * i + 8, 8 * j : 8 * j + 8])
-        with File(path, "r") as f:
-            out = f["d"].read()
-            assert np.max(np.abs(out - data)) <= 1e-3
-
-    def test_ragged_edge_chunks(self, tmp_path):
-        data = make_smooth_field((10, 6))
-        with File(str(tmp_path / "re.phd5"), "w") as f:
-            ds = f.create_dataset("d", shape=(10, 6), dcpl=DatasetCreateProps(chunks=(8, 8)))
-            ds.write_chunk((0, 0), data[:8, :6])
-            ds.write_chunk((1, 0), data[8:, :6])
-            assert np.array_equal(ds.read(), data)
-
-    def test_chunk_shape_validation(self, tmp_path):
-        with File(str(tmp_path / "cv.phd5"), "w") as f:
-            ds = f.create_dataset("d", shape=(8, 8), dcpl=DatasetCreateProps(chunks=(4, 4)))
-            with pytest.raises(HDF5Error):
-                ds.write_chunk((0, 0), np.zeros((3, 4), np.float32))
-            with pytest.raises(HDF5Error):
-                ds.write_chunk((5, 0), np.zeros((4, 4), np.float32))
-            with pytest.raises(HDF5Error):
-                ds.write_chunk((0,), np.zeros((4, 4), np.float32))
-
-    def test_unwritten_chunk_read_rejected(self, tmp_path):
-        with File(str(tmp_path / "uc.phd5"), "w") as f:
-            ds = f.create_dataset("d", shape=(8, 8), dcpl=DatasetCreateProps(chunks=(4, 4)))
-            with pytest.raises(InvalidStateError):
-                ds.read_chunk((0, 0))
-
     def test_filters_require_chunks(self):
         with pytest.raises(Exception):
             DatasetCreateProps(filters=((FILTER_DEFLATE, {}),))
 
-    def test_stored_nbytes_counts_compressed(self, tmp_path):
-        data = make_smooth_field((16, 16))
-        dcpl = DatasetCreateProps(chunks=(16, 16), filters=((FILTER_DEFLATE, {}),))
-        with File(str(tmp_path / "snc.phd5"), "w") as f:
-            ds = f.create_dataset("d", shape=(16, 16), dcpl=dcpl)
-            ds.write_chunk((0, 0), data)
-            assert 0 < ds.stored_nbytes < data.nbytes
-
-    def test_chunked_persists(self, tmp_path):
-        data = make_smooth_field((8, 8))
-        path = str(tmp_path / "cp.phd5")
+    def test_chunked_layout_is_refused(self, tmp_path):
+        """Chunks/filters describe declared datasets only: a contiguous one
+        refuses them instead of storing unfiltered bytes, and a footer that
+        says ``"chunked"`` is an unknown layout."""
         dcpl = DatasetCreateProps(chunks=(8, 8), filters=((FILTER_DEFLATE, {}),))
-        with File(path, "w") as f:
-            f.create_dataset("d", shape=(8, 8), dcpl=dcpl).write_chunk((0, 0), data)
-        with File(path, "r") as f:
-            assert np.array_equal(f["d"].read_chunk((0, 0)), data)
-
+        with File(str(tmp_path / "cl.phd5"), "w") as f:
+            with pytest.raises(HDF5Error, match="layout='declared'"):
+                f.create_dataset("d", shape=(8, 8), dcpl=dcpl)
+            with pytest.raises(HDF5Error, match="layout='declared'"):
+                f.create_dataset("d", shape=(8, 8), dcpl=DatasetCreateProps(chunks=(8, 8)))
+            assert "d" not in f
+            blob = f.create_dataset("e", shape=(8, 8), layout="declared", dcpl=dcpl).to_json()
+            with pytest.raises(HDF5Error, match="unknown layout 'chunked'"):
+                Dataset.from_json(f, "/x", blob | {"layout": "chunked"})
 
 class TestDeclaredDataset:
     def _make_declared(self, f, data, reserved_scale=2.0):

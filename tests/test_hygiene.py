@@ -8,9 +8,9 @@ renamed module survives checkouts on machines that never clean.  These
 tests fail the suite the moment either appears under ``src/``.
 
 A dead module is the same problem in source form: code nothing calls
-still has to be read, kept importable and refactored around.  The last
-guard fails the suite when a module under ``src/repro`` loses its last
-importer.
+still has to be read, kept importable and refactored around.  Two guards
+fail the suite when a module under ``src/repro`` loses its last importer,
+or a public function or class its last mention outside ``tests/``.
 
 Committed evidence is the third form: ``results/`` tracks only the small
 digest tables, never the reports they were computed from.
@@ -19,6 +19,7 @@ digest tables, never the reports they were computed from.
 from __future__ import annotations
 
 import ast
+import collections
 import pathlib
 import re
 import subprocess
@@ -134,6 +135,37 @@ def test_every_module_has_a_live_importer():
     assert not dead, (
         "modules nothing imports (a re-export from their own package "
         f"__init__ does not count) — delete them or give them a caller: {dead}"
+    )
+
+
+def test_every_public_name_has_a_live_user():
+    """The dead-module guard one level down: every public top-level
+    ``def``/``class`` of a non-``__init__`` module under ``src/repro`` is
+    named somewhere in ``CONSUMER_DIRS`` other than at its own definition
+    or in a package ``__init__`` re-export, or carries a decorator
+    (registration — ``@register_strategy`` — is a use).  A word match, so
+    lenient; a name only its own test mentions still fails it."""
+    words: collections.Counter[str] = collections.Counter()
+    for top in CONSUMER_DIRS:
+        for path in (ROOT / top).rglob("*.py"):
+            if path.name != "__init__.py":
+                words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    defined = [
+        (_module_name(path), node.name)
+        for path in SRC.rglob("*.py")
+        if path.name != "__init__.py"
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not node.decorator_list
+    ]
+    definitions = collections.Counter(name for _, name in defined)
+    dead = sorted(
+        f"{module}.{name}" for module, name in defined if words[name] <= definitions[name]
+    )
+    assert not dead, (
+        "public names nothing outside tests/ mentions (their own definition and "
+        f"__init__ re-exports do not count) — delete them or give them a caller: {dead}"
     )
 
 

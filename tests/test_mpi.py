@@ -111,14 +111,6 @@ class TestCollectives:
         out = run_spmd(3, fn)
         assert out == [{"data": 123}] * 3
 
-    def test_gather(self):
-        def fn(comm):
-            return comm.gather(comm.rank + 1, root=0)
-
-        out = run_spmd(3, fn)
-        assert out[0] == [1, 2, 3]
-        assert out[1] is None and out[2] is None
-
     def test_allgather_numpy_arrays(self):
         def fn(comm):
             mine = np.full(4, comm.rank)
@@ -149,48 +141,6 @@ class TestCollectives:
 
         run_spmd(2, fn)
         assert log[0] == "slow-before"
-
-
-class TestPointToPoint:
-    def test_send_recv(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send("hello", dest=1)
-                return None
-            return comm.recv(source=0)
-
-        out = run_spmd(2, fn)
-        assert out[1] == "hello"
-
-    def test_tags_separate_streams(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send("a", dest=1, tag=1)
-                comm.send("b", dest=1, tag=2)
-                return None
-            # Receive in reverse tag order.
-            b = comm.recv(source=0, tag=2)
-            a = comm.recv(source=0, tag=1)
-            return (a, b)
-
-        out = run_spmd(2, fn)
-        assert out[1] == ("a", "b")
-
-    def test_recv_timeout(self):
-        def fn(comm):
-            if comm.rank == 1:
-                with pytest.raises(CommunicatorError):
-                    comm.recv(source=0, timeout=0.05)
-            return True
-
-        assert run_spmd(2, fn) == [True, True]
-
-    def test_bad_dest(self):
-        def fn(comm):
-            comm.send(1, dest=5)
-
-        with pytest.raises(CommunicatorError):
-            run_spmd(2, fn)
 
 
 class TestWorld:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.compression.predictors import (
-    BlockMeanPredictor,
     LorenzoPredictor,
     lorenzo_forward,
     lorenzo_inverse,
@@ -86,15 +85,3 @@ class TestPredictorObjects:
         q = np.arange(27, dtype=np.int64).reshape(3, 3, 3)
         assert np.array_equal(p.inverse(p.forward(q)), q)
         assert np.array_equal(p.forward(q), lorenzo_forward(q))
-
-    def test_blockmean_roundtrip(self):
-        p = BlockMeanPredictor(block=4)
-        rng = np.random.default_rng(5)
-        q = rng.integers(-100, 100, (9, 9)).astype(np.int64)
-        assert np.array_equal(p.inverse(p.forward(q)), q)
-
-    def test_blockmean_validates_block(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            BlockMeanPredictor(block=1)

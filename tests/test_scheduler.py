@@ -10,7 +10,6 @@ from repro.core.scheduler import (
     johnson_order,
     optimize_order,
     queue_time,
-    reordering_benefit,
 )
 from repro.errors import SchedulingError
 
@@ -176,27 +175,3 @@ class TestJohnsonOracleProperty:
             ]
             best = min(queue_time(list(p)) for p in itertools.permutations(tasks))
             assert queue_time(johnson_order(tasks)) == pytest.approx(best, rel=1e-12)
-
-
-class TestReorderingBenefit:
-    def test_zero_for_empty(self):
-        assert reordering_benefit([]) == 0.0
-
-    def test_positive_when_big_write_is_last(self):
-        tasks = [T(1, 0.1), T(1, 0.1), T(1, 3)]
-        assert reordering_benefit(tasks) > 0.1
-
-    def test_unbalanced_regimes_have_little_benefit(self):
-        """Paper Fig. 10: extreme write-heavy or compress-heavy queues gain
-        nothing from reordering."""
-        write_heavy = [T(0.01, 5), T(0.01, 4), T(0.01, 6)]
-        compress_heavy = [T(5, 0.01), T(4, 0.01), T(6, 0.01)]
-        assert reordering_benefit(write_heavy) < 0.02
-        assert reordering_benefit(compress_heavy) < 0.02
-
-    def test_balanced_diverse_queue_benefits(self):
-        """Paper: benefit is largest with many fields and balanced times."""
-        rng = np.random.default_rng(2)
-        tasks = [T(1.0, float(rng.uniform(0.2, 2.0))) for _ in range(9)]
-        few = tasks[:2]
-        assert reordering_benefit(tasks) >= reordering_benefit(few) - 1e-9

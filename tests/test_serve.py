@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.errors import ConfigError, HDF5Error, ShapeMismatchError
 from repro.serve import protocol
 from repro.serve.client import ServeClient, open_remote
 from repro.serve.daemon import ReproServer
@@ -452,6 +453,51 @@ def sock_path():
         yield os.path.join(tmp, "d.sock")
 
 
+class TestOneFrontEnd:
+    """``repro.open(path, "w")`` and ``repro.open(path, "w", server=...)``
+    read ``create_dataset``'s arguments and ``ds[key] = value`` through the
+    same two functions, so the same calls have the same outcomes."""
+
+    @pytest.mark.parametrize("kind", ["local", "served"])
+    def test_same_calls_same_outcomes(self, kind, request, tmp_path):
+        path = str(tmp_path / "front.phd5")
+        shape, block = (4, 4), np.zeros((4, 4), np.float32)
+        if kind == "served":
+            f = api.open(path, "w", server=request.getfixturevalue("server").address)
+        else:
+            f = api.open(path, "w")
+        with f:
+            fixed = f.create_dataset("fixed", shape, maxshape=shape, error_bound=1e-3)
+            assert (fixed.shape, fixed.time_axis) == (shape, False)
+            for name, declared in (("t0", shape), ("t1", (0, *shape))):
+                ds = f.create_dataset(name, declared, maxshape=(None, *shape), error_bound=1e-3)
+                assert ds.time_axis
+            seeded = f.create_dataset("seeded", data=block.astype(np.float64), error_bound=1e-3)
+            assert (seeded.shape, seeded.dtype) == (shape, np.float64)
+            for kwargs, error in (
+                ({}, ConfigError),  # neither shape nor data
+                ({"shape": (2, *shape), "maxshape": (2, None, 4)}, ConfigError),  # None past axis 0
+                ({"shape": shape, "maxshape": (4, 8)}, ConfigError),  # fixed maxshape != shape
+                ({"shape": (3, 3), "maxshape": (None, *shape)}, ShapeMismatchError),
+            ):
+                with pytest.raises(error):
+                    f.create_dataset("bad", error_bound=1e-3, **kwargs)
+            with pytest.raises(ShapeMismatchError):
+                fixed[0:2, :] = block
+            with pytest.raises(HDF5Error, match="strided"):
+                fixed[::2, :] = block[::2]
+            # Python rejects the local keyword; over the wire it is outside
+            # input, rejected with the DatasetSettings fields spelled out.
+            typo = pytest.raises(ConfigError, match="error_bound.*nranks") \
+                if kind == "served" else pytest.raises(TypeError)
+            with typo:
+                f.create_dataset("typo", shape, eror_bound=1e-3)
+            fixed[...] = block
+        with api.open(path) as back:
+            assert {"fixed", "seeded"} <= set(back.keys())
+            assert back["seeded"].dtype == np.float64
+
+
 class TestAddressFormsAndTeardown:
     def test_unix_prefix_bare_paths_and_host_port_all_connect(
         self, sock_path, monkeypatch
@@ -553,8 +599,19 @@ class TestConsoleDispatch:
         calls = {}
         monkeypatch.setattr(serve_cli, "main",
                             lambda argv: calls.setdefault("serve", argv) and 0 or 0)
-        assert main(["serve", "--smoke", "--smoke-clients", "2"]) == 0
-        assert calls["serve"] == ["--smoke", "--smoke-clients", "2"]
+        assert main(["serve", "--port", "0", "--nranks", "2"]) == 0
+        assert calls["serve"] == ["--port", "0", "--nranks", "2"]
+
+    def test_serve_rejects_the_retired_smoke_flags(self, capsys):
+        """Unrecognised arguments like any other: argparse exits 2 before a
+        socket is bound."""
+        from repro.tools.main import main
+
+        for argv in (["--smoke"], ["--smoke-clients", "2"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["serve", *argv])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_usage_mentions_serve(self, capsys):
         from repro.tools.main import main

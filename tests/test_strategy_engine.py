@@ -16,7 +16,6 @@ from repro.core import (
     RealDriver,
     SimDriver,
     WriteStrategy,
-    available_strategies,
     field_index_map,
     get_strategy,
     registered_strategies,
@@ -44,13 +43,13 @@ FIELDS = ("baryon_density", "temperature", "velocity_x")
 
 class TestRegistry:
     def test_paper_strategies_registered(self):
-        assert set(available_strategies()) >= {"nocomp", "filter", "overlap", "reorder"}
+        assert set(registered_strategies()) >= {"nocomp", "filter", "overlap", "reorder"}
 
     def test_paper_presentation_order(self):
         assert registered_strategies()[:4] == ("nocomp", "filter", "overlap", "reorder")
 
     def test_get_strategy_instances(self):
-        for name in available_strategies():
+        for name in registered_strategies():
             strat = get_strategy(name)
             assert isinstance(strat, WriteStrategy)
             assert strat.name == name
@@ -87,7 +86,7 @@ class TestRegistry:
             class NoPlan(WriteStrategy):
                 predict = PredictPhase(enabled=True)
 
-        assert "test-invalid-noplan" not in available_strategies()
+        assert "test-invalid-noplan" not in registered_strategies()
 
     def test_registration_rejects_overlap_on_post_compression_plan(self):
         """Writes cannot overlap compression when offsets only exist after
