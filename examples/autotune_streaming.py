@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Per-timestep strategy auto-tuning: scenarios, the tuner, and a session.
+"""Per-timestep strategy auto-tuning: scenarios, the tuner, and a stream.
 
 The paper's four write strategies each win in a different regime (Fig. 10,
 Fig. 16).  This example shows the adaptive layer end to end:
@@ -8,9 +8,9 @@ Fig. 16).  This example shows the adaptive layer end to end:
 2. the :class:`~repro.core.autotune.AutoTuner` prices every registered
    strategy analytically and its pick is compared against an exhaustive
    simulate-everything oracle;
-3. a :class:`~repro.core.session.TimestepSession` in ``strategy="auto"``
-   mode streams a real time-step series, re-tuning the strategy from each
-   step's measured actual sizes.
+3. a file opened with ``repro.open(..., strategy="auto")`` streams a real
+   time-step series through ``append_step``, re-tuning the strategy from
+   each step's measured actual sizes.
 
 Run:  python examples/autotune_streaming.py
 """
@@ -18,8 +18,10 @@ Run:  python examples/autotune_streaming.py
 import os
 import tempfile
 
+import numpy as np
+
+import repro
 from repro.core import SCENARIOS, AutoTuner, choice_regret, exhaustive_oracle
-from repro.core.session import TimestepSession
 from repro.data.timesteps import TimestepSeries
 
 
@@ -52,11 +54,15 @@ def stream_with_auto_strategy() -> None:
     fields = ["baryon_density", "temperature", "velocity_x"]
 
     print(f"streaming {n_steps} steps of a {shape} Nyx series with strategy='auto'")
-    with TimestepSession(
-        path, series, nranks=4, strategy="auto", field_names=fields
-    ) as sess:
+    with repro.open(path, "w", nranks=4, strategy="auto") as f:
+        gen0 = series.snapshot_generator(0)
+        for n in fields:
+            f.create_dataset(n, shape, np.float32, maxshape=(None,) + shape,
+                             error_bound=gen0.error_bound(n))
         print(f"{'step':>4} {'ran':>8} {'mode':>5} {'next pick':>10} {'margin':>8}")
-        for res in sess.write_all():
+        for step in range(n_steps):
+            gen = series.snapshot_generator(step)
+            res = f.append_step({n: gen.field(n) for n in fields})
             mode = "warm" if res.warm_started else "cold"
             ranking = res.tuning.ranking() if res.tuning else []
             margin = (
@@ -68,12 +74,11 @@ def stream_with_auto_strategy() -> None:
             print(f"{res.step:>4} {res.strategy:>8} {mode:>5} {pick:>10} {margin:>7.1%}")
         # The decisions come from the modeled machine (bebop): tiny demo
         # partitions are latency-dominated, which a collective amortizes.
-        last = sess.results[-1].tuning
         print("\nfinal per-strategy estimates (modeled seconds on bebop):")
-        for est in last.ranking():
+        for est in res.tuning.ranking():
             print(f"  {est.strategy:<8} {est.makespan_seconds:8.4f}s"
                   f"  (overflow {est.overflow_nbytes}B)")
-        out = sess.read_step(n_steps - 1)
+        out = {n: f[n][n_steps - 1] for n in fields}
     print(f"\nread back step {n_steps - 1}: "
           f"{ {k: v.shape for k, v in out.items()} } — file persists at {path}")
 

@@ -3,8 +3,7 @@
 
 The paper's Fig. 15 scenario as plain dataset calls: create each field
 with ``maxshape=(None, *shape)`` and every ``f.append_step(...)`` streams
-one snapshot through the shared
-:class:`~repro.core.session.TimestepSession` — step 0 plans cold
+one snapshot as one collective write — step 0 plans cold
 (sampling-based size prediction + Algorithm 1 ordering); every later step
 warm-starts both phases from the previous step's *measured* sizes, while
 the extra space / overflow machinery still guarantees bounded read-back.

@@ -24,7 +24,6 @@ from repro._version import __version__
 from repro.api import Dataset, File, Group, open
 from repro.compression import SZCompressor, ZFPCompressor
 from repro.core.config import PipelineConfig
-from repro.core.session import TimestepSession
 from repro.errors import ReproError
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "Group",
     "Dataset",
     "PipelineConfig",
-    "TimestepSession",
     "SZCompressor",
     "ZFPCompressor",
     "ReproError",

@@ -10,7 +10,7 @@ One entry point::
         ds[...] = density            # predict -> plan -> compress -> write
         t = f.create_dataset("temperature", shape,
                              maxshape=(None, *shape), error_bound=1e-2)
-        f.append_step({"temperature": snap0})   # streaming session per step
+        f.append_step({"temperature": snap0})   # one warm-started step
 
     with repro.open("snapshot.phd5") as f:
         density = f["density"][...]  # decompressed through the metadata

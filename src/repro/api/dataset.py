@@ -11,9 +11,9 @@ the declared-partition metadata; sub-region reads decode only the
 partitions that intersect the request.
 
 Time-axis datasets (created with ``maxshape=(None, *shape)``) stream one
-snapshot per step through the file's shared
-:class:`~repro.core.session.TimestepSession` and index as
-``ds[t]`` / ``ds[...]`` with the step axis first.
+snapshot per :meth:`File.append_step <repro.api.file.File.append_step>`
+(or per completed ``ds[t] = arr`` step) and index as ``ds[t]`` /
+``ds[...]`` with the step axis first.
 """
 
 from __future__ import annotations
@@ -266,11 +266,6 @@ class Dataset:
         regions, block = select_block(
             self._path, key, self._base_shape, self._dtype, value
         )
-        if self._file._collective:
-            # Caller-managed SPMD: every rank assigns its own block and the
-            # write is immediately collective over the communicator.
-            self._file._write_collective(self, regions, block)
-            return
         if np.shares_memory(block, np.asarray(value)):
             # Copy at assignment time (h5py semantics): the staged block is
             # both what gets written at flush and the reference data
@@ -364,7 +359,7 @@ class Dataset:
 
     # -- time axis -----------------------------------------------------------
 
-    def _read_step(self, step: int) -> np.ndarray:
+    def _load_step(self, step: int) -> np.ndarray:
         steps = self._file.steps_written
         i = step + (steps if step < 0 else 0)
         if not 0 <= i < steps:
@@ -376,9 +371,9 @@ class Dataset:
 
     def _get_step(self, key):
         if isinstance(key, (int, np.integer)):
-            return self._read_step(int(key))
+            return self._load_step(int(key))
         if isinstance(key, tuple) and key and isinstance(key[0], (int, np.integer)):
-            block = self._read_step(int(key[0]))
+            block = self._load_step(int(key[0]))
             return block[key[1:]] if len(key) > 1 else block
         steps = self._file.steps_written
         if steps == 0:
@@ -390,10 +385,10 @@ class Dataset:
             idx = range(*key.indices(steps))
             if not idx:
                 return np.empty((0,) + self._base_shape, dtype=self._dtype)
-            return np.stack([self._read_step(i) for i in idx])
+            return np.stack([self._load_step(i) for i in idx])
         # Everything else (Ellipsis, mixed tuples, fancy indexing): stack
         # all written steps and let numpy apply the selection.
-        full = np.stack([self._read_step(i) for i in range(steps)])
+        full = np.stack([self._load_step(i) for i in range(steps)])
         return full if key is Ellipsis else full[key]
 
     # -- introspection -------------------------------------------------------

@@ -7,29 +7,24 @@ One :func:`open` call returns a :class:`File` whose groups and datasets
 index like h5py's — and every assignment is transparently routed through
 the full predict → plan → compress/write → overflow strategy pipeline
 (:class:`~repro.core.pipeline.RealDriver`), every ``maxshape=(None, ...)``
-dataset through the streaming :class:`~repro.core.session.TimestepSession`
+dataset through one streamed step per :meth:`File.append_step`
 (warm-started planning, per-step ``"auto"`` re-tuning), and every read
 back through the declared-partition metadata.
 
-Two parallelism modes:
+The facade manages the parallelism: assignments stage blocks; when the
+staged blocks tile a dataset, the file runs one collective SPMD write with
+one thread rank per block (a single full assignment is partitioned
+internally across ``nranks``).  Datasets sharing a group, partitioning,
+and configuration flush *together* as one multi-field pipeline run, so
+Algorithm 1's cross-field reordering sees the same workload an MPI
+application would give it.
 
-* **facade-managed** (default): assignments stage blocks; when the staged
-  blocks tile a dataset, the file runs one collective SPMD write with one
-  thread rank per block (a single full assignment is partitioned
-  internally across ``nranks``).  Datasets sharing a group, partitioning,
-  and configuration flush *together* as one multi-field pipeline run, so
-  Algorithm 1's cross-field reordering sees the same workload an MPI
-  application would give it.
-* **caller-managed** (``comm=``): the caller already runs under
-  :func:`~repro.mpi.executor.run_spmd`; every rank opens the same file
-  (rank 0 constructs it, the handle is broadcast) and each
-  ``ds[region] = arr`` is immediately collective over the communicator.
-  File ``close()`` is collective too, as in parallel HDF5.
-
-``TimestepSession``, ``RealDriver`` and ``repro.hdf5.File`` remain the
-engine underneath — the facade adds no second write path, only the
-routing: every flush and every streamed step is one
-:meth:`RealDriver.write <repro.core.pipeline.RealDriver.write>`.
+``RealDriver`` and ``repro.hdf5.File`` remain the engine underneath — the
+facade adds no second write path, only the routing: every flush and every
+streamed step is one
+:meth:`RealDriver.write <repro.core.pipeline.RealDriver.write>`, and
+:class:`~repro.core.session.TimestepSession` is only the state the file
+carries from one step to the next.
 """
 
 from __future__ import annotations
@@ -46,9 +41,7 @@ from repro.core.autotune import AutoTuner, tune_payload
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import RealDriver
 from repro.core.session import TimestepSession, step_group
-from repro.core.strategy import get_strategy
 from repro.data.partition import rank_payload, rank_regions
-from repro.data.timesteps import ArraySeries
 from repro.errors import (
     ConfigError,
     HDF5Error,
@@ -65,14 +58,12 @@ from repro.hdf5.file import File as EngineFile
 from repro.hdf5.filters import FILTER_SZ
 from repro.hdf5.group import Group as EngineGroup
 from repro.hdf5.properties import FileAccessProps
-from repro.mpi.comm import RankComm
 
 
 def open(
     path: str,
     mode: str = "r",
     *,
-    comm: RankComm | None = None,
     config: PipelineConfig | None = None,
     nranks: int = 4,
     strategy: str = "reorder",
@@ -86,10 +77,6 @@ def open(
     ----------
     path / mode:
         File path and mode (``"r"``, ``"w"``, ``"r+"``), as in h5py.
-    comm:
-        Caller-managed SPMD: pass each rank's communicator and every rank
-        receives the *same* file object (rank 0 constructs it).  Dataset
-        assignments and ``close()`` are then collective over the ranks.
     config:
         File-level :class:`~repro.core.config.PipelineConfig`; per-dataset
         keywords override it dataset by dataset.
@@ -114,34 +101,16 @@ def open(
         with a plain local ``repro.open(path)``.
     """
     if server is not None:
-        if comm is not None:
-            raise ConfigError(
-                "server= routes writes through the ingest daemon; comm= "
-                "(caller-managed SPMD) cannot combine with it"
-            )
         from repro.serve.client import open_remote
 
         return open_remote(
             server, path, mode,
             config=config, nranks=nranks, strategy=strategy, machine=machine,
         )
-    if comm is None:
-        return File(
-            path, mode, config=config, nranks=nranks, strategy=strategy,
-            machine=machine, executor=executor,
-        )
-    obj = None
-    if comm.rank == 0:
-        obj = File(
-            path, mode, config=config, nranks=nranks, strategy=strategy,
-            machine=machine, executor=executor, comm=comm,
-        )
-    f = comm.bcast(obj, root=0)
-    # The file object is shared across the thread ranks; each rank binds
-    # its own communicator thread-locally so collective operations always
-    # act in the caller's rank, never rank 0's.
-    f._bind_comm(comm)
-    return f
+    return File(
+        path, mode, config=config, nranks=nranks, strategy=strategy,
+        machine=machine, executor=executor,
+    )
 
 
 class Group:
@@ -188,10 +157,7 @@ class Group:
         node = self._engine_group()
         for part in parts[:-1]:
             node = node.require_group(part)
-        if self._file._collective:
-            node = node.require_group(parts[-1])  # collective-idempotent
-        else:
-            node = node.create_group(parts[-1])
+        node = node.create_group(parts[-1])
         return Group(self._file, node.path)
 
     def require_group(self, name: str) -> "Group":
@@ -340,7 +306,6 @@ class File(Group):
         strategy: str = "reorder",
         machine: str = "bebop",
         executor: "str | Executor | None" = None,
-        comm: RankComm | None = None,
     ) -> None:
         if nranks <= 0:
             raise ConfigError("nranks must be positive")
@@ -348,10 +313,6 @@ class File(Group):
         self.nranks = int(nranks)
         self.default_strategy = validate_strategy(strategy)
         self.machine = machine
-        self._collective = comm is not None
-        self._tlocal = threading.local()
-        if comm is not None:
-            self._tlocal.comm = comm
         self.mode = mode
         spec = executor if executor is not None else self.config.executor
         self._executor = resolve_executor(spec)
@@ -366,7 +327,9 @@ class File(Group):
         )
         self._datasets: dict[str, Dataset] = {}
         self._time: list[Dataset] = []
-        self._series: ArraySeries | None = None
+        #: every landed step's arrays, the reference :meth:`verify`
+        #: certifies the streamed steps against.
+        self._steps: list[dict[str, np.ndarray]] = []
         self._session: TimestepSession | None = None
         self._step_stage: dict[str, np.ndarray] = {}
         self._loaded_steps = 0
@@ -379,15 +342,6 @@ class File(Group):
             self._load_existing()
 
     # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def _comm(self) -> RankComm | None:
-        """The calling thread's bound communicator (collective mode only)."""
-        return getattr(self._tlocal, "comm", None)
-
-    def _bind_comm(self, comm: RankComm) -> None:
-        self._collective = True
-        self._tlocal.comm = comm
 
     @property
     def path(self) -> str:
@@ -423,9 +377,7 @@ class File(Group):
     @property
     def steps_written(self) -> int:
         """Time steps streamed into the file so far."""
-        if self._series is not None:
-            return len(self._series)
-        return self._loaded_steps
+        return self._loaded_steps + len(self._steps)
 
     def close(self, verify: bool | None = None) -> None:
         """Flush staged writes, persist metadata, and close (idempotent).
@@ -433,26 +385,13 @@ class File(Group):
         ``verify`` (default: the config's ``verify`` flag) certifies every
         written dataset against the retained reference data after the
         footer lands — the closed file is reopened from its path, so the
-        serialized metadata is what gets exercised.  In ``comm=`` mode
-        this call is collective: every rank must make it.
+        serialized metadata is what gets exercised.
 
         A close with incompletely staged datasets raises
         :class:`~repro.errors.IncompleteWriteError` and leaves the file
         *open* on purpose: assign the missing region(s) and close again.
         """
-        self._close_collective(verify)
-
-    def _close_collective(self, verify: bool | None, on_error: bool = False) -> None:
-        """Rank 0 closes between two barriers (``comm=`` mode); without a
-        communicator the caller closes directly."""
-        comm = self._comm
-        if comm is None:
-            self._close_impl(verify, on_error)
-            return
-        comm.barrier()
-        if comm.rank == 0:
-            self._close_impl(verify, on_error)
-        comm.barrier()
+        self._close_impl(verify)
 
     def _close_impl(self, verify: bool | None, on_error: bool = False) -> None:
         if self._engine.storage.closed:
@@ -491,10 +430,7 @@ class File(Group):
             wrote = any(
                 ds._blocks and ds._engine is not None
                 for ds in self._datasets.values()
-            ) or bool(self._series is not None and len(self._series))
-        if self._session is not None:
-            self._session.close(verify=False)
-            self._session = None
+            ) or bool(self._steps)
         self._engine.close()
         if self._owns_executor:
             self._executor.close()
@@ -573,7 +509,7 @@ class File(Group):
             return
         # Close without flushing half-staged state or verifying: a facade
         # error must not be masked by close-time failures.
-        self._close_collective(False, on_error=True)
+        self._close_impl(False, on_error=True)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._engine.storage.closed else self.mode
@@ -587,14 +523,6 @@ class File(Group):
         with self._lock:
             existing = self._datasets.get(path)
             if existing is not None:
-                if (
-                    self._collective
-                    and existing._base_shape == tuple(base_shape)
-                    and existing._dtype == np.dtype(dtype)
-                    and existing.settings == settings
-                    and existing.time_axis == time_axis
-                ):
-                    return existing  # collective re-creation by another rank
                 raise ObjectExistsError(f"{path} already exists")
             if path in self._engine:
                 raise ObjectExistsError(f"{path} already exists in the file")
@@ -610,11 +538,6 @@ class File(Group):
             return ds
 
     def _check_time_dataset(self, path, base_shape, settings) -> None:
-        if self._collective:
-            raise ConfigError(
-                f"{path}: time-axis datasets need facade-managed parallelism; "
-                "open the file without comm="
-            )
         if "/" in path.lstrip("/"):
             raise ConfigError(
                 f"{path}: time-axis datasets must live at the file root "
@@ -688,7 +611,7 @@ class File(Group):
         pipeline run — the cross-field compression-order optimization
         works exactly as it does for a driver-level application.
         """
-        if self._collective or not self.writable:
+        if not self.writable:
             return
         if self._engine.storage.closed:
             return
@@ -760,55 +683,7 @@ class File(Group):
             ds._engine = engine_ds
             ds.stats = stats
 
-    # -- caller-managed SPMD (comm mode) -------------------------------------
-
-    def _write_collective(self, ds: Dataset, regions, block) -> None:
-        comm = self._comm
-        if comm is None:
-            raise InvalidStateError(
-                f"{ds._path}: this file is collective (opened with comm=) "
-                "but the calling thread has no bound communicator; write "
-                "from the ranks that opened it"
-            )
-        settings = ds.settings
-        strategy_name = settings.resolved_strategy(self.default_strategy)
-        if strategy_name == AUTO:
-            raise ConfigError(
-                f"{ds._path}: strategy='auto' needs facade-managed "
-                "parallelism; open the file without comm= (or pick a "
-                "registered strategy)"
-            )
-        cfg = settings.resolved_config(self.config)
-        strat = get_strategy(strategy_name)
-        codecs = None
-        if strat.compresses:
-            codecs = {
-                ds.leaf: SZCompressor(
-                    bound=settings.error_bound, mode=settings.bound_mode
-                )
-            }
-        driver = RealDriver(
-            strategy_name, config=cfg, machine_name=self.machine,
-            executor=self._executor,
-        )
-        stats = driver.run(
-            comm, self._engine, {ds.leaf: block}, regions, ds._base_shape,
-            codecs, group=ds.parent_path,
-        )
-        all_stats = comm.allgather(stats)
-        engine_ds = self._engine[ds._path]
-        if comm.rank == 0:
-            engine_ds.attrs.update(ds._attrs)
-            engine_ds.attrs.update(
-                self._meta_attrs(ds, strategy_name, comm.size)
-            )
-        # Every rank resolves the same shared objects; the assignments are
-        # idempotent, so no lock is needed beyond the trailing barrier.
-        ds._engine = engine_ds
-        ds.stats = all_stats
-        comm.barrier()
-
-    # -- time axis (streaming session delegation) ----------------------------
+    # -- time axis ------------------------------------------------------------
 
     def datasets(self) -> list[Dataset]:
         """Every facade dataset (snapshot and time-axis) in creation order
@@ -818,10 +693,11 @@ class File(Group):
     def append_step(self, fields: Mapping[str, np.ndarray]):
         """Stream one snapshot of every time-axis dataset as a new step.
 
-        Delegates to the shared :class:`~repro.core.session.TimestepSession`
-        — warm-started planning from the previous step's measured sizes,
-        per-step re-tuning under ``strategy="auto"`` — and returns its
-        :class:`~repro.core.session.StepResult`.
+        The step is one collective write into ``steps/NNNN``, planned from
+        the previous step's measured sizes (warm start) and re-tuned per
+        step under ``strategy="auto"`` — the file's
+        :class:`~repro.core.session.TimestepSession` state.  Returns the
+        step's :class:`~repro.core.session.StepResult`.
         """
         self._require_writable("append a step")
         if self._step_stage:
@@ -869,9 +745,9 @@ class File(Group):
     def _write_step(self, arrays: dict[str, np.ndarray]):
         self._ensure_session()
         result = self._session.write_arrays(arrays)
-        # Only a step that landed becomes reference data, so the series
-        # and the file cannot drift apart.
-        self._series.append(arrays)
+        # Only a step that landed becomes reference data, so the retained
+        # steps and the file cannot drift apart.
+        self._steps.append(arrays)
         return result
 
     def _ensure_session(self) -> None:
@@ -901,22 +777,22 @@ class File(Group):
             raise ConfigError(
                 f"time-axis datasets declare conflicting nranks {sorted(nranks_set)}"
             )
-        series = ArraySeries(
-            self._time[0]._base_shape,
-            [ds.leaf for ds in self._time],
-            {ds.leaf: float(ds.settings.error_bound) for ds in self._time},
-        )
+        codecs = {
+            ds.leaf: SZCompressor(
+                bound=ds.settings.error_bound, mode=ds.settings.bound_mode
+            )
+            for ds in self._time
+        }
         self._session = TimestepSession(
-            None,
-            series,
+            self._engine,
+            self._time[0]._base_shape,
+            codecs,
             nranks_set.pop() if nranks_set else self.nranks,
             strategy=strategies.pop(),
             config=configs.pop(),
             machine_name=self.machine,
             executor=self._executor,
-            file=self._engine,
         )
-        self._series = series
 
     def _stage_step_field(self, ds: Dataset, step: int, value) -> None:
         expected = self.steps_written
@@ -928,7 +804,7 @@ class File(Group):
         self._step_stage[ds.leaf] = self._step_array(ds, value)
         if set(self._step_stage) == {d.leaf for d in self._time}:
             stage, self._step_stage = self._step_stage, {}
-            self._write_step(stage)
+            self._write_step({d.leaf: stage[d.leaf] for d in self._time})
 
     def _step_engine_dataset(self, ds: Dataset, step: int) -> EngineDataset:
         return self._engine[f"{step_group(step)}/{ds.leaf}"]
@@ -941,7 +817,7 @@ class File(Group):
 
         Writable files certify every written dataset against the retained
         reference data (and every streamed step against the retained
-        series snapshots) — call before or after :meth:`close`; after
+        step arrays) — call before or after :meth:`close`; after
         close the serialized footer is what gets exercised.  Read-mode
         files have no references, so by default every dataset is decoded
         end to end (readability, shapes, overflow reassembly); pass
@@ -949,8 +825,8 @@ class File(Group):
         """
         from repro.verify.certify import (
             CertificationReport,
+            certify,
             certify_dataset,
-            certify_session,
         )
 
         closed = self._engine.storage.closed
@@ -984,13 +860,8 @@ class File(Group):
                         source[path], ds._reference(), label=path.lstrip("/")
                     )
                 )
-            if self._series is not None and len(self._series):
-                sub = certify_session(
-                    source,
-                    self._series,
-                    field_names=[ds.leaf for ds in self._time],
-                    steps=range(len(self._series)),
-                )
+            for step, arrays in enumerate(self._steps):
+                sub = certify(source, arrays, group=step_group(step))
                 report.certificates.extend(sub.certificates)
             return report
         finally:

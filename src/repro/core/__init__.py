@@ -17,10 +17,10 @@
   on thread ranks against a PHD5 file (functional correctness):
   ``RealDriver.write`` is the one collective write every caller goes
   through, ``RealDriver.run`` the SPMD rank body underneath it;
-* :mod:`session` — the TimestepSession streaming write loop (Fig. 15):
-  one persistent file, one group per step (each one ``RealDriver.write``),
-  warm-started predictions, and the ``strategy="auto"`` per-step
-  re-tuning mode;
+* :mod:`session` — the per-step state behind the facade's
+  ``File.append_step`` (Fig. 15): one group per step (each one
+  ``RealDriver.write``), warm-started predictions, and the
+  ``strategy="auto"`` per-step re-tuning mode;
 * :mod:`workload` — workload construction: real compression of partitioned
   synthetic datasets, plus deterministic stat-pool scaling for rank counts
   beyond what pure Python can compress in reasonable time;
@@ -63,7 +63,7 @@ from repro.core.scenarios import (
     scenario_names,
 )
 from repro.core.scheduler import CompressionTask, optimize_order, queue_time
-from repro.core.session import StepResult, TimestepSession
+from repro.core.session import StepResult
 from repro.core.strategy import (
     CompressWritePhase,
     OverflowPhase,
@@ -133,6 +133,5 @@ __all__ = [
     "simulate_matrix",
     "RealDriver",
     "RankWriteStats",
-    "TimestepSession",
     "StepResult",
 ]

@@ -137,7 +137,7 @@ class AutoTuner:
         one workload context is shared across all candidates.  A pool
         resolved here from a *name* lives until process exit (tuners
         have no close hook) — pass an Executor instance to control its
-        lifetime, or let TimestepSession own it.
+        lifetime, or let the facade file that streams the steps own it.
     """
 
     def __init__(

@@ -60,16 +60,17 @@ class PipelineConfig:
     #: async writer threads per rank group (real pipeline only).
     async_workers: int = 4
     #: multiplier applied to the previous step's actual sizes when they are
-    #: reused as predictions in the streaming session (Fig. 15 consistency
-    #: means 1.0 is usually right; raise it for fast-drifting series).
+    #: reused as predictions by the next ``File.append_step`` (Fig. 15
+    #: consistency means 1.0 is usually right; raise it for fast-drifting
+    #: series).
     warm_start_margin: float = 1.0
     #: execution backend for the fan-out hot paths ("serial" / "thread");
     #: serial keeps the historical bit-identical in-loop behavior, the
     #: thread backend changes wall-clock only.
     executor: str = "serial"
-    #: certify the written file on :meth:`TimestepSession.close`: every
-    #: written step is read back through the partition metadata and
-    #: asserted against the configured error bounds (raises
+    #: certify the written file on the facade's ``File.close()``: every
+    #: written dataset and step is read back through the partition metadata
+    #: and asserted against the configured error bounds (raises
     #: :class:`~repro.errors.VerificationError` on breach).
     verify: bool = False
 

@@ -11,17 +11,18 @@ what the strategy-engine tests assert.
 
 There is one write path.  :meth:`RealDriver.write` is the collective
 write — it fans the per-rank payload out over SPMD thread ranks, and it is
-what the facade's flush, the streaming session's step, the ingest
-daemon's commit, the verify pillars and the bench all call.  Each rank
-runs :meth:`RealDriver.run`, the SPMD rank body: rank 0 creates the file
+what the facade's flush, its ``append_step``, the ingest daemon's commit,
+the verify pillars and the bench all call.  Each rank runs
+:meth:`RealDriver.run`, the SPMD rank body: rank 0 creates the file
 objects; all ranks then operate on the shared handles (thread ranks share
-memory, as MPI ranks share the parallel file system).  Callers that
-already run under :func:`repro.mpi.executor.run_spmd` (the facade's
-``comm=`` mode) call :meth:`RealDriver.run` with their own communicator.
+memory, as MPI ranks share the parallel file system).  Code that already
+runs under :func:`repro.mpi.executor.run_spmd` may call
+:meth:`RealDriver.run` with its own communicator; inside the package
+:meth:`RealDriver.write` is its only caller.
 
 Warm-start hints let a caller seed the predict and reorder phases from a
-previous time-step's measured sizes — the
-:class:`~repro.core.session.TimestepSession` streaming hot path.
+previous time-step's measured sizes — the facade's ``append_step`` hot
+path (:class:`~repro.core.session.TimestepSession`).
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class RealDriver:
         # preserves the historical compress-then-queue loop.
         # Note: a pool resolved here from a *name* lives until process
         # exit (drivers are stateless values with no close hook) — pass
-        # an Executor instance, or let TimestepSession own the lifecycle.
+        # an Executor instance, or let the facade file own the lifecycle.
         self.executor = resolve_executor(executor if executor is not None else self.config.executor)
 
     def write(

@@ -33,7 +33,7 @@ mirroring the codec registry in :mod:`repro.compression.codec`::
         overflow = OverflowPhase(enabled=True)
 
 and become available to both drivers, the benchmark suite, and the
-:class:`~repro.core.session.TimestepSession` streaming API by name.
+``repro.open`` facade (snapshot and streamed datasets alike) by name.
 """
 
 from __future__ import annotations

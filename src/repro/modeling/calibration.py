@@ -17,6 +17,7 @@ clock (``timing="wallclock"``, machine-dependent but honest).
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 
 import numpy as np
@@ -27,7 +28,6 @@ from repro.modeling.throughput_model import PowerLawThroughputModel
 from repro.modeling.write_model import StableWriteModel
 from repro.sim.engine import Environment
 from repro.sim.machine import MachineProfile
-from repro.utils.timer import Timer
 
 #: The paper's calibration error-bound sweep (relative bounds).
 DEFAULT_CALIBRATION_BOUNDS = tuple(10.0 ** (-k) for k in range(1, 9))
@@ -57,10 +57,9 @@ def measure_compression_points(
     for bound in bounds:
         codec = SZCompressor(bound=bound, mode=mode)
         if timing == "wallclock":
-            t = Timer()
-            with t:
-                stream = codec.compress(data)
-            seconds = t.elapsed
+            t0 = time.perf_counter()
+            stream = codec.compress(data)
+            seconds = time.perf_counter() - t0
             info = parse_stream_info(stream)
         else:
             stream = codec.compress(data)

@@ -4,8 +4,7 @@
 :class:`RankComm` facade exposing MPI-flavoured operations:
 
 * ``barrier()`` — ``threading.Barrier`` under the hood;
-* ``allgather(obj)`` — everyone contributes, everyone gets the full list;
-* ``bcast(obj, root)`` — for caller-managed (``comm=``) SPMD code.
+* ``allgather(obj)`` — everyone contributes, everyone gets the full list.
 
 Collectives are *generation based*: each call allocates a slot list guarded
 by a barrier pair, so back-to-back collectives never race.  Objects are
@@ -87,20 +86,3 @@ class RankComm:
             self.world._advance("allgather")
         self.world._barrier.wait()
         return out
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Root's object is returned on every rank."""
-        self._check_root(root)
-        slots = self.world._slot_list("bcast")
-        if self.rank == root:
-            slots[root] = obj
-        self.barrier()
-        out = slots[root]
-        if self.world._barrier.wait() == 0:
-            self.world._advance("bcast")
-        self.world._barrier.wait()
-        return out
-
-    def _check_root(self, root: int) -> None:
-        if not 0 <= root < self.size:
-            raise CommunicatorError(f"bad root rank {root}")

@@ -11,7 +11,6 @@ from repro.utils.stats import (
     value_range,
 )
 from repro.utils.rng import resolve_rng, spawn_rngs
-from repro.utils.timer import Timer
 
 __all__ = [
     "BitReader",
@@ -27,5 +26,4 @@ __all__ = [
     "value_range",
     "resolve_rng",
     "spawn_rngs",
-    "Timer",
 ]

@@ -14,9 +14,10 @@ case.  This package certifies exactly that, three ways:
 
 ``python -m repro.verify`` runs all three and emits a schema-versioned
 ``VERIFY_<sha>.json`` (see :mod:`report`); the CI ``verify-smoke`` job
-gates on its exit status.  :meth:`repro.core.session.TimestepSession.close`
-accepts ``verify=True`` (or ``PipelineConfig(verify=True)``) to certify a
-streaming session's file before handing it to the user.
+gates on its exit status.  :meth:`repro.api.file.File.close` accepts
+``verify=True`` (or ``PipelineConfig(verify=True)``) to certify every
+dataset and streamed step a facade file wrote before handing it to the
+user.
 
 Note: the flagship callables :func:`certify` and :func:`fuzz` shadow
 their defining submodules on the package object, so
@@ -33,7 +34,6 @@ from repro.verify.certify import (
     certify,
     certify_codecs,
     certify_dataset,
-    certify_session,
     declared_bound,
 )
 from repro.verify.fuzz import (
@@ -71,7 +71,6 @@ __all__ = [
     "certify",
     "certify_codecs",
     "certify_dataset",
-    "certify_session",
     "declared_bound",
     "differential_parity",
     "draw_case",

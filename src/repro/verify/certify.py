@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -290,38 +290,6 @@ def certify(
             report.certificates.append(
                 certify_dataset(obj, ref, label=f"{group}/{name}")
             )
-        return report
-    finally:
-        if owns:
-            f.close()
-
-
-def certify_session(
-    source: "str | File",
-    series,
-    field_names: Sequence[str] | None = None,
-    steps: Sequence[int] | None = None,
-) -> CertificationReport:
-    """Certify every written step of a streaming-session file.
-
-    The reference for each step is regenerated deterministically from the
-    :class:`~repro.data.timesteps.TimestepSeries` — the same generator the
-    session streamed from — so certification needs no retained copies.
-    """
-    from repro.core.session import step_group
-
-    owns = isinstance(source, str)
-    f = File(source, "r") if owns else source
-    try:
-        report = CertificationReport(path=f.path)
-        if steps is None:
-            steps = [s for s in range(len(series)) if step_group(s) in f]
-        for step in steps:
-            gen = series.snapshot_generator(step)
-            names = list(field_names or gen.field_names)
-            group = step_group(step)
-            sub = certify(f, {n: gen.field(n) for n in names}, group=group)
-            report.certificates.extend(sub.certificates)
         return report
     finally:
         if owns:

@@ -24,6 +24,28 @@ def make_smooth_field(shape=(24, 24, 24), noise=0.01, seed=0, dtype=np.float32):
     return f.astype(dtype)
 
 
+def open_series_file(path, series, fields=None, **open_kwargs):
+    """``repro.open(path, "w", **open_kwargs)`` with one time-axis dataset
+    per field of a :class:`~repro.data.timesteps.TimestepSeries` (default:
+    every field of its steps), each at that field's absolute error bound."""
+    import repro
+
+    gen = series.snapshot_generator(0)
+    f = repro.open(str(path), "w", **open_kwargs)
+    for name in fields or gen.field_names:
+        f.create_dataset(
+            name, series.shape, np.float32,
+            maxshape=(None,) + series.shape, error_bound=gen.error_bound(name),
+        )
+    return f
+
+
+def series_step(series, step, fields=None):
+    """One step of a series as the ``{field: array}`` ``append_step`` takes."""
+    gen = series.snapshot_generator(step)
+    return {name: gen.field(name) for name in fields or gen.field_names}
+
+
 def reference_build_code(freqs, max_code_len):
     """The retired Huffman construction, kept as the differential oracle.
 

@@ -181,22 +181,22 @@ def test_conflicting_time_axis_settings(tmp_path, data):
 
 
 def test_comm_mode_restrictions(tmp_path):
+    """The facade manages its own ranks: there is no caller-managed
+    ``comm=`` mode to open a file in."""
     from repro.mpi import run_spmd
 
     path = str(tmp_path / "cm.phd5")
 
     def rank_fn(comm):
-        with repro.open(path, "w", comm=comm) as f:
-            try:
-                f.create_dataset("t", SHAPE, maxshape=(None,) + SHAPE,
-                                 error_bound=1e-3)
-            except ConfigError as exc:
-                return "time:" + type(exc).__name__
-            finally:
-                pass
+        try:
+            repro.open(path, "w", comm=comm)
+        except TypeError as exc:
+            return "comm" in str(exc)
 
-    results = run_spmd(2, rank_fn)
-    assert all(r == "time:ConfigError" for r in results)
+    assert run_spmd(2, rank_fn) == [True, True]
+    with pytest.raises(TypeError):
+        repro.File(path, "w", comm=None)
+    assert not (tmp_path / "cm.phd5").exists()
 
 
 def test_exception_in_with_block_is_not_masked(tmp_path, data):

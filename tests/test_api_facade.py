@@ -2,12 +2,11 @@
 
 Covers the tentpole behaviors: full and per-block assignments running the
 predictive pipeline, multi-field collective batching, per-dataset setting
-overrides, partial partition-aware reads, the streaming time axis
-(TimestepSession delegation, warm starts, auto re-tuning), caller-managed
-``comm=`` SPMD, read-mode reconstruction, ``File.verify()``, and —
-acceptance-critical — bit-identical read-back parity between a
-facade-written multi-field multi-step file and its TimestepSession-written
-counterpart.
+overrides, partial partition-aware reads, the streaming time axis (warm
+starts, auto re-tuning), read-mode reconstruction, ``File.verify()``, and —
+acceptance-critical — bit-identical parity between a facade-streamed
+multi-field multi-step file and the same steps written by a plain loop of
+``RealDriver.write`` calls.
 """
 
 from __future__ import annotations
@@ -19,12 +18,16 @@ import pytest
 
 import repro
 from helpers import make_smooth_field
-from repro.core.session import TimestepSession, step_group
+from repro.compression.sz import SZCompressor
+from repro.core.config import PipelineConfig
+from repro.core.pipeline import RealDriver
+from repro.core.session import step_group
 from repro.core.strategy import registered_strategies
-from repro.data.partition import grid_partition
+from repro.data.partition import grid_partition, rank_payload, rank_regions
 from repro.data.timesteps import TimestepSeries
 from repro.hdf5.file import File as EngineFile
-from repro.mpi import run_spmd
+from repro.hdf5.filters import FILTER_SZ
+from repro.hdf5.properties import FileAccessProps
 
 SHAPE = (16, 12, 12)
 
@@ -39,8 +42,7 @@ def test_top_level_exports():
     assert repro.open is api.open
     assert repro.File is api.File
     assert repro.Dataset is api.Dataset
-    for name in ("open", "File", "Group", "Dataset", "PipelineConfig",
-                 "TimestepSession"):
+    for name in ("open", "File", "Group", "Dataset", "PipelineConfig"):
         assert name in repro.__all__
         assert getattr(repro, name) is not None
 
@@ -198,6 +200,28 @@ def test_time_axis_setitem_staging(tmp_path):
         assert np.abs(a[0] - d0).max() <= 1e-3 * (1 + 1e-6)
 
 
+def test_time_axis_honours_bound_mode(tmp_path):
+    """A relative bound on a time-axis dataset is relative to the data's
+    value range, as it is for a snapshot dataset — not an absolute bound
+    of the same number, with a footer claiming otherwise."""
+    data = _field(14) * 1000.0
+    rel = 1e-3
+    path = str(tmp_path / "rel.phd5")
+    with repro.open(path, "w", nranks=2) as f:
+        f.create_dataset("x", SHAPE, np.float32, maxshape=(None,) + SHAPE,
+                         error_bound=rel, bound_mode="rel")
+        f.append_step({"x": data})
+    with repro.open(path) as f:
+        assert f["x"].attrs["repro:bound_mode"] == "rel"
+        err = float(np.abs(f["x"][0].astype(np.float64) - data).max())
+    with EngineFile(path, "r") as ef:
+        options = ef[f"{step_group(0)}/x"].filters.find(FILTER_SZ).options
+    assert options["mode"] == "rel"
+    assert options["bound"] == pytest.approx(rel)
+    # Above the absolute reading of the number, within the relative one.
+    assert rel < err <= rel * float(data.max() - data.min()) * (1 + 1e-6)
+
+
 def test_time_axis_auto_retunes_per_step(tmp_path):
     path = str(tmp_path / "auto.phd5")
     with repro.open(path, "w", nranks=4, strategy="auto") as f:
@@ -210,35 +234,52 @@ def test_time_axis_auto_retunes_per_step(tmp_path):
 
 
 def test_facade_matches_timestep_session_bit_identically(tmp_path):
-    """Acceptance: a facade-written multi-field multi-step file is the same
-    file its TimestepSession-written counterpart is — per step and field
-    the same partition table (offset, reserved, actual and overflow sizes,
+    """Acceptance: a facade-streamed multi-field multi-step file is the same
+    file a plain loop of ``RealDriver.write`` calls makes of the same steps
+    — one group per step, warm hints computed here from the previous
+    step's actual sizes (and Algorithm 1 orders) — per step and field the
+    same partition table (offset, reserved, actual and overflow sizes,
     region), the same *stored* bytes in every partition, and the same
-    decoded arrays — under a fixed strategy and under per-step auto-tuning
-    (one test, not a parametrization, so its id stays stable)."""
+    decoded arrays, under a reordering and a non-reordering strategy (one
+    test, not a parametrization, so its id stays stable)."""
     shape = (16, 16, 16)
     n_steps = 3
     names = ["baryon_density", "temperature"]
     series = TimestepSeries(shape, n_steps=n_steps, seed=42)
+    gen0 = series.snapshot_generator(0)
+    config = PipelineConfig()
 
-    for strategy in ("reorder", "auto"):
-        p_sess = str(tmp_path / f"session-{strategy}.phd5")
-        with TimestepSession(p_sess, series, nranks=4, strategy=strategy,
-                             field_names=names) as sess:
-            executed = [r.strategy for r in sess.write_all()]
+    for strategy in ("reorder", "overlap"):
+        p_ref = str(tmp_path / f"driver-{strategy}.phd5")
+        driver = RealDriver(strategy, config=config)
+        codecs = {n: SZCompressor(bound=gen0.error_bound(n), mode="abs") for n in names}
+        regions = rank_regions(shape, 4)
+        fapl = FileAccessProps(async_io=True, async_workers=config.async_workers)
+        with EngineFile(p_ref, "w", fapl=fapl) as ef:
+            prev = None
+            for t in range(n_steps):
+                gen = series.snapshot_generator(t)
+                payload = rank_payload({n: gen.field(n) for n in names}, shape, regions)
+                hints = None if prev is None else [
+                    (dict(s.actual_nbytes),
+                     list(s.order) if strategy == "reorder" else None)
+                    for s in prev
+                ]
+                prev = driver.write(ef, payload, shape, codecs,
+                                    group=step_group(t), hints=hints)
 
         p_fac = str(tmp_path / f"facade-{strategy}.phd5")
         with repro.open(p_fac, "w", nranks=4, strategy=strategy) as f:
             for n in names:
                 f.create_dataset(n, shape, np.float32,
                                  maxshape=(None,) + shape,
-                                 error_bound=series.snapshot_generator(0).error_bound(n))
+                                 error_bound=gen0.error_bound(n))
             for t in range(n_steps):
                 gen = series.snapshot_generator(t)
                 res = f.append_step({n: gen.field(n) for n in names})
-                assert res.strategy == executed[t], (strategy, t)
+                assert res.strategy == strategy and res.warm_started == (t > 0)
 
-        with EngineFile(p_sess, "r") as a, EngineFile(p_fac, "r") as b:
+        with EngineFile(p_ref, "r") as a, EngineFile(p_fac, "r") as b:
             for t in range(n_steps):
                 for n in names:
                     where = (strategy, t, n)
@@ -251,26 +292,6 @@ def test_facade_matches_timestep_session_bit_identically(tmp_path):
                     for i in range(xa.n_partitions):
                         assert xa.read_partition(i) == xb.read_partition(i), where + (i,)
                     assert np.array_equal(xa.read(), xb.read()), where
-
-
-def test_comm_mode_collective_writes(tmp_path):
-    data = _field(5)
-    parts = grid_partition(SHAPE, 4)
-    path = str(tmp_path / "c.phd5")
-
-    def rank_fn(comm):
-        with repro.open(path, "w", comm=comm) as f:
-            ds = f.create_dataset("d", SHAPE, np.float32, error_bound=1e-3)
-            p = parts[comm.rank]
-            ds[p.slices] = data[p.slices]
-            if comm.rank == 2:  # any rank can read the collective result
-                return float(np.abs(ds[...] - data).max())
-
-    results = run_spmd(4, rank_fn)
-    assert results[2] <= 1e-3 * (1 + 1e-6)
-    with repro.open(path) as f:
-        assert np.abs(f["d"][...] - data).max() <= 1e-3 * (1 + 1e-6)
-        assert f["d"].attrs["repro:nranks"] == 4
 
 
 def test_verify_write_mode_and_close_time(tmp_path):

@@ -17,10 +17,10 @@ import time
 import numpy as np
 import pytest
 
+from helpers import open_series_file, series_step
 from repro.core import (
     PipelineConfig,
     RealDriver,
-    TimestepSession,
     simulate_matrix,
     simulate_strategy,
     workload_from_arrays,
@@ -296,40 +296,43 @@ class TestRealDriverUnderThreadBackend:
 
 
 class TestSessionWiring:
-    def _series(self):
-        return TimestepSeries(shape=(12, 8, 8), n_steps=2, seed=5)
+    """The facade's streamed steps run on the file's executor."""
+
+    SERIES = TimestepSeries(shape=(12, 8, 8), n_steps=2, seed=5)
+
+    def _open(self, path, **kwargs):
+        return open_series_file(path, self.SERIES, nranks=2, **kwargs)
+
+    def _append(self, f, step):
+        return f.append_step(series_step(self.SERIES, step))
 
     def test_session_file_identical_serial_vs_thread(self, tmp_path):
         for backend, name in (("serial", "a.phd5"), ("thread", "b.phd5")):
-            with TimestepSession(
-                str(tmp_path / name), self._series(), nranks=2, executor=backend
-            ) as sess:
-                sess.write_all()
+            with self._open(tmp_path / name, executor=backend) as f:
+                for step in range(len(self.SERIES)):
+                    self._append(f, step)
         assert (tmp_path / "a.phd5").read_bytes() == (tmp_path / "b.phd5").read_bytes()
 
     def test_config_executor_default_resolution(self, tmp_path):
         config = PipelineConfig(executor="thread")
-        sess = TimestepSession(
-            str(tmp_path / "c.phd5"), self._series(), nranks=2, config=config
-        )
+        f = self._open(tmp_path / "c.phd5", config=config)
         try:
-            assert sess.executor.name == "thread"
-            assert sess.driver.executor is sess.executor
-            result = sess.write_step()
+            assert f._executor.name == "thread"
+            result = self._append(f, 0)
+            assert f._session.driver.executor is f._executor
             assert result.actual_nbytes > 0
         finally:
-            sess.close()
-        # Name-resolved pools belong to the session: close() shuts them
-        # down (the pool attribute is cleared on shutdown).
-        assert sess.executor._pool is None
+            f.close()
+        # Name-resolved pools belong to the file: close() shuts them down
+        # (the pool attribute is cleared on shutdown).
+        assert f._executor._pool is None
 
     def test_caller_passed_executor_survives_session_close(self, tmp_path):
         with ThreadPoolExecutor(max_workers=4) as ex:
-            with TimestepSession(
-                str(tmp_path / "e.phd5"), self._series(), nranks=2, executor=ex
-            ) as sess:
-                sess.write_step()
-            # Session closed; the shared pool must still be usable.
+            with self._open(tmp_path / "e.phd5", executor=ex) as f:
+                self._append(f, 0)
+                assert f._session.executor is ex
+            # File closed; the shared pool must still be usable.
             assert ex.map_cells(_square, range(3)) == [0, 1, 4]
 
     def test_config_rejects_unknown_executor(self):
@@ -337,17 +340,10 @@ class TestSessionWiring:
             PipelineConfig(executor="quantum")
 
     def test_auto_session_tuner_shares_executor(self, tmp_path):
-        sess = TimestepSession(
-            str(tmp_path / "d.phd5"), self._series(), nranks=2,
-            strategy="auto", executor="thread",
-        )
-        try:
-            assert sess.tuner.executor is sess.executor
-            result = sess.write_step()
+        with self._open(tmp_path / "d.phd5", strategy="auto", executor="thread") as f:
+            result = self._append(f, 0)
+            assert f._session.tuner.executor is f._executor
             assert result.tuning is not None
-        finally:
-            sess.executor.close()
-            sess.close()
 
 
 def test_codec_fanout_bit_identical_across_backends():

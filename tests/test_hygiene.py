@@ -10,7 +10,9 @@ tests fail the suite the moment either appears under ``src/``.
 A dead module is the same problem in source form: code nothing calls
 still has to be read, kept importable and refactored around.  Two guards
 fail the suite when a module under ``src/repro`` loses its last importer,
-or a public function or class its last mention outside ``tests/``.
+or a public function or class its last mention outside ``tests/``.  A
+third fails it when a second collective write path appears beside
+``RealDriver.write``.
 
 Committed evidence is the third form: ``results/`` tracks only the small
 digest tables, never the reports they were computed from.
@@ -167,6 +169,61 @@ def test_every_public_name_has_a_live_user():
         "public names nothing outside tests/ mentions (their own definition and "
         f"__init__ re-exports do not count) — delete them or give them a caller: {dead}"
     )
+
+
+def _calls_with_scope(path: pathlib.Path):
+    """``(qualname of the enclosing def, call node)`` for every call in one
+    file (``""`` at module level; nested defs join with ``.``)."""
+    out = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                out.append((scope, child))
+            walk(child, scope)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def _is_other_run(func: ast.Attribute) -> bool:
+    """A ``.run(...)`` call that is provably not ``RealDriver.run``: the
+    simulator clock (``env.run()``), ``subprocess.run`` or a method of a
+    freshly built object of another class (``SimDriver(...).run``)."""
+    receiver = func.value
+    if isinstance(receiver, ast.Name):
+        return receiver.id in ("env", "subprocess")
+    if isinstance(receiver, ast.Attribute):
+        return receiver.attr == "env"
+    if isinstance(receiver, ast.Call) and isinstance(receiver.func, ast.Name):
+        return receiver.func.id != "RealDriver"
+    return False
+
+
+def test_one_collective_write():
+    """README's "one write path", checked: the SPMD fan-out
+    (``map_ranks``/``run_spmd``) is called only by the executor and MPI
+    layers and by ``RealDriver.write``, and ``RealDriver.run`` — the rank
+    body — only by ``RealDriver.write``.  Any ``.run(...)`` call this scan
+    cannot prove to be something else counts as ``RealDriver.run``."""
+    write = "RealDriver.write"
+    stray = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        rel = path.relative_to(SRC / "repro").as_posix()
+        for scope, call in _calls_with_scope(path):
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            in_write = rel == "core/pipeline.py" and (scope == write or scope.startswith(write + "."))
+            if name in ("map_ranks", "run_spmd"):
+                if not (rel.startswith(("exec/", "mpi/")) or in_write):
+                    stray.append(f"{rel}::{scope or '<module>'} calls {name}")
+            elif name == "run" and isinstance(func, ast.Attribute) and not _is_other_run(func):
+                if not in_write:
+                    stray.append(f"{rel}::{scope or '<module>'} calls RealDriver.run")
+    assert not stray, f"a second collective write path — route it through {write}: {stray}"
 
 
 def test_results_tracks_only_digest_tables():

@@ -103,14 +103,6 @@ class TestCollectives:
             for round_no, gathered in enumerate(rank_result):
                 assert gathered == [(round_no, r) for r in range(3)]
 
-    def test_bcast(self):
-        def fn(comm):
-            payload = {"data": 123} if comm.rank == 1 else None
-            return comm.bcast(payload, root=1)
-
-        out = run_spmd(3, fn)
-        assert out == [{"data": 123}] * 3
-
     def test_allgather_numpy_arrays(self):
         def fn(comm):
             mine = np.full(4, comm.rank)
@@ -119,13 +111,6 @@ class TestCollectives:
 
         out = run_spmd(3, fn)
         assert out == [4 * (0 + 1 + 2)] * 3
-
-    def test_bad_root_rejected(self):
-        def fn(comm):
-            return comm.bcast(1, root=9)
-
-        with pytest.raises(CommunicatorError):
-            run_spmd(2, fn)
 
     def test_barrier_synchronizes(self):
         import time

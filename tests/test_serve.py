@@ -273,9 +273,8 @@ class TestServedWrites:
         assert np.max(np.abs(got.astype(np.float64) - arr)) <= 1e-3 * 1.0001
 
     def test_api_open_server_rejects_comm(self, server, tmp_path):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
+        # There is no caller-managed comm= mode to combine with server=.
+        with pytest.raises(TypeError, match="comm"):
             api.open(str(tmp_path / "x.phd5"), "w",
                      server=server.address, comm=object())
 

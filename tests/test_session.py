@@ -1,13 +1,15 @@
-"""TimestepSession: persistent-file streaming with warm-started planning."""
+"""Streaming time-steps through ``repro.open`` + ``File.append_step``:
+one persistent file, warm-started planning, per-step ``"auto"`` re-tuning."""
 
 import numpy as np
 import pytest
 
+from helpers import open_series_file, series_step
 from repro.core import PipelineConfig
-from repro.core.session import TimestepSession, step_group
+from repro.core.session import AUTO_INITIAL_STRATEGY, step_group
 from repro.data import grid_partition
 from repro.data.timesteps import TimestepSeries
-from repro.errors import ConfigError, InvalidStateError
+from repro.errors import InvalidStateError, ShapeMismatchError
 from repro.hdf5 import File
 
 SHAPE = (16, 16, 16)
@@ -16,15 +18,38 @@ FIELDS = ["baryon_density", "temperature"]
 N_STEPS = 4
 
 
+def _open_series(path, series, fields=FIELDS, nranks=NRANKS, **kwargs):
+    return open_series_file(path, series, fields, nranks=nranks, **kwargs)
+
+
+def _step(series, step, fields=FIELDS):
+    return series_step(series, step, fields)
+
+
+def _stream(path, series, n_steps, **kwargs):
+    """Stream ``n_steps`` steps; returns the step results, the read-back
+    arrays per step and the codecs the steps were written with."""
+    with _open_series(path, series, **kwargs) as f:
+        results = [f.append_step(_step(series, t)) for t in range(n_steps)]
+        arrays = {t: {n: f[n][t] for n in FIELDS} for t in range(n_steps)}
+        codecs = dict(f._session.codecs)
+    return results, arrays, codecs
+
+
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("session") / "series.phd5")
     series = TimestepSeries(SHAPE, n_steps=N_STEPS, seed=5)
-    with TimestepSession(path, series, nranks=NRANKS, field_names=FIELDS) as sess:
-        results = sess.write_all()
-        arrays = {step: sess.read_step(step) for step in range(N_STEPS)}
-        codecs = dict(sess.codecs)
+    results, arrays, codecs = _stream(path, series, N_STEPS)
     return path, series, results, arrays, codecs
+
+
+@pytest.fixture(scope="module")
+def auto_written(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("auto") / "series.phd5")
+    series = TimestepSeries(SHAPE, n_steps=3, seed=11)
+    results, arrays, codecs = _stream(path, series, 3, strategy="auto")
+    return series, results, arrays, codecs
 
 
 class TestStreaming:
@@ -93,76 +118,45 @@ class TestStreaming:
 class TestSessionGuards:
     def test_out_of_order_step_rejected(self, tmp_path):
         series = TimestepSeries(SHAPE, n_steps=2, seed=6)
-        with TimestepSession(
-            str(tmp_path / "s.phd5"), series, nranks=NRANKS, field_names=FIELDS
-        ) as sess:
-            with pytest.raises(InvalidStateError):
-                sess.write_step(1)
-
-    def test_step_beyond_series_rejected(self, tmp_path):
-        series = TimestepSeries(SHAPE, n_steps=1, seed=6)
-        with TimestepSession(
-            str(tmp_path / "s.phd5"), series, nranks=NRANKS, field_names=FIELDS
-        ) as sess:
-            sess.write_step()
-            with pytest.raises(InvalidStateError):
-                sess.write_step()
+        with _open_series(tmp_path / "s.phd5", series) as f:
+            with pytest.raises(InvalidStateError, match="order"):
+                f[FIELDS[0]][1] = series.snapshot_generator(1).field(FIELDS[0])
+            f.append_step(_step(series, 0))
 
     def test_unknown_field_rejected(self, tmp_path):
         series = TimestepSeries(SHAPE, n_steps=1, seed=6)
-        with pytest.raises(ConfigError):
-            TimestepSession(
-                str(tmp_path / "s.phd5"), series, field_names=["not_a_field"]
-            )
+        with _open_series(tmp_path / "s.phd5", series) as f:
+            fields = _step(series, 0)
+            with pytest.raises(ShapeMismatchError, match="unexpected"):
+                f.append_step({**fields, "not_a_field": fields[FIELDS[0]]})
+            f.append_step(fields)
 
     def test_read_unwritten_step_rejected(self, tmp_path):
         series = TimestepSeries(SHAPE, n_steps=2, seed=6)
-        with TimestepSession(
-            str(tmp_path / "s.phd5"), series, nranks=NRANKS, field_names=FIELDS
-        ) as sess:
+        with _open_series(tmp_path / "s.phd5", series) as f:
             with pytest.raises(InvalidStateError):
-                sess.read_step(0)
-
-    def test_cold_replanning_when_warm_start_disabled(self, tmp_path):
-        series = TimestepSeries(SHAPE, n_steps=2, seed=7)
-        with TimestepSession(
-            str(tmp_path / "s.phd5"), series, nranks=NRANKS,
-            field_names=FIELDS, warm_start=False,
-        ) as sess:
-            results = sess.write_all()
-        assert not any(r.warm_started for r in results)
+                f[FIELDS[0]][0]
+            f.append_step(_step(series, 0))
 
     def test_nocomp_streaming_uses_slab_partitions(self, tmp_path):
         """Raw writes need row-slab regions; a rank count that would grid-
         split trailing dimensions must still stream losslessly."""
         series = TimestepSeries(SHAPE, n_steps=2, seed=9)
-        with TimestepSession(
-            str(tmp_path / "s.phd5"), series, nranks=4,
-            field_names=["temperature"], strategy="nocomp",
-        ) as sess:
-            sess.write_all()
-            out = sess.read_step(1)["temperature"]
+        fields = ["temperature"]
+        with _open_series(
+            tmp_path / "s.phd5", series, fields=fields, nranks=4, strategy="nocomp"
+        ) as f:
+            for t in range(2):
+                f.append_step(_step(series, t, fields))
+            out = f["temperature"][1]
         gen = series.snapshot_generator(1)
         assert np.array_equal(out, gen.field("temperature"))
+
 
 class TestAutoStrategy:
     """strategy="auto": per-step re-tuning from measured actuals."""
 
-    @pytest.fixture(scope="class")
-    def auto_written(self, tmp_path_factory):
-        path = str(tmp_path_factory.mktemp("auto") / "series.phd5")
-        series = TimestepSeries(SHAPE, n_steps=3, seed=11)
-        with TimestepSession(
-            path, series, nranks=NRANKS, field_names=FIELDS, strategy="auto"
-        ) as sess:
-            results = sess.write_all()
-            arrays = {step: sess.read_step(step) for step in range(3)}
-            codecs = dict(sess.codecs)
-        return series, results, arrays, codecs
-
     def test_first_step_runs_initial_strategy(self, auto_written):
-        from repro.core.session import AUTO_INITIAL_STRATEGY
-
         series, results, arrays, codecs = auto_written
         assert results[0].strategy == AUTO_INITIAL_STRATEGY
 
@@ -195,29 +189,25 @@ class TestAutoStrategy:
 
     def test_current_strategy_tracks_decisions(self, tmp_path):
         series = TimestepSeries(SHAPE, n_steps=2, seed=12)
-        with TimestepSession(
-            str(tmp_path / "s.phd5"), series, nranks=NRANKS,
-            field_names=FIELDS, strategy="auto",
-        ) as sess:
-            first = sess.current_strategy
-            res = sess.write_step()
-            assert res.strategy == first
-            assert sess.current_strategy == res.tuning.choice
+        with _open_series(tmp_path / "s.phd5", series, strategy="auto") as f:
+            res = f.append_step(_step(series, 0))
+            assert res.strategy == AUTO_INITIAL_STRATEGY
+            assert f._session._current == res.tuning.choice
+            assert f.append_step(_step(series, 1)).strategy == res.tuning.choice
 
     def test_non_reordering_steps_do_not_seed_order_hints(self, tmp_path):
         """A later reorder step must re-run Algorithm 1 rather than inherit
         another strategy's insertion order as its warm-start order."""
         series = TimestepSeries(SHAPE, n_steps=2, seed=14)
-        with TimestepSession(
-            str(tmp_path / "s.phd5"), series, nranks=NRANKS,
-            field_names=FIELDS, strategy="auto",
-        ) as sess:
+        with _open_series(tmp_path / "s.phd5", series, strategy="auto") as f:
+            f._ensure_session()
+            sess = f._session
             sess._current = "filter"
-            sess.write_step()
+            f.append_step(_step(series, 0))
             assert sess._prev_actual is not None  # warm size hints kept
             assert sess._prev_orders is None      # but no order hint
             sess._current = "reorder"
-            res = sess.write_step()
+            res = f.append_step(_step(series, 1))
             assert res.warm_started
         # The reorder step computed its own Algorithm 1 order from the
         # warm predictions instead of copying filter's insertion order.
@@ -242,15 +232,13 @@ class TestAutoStrategy:
     def test_raw_steps_probe_compressibility_and_can_escape(self, tmp_path):
         """A step executed with a non-compressing strategy still refreshes
         the tuner's measurement (via the sampling ratio model), so the
-        session is never locked into nocomp by the absence of compressed
+        series is never locked into nocomp by the absence of compressed
         actuals."""
         series = TimestepSeries(SHAPE, n_steps=2, seed=13)
-        with TimestepSession(
-            str(tmp_path / "s.phd5"), series, nranks=NRANKS,
-            field_names=FIELDS, strategy="auto",
-        ) as sess:
-            sess._current = "nocomp"  # force a raw first step
-            res = sess.write_step()
+        with _open_series(tmp_path / "s.phd5", series, strategy="auto") as f:
+            f._ensure_session()
+            f._session._current = "nocomp"  # force a raw first step
+            res = f.append_step(_step(series, 0))
             assert res.strategy == "nocomp"
             assert res.tuning is not None
             # The probe saw compressible data: the compressed write is
@@ -265,11 +253,7 @@ class TestWarmStartMargin:
     def test_warm_start_margin_scales_hints(self, tmp_path):
         series = TimestepSeries(SHAPE, n_steps=2, seed=8)
         config = PipelineConfig(warm_start_margin=1.2)
-        with TimestepSession(
-            str(tmp_path / "s.phd5"), series, nranks=NRANKS,
-            field_names=FIELDS, config=config,
-        ) as sess:
-            results = sess.write_all()
+        results, _, _ = _stream(tmp_path / "s.phd5", series, 2, config=config)
         first, second = results
         for s_prev, s_cur in zip(first.stats, second.stats):
             for name in FIELDS:

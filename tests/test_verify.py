@@ -6,9 +6,9 @@ import subprocess
 
 import pytest
 
+from helpers import open_series_file, series_step
 from repro.core.config import EXTRA_SPACE_MIN, PipelineConfig
 from repro.core.scenarios import get_scenario, scenario_names
-from repro.core.session import TimestepSession
 from repro.core.strategy import registered_strategies
 from repro.data.timesteps import TimestepSeries
 from repro.errors import VerificationError
@@ -18,7 +18,6 @@ from repro.verify import (
     SCHEMA,
     certify,
     certify_codecs,
-    certify_session,
     differential_parity,
     draw_case,
     file_fingerprint,
@@ -333,44 +332,33 @@ class TestRelativeModeAndReportShapes:
 
 
 class TestSessionVerify:
+    """Close-time certification of the steps a facade file streamed."""
+
+    SERIES = TimestepSeries(shape=(12, 10, 8), n_steps=2, seed=5)
+
+    def _stream(self, path, n_steps, **kwargs):
+        f = open_series_file(path, self.SERIES, nranks=2, **kwargs)
+        for step in range(n_steps):
+            f.append_step(series_step(self.SERIES, step))
+        return f
+
     def test_close_verifies_and_stores_report(self, tmp_path):
-        series = TimestepSeries(shape=(12, 10, 8), n_steps=2, seed=5)
-        s = TimestepSession(
-            str(tmp_path / "s.phd5"), series, nranks=2,
-            config=PipelineConfig(verify=True),
-        )
-        s.write_all()
-        s.close()
-        assert s.verification is not None
-        assert s.verification.passed
-        assert len(s.verification.certificates) == 2 * len(s.field_names)
+        f = self._stream(tmp_path / "s.phd5", 2, config=PipelineConfig(verify=True))
+        f.close()
+        assert f.verification is not None
+        assert f.verification.passed
+        n_fields = len(self.SERIES.snapshot_generator(0).field_names)
+        assert len(f.verification.certificates) == 2 * n_fields
 
     def test_close_verify_override_skips(self, tmp_path):
-        series = TimestepSeries(shape=(12, 10, 8), n_steps=1, seed=5)
-        s = TimestepSession(
-            str(tmp_path / "s.phd5"), series, nranks=2,
-            config=PipelineConfig(verify=True),
-        )
-        s.write_step()
-        s.close(verify=False)
-        assert s.verification is None
-
-    def test_certify_session_wrong_series_raises(self, tmp_path):
-        series = TimestepSeries(shape=(12, 10, 8), n_steps=2, seed=5)
-        path = str(tmp_path / "s.phd5")
-        with TimestepSession(path, series, nranks=2) as s:
-            s.write_all()
-        other = TimestepSeries(shape=(12, 10, 8), n_steps=2, seed=99)
-        report = certify_session(path, other)
-        assert not report.passed
-        with pytest.raises(VerificationError):
-            report.raise_on_failure()
+        f = self._stream(tmp_path / "s.phd5", 1, config=PipelineConfig(verify=True))
+        f.close(verify=False)
+        assert f.verification is None
 
     def test_unwritten_session_close_verify_is_noop(self, tmp_path):
-        series = TimestepSeries(shape=(12, 10, 8), n_steps=1, seed=5)
-        s = TimestepSession(str(tmp_path / "s.phd5"), series, nranks=2)
-        s.close(verify=True)  # nothing written: nothing to certify
-        assert s.verification is None
+        f = self._stream(tmp_path / "s.phd5", 0)
+        f.close(verify=True)  # nothing written: nothing to certify
+        assert f.verification is None
 
 
 class TestCLI:
