@@ -367,7 +367,7 @@ class Dataset:
                 f"{self._path}: step {step} not written yet "
                 f"({steps} step(s) so far)"
             )
-        return self._file._step_engine_dataset(self, i).read()
+        return self._file._step_engine_dataset(self, i).read(executor=self._file._executor)
 
     def _get_step(self, key):
         if isinstance(key, (int, np.integer)):

@@ -36,6 +36,11 @@ class Codec(ABC):
     def decompress(self, stream: bytes) -> np.ndarray:
         """Reconstruct the array (shape and dtype restored) from a stream."""
 
+    def decompress_many(self, streams: Sequence[bytes]) -> list[np.ndarray]:
+        """Reconstruct several streams, in order: one after another here; a
+        codec that can share work across streams overrides this."""
+        return [self.decompress(stream) for stream in streams]
+
     def max_error(self) -> float | None:
         """Point-wise absolute error guarantee, or None if unbounded."""
         return None

@@ -15,17 +15,26 @@ bounds for the *upper* bound).  This module provides:
   code lengths, and so the bytes of every stream;
 * :func:`huffman_encode` — vectorized encoding using
   :func:`repro.utils.bits.pack_varlen_codes`;
-* :func:`huffman_decode` — lane-parallel decoding, NumPy playing the SIMD
-  lanes of a GPU decoder.  A Huffman decoder started on a wrong bit falls
-  into step with the true parse within a few dozen symbols, so the stream
-  is cut into lanes by bit offset, every lane starts a warm-up before its
-  cut, and all lanes advance in lockstep, one symbol per lane per
+* :func:`huffman_decode_many` — lane-parallel decoding of a batch of
+  streams, NumPy playing the SIMD lanes of a GPU decoder.  A Huffman
+  decoder started on a wrong bit falls into step with the true parse
+  within a few dozen symbols, so every stream is cut into lanes by bit
+  offset, every lane starts a warm-up before its cut, and the lanes of
+  *all* streams of the batch advance in lockstep, one symbol per lane per
   whole-array iteration, keeping the symbols that start inside their own
-  span.  The result is proved, not assumed: lane 0 starts at bit 0, and a
-  lane is right exactly when its first kept position is where the lane
-  before it left its span.  A lane whose junction disagrees is re-run from
-  that proven exit; a stream that stays unproven, shows an invalid pattern
-  or runs short goes to the scalar decoder, which so raises every error;
+  span.  The streams lie end to end in one word array and each lane
+  carries its stream's table offset, so a read of several partitions pays
+  the loop's ~100 iterations once, not once per partition.  When no code
+  of the batch is longer than 16 bits the lookup is one level, a table as
+  wide as the batch's longest code; otherwise a 12-bit first level hands
+  longer codes to one ``searchsorted`` over keys tagged with their stream.
+  The result is proved, not assumed, stream by stream: lane 0 of a stream
+  starts at its bit 0, and a lane is right exactly when its first kept
+  position is where the lane before it in the same stream left its span.
+  A lane whose junction disagrees is re-run from that proven exit; a
+  stream that stays unproven, shows an invalid pattern or runs short goes
+  to the scalar decoder, which so raises every error, and takes no other
+  stream of its batch with it.  :func:`huffman_decode` is a batch of one;
 * :func:`huffman_decode_scalar` — the retained per-symbol reference
   decoder: the differential-testing oracle for the lane decoder (the same
   pattern :mod:`repro.utils.bits` uses for the packer) and its fall-back.
@@ -44,6 +53,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +61,8 @@ import numpy as np
 from repro.errors import CorruptStreamError
 from repro.utils.bits import BitReader, pack_varlen_codes
 
-#: Single-level decode-table width (bits).  4096 entries; codes at or below
-#: this length decode with one lookup.
+#: First-level decode-table width (bits) of the scalar decoder, and of the
+#: lane decoder when a batch holds a code longer than ``_SINGLE_LEVEL_BITS``.
 TABLE_BITS = 12
 
 #: Hard cap on Huffman code length; above this we fall back to fixed-length.
@@ -67,7 +77,9 @@ class HuffmanCode:
     """A canonical code: per-symbol lengths plus derived encode/decode tables."""
 
     lengths: np.ndarray  # uint8 per symbol (0 = symbol absent)
-    codes: np.ndarray  # uint64 per symbol, bit-reversed for LSB-first packing
+    # uint64 per symbol, bit-reversed for LSB-first packing; None on the code
+    # of a parsed stream, which the decoders derive from ``lengths``.
+    codes: np.ndarray | None = None
     fixed: bool = False  # True if the fixed-length fallback was used
 
     @property
@@ -172,7 +184,7 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     A symbol's code is its length's first code plus its rank among the
     symbols of that length.  ``lengths`` must satisfy the Kraft inequality
     with no entry above ``MAX_CODE_LEN`` (built codes do;
-    :func:`deserialize_code` checks parsed ones), so codes fit 64 bits.
+    :func:`_read_header` checks parsed ones), so codes fit 64 bits.
     """
     codes = np.zeros(lengths.size, dtype=np.uint64)
     present = np.flatnonzero(lengths)
@@ -235,8 +247,14 @@ def serialize_code(code: HuffmanCode, nvalues: int) -> bytes:
     return head + code.lengths.astype(np.uint8).tobytes()
 
 
-def deserialize_code(blob: bytes) -> tuple[HuffmanCode, int, int]:
-    """Parse a header blob; returns (code, nvalues, bytes_consumed)."""
+def _read_header(blob: bytes) -> tuple[HuffmanCode, int, int]:
+    """Parse and check a header blob; returns ``(code, nvalues,
+    bytes_consumed)`` with ``code.codes`` left unbuilt.
+
+    The encoder never emits a length past the cap or an over-subscribed
+    table (Kraft sum > 1, here in exact units of 2**-MAX_CODE_LEN).  Both
+    checks read the present lengths only, not the whole alphabet.
+    """
     if len(blob) < _HDR.size:
         raise CorruptStreamError("huffman header truncated")
     magic, flags, nsyms, nvalues = _HDR.unpack_from(blob, 0)
@@ -246,16 +264,14 @@ def deserialize_code(blob: bytes) -> tuple[HuffmanCode, int, int]:
     if len(blob) < need:
         raise CorruptStreamError("huffman length table truncated")
     lengths = np.frombuffer(blob, dtype=np.uint8, count=nsyms, offset=_HDR.size).copy()
-    # The encoder never emits a length past the cap or an over-subscribed
-    # table (Kraft sum > 1, here in exact units of 2**-MAX_CODE_LEN).
-    counts = np.bincount(lengths).tolist()
-    if len(counts) > MAX_CODE_LEN + 1:
+    present = lengths[lengths != 0]
+    if present.size and int(present.max()) > MAX_CODE_LEN:
         raise CorruptStreamError("huffman code length exceeds the cap")
+    counts = np.bincount(present).tolist()
     kraft = sum(c << (MAX_CODE_LEN - ln) for ln, c in enumerate(counts) if ln)
     if kraft > 1 << MAX_CODE_LEN:
         raise CorruptStreamError("huffman length table is over-subscribed")
-    codes = _canonical_codes(lengths)
-    return HuffmanCode(lengths=lengths, codes=codes, fixed=bool(flags & 1)), nvalues, need
+    return HuffmanCode(lengths=lengths, fixed=bool(flags & 1)), nvalues, need
 
 
 def huffman_encode(symbols: np.ndarray, nsymbols: int) -> bytes:
@@ -277,7 +293,7 @@ def huffman_encode(symbols: np.ndarray, nsymbols: int) -> bytes:
 
 
 def _build_decode_tables(
-    code: HuffmanCode,
+    lengths: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, int], int]]:
     """Build the single-level lookup table plus long-code dictionary.
 
@@ -285,13 +301,14 @@ def _build_decode_tables(
     <= TABLE_BITS in one peek; longer codes fall back to an MSB-first
     incremental walk through ``long_map[(prefix_value, prefix_len)]``.
     """
+    codes = _canonical_codes(lengths)
     size = 1 << TABLE_BITS
     table_sym = np.full(size, -1, dtype=np.int64)
     table_len = np.zeros(size, dtype=np.int64)
     long_map: dict[tuple[int, int], int] = {}
-    for sym in np.flatnonzero(code.lengths):
-        ln = int(code.lengths[sym])
-        rev = int(code.codes[sym])  # LSB-first pattern as it appears in stream
+    for sym in np.flatnonzero(lengths):
+        ln = int(lengths[sym])
+        rev = int(codes[sym])  # LSB-first pattern as it appears in stream
         if ln <= TABLE_BITS:
             step = 1 << ln
             for filler in range(0, size, step):
@@ -310,9 +327,10 @@ def _parse_stream(blob: bytes) -> tuple[HuffmanCode, int, int, bytes, int]:
     exactly ``ceil(total_bits / 64)`` words — computed once here and reused
     for both the bitstream slice and the ``bytes_consumed`` return, so a
     blob embedded in a larger buffer never reads past its own end.
-    Returns ``(code, nvalues, total_bits, payload, consumed)``.
+    Returns ``(code, nvalues, total_bits, payload, consumed)``; ``code``
+    carries the lengths only.
     """
-    code, nvalues, off = deserialize_code(blob)
+    code, nvalues, off = _read_header(blob)
     if len(blob) < off + 8:
         raise CorruptStreamError("huffman bit-count field truncated")
     (total_bits,) = struct.unpack_from("<Q", blob, off)
@@ -332,7 +350,7 @@ def _decode_scalar(code: HuffmanCode, nvalues: int, total_bits: int, payload: by
     """Per-symbol reference decoder (the differential-testing oracle)."""
     out = np.empty(nvalues, dtype=np.int64)
     reader = BitReader(payload, total_bits)
-    table_sym_a, table_len_a, long_map = _build_decode_tables(code)
+    table_sym_a, table_len_a, long_map = _build_decode_tables(code.lengths)
     table_sym = table_sym_a.tolist()
     table_len = table_len_a.tolist()
     # Bind locals for speed; the lane decoder below is the production path,
@@ -380,58 +398,104 @@ def _walk_long_code(reader: BitReader, window: int, long_map: dict[tuple[int, in
 _LANE_SYMBOLS_MIN = 32
 _LANE_SYMBOLS_MAX = 128
 _WARMUP_SYMBOLS = 48
-#: Rounds of re-running out-of-step lanes before the oracle takes the stream.
+#: Rounds of re-running out-of-step lanes before the oracle takes a stream.
 _REPAIR_ROUNDS = 16
+#: A batch whose codes are all this short decodes with one table lookup.
+_SINGLE_LEVEL_BITS = 16
+#: Values one lane pass decodes at most.  A stream counts as at least
+#: ``1 << _SINGLE_LEVEL_BITS``, the slots of its widest table, so a pass's
+#: tables and recorded symbols stay a few tens of MB.
+_BATCH_VALUES = 1 << 20
 
 
-def _lane_tables(code: HuffmanCode) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Decode tables ``(table, starts, entries, gcd)`` in canonical order.
+def _lane_code(lengths: np.ndarray) -> tuple | None:
+    """One code in canonical order, ``(lens, entries, starts, gcd)``, or
+    None for a code without symbols.
 
     ``entries[i]`` packs the i-th canonical code as ``(symbol << 6) |
-    length`` and ``starts[i]`` is that code left-justified in 64 bits.
-    Canonical codes tile the code space contiguously, so
-    ``searchsorted(starts, window) - 1`` decodes any code, and repeating
-    each code of at most ``TABLE_BITS`` bits over the slots it owns gives
-    the first-level ``table`` (entry 0: look further).  What an incomplete
-    code leaves uncovered is one last pseudo-code, symbol -1.  Every symbol
-    boundary of a stream is a multiple of ``gcd``, the gcd of the lengths.
+    length`` and ``starts[i]`` is where it begins in the code space, in
+    units of ``2**-MAX_CODE_LEN``.  Canonical codes tile the code space
+    contiguously, so the last start at or below a window's top
+    ``MAX_CODE_LEN`` bits names its code.  What an incomplete code leaves
+    uncovered is one more entry, a pseudo-code of symbol -1 and length
+    ``gcd``, that ``lens`` does not list; ``gcd`` is the gcd of the
+    lengths, of which every symbol boundary of a stream is a multiple.
     """
-    present = np.flatnonzero(code.lengths)
-    lens = code.lengths[present].astype(np.int64)
+    present = np.flatnonzero(lengths)
+    if not present.size:
+        return None
+    lens = lengths[present].astype(np.int64)
     order = np.argsort(lens, kind="stable")  # stable: ties by symbol
     lens = lens[order]
     gcd = int(np.gcd.reduce(lens))
     entries = (present[order] << 6) | lens
-    ends = np.cumsum(np.left_shift(1, MAX_CODE_LEN - lens))  # units of 2**-MAX_CODE_LEN
+    ends = np.cumsum(np.left_shift(1, MAX_CODE_LEN - lens))
     starts = np.append(0, ends[:-1])
     if int(ends[-1]) < 1 << MAX_CODE_LEN:
-        starts = np.append(starts, ends[-1])
         entries = np.append(entries, (-1 << 6) | gcd)
-    starts = starts.astype(np.uint64) << np.uint64(64 - MAX_CODE_LEN)
-    nshort = int(np.searchsorted(lens, TABLE_BITS, side="right"))
-    table = np.zeros(1 << TABLE_BITS, dtype=np.int64)
-    short = np.repeat(entries[:nshort], 1 << (TABLE_BITS - lens[:nshort]))
-    table[: short.size] = short
-    return table, starts, entries, gcd
+        starts = np.append(starts, ends[-1])
+    return lens, entries, starts, gcd
 
 
-def _step_lanes(
-    stream: np.ndarray, tables: list, pos: np.ndarray, end: np.ndarray, record: bool = False
+def _lane_tables(codes: list) -> tuple:
+    """Decode tables ``(table, keys, entries, width)`` for a batch of codes.
+
+    ``table`` holds one ``2**width``-slot table per code, end to end: each
+    code of at most ``width`` bits repeated over the slots it owns, entry 0
+    (look further) where longer codes begin.  The width is the batch's
+    longest code when that is at most ``_SINGLE_LEVEL_BITS``, and then
+    nothing looks further.  Otherwise it is ``TABLE_BITS``, and ``keys``
+    tags every code's start with its stream, ``(stream << MAX_CODE_LEN) |
+    start``, so one ``searchsorted`` over them finds any lane's ``entries``.
+    """
+    longest = max(int(lens[-1]) for lens, *_ in codes)
+    width = longest if longest <= _SINGLE_LEVEL_BITS else TABLE_BITS
+    level1, slots = [], []
+    for lens, entries, starts, _ in codes:
+        # The codes of at most ``width`` bits are a prefix in canonical
+        # order, and where they end is a slot boundary; so is the start of
+        # a pseudo-code that follows only such codes.
+        k = int(np.searchsorted(lens, width, side="right"))
+        if k == lens.size:
+            k = entries.size
+        end = starts[k] if k < entries.size else 1 << MAX_CODE_LEN
+        bounds = np.append(starts[:k], end) >> (MAX_CODE_LEN - width)
+        level1 += [entries[:k], [0]]
+        slots.append(np.diff(bounds, append=1 << width))
+    table = np.repeat(np.concatenate(level1), np.concatenate(slots))
+    if longest <= _SINGLE_LEVEL_BITS:
+        return table, None, None, width
+    keys = np.concatenate([(s << MAX_CODE_LEN) | code[2] for s, code in enumerate(codes)])
+    entries = np.concatenate([code[1] for code in codes])
+    return table, keys.astype(np.uint64), entries, width
+
+
+def _run_lanes(
+    words: np.ndarray,
+    tables: tuple,
+    pos: np.ndarray,
+    end: np.ndarray,
+    tab: np.ndarray | None,
+    record: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Step every lane from ``pos`` to its first symbol boundary at or past ``end``.
 
-    One symbol per lane per iteration, in lockstep; a lane that has arrived
-    leaves the working set, so stragglers do not drag the others along.
-    Returns the arrival positions, the symbols each lane took and, with
-    ``record``, per iteration the decoded entries and whose they are.
+    The lane loop: one symbol per lane per iteration, in lockstep, each
+    lane reading its own stream's table at offset ``tab`` (None for a
+    batch of one, whose table is at 0 and whose keys carry no tag: the
+    per-lane offsets cost a lone large stream ~5 %); a lane that has
+    arrived leaves the working set, so stragglers do not drag the others
+    along.  Returns the arrival positions, the symbols each lane took and,
+    with ``record``, per iteration the decoded entries and whose they are.
     """
-    table, starts, entries = tables
+    table, keys, entries, width = tables
     exits = pos.copy()
     counts = np.zeros(pos.size, dtype=np.int64)
     lanes = np.arange(pos.size)
     recorded = []
-    two_level = not table.all()
-    top = np.uint64(64 - TABLE_BITS)
+    top = np.uint64(64 - width)
+    tag = MAX_CODE_LEN - width  # ``tab << tag`` is the lane's stream tag
+    low = np.uint64(64 - MAX_CODE_LEN)
     step = 0
     while True:
         live = pos < end
@@ -439,97 +503,162 @@ def _step_lanes(
             exits[lanes[~live]] = pos[~live]
             counts[lanes[~live]] = step
             lanes, pos, end = lanes[live], pos[live], end[live]
+            if tab is not None:
+                tab = tab[live]
             if not lanes.size:
                 return exits, counts, recorded
-        window = stream[pos >> 4]
+        window = words[pos >> 4]
         window <<= (pos & 15).view(np.uint64)
-        entry = table[(window >> top).view(np.int64)]
-        if two_level:
+        index = (window >> top).view(np.int64)
+        if tab is not None:
+            index += tab
+        entry = table[index]
+        if keys is not None:
             far = np.flatnonzero(entry == 0)
             if far.size:
-                entry[far] = entries[np.searchsorted(starts, window[far], side="right") - 1]
+                key = window[far] >> low
+                if tab is not None:
+                    key |= (tab[far] << tag).view(np.uint64)
+                entry[far] = entries[np.searchsorted(keys, key, side="right") - 1]
         if record:
             recorded.append((entry, lanes))
         pos = pos + (entry & 63)
         step += 1
 
 
-def _decode_vectorized(
-    code: HuffmanCode, nvalues: int, total_bits: int, payload: bytes
-) -> np.ndarray:
-    """Lane-parallel decoder; see the module docstring for the scheme.
+def _decode_lanes(streams: Sequence[tuple]) -> list[np.ndarray]:
+    """Lane-parallel decoder for a batch of ``(code, nvalues, total_bits,
+    payload)``; see the module docstring for the scheme.
 
-    Returns exactly what :func:`_decode_scalar` returns, and hands the
-    stream to it whenever the junction proof does not close or the stream
-    is damaged, so every ``CorruptStreamError`` is the oracle's.
+    Returns per stream exactly what :func:`_decode_scalar` returns, and
+    hands a stream to it whenever its junction proof does not close or it
+    is damaged, so every ``CorruptStreamError`` is the oracle's; the other
+    streams keep their lane decodes.
     """
-    # ``_parse_stream`` never lets ``nvalues > total_bits`` through: that test
-    # is for direct callers (the differential tests pass truncated payloads).
-    if nvalues > total_bits or not code.lengths.any():
-        return _decode_scalar(code, nvalues, total_bits, payload)
-    *tables, gcd = _lane_tables(code)
+    oracle, held, codes = [], [], []
+    for k, (code, nvalues, total_bits, _) in enumerate(streams):
+        # ``_parse_stream`` never lets ``nvalues > total_bits`` through: that
+        # test is for direct callers (the differential tests pass truncated
+        # payloads).
+        lane_code = _lane_code(code.lengths) if 0 < nvalues <= total_bits else None
+        if lane_code is None:
+            oracle.append(k)
+        else:
+            held.append(k)
+            codes.append(lane_code)
+    results: list = [None] * len(streams)
+    if held:
+        for k, out in zip(held, _lane_pass([streams[k] for k in held], codes)):
+            if out is None:
+                oracle.append(k)
+            results[k] = out
+    for k in sorted(oracle):
+        results[k] = _decode_scalar(*streams[k])
+    return results
 
-    # Bit-reversed bytes read MSB-first through an unaligned big-endian view,
-    # bits past ``total_bits`` zeroed as BitReader.peek does.  The aligned copy
-    # ``stream[i]`` = bits [16 i, 16 i + 64) has 49 >= MAX_CODE_LEN valid bits.
-    nbytes = -(-total_bits // 8)
-    buf = np.zeros((-(-total_bits // 64) + 2) * 8, dtype=np.uint8)
-    buf[:nbytes] = _BYTE_REV[np.frombuffer(payload, dtype=np.uint8, count=nbytes)]
-    if total_bits & 7:
-        buf[nbytes - 1] &= 0xFF00 >> (total_bits & 7) & 0xFF
+
+def _lane_pass(streams: list, codes: list) -> list[np.ndarray | None]:
+    """One lockstep pass over the lanes of all ``streams``: per stream its
+    proved symbols, or None where the oracle has to decide."""
+    tables = _lane_tables(codes)
+    nstreams = len(streams)
+
+    # The streams end to end, each word-aligned and followed by one zero
+    # word: bit-reversed bytes read MSB-first through an unaligned
+    # big-endian view, bits past ``total_bits`` zeroed as BitReader.peek
+    # does.  The aligned copy ``words[i]`` = bits [16 i, 16 i + 64) has
+    # 49 >= MAX_CODE_LEN valid bits, and a lane short of its stream's end
+    # reads no further than that stream's zero word.
+    nwords = [-(-total_bits // 64) + 1 for _, _, total_bits, _ in streams]
+    origin = (np.cumsum(nwords) - nwords) * 64  # each stream's bit 0
+    buf = np.zeros(sum(nwords) * 8, dtype=np.uint8)
+    for (_, _, total_bits, payload), bit0 in zip(streams, origin.tolist()):
+        nbytes = -(-total_bits // 8)
+        buf[bit0 >> 3 : (bit0 >> 3) + nbytes] = np.frombuffer(payload, np.uint8, nbytes)
+    buf = _BYTE_REV[buf]
+    for (_, _, total_bits, _), bit0 in zip(streams, origin.tolist()):
+        if total_bits & 7:
+            buf[(bit0 + total_bits) >> 3] &= 0xFF00 >> (total_bits & 7) & 0xFF
     unaligned = np.ndarray((buf.size - 7,), dtype=">u8", buffer=buf, strides=(1,))
-    stream = unaligned[::2].astype(np.uint64)
+    words = unaligned[::2].astype(np.uint64)
 
-    # Lanes of equal bit length.  Cuts and warm-up are multiples of the gcd
-    # of the code lengths, or equal- and even-length codes would never fall
-    # into step.  A header that understates ``nvalues`` must not leave a few
-    # lanes to walk the whole stream: expect at most 16 bits a symbol.
-    expected = max(nvalues, total_bits >> 4)
-    per_lane = min(max(math.isqrt(expected >> 5), _LANE_SYMBOLS_MIN), _LANE_SYMBOLS_MAX)
-    span = -(-total_bits // (max(1, expected // per_lane) * gcd)) * gcd
-    warm = -(-_WARMUP_SYMBOLS * total_bits // (expected * gcd)) * gcd
-    cut = np.arange(0, total_bits, span, dtype=np.int64)
-    end = np.minimum(cut + span, total_bits)
-    nlanes = cut.size
+    # Lanes of equal bit length per stream.  Cuts and warm-up are multiples
+    # of the gcd of the code lengths, or equal- and even-length codes would
+    # never fall into step.  A header that understates ``nvalues`` must not
+    # leave a few lanes to walk the whole stream: expect at most 16 bits a
+    # symbol.
+    warms, cuts, ends = [], [], []
+    for (_, nvalues, total_bits, _), code, bit0 in zip(streams, codes, origin.tolist()):
+        gcd = code[3]
+        expected = max(nvalues, total_bits >> 4)
+        per_lane = min(max(math.isqrt(expected >> 5), _LANE_SYMBOLS_MIN), _LANE_SYMBOLS_MAX)
+        span = -(-total_bits // (max(1, expected // per_lane) * gcd)) * gcd
+        warm = -(-_WARMUP_SYMBOLS * total_bits // (expected * gcd)) * gcd
+        cut = np.arange(0, total_bits, span, dtype=np.int64)
+        warms.append(np.maximum(cut - warm, 0) + bit0)
+        cuts.append(cut + bit0)
+        ends.append(np.minimum(cut + span, total_bits) + bit0)
+    nlanes = np.array([cut.size for cut in cuts])
+    owner = np.repeat(np.arange(nstreams), nlanes)  # each lane's stream
+    head = np.cumsum(nlanes) - nlanes  # each stream's lane 0
+    joined = np.ones(owner.size, dtype=bool)  # a lane of its stream before it
+    joined[head] = False
+    end = np.concatenate(ends)
+    tab = owner << tables[3] if nstreams > 1 else None
+    gave_up = np.zeros(nstreams, dtype=bool)
 
-    first = _step_lanes(stream, tables, np.maximum(cut - warm, 0), cut)[0]
-    exits, counts, recorded = _step_lanes(stream, tables, first, end, record=True)
-    passes = [(np.arange(nlanes), recorded)]
-    final = np.zeros(nlanes, dtype=np.int64)  # the pass holding each lane's symbols
-    bad = np.flatnonzero(exits[:-1] != first[1:]) + 1
+    def out_of_step() -> np.ndarray:
+        bad = np.flatnonzero(exits[:-1] != first[1:]) + 1
+        return bad[joined[bad] & ~gave_up[owner[bad]]]
+
+    first = _run_lanes(words, tables, np.concatenate(warms), np.concatenate(cuts), tab)[0]
+    exits, counts, recorded = _run_lanes(words, tables, first, end, tab, record=True)
+    passes = [(np.arange(owner.size), recorded)]
+    final = np.zeros(owner.size, dtype=np.int64)  # the pass holding each lane's symbols
+    bad = out_of_step()
     # This many lanes out of step after one pass: the code does not synchronise.
-    if bad.size > nlanes // 2:
-        return _decode_scalar(code, nvalues, total_bits, payload)
+    gave_up |= np.bincount(owner[bad], minlength=nstreams) > nlanes // 2
+    bad = bad[~gave_up[owner[bad]]]
     while bad.size:
         if len(passes) > _REPAIR_ROUNDS:
-            return _decode_scalar(code, nvalues, total_bits, payload)
+            gave_up[owner[bad]] = True
+            break
         first[bad] = exits[bad - 1]
-        exits[bad], counts[bad], recorded = _step_lanes(
-            stream, tables, first[bad], end[bad], record=True
+        exits[bad], counts[bad], recorded = _run_lanes(
+            words, tables, first[bad], end[bad], tab if tab is None else tab[bad], record=True
         )
         final[bad] = len(passes)
         passes.append((bad, recorded))
-        bad = np.flatnonzero(exits[:-1] != first[1:]) + 1
+        bad = out_of_step()
 
-    # Every junction agrees, so the lanes' symbols in lane order are the
-    # stream's.  The oracle still owns a stream that runs short, whose last
-    # symbol ends past ``total_bits`` or that shows an invalid pattern.
+    # Every junction of a proved stream agrees, so its lanes' symbols in
+    # lane order are the stream's.  The oracle still owns a stream that
+    # runs short, whose last symbol ends past ``total_bits`` or that shows
+    # an invalid pattern.  Lane j's t-th symbol goes to base[j] + t, what a
+    # later pass superseded past the end: one scatter per recorded
+    # iteration.
     total = int(counts.sum())
-    if total < nvalues or (total == nvalues and int(exits[-1]) > total_bits):
-        return _decode_scalar(code, nvalues, total_bits, payload)
-    # Lane j's t-th symbol goes to base[j] + t, what a later pass superseded
-    # past the end: one scatter per recorded iteration.
     base = np.cumsum(counts) - counts
     out = np.empty(total + max(len(rec) for _, rec in passes), dtype=np.int64)
     for number, (which, recorded) in enumerate(passes):
         dest = np.where(final[which] == number, base[which], total)
         for step, (entry, lanes) in enumerate(recorded):
             out[dest[lanes] + step] = entry
-    out = out[:nvalues]
     out >>= 6
-    if int(out.min()) < 0:
-        return _decode_scalar(code, nvalues, total_bits, payload)
-    return out
+    held = np.add.reduceat(counts, head).tolist()
+    last_exit = exits[head + nlanes - 1].tolist()
+    first_symbol = base[head].tolist()
+    results: list[np.ndarray | None] = []
+    for s, (_, nvalues, total_bits, _) in enumerate(streams):
+        symbols = out[first_symbol[s] : first_symbol[s] + nvalues]
+        proved = not (
+            gave_up[s]
+            or held[s] < nvalues
+            or (held[s] == nvalues and last_exit[s] > int(origin[s]) + total_bits)
+            or int(symbols.min()) < 0
+        )
+        results.append(symbols if proved else None)
+    return results
 
 
 #: Below this many values there are too few lanes to pay for their warm-up;
@@ -537,22 +666,46 @@ def _decode_vectorized(
 _VECTOR_MIN_VALUES = 1024
 
 
-def huffman_decode(blob: bytes) -> tuple[np.ndarray, int]:
-    """Decode a blob produced by :func:`huffman_encode`.
+def huffman_decode_many(blobs: Sequence[bytes]) -> list[tuple[np.ndarray, int]]:
+    """Decode blobs produced by :func:`huffman_encode`, in one lane pass.
 
-    Returns ``(symbols, bytes_consumed)`` so callers can embed the blob in a
-    larger container.  Streams of ``_VECTOR_MIN_VALUES`` symbols or more are
-    decoded in lanes (:func:`_decode_vectorized`), whose junction proof
-    either closes or hands the stream to the scalar loop; tiny streams take
+    Returns ``(symbols, bytes_consumed)`` per blob, in order, so callers can
+    embed each blob in a larger container.  Streams of ``_VECTOR_MIN_VALUES``
+    symbols or more are decoded together in lanes (more than
+    ``_BATCH_VALUES`` of them in a few passes), whose junction proof either
+    closes or hands that one stream to the scalar loop; tiny streams take
     the scalar loop directly.  The two are pinned to identical output, and
     to identical errors on damaged streams, by the differential test suite.
     """
-    code, nvalues, total_bits, payload, consumed = _parse_stream(blob)
-    if nvalues == 0:
-        return np.empty(0, dtype=np.int64), consumed
-    if nvalues < _VECTOR_MIN_VALUES:
-        return _decode_scalar(code, nvalues, total_bits, payload), consumed
-    return _decode_vectorized(code, nvalues, total_bits, payload), consumed
+    parsed = [_parse_stream(blob) for blob in blobs]
+    symbols: list = [None] * len(parsed)
+    batches: list[list[int]] = []
+    load = 0
+    for k, (code, nvalues, total_bits, payload, _) in enumerate(parsed):
+        if nvalues == 0:
+            symbols[k] = np.empty(0, dtype=np.int64)
+        elif nvalues < _VECTOR_MIN_VALUES:
+            symbols[k] = _decode_scalar(code, nvalues, total_bits, payload)
+        else:
+            weight = max(nvalues, 1 << _SINGLE_LEVEL_BITS)
+            if not batches or load + weight > _BATCH_VALUES:
+                batches.append([])
+                load = 0
+            batches[-1].append(k)
+            load += weight
+    for batch in batches:
+        for k, out in zip(batch, _decode_lanes([parsed[k][:4] for k in batch])):
+            symbols[k] = out
+    return [(out, stream[4]) for out, stream in zip(symbols, parsed)]
+
+
+def huffman_decode(blob: bytes) -> tuple[np.ndarray, int]:
+    """Decode a blob produced by :func:`huffman_encode`: a batch of one.
+
+    Returns ``(symbols, bytes_consumed)`` so callers can embed the blob in a
+    larger container.
+    """
+    return huffman_decode_many([blob])[0]
 
 
 def huffman_decode_scalar(blob: bytes) -> tuple[np.ndarray, int]:

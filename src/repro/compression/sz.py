@@ -33,12 +33,13 @@ and parameters without decompressing, which the benchmark harness uses.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.compression.codec import Codec, register_codec
-from repro.compression.huffman import huffman_decode, huffman_encode
+from repro.compression.huffman import huffman_decode_many, huffman_encode
 from repro.compression.lossless import lossless_compress, lossless_decompress
 from repro.compression.predictors import LorenzoPredictor, lorenzo_inverse
 from repro.compression.quantizer import LinearQuantizer, QuantizerSpec
@@ -173,10 +174,29 @@ class SZCompressor(Codec):
 
     def decompress(self, stream: bytes) -> np.ndarray:
         """Reconstruct the array from a stream built by :meth:`compress`."""
-        info, body_off = _parse_header(stream)
-        wrapped = stream[body_off : body_off + info.body_nbytes]
-        body, _ = lossless_decompress(wrapped)
-        symbols, consumed = huffman_decode(body)
+        return self.decompress_many([stream])[0]
+
+    def decompress_many(self, streams: Sequence[bytes]) -> list[np.ndarray]:
+        """Reconstruct several streams: every Huffman stage in one
+        :func:`huffman_decode_many` call (one lane pass), the stages around
+        it stream by stream."""
+        infos, bodies = [], []
+        for stream in streams:
+            info, body_off = _parse_header(stream)
+            infos.append(info)
+            bodies.append(lossless_decompress(stream[body_off : body_off + info.body_nbytes])[0])
+        decoded = huffman_decode_many(bodies)
+        return [
+            self._rebuild(info, body, symbols, consumed)
+            for info, body, (symbols, consumed) in zip(infos, bodies, decoded)
+        ]
+
+    # -- internals ----------------------------------------------------------
+
+    def _rebuild(
+        self, info: SZStreamInfo, body: bytes, symbols: np.ndarray, consumed: int
+    ) -> np.ndarray:
+        """Outliers, Lorenzo inverse and dequantization of one decoded stream."""
         if symbols.size != info.n_values:
             raise CorruptStreamError("decoded symbol count mismatch")
         outlier_blob = body[consumed : consumed + 8 * info.n_outliers]
@@ -190,8 +210,6 @@ class SZCompressor(Codec):
         )
         recon = LinearQuantizer(info.requested_bound, info.mode).dequantize(q, spec)
         return recon.astype(info.dtype, copy=False)
-
-    # -- internals ----------------------------------------------------------
 
     def _symbolize(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map deltas to symbols; escape out-of-range deltas.

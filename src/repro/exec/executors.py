@@ -50,6 +50,8 @@ class Executor(ABC):
 
     #: registry name ("serial" / "thread").
     name: str = "abstract"
+    #: cells ``map_cells`` may run at once.
+    max_workers: int = 1
 
     @property
     def parallel(self) -> bool:

@@ -393,11 +393,13 @@ class Dataset:
         """Decoded (read-only) arrays for ``indexes``, in order — the one
         route every declared read takes.
 
-        Cache hits are collected up front; the misses decode through
-        ``executor.map_cells`` when that fans out from this thread, inline
-        (one payload in memory at a time) otherwise.  The slot/overflow
-        ``pread`` calls stay on the calling thread: positioned reads are
-        cheap and thread-safe, decode is the CPU-bound part.
+        Cache hits are collected up front.  The misses' slot/overflow
+        ``pread`` calls run on the calling thread (positioned reads are
+        cheap and thread-safe), so every payload of the read is in memory
+        at once, and they decode together through
+        :meth:`FilterPipeline.invert_many`: SZ steps the lanes of the whole
+        read in one pass.  When ``executor.map_cells`` fans out from this
+        thread, the misses split into one contiguous batch per worker.
         """
         cache = get_cache()
         results: dict[int, np.ndarray] = {}
@@ -413,19 +415,21 @@ class Dataset:
             if not self.filters.has_array_filter:
                 raise HDF5Error("declared dataset has no array filter to decode with")
             dtype_str = dtype_tag(self.dtype)
-
-            def decode(item: tuple) -> np.ndarray:
-                payload, shape = item
-                return self.filters.invert(payload, shape, dtype_str)
-
-            items = (
-                (self.read_partition(i), self._partition_shape(self.partition(i)))
-                for i in misses
-            )
-            if executor is not None and executor.cells_parallel_here:
-                decoded = executor.map_cells(decode, items)
-            else:
-                decoded = map(decode, items)
+            payloads = [self.read_partition(i) for i in misses]
+            shapes = [self._partition_shape(self.partition(i)) for i in misses]
+            parallel = executor is not None and executor.cells_parallel_here
+            nbatch = min(executor.max_workers if parallel else 1, len(misses))
+            cuts = [len(misses) * b // nbatch for b in range(nbatch + 1)]
+            batches = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+            run = executor.map_cells if nbatch > 1 else map
+            decoded = [
+                data
+                for batch in run(
+                    lambda cut: self.filters.invert_many(payloads[cut], shapes[cut], dtype_str),
+                    batches,
+                )
+                for data in batch
+            ]
             for i, data in zip(misses, decoded):
                 self.file.read_stats.record_decode(data.nbytes)
                 results[i] = cache.put(self._cache_key(i), data)

@@ -5,7 +5,8 @@ identified by numeric ids; H5Z-SZ registers SZ under id 32017 and H5Z-ZFP
 uses 32013 — we keep the same ids so configurations read naturally.
 
 A :class:`FilterPipeline` is an ordered list of :class:`FilterSpec`; apply
-runs front-to-back on write, invert runs back-to-front on read.  Array
+runs front-to-back on write, invert_many back-to-front on read, over a
+batch of chunks at once.  Array
 filters (SZ/ZFP) must be first in the pipeline since they consume the
 ndarray; byte filters (shuffle/deflate) operate on the byte stream after.
 """
@@ -13,6 +14,7 @@ ndarray; byte filters (shuffle/deflate) operate on the byte stream after.
 from __future__ import annotations
 
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -67,7 +69,12 @@ _REGISTRY: dict[int, _FilterImpl] = {}
 def register_filter(
     filter_id: int, name: str, kind: str, apply: Callable, invert: Callable
 ) -> None:
-    """Register a filter implementation under a numeric id."""
+    """Register a filter implementation under a numeric id.
+
+    A byte filter inverts one payload, ``invert(payload, options)``; an
+    array filter inverts a batch, ``invert(payloads, options)`` returning
+    one array per payload, so a codec can share work across a read.
+    """
     if kind not in ("array", "bytes"):
         raise FilterError("kind must be 'array' or 'bytes'")
     _REGISTRY[filter_id] = _FilterImpl(name, kind, apply, invert)
@@ -120,9 +127,8 @@ def _sz_apply(data: np.ndarray, options: dict) -> bytes:
     return codec.compress(data)
 
 
-def _sz_invert(payload: bytes, options: dict) -> np.ndarray:
-    codec = get_codec("sz", **options)
-    return codec.decompress(payload)
+def _sz_invert(payloads: list[bytes], options: dict) -> list[np.ndarray]:
+    return get_codec("sz", **options).decompress_many(payloads)
 
 
 def _zfp_apply(data: np.ndarray, options: dict) -> bytes:
@@ -130,9 +136,8 @@ def _zfp_apply(data: np.ndarray, options: dict) -> bytes:
     return codec.compress(data)
 
 
-def _zfp_invert(payload: bytes, options: dict) -> np.ndarray:
-    codec = get_codec("zfp", **options)
-    return codec.decompress(payload)
+def _zfp_invert(payloads: list[bytes], options: dict) -> list[np.ndarray]:
+    return get_codec("zfp", **options).decompress_many(payloads)
 
 
 register_filter(FILTER_DEFLATE, "deflate", "bytes", _deflate_apply, _deflate_invert)
@@ -185,32 +190,45 @@ class FilterPipeline:
             payload = _lookup(spec.filter_id).apply(payload, spec.options)
         return payload
 
-    def invert(
-        self, payload: bytes, shape: tuple[int, ...] | None, dtype_str: str
-    ) -> np.ndarray:
-        """Run the pipeline backward: stored chunk bytes -> ndarray.
+    def invert_many(
+        self,
+        payloads: Sequence[bytes],
+        shapes: Sequence[tuple[int, ...] | None],
+        dtype_str: str,
+    ) -> list[np.ndarray]:
+        """Run the pipeline backward over stored chunks: bytes -> ndarrays.
 
-        ``shape=None`` skips the shape cross-check and trusts the array
-        filter's self-describing stream (used when a declared partition
-        carries no region metadata); byte-only pipelines always need the
-        shape to reconstruct the array.
+        The byte filters undo each payload on its own; the array filter
+        takes them all in one call (SZ decodes their Huffman stages in one
+        lane pass).  A ``None`` shape skips that chunk's cross-check and
+        trusts the array filter's self-describing stream (used when a
+        declared partition carries no region metadata); byte-only
+        pipelines always need the shape to reconstruct the array.
         """
         specs = list(self.specs)
         array_spec = specs.pop(0) if self.has_array_filter else None
         for spec in reversed(specs):
-            payload = _lookup(spec.filter_id).invert(payload, spec.options)
+            impl = _lookup(spec.filter_id)
+            payloads = [impl.invert(payload, spec.options) for payload in payloads]
         if array_spec is not None:
-            data = _lookup(array_spec.filter_id).invert(payload, array_spec.options)
-            if shape is not None and tuple(data.shape) != tuple(shape):
-                raise FilterError("array filter returned wrong shape")
-            return data
-        if shape is None:
-            raise FilterError("byte-only pipeline cannot infer the array shape")
+            arrays = list(_lookup(array_spec.filter_id).invert(payloads, array_spec.options))
+            if len(arrays) != len(payloads):
+                raise FilterError(
+                    f"array filter returned {len(arrays)} arrays for {len(payloads)} payloads"
+                )
+            for data, shape in zip(arrays, shapes):
+                if shape is not None and tuple(data.shape) != tuple(shape):
+                    raise FilterError("array filter returned wrong shape")
+            return arrays
         dt = dtype_from_tag(dtype_str)
-        expected = int(np.prod(shape)) * dt.itemsize
-        if len(payload) != expected:
-            raise FilterError("chunk byte length mismatch")
-        return np.frombuffer(payload, dtype=dt).reshape(shape).copy()
+        arrays = []
+        for payload, shape in zip(payloads, shapes):
+            if shape is None:
+                raise FilterError("byte-only pipeline cannot infer the array shape")
+            if len(payload) != int(np.prod(shape)) * dt.itemsize:
+                raise FilterError("chunk byte length mismatch")
+            arrays.append(np.frombuffer(payload, dtype=dt).reshape(shape).copy())
+        return arrays
 
     def to_json(self) -> list:
         """Footer representation."""

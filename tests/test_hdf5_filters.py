@@ -33,7 +33,7 @@ class TestFilterPipeline:
         # Quantized data deflates well; raw float noise would not.
         data = np.round(make_smooth_field((32, 32), noise=0.0), 2).astype(np.float32)
         payload = pipe.apply(data)
-        out = pipe.invert(payload, data.shape, "<f4")
+        out = pipe.invert_many([payload], [data.shape], "<f4")[0]
         assert np.array_equal(out, data)
         assert len(payload) < data.nbytes
 
@@ -42,13 +42,13 @@ class TestFilterPipeline:
             (FilterSpec(FILTER_SHUFFLE, {"itemsize": 4}), FilterSpec(FILTER_DEFLATE, {}))
         )
         data = make_smooth_field((16, 16))
-        out = pipe.invert(pipe.apply(data), data.shape, "<f4")
+        out = pipe.invert_many([pipe.apply(data)], [data.shape], "<f4")[0]
         assert np.array_equal(out, data)
 
     def test_sz_filter_bound(self):
         pipe = FilterPipeline((FilterSpec(FILTER_SZ, {"bound": 1e-3, "mode": "abs"}),))
         data = make_smooth_field((12, 12, 12))
-        out = pipe.invert(pipe.apply(data), data.shape, "<f4")
+        out = pipe.invert_many([pipe.apply(data)], [data.shape], "<f4")[0]
         assert np.max(np.abs(out - data)) <= 1e-3
 
     def test_sz_then_deflate(self):
@@ -56,13 +56,13 @@ class TestFilterPipeline:
             (FilterSpec(FILTER_SZ, {"bound": 1e-3, "mode": "abs"}), FilterSpec(FILTER_DEFLATE, {}))
         )
         data = make_smooth_field((12, 12, 12))
-        out = pipe.invert(pipe.apply(data), data.shape, "<f4")
+        out = pipe.invert_many([pipe.apply(data)], [data.shape], "<f4")[0]
         assert np.max(np.abs(out - data)) <= 1e-3
 
     def test_zfp_filter(self):
         pipe = FilterPipeline((FilterSpec(FILTER_ZFP, {"rate": 16}),))
         data = make_smooth_field((8, 8), dtype=np.float64)
-        out = pipe.invert(pipe.apply(data), data.shape, "<f8")
+        out = pipe.invert_many([pipe.apply(data)], [data.shape], "<f8")[0]
         assert out.shape == data.shape
 
     def test_array_filter_must_be_first(self):
@@ -80,13 +80,24 @@ class TestFilterPipeline:
         data = np.arange(6, dtype=np.float32).reshape(2, 3)
         payload = pipe.apply(data)
         assert payload == data.tobytes()
-        out = pipe.invert(payload, (2, 3), "<f4")
+        out = pipe.invert_many([payload], [(2, 3)], "<f4")[0]
         assert np.array_equal(out, data)
 
     def test_invert_length_mismatch(self):
         pipe = FilterPipeline()
         with pytest.raises(FilterError):
-            pipe.invert(b"\x00" * 7, (2,), "<f4")
+            pipe.invert_many([b"\x00" * 7], [(2,)], "<f4")
+
+    def test_array_filter_must_return_one_array_per_payload(self, monkeypatch):
+        from repro.hdf5 import filters, register_filter
+
+        monkeypatch.setattr(filters, "_REGISTRY", dict(filters._REGISTRY))
+        sz = filters._REGISTRY[FILTER_SZ]
+        register_filter(65001, "sz_short", "array", sz.apply, lambda p, o: sz.invert(p, o)[1:])
+        pipe = FilterPipeline((FilterSpec(65001, {"bound": 1e-3, "mode": "abs"}),))
+        data = make_smooth_field((12, 12, 12))
+        with pytest.raises(FilterError, match="returned 1 arrays for 2 payloads"):
+            pipe.invert_many([pipe.apply(data)] * 2, [data.shape] * 2, "<f4")
 
     def test_json_roundtrip(self):
         pipe = FilterPipeline(

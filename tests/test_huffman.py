@@ -11,19 +11,21 @@ from repro.compression.huffman import (
     MAX_CODE_LEN,
     TABLE_BITS,
     HuffmanCode,
+    _canonical_codes,
+    _decode_lanes,
     _decode_scalar,
-    _decode_vectorized,
     _parse_stream,
+    _read_header,
     build_code,
-    deserialize_code,
     huffman_decode,
+    huffman_decode_many,
     huffman_decode_scalar,
     huffman_encode,
     serialize_code,
 )
 from repro.errors import CorruptStreamError
 
-from helpers import golden_field, reference_build_code
+from helpers import golden_field, make_smooth_field, reference_build_code
 
 
 class TestBuildCode:
@@ -201,7 +203,7 @@ class TestCorruptLengthTable:
         ],
     )
     def test_what_the_encoder_emits_is_accepted(self, lengths):
-        code, nvalues, _ = deserialize_code(_blob_with_lengths(lengths))
+        code, nvalues, _ = _read_header(_blob_with_lengths(lengths))
         assert code.lengths.tolist() == lengths and nvalues == 4
 
 
@@ -209,22 +211,22 @@ class TestSerialization:
     def test_roundtrip(self):
         code = build_code(np.array([7, 1, 0, 3, 3]))
         blob = serialize_code(code, 14)
-        restored, nvalues, consumed = deserialize_code(blob + b"extra")
+        restored, nvalues, consumed = _read_header(blob + b"extra")
         assert nvalues == 14
         assert consumed == len(blob)
         assert np.array_equal(restored.lengths, code.lengths)
-        assert np.array_equal(restored.codes, code.codes)
+        assert np.array_equal(_canonical_codes(restored.lengths), code.codes)
 
     def test_truncated_header_rejected(self):
         with pytest.raises(CorruptStreamError):
-            deserialize_code(b"HU")
+            _read_header(b"HU")
 
     def test_bad_magic_rejected(self):
         code = build_code(np.array([1, 1]))
         blob = bytearray(serialize_code(code, 2))
         blob[0] = ord("X")
         with pytest.raises(CorruptStreamError):
-            deserialize_code(bytes(blob))
+            _read_header(bytes(blob))
 
 
 class TestEncodeDecode:
@@ -335,6 +337,12 @@ def _encode_with_code(code, symbols: np.ndarray) -> bytes:
     return head + struct.pack("<Q", total_bits) + payload
 
 
+def _lane_decode(code, nvalues, total_bits, payload):
+    """The lane decoder on one stream, a batch of one, without the public
+    entry point's routing of tiny streams to the scalar loop."""
+    return _decode_lanes([(code, nvalues, total_bits, payload)])[0]
+
+
 class TestDifferentialVsScalarOracle:
     """Pin the vectorized decoder byte-for-byte to the scalar oracle.
 
@@ -358,7 +366,7 @@ class TestDifferentialVsScalarOracle:
         code, nvalues, total_bits, payload, _ = _parse_stream(blob)
         if nvalues:
             assert np.array_equal(
-                _decode_vectorized(code, nvalues, total_bits, payload), symbols
+                _lane_decode(code, nvalues, total_bits, payload), symbols
             )
 
     @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.5, 40.0))
@@ -458,7 +466,7 @@ class TestDifferentialVsScalarOracle:
         short = payload[:cut]
         bits = cut * 8
         outcomes = []
-        for decode in (_decode_scalar, _decode_vectorized):
+        for decode in (_decode_scalar, _lane_decode):
             try:
                 out = decode(code, nvalues, min(total_bits, bits), short)
                 outcomes.append(("ok", out.tobytes()))
@@ -631,7 +639,7 @@ class TestLaneDecoderAtScale:
         args = (code, nvalues, min(total_bits, cut * 8), payload[:cut])
         outcome = _outcome(_decode_scalar, *args)
         assert outcome[0] == "error"
-        assert _outcome(_decode_vectorized, *args) == outcome
+        assert _outcome(_lane_decode, *args) == outcome
 
     @pytest.mark.parametrize("name", ["factor2", "near_constant", "wide_alphabet"])
     def test_bit_flip_same_outcome_both_decoders(self, name):
@@ -640,7 +648,7 @@ class TestLaneDecoderAtScale:
         bit = int(np.random.default_rng(len(name)).integers(0, total_bits))
         damaged[bit >> 3] ^= 1 << (bit & 7)
         args = (code, nvalues, total_bits, bytes(damaged))
-        assert _outcome(_decode_vectorized, *args) == _outcome(_decode_scalar, *args)
+        assert _outcome(_lane_decode, *args) == _outcome(_decode_scalar, *args)
 
     def test_bits_shaved_off_the_end_same_outcome(self):
         # The last symbol now ends past total_bits.
@@ -649,18 +657,101 @@ class TestLaneDecoderAtScale:
         args = (code, nvalues, total_bits - 3, payload)
         outcome = _outcome(_decode_scalar, *args)
         assert outcome == ("error", "bitstream exhausted")
-        assert _outcome(_decode_vectorized, *args) == outcome
+        assert _outcome(_lane_decode, *args) == outcome
 
     def test_symbol_missing_from_the_table_same_outcome(self):
         # An incomplete code: the stream now holds a pattern no code spells.
         code, nvalues, total_bits, payload, _ = _parse_stream(_lane_stream("factor2", self.N)[2])
         lengths = code.lengths.copy()
         lengths[5] = 0
-        holed = deserialize_code(_blob_with_lengths(lengths))[0]
+        holed = _read_header(_blob_with_lengths(lengths))[0]
         args = (holed, nvalues, total_bits, payload)
         outcome = _outcome(_decode_scalar, *args)
         assert outcome[0] == "error"
-        assert _outcome(_decode_vectorized, *args) == outcome
+        assert _outcome(_lane_decode, *args) == outcome
+
+
+#: Unlike streams side by side: 17-bit codes (the tagged second level), equal
+#: lengths, factor-2 lengths, a long run the oracle ends up decoding, a
+#: stream short enough for the scalar loop and an empty one.
+_MIXED_BATCH = (
+    ("wide_alphabet", 1 << 17),
+    ("uniform256", 1 << 13),
+    ("factor2", 1 << 13),
+    (_LONG_RUN, 1 << 13),
+    ("uniform4", 600),
+    ("uniform2", 0),
+)
+
+
+def _damaged(blob: bytes, damage: str) -> bytes:
+    """``blob`` cut short, with a present symbol's code dropped from its table
+    (an invalid pattern mid-stream), or with its bit count lowered so the
+    last symbol ends past it."""
+    nsyms = int.from_bytes(blob[5:9], "little")
+    if damage == "truncated":
+        return blob[:-8]
+    if damage == "hole":
+        at = 17 + int(np.flatnonzero(np.frombuffer(blob, np.uint8, nsyms, 17))[-1])
+        return blob[:at] + b"\x00" + blob[at + 1 :]
+    at = 17 + nsyms
+    total_bits = int.from_bytes(blob[at : at + 8], "little")
+    return blob[:at] + (total_bits - 3).to_bytes(8, "little") + blob[at + 8 :]
+
+
+class TestBatchedDecoder:
+    """``huffman_decode_many`` holds each stream of a batch to the oracle,
+    whatever else shares the batch."""
+
+    def test_mixed_batch_equals_the_oracle_in_any_order(self):
+        blobs = {key: _lane_stream(*key)[2] for key in _MIXED_BATCH}
+        # What the oracle returns for these streams is the encoder's input
+        # (``TestLaneDecoderAtScale`` pins the two together), which costs no
+        # half-second oracle run over the wide stream.  Every stream at
+        # every position, and every neighbour on both sides.
+        n = len(_MIXED_BATCH)
+        orders = [_MIXED_BATCH[i:] + _MIXED_BATCH[:i] for i in range(n)]
+        for order in orders + [_MIXED_BATCH[::-1]]:
+            decoded = huffman_decode_many([blobs[key] for key in order])
+            for key, (out, consumed) in zip(order, decoded):
+                assert consumed == len(blobs[key])
+                assert out.dtype == np.int64 and np.array_equal(out, _lane_stream(*key)[0]), key
+
+    def test_a_batch_past_the_pass_limit_splits_into_passes(self, monkeypatch):
+        # Every stream weighs at least 2**16, so 17 of them are past
+        # ``_BATCH_VALUES``: the call decodes in two lane passes, the first
+        # on the tagged second level for the wide one's long codes, and
+        # gathers them in order.
+        from repro.compression import huffman
+
+        small = [(_LANE_CLASSES[i % len(_LANE_CLASSES)], 1 << 13) for i in range(16)]
+        keys = small[:8] + [_MIXED_BATCH[0]] + small[8:]
+        blobs = [_lane_stream(*key)[2] for key in keys]
+        assert _parse_stream(blobs[8])[0].max_length > huffman._SINGLE_LEVEL_BITS
+        lane_pass, loads = huffman._lane_pass, []
+
+        def counted(streams, codes):
+            loads.append(sum(max(s[1], 1 << huffman._SINGLE_LEVEL_BITS) for s in streams))
+            return lane_pass(streams, codes)
+
+        monkeypatch.setattr(huffman, "_lane_pass", counted)
+        decoded = huffman_decode_many(blobs)
+        assert loads == [huffman._BATCH_VALUES, 1 << 17]
+        # What the oracle returns for these streams is the encoder's input.
+        for key, blob, (out, consumed) in zip(keys, blobs, decoded):
+            assert consumed == len(blob)
+            assert out.dtype == np.int64 and np.array_equal(out, _lane_stream(*key)[0]), key
+
+    @pytest.mark.parametrize("damage", ["truncated", "hole", "shaved"])
+    def test_a_damaged_stream_raises_its_own_error_at_any_position(self, damage):
+        good = [_lane_stream(*key)[2] for key in _MIXED_BATCH]
+        bad = _damaged(_lane_stream("factor2", 1 << 13)[2], damage)
+        with pytest.raises(CorruptStreamError) as alone:
+            huffman_decode(bad)
+        for k in range(len(good) + 1):
+            with pytest.raises(CorruptStreamError) as batched:
+                huffman_decode_many(good[:k] + [bad] + good[k:])
+            assert str(batched.value) == str(alone.value)
 
 
 class TestFastPathIsThePath:
@@ -678,7 +769,7 @@ class TestFastPathIsThePath:
         symbols, _, blob = _lane_stream(name, 1 << 16)
         code, nvalues, total_bits, payload, _ = _parse_stream(blob)
         self._forbid_oracle(monkeypatch)
-        assert np.array_equal(_decode_vectorized(code, nvalues, total_bits, payload), symbols)
+        assert np.array_equal(_lane_decode(code, nvalues, total_bits, payload), symbols)
 
     @pytest.mark.parametrize("edge", [16, 32, 64])
     def test_golden_fields_decode_without_the_oracle(self, edge, monkeypatch):
@@ -711,24 +802,65 @@ class TestFastPathIsThePath:
 
         symbols, _, blob = _lane_stream("wide_alphabet", 1 << 16)
         code, nvalues, total_bits, payload, _ = _parse_stream(blob)
-        step_lanes = huffman._step_lanes
+        run_lanes = huffman._run_lanes
 
-        def skewed(stream, tables, pos, end, record=False):
-            exits, counts, recorded = step_lanes(stream, tables, pos, end, record)
+        def skewed(words, tables, pos, end, tab, record=False):
+            exits, counts, recorded = run_lanes(words, tables, pos, end, tab, record)
             if not record:
                 exits[1:] += 1
             return exits, counts, recorded
 
-        monkeypatch.setattr(huffman, "_step_lanes", skewed)
+        monkeypatch.setattr(huffman, "_run_lanes", skewed)
         calls = self._count_oracle_calls(monkeypatch)
-        out = _decode_vectorized(code, nvalues, total_bits, payload)
+        out = _lane_decode(code, nvalues, total_bits, payload)
         assert len(calls) == 1
         assert np.array_equal(out, symbols)
+
+    def test_read_batch_is_one_lane_pass(self, tmp_path, monkeypatch):
+        # The benchmark's own partition: four 8,192-value SZ partitions of
+        # unlike fields, written through the facade and read back whole, take
+        # one warm-up, one main pass and the repair rounds once for the read.
+        import repro
+        from repro.cache import get_cache
+        from repro.compression import huffman
+
+        block = (16, 16, 32)
+        mixed = make_smooth_field(block, noise=0.0)
+        mixed[4:8, 4:8] += np.random.default_rng(26).normal(0, 0.5, (4, 4, 32)).astype(np.float32)
+        kinds = [
+            make_smooth_field(block, noise=0.0),
+            make_smooth_field(block, noise=0.01, seed=1),
+            make_smooth_field(block, noise=0.1, seed=2),
+            mixed,
+        ]
+        halves = (slice(0, 16), slice(16, 32))
+        regions = [(a, b, slice(0, 32)) for a in halves for b in halves]
+        path = str(tmp_path / "kinds.phd5")
+        with repro.open(path, "w", nranks=4) as f:
+            ds = f.create_dataset("kinds", (32, 32, 32), np.float32, error_bound=1e-3)
+            for region, data in zip(regions, kinds):
+                ds[region] = data
+        get_cache().clear()
+        run_lanes, passes = huffman._run_lanes, []
+
+        def counted(words, tables, pos, end, tab, record=False):
+            passes.append((record, np.unique(tab).size))
+            return run_lanes(words, tables, pos, end, tab, record)
+
+        monkeypatch.setattr(huffman, "_run_lanes", counted)
+        self._forbid_oracle(monkeypatch)
+        with repro.open(path) as f:
+            out = f["kinds"][...]
+        for region, data in zip(regions, kinds):
+            assert np.abs(out[region] - data).max() <= 1e-3 + 1e-6
+        assert passes[:2] == [(False, 4), (True, 4)]  # lanes of all four partitions
+        assert all(record for record, _ in passes[2:])
+        assert len(passes) - 2 <= huffman._REPAIR_ROUNDS
 
     def test_repair_rounds_run_out_on_a_long_run(self, monkeypatch):
         symbols, _, blob = _lane_stream(_LONG_RUN, 1 << 16)
         code, nvalues, total_bits, payload, _ = _parse_stream(blob)
         calls = self._count_oracle_calls(monkeypatch)
-        out = _decode_vectorized(code, nvalues, total_bits, payload)
+        out = _lane_decode(code, nvalues, total_bits, payload)
         assert len(calls) == 1
         assert np.array_equal(out, symbols)

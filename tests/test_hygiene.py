@@ -12,7 +12,8 @@ still has to be read, kept importable and refactored around.  Two guards
 fail the suite when a module under ``src/repro`` loses its last importer,
 or a public function or class its last mention outside ``tests/``.  A
 third fails it when a second collective write path appears beside
-``RealDriver.write``.
+``RealDriver.write``, a fourth when a second read route appears beside
+``Dataset._partition_arrays``.
 
 Committed evidence is the third form: ``results/`` tracks only the small
 digest tables, never the reports they were computed from.
@@ -224,6 +225,32 @@ def test_one_collective_write():
                 if not in_write:
                     stray.append(f"{rel}::{scope or '<module>'} calls RealDriver.run")
     assert not stray, f"a second collective write path — route it through {write}: {stray}"
+
+
+def test_one_read_route():
+    """README's "one read route", checked: ``FilterPipeline.invert_many`` is
+    called only by ``hdf5.Dataset._partition_arrays``, and
+    ``huffman_decode_many`` only by ``compression/sz.py`` and by
+    ``huffman_decode`` — a second decode loop anywhere else fails it."""
+    allowed = {
+        "invert_many": [("hdf5/dataset.py", "Dataset._partition_arrays")],
+        "huffman_decode_many": [
+            ("compression/sz.py", ""),
+            ("compression/huffman.py", "huffman_decode"),
+        ],
+    }
+    stray = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        rel = path.relative_to(SRC / "repro").as_posix()
+        for scope, call in _calls_with_scope(path):
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in allowed and not any(
+                rel == where and (scope + ".").startswith(owner + "." if owner else "")
+                for where, owner in allowed[name]
+            ):
+                stray.append(f"{rel}::{scope or '<module>'} calls {name}")
+    assert not stray, f"a second read route — decode through Dataset._partition_arrays: {stray}"
 
 
 def test_results_tracks_only_digest_tables():

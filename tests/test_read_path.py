@@ -154,6 +154,30 @@ class TestParallelReads:
             assert stats.partitions_decoded == 8
             assert stats.cache_hits == 8
 
+    def test_time_axis_read_uses_the_files_executor(self, tmp_path, fresh_cache):
+        # ``ds[t]`` decodes through the file's executor, as ``ds[...]`` does.
+        from repro.exec import ThreadPoolExecutor
+
+        class Recording(ThreadPoolExecutor):
+            calls = 0
+
+            def map_cells(self, fn, items):
+                self.calls += 1
+                return super().map_cells(fn, items)
+
+        path = str(tmp_path / "t.phd5")
+        data = make_smooth_field(shape=SHAPE, noise=0.01)
+        with repro.open(path, "w", nranks=4) as f:
+            f.create_dataset(
+                "rho", SHAPE, np.float32, maxshape=(None, *SHAPE), error_bound=BOUND
+            )
+            f.append_step({"rho": data})
+        fresh_cache.clear()
+        with Recording(max_workers=2) as ex, repro.open(path, executor=ex) as f:
+            step = f["rho"][0]
+        assert ex.calls >= 1
+        assert np.abs(step - data).max() <= BOUND * (1 + 1e-6)
+
 
 class TestConcurrentReaders:
     def test_many_threads_shared_handle_byte_identical(self, tmp_path, fresh_cache):

@@ -175,6 +175,34 @@ class TestContainer:
         with pytest.raises(CorruptStreamError):
             codec.decompress(bytes(stream))
 
+    @pytest.mark.parametrize("damage", ["truncated", "table", "count"])
+    def test_damaged_stream_in_a_batch_raises_its_own_error(self, damage):
+        # ``decompress_many`` decodes a batch's Huffman stages in one lane
+        # pass: a damaged stream at any position must fail exactly as alone.
+        codec = SZCompressor(bound=1e-3, mode="abs", lossless="none")
+        good = [
+            codec.compress(make_smooth_field((16, 16, 32), noise=noise, seed=seed))
+            for seed, noise in enumerate((0.0, 0.01, 0.1))
+        ]
+        bad = bytearray(codec.compress(make_smooth_field((16, 16, 32), seed=3)))
+        huf = bad.index(b"HUF1")
+        if damage == "truncated":
+            bad = bad[:-8]
+        elif damage == "table":  # an absent symbol's length over-subscribes the code
+            table = huf + 17  # magic, flags, nsyms, nvalues
+            bad[table + bytes(bad[table : table + 2 * DEFAULT_RADIUS + 1]).index(0)] = 1
+        else:  # a value count the bitstream cannot hold
+            bad[huf + 9 : huf + 17] = (8 * len(bad)).to_bytes(8, "little")
+        bad = bytes(bad)
+        with pytest.raises(CorruptStreamError) as alone:
+            codec.decompress(bad)
+        for k in range(len(good) + 1):
+            with pytest.raises(CorruptStreamError) as batched:
+                codec.decompress_many(good[:k] + [bad] + good[k:])
+            assert str(batched.value) == str(alone.value)
+        recon = codec.decompress_many(good)
+        assert all(np.array_equal(a, codec.decompress(s)) for a, s in zip(recon, good))
+
 
 #: sha256 of ``SZCompressor(1e-3, "abs", lossless="none", **kw).compress``
 #: over ``golden_field(edge, dtype, seed=edge)``, recorded at the commit
