@@ -4,11 +4,11 @@ Integrating Predictive Lossy Compression with HDF5" (SC 2022).
 Top-level convenience re-exports cover the objects most users need; the
 subpackages hold the full system:
 
-* :mod:`repro.compression` — SZ-style error-bounded lossy compressor (+ ZFP).
+* :mod:`repro.compression` — SZ-style error-bounded lossy compressor.
 * :mod:`repro.modeling` — ratio / compression-throughput / write-time models.
 * :mod:`repro.data` — synthetic Nyx / VPIC dataset generators.
-* :mod:`repro.hdf5` — HDF5-like parallel file substrate with filters and an
-  async-VOL layer.
+* :mod:`repro.hdf5` — HDF5-like parallel file substrate with the SZ filter
+  and an async-VOL layer.
 * :mod:`repro.mpi` — thread-backed SPMD runtime (communicators, shared file).
 * :mod:`repro.sim` — discrete-event simulator with Summit/Bebop machine
   profiles for timing experiments at scale.
@@ -22,7 +22,7 @@ subpackages hold the full system:
 
 from repro._version import __version__
 from repro.api import Dataset, File, Group, open
-from repro.compression import SZCompressor, ZFPCompressor
+from repro.compression import SZCompressor
 from repro.core.config import PipelineConfig
 from repro.errors import ReproError
 
@@ -34,6 +34,5 @@ __all__ = [
     "Dataset",
     "PipelineConfig",
     "SZCompressor",
-    "ZFPCompressor",
     "ReproError",
 ]

@@ -33,7 +33,6 @@ from repro.errors import (
     UnwrittenDataError,
 )
 from repro.hdf5.dataset import Dataset as EngineDataset
-from repro.hdf5.filters import FILTER_SZ
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.file import File
@@ -401,8 +400,8 @@ class Dataset:
             engine = self._file._step_engine_dataset(self, 0)
         if engine is None:
             return self.settings.error_bound
-        spec = engine.filters.find(FILTER_SZ)
-        return float(spec.options["bound"]) if spec is not None else None
+        options = engine.filters.sz_options
+        return float(options["bound"]) if options is not None else None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "time-axis " if self.time_axis else ""

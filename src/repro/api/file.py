@@ -55,7 +55,6 @@ from repro.errors import (
 from repro.exec import Executor, resolve_executor
 from repro.hdf5.dataset import Dataset as EngineDataset
 from repro.hdf5.file import File as EngineFile
-from repro.hdf5.filters import FILTER_SZ
 from repro.hdf5.group import Group as EngineGroup
 from repro.hdf5.properties import FileAccessProps
 
@@ -565,10 +564,10 @@ class File(Group):
         bound = attrs.get("repro:error_bound")
         mode = attrs.get("repro:bound_mode", "abs")
         if bound is None:
-            spec = obj.filters.find(FILTER_SZ)
-            if spec is not None:
-                bound = spec.options.get("bound")
-                mode = spec.options.get("mode", "abs")
+            options = obj.filters.sz_options
+            if options is not None:
+                bound = options.get("bound")
+                mode = options.get("mode", "abs")
         strategy = attrs.get("repro:strategy")
         try:
             settings = DatasetSettings(
@@ -662,20 +661,31 @@ class File(Group):
                 ) from None
             return rank_payload(tiles, shape, regions)
 
-        if strategy_name == AUTO:
-            # Price every registered strategy from sampled size predictions
-            # and execute the winner (the cold-write analogue of the
-            # streaming session's per-step re-tuning).
-            tuner = AutoTuner(machine=self.machine, config=cfg, executor=self._executor)
-            strategy_name = tune_payload(
-                tuner, names, split(slabs=False), codecs, name=f"facade:{parent}"
-            ).choice
-        driver = RealDriver(
-            strategy_name, config=cfg, machine_name=self.machine,
-            executor=self._executor,
-        )
-        payload = split(slabs=not driver.strategy.compresses)
-        stats = driver.write(self._engine, payload, shape, codecs, group=parent)
+        linked = {ds._path for ds in dss if ds._path in self._engine}
+        try:
+            if strategy_name == AUTO:
+                # Price every registered strategy from sampled size
+                # predictions and execute the winner (the cold-write
+                # analogue of the streaming session's per-step re-tuning).
+                tuner = AutoTuner(machine=self.machine, config=cfg, executor=self._executor)
+                strategy_name = tune_payload(
+                    tuner, names, split(slabs=False), codecs, name=f"facade:{parent}"
+                ).choice
+            driver = RealDriver(
+                strategy_name, config=cfg, machine_name=self.machine,
+                executor=self._executor,
+            )
+            payload = split(slabs=not driver.strategy.compresses)
+            stats = driver.write(self._engine, payload, shape, codecs, group=parent)
+        except Exception:
+            # A batch lands whole or not at all: drop the declarations it
+            # made and its staging, so close() still finalises what already
+            # landed and the names can be created again.
+            for ds in dss:
+                del self._datasets[ds._path]
+                if ds._path not in linked and ds._path in self._engine:
+                    self._engine[parent].unlink(ds.leaf)
+            raise
         for ds in dss:
             engine_ds = self._engine[ds._path]
             engine_ds.attrs.update(ds._attrs)

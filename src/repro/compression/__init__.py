@@ -16,15 +16,15 @@ prediction-based compression pipeline the paper builds on (SZ/SZ3):
     identity), mirroring SZ's final lossless stage.
 ``sz``
     The full :class:`~repro.compression.sz.SZCompressor` pipeline and its
-    stream container format.
-``zfp``
-    A simplified fixed-rate transform codec standing in for ZFP (listed as
-    future work in the paper; included here as the extension).
+    stream container format — the library's one codec, the one the paper
+    connects to HDF5.
+``codec``
+    :func:`~repro.compression.codec.compress_fields`, the per-field
+    compression fan-out the write drivers run.
 ``metrics``
     Rate/distortion evaluation helpers (:class:`CompressionResult`).
 """
 
-from repro.compression.codec import Codec, get_codec, register_codec
 from repro.compression.huffman import (
     HuffmanCode,
     huffman_decode,
@@ -39,12 +39,8 @@ from repro.compression.predictors import (
 )
 from repro.compression.quantizer import LinearQuantizer
 from repro.compression.sz import SZCompressor, SZStreamInfo, parse_stream_info
-from repro.compression.zfp import ZFPCompressor
 
 __all__ = [
-    "Codec",
-    "get_codec",
-    "register_codec",
     "HuffmanCode",
     "huffman_encode",
     "huffman_decode",
@@ -59,5 +55,4 @@ __all__ = [
     "SZCompressor",
     "SZStreamInfo",
     "parse_stream_info",
-    "ZFPCompressor",
 ]

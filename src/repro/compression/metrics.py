@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.codec import Codec
+from repro.compression.sz import SZCompressor
 from repro.utils.stats import (
     bit_rate,
     compression_ratio,
@@ -62,14 +62,14 @@ class CompressionResult:
 
 
 def evaluate_codec(
-    codec: Codec, data: np.ndarray, check_bound: bool = True
+    codec: SZCompressor, data: np.ndarray, check_bound: bool = True
 ) -> CompressionResult:
     """Round-trip ``data`` through ``codec`` and collect metrics.
 
     When ``check_bound`` is true and the codec advertises a point-wise bound
-    via :meth:`Codec.max_error`, the reconstruction is verified against it
-    (raises ``AssertionError`` on breach — this is a correctness oracle, not
-    an expected runtime failure).
+    via :meth:`SZCompressor.max_error`, the reconstruction is verified
+    against it (raises ``AssertionError`` on breach — this is a correctness
+    oracle, not an expected runtime failure).
     """
     t0 = time.perf_counter()
     stream = codec.compress(data)

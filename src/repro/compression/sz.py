@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.codec import Codec, register_codec
 from repro.compression.huffman import huffman_decode_many, huffman_encode
 from repro.compression.lossless import lossless_compress, lossless_decompress
 from repro.compression.predictors import LorenzoPredictor, lorenzo_inverse
@@ -98,8 +97,7 @@ class SZStreamInfo:
         return 8.0 * self.total_nbytes / self.n_values if self.n_values else 0.0
 
 
-@register_codec("sz")
-class SZCompressor(Codec):
+class SZCompressor:
     """Prediction-based error-bounded lossy compressor (SZ-style).
 
     Parameters

@@ -22,8 +22,7 @@ counts must agree between the two executions of the same strategy.
 Extension point
 ---------------
 New strategies (aggregation, adaptive extra space, restart/append, ...)
-register themselves with the :func:`register_strategy` class decorator —
-mirroring the codec registry in :mod:`repro.compression.codec`::
+register themselves with the :func:`register_strategy` class decorator::
 
     @register_strategy("my-variant")
     class MyStrategy(WriteStrategy):

@@ -51,7 +51,8 @@ class ObjectNotFoundError(HDF5Error, KeyError):
 
 
 class FilterError(HDF5Error):
-    """Raised by the filter pipeline (unknown id, apply/invert failure)."""
+    """Raised for a dataset filter other than SZ, options SZ refuses, or an
+    SZ decode that returns the wrong arrays."""
 
 
 class InvalidStateError(HDF5Error):

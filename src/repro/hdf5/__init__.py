@@ -10,8 +10,8 @@ integration points:
 * :class:`~repro.hdf5.file.File` / :class:`~repro.hdf5.group.Group` /
   :class:`~repro.hdf5.dataset.Dataset` — the familiar object hierarchy with
   attributes and path addressing;
-* :mod:`~repro.hdf5.filters` — a dynamically registered filter pipeline
-  (SZ under its real H5Z id 32017, ZFP under 32013, deflate, shuffle);
+* :mod:`~repro.hdf5.filters` — a declared dataset's one filter, SZ under
+  its real H5Z id 32017 (or none);
 * :mod:`~repro.hdf5.storage` — a shared-file space allocator with explicit
   reservation (the paper's "extra space") and end-of-file append (the
   overflow region);
@@ -27,16 +27,7 @@ from repro.hdf5.async_io import AsyncIOEngine, AsyncRequest, EventSet
 from repro.hdf5.dataset import Dataset
 from repro.hdf5.datatype import dtype_from_tag, dtype_tag
 from repro.hdf5.file import File
-from repro.hdf5.filters import (
-    FILTER_DEFLATE,
-    FILTER_SHUFFLE,
-    FILTER_SZ,
-    FILTER_ZFP,
-    FilterPipeline,
-    FilterSpec,
-    available_filters,
-    register_filter,
-)
+from repro.hdf5.filters import FILTER_SZ, FilterPipeline
 from repro.hdf5.group import Group
 from repro.hdf5.properties import DatasetCreateProps, FileAccessProps
 from repro.hdf5.vol import AsyncVOL, NativeVOL, VOLConnector
@@ -46,13 +37,7 @@ __all__ = [
     "Group",
     "Dataset",
     "FilterPipeline",
-    "FilterSpec",
     "FILTER_SZ",
-    "FILTER_ZFP",
-    "FILTER_DEFLATE",
-    "FILTER_SHUFFLE",
-    "available_filters",
-    "register_filter",
     "dtype_tag",
     "dtype_from_tag",
     "DatasetCreateProps",

@@ -380,7 +380,7 @@ class Dataset:
         )
 
     def read_partition_array(self, index: int) -> np.ndarray:
-        """Decode one partition through the (array) filter pipeline.
+        """Decode one partition through its SZ filter.
 
         Decoded arrays are served **read-only** from the process-wide
         decoded-partition cache (:mod:`repro.cache`); copy before mutating.
@@ -412,9 +412,8 @@ class Dataset:
             else:
                 misses.append(i)
         if misses:
-            if not self.filters.has_array_filter:
-                raise HDF5Error("declared dataset has no array filter to decode with")
-            dtype_str = dtype_tag(self.dtype)
+            if not self.filters:
+                raise HDF5Error("declared dataset has no SZ filter to decode with")
             payloads = [self.read_partition(i) for i in misses]
             shapes = [self._partition_shape(self.partition(i)) for i in misses]
             parallel = executor is not None and executor.cells_parallel_here
@@ -425,7 +424,7 @@ class Dataset:
             decoded = [
                 data
                 for batch in run(
-                    lambda cut: self.filters.invert_many(payloads[cut], shapes[cut], dtype_str),
+                    lambda cut: self.filters.invert_many(payloads[cut], shapes[cut]),
                     batches,
                 )
                 for data in batch

@@ -96,7 +96,11 @@ class File:
         self._async_engine: AsyncIOEngine | None = None
         self._engine_lock = threading.Lock()
         if mode in ("r", "r+"):
-            self._load_footer(self.storage.footer)
+            try:
+                self._load_footer(self.storage.footer)
+            except BaseException:
+                self.storage.close()
+                raise
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import HDF5Error, ObjectExistsError, ObjectNotFoundError
 from repro.hdf5.dataset import Dataset
-from repro.hdf5.filters import FilterPipeline, FilterSpec
+from repro.hdf5.filters import FilterPipeline
 from repro.hdf5.properties import DatasetCreateProps
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,7 +92,7 @@ class Group:
         name = _validate_name(name)
         dcpl = dcpl or DatasetCreateProps()
         chunks = dcpl.chunks
-        pipeline = FilterPipeline(tuple(FilterSpec(fid, opts) for fid, opts in dcpl.filters))
+        pipeline = FilterPipeline(dcpl.filters)
         if chunks is not None and layout == "contiguous":
             raise HDF5Error(
                 "chunks/filters need layout='declared'; contiguous datasets store raw bytes"
@@ -111,6 +111,16 @@ class Group:
             )
             self._links[name] = ds
             return ds
+
+    def unlink(self, name: str) -> None:
+        """Remove the link ``name``; the footer no longer lists the object.
+
+        Space the object reserved in the file stays allocated (unused).
+        """
+        self.file.require_writable()
+        with self._lock:
+            if self._links.pop(name, None) is None:
+                raise ObjectNotFoundError(f"{self._child_path(name)} not found")
 
     # -- navigation -------------------------------------------------------------
 

@@ -36,7 +36,7 @@ class DatasetCreateProps:
 
     #: chunk shape of a filtered (declared) dataset (None = contiguous).
     chunks: tuple[int, ...] | None = None
-    #: filter pipeline entries: list of (filter_id, options dict).
+    #: filter entries, ``((FILTER_SZ, options),)`` or empty (see :mod:`repro.hdf5.filters`).
     filters: tuple[tuple[int, dict], ...] = ()
 
     def __post_init__(self) -> None:

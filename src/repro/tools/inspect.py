@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.hdf5.dataset import Dataset
 from repro.hdf5.file import File
-from repro.hdf5.filters import available_filters
 from repro.hdf5.group import Group
 
 
@@ -46,12 +45,7 @@ def _walk(obj, depth: int = 0, out=None) -> None:
     else:
         ds: Dataset = obj
         extra = f", partitions={ds.n_partitions}" if ds.layout == "declared" else ""
-        filt = ""
-        if ds.filters:
-            names = available_filters()
-            filt = " <- " + "+".join(
-                names.get(s.filter_id, str(s.filter_id)) for s in ds.filters.specs
-            )
+        filt = " <- sz" if ds.filters else ""
         print(
             f"{pad}{ds.path.rsplit('/', 1)[-1]}  "
             f"(dataset {ds.shape} {ds.dtype} {ds.layout}{extra}{filt})",

@@ -2,13 +2,13 @@
 
 The paper's correctness contract is point-wise: every value read back from
 a predictively written file must sit within the configured absolute error
-bound of the original — through the reserved slot, through the overflow
-tail, through every registered codec.  :func:`certify` makes that contract
-checkable: it reads every field of a written file back through the same
-partition metadata a parallel reader uses, compares against the reference
-data, and issues one :class:`FieldCertificate` per field with the bound,
-the measured maximum error, PSNR/NRMSE distortion statistics, and the
-overflow traffic the read path had to reassemble.
+bound of the original — through the reserved slot and through the overflow
+tail.  :func:`certify` makes that contract checkable: it reads every field
+of a written file back through the same partition metadata a parallel
+reader uses, compares against the reference data, and issues one
+:class:`FieldCertificate` per field with the bound, the measured maximum
+error, PSNR/NRMSE distortion statistics, and the overflow traffic the read
+path had to reassemble.
 
 The bound itself is discovered from the *file*: declared datasets
 record their SZ filter options (bound + mode) in the footer, so a
@@ -17,9 +17,9 @@ whatever the caller believes was configured.  Relative-mode bounds are
 resolved per partition from the self-describing stream headers.
 
 :func:`certify_codecs` is the codec-level counterpart: a deterministic
-compress→decompress sweep over every registered codec configuration (SZ
-modes × lossless backends, ZFP rates, the raw lossless backends), so a new
-codec registration is automatically pulled into the certification matrix.
+compress→decompress sweep over SZ's bound modes × lossless backends and the
+raw lossless backends.  Every certificate asserts either a bound or exact
+storage.
 """
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ import numpy as np
 
 from repro.compression.lossless import lossless_compress, lossless_decompress
 from repro.compression.sz import SZCompressor, parse_stream_info
-from repro.compression.zfp import ZFPCompressor
 from repro.errors import ReproError, VerificationError
 from repro.hdf5.dataset import Dataset
 from repro.hdf5.file import File
-from repro.hdf5.filters import FILTER_SZ
 from repro.utils.stats import (
     max_abs_error,
     mse,
@@ -59,8 +57,9 @@ class FieldCertificate:
 
     #: dataset path inside the file, e.g. ``fields/f00`` or ``steps/0003/f01``.
     field: str
-    #: certification mode: ``abs`` (point-wise bound), ``exact`` (bitwise),
-    #: or ``unbounded`` (distortion recorded, nothing asserted).
+    #: certification mode: ``abs`` (point-wise bound) or ``exact`` (bitwise);
+    #: the facade's read-mode structural read-back, which has no reference
+    #: to compare against, says ``unbounded`` (only readability asserted).
     mode: str
     #: the asserted absolute bound (0.0 for exact, NaN for unbounded).
     bound: float
@@ -154,16 +153,12 @@ def declared_bound(dataset: Dataset) -> tuple[str, float]:
     SZ-filtered datasets promise their configured bound; ``abs`` mode is a
     direct absolute bound, ``rel`` resolves per partition from the stream
     headers (the caller passes the streams).  Filterless datasets promise
-    exact storage.  Anything else (e.g. the fixed-rate ZFP stand-in) is
-    recorded as unbounded.
+    exact storage.
     """
-    spec = dataset.filters.find(FILTER_SZ)
-    if spec is not None:
-        mode = str(spec.options.get("mode", "abs"))
-        return mode, float(spec.options.get("bound", float("nan")))
-    if not dataset.filters.has_array_filter:
+    options = dataset.filters.sz_options
+    if options is None:
         return "exact", 0.0
-    return "unbounded", float("nan")
+    return str(options.get("mode", "abs")), float(options.get("bound", float("nan")))
 
 
 def _effective_abs_bound(dataset: Dataset, mode: str, bound: float) -> float:
@@ -232,10 +227,8 @@ def certify_dataset(
             passed = bool(np.array_equal(
                 np.asarray(recon, dtype=reference.dtype), reference
             ))
-        elif mode == "abs":
+        else:
             passed = not violates_bound(reference, recon, bound, rtol=BOUND_RTOL)
-        else:  # unbounded: record distortion, assert only readability
-            passed = True
         return FieldCertificate(
             field=name,
             mode=mode,
@@ -297,7 +290,7 @@ def certify(
 
 
 # ---------------------------------------------------------------------------
-# Codec-level certification (every registered codec, deterministic sweep)
+# Codec-level certification (SZ and the lossless backends, deterministic sweep)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -306,7 +299,7 @@ class CodecCertificate:
 
     codec: str
     params: str
-    mode: str  # "abs" / "exact" / "unbounded"
+    mode: str  # "abs" / "exact"
     bound: float
     max_error: float
     deterministic: bool
@@ -335,7 +328,7 @@ def _codec_test_array(seed: int, dtype: np.dtype, shape=(12, 10, 8)) -> np.ndarr
     return (smooth + 0.05 * rng.normal(0.0, 1.0, shape)).astype(dtype)
 
 
-def _roundtrip(codec, data: np.ndarray) -> tuple[np.ndarray, bool]:
+def _roundtrip(codec: SZCompressor, data: np.ndarray) -> tuple[np.ndarray, bool]:
     """Round-trip plus a compress-twice determinism check."""
     stream = codec.compress(data)
     deterministic = codec.compress(data) == stream
@@ -343,12 +336,10 @@ def _roundtrip(codec, data: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def certify_codecs(seed: int = 0) -> list[CodecCertificate]:
-    """Deterministic round-trip sweep over every registered codec family.
+    """Deterministic round-trip sweep over every codec family.
 
-    SZ: bound modes × lossless backends, asserted point-wise; ZFP: fixed
-    rates, distortion recorded (fixed-rate is not error-bounded) and
-    structural round-trip asserted; lossless backends: exact byte
-    round-trips of a representative stream.
+    SZ: bound modes × lossless backends, asserted point-wise; lossless
+    backends: exact byte round-trips of a representative stream.
     """
     out: list[CodecCertificate] = []
     for dtype in (np.float32, np.float64):
@@ -379,29 +370,6 @@ def certify_codecs(seed: int = 0) -> list[CodecCertificate]:
                         max_error=float("inf"), deterministic=False, passed=False,
                         error=f"{type(exc).__name__}: {exc}",
                     ))
-        # -- ZFP: fixed-rate, unbounded --------------------------------------
-        for rate in (4, 8, 16):
-            params = f"rate={rate} {dtype.__name__}"
-            try:
-                codec = ZFPCompressor(rate=rate)
-                recon, det = _roundtrip(codec, data)
-                passed = (
-                    det
-                    and recon.shape == data.shape
-                    and recon.dtype == data.dtype
-                    and bool(np.all(np.isfinite(recon)))
-                )
-                out.append(CodecCertificate(
-                    codec="zfp", params=params, mode="unbounded", bound=float("nan"),
-                    max_error=max_abs_error(data, recon), deterministic=det,
-                    passed=passed,
-                ))
-            except ReproError as exc:
-                out.append(CodecCertificate(
-                    codec="zfp", params=params, mode="unbounded", bound=float("nan"),
-                    max_error=float("inf"), deterministic=False, passed=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                ))
     # -- lossless backends: exact byte round-trips ---------------------------
     payload = _codec_test_array(seed, np.dtype(np.float32)).tobytes()
     for backend in ("zlib", "rle", "none"):

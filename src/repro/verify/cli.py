@@ -6,11 +6,11 @@ Four pillars, one schema-versioned artifact:
    written through the production driver on the serial backend and read
    back; every field must satisfy the error bound its own file metadata
    declares (overflow-pressure scenarios run at the tightest extra-space
-   ratio so the repair path carries real traffic).  The registered codec
-   families get a direct compress→decompress sweep on top, and every
-   scenario is additionally written through the :mod:`repro.api` facade
-   (``<scenario>/facade[<strategy>]`` cells) so the h5py-style surface is
-   held to the same bounds as the drivers.
+   ratio so the repair path carries real traffic).  The codec families
+   (SZ, the lossless backends) get a direct compress→decompress sweep on
+   top, and every scenario is additionally written through the
+   :mod:`repro.api` facade (``<scenario>/facade[<strategy>]`` cells) so
+   the h5py-style surface is held to the same bounds as the drivers.
 2. **Differential parity** — the canonical workload through every
    strategy × executor backend; finished-file fingerprints must agree
    across backends and the serial output must certify.

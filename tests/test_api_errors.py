@@ -9,6 +9,7 @@ import pytest
 import repro
 from helpers import make_smooth_field
 from repro.errors import (
+    CompressionError,
     ConfigError,
     IncompleteWriteError,
     InvalidStateError,
@@ -215,3 +216,30 @@ def test_append_step_without_time_datasets(tmp_path, data):
     with repro.open(str(tmp_path / "nt.phd5"), "w") as f:
         with pytest.raises(InvalidStateError, match="no time-axis"):
             f.append_step({"x": data})
+
+
+def test_failed_flush_keeps_what_already_landed(tmp_path, data):
+    """A batch the codec rejects (one NaN) raises from ``flush`` and leaves
+    nothing behind: ``close`` still finalises the dataset flushed before,
+    and the rejected name can be written again in the same session."""
+    path = str(tmp_path / "nan.phd5")
+    bad = data.copy()
+    bad[3, 4, 5] = np.nan
+    f = repro.open(path, "w", nranks=2)
+    f.create_dataset("early", SHAPE, error_bound=1e-3, data=data)
+    f.flush()
+    f.create_dataset("bad", SHAPE, error_bound=1e-3, data=bad)
+    with pytest.raises(CompressionError):
+        f.flush()
+    assert "bad" not in f
+    f.close()
+    with repro.open(path) as g:
+        assert "bad" not in g
+        assert np.max(np.abs(g["early"][...] - data)) <= 1e-3
+    with repro.open(str(tmp_path / "again.phd5"), "w", nranks=2) as f:
+        f.create_dataset("bad", SHAPE, error_bound=1e-3, data=bad)
+        with pytest.raises(CompressionError):
+            f.flush()
+        f.create_dataset("bad", SHAPE, error_bound=1e-3, data=data)
+    with repro.open(str(tmp_path / "again.phd5")) as g:
+        assert np.max(np.abs(g["bad"][...] - data)) <= 1e-3

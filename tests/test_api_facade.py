@@ -26,7 +26,6 @@ from repro.core.strategy import registered_strategies
 from repro.data.partition import grid_partition, rank_payload, rank_regions
 from repro.data.timesteps import TimestepSeries
 from repro.hdf5.file import File as EngineFile
-from repro.hdf5.filters import FILTER_SZ
 from repro.hdf5.properties import FileAccessProps
 
 SHAPE = (16, 12, 12)
@@ -215,7 +214,7 @@ def test_time_axis_honours_bound_mode(tmp_path):
         assert f["x"].attrs["repro:bound_mode"] == "rel"
         err = float(np.abs(f["x"][0].astype(np.float64) - data).max())
     with EngineFile(path, "r") as ef:
-        options = ef[f"{step_group(0)}/x"].filters.find(FILTER_SZ).options
+        options = ef[f"{step_group(0)}/x"].filters.sz_options
     assert options["mode"] == "rel"
     assert options["bound"] == pytest.approx(rel)
     # Above the absolute reading of the number, within the relative one.

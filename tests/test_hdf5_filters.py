@@ -1,125 +1,151 @@
-"""Tests for the filter pipeline and the declared dataset layout."""
+"""Tests for the SZ filter and the declared dataset layout."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
 
+from repro.compression import SZCompressor
 from repro.errors import FileFormatError, FilterError, HDF5Error, InvalidStateError
 from repro.hdf5 import (
-    FILTER_DEFLATE,
-    FILTER_SHUFFLE,
     FILTER_SZ,
-    FILTER_ZFP,
     Dataset,
     DatasetCreateProps,
     File,
     FilterPipeline,
-    FilterSpec,
-    available_filters,
 )
 
 from helpers import make_smooth_field
 
+SZ_ABS = {"bound": 1e-3, "mode": "abs"}
+
 
 class TestFilterPipeline:
-    def test_builtin_registry(self):
-        names = available_filters()
-        assert names[FILTER_SZ] == "sz"
-        assert names[FILTER_ZFP] == "zfp"
-        assert names[FILTER_DEFLATE] == "deflate"
-        assert names[FILTER_SHUFFLE] == "shuffle"
-
-    def test_deflate_roundtrip(self):
-        pipe = FilterPipeline((FilterSpec(FILTER_DEFLATE, {"level": 6}),))
-        # Quantized data deflates well; raw float noise would not.
-        data = np.round(make_smooth_field((32, 32), noise=0.0), 2).astype(np.float32)
-        payload = pipe.apply(data)
-        out = pipe.invert_many([payload], [data.shape], "<f4")[0]
-        assert np.array_equal(out, data)
-        assert len(payload) < data.nbytes
-
-    def test_shuffle_deflate_chain(self):
-        pipe = FilterPipeline(
-            (FilterSpec(FILTER_SHUFFLE, {"itemsize": 4}), FilterSpec(FILTER_DEFLATE, {}))
-        )
-        data = make_smooth_field((16, 16))
-        out = pipe.invert_many([pipe.apply(data)], [data.shape], "<f4")[0]
-        assert np.array_equal(out, data)
-
     def test_sz_filter_bound(self):
-        pipe = FilterPipeline((FilterSpec(FILTER_SZ, {"bound": 1e-3, "mode": "abs"}),))
+        pipe = FilterPipeline(((FILTER_SZ, SZ_ABS),))
         data = make_smooth_field((12, 12, 12))
-        out = pipe.invert_many([pipe.apply(data)], [data.shape], "<f4")[0]
+        out = pipe.invert_many([SZCompressor(**SZ_ABS).compress(data)], [data.shape])[0]
         assert np.max(np.abs(out - data)) <= 1e-3
-
-    def test_sz_then_deflate(self):
-        pipe = FilterPipeline(
-            (FilterSpec(FILTER_SZ, {"bound": 1e-3, "mode": "abs"}), FilterSpec(FILTER_DEFLATE, {}))
-        )
-        data = make_smooth_field((12, 12, 12))
-        out = pipe.invert_many([pipe.apply(data)], [data.shape], "<f4")[0]
-        assert np.max(np.abs(out - data)) <= 1e-3
-
-    def test_zfp_filter(self):
-        pipe = FilterPipeline((FilterSpec(FILTER_ZFP, {"rate": 16}),))
-        data = make_smooth_field((8, 8), dtype=np.float64)
-        out = pipe.invert_many([pipe.apply(data)], [data.shape], "<f8")[0]
-        assert out.shape == data.shape
-
-    def test_array_filter_must_be_first(self):
-        with pytest.raises(FilterError):
-            FilterPipeline(
-                (FilterSpec(FILTER_DEFLATE, {}), FilterSpec(FILTER_SZ, {"bound": 1e-3}))
-            )
 
     def test_unknown_filter_id(self):
-        with pytest.raises(FilterError):
-            FilterPipeline((FilterSpec(99999, {}),))
+        with pytest.raises(FilterError, match="99999"):
+            FilterPipeline(((99999, {}),))
 
-    def test_empty_pipeline_raw_bytes(self):
-        pipe = FilterPipeline()
-        data = np.arange(6, dtype=np.float32).reshape(2, 3)
-        payload = pipe.apply(data)
-        assert payload == data.tobytes()
-        out = pipe.invert_many([payload], [(2, 3)], "<f4")[0]
-        assert np.array_equal(out, data)
+    def test_one_filter_at_most(self):
+        with pytest.raises(FilterError, match="32017"):
+            FilterPipeline(((FILTER_SZ, SZ_ABS), (FILTER_SZ, SZ_ABS)))
 
-    def test_invert_length_mismatch(self):
+    def test_options_sz_refuses(self):
+        with pytest.raises(FilterError, match="invalid SZ options"):
+            FilterPipeline(((FILTER_SZ, {"rate": 8}),))
+        with pytest.raises(FilterError, match="invalid SZ options"):
+            FilterPipeline(((FILTER_SZ, {"bound": -1.0}),))
+
+    def test_empty_pipeline(self):
         pipe = FilterPipeline()
-        with pytest.raises(FilterError):
-            pipe.invert_many([b"\x00" * 7], [(2,)], "<f4")
+        assert not pipe and pipe.sz_options is None
+        assert pipe.to_json() == []
+
+    def test_invert_shape_mismatch(self):
+        pipe = FilterPipeline(((FILTER_SZ, SZ_ABS),))
+        data = make_smooth_field((4, 6))
+        with pytest.raises(FilterError, match="wrong shape"):
+            pipe.invert_many([SZCompressor(**SZ_ABS).compress(data)], [(6, 4)])
 
     def test_array_filter_must_return_one_array_per_payload(self, monkeypatch):
-        from repro.hdf5 import filters, register_filter
-
-        monkeypatch.setattr(filters, "_REGISTRY", dict(filters._REGISTRY))
-        sz = filters._REGISTRY[FILTER_SZ]
-        register_filter(65001, "sz_short", "array", sz.apply, lambda p, o: sz.invert(p, o)[1:])
-        pipe = FilterPipeline((FilterSpec(65001, {"bound": 1e-3, "mode": "abs"}),))
+        decompress_many = SZCompressor.decompress_many
+        monkeypatch.setattr(
+            SZCompressor, "decompress_many", lambda self, p: decompress_many(self, p)[1:]
+        )
+        pipe = FilterPipeline(((FILTER_SZ, SZ_ABS),))
         data = make_smooth_field((12, 12, 12))
+        stream = SZCompressor(**SZ_ABS).compress(data)
         with pytest.raises(FilterError, match="returned 1 arrays for 2 payloads"):
-            pipe.invert_many([pipe.apply(data)] * 2, [data.shape] * 2, "<f4")
+            pipe.invert_many([stream] * 2, [data.shape] * 2)
 
     def test_json_roundtrip(self):
-        pipe = FilterPipeline(
-            (
-                FilterSpec(FILTER_SZ, {"bound": 0.01, "mode": "rel"}),
-                FilterSpec(FILTER_DEFLATE, {"level": 2}),
-            )
-        )
+        pipe = FilterPipeline(((FILTER_SZ, {"bound": 0.01, "mode": "rel"}),))
+        assert pipe.to_json() == [[32017, {"bound": 0.01, "mode": "rel"}]]
         restored = FilterPipeline.from_json(pipe.to_json())
-        assert restored.specs == pipe.specs
+        assert restored.sz_options == pipe.sz_options
+        assert FilterPipeline.from_json([]).to_json() == []
+
+
+def _patch_footer_filters(path, filters):
+    """Rewrite dataset ``/d``'s footer ``filters`` entry in place."""
+    header = struct.Struct("<4sHxxQQ")  # magic, version, footer_ptr, footer_len
+    with open(path, "r+b") as raw:
+        magic, version, ptr, nbytes = header.unpack(raw.read(header.size))
+        raw.seek(ptr)
+        footer = json.loads(raw.read(nbytes))
+        footer["datasets"]["/d"]["filters"] = filters
+        blob = json.dumps(footer).encode()
+        raw.seek(ptr)
+        raw.write(blob)
+        raw.truncate()
+        raw.seek(0)
+        raw.write(header.pack(magic, version, ptr, len(blob)))
+
+
+class TestFooterFilters:
+    """A footer's ``filters`` comes from outside the program: a malformed
+    entry is a format error, an id other than SZ's (ZFP's 32013, deflate's
+    1, a second filter) a filter error naming it — never a bare
+    ValueError/IndexError/TypeError, and never a quiet open."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        data = make_smooth_field((8, 8))
+        path = str(tmp_path / "ff.phd5")
+        dcpl = DatasetCreateProps(chunks=(8, 8), filters=((FILTER_SZ, SZ_ABS),))
+        with File(path, "w") as f:
+            ds = f.create_dataset("d", shape=(8, 8), layout="declared", dcpl=dcpl)
+            stream = SZCompressor(**SZ_ABS).compress(data)
+            ds.declare_partitions([4096], [len(stream)], regions=[[[0, 8], [0, 8]]])
+            ds.write_partition(0, stream)
+        return path, data
+
+    def test_patched_sz_entry_reads(self, written):
+        path, data = written
+        _patch_footer_filters(path, [[FILTER_SZ, SZ_ABS]])
+        with File(path, "r") as f:
+            assert np.max(np.abs(f["d"].read() - data)) <= 1e-3
+
+    @pytest.mark.parametrize(
+        "filters, error, match",
+        [
+            ([["sz"]], FileFormatError, "malformed"),
+            ([[32017]], FileFormatError, "malformed"),
+            ([[32017, 5]], FileFormatError, "malformed"),
+            ([["x", {}]], FileFormatError, "malformed"),
+            ("oops", FileFormatError, "malformed"),
+            ([[32013, {"rate": 8}]], FilterError, "32013"),
+            ([[1, {}]], FilterError, r"\[1\]"),
+            ([[32017, SZ_ABS], [1, {"level": 4}]], FilterError, r"\[32017, 1\]"),
+        ],
+        ids=[
+            "id-only-name", "id-only", "options-not-dict", "id-not-int", "not-a-list",
+            "zfp", "deflate", "sz-then-deflate",
+        ],
+    )
+    def test_bad_entry_fails_on_open(self, written, filters, error, match):
+        path, _ = written
+        _patch_footer_filters(path, filters)
+        with pytest.raises(error, match=match):
+            File(path, "r")
 
 
 class TestChunkedDataset:
     def test_filters_require_chunks(self):
         with pytest.raises(Exception):
-            DatasetCreateProps(filters=((FILTER_DEFLATE, {}),))
+            DatasetCreateProps(filters=((FILTER_SZ, SZ_ABS),))
 
     def test_chunked_layout_is_refused(self, tmp_path):
         """Chunks/filters describe declared datasets only: a contiguous one
         refuses them instead of storing unfiltered bytes, and a footer that
         says ``"chunked"`` is an unknown layout."""
-        dcpl = DatasetCreateProps(chunks=(8, 8), filters=((FILTER_DEFLATE, {}),))
+        dcpl = DatasetCreateProps(chunks=(8, 8), filters=((FILTER_SZ, SZ_ABS),))
         with File(str(tmp_path / "cl.phd5"), "w") as f:
             with pytest.raises(HDF5Error, match="layout='declared'"):
                 f.create_dataset("d", shape=(8, 8), dcpl=dcpl)
@@ -132,8 +158,6 @@ class TestChunkedDataset:
 
 class TestDeclaredDataset:
     def _make_declared(self, f, data, reserved_scale=2.0):
-        from repro.compression import SZCompressor
-
         codec = SZCompressor(bound=1e-3, mode="abs")
         streams = [codec.compress(data[i : i + 4]) for i in range(0, 8, 4)]
         reserved = [int(len(s) * reserved_scale) for s in streams]

@@ -228,12 +228,17 @@ def test_one_collective_write():
 
 
 def test_one_read_route():
-    """README's "one read route", checked: ``FilterPipeline.invert_many`` is
+    """README's "one read route", checked: ``FilterPipeline.invert_many``,
+    the one call into ``SZCompressor.decompress_many`` for stored chunks, is
     called only by ``hdf5.Dataset._partition_arrays``, and
     ``huffman_decode_many`` only by ``compression/sz.py`` and by
     ``huffman_decode`` — a second decode loop anywhere else fails it."""
     allowed = {
         "invert_many": [("hdf5/dataset.py", "Dataset._partition_arrays")],
+        "decompress_many": [
+            ("hdf5/filters.py", "FilterPipeline.invert_many"),
+            ("compression/sz.py", "SZCompressor.decompress"),
+        ],
         "huffman_decode_many": [
             ("compression/sz.py", ""),
             ("compression/huffman.py", "huffman_decode"),

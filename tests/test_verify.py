@@ -108,9 +108,10 @@ class TestCertify:
         certs = certify_codecs(seed=0)
         assert all(c.passed for c in certs), [c.params for c in certs if not c.passed]
         families = {c.codec for c in certs}
-        assert families == {"sz", "zfp", "lossless"}
-        # ZFP is fixed-rate: recorded as unbounded, never bound-asserted.
-        assert all(c.mode == "unbounded" for c in certs if c.codec == "zfp")
+        assert families == {"sz", "lossless"}
+        # Every certificate asserts a bound or exact storage.
+        assert all(c.mode in ("abs", "exact") for c in certs)
+        assert not any(c.mode == "unbounded" for c in certs)
 
 
 class TestParity:
