@@ -14,7 +14,7 @@ strategies plus the auto-tuner's pick per cell.  The claims under test:
 from repro.bench.harness import ExperimentResult, save_result
 from repro.core.autotune import AutoTuner
 from repro.core.scenarios import scenario_matrix
-from repro.core.strategy import registered_strategies
+from repro.core.strategy import STRATEGIES
 from repro.core.sweep import simulate_matrix
 from repro.exec import ThreadPoolExecutor
 from repro.sim.machine import BEBOP
@@ -55,7 +55,7 @@ def _autotune_ablation() -> ExperimentResult:
         name="ablation_autotune",
         title="Ablation — auto-tuned strategy vs each fixed strategy",
         rows=rows,
-        meta={"machine": BEBOP.name, "strategies": list(registered_strategies())},
+        meta={"machine": BEBOP.name, "strategies": list(STRATEGIES)},
     )
 
 

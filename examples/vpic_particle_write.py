@@ -45,7 +45,7 @@ def main() -> None:
         )
         for p in parts
     ]
-    driver = RealDriver("reorder", config=PipelineConfig(extra_space_ratio=1.25, reorder=True))
+    driver = RealDriver("reorder", config=PipelineConfig(extra_space_ratio=1.25))
     with File(path, "w", fapl=FileAccessProps(async_io=True, async_workers=4)) as f:
         stats = driver.write(f, payload, (N_PARTICLES,), codecs)
 

@@ -84,7 +84,7 @@ def open(
         application's own block assignments define the decomposition).
     strategy:
         Default write strategy for datasets that declare an error bound
-        (``"auto"`` prices every registered strategy per write).
+        (``"auto"`` prices all four strategies per write).
     machine:
         Calibrated machine profile for ordering/tuning models.
     executor:
@@ -183,8 +183,8 @@ class Group:
         """Create a dataset whose writes run the predictive pipeline.
 
         ``error_bound`` turns on error-bounded lossy compression (omit it
-        for lossless raw storage); ``strategy`` picks a registered write
-        strategy or ``"auto"``; ``maxshape=(None, *shape)`` declares a
+        for lossless raw storage); ``strategy`` picks one of the four write
+        strategies or ``"auto"``; ``maxshape=(None, *shape)`` declares a
         time-streamed dataset (one snapshot per appended step);
         ``extra_space_ratio`` / ``performance_weight`` / ``nranks``
         override the file-level configuration per dataset.
@@ -664,7 +664,7 @@ class File(Group):
         linked = {ds._path for ds in dss if ds._path in self._engine}
         try:
             if strategy_name == AUTO:
-                # Price every registered strategy from sampled size
+                # Price all four strategies from sampled size
                 # predictions and execute the winner (the cold-write
                 # analogue of the streaming session's per-step re-tuning).
                 tuner = AutoTuner(machine=self.machine, config=cfg, executor=self._executor)

@@ -15,23 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.config import PipelineConfig, extra_space_for_weight
-from repro.core.strategy import get_strategy, registered_strategies
-from repro.errors import ConfigError, UnknownStrategyError
+from repro.core.strategy import get_strategy
+from repro.errors import ConfigError
 
 #: Strategy name asking the facade to auto-tune per write (snapshot
-#: datasets price every registered strategy from predicted sizes; time-axis
+#: datasets price all four strategies from predicted sizes; time-axis
 #: datasets re-tune per step from measured actuals).
 AUTO = "auto"
 
 
 def validate_strategy(name: str) -> str:
     """Validate a user-supplied strategy name (``"auto"`` included)."""
-    known = registered_strategies()
-    if name != AUTO and name not in known:
-        raise UnknownStrategyError(
-            f"unknown strategy {name!r}; registered strategies are "
-            f"{list(known)}, plus 'auto' to let the tuner pick per write"
-        )
+    if name != AUTO:
+        get_strategy(name)
     return name
 
 
@@ -50,7 +46,7 @@ class DatasetSettings:
     error_bound: float | None = None
     #: bound interpretation: ``"abs"`` or ``"rel"``.
     bound_mode: str = "abs"
-    #: registered strategy name, ``"auto"``, or None (file default).
+    #: strategy name, ``"auto"``, or None (file default).
     strategy: str | None = None
     #: extra-space ratio Rspace override (paper Section III-D domain).
     extra_space_ratio: float | None = None

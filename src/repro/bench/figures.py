@@ -5,10 +5,10 @@ ExperimentResult` whose rows are the series the corresponding paper figure
 plots.  Default parameters are scaled down (minutes, one machine); every
 function exposes the knobs to run closer to paper scale.
 
-Strategy dispatch goes through the registry in :mod:`repro.core.strategy`
-(``registered_strategies()`` / ``simulate_strategy(name, ...)``), so a
-newly registered strategy automatically appears in the breakdown, ratio
-sweep, and scaling figures without touching this module.
+Strategy dispatch goes through the ``STRATEGIES`` table in
+:mod:`repro.core.strategy` (``simulate_strategy(name, ...)`` for each
+name), so the breakdown, ratio sweep, and scaling figures cover the same
+four strategies in paper order.
 
 See DESIGN.md §4 for the experiment-to-module index and EXPERIMENTS.md for
 recorded paper-vs-measured comparisons.
@@ -25,7 +25,7 @@ from repro.bench.harness import ExperimentResult
 from repro.compression.sz import SZCompressor, parse_stream_info
 from repro.core.config import PipelineConfig, extra_space_for_weight
 from repro.core.scheduler import CompressionTask, optimize_order, queue_time
-from repro.core.strategy import registered_strategies
+from repro.core.strategy import STRATEGIES
 from repro.core.workload import Workload, build_workload, scale_workload
 from repro.core.writers import SimResult, simulate_strategy
 from repro.data.fields import layered_field
@@ -361,7 +361,7 @@ def _tradeoff_point(
     Performance overhead is measured exactly as the paper does: write time
     with overflow handling vs. write time without (compression excluded).
     """
-    config = PipelineConfig(extra_space_ratio=rspace, reorder=True)
+    config = PipelineConfig(extra_space_ratio=rspace)
     res = simulate_strategy("reorder", workload, machine, config)
     ref = simulate_strategy("reorder", workload, machine, config, handle_overflow=False)
     perf_overhead = (res.write_seconds - ref.write_seconds) / max(ref.write_seconds, 1e-12)
@@ -481,7 +481,7 @@ def fig16_breakdown(
     wl = scale_workload(wl, nranks=nranks, values_per_partition=values_per_partition)
     results: dict[str, SimResult] = {}
     rows = []
-    for strat in registered_strategies():
+    for strat in STRATEGIES:
         res = simulate_strategy(strat, wl, machine)
         results[strat] = res
         rows.append(
@@ -549,7 +549,7 @@ def fig17_ratio_sweep(
             include_particles=(dataset == "nyx"),
         )
         wl = scale_workload(wl, nranks=nranks, values_per_partition=values_per_partition)
-        res = {s: simulate_strategy(s, wl, machine) for s in registered_strategies()}
+        res = {s: simulate_strategy(s, wl, machine) for s in STRATEGIES}
         rows.append(
             {
                 "bound_scale": float(scale),
@@ -598,7 +598,7 @@ def fig17_scaling(
     rows = []
     for nranks in scales:
         wl = scale_workload(wl_base, nranks=int(nranks), values_per_partition=values_per_partition)
-        res = {s: simulate_strategy(s, wl, machine) for s in registered_strategies()}
+        res = {s: simulate_strategy(s, wl, machine) for s in STRATEGIES}
         rows.append(
             {
                 "nranks": int(nranks),

@@ -7,11 +7,11 @@
 * :mod:`scheduler` — Algorithm 1, the O(n²) compression-order optimizer;
 * :mod:`overflow` — the overflow plan (second all-gather, end-of-file
   placement, Fig. 8);
-* :mod:`strategy` — the phase-based strategy engine: PredictPhase /
-  PlanPhase / CompressWritePhase / OverflowPhase composed into registered
-  :class:`~repro.core.strategy.WriteStrategy` objects (the
-  ``@register_strategy`` extension point);
-* :mod:`writers` — the SimDriver executing any registered strategy on the
+* :mod:`strategy` — the paper's four Fig. 4 strategies as fixed
+  compositions of PredictPhase / PlanPhase / CompressWritePhase /
+  OverflowPhase values, in one closed ``STRATEGIES`` table looked up by
+  name with ``get_strategy``;
+* :mod:`writers` — the SimDriver executing a strategy on the
   discrete-event simulator (timing at scale);
 * :mod:`pipeline` — the RealDriver executing the same strategies for real
   on thread ranks against a PHD5 file (functional correctness):
@@ -26,13 +26,13 @@
   beyond what pure Python can compress in reasonable time;
 * :mod:`autotune` — the AutoTuner: analytic per-strategy makespan
   estimates (calibrated models + the shared phase objects) selecting the
-  best registered strategy per workload/time-step, and ``tune_payload``,
+  best of the four strategies per workload/time-step, and ``tune_payload``,
   the probe → workload → evaluate step the facade and the session share;
 * :mod:`scenarios` — deterministic named workload regimes (skew,
   imbalance, drift, overflow stress, ...) consumed by the auto-tuner
   tests, the parity matrix, and the ablation benchmarks;
 * :mod:`sweep` — the scenario × strategy sweep, fanned out through a
-  pluggable :mod:`repro.exec` backend (serial / thread / process).
+  :mod:`repro.exec` backend (serial / thread).
 """
 
 from repro.core.autotune import (
@@ -65,6 +65,7 @@ from repro.core.scenarios import (
 from repro.core.scheduler import CompressionTask, optimize_order, queue_time
 from repro.core.session import StepResult
 from repro.core.strategy import (
+    STRATEGIES,
     CompressWritePhase,
     OverflowPhase,
     PlanPhase,
@@ -72,8 +73,6 @@ from repro.core.strategy import (
     WriteStrategy,
     field_index_map,
     get_strategy,
-    register_strategy,
-    registered_strategies,
 )
 from repro.core.sweep import SweepCell, simulate_matrix
 from repro.core.workload import (
@@ -102,9 +101,8 @@ __all__ = [
     "PlanPhase",
     "CompressWritePhase",
     "OverflowPhase",
-    "register_strategy",
+    "STRATEGIES",
     "get_strategy",
-    "registered_strategies",
     "field_index_map",
     "Workload",
     "FieldPartitionStats",

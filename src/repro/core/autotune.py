@@ -7,7 +7,7 @@ itself stops paying on incompressible data.  The strategy engine from
 :mod:`repro.core.strategy` makes the caller pick one statically; this
 module closes the loop.
 
-:class:`AutoTuner` prices every registered strategy's makespan *analytically*
+:class:`AutoTuner` prices each of the four strategies' makespans *analytically*
 — no discrete-event simulation — from the same ingredients both drivers
 already use:
 
@@ -38,13 +38,7 @@ import numpy as np
 
 from repro.core.config import PipelineConfig
 from repro.core.scheduler import CompressionTask, queue_time
-from repro.core.strategy import (
-    PredictPhase,
-    WriteStrategy,
-    get_strategy,
-    predict_phase_costs,
-    registered_strategies,
-)
+from repro.core.strategy import STRATEGIES, PredictPhase, get_strategy, predict_phase_costs
 from repro.core.workload import Workload, workload_from_matrices
 from repro.core.writers import (
     _BASE_OFFSET,
@@ -53,7 +47,7 @@ from repro.core.writers import (
     default_models,
     simulate_strategy,
 )
-from repro.errors import ConfigError, OverflowHandlingError
+from repro.errors import ConfigError
 from repro.exec import Executor, resolve_executor
 from repro.sim.engine import Environment
 from repro.sim.machine import MachineProfile, get_machine
@@ -64,7 +58,7 @@ class StrategyEstimate:
     """Predicted cost of one strategy on one workload."""
 
     strategy: str
-    #: end-to-end predicted makespan; ``inf`` when infeasible.
+    #: end-to-end predicted makespan.
     makespan_seconds: float
     predict_seconds: float = 0.0
     allgather_seconds: float = 0.0
@@ -72,24 +66,16 @@ class StrategyEstimate:
     write_seconds: float = 0.0
     overflow_seconds: float = 0.0
     overflow_nbytes: int = 0
-    #: False when the strategy cannot execute this workload as declared
-    #: (e.g. overflow handling disabled but slots would overflow).
-    feasible: bool = True
 
 
 @dataclass(frozen=True)
 class TuningDecision:
-    """Outcome of evaluating every candidate strategy on one workload."""
+    """Outcome of evaluating all four strategies on one workload."""
 
     workload_name: str
     estimates: tuple[StrategyEstimate, ...] = field(repr=False)
     #: name of the winning strategy.
     choice: str = ""
-
-    @property
-    def best(self) -> StrategyEstimate:
-        """The winning estimate."""
-        return next(e for e in self.estimates if e.strategy == self.choice)
 
     def estimate_for(self, strategy: str) -> StrategyEstimate:
         """The estimate of one candidate by name."""
@@ -99,7 +85,7 @@ class TuningDecision:
             raise ConfigError(f"no estimate for strategy {strategy!r}") from None
 
     def ranking(self) -> list[StrategyEstimate]:
-        """Estimates sorted fastest-first (infeasible last)."""
+        """Estimates sorted fastest-first."""
         return sorted(self.estimates, key=lambda e: e.makespan_seconds)
 
 
@@ -124,9 +110,6 @@ class AutoTuner:
     config:
         Pipeline configuration (extra space, sampling fraction) shared
         with the drivers that will execute the choice.
-    strategies:
-        Candidate strategy names; defaults to every ``@register_strategy``
-        entry in registration order.
     models:
         Explicit ``(throughput_model, write_model)`` pair; defaults to the
         offline-calibrated :func:`~repro.core.writers.default_models` at
@@ -144,27 +127,21 @@ class AutoTuner:
         self,
         machine: str | MachineProfile = "bebop",
         config: PipelineConfig | None = None,
-        strategies: Sequence[str] | None = None,
         models=None,
         executor: "str | Executor | None" = None,
     ) -> None:
         self.machine = get_machine(machine) if isinstance(machine, str) else machine
         self.config = config or PipelineConfig()
-        self._strategies = tuple(strategies) if strategies is not None else None
         self.models = models
         self.executor = resolve_executor(
             executor if executor is not None else self.config.executor
         )
 
-    def strategy_names(self) -> tuple[str, ...]:
-        """Candidate names (registration order when not pinned)."""
-        return self._strategies if self._strategies is not None else registered_strategies()
-
     # -- estimation ----------------------------------------------------------
 
     def estimate(
         self,
-        strategy: str | WriteStrategy,
+        strategy: str,
         workload: Workload,
         warm_start: bool = False,
     ) -> StrategyEstimate:
@@ -174,41 +151,23 @@ class AutoTuner:
         streaming-session hot path where the previous step's measured
         sizes replace the sampling pass.
         """
-        return self._estimate(strategy, _WorkloadContext(workload, self), warm_start)
-
-    def _estimate(self, strategy, ctx, warm_start: bool) -> StrategyEstimate:
-        strat = strategy if isinstance(strategy, WriteStrategy) else get_strategy(strategy)
-        strat.validate()
-        return _Estimator(strat, ctx, warm_start).estimate()
+        strat = get_strategy(strategy)
+        return _Estimator(strat, _WorkloadContext(workload, self), warm_start).estimate()
 
     def evaluate(self, workload: Workload, warm_start: bool = False) -> TuningDecision:
-        """Estimate every candidate and pick the fastest (ties keep the
-        earlier strategy in presentation order).
-
-        Raises :class:`~repro.errors.ConfigError` when no candidate can
-        execute the workload as declared — executing an infeasible choice
-        would only fail later, deep inside a driver.
-        """
-        names = self.strategy_names()
-        if not names:
-            raise ConfigError("no candidate strategies to tune over")
+        """Estimate all four strategies and pick the fastest (ties keep the
+        earlier strategy in presentation order)."""
+        names = tuple(STRATEGIES)
         # The models, file-system constants, and compress-time matrix
         # depend only on the workload — share them across candidates.
         ctx = _WorkloadContext(workload, self)
         estimates = tuple(
             self.executor.map_cells(
-                lambda name: self._estimate(name, ctx, warm_start), names
+                lambda name: _Estimator(STRATEGIES[name], ctx, warm_start).estimate(), names
             )
         )
         choice = _first_minimum(names, [e.makespan_seconds for e in estimates])
-        decision = TuningDecision(
-            workload_name=workload.name, estimates=estimates, choice=choice
-        )
-        if not decision.best.feasible:
-            raise ConfigError(
-                f"no feasible strategy among {names} for workload {workload.name!r}"
-            )
-        return decision
+        return TuningDecision(workload_name=workload.name, estimates=estimates, choice=choice)
 
     def choose(self, workload: Workload, warm_start: bool = False) -> str:
         """Name of the winning strategy for this workload."""
@@ -290,9 +249,9 @@ class _Estimator:
 
     def estimate(self) -> StrategyEstimate:
         strat = self.strat
-        if not strat.compress_write.compress:
+        if not strat.compresses:
             return self._estimate_raw()
-        if strat.plan is not None and strat.plan.source == "actual":
+        if not strat.predictive:
             return self._estimate_postplanned()
         return self._estimate_predictive()
 
@@ -328,19 +287,12 @@ class _Estimator:
 
     def _estimate_predictive(self) -> StrategyEstimate:
         strat, w = self.strat, self.w
-        plan_sizes = self.predicted if strat.predict.enabled else self.original
-        table = strat.plan.compute_table(plan_sizes, self.original, self.config, _BASE_OFFSET)
+        table = strat.plan.compute_table(self.predicted, self.original, self.config, _BASE_OFFSET)
         reserved = table.reserved
-        if not strat.overflow.enabled and np.any(self.actual > reserved):
-            return StrategyEstimate(
-                strategy=strat.name,
-                makespan_seconds=float("inf"),
-                feasible=False,
-            )
         plan = strat.overflow.compute_plan(self.actual, reserved, table.data_end)
         stored = np.minimum(self.actual, reserved)
         # Phase 1: sampling prediction (skipped on warm-started steps).
-        if strat.predict.enabled and not self.warm_start:
+        if not self.warm_start:
             predict_max = float(
                 max(self.compress.sum(axis=0))
                 * self.config.sample_fraction
@@ -351,42 +303,29 @@ class _Estimator:
         # Phase 2: all-gather + every rank's offset/Algorithm-1 computation.
         ag1 = self._allgather() + PLAN_SECONDS_PER_FIELD_SQ * w.nfields * w.nfields
         # Phase 3: per-rank compress/write queues through the TIME model.
-        overlap = strat.compress_write.overlap
         per_rank = []
         for r in range(w.nranks):
-            order = self._field_order(r, plan_sizes)
-            if overlap:
-                tasks = [
-                    CompressionTask(
-                        field=str(f),
-                        predicted_compress_seconds=float(self.compress[f, r]),
-                        predicted_write_seconds=self._write_seconds(stored[f, r]),
-                    )
-                    for f in order
-                ]
-                per_rank.append(queue_time(tasks))
-            else:
-                per_rank.append(
-                    sum(
-                        float(self.compress[f, r]) + self._write_seconds(stored[f, r])
-                        for f in order
-                    )
+            tasks = [
+                CompressionTask(
+                    field=str(f),
+                    predicted_compress_seconds=float(self.compress[f, r]),
+                    predicted_write_seconds=self._write_seconds(stored[f, r]),
                 )
+                for f in self._field_order(r)
+            ]
+            per_rank.append(queue_time(tasks))
         primary_max = float(max(per_rank))
         compress_max = float(max(self.compress.sum(axis=0)))
         # Phase 4/5: second all-gather + per-rank overflow tails.
-        ag2 = 0.0
-        overflow_max = 0.0
-        if strat.overflow.enabled:
-            ag2 = self._allgather()
-            overflow_max = max(
-                sum(
-                    self._write_seconds(plan.tail_nbytes[f, r])
-                    for f in range(w.nfields)
-                    if plan.tail_nbytes[f, r] > 0
-                )
-                for r in range(w.nranks)
+        ag2 = self._allgather()
+        overflow_max = max(
+            sum(
+                self._write_seconds(plan.tail_nbytes[f, r])
+                for f in range(w.nfields)
+                if plan.tail_nbytes[f, r] > 0
             )
+            for r in range(w.nranks)
+        )
         makespan = predict_max + ag1 + primary_max + ag2 + overflow_max
         return StrategyEstimate(
             strategy=strat.name,
@@ -399,13 +338,13 @@ class _Estimator:
             overflow_nbytes=int(plan.total_overflow),
         )
 
-    def _field_order(self, r: int, plan_sizes: np.ndarray) -> list[int]:
+    def _field_order(self, r: int) -> list[int]:
         """Algorithm 1 ordering exactly as both drivers compute it."""
         cw = self.strat.compress_write
         if not cw.reorder:
             return list(range(self.w.nfields))
         compress_s, write_s = predict_phase_costs(
-            self.tmodel, self.wmodel, self.n_values[:, r], plan_sizes[:, r]
+            self.tmodel, self.wmodel, self.n_values[:, r], self.predicted[:, r]
         )
         names = [str(f) for f in range(self.w.nfields)]
         return [int(n) for n in cw.field_order(names, compress_s, write_s)]
@@ -484,23 +423,20 @@ def exhaustive_oracle(
     workload: Workload,
     machine: str | MachineProfile = "bebop",
     config: PipelineConfig | None = None,
-    strategies: Sequence[str] | None = None,
     executor: "str | Executor | None" = None,
 ) -> str:
-    """Evaluate-all-strategies oracle: simulate every candidate and pick
-    the smallest makespan, with the same tie rule as the tuner.
+    """Evaluate-all-strategies oracle: simulate all four and pick the
+    smallest makespan, with the same tie rule as the tuner.
 
-    Strategies the simulator refuses (infeasible phase/workload
-    combinations) count as infinitely slow, again mirroring the tuner.
-    The per-candidate simulations are independent, so the exhaustive
-    sweep fans out over any executor backend.
+    The per-strategy simulations are independent, so the exhaustive sweep
+    fans out over any executor backend.
     """
     machine = get_machine(machine) if isinstance(machine, str) else machine
-    names = tuple(strategies) if strategies is not None else registered_strategies()
+    names = tuple(STRATEGIES)
     ex = resolve_executor(executor)
     try:
         makespans = ex.map_cells(
-            _simulated_cell, [(name, workload, machine, config) for name in names]
+            lambda name: _simulated(name, workload, machine, config), names
         )
     finally:
         # A pool resolved here from a name is ours; caller-passed
@@ -510,18 +446,9 @@ def exhaustive_oracle(
     return _first_minimum(names, makespans)
 
 
-def _simulated_cell(cell) -> float:
-    """Picklable wrapper so the oracle sweep runs on any backend."""
-    return _simulated(*cell)
-
-
 def _simulated(name, workload, machine, config) -> float:
-    """Simulated makespan; the documented infeasible case scores ``inf``
-    (matching the tuner) — any other failure propagates loudly."""
-    try:
-        return simulate_strategy(name, workload, machine, config).makespan_seconds
-    except OverflowHandlingError:
-        return float("inf")
+    """Simulated makespan of one strategy."""
+    return simulate_strategy(name, workload, machine, config).makespan_seconds
 
 
 def choice_regret(
@@ -529,7 +456,6 @@ def choice_regret(
     workload: Workload,
     machine: str | MachineProfile = "bebop",
     config: PipelineConfig | None = None,
-    strategies: Sequence[str] | None = None,
 ) -> float:
     """Relative makespan excess of ``choice`` over the simulated optimum.
 
@@ -540,9 +466,7 @@ def choice_regret(
     1% — an exhaustive evaluator could not do meaningfully better.
     """
     machine = get_machine(machine) if isinstance(machine, str) else machine
-    names = tuple(strategies) if strategies is not None else registered_strategies()
-    if choice not in names:
-        raise ConfigError(f"choice {choice!r} not among candidates {names}")
-    makespans = {n: _simulated(n, workload, machine, config) for n in names}
+    get_strategy(choice)  # refuse an unknown name before simulating
+    makespans = {n: _simulated(n, workload, machine, config) for n in STRATEGIES}
     best = min(makespans.values())
     return makespans[choice] / best - 1.0

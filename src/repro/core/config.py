@@ -49,8 +49,6 @@ class PipelineConfig:
 
     #: extra-space ratio Rspace in [1.1, 1.43].
     extra_space_ratio: float = EXTRA_SPACE_DEFAULT
-    #: apply Algorithm 1 compression-order optimization.
-    reorder: bool = True
     #: sampling fraction for the ratio model.
     sample_fraction: float = 0.05
     #: alignment of partition slots in the shared file.

@@ -1,4 +1,4 @@
-"""RealDriver: executes registered write strategies on thread ranks + PHD5.
+"""RealDriver: executes the four write strategies on thread ranks + PHD5.
 
 The *functional* counterpart of :class:`repro.core.writers.SimDriver`: the
 same :class:`~repro.core.strategy.WriteStrategy` phase objects (the same
@@ -36,9 +36,9 @@ from repro.compression.codec import compress_fields
 from repro.compression.sz import SZCompressor
 from repro.core.config import PipelineConfig
 from repro.core.offsets import OffsetTable
-from repro.core.strategy import WriteStrategy, field_index_map, get_strategy, predict_phase_costs
+from repro.core.strategy import field_index_map, get_strategy, predict_phase_costs
 from repro.core.writers import default_models
-from repro.errors import ConfigError, OverflowHandlingError
+from repro.errors import ConfigError
 from repro.exec import Executor, resolve_executor
 from repro.hdf5.async_io import EventSet
 from repro.hdf5.dataset import Dataset
@@ -110,18 +110,17 @@ def _field_datasets(
 
 
 class RealDriver:
-    """Executes a :class:`~repro.core.strategy.WriteStrategy` for real on
-    thread ranks against a shared PHD5 file (the functional world)."""
+    """Executes one of the four strategies, by name, for real on thread
+    ranks against a shared PHD5 file (the functional world)."""
 
     def __init__(
         self,
-        strategy: str | WriteStrategy = "reorder",
+        strategy: str = "reorder",
         config: PipelineConfig | None = None,
         machine_name: str = "bebop",
         executor: "str | Executor | None" = None,
     ) -> None:
-        self.strategy = strategy if isinstance(strategy, WriteStrategy) else get_strategy(strategy)
-        self.strategy.validate()
+        self.strategy = get_strategy(strategy)
         self.config = config or PipelineConfig()
         self.machine_name = machine_name
         # Schedules the SPMD ranks of :meth:`write` and the per-field
@@ -226,7 +225,7 @@ class RealDriver:
             if sorted(order_hint) != sorted(names):
                 raise ConfigError("order hint is not a permutation of the fields")
             order = list(order_hint)
-        elif strat.compress_write.reorder and config.reorder:
+        elif strat.compress_write.reorder:
             tmodel, wmodel = default_models(self.machine_name, comm.size)
             compress_s, write_s = predict_phase_costs(
                 tmodel, wmodel, [fields[n].size for n in names], [planned[n] for n in names]
@@ -235,12 +234,11 @@ class RealDriver:
         else:
             order = list(names)
 
-        # Phase 4: compress in order; with overlap each write is queued on
-        # the async VOL as soon as its field is compressed, otherwise each
-        # write blocks in place (synchronous independent writes).
-        overlapped = strat.compress_write.overlap
-        es = EventSet() if overlapped else None
-        vol = AsyncVOL(file.async_engine, event_set=es) if overlapped else NativeVOL()
+        # Phase 4: compress in order; a predictive strategy queues each write
+        # on the async VOL as soon as its field is compressed, the filter
+        # baseline's writes block in place (its streams already exist).
+        es = EventSet() if strat.predictive else None
+        vol = AsyncVOL(file.async_engine, event_set=es) if strat.predictive else NativeVOL()
         # When per-field compression will genuinely fan out, compress the
         # fields concurrently up front (streams are pure per-field
         # functions, so bytes cannot change).  Otherwise — the serial
@@ -262,8 +260,9 @@ class RealDriver:
             es.wait_all(60.0)
 
         overflow = dict.fromkeys(names, 0)
-        if strat.overflow.enabled:
-            # Phase 5: second all-gather, overflow plan, independent tail writes.
+        if strat.predictive:
+            # Phase 5: second all-gather, overflow plan, independent tail
+            # writes.  An exact-size plan (filter) never leaves a tail.
             actual_gathered = comm.allgather([actual[n] for n in names])
             actual_matrix = np.array([[g[f] for g in actual_gathered] for f in range(len(names))])
             plan = strat.overflow.compute_plan(actual_matrix, table.reserved, table.data_end)
@@ -275,13 +274,6 @@ class RealDriver:
                 vol2.overflow_write(datasets[name], comm.rank, tail, off)
                 overflow[name] = nbytes
             es2.wait_all(60.0)
-        elif tails:
-            # No repair phase: a strategy that disables overflow handling
-            # (or plans from exact sizes) must never produce truncated slots.
-            raise OverflowHandlingError(
-                f"strategy {strat.name!r} disables overflow handling but "
-                f"rank {comm.rank} overflowed {sorted(tails)}"
-            )
         comm.barrier()  # collective semantics: everyone leaves together
         return RankWriteStats(
             rank=comm.rank,
@@ -341,14 +333,10 @@ class RealDriver:
         """Raw path (no compression): independent contiguous row-slab writes."""
         names = list(fields)
         datasets = _field_datasets(comm, file, fields, global_shape, None, group)
-        overlapped = self.strategy.compress_write.overlap
-        es = EventSet() if overlapped else None
-        vol = AsyncVOL(file.async_engine, event_set=es) if overlapped else NativeVOL()
+        vol = NativeVOL()
         start = (int(region[0][0]),) + (0,) * (len(global_shape) - 1)
         for name in names:
             vol.slab_write(datasets[name], fields[name], start)
-        if es is not None:
-            es.wait_all(60.0)
         comm.barrier()
         sizes = {n: int(fields[n].nbytes) for n in names}
         return RankWriteStats(

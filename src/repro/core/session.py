@@ -20,7 +20,7 @@ more than the extra space absorbs, tails land in that step's overflow
 region and the file still reads back exactly.
 
 Under ``strategy="auto"`` the strategy is re-tuned every step: an
-:class:`~repro.core.autotune.AutoTuner` prices every registered strategy
+:class:`~repro.core.autotune.AutoTuner` prices all four strategies
 against the previous step's *measured* actual sizes and the next step
 executes the winner — so a series drifting from a balanced regime into,
 say, an incompressible or latency-dominated one switches write strategies
@@ -39,7 +39,6 @@ from repro.compression.sz import SZCompressor
 from repro.core.autotune import AutoTuner, TuningDecision, tune_payload
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import RankWriteStats, RealDriver
-from repro.core.strategy import WriteStrategy
 from repro.data.partition import rank_payload, rank_regions
 from repro.exec import Executor
 from repro.hdf5.file import File
@@ -63,7 +62,7 @@ class StepResult:
     warm_started: bool
     seconds: float
     stats: list[RankWriteStats] = field(repr=False)
-    #: registered name of the strategy that executed this step.
+    #: name of the strategy that executed this step.
     strategy: str = "reorder"
     #: under ``"auto"``: the decision re-tuned from this step's measured
     #: actuals (it governs the *next* step); None otherwise.
@@ -104,7 +103,7 @@ class TimestepSession:
     nranks:
         Thread ranks per step (the SPMD width).
     strategy:
-        Registered strategy name (or instance) executed per step, or
+        Strategy name executed per step, or
         ``"auto"`` to re-pick the strategy every step from measured actuals.
     config:
         Pipeline configuration; ``warm_start_margin`` scales the reused
@@ -124,7 +123,7 @@ class TimestepSession:
         codecs: Mapping[str, SZCompressor],
         nranks: int,
         *,
-        strategy: str | WriteStrategy,
+        strategy: str,
         config: PipelineConfig,
         machine_name: str,
         executor: Executor,
@@ -137,7 +136,7 @@ class TimestepSession:
         self.config = config
         self.machine_name = machine_name
         self.executor = executor
-        self.auto = isinstance(strategy, str) and strategy == "auto"
+        self.auto = strategy == "auto"
         self._drivers: dict[str, RealDriver] = {}
         if self.auto:
             self.tuner: AutoTuner | None = AutoTuner(
@@ -178,11 +177,7 @@ class TimestepSession:
         # alternate between the two from step to step.
         regions = rank_regions(shape, self.nranks, slabs=not driver.strategy.compresses)
         payload = rank_payload({n: arrays[n] for n in names}, shape, regions)
-        warm = (
-            driver.strategy.predictive
-            and driver.strategy.predict.enabled
-            and self._prev_actual is not None
-        )
+        warm = driver.strategy.predictive and self._prev_actual is not None
         hints = None
         if warm:
             margin = self.config.warm_start_margin

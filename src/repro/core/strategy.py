@@ -1,12 +1,15 @@
-"""Phase-based write strategies and the strategy registry.
+"""The paper's four write strategies, as fixed compositions of phases.
 
 The paper's predictive write scheme is a sequence of four phases — predict
 sizes, all-gather/offset plan, ordered compression overlapped with async
 writes, overflow repair — and every "solution" of Fig. 4 is a particular
 configuration of those phases.  This module defines each phase once as a
-composable unit sharing the pure :class:`~repro.core.offsets.OffsetTable` /
-:class:`~repro.core.overflow.OverflowPlan` mathematics, and a
-:class:`WriteStrategy` as a named composition of phases.
+unit sharing the pure :class:`~repro.core.offsets.OffsetTable` /
+:class:`~repro.core.overflow.OverflowPlan` mathematics, and the four
+solutions as frozen :class:`WriteStrategy` values in one closed table,
+:data:`STRATEGIES`.  Every entry point takes a strategy *name* and looks
+it up with :func:`get_strategy`, so no other phase combination can reach
+a driver.
 
 One strategy definition runs in *two worlds*:
 
@@ -18,27 +21,13 @@ One strategy definition runs in *two worlds*:
 Because both drivers consume the same phase objects, sim-vs-real
 consistency is directly testable: per-rank predicted/actual/overflow byte
 counts must agree between the two executions of the same strategy.
-
-Extension point
----------------
-New strategies (aggregation, adaptive extra space, restart/append, ...)
-register themselves with the :func:`register_strategy` class decorator::
-
-    @register_strategy("my-variant")
-    class MyStrategy(WriteStrategy):
-        predict = PredictPhase(enabled=True)
-        plan = PlanPhase(source="predicted", extra_space=True)
-        compress_write = CompressWritePhase(compress=True, overlap=True)
-        overflow = OverflowPhase(enabled=True)
-
-and become available to both drivers, the benchmark suite, and the
-``repro.open`` facade (snapshot and streamed datasets alike) by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -46,7 +35,7 @@ from repro.core.config import PipelineConfig
 from repro.core.offsets import OffsetTable
 from repro.core.overflow import OverflowPlan
 from repro.core.scheduler import CompressionTask, optimize_order
-from repro.errors import ConfigError
+from repro.errors import ConfigError, UnknownStrategyError
 from repro.modeling.ratio_model import RatioQualityModel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
 # ---------------------------------------------------------------------------
 # Shared phase helpers
 # ---------------------------------------------------------------------------
-
 def field_index_map(names: Sequence[str]) -> dict[str, int]:
     """Precomputed name → field-index map for the hot phase loops.
 
@@ -91,7 +79,6 @@ def predict_phase_costs(
 # ---------------------------------------------------------------------------
 # Phases
 # ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class PredictPhase:
     """Phase 1 — per-partition compressed-size prediction before compressing.
@@ -199,9 +186,7 @@ class CompressWritePhase:
                 predicted_compress_seconds=float(c),
                 predicted_write_seconds=float(w),
             )
-            for name, c, w in zip(
-                fields, predicted_compress_seconds, predicted_write_seconds
-            )
+            for name, c, w in zip(fields, predicted_compress_seconds, predicted_write_seconds)
         ]
         return [t.field for t in optimize_order(tasks)]
 
@@ -223,24 +208,23 @@ class OverflowPhase:
 
 
 # ---------------------------------------------------------------------------
-# Strategies
+# The four strategies
 # ---------------------------------------------------------------------------
-
+@dataclass(frozen=True)
 class WriteStrategy:
-    """A named composition of write phases, executable by both drivers.
+    """One of the paper's four write solutions, as four phase values.
 
-    Subclasses override the four phase attributes; drivers never test a
-    strategy's *name*, only its phase configuration, so new registered
-    strategies work everywhere without driver changes.
+    The set is closed (:data:`STRATEGIES`), so the drivers rely on what the
+    four share: a predictive strategy predicts, plans with extra space,
+    overlaps its writes and repairs overflow; ``filter`` plans from exact
+    sizes and cannot overflow; ``nocomp`` writes raw slabs in place.
     """
 
-    #: short registry name, e.g. ``"reorder"``; set by :func:`register_strategy`.
-    name: str = "abstract"
-
-    predict: PredictPhase = PredictPhase(enabled=False)
-    plan: PlanPhase | None = None
-    compress_write: CompressWritePhase = CompressWritePhase()
-    overflow: OverflowPhase = OverflowPhase(enabled=False)
+    name: str
+    predict: PredictPhase
+    plan: PlanPhase | None
+    compress_write: CompressWritePhase
+    overflow: OverflowPhase
 
     @property
     def compresses(self) -> bool:
@@ -252,115 +236,51 @@ class WriteStrategy:
         """True for predicted-offset (pre-compression plan) strategies."""
         return self.plan is not None and self.plan.source == "predicted"
 
-    def validate(self) -> None:
-        """Reject phase combinations no driver can honor.
 
-        The engine's contract is that a registered configuration executes
-        as declared; combinations that would be silent no-ops (or are
-        causally impossible, like overlapping writes whose offsets only
-        exist after every stream is compressed) fail loudly instead.
-        """
-        cw, plan = self.compress_write, self.plan
-        label = f"strategy {self.name!r}"
-        if cw.compress:
-            if plan is None:
-                raise ConfigError(f"{label}: compressing strategies need a PlanPhase")
-            if plan.source == "actual":
-                if cw.overlap or cw.reorder:
-                    raise ConfigError(
-                        f"{label}: a post-compression plan cannot overlap or "
-                        "reorder — offsets are unknown until every stream is "
-                        "compressed (use PlanPhase(source='predicted'))"
-                    )
-                if self.predict.enabled:
-                    raise ConfigError(
-                        f"{label}: predictions are unused when the plan derives "
-                        "from actual sizes"
-                    )
-                if self.overflow.enabled:
-                    raise ConfigError(
-                        f"{label}: exact-size plans cannot overflow; disable the "
-                        "OverflowPhase"
-                    )
-        else:
-            if plan is not None or cw.reorder or self.predict.enabled or self.overflow.enabled:
-                raise ConfigError(
-                    f"{label}: non-compressing strategies write raw partitions — "
-                    "plan/reorder/predict/overflow phases do not apply"
-                )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} name={self.name!r}>"
-
-
-_REGISTRY: dict[str, Callable[..., WriteStrategy]] = {}
+#: The paper's Fig. 4 solutions in presentation order: (a) independent raw
+#: writes; (b) H5Z-SZ — compress all, all-gather exact sizes, one
+#: synchronized collective write; (c) predict → plan with extra space →
+#: compress with overlapped async writes → overflow repair; (d) (c) plus
+#: the Algorithm 1 compression order, the paper's full solution.
+STRATEGIES: Mapping[str, WriteStrategy] = MappingProxyType(
+    {
+        "nocomp": WriteStrategy(
+            "nocomp",
+            PredictPhase(enabled=False),
+            None,
+            CompressWritePhase(compress=False, overlap=False),
+            OverflowPhase(enabled=False),
+        ),
+        "filter": WriteStrategy(
+            "filter",
+            PredictPhase(enabled=False),
+            PlanPhase(source="actual", extra_space=False),
+            CompressWritePhase(compress=True, overlap=False),
+            OverflowPhase(enabled=False),
+        ),
+        "overlap": WriteStrategy(
+            "overlap",
+            PredictPhase(enabled=True),
+            PlanPhase(source="predicted", extra_space=True),
+            CompressWritePhase(compress=True, overlap=True, reorder=False),
+            OverflowPhase(enabled=True),
+        ),
+        "reorder": WriteStrategy(
+            "reorder",
+            PredictPhase(enabled=True),
+            PlanPhase(source="predicted", extra_space=True),
+            CompressWritePhase(compress=True, overlap=True, reorder=True),
+            OverflowPhase(enabled=True),
+        ),
+    }
+)
 
 
-def register_strategy(name: str) -> Callable[[type], type]:
-    """Class decorator registering a strategy factory under ``name``."""
-
-    def deco(cls: type) -> type:
-        if not issubclass(cls, WriteStrategy):
-            raise TypeError(f"{cls!r} is not a WriteStrategy subclass")
-        cls.name = name
-        cls().validate()  # reject configurations no driver can honor
-        _REGISTRY[name] = cls
-        return cls
-
-    return deco
-
-
-def get_strategy(name: str, **kwargs: object) -> WriteStrategy:
-    """Instantiate the strategy registered under ``name``."""
+def get_strategy(name: str) -> WriteStrategy:
+    """The strategy called ``name``; the one lookup every entry point uses."""
     try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown strategy {name!r}; available: {sorted(_REGISTRY)}"
+        return STRATEGIES[name]
+    except (KeyError, TypeError):
+        raise UnknownStrategyError(
+            f"unknown strategy {name!r}; registered strategies are {list(STRATEGIES)}"
         ) from None
-    return factory(**kwargs)
-
-
-def registered_strategies() -> tuple[str, ...]:
-    """Registered names in registration (paper presentation) order."""
-    return tuple(_REGISTRY)
-
-
-@register_strategy("nocomp")
-class NocompStrategy(WriteStrategy):
-    """Baseline 1: independent raw writes, no compression (Fig. 4a)."""
-
-    predict = PredictPhase(enabled=False)
-    plan = None
-    compress_write = CompressWritePhase(compress=False, overlap=False)
-    overflow = OverflowPhase(enabled=False)
-
-
-@register_strategy("filter")
-class FilterStrategy(WriteStrategy):
-    """Baseline 2 (H5Z-SZ): compress all, all-gather actual sizes, then a
-    synchronized collective write into an exact layout (Fig. 4b)."""
-
-    predict = PredictPhase(enabled=False)
-    plan = PlanPhase(source="actual", extra_space=False)
-    compress_write = CompressWritePhase(compress=True, overlap=False)
-    overflow = OverflowPhase(enabled=False)
-
-
-@register_strategy("overlap")
-class OverlapStrategy(WriteStrategy):
-    """The paper's predictive scheme: predict → plan with extra space →
-    compress with overlapped async writes → overflow repair (Fig. 4c)."""
-
-    predict = PredictPhase(enabled=True)
-    plan = PlanPhase(source="predicted", extra_space=True)
-    compress_write = CompressWritePhase(compress=True, overlap=True, reorder=False)
-    overflow = OverflowPhase(enabled=True)
-
-
-@register_strategy("reorder")
-class ReorderStrategy(OverlapStrategy):
-    """``overlap`` plus the Algorithm 1 compression-order optimization
-    (Fig. 4d, the paper's full solution)."""
-
-    compress_write = CompressWritePhase(compress=True, overlap=True, reorder=True)

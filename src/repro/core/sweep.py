@@ -20,9 +20,8 @@ from typing import Sequence
 
 from repro.core.config import PipelineConfig
 from repro.core.scenarios import ScenarioCase, scenario_matrix
-from repro.core.strategy import registered_strategies
+from repro.core.strategy import STRATEGIES
 from repro.core.writers import SimResult, simulate_strategy
-from repro.errors import OverflowHandlingError
 from repro.exec import Executor, resolve_executor
 from repro.sim.machine import MachineProfile, get_machine
 
@@ -35,31 +34,20 @@ class SweepCell:
     scenario: str
     seed: int
     strategy: str
-    #: None when the strategy cannot execute the cell's workload as
-    #: declared (overflow handling disabled but slots would overflow).
-    result: SimResult | None = field(repr=False, default=None)
-
-    @property
-    def feasible(self) -> bool:
-        """True when the strategy executed the cell."""
-        return self.result is not None
+    result: SimResult = field(repr=False)
 
     @property
     def makespan_seconds(self) -> float:
-        """Simulated makespan; ``inf`` for infeasible cells."""
-        return self.result.makespan_seconds if self.result else float("inf")
+        """Simulated makespan."""
+        return self.result.makespan_seconds
 
 
 def _sweep_cell(cell) -> SweepCell:
     """Simulate one cell."""
     case_label, scenario, seed, strategy, workload, machine, config = cell
-    try:
-        result = simulate_strategy(strategy, workload, machine, config)
-    except OverflowHandlingError:
-        result = None
     return SweepCell(
-        case_label=case_label, scenario=scenario, seed=seed,
-        strategy=strategy, result=result,
+        case_label=case_label, scenario=scenario, seed=seed, strategy=strategy,
+        result=simulate_strategy(strategy, workload, machine, config),
     )
 
 
@@ -73,12 +61,12 @@ def simulate_matrix(
     """Simulate every (case, strategy) cell; case-major, strategy-minor.
 
     ``cases`` defaults to the full generated matrix, ``strategies`` to
-    every registered strategy.  Results come back in deterministic cell
+    all four.  Results come back in deterministic cell
     order regardless of backend completion order.
     """
     if cases is None:
         cases = scenario_matrix()
-    names = tuple(strategies) if strategies is not None else registered_strategies()
+    names = tuple(strategies) if strategies is not None else tuple(STRATEGIES)
     machine = get_machine(machine) if isinstance(machine, str) else machine
     ex = resolve_executor(executor)
     cells = [

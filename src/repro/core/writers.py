@@ -1,8 +1,8 @@
-"""SimDriver: executes registered write strategies on the simulator.
+"""SimDriver: executes the four write strategies on the simulator.
 
 The strategies themselves — which phases run, how offsets are planned,
-whether writes overlap, whether Algorithm 1 reorders — are defined once in
-:mod:`repro.core.strategy` and shared with the real thread-rank driver in
+whether writes overlap, whether Algorithm 1 reorders — are the fixed table
+in :mod:`repro.core.strategy`, shared with the real thread-rank driver in
 :mod:`repro.core.pipeline`.  This module contributes only the *timing*
 execution: cost-model compression times, simulated file-system writes, and
 the synchronization structure of each phase.
@@ -34,14 +34,8 @@ import numpy as np
 from repro.core.config import PipelineConfig
 from repro.core.offsets import OffsetTable
 from repro.core.overflow import OverflowPlan
-from repro.core.strategy import (
-    WriteStrategy,
-    get_strategy,
-    predict_phase_costs,
-    registered_strategies,
-)
+from repro.core.strategy import get_strategy, predict_phase_costs
 from repro.core.workload import Workload
-from repro.errors import OverflowHandlingError
 from repro.exec import Executor, resolve_executor
 from repro.modeling.calibration import calibrate_write_throughput
 from repro.modeling.throughput_model import PowerLawThroughputModel
@@ -50,9 +44,6 @@ from repro.sim.engine import Environment
 from repro.sim.machine import MachineProfile, get_machine
 from repro.sim.resources import SimBarrier
 from repro.sim.trace import TraceRecorder
-
-#: Paper-order tuple of the registered Fig. 4 strategies (back-compat).
-STRATEGIES = registered_strategies()
 
 #: Fixed base offset of the data region in the simulated shared file.
 _BASE_OFFSET = 4096
@@ -147,7 +138,7 @@ def default_models(
 
 
 def simulate_strategy(
-    strategy: str | WriteStrategy,
+    strategy: str,
     workload: Workload,
     machine: MachineProfile,
     config: PipelineConfig | None = None,
@@ -155,7 +146,7 @@ def simulate_strategy(
     handle_overflow: bool = True,
     executor: "str | Executor | None" = None,
 ) -> SimResult:
-    """Run one registered strategy over one workload on one machine profile.
+    """Run one strategy, by name, over one workload on one machine profile.
 
     ``handle_overflow=False`` silently grows any under-reserved slot to fit
     (the "write time without handling data overflow" reference the paper's
@@ -196,8 +187,8 @@ def _rank_field_order(cell) -> list[int]:
 
 
 class SimDriver:
-    """Executes a :class:`~repro.core.strategy.WriteStrategy` on the
-    discrete-event simulator (the timing world)."""
+    """Executes one of the four strategies, by name, on the discrete-event
+    simulator (the timing world)."""
 
     def __init__(
         self,
@@ -213,14 +204,13 @@ class SimDriver:
 
     def run(
         self,
-        strategy: str | WriteStrategy,
+        strategy: str,
         workload: Workload,
         config: PipelineConfig | None = None,
         handle_overflow: bool = True,
     ) -> SimResult:
         """Simulate one strategy over one workload; returns timing + storage."""
-        strat = strategy if isinstance(strategy, WriteStrategy) else get_strategy(strategy)
-        strat.validate()
+        strat = get_strategy(strategy)
         models = self.models or default_models(self.machine, workload.nranks)
         run = _SimRun(strat, workload, self.machine, config or PipelineConfig(),
                       models, handle_overflow, self.executor)
@@ -250,14 +240,12 @@ class _SimRun:
         self.outliers = self.w.matrix("n_outliers")
         self.unique = self.w.matrix("n_unique_symbols")
         self.t_primary_done = 0.0
-        # Matrix the predictive plan derives from (set per execution shape).
-        self.plan_sizes = self.predicted
         self.offset_table: OffsetTable | None = None
         self.overflow_plan: OverflowPlan | None = None
         # Eq. (1) seconds for every (field, rank) — the per-rank hot loop,
         # fanned out over ranks through the executor.  Raw strategies
         # never read compression costs, so they skip the whole matrix.
-        if strategy.compress_write.compress:
+        if strategy.compresses:
             per_rank = self.executor.map_cells(
                 _rank_compression_seconds,
                 [
@@ -287,7 +275,7 @@ class _SimRun:
         return self.executor.map_cells(
             _rank_field_order,
             [
-                (cw, self.tmodel, self.wmodel, self.n_values[:, r], self.plan_sizes[:, r])
+                (cw, self.tmodel, self.wmodel, self.n_values[:, r], self.predicted[:, r])
                 for r in range(self.w.nranks)
             ],
         )
@@ -296,9 +284,9 @@ class _SimRun:
 
     def execute(self) -> SimResult:
         strat = self.strategy
-        if not strat.compress_write.compress:
+        if not strat.compresses:
             self._run_raw()
-        elif strat.plan is not None and strat.plan.source == "actual":
+        elif not strat.predictive:
             self._run_postplanned()
         else:
             self._run_predictive()
@@ -353,22 +341,11 @@ class _SimRun:
         env, fs, trace = self.env, self.fs, self.trace
         nranks, nfields = self.w.nranks, self.w.nfields
         strat = self.strategy
-        # Size matrix the plan is built from: sampled predictions, or the
-        # raw partition sizes when the strategy skips the predict phase.
-        self.plan_sizes = self.predicted if strat.predict.enabled else self.original
         # Every rank computes the same table; do it once here.
-        table = strat.plan.compute_table(
-            self.plan_sizes, self.original, self.config, _BASE_OFFSET
-        )
+        table = strat.plan.compute_table(self.predicted, self.original, self.config, _BASE_OFFSET)
         reserved = table.reserved.copy()
         if not self.handle_overflow:
             reserved = np.maximum(reserved, self.actual)
-        if not strat.overflow.enabled and np.any(self.actual > reserved):
-            raise OverflowHandlingError(
-                f"strategy {strat.name!r} disables overflow handling but "
-                f"{int(np.count_nonzero(self.actual > reserved))} partitions "
-                "exceed their reserved slots"
-            )
         plan = strat.overflow.compute_plan(self.actual, reserved, table.data_end)
         self.offset_table = OffsetTable(
             offsets=table.offsets, reserved=reserved,
@@ -381,25 +358,21 @@ class _SimRun:
         ag2 = self.machine.comm.allgather_seconds(nranks, 8.0 * nfields)
         primary_done = env.event()
         done_count = {"n": 0}
-
-        overlap = strat.compress_write.overlap
         orders = self._field_orders()
 
         def rank_proc(r: int):
-            # Phase 1: prediction (skipped when the strategy plans from
-            # raw sizes instead of sampled predictions).
-            if strat.predict.enabled:
-                t0 = env.now
-                yield env.timeout(self._predict_seconds(r))
-                trace.add(r, "predict", t0, env.now)
+            # Phase 1: prediction.
+            t0 = env.now
+            yield env.timeout(self._predict_seconds(r))
+            trace.add(r, "predict", t0, env.now)
             # Phase 2: all-gather predicted sizes + offset computation.
             t0 = env.now
             yield barrier1.arrive()
             yield env.timeout(ag1 + PLAN_SECONDS_PER_FIELD_SQ * nfields * nfields)  # + Algorithm 1
             trace.add(r, "allgather", t0, env.now)
-            # Phase 3: compress in (possibly optimized) order; with overlap
-            # the writes are issued asynchronously and drain in order on
-            # this rank's stream, otherwise each write blocks in place.
+            # Phase 3: compress in (possibly optimized) order; the writes
+            # are issued asynchronously and drain in order on this rank's
+            # stream.
             prev_write = None
             pending = []
             for f in orders[r]:
@@ -407,21 +380,10 @@ class _SimRun:
                 yield env.timeout(self._compress_seconds(f, r))
                 trace.add(r, "compress", t0, env.now, label=self.w.fields[f])
                 nbytes = float(min(self.actual[f, r], reserved[f, r]))
-                if overlap:
-                    prev_write = env.process(
-                        self._chained_write(r, f, nbytes, prev_write)
-                    )
-                    pending.append(prev_write)
-                else:
-                    t0 = env.now
-                    yield fs.independent_write(nbytes)
-                    trace.add(r, "write", t0, env.now, label=self.w.fields[f],
-                              nbytes=int(nbytes))
+                prev_write = env.process(self._chained_write(r, f, nbytes, prev_write))
+                pending.append(prev_write)
             # Wait for this rank's writes to land.
-            if pending:
-                yield env.all_of(pending)
-            if not strat.overflow.enabled:
-                return
+            yield env.all_of(pending)
             # Phase 4: all-gather of overflow sizes.
             t0 = env.now
             yield barrier2.arrive()
@@ -442,8 +404,7 @@ class _SimRun:
             yield primary_done
             self.t_primary_done = env.now
 
-        if strat.overflow.enabled:
-            env.process(_watch_primary())
+        env.process(_watch_primary())
         for r in range(nranks):
             env.process(rank_proc(r))
 
@@ -461,12 +422,12 @@ class _SimRun:
     def _result(self, makespan: float) -> SimResult:
         trace = self.trace
         strat = self.strategy
-        if not strat.compress_write.compress:
+        if not strat.compresses:
             ideal = self.w.original_total
             footprint = self.w.original_total
             overflow_bytes = 0
             n_over = 0
-        elif strat.plan is not None and strat.plan.source == "actual":
+        elif not strat.predictive:
             ideal = self.w.actual_total
             footprint = self.w.actual_total
             overflow_bytes = 0

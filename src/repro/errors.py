@@ -101,4 +101,4 @@ class ConfigError(ReproError, ValueError):
 
 
 class UnknownStrategyError(ConfigError):
-    """Raised when a requested write-strategy name is not registered."""
+    """Raised when a requested write-strategy name is not one of the four."""

@@ -38,7 +38,6 @@ from repro.serve.protocol import RemoteOpError, ServeError
 #: PipelineConfig fields clients may set over the wire.
 CONFIG_FIELDS = (
     "extra_space_ratio",
-    "reorder",
     "sample_fraction",
     "slot_alignment",
     "lossless_estimator",

@@ -46,7 +46,7 @@ import tempfile
 
 from repro.bench.harness import format_table, results_dir
 from repro.core.scenarios import get_scenario, scenario_names
-from repro.core.strategy import registered_strategies
+from repro.core.strategy import STRATEGIES
 from repro.exec import EXECUTOR_NAMES
 from repro.verify.certify import CertificationReport, certify, certify_codecs
 from repro.verify.fuzz import fuzz
@@ -115,7 +115,7 @@ def _parse_args(argv) -> argparse.Namespace:
                         help="CI smoke sizes (seconds, not minutes)")
     parser.add_argument("--scenarios", default=",".join(scenario_names()),
                         help="comma-separated scenario names (default: all)")
-    parser.add_argument("--strategies", default=",".join(registered_strategies()),
+    parser.add_argument("--strategies", default=",".join(STRATEGIES),
                         help="comma-separated strategy names (default: all)")
     parser.add_argument("--backends", default=",".join(EXECUTOR_NAMES),
                         help="comma-separated executor backends for the parity "

@@ -1,6 +1,6 @@
 """Differential read/write parity (pillar 2 of the verify engine).
 
-One canonical workload is pushed through every registered strategy on
+One canonical workload is pushed through each of the four strategies on
 every requested executor backend.  Two properties are asserted:
 
 * **cross-backend determinism** — the finished file's byte fingerprint
@@ -24,7 +24,7 @@ from typing import Sequence
 
 from repro.core.config import PipelineConfig
 from repro.core.scenarios import get_scenario
-from repro.core.strategy import registered_strategies
+from repro.core.strategy import STRATEGIES
 from repro.errors import VerificationError
 from repro.exec import get_executor
 from repro.verify.certify import CertificationReport, certify
@@ -143,7 +143,7 @@ def differential_parity(
     The serial backend is always included (it anchors both the fingerprint
     comparison and the certified read-back).
     """
-    strategies = list(strategies) if strategies is not None else list(registered_strategies())
+    strategies = list(strategies) if strategies is not None else list(STRATEGIES)
     backends = list(backends)
     if "serial" not in backends:
         backends.insert(0, "serial")

@@ -2,7 +2,7 @@
 
 Certification, differential parity, and the scenario fuzzer all need the
 same primitive: take one scenario's real-array payload, push it through a
-registered strategy on some executor backend, and land a finished PHD5
+write strategy on some executor backend, and land a finished PHD5
 file on disk.  Centralizing it keeps the three pillars exercising the
 *production* write path (``RealDriver.write``: SPMD ranks + async VOL),
 not a test-only shortcut.

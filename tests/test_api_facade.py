@@ -22,7 +22,7 @@ from repro.compression.sz import SZCompressor
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import RealDriver
 from repro.core.session import step_group
-from repro.core.strategy import registered_strategies
+from repro.core.strategy import STRATEGIES
 from repro.data.partition import grid_partition, rank_payload, rank_regions
 from repro.data.timesteps import TimestepSeries
 from repro.hdf5.file import File as EngineFile
@@ -137,7 +137,7 @@ def test_strategy_auto_snapshot_resolves_to_registered(tmp_path):
         ds[...] = data
         f.flush()
         executed = ds.attrs["repro:strategy"]
-        assert executed in registered_strategies()
+        assert executed in STRATEGIES
     with repro.open(path) as f:
         assert np.abs(f["d"][...] - data).max() <= 1e-3 * (1 + 1e-6)
 
@@ -229,7 +229,7 @@ def test_time_axis_auto_retunes_per_step(tmp_path):
         for t in range(2):
             res = f.append_step({"x": _field(t)})
             assert res.tuning is not None
-            assert res.tuning.choice in registered_strategies()
+            assert res.tuning.choice in STRATEGIES
 
 
 def test_facade_matches_timestep_session_bit_identically(tmp_path):

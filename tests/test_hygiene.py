@@ -146,7 +146,7 @@ def test_every_public_name_has_a_live_user():
     ``def``/``class`` of a non-``__init__`` module under ``src/repro`` is
     named somewhere in ``CONSUMER_DIRS`` other than at its own definition
     or in a package ``__init__`` re-export, or carries a decorator
-    (registration — ``@register_strategy`` — is a use).  A word match, so
+    (a decorated definition counts as used).  A word match, so
     lenient; a name only its own test mentions still fails it."""
     words: collections.Counter[str] = collections.Counter()
     for top in CONSUMER_DIRS:

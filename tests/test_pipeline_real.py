@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.compression import SZCompressor
-from repro.core import PipelineConfig, RealDriver, registered_strategies
+from repro.core import STRATEGIES, PipelineConfig, RealDriver
 from repro.data import NyxGenerator
 from repro.data.partition import rank_payload, rank_regions
 from repro.hdf5 import File, FileAccessProps
@@ -56,7 +56,7 @@ def _assert_within_bounds(path, gen, names, codecs):
             assert err <= bound * (1 + 1e-6), name
 
 
-@pytest.mark.parametrize("strategy", registered_strategies())
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
 def test_write_equals_hand_rolled_spmd_over_run(tmp_path, strategy):
     """``RealDriver.write`` is nothing but ``run`` on every rank: the file
     it produces is byte-identical to a hand-rolled ``run_spmd`` loop over
@@ -98,19 +98,16 @@ class TestPredictivePipeline:
             assert all(v > 0 for v in s.actual_nbytes.values())
 
     def test_reordering_produces_permutation(self, tmp_path):
-        _, names, _, _, stats = _run_predictive(
-            tmp_path, config=PipelineConfig(reorder=True)
-        )
-        for s in stats:
+        """``reorder`` runs Algorithm 1: every rank's order is a
+        permutation of the fields."""
+        _, names, codecs, payload = _setup()
+        for s in _write(tmp_path / "reorder.phd5", "reorder", payload, codecs):
             assert sorted(s.order) == sorted(names)
 
     def test_no_reorder_keeps_original_order(self, tmp_path):
-        _, names, _, _, stats = _run_predictive(
-            tmp_path, config=PipelineConfig(reorder=False)
-        )
-        for s in stats:
-            assert s.order == names
-        _, _, codecs, payload = _setup()
+        """``overlap`` is ``reorder`` without Algorithm 1: every rank
+        compresses in insertion order."""
+        _, names, codecs, payload = _setup()
         for s in _write(tmp_path / "overlap.phd5", "overlap", payload, codecs):
             assert s.order == names
 

@@ -9,7 +9,7 @@ import pytest
 from helpers import open_series_file, series_step
 from repro.core.config import EXTRA_SPACE_MIN, PipelineConfig
 from repro.core.scenarios import get_scenario, scenario_names
-from repro.core.strategy import registered_strategies
+from repro.core.strategy import STRATEGIES
 from repro.data.timesteps import TimestepSeries
 from repro.errors import VerificationError
 from repro.hdf5.file import File
@@ -118,12 +118,12 @@ class TestParity:
     def test_serial_thread_identical(self):
         result = differential_parity(
             CANONICAL_SCENARIO,
-            strategies=list(registered_strategies()),
+            strategies=list(STRATEGIES),
             backends=("serial", "thread"),
             seed=0,
         )
         assert result.passed, (result.mismatches, result.bound_violations)
-        for strategy in registered_strategies():
+        for strategy in STRATEGIES:
             prints = result.fingerprints(strategy)
             assert set(prints) == {"serial", "thread"}
             assert len(set(prints.values())) == 1
@@ -151,7 +151,7 @@ class TestFuzz:
         for i in range(20):
             c = draw_case(3, i)
             assert c.base in scenario_names()
-            assert c.strategy in registered_strategies()
+            assert c.strategy in STRATEGIES
             assert 1 <= c.nfields <= 4 and 1 <= c.nranks <= 4
             assert c.shape[0] >= c.nranks
             assert EXTRA_SPACE_MIN <= c.extra_space <= 1.43
@@ -397,7 +397,7 @@ class TestCLI:
         with open(tmp_path / artifact, encoding="utf-8") as f:
             report = json.load(f)
         expected = {
-            f"{sc}/{st}" for sc in scenario_names() for st in registered_strategies()
+            f"{sc}/{st}" for sc in scenario_names() for st in STRATEGIES
         } | {f"{sc}/facade[reorder]" for sc in scenario_names()}
         assert set(report["certification"]) == expected
         assert report["passed"] is True

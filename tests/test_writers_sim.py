@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import PipelineConfig, build_workload, simulate_strategy
+from repro.core.strategy import STRATEGIES
 from repro.core.workload import scale_workload
-from repro.core.writers import STRATEGIES, default_models
+from repro.core.writers import default_models
 from repro.errors import ConfigError
 from repro.sim import BEBOP, SUMMIT
 
