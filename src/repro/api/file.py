@@ -20,16 +20,20 @@ Algorithm 1's cross-field reordering sees the same workload an MPI
 application would give it.
 
 ``RealDriver`` and ``repro.hdf5.File`` remain the engine underneath — the
-facade adds no second write path, only the routing: every flush and every
-streamed step is one
-:meth:`RealDriver.write <repro.core.pipeline.RealDriver.write>`, and
-:class:`~repro.core.session.TimestepSession` is only the state the file
-carries from one step to the next.
+facade adds no second write path, only the routing: every flush batch and
+every streamed step is one
+:meth:`RealDriver.write <repro.core.pipeline.RealDriver.write>` through
+the same private collective write, which lands whole or leaves no
+declaration behind.  Between steps the file keeps only its step state:
+the series' codecs, ranks and configuration, the strategy the next step
+runs, and the previous compressing step's measured sizes (and Algorithm 1
+orders) that warm-start it.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from typing import Mapping
 
 import numpy as np
@@ -40,7 +44,8 @@ from repro.compression.sz import SZCompressor
 from repro.core.autotune import AutoTuner, tune_payload
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import RealDriver
-from repro.core.session import TimestepSession, step_group
+from repro.core.session import AUTO_INITIAL_STRATEGY, StepResult, step_group
+from repro.core.strategy import get_strategy
 from repro.data.partition import rank_payload, rank_regions
 from repro.errors import (
     ConfigError,
@@ -329,7 +334,17 @@ class File(Group):
         #: every landed step's arrays, the reference :meth:`verify`
         #: certifies the streamed steps against.
         self._steps: list[dict[str, np.ndarray]] = []
-        self._session: TimestepSession | None = None
+        # Step state, fixed or measured by the steps themselves: the
+        # series' codecs, ranks and config (set by the first step), the
+        # strategy the next step runs, and the last compressing step's
+        # per-rank actual sizes and Algorithm 1 orders (its warm start).
+        self._step_codecs: dict[str, SZCompressor] | None = None
+        self._step_nranks = self.nranks
+        self._step_config = self.config
+        self._step_auto = False
+        self._step_strategy = AUTO_INITIAL_STRATEGY
+        self._prev_actual: list[dict[str, int]] | None = None
+        self._prev_orders: list[list[str]] | None = None
         self._step_stage: dict[str, np.ndarray] = {}
         self._loaded_steps = 0
         self._lock = threading.Lock()
@@ -484,7 +499,7 @@ class File(Group):
                 eng0.attrs.update(ds._attrs)
                 eng0.attrs.update(self._meta_attrs(
                     ds, ds.settings.resolved_strategy(self.default_strategy),
-                    self._session.nranks if self._session else self.nranks,
+                    self._step_nranks,
                 ))
 
     @staticmethod
@@ -545,9 +560,9 @@ class File(Group):
         if settings.error_bound is None:
             raise ConfigError(
                 f"{path}: time-axis datasets require error_bound=... "
-                "(the streaming session plans from predicted compressed sizes)"
+                "(streamed steps plan from predicted compressed sizes)"
             )
-        if self._session is not None:
+        if self._step_codecs is not None:
             raise InvalidStateError(
                 f"{path}: cannot add time-axis datasets after the first "
                 "step was appended"
@@ -631,29 +646,60 @@ class File(Group):
                 ds.settings.nranks,
             )
             batches.setdefault(key, []).append(ds)
-        for key, dss in batches.items():
-            self._flush_batch(*key, dss)
+        for (parent, shape, tiling, strategy_name, cfg, nranks), dss in batches.items():
+            try:
+                strategy, payload, stats = self._collective_write(
+                    parent, shape, {ds.leaf: ds._blocks for ds in dss},
+                    self._codecs(dss), strategy_name, cfg, nranks or self.nranks,
+                    tiling=tiling,
+                )
+            except Exception:
+                # The rejected datasets leave staging with their error, so
+                # close() still finalises what already landed and the
+                # names can be created again.
+                for ds in dss:
+                    del self._datasets[ds._path]
+                raise
+            for ds in dss:
+                engine_ds = self._engine[ds._path]
+                engine_ds.attrs.update(ds._attrs)
+                engine_ds.attrs.update(self._meta_attrs(ds, strategy.name, len(payload)))
+                ds._engine = engine_ds
+                ds.stats = stats
 
-    def _flush_batch(
-        self, parent, shape, regions_key, strategy_name, cfg, nranks_req, dss
-    ) -> None:
-        names = [ds.leaf for ds in dss]
-        codecs = {
+    @staticmethod
+    def _codecs(dss) -> dict[str, SZCompressor]:
+        """One codec per error-bounded dataset of ``dss``."""
+        return {
             ds.leaf: SZCompressor(
                 bound=ds.settings.error_bound, mode=ds.settings.bound_mode
             )
             for ds in dss
             if ds.settings.error_bound is not None
         }
-        tiles = {ds.leaf: ds._blocks for ds in dss}
-        nranks = nranks_req or self.nranks
+
+    def _collective_write(
+        self, group, shape, tiles, codecs, strategy_name, cfg, nranks,
+        *, tiling=None, hints=None,
+    ):
+        """One collective :meth:`RealDriver.write` of ``tiles`` into
+        ``group``: the write every flush batch and every streamed step runs.
+
+        ``tiles[name]`` is a field's whole array or its staged
+        ``(region, block)`` tiles; the caller's own block ``tiling`` is the
+        rank decomposition when it has one.  ``"auto"`` is priced cold from
+        sampled sizes and the winner executes.  The write lands whole or
+        leaves nothing behind: a failure unlinks every dataset it declared
+        and any group it created.  Returns the executed strategy, the
+        per-rank payload and the per-rank stats.
+        """
+        names = list(tiles)
 
         def split(slabs: bool):
-            # The caller's block tiling is the decomposition when it
-            # exists; a single full assignment is partitioned internally
-            # (grid blocks for compressing strategies, row slabs for raw).
+            # A single full assignment is partitioned internally (grid
+            # blocks for compressing strategies, row slabs for raw).
             try:
-                regions = rank_regions(shape, nranks, slabs=slabs, tiling=regions_key)
+                regions = rank_regions(shape, nranks, slabs=slabs, tiling=tiling)
             except ValueError as exc:
                 raise ConfigError(
                     f"cannot partition shape {shape} across {nranks} ranks: "
@@ -661,37 +707,32 @@ class File(Group):
                 ) from None
             return rank_payload(tiles, shape, regions)
 
-        linked = {ds._path for ds in dss if ds._path in self._engine}
+        parts = [p for p in group.split("/") if p]
+        prefixes = ["/".join(parts[: i + 1]) for i in range(len(parts))]
+        new_group = next((p for p in prefixes if p not in self._engine), None)
+        linked = {n for n in names if f"{group}/{n}" in self._engine}
         try:
             if strategy_name == AUTO:
-                # Price all four strategies from sampled size
-                # predictions and execute the winner (the cold-write
-                # analogue of the streaming session's per-step re-tuning).
                 tuner = AutoTuner(machine=self.machine, config=cfg, executor=self._executor)
                 strategy_name = tune_payload(
-                    tuner, names, split(slabs=False), codecs, name=f"facade:{parent}"
+                    tuner, names, split(slabs=False), codecs, name=f"facade:{group}"
                 ).choice
             driver = RealDriver(
                 strategy_name, config=cfg, machine_name=self.machine,
                 executor=self._executor,
             )
             payload = split(slabs=not driver.strategy.compresses)
-            stats = driver.write(self._engine, payload, shape, codecs, group=parent)
+            stats = driver.write(self._engine, payload, shape, codecs, group=group, hints=hints)
         except Exception:
-            # A batch lands whole or not at all: drop the declarations it
-            # made and its staging, so close() still finalises what already
-            # landed and the names can be created again.
-            for ds in dss:
-                del self._datasets[ds._path]
-                if ds._path not in linked and ds._path in self._engine:
-                    self._engine[parent].unlink(ds.leaf)
+            if new_group is not None and new_group in self._engine:
+                head, _, leaf = new_group.rpartition("/")
+                self._engine.root[head].unlink(leaf)
+            else:
+                for n in names:
+                    if n not in linked and f"{group}/{n}" in self._engine:
+                        self._engine[group].unlink(n)
             raise
-        for ds in dss:
-            engine_ds = self._engine[ds._path]
-            engine_ds.attrs.update(ds._attrs)
-            engine_ds.attrs.update(self._meta_attrs(ds, strategy_name, len(payload)))
-            ds._engine = engine_ds
-            ds.stats = stats
+        return driver.strategy, payload, stats
 
     # -- time axis ------------------------------------------------------------
 
@@ -703,10 +744,11 @@ class File(Group):
     def append_step(self, fields: Mapping[str, np.ndarray]):
         """Stream one snapshot of every time-axis dataset as a new step.
 
-        The step is one collective write into ``steps/NNNN``, planned from
-        the previous step's measured sizes (warm start) and re-tuned per
-        step under ``strategy="auto"`` — the file's
-        :class:`~repro.core.session.TimestepSession` state.  Returns the
+        The step is one collective write into ``steps/NNNN`` — the same
+        write a flush batch runs — planned from the previous step's
+        measured sizes (warm start) and re-tuned per step under
+        ``strategy="auto"``.  A rejected step leaves no ``steps/NNNN``
+        behind, so the same step can be appended again.  Returns the
         step's :class:`~repro.core.session.StepResult`.
         """
         self._require_writable("append a step")
@@ -752,17 +794,58 @@ class File(Group):
             )
         return np.ascontiguousarray(a, dtype=ds._dtype)
 
-    def _write_step(self, arrays: dict[str, np.ndarray]):
-        self._ensure_session()
-        result = self._session.write_arrays(arrays)
+    def _write_step(self, arrays: dict[str, np.ndarray]) -> StepResult:
+        if self._step_codecs is None:
+            self._start_series()
+        step = self.steps_written
+        group = step_group(step)
+        warm = get_strategy(self._step_strategy).predictive and self._prev_actual is not None
+        hints = None
+        if warm:
+            orders = self._prev_orders or [None] * len(self._prev_actual)
+            hints = list(zip(self._prev_actual, orders))
+        t0 = time.perf_counter()
+        strategy, payload, stats = self._collective_write(
+            group, self._time[0]._base_shape, arrays, self._step_codecs,
+            self._step_strategy, self._step_config, self._step_nranks, hints=hints,
+        )
+        seconds = time.perf_counter() - t0
         # Only a step that landed becomes reference data, so the retained
         # steps and the file cannot drift apart.
         self._steps.append(arrays)
-        return result
+        if strategy.compresses:
+            # Raw-write actuals are partition sizes, useless as compressed-
+            # size hints — only compressing steps refresh the warm state.
+            self._prev_actual = [dict(s.actual_nbytes) for s in stats]
+            # Only an Algorithm-1 step produces an optimized order worth
+            # reusing; seeding a later reorder step with another strategy's
+            # insertion order would silently disable the optimization.
+            self._prev_orders = (
+                [list(s.order) for s in stats] if strategy.compress_write.reorder else None
+            )
+        tuning = None
+        if self._step_auto:
+            # Re-pick the next step's strategy from this step's measured
+            # actuals; a raw step measured no compressed sizes, so they are
+            # probed instead — otherwise a series that once picked a raw
+            # strategy could never notice drifting back into a compressible
+            # regime.  The next step warm-starts (skips the sampling pass)
+            # whenever compressed hints exist, so predictive candidates are
+            # priced without the prediction overhead then.
+            tuner = AutoTuner(self.machine, config=self._step_config, executor=self._executor)
+            measured = [s.actual_nbytes for s in stats] if strategy.compresses else None
+            tuning = tune_payload(
+                tuner, list(arrays), payload, self._step_codecs, measured,
+                name=f"step{step}", warm_start=self._prev_actual is not None,
+            )
+            self._step_strategy = tuning.choice
+        return StepResult(
+            step=step, group=group, warm_started=warm, seconds=seconds, stats=stats,
+            strategy=strategy.name, tuning=tuning,
+        )
 
-    def _ensure_session(self) -> None:
-        if self._session is not None:
-            return
+    def _start_series(self) -> None:
+        """Fix the series' codecs, ranks, config and strategy (first step)."""
         strategies = {
             ds.settings.resolved_strategy(self.default_strategy)
             for ds in self._time
@@ -787,22 +870,13 @@ class File(Group):
             raise ConfigError(
                 f"time-axis datasets declare conflicting nranks {sorted(nranks_set)}"
             )
-        codecs = {
-            ds.leaf: SZCompressor(
-                bound=ds.settings.error_bound, mode=ds.settings.bound_mode
-            )
-            for ds in self._time
-        }
-        self._session = TimestepSession(
-            self._engine,
-            self._time[0]._base_shape,
-            codecs,
-            nranks_set.pop() if nranks_set else self.nranks,
-            strategy=strategies.pop(),
-            config=configs.pop(),
-            machine_name=self.machine,
-            executor=self._executor,
-        )
+        strategy = strategies.pop()
+        self._step_auto = strategy == AUTO
+        if not self._step_auto:
+            self._step_strategy = strategy
+        self._step_config = configs.pop()
+        self._step_nranks = nranks_set.pop() if nranks_set else self.nranks
+        self._step_codecs = self._codecs(self._time)
 
     def _stage_step_field(self, ds: Dataset, step: int, value) -> None:
         expected = self.steps_written

@@ -17,17 +17,16 @@
   on thread ranks against a PHD5 file (functional correctness):
   ``RealDriver.write`` is the one collective write every caller goes
   through, ``RealDriver.run`` the SPMD rank body underneath it;
-* :mod:`session` — the per-step state behind the facade's
-  ``File.append_step`` (Fig. 15): one group per step (each one
-  ``RealDriver.write``), warm-started predictions, and the
-  ``strategy="auto"`` per-step re-tuning mode;
+* :mod:`session` — what the facade's ``File.append_step`` reports per
+  time-step (Fig. 15, ``StepResult``), the ``steps/NNNN`` group each step
+  lands in, and the strategy a ``strategy="auto"`` series starts from;
 * :mod:`workload` — workload construction: real compression of partitioned
   synthetic datasets, plus deterministic stat-pool scaling for rank counts
   beyond what pure Python can compress in reasonable time;
 * :mod:`autotune` — the AutoTuner: analytic per-strategy makespan
   estimates (calibrated models + the shared phase objects) selecting the
   best of the four strategies per workload/time-step, and ``tune_payload``,
-  the probe → workload → evaluate step the facade and the session share;
+  the probe → workload → evaluate step the facade's flush and steps share;
 * :mod:`scenarios` — deterministic named workload regimes (skew,
   imbalance, drift, overflow stress, ...) consumed by the auto-tuner
   tests, the parity matrix, and the ablation benchmarks;

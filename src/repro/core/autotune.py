@@ -25,7 +25,7 @@ timing semantics term by term, the tuner's choice matches an exhaustive
 evaluate-every-strategy simulation on the generated scenario matrix (the
 acceptance tests assert ≥ 90% agreement) at a tiny fraction of the cost —
 cheap enough to re-tune every time-step from measured actuals, which is
-what :class:`~repro.core.session.TimestepSession` does in
+what :meth:`File.append_step <repro.api.file.File.append_step>` does in
 ``strategy="auto"`` mode.
 """
 
@@ -148,7 +148,7 @@ class AutoTuner:
         """Predicted makespan of one strategy over one workload.
 
         ``warm_start=True`` zeroes the sampling-prediction overhead, the
-        streaming-session hot path where the previous step's measured
+        streamed-step hot path where the previous step's measured
         sizes replace the sampling pass.
         """
         strat = get_strategy(strategy)
@@ -351,23 +351,22 @@ class _Estimator:
 
 
 # ---------------------------------------------------------------------------
-# Helpers shared by the facade, the streaming session and the acceptance tests
+# Helpers shared by the facade's flush and steps and the acceptance tests
 # ---------------------------------------------------------------------------
 
 def measured_workload(
     field_names: Sequence[str],
     per_rank_actual: Sequence[Mapping[str, int]],
     per_rank_n_values: Sequence[int],
-    margin: float = 1.0,
     name: str = "measured",
     bytes_per_value: int = 4,
 ) -> Workload:
     """A :class:`Workload` snapshot from one step's *measured* actuals.
 
-    This is what ``strategy="auto"`` sessions re-tune from: the previous
+    This is what ``strategy="auto"`` series re-tune from: the previous
     step's per-rank actual compressed sizes become both the actuals and
-    (scaled by the warm-start ``margin``) the predictions of the next
-    step's estimate — the Fig. 15 consistency assumption as data.
+    the predictions of the next step's estimate — the Fig. 15 consistency
+    assumption as data.
     """
     if len(per_rank_actual) != len(per_rank_n_values):
         raise ConfigError("one n_values entry per rank required")
@@ -378,14 +377,13 @@ def measured_workload(
         for f, fname in enumerate(field_names):
             n_values[f, r] = int(n)
             actual[f, r] = max(1, int(sizes[fname]))
-    predicted = np.maximum(1, np.round(actual * float(margin)).astype(np.int64))
     return workload_from_matrices(
         name=name,
         fields=list(field_names),
         n_values=n_values,
         original_nbytes=n_values * int(bytes_per_value),
         actual_nbytes=actual,
-        predicted_nbytes=predicted,
+        predicted_nbytes=actual.copy(),
     )
 
 
@@ -396,7 +394,6 @@ def tune_payload(
     codecs: Mapping,
     sizes: Sequence[Mapping[str, int]] | None = None,
     *,
-    margin: float = 1.0,
     name: str = "measured",
     warm_start: bool = False,
 ) -> TuningDecision:
@@ -408,14 +405,13 @@ def tune_payload(
     keeps observing compressibility either way.  Sizes become a
     :func:`measured_workload` and the tuner evaluates it — the one
     probe → workload → evaluate sequence behind the facade's
-    ``strategy="auto"`` flush and the streaming session's per-step
-    re-tuning.
+    ``strategy="auto"`` flush and its per-step re-tuning.
     """
     if sizes is None:
         probe = PredictPhase(enabled=True)
         sizes = [probe.predict_sizes(local, codecs, tuner.config) for local, _ in payload]
     n_values = [int(next(iter(local.values())).size) for local, _ in payload]
-    workload = measured_workload(field_names, sizes, n_values, margin=margin, name=name)
+    workload = measured_workload(field_names, sizes, n_values, name=name)
     return tuner.evaluate(workload, warm_start=warm_start)
 
 

@@ -57,11 +57,6 @@ class PipelineConfig:
     lossless_estimator: str = "rle"
     #: async writer threads per rank group (real pipeline only).
     async_workers: int = 4
-    #: multiplier applied to the previous step's actual sizes when they are
-    #: reused as predictions by the next ``File.append_step`` (Fig. 15
-    #: consistency means 1.0 is usually right; raise it for fast-drifting
-    #: series).
-    warm_start_margin: float = 1.0
     #: execution backend for the fan-out hot paths ("serial" / "thread");
     #: serial keeps the historical bit-identical in-loop behavior, the
     #: thread backend changes wall-clock only.
@@ -84,8 +79,6 @@ class PipelineConfig:
             raise ConfigError("slot_alignment must be positive")
         if self.async_workers <= 0:
             raise ConfigError("async_workers must be positive")
-        if self.warm_start_margin <= 0:
-            raise ConfigError("warm_start_margin must be positive")
         if self.executor not in EXECUTOR_NAMES:
             raise ConfigError(
                 f"executor must be one of {list(EXECUTOR_NAMES)}; got {self.executor!r}"

@@ -21,8 +21,8 @@ runs under :func:`repro.mpi.executor.run_spmd` may call
 :meth:`RealDriver.write` is its only caller.
 
 Warm-start hints let a caller seed the predict and reorder phases from a
-previous time-step's measured sizes — the facade's ``append_step`` hot
-path (:class:`~repro.core.session.TimestepSession`).
+previous time-step's measured sizes — the hot path of the facade's
+:meth:`~repro.api.file.File.append_step`.
 """
 
 from __future__ import annotations

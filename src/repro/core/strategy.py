@@ -86,7 +86,7 @@ class PredictPhase:
     The sim driver prices this phase with the cost model (a sampled
     fraction of the compression pass); the real driver runs the actual
     ratio-quality model — or, when warm-start hints are provided (the
-    :class:`~repro.core.session.TimestepSession` streaming path), skips
+    :meth:`~repro.api.file.File.append_step` streaming path), skips
     the sampling pass entirely and reuses the previous step's sizes.
     """
 

@@ -7,7 +7,7 @@ array, so the SPMD runtime and the simulator share one decomposition.
 
 :func:`rank_regions` + :func:`rank_payload` turn that decomposition into
 the per-rank ``(fields, region)`` payload of one collective write — the
-one layout rule the facade's flush and the streaming session share.
+one layout rule behind every facade flush batch and streamed step.
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ class Group:
 
         Accepts ``/``-separated paths, creating intermediate groups on
         demand (``f.require_group("steps/0004/fields")`` — the per-time-step
-        layout the streaming session writes).
+        layout streamed steps write).
         """
         node = self
         for part in [p for p in name.split("/") if p]:

@@ -42,7 +42,6 @@ CONFIG_FIELDS = (
     "slot_alignment",
     "lossless_estimator",
     "async_workers",
-    "warm_start_margin",
     "executor",
     "verify",
 )
@@ -222,7 +221,7 @@ class Coalescer:
         session.touched.setdefault(fid, set()).add(name.lstrip("/"))
 
     def append_step(self, fid: str, fields: "dict[str, np.ndarray]") -> None:
-        """Stream one timestep through the file's shared session."""
+        """Stream one timestep through the shared file's ``append_step``."""
         session = self.session(fid)
         session.file.append_step(fields)
         session.steps_written += 1

@@ -21,6 +21,7 @@ from repro.errors import (
     UnknownStrategyError,
     UnwrittenDataError,
 )
+from repro.hdf5 import File as EngineFile
 
 SHAPE = (16, 12, 12)
 
@@ -243,3 +244,51 @@ def test_failed_flush_keeps_what_already_landed(tmp_path, data):
         f.create_dataset("bad", SHAPE, error_bound=1e-3, data=data)
     with repro.open(str(tmp_path / "again.phd5")) as g:
         assert np.max(np.abs(g["bad"][...] - data)) <= 1e-3
+
+
+def _step_file(path, data):
+    """A two-field time-axis file whose step 0 has landed."""
+    f = repro.open(path, "w", nranks=2)
+    for name in ("a", "b"):
+        f.create_dataset(name, SHAPE, np.float32, maxshape=(None, *SHAPE), error_bound=1e-3)
+    f.append_step({"a": data, "b": data})
+    return f
+
+
+def test_rejected_step_does_not_wedge_the_stream(tmp_path, data):
+    """A step the codec rejects (one NaN) raises from ``append_step`` and
+    leaves no ``steps/NNNN`` behind, so the same step can be appended
+    again and the closed file holds exactly the steps that landed."""
+    path = str(tmp_path / "steps.phd5")
+    bad = data.copy()
+    bad[3, 4, 5] = np.nan
+    f = _step_file(path, data)
+    with pytest.raises(CompressionError):
+        f.append_step({"a": data, "b": bad})
+    assert f.steps_written == 1
+    f.append_step({"a": data, "b": data + 1})
+    f.close()
+    with repro.open(path) as g:
+        assert g["a"].shape[0] == g["b"].shape[0] == 2
+        for t, ref in enumerate((data, data + 1)):
+            assert np.max(np.abs(g["a"][t] - data)) <= 1e-3
+            assert np.max(np.abs(g["b"][t] - ref)) <= 1e-3
+
+
+def test_abandoned_rejected_step_leaves_no_trace(tmp_path, data):
+    """Closing right after a rejected step finalises only the landed step:
+    the engine file lists no group or dataset of the rejected one."""
+    path = str(tmp_path / "steps.phd5")
+    bad = data.copy()
+    bad[3, 4, 5] = np.nan
+    f = _step_file(path, data)
+    with pytest.raises(CompressionError):
+        f.append_step({"a": bad, "b": data})
+    f.close()
+    with EngineFile(path, "r") as ef:
+        paths = [p for p, _ in ef.root.visit()]
+    assert "/steps/0000/a" in paths
+    assert not [p for p in paths if p.startswith("/steps/0001")]
+    with repro.open(path) as g:
+        assert g["a"].shape[0] == 1
+        assert np.max(np.abs(g["b"][0] - data)) <= 1e-3

@@ -127,11 +127,11 @@ class TestMeasuredWorkload:
             ["a", "b"],
             per_rank_actual=[{"a": 100, "b": 300}, {"a": 120, "b": 280}],
             per_rank_n_values=[1000, 1000],
-            margin=1.1,
         )
         assert wl.nfields == 2 and wl.nranks == 2
         assert wl.matrix("actual_nbytes")[0, 0] == 100
-        assert wl.matrix("predicted_nbytes")[1, 0] == 330  # 300 * 1.1
+        # The previous step's actuals are the next step's predictions.
+        assert np.array_equal(wl.matrix("predicted_nbytes"), wl.matrix("actual_nbytes"))
         assert wl.matrix("original_nbytes")[0, 0] == 4000
 
     def test_rank_count_mismatch_rejected(self):

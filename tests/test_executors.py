@@ -306,6 +306,22 @@ class TestSessionWiring:
     def _append(self, f, step):
         return f.append_step(series_step(self.SERIES, step))
 
+    @staticmethod
+    def _record_executors(monkeypatch, name):
+        """The executor of every ``RealDriver``/``AutoTuner`` (``name``) the
+        facade builds from now on, in build order."""
+        import repro.api.file as facade
+
+        seen = []
+
+        class Recording(getattr(facade, name)):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self.executor)
+
+        monkeypatch.setattr(facade, name, Recording)
+        return seen
+
     def test_session_file_identical_serial_vs_thread(self, tmp_path):
         for backend, name in (("serial", "a.phd5"), ("thread", "b.phd5")):
             with self._open(tmp_path / name, executor=backend) as f:
@@ -313,13 +329,14 @@ class TestSessionWiring:
                     self._append(f, step)
         assert (tmp_path / "a.phd5").read_bytes() == (tmp_path / "b.phd5").read_bytes()
 
-    def test_config_executor_default_resolution(self, tmp_path):
+    def test_config_executor_default_resolution(self, tmp_path, monkeypatch):
         config = PipelineConfig(executor="thread")
+        drivers = self._record_executors(monkeypatch, "RealDriver")
         f = self._open(tmp_path / "c.phd5", config=config)
         try:
             assert f._executor.name == "thread"
             result = self._append(f, 0)
-            assert f._session.driver.executor is f._executor
+            assert drivers and all(ex is f._executor for ex in drivers)
             assert result.actual_nbytes > 0
         finally:
             f.close()
@@ -327,11 +344,12 @@ class TestSessionWiring:
         # (the pool attribute is cleared on shutdown).
         assert f._executor._pool is None
 
-    def test_caller_passed_executor_survives_session_close(self, tmp_path):
+    def test_caller_passed_executor_survives_session_close(self, tmp_path, monkeypatch):
+        drivers = self._record_executors(monkeypatch, "RealDriver")
         with ThreadPoolExecutor(max_workers=4) as ex:
             with self._open(tmp_path / "e.phd5", executor=ex) as f:
                 self._append(f, 0)
-                assert f._session.executor is ex
+                assert drivers and all(d is ex for d in drivers)
             # File closed; the shared pool must still be usable.
             assert ex.map_cells(_square, range(3)) == [0, 1, 4]
 
@@ -339,10 +357,11 @@ class TestSessionWiring:
         with pytest.raises(ConfigError):
             PipelineConfig(executor="quantum")
 
-    def test_auto_session_tuner_shares_executor(self, tmp_path):
+    def test_auto_session_tuner_shares_executor(self, tmp_path, monkeypatch):
+        tuners = self._record_executors(monkeypatch, "AutoTuner")
         with self._open(tmp_path / "d.phd5", strategy="auto", executor="thread") as f:
             result = self._append(f, 0)
-            assert f._session.tuner.executor is f._executor
+            assert tuners and all(ex is f._executor for ex in tuners)
             assert result.tuning is not None
 
 

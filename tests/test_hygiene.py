@@ -270,3 +270,53 @@ def test_results_tracks_only_digest_tables():
         pytest.skip("not a git checkout")
     stray = [p for p in tracked if not re.fullmatch(r"results/VERIFY_DIGESTS_.+\.txt", p)]
     assert not stray, f"only digest tables are committed under results/: {stray}"
+
+
+# ---------------------------------------------------------------------------
+# Docstring cross-references
+# ---------------------------------------------------------------------------
+
+#: A Sphinx cross-reference role; its text is ``target`` or ``text <target>``.
+_XREF = re.compile(r":(?:class|func|meth|attr|mod):`([^`]*)`")
+
+
+def _resolves(target: str) -> bool:
+    """Import the longest module prefix of ``target``, then look the rest
+    up attribute by attribute (a dataclass field counts as an attribute)."""
+    import importlib
+
+    parts = target.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            fields = getattr(obj, "__dataclass_fields__", {})
+            if name in fields and not hasattr(obj, name):
+                obj = fields[name]
+                continue
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def test_docstring_cross_references_resolve():
+    """Every ``:class:``/``:func:``/``:meth:``/``:attr:``/``:mod:`` role
+    naming ``repro.*`` in ``src/`` — docstrings and ``#:`` doc comments,
+    ``~``-shortened or in the ``text <target>`` form — names something
+    that imports, so deleting a class cannot leave its docs pointing at it."""
+    refs = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for match in _XREF.finditer(path.read_text(encoding="utf-8")):
+            text = match.group(1)
+            explicit = re.search(r"<([^>]*)>\s*$", text)
+            # A target wrapped across docstring lines is one dotted name.
+            target = re.sub(r"\s+", "", explicit.group(1) if explicit else text).lstrip("~!")
+            if target.startswith("repro."):
+                refs.append((path.relative_to(SRC).as_posix(), target))
+    assert len(refs) > 100  # the scan itself still finds the references
+    dangling = sorted({f"{where}: {target}" for where, target in refs if not _resolves(target)})
+    assert not dangling, f"docstring references to names that do not exist: {dangling}"

@@ -322,6 +322,30 @@ class TestServedWrites:
             got = ds[2]
         assert np.max(np.abs(got.astype(np.float64) - steps[2])) <= 1e-3 * 1.0001
 
+    def test_rejected_step_does_not_wedge_the_stream(self, server, tmp_path):
+        """A step the codec rejects surfaces at the next commit; the next
+        good step lands in its place and the file holds both steps."""
+        path = str(tmp_path / "badstep.phd5")
+        shape = (8, 8, 8)
+        steps = [_field(shape, seed=s) for s in range(2)]
+        bad = steps[1].copy()
+        bad[1, 2, 3] = np.nan
+        f = open_remote(server.address, path, "w")
+        f.create_dataset("u", shape, np.float32,
+                         maxshape=(None, *shape), error_bound=1e-3)
+        f.append_step({"u": steps[0]})
+        f.append_step({"u": bad})
+        with pytest.raises(RemoteOpError, match="BatchIngestError"):
+            f.flush()
+        f.append_step({"u": steps[1]})
+        f.flush()
+        f.close()
+        with api.open(path, "r") as local:
+            ds = local["u"]
+            assert ds.shape[0] == 2
+            for t, ref in enumerate(steps):
+                assert np.max(np.abs(ds[t].astype(np.float64) - ref)) <= 1e-3 * 1.0001
+
     def test_staged_write_errors_surface_at_flush(self, server, tmp_path):
         path = str(tmp_path / "err.phd5")
         arr = _field()

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from helpers import open_series_file, series_step
-from repro.core import PipelineConfig
 from repro.core.session import AUTO_INITIAL_STRATEGY, step_group
 from repro.data import grid_partition
 from repro.data.timesteps import TimestepSeries
@@ -32,7 +31,7 @@ def _stream(path, series, n_steps, **kwargs):
     with _open_series(path, series, **kwargs) as f:
         results = [f.append_step(_step(series, t)) for t in range(n_steps)]
         arrays = {t: {n: f[n][t] for n in FIELDS} for t in range(n_steps)}
-        codecs = dict(f._session.codecs)
+        codecs = dict(f._step_codecs)
     return results, arrays, codecs
 
 
@@ -192,7 +191,7 @@ class TestAutoStrategy:
         with _open_series(tmp_path / "s.phd5", series, strategy="auto") as f:
             res = f.append_step(_step(series, 0))
             assert res.strategy == AUTO_INITIAL_STRATEGY
-            assert f._session._current == res.tuning.choice
+            assert f._step_strategy == res.tuning.choice
             assert f.append_step(_step(series, 1)).strategy == res.tuning.choice
 
     def test_non_reordering_steps_do_not_seed_order_hints(self, tmp_path):
@@ -200,13 +199,11 @@ class TestAutoStrategy:
         another strategy's insertion order as its warm-start order."""
         series = TimestepSeries(SHAPE, n_steps=2, seed=14)
         with _open_series(tmp_path / "s.phd5", series, strategy="auto") as f:
-            f._ensure_session()
-            sess = f._session
-            sess._current = "filter"
+            f._step_strategy = "filter"  # force the first step's strategy
             f.append_step(_step(series, 0))
-            assert sess._prev_actual is not None  # warm size hints kept
-            assert sess._prev_orders is None      # but no order hint
-            sess._current = "reorder"
+            assert f._prev_actual is not None  # warm size hints kept
+            assert f._prev_orders is None      # but no order hint
+            f._step_strategy = "reorder"
             res = f.append_step(_step(series, 1))
             assert res.warm_started
         # The reorder step computed its own Algorithm 1 order from the
@@ -219,13 +216,13 @@ class TestAutoStrategy:
         strat = get_strategy("reorder")
         parts = grid_partition(SHAPE, NRANKS)
         for rank, s in enumerate(res.stats):
-            n_values = [parts[rank].n_values for _ in sess.field_names]
-            predicted = [s.predicted_nbytes[n] for n in sess.field_names]
+            n_values = [parts[rank].n_values for _ in FIELDS]
+            predicted = [s.predicted_nbytes[n] for n in FIELDS]
             compress_s, write_s = predict_phase_costs(
                 tmodel, wmodel, n_values, predicted
             )
             expected = strat.compress_write.field_order(
-                sess.field_names, compress_s, write_s
+                FIELDS, compress_s, write_s
             )
             assert s.order == expected
 
@@ -236,8 +233,7 @@ class TestAutoStrategy:
         actuals."""
         series = TimestepSeries(SHAPE, n_steps=2, seed=13)
         with _open_series(tmp_path / "s.phd5", series, strategy="auto") as f:
-            f._ensure_session()
-            f._session._current = "nocomp"  # force a raw first step
+            f._step_strategy = "nocomp"  # force a raw first step
             res = f.append_step(_step(series, 0))
             assert res.strategy == "nocomp"
             assert res.tuning is not None
@@ -247,15 +243,3 @@ class TestAutoStrategy:
             compressed = res.tuning.estimate_for("filter")
             assert compressed.write_seconds < raw.write_seconds
             assert res.tuning.choice != "nocomp"
-
-
-class TestWarmStartMargin:
-    def test_warm_start_margin_scales_hints(self, tmp_path):
-        series = TimestepSeries(SHAPE, n_steps=2, seed=8)
-        config = PipelineConfig(warm_start_margin=1.2)
-        results, _, _ = _stream(tmp_path / "s.phd5", series, 2, config=config)
-        first, second = results
-        for s_prev, s_cur in zip(first.stats, second.stats):
-            for name in FIELDS:
-                expected = max(1, int(round(s_prev.actual_nbytes[name] * 1.2)))
-                assert s_cur.predicted_nbytes[name] == expected
