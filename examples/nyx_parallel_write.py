@@ -39,7 +39,7 @@ def functional_comparison(workdir: str) -> None:
     payload = rank_payload({n: gen.field(n) for n in names}, SHAPE, rank_regions(SHAPE, NRANKS))
 
     path_pred = os.path.join(workdir, "nyx_predictive.phd5")
-    with File(path_pred, "w", fapl=FileAccessProps(async_io=True, async_workers=4)) as f:
+    with File(path_pred, "w", fapl=FileAccessProps(async_workers=4)) as f:
         stats = RealDriver("reorder").write(f, payload, SHAPE, codecs)
 
     path_filt = os.path.join(workdir, "nyx_filter.phd5")

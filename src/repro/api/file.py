@@ -324,10 +324,7 @@ class File(Group):
         # caller-passed instances keep caller-managed lifetimes.
         self._owns_executor = not isinstance(spec, Executor)
         self._engine = EngineFile(
-            path, mode,
-            fapl=FileAccessProps(
-                async_io=True, async_workers=self.config.async_workers
-            ),
+            path, mode, fapl=FileAccessProps(async_workers=self.config.async_workers)
         )
         self._datasets: dict[str, Dataset] = {}
         self._time: list[Dataset] = []

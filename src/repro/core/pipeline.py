@@ -27,8 +27,9 @@ previous time-step's measured sizes — the hot path of the facade's
 
 from __future__ import annotations
 
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -40,16 +41,33 @@ from repro.core.strategy import field_index_map, get_strategy, predict_phase_cos
 from repro.core.writers import default_models
 from repro.errors import ConfigError
 from repro.exec import Executor, resolve_executor
-from repro.hdf5.async_io import EventSet
 from repro.hdf5.dataset import Dataset
 from repro.hdf5.file import File
 from repro.hdf5.filters import FILTER_SZ
 from repro.hdf5.properties import DatasetCreateProps
-from repro.hdf5.vol import AsyncVOL, NativeVOL
 from repro.mpi.comm import RankComm
 
 #: Data region base: past the container header, aligned.
 _BASE_OFFSET = 4096
+
+#: Bound on waiting for one batch of queued writes, in seconds.
+_WRITE_TIMEOUT_S = 60.0
+
+
+def _wait_writes(writes: Mapping[str, Future], timeout: float = _WRITE_TIMEOUT_S) -> list[Any]:
+    """Wait for every queued write (``label -> future``); return their
+    values in submission order.
+
+    HDF5's ``H5ESwait``: nothing is abandoned mid-flight — a write still
+    running after ``timeout`` raises ``TimeoutError`` naming it, and
+    otherwise the first failure in submission order is re-raised only
+    after every write has settled.
+    """
+    _, pending = wait(writes.values(), timeout)
+    if pending:
+        stragglers = [label for label, fut in writes.items() if fut in pending]
+        raise TimeoutError(f"queued writes still running after {timeout:g} s: {stragglers}")
+    return [fut.result() for fut in writes.values()]
 
 
 @dataclass
@@ -235,10 +253,9 @@ class RealDriver:
             order = list(names)
 
         # Phase 4: compress in order; a predictive strategy queues each write
-        # on the async VOL as soon as its field is compressed, the filter
-        # baseline's writes block in place (its streams already exist).
-        es = EventSet() if strat.predictive else None
-        vol = AsyncVOL(file.async_engine, event_set=es) if strat.predictive else NativeVOL()
+        # on the file's background pool as soon as its field is compressed,
+        # the filter baseline's writes block in place (its streams already
+        # exist).
         # When per-field compression will genuinely fan out, compress the
         # fields concurrently up front (streams are pure per-field
         # functions, so bytes cannot change).  Otherwise — the serial
@@ -249,15 +266,28 @@ class RealDriver:
             streams = compress_fields(fields, codecs, order=order, executor=self.executor)
         actual: dict[str, int] = {}
         tails: dict[str, bytes] = {}
-        for name in order:
-            stream = streams[name] if streams is not None else codecs[name].compress(fields[name])
-            actual[name] = len(stream)
-            reserved = int(table.reserved[index[name], comm.rank])
-            vol.partition_write(datasets[name], comm.rank, stream)
-            if len(stream) > reserved:
-                tails[name] = stream[reserved:]
-        if es is not None:
-            es.wait_all(60.0)
+        writes: dict[str, Future] = {}
+        try:
+            for name in order:
+                stream = (
+                    streams[name] if streams is not None else codecs[name].compress(fields[name])
+                )
+                actual[name] = len(stream)
+                reserved = int(table.reserved[index[name], comm.rank])
+                if strat.predictive:
+                    writes[name] = file.async_engine.submit(
+                        datasets[name].write_partition, comm.rank, stream
+                    )
+                else:
+                    datasets[name].write_partition(comm.rank, stream)
+                if len(stream) > reserved:
+                    tails[name] = stream[reserved:]
+        except BaseException:
+            # A failed rank still lets the writes it queued land before it
+            # reports; its own error wins over any of theirs.
+            wait(writes.values(), _WRITE_TIMEOUT_S)
+            raise
+        _wait_writes(writes)
 
         overflow = dict.fromkeys(names, 0)
         if strat.predictive:
@@ -266,14 +296,18 @@ class RealDriver:
             actual_gathered = comm.allgather([actual[n] for n in names])
             actual_matrix = np.array([[g[f] for g in actual_gathered] for f in range(len(names))])
             plan = strat.overflow.compute_plan(actual_matrix, table.reserved, table.data_end)
-            es2 = EventSet()
-            vol2 = AsyncVOL(file.async_engine, event_set=es2)
+            offsets = {}
             for name, tail in tails.items():
-                off, nbytes = plan.tail(index[name], comm.rank)
-                assert nbytes == len(tail)
-                vol2.overflow_write(datasets[name], comm.rank, tail, off)
-                overflow[name] = nbytes
-            es2.wait_all(60.0)
+                offsets[name], overflow[name] = plan.tail(index[name], comm.rank)
+                assert overflow[name] == len(tail)
+            _wait_writes(
+                {
+                    name: file.async_engine.submit(
+                        datasets[name].write_partition_overflow, comm.rank, tail, offsets[name]
+                    )
+                    for name, tail in tails.items()
+                }
+            )
         comm.barrier()  # collective semantics: everyone leaves together
         return RankWriteStats(
             rank=comm.rank,
@@ -333,10 +367,9 @@ class RealDriver:
         """Raw path (no compression): independent contiguous row-slab writes."""
         names = list(fields)
         datasets = _field_datasets(comm, file, fields, global_shape, None, group)
-        vol = NativeVOL()
         start = (int(region[0][0]),) + (0,) * (len(global_shape) - 1)
         for name in names:
-            vol.slab_write(datasets[name], fields[name], start)
+            datasets[name].write_slab(fields[name], start)
         comm.barrier()
         sizes = {n: int(fields[n].nbytes) for n in names}
         return RankWriteStats(

@@ -15,22 +15,23 @@ integration points:
 * :mod:`~repro.hdf5.storage` — a shared-file space allocator with explicit
   reservation (the paper's "extra space") and end-of-file append (the
   overflow region);
-* :mod:`~repro.hdf5.vol` / :mod:`~repro.hdf5.async_io` — a virtual object
-  layer with a synchronous native connector and a background-thread async
-  connector mirroring HDF5's async VOL (Tang et al., TPDS 2022).
+* :attr:`File.async_engine <repro.hdf5.file.File.async_engine>` — the
+  file's background write pool, a standard ``ThreadPoolExecutor`` standing
+  in for HDF5's async VOL threads (Tang et al., TPDS 2022); the write
+  driver queues each partition write on it as soon as the field is
+  compressed.
 
 The on-disk container is self-describing (binary header + JSON footer) but
 deliberately *not* the HDF5 binary specification — see DESIGN.md §6.
 """
 
-from repro.hdf5.async_io import AsyncIOEngine, AsyncRequest, EventSet
 from repro.hdf5.dataset import Dataset
 from repro.hdf5.datatype import dtype_from_tag, dtype_tag
 from repro.hdf5.file import File
 from repro.hdf5.filters import FILTER_SZ, FilterPipeline
 from repro.hdf5.group import Group
 from repro.hdf5.properties import DatasetCreateProps, FileAccessProps
-from repro.hdf5.vol import AsyncVOL, NativeVOL, VOLConnector
+from repro.hdf5.vol import NativeVOL
 
 __all__ = [
     "File",
@@ -42,10 +43,5 @@ __all__ = [
     "dtype_from_tag",
     "DatasetCreateProps",
     "FileAccessProps",
-    "VOLConnector",
     "NativeVOL",
-    "AsyncVOL",
-    "AsyncIOEngine",
-    "AsyncRequest",
-    "EventSet",
 ]

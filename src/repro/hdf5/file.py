@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from repro.hdf5.dataset import Dataset
 from repro.hdf5.group import Group
 from repro.hdf5.properties import DatasetCreateProps, FileAccessProps
 from repro.hdf5.storage import FileStorage
-from repro.hdf5.async_io import AsyncIOEngine
 
 #: Process-unique file identities for decoded-partition cache keys: two
 #: opens of the same path must never share cache entries.
@@ -93,7 +93,7 @@ class File:
         self.root = Group(self, "/")
         self.cache_token = next(_FILE_TOKENS)
         self.read_stats = ReadStats()
-        self._async_engine: AsyncIOEngine | None = None
+        self._async_engine: ThreadPoolExecutor | None = None
         self._engine_lock = threading.Lock()
         if mode in ("r", "r+"):
             try:
@@ -116,8 +116,8 @@ class File:
             raise InvalidStateError(f"file {self.path!r} is read-only")
 
     @property
-    def async_engine(self) -> AsyncIOEngine:
-        """Lazily started background-writer engine (async VOL backing).
+    def async_engine(self) -> ThreadPoolExecutor:
+        """Lazily started background write pool (HDF5's async VOL threads).
 
         Double-checked: every rank reads this per phase, so the steady
         state must not funnel through the creation lock.
@@ -126,7 +126,9 @@ class File:
         if engine is None:
             with self._engine_lock:
                 if self._async_engine is None:
-                    self._async_engine = AsyncIOEngine(workers=self.fapl.async_workers)
+                    self._async_engine = ThreadPoolExecutor(
+                        self.fapl.async_workers, thread_name_prefix="async-io"
+                    )
                 engine = self._async_engine
         return engine
 
@@ -137,7 +139,7 @@ class File:
         # This identity can never be read again; purge its cached decodes.
         get_cache().invalidate(self.cache_token)
         if self._async_engine is not None:
-            self._async_engine.shutdown()
+            self._async_engine.shutdown(wait=True)
             self._async_engine = None
         if self.writable:
             self.storage.finalize(self._build_footer())

@@ -16,9 +16,10 @@ from repro.errors import ConfigError
 class FileAccessProps:
     """How a file is opened (fapl analogue)."""
 
-    #: enable the background-thread async VOL connector.
+    #: read by nothing: predictive writes always use the file's background
+    #: write pool.  Kept only because ``perfbench/layers.py`` passes it.
     async_io: bool = False
-    #: writer threads for the async engine.
+    #: threads in the file's background write pool (``File.async_engine``).
     async_workers: int = 2
     #: byte alignment for allocations (HDF5's H5Pset_alignment).
     alignment: int = 8

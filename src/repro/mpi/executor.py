@@ -8,8 +8,8 @@ loud and deterministic.
 
 The optional ``submit`` hook lets a pool-backed executor
 (:class:`repro.exec.ThreadPoolExecutor`) reuse long-lived workers instead
-of spawning a thread per rank per call — the streaming-session hot path
-runs one SPMD step per time-step, so spawn overhead is recurring.  The
+of spawning a thread per rank per call — ``append_step`` runs one SPMD
+write per time-step, so spawn overhead is recurring.  The
 hook must provide genuine per-rank concurrency (one in-flight worker per
 rank), or barrier-synchronized rank functions would deadlock.
 """

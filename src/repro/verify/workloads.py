@@ -4,8 +4,8 @@ Certification, differential parity, and the scenario fuzzer all need the
 same primitive: take one scenario's real-array payload, push it through a
 write strategy on some executor backend, and land a finished PHD5
 file on disk.  Centralizing it keeps the three pillars exercising the
-*production* write path (``RealDriver.write``: SPMD ranks + async VOL),
-not a test-only shortcut.
+*production* write path (``RealDriver.write``: SPMD ranks + the file's
+background write pool), not a test-only shortcut.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def write_scenario_file(
             ({n: np.ascontiguousarray(a, dtype=dt) for n, a in local.items()}, region)
             for local, region in payload
         ]
-    with File(path, "w", fapl=FileAccessProps(async_io=True, async_workers=2)) as f:
+    with File(path, "w", fapl=FileAccessProps(async_workers=2)) as f:
         return driver.write(f, payload, arrays.shape, codecs)
 
 

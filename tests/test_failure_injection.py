@@ -5,13 +5,23 @@ partial failures visible (async errors surface at wait points, rank errors
 abort the SPMD run, torn files are rejected at open)."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.compression import SZCompressor
-from repro.errors import CorruptStreamError, FileFormatError, InvalidStateError
-from repro.hdf5 import AsyncVOL, DatasetCreateProps, EventSet, File, FileAccessProps
+from repro.core import RealDriver
+from repro.core.pipeline import _wait_writes
+from repro.data import NyxGenerator
+from repro.data.partition import rank_payload, rank_regions
+from repro.errors import (
+    CompressionError,
+    CorruptStreamError,
+    FileFormatError,
+    InvalidStateError,
+)
+from repro.hdf5 import Dataset, DatasetCreateProps, File, FileAccessProps
 from repro.hdf5.filters import FILTER_SZ
 from repro.mpi import run_spmd
 
@@ -21,21 +31,18 @@ from helpers import make_smooth_field
 class TestAsyncFailurePropagation:
     def test_partition_write_failure_surfaces_at_wait(self, tmp_path):
         """Writing to an undeclared partition fails in the background
-        thread; the EventSet wait must re-raise, not swallow."""
+        thread; the driver's wait must re-raise, not swallow."""
         data = make_smooth_field((8, 8))
         stream = SZCompressor(bound=1e-3, mode="abs").compress(data)
-        fapl = FileAccessProps(async_io=True)
-        with File(str(tmp_path / "f.phd5"), "w", fapl=fapl) as f:
+        with File(str(tmp_path / "f.phd5"), "w") as f:
             dcpl = DatasetCreateProps(
                 chunks=(8, 8), filters=((FILTER_SZ, {"bound": 1e-3, "mode": "abs"}),)
             )
             ds = f.create_dataset("d", shape=(8, 8), layout="declared", dcpl=dcpl)
             # Note: no declare_partitions() -> index 0 does not exist.
-            es = EventSet()
-            vol = AsyncVOL(f.async_engine, event_set=es)
-            vol.partition_write(ds, 0, stream)
+            fut = f.async_engine.submit(ds.write_partition, 0, stream)
             with pytest.raises(InvalidStateError):
-                es.wait_all(10.0)
+                _wait_writes({"d#0": fut}, 10.0)
 
     def test_write_after_close_fails(self, tmp_path):
         f = File(str(tmp_path / "c.phd5"), "w")
@@ -43,6 +50,52 @@ class TestAsyncFailurePropagation:
         f.close()
         with pytest.raises(InvalidStateError):
             ds.write(np.zeros(4, np.float32))
+
+
+class TestFailedRankWaitsForItsWrites:
+    def test_compression_failure_waits_for_queued_writes(self, tmp_path, monkeypatch):
+        """A rank whose second field fails to compress has already queued
+        the first field's write: the failure must not surface until that
+        write has finished, and it is the compression error even where
+        the queued write fails too (rank 0's does here)."""
+        shape, nranks = (16, 16, 16), 2
+        gen = NyxGenerator(shape, seed=3)
+        names = list(gen.field_names[:2])
+        payload = rank_payload(
+            {n: gen.field(n) for n in names}, shape, rank_regions(shape, nranks)
+        )
+
+        class FailingCodec(SZCompressor):
+            def compress(self, data):
+                raise CompressionError("injected compression failure")
+
+        codecs = {
+            names[0]: SZCompressor(bound=gen.error_bound(names[0]), mode="abs"),
+            names[1]: FailingCodec(bound=gen.error_bound(names[1]), mode="abs"),
+        }
+        lock = threading.Lock()
+        counts = {"started": 0, "finished": 0}
+        write_partition = Dataset.write_partition
+
+        def slow_write_partition(self, index, payload):
+            with lock:
+                counts["started"] += 1
+            time.sleep(0.3)
+            try:
+                if index == 0:
+                    raise OSError("injected write failure")
+                return write_partition(self, index, payload)
+            finally:
+                with lock:
+                    counts["finished"] += 1
+
+        monkeypatch.setattr(Dataset, "write_partition", slow_write_partition)
+        fapl = FileAccessProps(async_workers=2)
+        with File(str(tmp_path / "f.phd5"), "w", fapl=fapl) as f:
+            with pytest.raises(CompressionError, match="injected"):
+                RealDriver("overlap").write(f, payload, shape, codecs)
+            with lock:
+                assert counts == {"started": nranks, "finished": nranks}
 
 
 class TestFileCorruption:

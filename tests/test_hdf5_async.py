@@ -1,4 +1,5 @@
-"""Tests for the async I/O engine, event sets, and VOL connectors."""
+"""Tests for the file's background write pool, the write driver's wait
+helper, and the native VOL pass-through."""
 
 import threading
 import time
@@ -6,35 +7,33 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import InvalidStateError
-from repro.hdf5 import (
-    AsyncIOEngine,
-    AsyncVOL,
-    DatasetCreateProps,
-    EventSet,
-    File,
-    FileAccessProps,
-    NativeVOL,
-)
+from repro.core.pipeline import _wait_writes
+from repro.errors import ConfigError
+from repro.hdf5 import DatasetCreateProps, File, FileAccessProps, NativeVOL
 from repro.hdf5.filters import FILTER_SZ
 
 from helpers import make_smooth_field
 
 
+@pytest.fixture
+def pool(tmp_path):
+    """A writable file's background write pool (two workers)."""
+    with File(str(tmp_path / "pool.phd5"), "w", fapl=FileAccessProps(async_workers=2)) as f:
+        yield f.async_engine
+
+
 class TestAsyncIOEngine:
-    def test_submit_and_wait(self):
-        with AsyncIOEngine(workers=2) as eng:
-            req = eng.submit(lambda: 21 * 2)
-            assert req.wait(5.0) == 42
-            assert req.done
+    def test_submit_and_wait(self, pool):
+        fut = pool.submit(lambda: 21 * 2)
+        assert _wait_writes({"answer": fut}, 5.0) == [42]
+        assert fut.done()
 
-    def test_exception_propagates_on_wait(self):
-        with AsyncIOEngine() as eng:
-            req = eng.submit(lambda: 1 / 0, label="div")
-            with pytest.raises(ZeroDivisionError):
-                req.wait(5.0)
+    def test_exception_propagates_on_wait(self, pool):
+        fut = pool.submit(lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            _wait_writes({"div": fut}, 5.0)
 
-    def test_parallel_execution(self):
+    def test_parallel_execution(self, pool):
         order = []
         gate = threading.Event()
 
@@ -48,52 +47,53 @@ class TestAsyncIOEngine:
             gate.set()
             return "fast"
 
-        with AsyncIOEngine(workers=2) as eng:
-            r1 = eng.submit(slow)
-            r2 = eng.submit(fast)
-            assert r1.wait(5.0) == "slow"
-            assert r2.wait(5.0) == "fast"
+        writes = {"slow": pool.submit(slow), "fast": pool.submit(fast)}
+        assert _wait_writes(writes, 5.0) == ["slow", "fast"]
         assert order == ["fast", "slow"]
 
-    def test_submit_after_shutdown_rejected(self):
-        eng = AsyncIOEngine()
-        eng.shutdown()
-        with pytest.raises(InvalidStateError):
-            eng.submit(lambda: None)
-        eng.shutdown()  # idempotent
+    def test_submit_after_shutdown_rejected(self, tmp_path):
+        f = File(str(tmp_path / "s.phd5"), "w")
+        pool = f.async_engine
+        f.close()
+        with pytest.raises(RuntimeError):
+            pool.submit(lambda: None)
+        f.close()  # idempotent
 
     def test_worker_validation(self):
-        with pytest.raises(ValueError):
-            AsyncIOEngine(workers=0)
+        with pytest.raises(ConfigError):
+            FileAccessProps(async_workers=0)
 
-    def test_wait_timeout(self):
+    def test_wait_timeout(self, pool):
         gate = threading.Event()
-        with AsyncIOEngine(workers=1) as eng:
-            req = eng.submit(lambda: gate.wait(10.0))
-            with pytest.raises(TimeoutError):
-                req.wait(0.01)
-            gate.set()
-            req.wait(5.0)
+        fut = pool.submit(lambda: gate.wait(10.0))
+        with pytest.raises(TimeoutError, match="stuck"):
+            _wait_writes({"stuck": fut}, 0.01)
+        gate.set()
+        assert _wait_writes({"stuck": fut}, 5.0) == [True]
 
 
 class TestEventSet:
-    def test_wait_all_collects_values(self):
-        with AsyncIOEngine(workers=2) as eng:
-            es = EventSet()
-            for i in range(5):
-                es.add(eng.submit(lambda i=i: i * i))
-            assert es.wait_all(5.0) == [0, 1, 4, 9, 16]
-            assert es.n_pending == 0
-            assert len(es) == 5
+    def test_wait_all_collects_values(self, pool):
+        writes = {f"sq{i}": pool.submit(lambda i=i: i * i) for i in range(5)}
+        assert _wait_writes(writes, 5.0) == [0, 1, 4, 9, 16]
+        assert all(fut.done() for fut in writes.values())
 
-    def test_wait_all_reraises_first_failure(self):
-        with AsyncIOEngine(workers=2) as eng:
-            es = EventSet()
-            es.add(eng.submit(lambda: 1))
-            es.add(eng.submit(lambda: 1 / 0))
-            es.add(eng.submit(lambda: 3))
-            with pytest.raises(ZeroDivisionError):
-                es.wait_all(5.0)
+    def test_wait_all_reraises_first_failure(self, pool):
+        """The first failure *in submission order* is raised, and only
+        once every write has settled."""
+
+        def late_failure():
+            time.sleep(0.1)
+            raise ValueError("first submitted")
+
+        writes = {
+            "late": pool.submit(late_failure),
+            "early": pool.submit(lambda: 1 / 0),
+            "ok": pool.submit(lambda: 3),
+        }
+        with pytest.raises(ValueError, match="first submitted"):
+            _wait_writes(writes, 5.0)
+        assert all(fut.done() for fut in writes.values())
 
 
 class TestVOLConnectors:
@@ -118,36 +118,32 @@ class TestVOLConnectors:
         from repro.compression import SZCompressor
 
         stream = SZCompressor(bound=1e-3, mode="abs").compress(data)
-        fapl = FileAccessProps(async_io=True, async_workers=2)
+        fapl = FileAccessProps(async_workers=2)
         with File(str(tmp_path / "av.phd5"), "w", fapl=fapl) as f:
             dcpl = DatasetCreateProps(
                 chunks=(8, 8), filters=((FILTER_SZ, {"bound": 1e-3, "mode": "abs"}),)
             )
             ds = f.create_dataset("d", shape=(8, 8), layout="declared", dcpl=dcpl)
             ds.declare_partitions([4096], [len(stream) * 2], regions=[[[0, 8], [0, 8]]])
-            es = EventSet()
-            vol = AsyncVOL(f.async_engine, event_set=es)
-            vol.partition_write(ds, 0, stream)
-            results = es.wait_all(10.0)
-            assert results == [0]
+            fut = f.async_engine.submit(ds.write_partition, 0, stream)
+            assert _wait_writes({"d#0": fut}, 10.0) == [0]
             out = ds.read_partition_array(0)
             assert np.max(np.abs(out - data)) <= 1e-3
 
     def test_async_vol_slab(self, tmp_path):
         data = make_smooth_field((8, 8))
-        fapl = FileAccessProps(async_io=True)
-        with File(str(tmp_path / "avs.phd5"), "w", fapl=fapl) as f:
+        with File(str(tmp_path / "avs.phd5"), "w") as f:
             ds_raw = f.create_dataset("raw", shape=(8, 8))
-            es = EventSet()
-            vol = AsyncVOL(f.async_engine, event_set=es)
-            vol.slab_write(ds_raw, data, (0, 0))
-            es.wait_all(10.0)
+            fut = f.async_engine.submit(ds_raw.write_slab, data, (0, 0))
+            _wait_writes({"raw@0": fut}, 10.0)
             assert np.array_equal(ds_raw.read(), data)
 
     def test_file_async_engine_lifecycle(self, tmp_path):
-        f = File(str(tmp_path / "ae.phd5"), "w", fapl=FileAccessProps(async_io=True))
+        f = File(str(tmp_path / "ae.phd5"), "w")
         eng = f.async_engine
         assert f.async_engine is eng  # cached
-        f.close()  # shuts the engine down with the file
-        with pytest.raises(InvalidStateError):
+        name = eng.submit(lambda: threading.current_thread().name).result(5.0)
+        assert name.startswith("async-io")
+        f.close()  # shuts the pool down with the file
+        with pytest.raises(RuntimeError):
             eng.submit(lambda: None)
