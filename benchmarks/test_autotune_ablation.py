@@ -16,7 +16,6 @@ from repro.core.autotune import AutoTuner
 from repro.core.scenarios import scenario_matrix
 from repro.core.strategy import STRATEGIES
 from repro.core.sweep import simulate_matrix
-from repro.exec import ThreadPoolExecutor
 from repro.sim.machine import BEBOP
 
 _FIXED = ("nocomp", "filter", "overlap", "reorder")
@@ -24,12 +23,9 @@ _FIXED = ("nocomp", "filter", "overlap", "reorder")
 
 def _autotune_ablation() -> ExperimentResult:
     cases = scenario_matrix(seeds=(0, 1))
-    # The scenario × strategy sweep is the widest fan-out in the suite;
-    # run it (and the per-cell tuner pricing) through the thread backend.
-    with ThreadPoolExecutor() as ex:
-        tuner = AutoTuner(BEBOP, executor=ex)
-        cells = simulate_matrix(cases, strategies=_FIXED, machine=BEBOP, executor=ex)
-        choices = [tuner.choose(case.workload) for case in cases]
+    tuner = AutoTuner(BEBOP)
+    cells = simulate_matrix(cases, strategies=_FIXED, machine=BEBOP)
+    choices = [tuner.choose(case.workload) for case in cases]
     by_case = {}
     for cell in cells:
         by_case.setdefault(cell.case_label, {})[cell.strategy] = cell.makespan_seconds

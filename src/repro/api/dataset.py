@@ -335,17 +335,14 @@ class Dataset:
         if self.time_axis:
             return self._get_step(key)
         engine = self._require_engine()
-        executor = self._file._executor
         if key is Ellipsis:
-            return engine.read(executor=executor)
+            return engine.read()
         try:
             regions, value_shape = _selection(key, self._base_shape)
         except HDF5Error:
             # Fancy/boolean indexing: decode everything, let numpy select.
-            return engine.read(executor=executor)[key]
-        out = engine.read_region(
-            tuple(slice(a, b) for a, b in regions), executor=executor
-        )
+            return engine.read()[key]
+        out = engine.read_region(tuple(slice(a, b) for a, b in regions))
         return out.reshape(value_shape)
 
     def read(self) -> np.ndarray:
@@ -366,7 +363,7 @@ class Dataset:
                 f"{self._path}: step {step} not written yet "
                 f"({steps} step(s) so far)"
             )
-        return self._file._step_engine_dataset(self, i).read(executor=self._file._executor)
+        return self._file._step_engine_dataset(self, i).read()
 
     def _get_step(self, key):
         if isinstance(key, (int, np.integer)):

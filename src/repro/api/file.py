@@ -57,7 +57,6 @@ from repro.errors import (
     ReproError,
     ShapeMismatchError,
 )
-from repro.exec import Executor, resolve_executor
 from repro.hdf5.dataset import Dataset as EngineDataset
 from repro.hdf5.file import File as EngineFile
 from repro.hdf5.group import Group as EngineGroup
@@ -72,7 +71,6 @@ def open(
     nranks: int = 4,
     strategy: str = "reorder",
     machine: str = "bebop",
-    executor: "str | Executor | None" = None,
     server: str | None = None,
 ):
     """Open a PHD5 container behind the h5py-style facade.
@@ -92,8 +90,6 @@ def open(
         (``"auto"`` prices all four strategies per write).
     machine:
         Calibrated machine profile for ordering/tuning models.
-    executor:
-        Fan-out backend (name, instance, or None → the config's).
     server:
         Address of a running ``repro serve`` daemon: ``"host:port"``,
         ``"unix:<path>"``, or a bare unix socket path (absolute or
@@ -113,7 +109,7 @@ def open(
         )
     return File(
         path, mode, config=config, nranks=nranks, strategy=strategy,
-        machine=machine, executor=executor,
+        machine=machine,
     )
 
 
@@ -309,7 +305,6 @@ class File(Group):
         nranks: int = 4,
         strategy: str = "reorder",
         machine: str = "bebop",
-        executor: "str | Executor | None" = None,
     ) -> None:
         if nranks <= 0:
             raise ConfigError("nranks must be positive")
@@ -318,11 +313,6 @@ class File(Group):
         self.default_strategy = validate_strategy(strategy)
         self.machine = machine
         self.mode = mode
-        spec = executor if executor is not None else self.config.executor
-        self._executor = resolve_executor(spec)
-        # A pool built here from a *name* is ours to shut down on close;
-        # caller-passed instances keep caller-managed lifetimes.
-        self._owns_executor = not isinstance(spec, Executor)
         self._engine = EngineFile(
             path, mode, fapl=FileAccessProps(async_workers=self.config.async_workers)
         )
@@ -443,8 +433,6 @@ class File(Group):
                 for ds in self._datasets.values()
             ) or bool(self._steps)
         self._engine.close()
-        if self._owns_executor:
-            self._executor.close()
         if do_verify and wrote and not on_error:
             report = self.verify()
             self.verification = report
@@ -710,14 +698,11 @@ class File(Group):
         linked = {n for n in names if f"{group}/{n}" in self._engine}
         try:
             if strategy_name == AUTO:
-                tuner = AutoTuner(machine=self.machine, config=cfg, executor=self._executor)
+                tuner = AutoTuner(machine=self.machine, config=cfg)
                 strategy_name = tune_payload(
                     tuner, names, split(slabs=False), codecs, name=f"facade:{group}"
                 ).choice
-            driver = RealDriver(
-                strategy_name, config=cfg, machine_name=self.machine,
-                executor=self._executor,
-            )
+            driver = RealDriver(strategy_name, config=cfg, machine_name=self.machine)
             payload = split(slabs=not driver.strategy.compresses)
             stats = driver.write(self._engine, payload, shape, codecs, group=group, hints=hints)
         except Exception:
@@ -829,7 +814,7 @@ class File(Group):
             # regime.  The next step warm-starts (skips the sampling pass)
             # whenever compressed hints exist, so predictive candidates are
             # priced without the prediction overhead then.
-            tuner = AutoTuner(self.machine, config=self._step_config, executor=self._executor)
+            tuner = AutoTuner(self.machine, config=self._step_config)
             measured = [s.actual_nbytes for s in stats] if strategy.compresses else None
             tuning = tune_payload(
                 tuner, list(arrays), payload, self._step_codecs, measured,

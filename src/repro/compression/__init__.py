@@ -20,7 +20,7 @@ prediction-based compression pipeline the paper builds on (SZ/SZ3):
     connects to HDF5.
 ``codec``
     :func:`~repro.compression.codec.compress_fields`, the per-field
-    compression fan-out the write drivers run.
+    compression loop the filter baseline runs.
 ``metrics``
     Rate/distortion evaluation helpers (:class:`CompressionResult`).
 """

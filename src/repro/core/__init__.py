@@ -30,8 +30,7 @@
 * :mod:`scenarios` — deterministic named workload regimes (skew,
   imbalance, drift, overflow stress, ...) consumed by the auto-tuner
   tests, the parity matrix, and the ablation benchmarks;
-* :mod:`sweep` — the scenario × strategy sweep, fanned out through a
-  :mod:`repro.exec` backend (serial / thread).
+* :mod:`sweep` — the scenario × strategy sweep, one cell after another.
 """
 
 from repro.core.autotune import (

@@ -48,7 +48,6 @@ from repro.core.writers import (
     simulate_strategy,
 )
 from repro.errors import ConfigError
-from repro.exec import Executor, resolve_executor
 from repro.sim.engine import Environment
 from repro.sim.machine import MachineProfile, get_machine
 
@@ -114,13 +113,6 @@ class AutoTuner:
         Explicit ``(throughput_model, write_model)`` pair; defaults to the
         offline-calibrated :func:`~repro.core.writers.default_models` at
         each workload's rank count — exactly what the drivers use.
-    executor:
-        Fan-out backend for per-strategy pricing and the per-rank cost
-        matrix (name, instance, or None → the config's ``executor``);
-        one workload context is shared across all candidates.  A pool
-        resolved here from a *name* lives until process exit (tuners
-        have no close hook) — pass an Executor instance to control its
-        lifetime, or let the facade file that streams the steps own it.
     """
 
     def __init__(
@@ -128,14 +120,10 @@ class AutoTuner:
         machine: str | MachineProfile = "bebop",
         config: PipelineConfig | None = None,
         models=None,
-        executor: "str | Executor | None" = None,
     ) -> None:
         self.machine = get_machine(machine) if isinstance(machine, str) else machine
         self.config = config or PipelineConfig()
         self.models = models
-        self.executor = resolve_executor(
-            executor if executor is not None else self.config.executor
-        )
 
     # -- estimation ----------------------------------------------------------
 
@@ -162,9 +150,7 @@ class AutoTuner:
         # depend only on the workload — share them across candidates.
         ctx = _WorkloadContext(workload, self)
         estimates = tuple(
-            self.executor.map_cells(
-                lambda name: _Estimator(STRATEGIES[name], ctx, warm_start).estimate(), names
-            )
+            _Estimator(STRATEGIES[name], ctx, warm_start).estimate() for name in names
         )
         choice = _first_minimum(names, [e.makespan_seconds for e in estimates])
         return TuningDecision(workload_name=workload.name, estimates=estimates, choice=choice)
@@ -174,9 +160,8 @@ class AutoTuner:
         return self.evaluate(workload, warm_start).choice
 
 
-def _rank_eq1_seconds(cell) -> list[float]:
+def _rank_eq1_seconds(tmodel, n_values, actual) -> list[float]:
     """Eq. (1) seconds for one rank's column."""
-    tmodel, n_values, actual = cell
     return [
         tmodel.predict_seconds(int(n), 8.0 * float(a) / float(n))
         for n, a in zip(n_values, actual)
@@ -207,14 +192,11 @@ class _WorkloadContext:
         self.actual = workload.matrix("actual_nbytes")
         self.predicted = workload.matrix("predicted_nbytes")
         # Eq. (1) compression seconds at each partition's actual bit-rate —
-        # the tuner's per-rank hot loop, fanned out through the executor.
-        per_rank = tuner.executor.map_cells(
-            _rank_eq1_seconds,
-            [
-                (self.tmodel, self.n_values[:, r], self.actual[:, r])
-                for r in range(workload.nranks)
-            ],
-        )
+        # the tuner's per-rank hot loop.
+        per_rank = [
+            _rank_eq1_seconds(self.tmodel, self.n_values[:, r], self.actual[:, r])
+            for r in range(workload.nranks)
+        ]
         self.compress = np.asarray(per_rank, dtype=float).T
 
 
@@ -419,27 +401,12 @@ def exhaustive_oracle(
     workload: Workload,
     machine: str | MachineProfile = "bebop",
     config: PipelineConfig | None = None,
-    executor: "str | Executor | None" = None,
 ) -> str:
     """Evaluate-all-strategies oracle: simulate all four and pick the
-    smallest makespan, with the same tie rule as the tuner.
-
-    The per-strategy simulations are independent, so the exhaustive sweep
-    fans out over any executor backend.
-    """
+    smallest makespan, with the same tie rule as the tuner."""
     machine = get_machine(machine) if isinstance(machine, str) else machine
     names = tuple(STRATEGIES)
-    ex = resolve_executor(executor)
-    try:
-        makespans = ex.map_cells(
-            lambda name: _simulated(name, workload, machine, config), names
-        )
-    finally:
-        # A pool resolved here from a name is ours; caller-passed
-        # instances keep caller-managed lifetimes.
-        if not isinstance(executor, Executor):
-            ex.close()
-    return _first_minimum(names, makespans)
+    return _first_minimum(names, [_simulated(n, workload, machine, config) for n in names])
 
 
 def _simulated(name, workload, machine, config) -> float:

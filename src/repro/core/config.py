@@ -12,10 +12,10 @@ library picks Rspace inside the supported interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.errors import ConfigError
-from repro.exec import EXECUTOR_NAMES
 
 #: Supported extra-space interval (paper Section III-D).
 EXTRA_SPACE_MIN = 1.1
@@ -57,10 +57,9 @@ class PipelineConfig:
     lossless_estimator: str = "rle"
     #: async writer threads per rank group (real pipeline only).
     async_workers: int = 4
-    #: execution backend for the fan-out hot paths ("serial" / "thread");
-    #: serial keeps the historical bit-identical in-loop behavior, the
-    #: thread backend changes wall-clock only.
-    executor: str = "serial"
+    #: not a setting: kept only for ``perfbench/layers.py``, which reads
+    #: it (the executor backends are gone; nothing in the package does).
+    executor: ClassVar[str] = "serial"
     #: certify the written file on the facade's ``File.close()``: every
     #: written dataset and step is read back through the partition metadata
     #: and asserted against the configured error bounds (raises
@@ -79,10 +78,6 @@ class PipelineConfig:
             raise ConfigError("slot_alignment must be positive")
         if self.async_workers <= 0:
             raise ConfigError("async_workers must be positive")
-        if self.executor not in EXECUTOR_NAMES:
-            raise ConfigError(
-                f"executor must be one of {list(EXECUTOR_NAMES)}; got {self.executor!r}"
-            )
         if not isinstance(self.verify, bool):
             raise ConfigError(f"verify must be a bool; got {self.verify!r}")
 

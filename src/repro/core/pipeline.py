@@ -40,12 +40,13 @@ from repro.core.offsets import OffsetTable
 from repro.core.strategy import field_index_map, get_strategy, predict_phase_costs
 from repro.core.writers import default_models
 from repro.errors import ConfigError
-from repro.exec import Executor, resolve_executor
+from repro.exec import SPMD
 from repro.hdf5.dataset import Dataset
 from repro.hdf5.file import File
 from repro.hdf5.filters import FILTER_SZ
 from repro.hdf5.properties import DatasetCreateProps
 from repro.mpi.comm import RankComm
+from repro.mpi.executor import run_spmd
 
 #: Data region base: past the container header, aligned.
 _BASE_OFFSET = 4096
@@ -131,23 +132,19 @@ class RealDriver:
     """Executes one of the four strategies, by name, for real on thread
     ranks against a shared PHD5 file (the functional world)."""
 
+    #: Kept only for ``perfbench/layers.py``, which fans ranks out through
+    #: it; :meth:`write` calls :func:`run_spmd` itself.
+    executor = SPMD
+
     def __init__(
         self,
         strategy: str = "reorder",
         config: PipelineConfig | None = None,
         machine_name: str = "bebop",
-        executor: "str | Executor | None" = None,
     ) -> None:
         self.strategy = get_strategy(strategy)
         self.config = config or PipelineConfig()
         self.machine_name = machine_name
-        # Schedules the SPMD ranks of :meth:`write` and the per-field
-        # compression fan-out *within* each rank; the serial default
-        # preserves the historical compress-then-queue loop.
-        # Note: a pool resolved here from a *name* lives until process
-        # exit (drivers are stateless values with no close hook) — pass
-        # an Executor instance, or let the facade file own the lifecycle.
-        self.executor = resolve_executor(executor if executor is not None else self.config.executor)
 
     def write(
         self,
@@ -162,8 +159,8 @@ class RealDriver:
         """One collective write: ``payload[r]`` is rank *r*'s
         ``(fields, region)`` and the SPMD width is ``len(payload)``.
 
-        Every rank runs :meth:`run` on this driver's executor; the
-        per-rank stats come back in rank order.  ``hints[r]`` optionally
+        Every rank runs :meth:`run` on its own :func:`run_spmd` thread;
+        the per-rank stats come back in rank order.  ``hints[r]`` optionally
         warm-starts rank *r* with ``(predicted_hint, order_hint)``.
         """
 
@@ -182,7 +179,7 @@ class RealDriver:
                 order_hint=order_hint,
             )
 
-        return self.executor.map_ranks(len(payload), rank_fn)
+        return run_spmd(len(payload), rank_fn)
 
     def run(
         self,
@@ -232,7 +229,7 @@ class RealDriver:
             streams = None
             planned = strat.predict.predict_sizes(fields, codecs, config, hints=predicted_hint)
         else:
-            streams = compress_fields(fields, codecs, executor=self.executor)
+            streams = compress_fields(fields, codecs)
             planned = {n: len(streams[n]) for n in names}
 
         # Phase 2: one all-gather; every rank computes the same offset table.
@@ -256,14 +253,6 @@ class RealDriver:
         # on the file's background pool as soon as its field is compressed,
         # the filter baseline's writes block in place (its streams already
         # exist).
-        # When per-field compression will genuinely fan out, compress the
-        # fields concurrently up front (streams are pure per-field
-        # functions, so bytes cannot change).  Otherwise — the serial
-        # default, or a rank already running *on* the pool, where nested
-        # cells execute inline — keep the historical compress-then-queue
-        # loop so overlapped writes still hide behind compression.
-        if streams is None and self.executor.cells_parallel_here:
-            streams = compress_fields(fields, codecs, order=order, executor=self.executor)
         actual: dict[str, int] = {}
         tails: dict[str, bytes] = {}
         writes: dict[str, Future] = {}

@@ -36,7 +36,6 @@ from repro.core.offsets import OffsetTable
 from repro.core.overflow import OverflowPlan
 from repro.core.strategy import get_strategy, predict_phase_costs
 from repro.core.workload import Workload
-from repro.exec import Executor, resolve_executor
 from repro.modeling.calibration import calibrate_write_throughput
 from repro.modeling.throughput_model import PowerLawThroughputModel
 from repro.modeling.write_model import StableWriteModel
@@ -144,7 +143,6 @@ def simulate_strategy(
     config: PipelineConfig | None = None,
     models: tuple[PowerLawThroughputModel, StableWriteModel] | None = None,
     handle_overflow: bool = True,
-    executor: "str | Executor | None" = None,
 ) -> SimResult:
     """Run one strategy, by name, over one workload on one machine profile.
 
@@ -152,18 +150,17 @@ def simulate_strategy(
     (the "write time without handling data overflow" reference the paper's
     Fig. 14 performance overhead is measured against).
     """
-    return SimDriver(machine, models=models, executor=executor).run(
+    return SimDriver(machine, models=models).run(
         strategy, workload, config=config, handle_overflow=handle_overflow
     )
 
 
-def _rank_compression_seconds(cell) -> list[float]:
+def _rank_compression_seconds(cost_model, n_values, actual, outliers, unique) -> list[float]:
     """Eq. (1) compression seconds for one rank's field column.
 
     The cost-model evaluation is the simulator's per-rank hot loop, not
     the event engine itself.
     """
-    cost_model, n_values, actual, outliers, unique = cell
     return [
         cost_model.compression_seconds(
             n_values=int(n),
@@ -175,9 +172,8 @@ def _rank_compression_seconds(cell) -> list[float]:
     ]
 
 
-def _rank_field_order(cell) -> list[int]:
+def _rank_field_order(cw, tmodel, wmodel, n_values, plan_sizes) -> list[int]:
     """Algorithm 1 ordering for one rank."""
-    cw, tmodel, wmodel, n_values, plan_sizes = cell
     nfields = len(n_values)
     if not cw.reorder:
         return list(range(nfields))
@@ -194,13 +190,9 @@ class SimDriver:
         self,
         machine: MachineProfile,
         models: tuple[PowerLawThroughputModel, StableWriteModel] | None = None,
-        executor: "str | Executor | None" = None,
     ) -> None:
         self.machine = machine
         self.models = models
-        # Per-rank cost-model evaluation fan-out (the discrete-event loop
-        # itself stays single-threaded; its cost inputs parallelize).
-        self.executor = resolve_executor(executor)
 
     def run(
         self,
@@ -213,22 +205,20 @@ class SimDriver:
         strat = get_strategy(strategy)
         models = self.models or default_models(self.machine, workload.nranks)
         run = _SimRun(strat, workload, self.machine, config or PipelineConfig(),
-                      models, handle_overflow, self.executor)
+                      models, handle_overflow)
         return run.execute()
 
 
 class _SimRun:
     """One simulation run (helper holding shared state)."""
 
-    def __init__(self, strategy, workload, machine, config, models, handle_overflow,
-                 executor=None):
+    def __init__(self, strategy, workload, machine, config, models, handle_overflow):
         self.strategy = strategy
         self.w = workload
         self.machine = machine
         self.config = config
         self.tmodel, self.wmodel = models
         self.handle_overflow = handle_overflow
-        self.executor = resolve_executor(executor)
         self.env = Environment()
         self.fs = machine.make_filesystem(self.env, nranks=workload.nranks)
         self.trace = TraceRecorder()
@@ -242,18 +232,17 @@ class _SimRun:
         self.t_primary_done = 0.0
         self.offset_table: OffsetTable | None = None
         self.overflow_plan: OverflowPlan | None = None
-        # Eq. (1) seconds for every (field, rank) — the per-rank hot loop,
-        # fanned out over ranks through the executor.  Raw strategies
-        # never read compression costs, so they skip the whole matrix.
+        # Eq. (1) seconds for every (field, rank) — the per-rank hot loop.
+        # Raw strategies never read compression costs, so they skip the
+        # whole matrix.
         if strategy.compresses:
-            per_rank = self.executor.map_cells(
-                _rank_compression_seconds,
-                [
-                    (machine.cost_model, self.n_values[:, r], self.actual[:, r],
-                     self.outliers[:, r], self.unique[:, r])
-                    for r in range(workload.nranks)
-                ],
-            )
+            per_rank = [
+                _rank_compression_seconds(
+                    machine.cost_model, self.n_values[:, r], self.actual[:, r],
+                    self.outliers[:, r], self.unique[:, r],
+                )
+                for r in range(workload.nranks)
+            ]
             self.compress_s = np.asarray(per_rank, dtype=float).T
         else:
             self.compress_s = None
@@ -270,15 +259,14 @@ class _SimRun:
         return total * self.config.sample_fraction * PREDICT_OVERHEAD_FACTOR
 
     def _field_orders(self) -> list[list[int]]:
-        """Every rank's Algorithm 1 order, fanned out through the executor."""
+        """Every rank's Algorithm 1 order."""
         cw = self.strategy.compress_write
-        return self.executor.map_cells(
-            _rank_field_order,
-            [
-                (cw, self.tmodel, self.wmodel, self.n_values[:, r], self.predicted[:, r])
-                for r in range(self.w.nranks)
-            ],
-        )
+        return [
+            _rank_field_order(
+                cw, self.tmodel, self.wmodel, self.n_values[:, r], self.predicted[:, r]
+            )
+            for r in range(self.w.nranks)
+        ]
 
     # -- execution shapes -----------------------------------------------------
 

@@ -22,8 +22,8 @@ class CorruptStreamError(CompressionError):
 
 class VerificationError(ReproError):
     """Raised when end-to-end verification fails: a certified read-back
-    breaches its declared error bound, a cross-backend fingerprint differs,
-    or a written field cannot be read back at all."""
+    breaches its declared error bound, or a written field cannot be read
+    back at all."""
 
 
 class ModelingError(ReproError):

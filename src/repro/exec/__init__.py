@@ -1,35 +1,35 @@
-"""Pluggable parallel executors for the fan-out hot paths.
+"""What is left of the executor backends: one name for the benchmark.
 
-Every fan-out in the library — per-rank SPMD phase execution, per-field
-compression, per-strategy auto-tuner pricing, scenario×strategy sweeps —
-goes through one :class:`~repro.exec.executors.Executor` API:
-
-* :meth:`~repro.exec.executors.Executor.map_cells` — data-parallel map
-  over independent work items with deterministic result ordering and
-  lowest-index error propagation;
-* :meth:`~repro.exec.executors.Executor.map_ranks` — SPMD execution of
-  ``fn(comm)`` on N communicator ranks with
-  :func:`~repro.mpi.executor.run_spmd` semantics.
-
-Backends: ``serial`` (the default — bit-identical to the historical
-in-loop behavior) and ``thread`` (a shared ``concurrent.futures`` thread
-pool; NumPy/zlib release the GIL, so compression scales).
+The library has one SPMD fan-out, :func:`repro.mpi.executor.run_spmd`,
+and every other fan-out is a plain loop.  :func:`get_executor` survives
+only because ``perfbench/layers.py`` times ``map_ranks`` through it:
+either retired backend name returns the same object, whose ``map_ranks``
+is :func:`~repro.mpi.executor.run_spmd` and whose ``close`` does nothing.
+Nothing in the package calls it.
 """
 
-from repro.exec.executors import (
-    EXECUTOR_NAMES,
-    Executor,
-    SerialExecutor,
-    ThreadPoolExecutor,
-    get_executor,
-    resolve_executor,
-)
+from repro.errors import ConfigError
+from repro.mpi.executor import run_spmd
 
-__all__ = [
-    "EXECUTOR_NAMES",
-    "Executor",
-    "SerialExecutor",
-    "ThreadPoolExecutor",
-    "get_executor",
-    "resolve_executor",
-]
+
+class _SPMD:
+    """``map_ranks`` is :func:`~repro.mpi.executor.run_spmd`."""
+
+    map_ranks = staticmethod(run_spmd)
+
+    def close(self) -> None:
+        """Nothing to release."""
+
+
+#: The one object :func:`get_executor` returns.
+SPMD = _SPMD()
+
+
+def get_executor(name: str) -> _SPMD:
+    """:data:`SPMD` for a retired backend name ("serial" / "thread")."""
+    if name not in ("serial", "thread"):
+        raise ConfigError(f"unknown executor {name!r}; available: ['serial', 'thread']")
+    return SPMD
+
+
+__all__ = ["SPMD", "get_executor"]

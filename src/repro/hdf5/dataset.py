@@ -32,7 +32,6 @@ from repro.hdf5.datatype import dtype_from_tag, dtype_tag
 from repro.hdf5.filters import FilterPipeline
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.exec import Executor
     from repro.hdf5.file import File
 
 
@@ -175,13 +174,8 @@ class Dataset:
             data.tobytes(), self._data_offset + start[0] * row_bytes
         )
 
-    def read(self, executor: "Executor | None" = None) -> np.ndarray:
-        """Read the full array back (any layout).
-
-        ``executor`` optionally fans the declared layout's per-partition
-        decodes out through :meth:`repro.exec.Executor.map_cells`; the
-        serial default is bit-identical.
-        """
+    def read(self) -> np.ndarray:
+        """Read the full array back (any layout)."""
         if self.layout == "contiguous":
             if self._data_offset is None:
                 raise InvalidStateError("dataset has no data yet")
@@ -189,7 +183,7 @@ class Dataset:
             if len(blob) != self.nbytes:
                 raise FileFormatError("contiguous data truncated")
             return np.frombuffer(blob, dtype=self.dtype).reshape(self.shape).copy()
-        return self.read_region(tuple(slice(0, s) for s in self.shape), executor)
+        return self.read_region(tuple(slice(0, s) for s in self.shape))
 
     @property
     def stored_nbytes(self) -> int:
@@ -312,17 +306,14 @@ class Dataset:
             return main + tail
         return main
 
-    def read_region(
-        self, slices: Sequence[slice], executor: "Executor | None" = None
-    ) -> np.ndarray:
+    def read_region(self, slices: Sequence[slice]) -> np.ndarray:
         """Read a rectangular sub-region of the dataset.
 
         For the declared layout only the partitions whose recorded regions
         intersect the request are decoded — the one reassembly loop behind
         :meth:`read` (the full extent) and the facade's ``ds[a:b, ...]``
-        indexing.  ``executor`` optionally decodes the intersecting
-        partitions in parallel (the serial default is bit-identical).
-        The contiguous layout falls back to a full read plus slicing.
+        indexing.  The contiguous layout falls back to a full read plus
+        slicing.
         """
         if len(slices) != len(self.shape):
             raise HDF5Error("region rank mismatch")
@@ -346,7 +337,7 @@ class Dataset:
             if any(a >= b for a, b in clipped):
                 continue  # no overlap with the request
             targets.append((index, entry, clipped))
-        blocks = self._partition_arrays([t[0] for t in targets], executor)
+        blocks = self._partition_arrays([t[0] for t in targets])
         for (index, entry, clipped), block in zip(targets, blocks):
             src = tuple(
                 slice(a - ra, b - ra)
@@ -387,9 +378,7 @@ class Dataset:
         """
         return self._partition_arrays([index])[0]
 
-    def _partition_arrays(
-        self, indexes: Sequence[int], executor: "Executor | None" = None
-    ) -> list[np.ndarray]:
+    def _partition_arrays(self, indexes: Sequence[int]) -> list[np.ndarray]:
         """Decoded (read-only) arrays for ``indexes``, in order — the one
         route every declared read takes.
 
@@ -398,8 +387,7 @@ class Dataset:
         cheap and thread-safe), so every payload of the read is in memory
         at once, and they decode together through
         :meth:`FilterPipeline.invert_many`: SZ steps the lanes of the whole
-        read in one pass.  When ``executor.map_cells`` fans out from this
-        thread, the misses split into one contiguous batch per worker.
+        read in one pass.
         """
         cache = get_cache()
         results: dict[int, np.ndarray] = {}
@@ -416,19 +404,7 @@ class Dataset:
                 raise HDF5Error("declared dataset has no SZ filter to decode with")
             payloads = [self.read_partition(i) for i in misses]
             shapes = [self._partition_shape(self.partition(i)) for i in misses]
-            parallel = executor is not None and executor.cells_parallel_here
-            nbatch = min(executor.max_workers if parallel else 1, len(misses))
-            cuts = [len(misses) * b // nbatch for b in range(nbatch + 1)]
-            batches = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-            run = executor.map_cells if nbatch > 1 else map
-            decoded = [
-                data
-                for batch in run(
-                    lambda cut: self.filters.invert_many(payloads[cut], shapes[cut]),
-                    batches,
-                )
-                for data in batch
-            ]
+            decoded = self.filters.invert_many(payloads, shapes)
             for i, data in zip(misses, decoded):
                 self.file.read_stats.record_decode(data.nbytes)
                 results[i] = cache.put(self._cache_key(i), data)

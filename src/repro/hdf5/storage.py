@@ -8,7 +8,7 @@ The file layout is::
 The allocator is append-only (end-of-data watermark) with power-of-two
 alignment, guarded by a lock so thread ranks can allocate concurrently.
 The lock covers *only* the watermark arithmetic — never the data I/O —
-so concurrent rank writes through the thread backend proceed fully in
+so concurrent rank writes from thread ranks proceed fully in
 parallel (``os.pwrite`` at distinct offsets needs no locking); the
 storage stress tests assert both properties.  Two operations matter to
 the paper's scheme:

@@ -12,7 +12,6 @@ import argparse
 import signal
 import threading
 
-from repro.core.config import PipelineConfig
 from repro.serve.daemon import ReproServer
 
 
@@ -27,9 +26,6 @@ def _parse_args(argv) -> argparse.Namespace:
                         help="TCP port (0 picks an ephemeral port; default 7707)")
     parser.add_argument("--unix", default=None, metavar="PATH",
                         help="serve on a unix socket path instead of TCP")
-    parser.add_argument("--executor", default="thread",
-                        help="fan-out backend for coalesced collective runs "
-                             "(default: thread — the daemon's parallelism)")
     parser.add_argument("--nranks", type=int, default=4,
                         help="default SPMD width for facade-partitioned writes")
     parser.add_argument("--strategy", default="reorder",
@@ -46,7 +42,6 @@ def _build_server(args) -> ReproServer:
         host=args.host,
         port=args.port,
         unix_path=args.unix,
-        config=PipelineConfig(executor=args.executor),
         nranks=args.nranks,
         strategy=args.strategy,
         tenant_depth=args.tenant_depth,
@@ -59,8 +54,8 @@ def main(argv=None) -> int:
     server = _build_server(args)
     server.start()
     print(f"repro serve: listening on {server.address} "
-          f"(tenant depth {args.tenant_depth}, total {args.total_depth}, "
-          f"executor {args.executor!r}); Ctrl-C drains and exits")
+          f"(tenant depth {args.tenant_depth}, total {args.total_depth}); "
+          "Ctrl-C drains and exits")
 
     def _stop(signum, frame):  # pragma: no cover - signal path
         threading.Thread(target=server.stop, daemon=True).start()

@@ -10,6 +10,9 @@ then calls the facade's own :meth:`~repro.api.file.File.flush`, whose
 batching is the daemon's coalescing rule: blocks from *different
 clients* that tile compatible datasets land together as one collective
 multi-field ``RealDriver.write``, cross-field Algorithm-1 reordering included.
+A batch the codec rejects is split by the handles that staged into it and
+each part re-runs alone, so one client's bad block costs only the clients
+that staged into the failing dataset.
 
 Sessions are shared: two clients opening the same path attach to the
 same session (reference-counted); the last release closes the engine
@@ -42,7 +45,6 @@ CONFIG_FIELDS = (
     "slot_alignment",
     "lossless_estimator",
     "async_workers",
-    "executor",
     "verify",
 )
 
@@ -83,10 +85,11 @@ class FileSession:
     #: ingest ops enqueued for this session but not yet executed; commits
     #: defer until this drains so a flush never splits a client's batch.
     pending_ingest: int = 0
-    #: execution errors accumulated since the last flush/close response
-    #: (per-batch error accounting: async staged writes are acked at
-    #: enqueue, so their failures surface at the next commit point).
-    errors: "list[str]" = field(default_factory=list)
+    #: fid -> execution errors not yet reported to that handle (per-batch
+    #: error accounting: async staged writes are acked at enqueue, so
+    #: their failures, and a rejected dataset's, surface at the handle's
+    #: next commit point).
+    errors: "dict[str, list[str]]" = field(default_factory=dict)
     staged_blocks: int = 0
     steps_written: int = 0
     #: fid -> dataset names that handle staged blocks into; a disconnect
@@ -94,13 +97,18 @@ class FileSession:
     #: in-progress staging of other clients on the shared session.
     touched: "dict[str, set[str]]" = field(default_factory=dict)
 
-    def record_error(self, op: str, exc: Exception) -> None:
-        if len(self.errors) < 100:  # bounded: a runaway client can't OOM us
-            self.errors.append(f"{op}: {type(exc).__name__}: {exc}")
+    def record_error(self, fid: str, op: str, exc: Exception) -> None:
+        errors = self.errors.setdefault(fid, [])
+        if len(errors) < 100:  # bounded: a runaway client can't OOM us
+            errors.append(f"{op}: {type(exc).__name__}: {exc}")
 
-    def take_errors(self) -> "list[str]":
-        out, self.errors = self.errors, []
-        return out
+    def take_errors(self, fid: str) -> "list[str]":
+        return self.errors.pop(fid, [])
+
+    def owners(self, paths) -> "set[str]":
+        """The open handles that staged blocks into any of ``paths``."""
+        leaves = {p.lstrip("/") for p in paths}
+        return {fid for fid, names in self.touched.items() if names & leaves}
 
 
 class Coalescer:
@@ -218,7 +226,7 @@ class Coalescer:
         key = tuple(slice(int(a), int(b)) for a, b in regions)
         ds[key] = block
         session.staged_blocks += 1
-        session.touched.setdefault(fid, set()).add(name.lstrip("/"))
+        session.touched.setdefault(fid, set()).add(ds._path.lstrip("/"))
 
     def append_step(self, fid: str, fields: "dict[str, np.ndarray]") -> None:
         """Stream one timestep through the shared file's ``append_step``."""
@@ -234,67 +242,102 @@ class Coalescer:
         Compatible datasets — same group, shape, partitioning, strategy,
         config, nranks, *whichever clients staged them* — flush as one
         collective multi-field ``RealDriver.write`` (the facade's own
-        batching).  Returns what landed plus the accumulated async errors.
+        batching).  Returns what landed plus this handle's accumulated
+        errors.
         """
         session = self.session(fid)
-        before = {
-            p for p, ds in session.file._datasets.items() if ds.written
-        }
-        session.file.flush()
-        landed = sorted(
-            p
-            for p, ds in session.file._datasets.items()
-            if ds.written and p not in before
-        )
+        landed = self._commit(session, fid)
         with self._lock:
             self._flushes += 1
+        return {"landed": landed, "errors": session.take_errors(fid)}
+
+    def _commit(self, session: FileSession, fid: str) -> "list[str]":
+        """Flush the session's file; returns the dataset paths that landed.
+
+        A rejected batch leaves staging whole (the facade's rule), so one
+        tenant's bad block would take every coalesced tenant's data with
+        it.  Instead the rejected datasets are split by the set of handles
+        that staged into them and each part re-runs alone: healthy parts
+        land, and a part rejected again (or a batch that cannot be split)
+        is dropped with its error recorded for those handles — for the
+        committing handle when none of them is still open.
+        """
+        file = session.file
+        before = {p for p, ds in file._datasets.items() if ds.written}
+        retry: list[dict] = []
+        while True:
+            staged = {p: ds for p, ds in file._datasets.items() if not ds.written}
+            try:
+                file.flush()
+                break
+            except Exception as exc:
+                rejected = {p: ds for p, ds in staged.items() if p not in file._datasets}
+                if not rejected:
+                    raise
+                parts: dict[frozenset, dict] = {}
+                for p, ds in rejected.items():
+                    parts.setdefault(frozenset(session.owners([p])), {})[p] = ds
+                if len(parts) > 1:
+                    retry.extend(parts.values())
+                else:
+                    self._reject(session, fid, rejected, exc)
+        for part in retry:
+            file._datasets.update(part)
+            try:
+                file.flush()
+            except Exception as exc:
+                self._reject(session, fid, part, exc)
+        landed = sorted(p for p, ds in file._datasets.items() if ds.written and p not in before)
+        with self._lock:
             self._datasets_landed += len(landed)
-        return {"landed": landed, "errors": session.take_errors()}
+        return landed
+
+    @staticmethod
+    def _reject(session: FileSession, fid: str, paths, exc: Exception) -> None:
+        for owner in session.owners(paths) or {fid}:
+            session.record_error(owner, "flush", exc)
 
     def close(self, fid: str, drop_incomplete: bool = False) -> dict:
-        """Release one handle; the last release flushes and closes the file."""
+        """Release one handle; the last release flushes and closes the file.
+
+        The response's errors name every dataset this handle staged that
+        was rejected, so a close never returns normally over lost data.
+        While other handles keep the file open, this handle's complete
+        staged datasets stay staged and land at their next commit.
+        """
         session = self._fids.pop(fid, None)
         if session is None:
             raise RemoteOpError("UnknownFile", f"no open file handle {fid!r}")
         session.refcount -= 1
-        out = {
-            "closed": False,
-            "dropped": [],
-            "errors": session.take_errors(),
-        }
-        mine = session.touched.pop(fid, set())
+        out = {"closed": False, "dropped": []}
         if session.refcount > 0:
             if drop_incomplete:
                 # The handle is gone but the session lives on: drop the
                 # incomplete datasets only *this* handle staged into, so
                 # the shared file can still close cleanly later without
                 # disturbing other clients' in-progress staging.
-                others: set[str] = (
-                    set().union(*session.touched.values())
-                    if session.touched
-                    else set()
+                mine = session.touched.get(fid, set())
+                others: set[str] = set().union(
+                    *(names for h, names in session.touched.items() if h != fid)
                 )
-                dropped = session.file.discard_incomplete(only=mine - others)
-                out["dropped"] = dropped
-                with self._lock:
-                    self._dropped_incomplete += len(dropped)
-            return out
-        del self._sessions[session.path]
-        dropped: list[str] = []
-        if drop_incomplete:
-            dropped = session.file.discard_incomplete()
-            with self._lock:
-                self._dropped_incomplete += len(dropped)
-        before = {p for p, ds in session.file._datasets.items() if ds.written}
-        session.file.close()
-        landed = [
-            p
-            for p, ds in session.file._datasets.items()
-            if ds.written and p not in before
-        ]
+                out["dropped"] = session.file.discard_incomplete(only=mine - others)
+        else:
+            del self._sessions[session.path]
+            if drop_incomplete:
+                out["dropped"] = session.file.discard_incomplete()
+            self._commit(session, fid)
+            session.file.close()
+            out["closed"] = True
         with self._lock:
-            self._datasets_landed += len(landed)
-        out.update(closed=True, dropped=dropped)
+            self._dropped_incomplete += len(out["dropped"])
+        dropped = {p.lstrip("/") for p in out["dropped"]}
+        lost = sorted(
+            n for n in session.touched.pop(fid, set())
+            if f"/{n}" not in session.file._datasets and n not in dropped
+        )
+        out["errors"] = session.take_errors(fid) + [
+            f"close: /{n} was rejected and did not land" for n in lost
+        ]
         return out
 
     def release_all(self, fids: "list[str]") -> None:
@@ -310,7 +353,7 @@ class Coalescer:
                 # failure is recorded where later clients will see it.
                 session = self._fids.get(fid)
                 if session is not None:
-                    session.record_error("release", exc)
+                    session.record_error(fid, "release", exc)
 
     def close_all(self) -> "list[str]":
         """Shutdown drain: flush what is complete, drop what is not, close

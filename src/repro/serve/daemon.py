@@ -5,16 +5,16 @@ thread that parses frames and enqueues work; a **single writer thread**
 drains the bounded :class:`~repro.serve.queue.FairWorkQueue` round-robin
 across tenants and applies every operation to the shared
 :class:`~repro.serve.coalescer.Coalescer` — so all file mutation is
-serialized (no locking inside the facade) while the expensive work, the
-coalesced collective RealDriver runs, fans out over the configured
-executor backend.
+serialized (no locking inside the facade) while the expensive work, each
+coalesced collective ``RealDriver.write``, fans out over its own SPMD rank
+threads.
 
 Request classes:
 
 * **ingest** (``write`` / ``step``) — acknowledged at *enqueue*; full
   queues reject immediately with a retryable error (backpressure).
-  Execution failures are accounted per session and surfaced in the next
-  ``flush`` / ``close`` response.
+  Execution failures are accounted per file handle and surfaced in that
+  handle's next ``flush`` / ``close`` response.
 * **control** (``open`` / ``create`` / ``flush`` / ``close``) — enqueued
   in the same per-tenant FIFO (so they order after that tenant's staged
   writes) but answered only after execution.  ``flush``/``close`` are
@@ -388,7 +388,7 @@ class ReproServer:
         if fid is None:
             return
         try:
-            self.coalescer.session(fid).record_error(item.kind, exc)
+            self.coalescer.session(fid).record_error(fid, item.kind, exc)
         except ReproError:
             pass
 

@@ -2,13 +2,13 @@
 
 The paper's claim is only useful if it is *checkable*: a file written by
 the predictive pipeline must read back within the user's point-wise error
-bound, through every strategy, codec, executor backend, and overflow
-case.  This package certifies exactly that, three ways:
+bound, through every strategy, codec, read route and overflow case.
+This package certifies exactly that, three ways:
 
 * :mod:`certify` — round-trip certification of written files against the
   bounds their own metadata declares (plus the registered-codec sweep);
-* :mod:`parity` — differential strategy × backend runs of one canonical
-  workload with byte-fingerprint comparison;
+* :mod:`parity` — one canonical workload through every strategy, each
+  finished file fingerprinted and certified;
 * :mod:`fuzz` — seeded property-based perturbation of the named scenario
   regimes with failure shrinking.
 
@@ -47,7 +47,6 @@ from repro.verify.fuzz import (
 )
 from repro.verify.parity import (
     CANONICAL_SCENARIO,
-    ParityCell,
     ParityResult,
     differential_parity,
     file_fingerprint,
@@ -65,7 +64,6 @@ __all__ = [
     "FuzzCase",
     "FuzzFailure",
     "FuzzReport",
-    "ParityCell",
     "ParityResult",
     "build_report",
     "certify",

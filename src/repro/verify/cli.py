@@ -3,23 +3,23 @@
 Four pillars, one schema-versioned artifact:
 
 1. **Round-trip certification** — every requested scenario × strategy is
-   written through the production driver on the serial backend and read
-   back; every field must satisfy the error bound its own file metadata
-   declares (overflow-pressure scenarios run at the tightest extra-space
-   ratio so the repair path carries real traffic).  The codec families
+   written through the production driver and read back; every field
+   must satisfy the error bound its own file metadata declares
+   (overflow-pressure scenarios run at the tightest extra-space ratio so
+   the repair path carries real traffic).  The codec families
    (SZ, the lossless backends) get a direct compress→decompress sweep on
    top, and every scenario is additionally written through the
    :mod:`repro.api` facade (``<scenario>/facade[<strategy>]`` cells) so
    the h5py-style surface is held to the same bounds as the drivers.
-2. **Differential parity** — the canonical workload through every
-   strategy × executor backend; finished-file fingerprints must agree
-   across backends and the serial output must certify.
+2. **Strategy parity** — the canonical workload through every strategy,
+   written once each; every finished file is fingerprinted (the anchor of
+   a refactor's digest table) and must certify.
 3. **Scenario fuzzing** — seeded perturbations of the named regimes
    (fields/ranks/shape/dtype/bound/extra-space), each written and
    certified, failures shrunk to minimal repro configs.
 4. **Read-route parity** — every scenario file read through every
-   read-side route (cached, executor-parallel decode, >=4 concurrent
-   readers, sub-regions) fingerprinted against the cold serial read;
+   read-side route (cached, >=4 concurrent readers, sub-regions)
+   fingerprinted against the cold read;
    any divergence fails the run (see :mod:`repro.verify.readpath`).
 5. **Served-write parity** — three scenario regimes written by 4
    concurrent clients through an in-process ``repro.serve`` daemon must
@@ -33,9 +33,9 @@ Usage::
     python -m repro.verify --quick \\
         --scenarios balanced --strategies reorder --fuzz-cases 2
 
-Exit status is non-zero on any bound violation, fingerprint mismatch,
-codec round-trip failure, or fuzz failure — the CI ``verify-smoke`` job
-gates on it.
+Exit status is non-zero on any bound violation, read or served
+fingerprint mismatch, codec round-trip failure, or fuzz failure — the CI
+``verify-smoke`` job gates on it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import tempfile
 from repro.bench.harness import format_table, results_dir
 from repro.core.scenarios import get_scenario, scenario_names
 from repro.core.strategy import STRATEGIES
-from repro.exec import EXECUTOR_NAMES
 from repro.verify.certify import CertificationReport, certify, certify_codecs
 from repro.verify.fuzz import fuzz
 from repro.verify.parity import CANONICAL_SCENARIO, differential_parity
@@ -67,7 +66,7 @@ def run_certification(
     strategies: "list[str]",
     seed: int,
 ) -> dict[str, CertificationReport]:
-    """The scenario × strategy certification matrix on the serial backend."""
+    """The scenario × strategy certification matrix."""
     out: dict[str, CertificationReport] = {}
     for scenario in scenarios:
         arrays = get_scenario(scenario).array_payload(seed=seed)
@@ -117,19 +116,16 @@ def _parse_args(argv) -> argparse.Namespace:
                         help="comma-separated scenario names (default: all)")
     parser.add_argument("--strategies", default=",".join(STRATEGIES),
                         help="comma-separated strategy names (default: all)")
-    parser.add_argument("--backends", default=",".join(EXECUTOR_NAMES),
-                        help="comma-separated executor backends for the parity "
-                             "pillar (default: all)")
     parser.add_argument("--fuzz-cases", type=int, default=None,
                         help="generated scenario-fuzz cases (default: 4 quick, "
                              "12 full; 0 disables)")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed for payload generation and fuzzing")
     parser.add_argument("--skip-parity", action="store_true",
-                        help="skip the strategy x backend parity pillar")
+                        help="skip the strategy parity pillar")
     parser.add_argument("--skip-read-parity", action="store_true",
                         help="skip the read-route parity pillar (cached / "
-                             "parallel / concurrent reads vs cold serial)")
+                             "concurrent / region reads vs cold)")
     parser.add_argument("--skip-serve", action="store_true",
                         help="skip the served-write parity pillar (concurrent "
                              "daemon clients vs the direct facade)")
@@ -147,7 +143,6 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     n_fuzz = args.fuzz_cases if args.fuzz_cases is not None else (4 if args.quick else 12)
 
     certifications = run_certification(scenarios, strategies, args.seed)
@@ -158,10 +153,7 @@ def main(argv=None) -> int:
     parity = (
         None
         if args.skip_parity
-        else differential_parity(
-            CANONICAL_SCENARIO, strategies=strategies,
-            backends=backends, seed=args.seed,
-        )
+        else differential_parity(CANONICAL_SCENARIO, strategies=strategies, seed=args.seed)
     )
     codecs = None if args.skip_codecs else certify_codecs(seed=args.seed)
     fuzz_report = (
@@ -204,8 +196,8 @@ def main(argv=None) -> int:
         f"repro.verify ({'quick' if args.quick else 'full'})", rows
     ))
     if parity is not None:
-        state = "identical" if not parity.mismatches else f"MISMATCH {parity.mismatches}"
-        print(f"parity [{parity.scenario}] across {backends}: {state}")
+        state = "certified" if parity.passed else f"FAILED {parity.bound_violations}"
+        print(f"parity [{parity.scenario}] x {len(parity.fingerprints)} strategies: {state}")
     if codecs is not None:
         bad = [c for c in codecs if not c.passed]
         print(f"codec round-trips: {len(codecs) - len(bad)}/{len(codecs)} passed")

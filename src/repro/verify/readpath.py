@@ -1,16 +1,14 @@
 """Read-path parity: the fourth verification pillar.
 
-The read-side scale-out machinery (decoded-partition LRU cache, executor
-partition-decode fan-out, concurrent readers) must be *invisible* in the
-data: every route to the same bytes has to produce the same bytes.  This
-pillar writes one scenario file through the production facade and then
-fingerprints the same reads through each route:
+The read-side scale-out machinery (decoded-partition LRU cache,
+concurrent readers) must be *invisible* in the data: every route to the
+same bytes has to produce the same bytes.  This pillar writes one
+scenario file through the production facade and then fingerprints the
+same reads through each route:
 
 * ``cold``      — fresh open, empty cache: every partition decoded
   (the reference fingerprint).
 * ``cached``    — the same handle reading again, served from the LRU.
-* ``parallel``  — fresh open with the thread executor, cold cache, the
-  partition decode fanned out via ``map_cells``.
 * ``concurrent[N]`` — one shared read-mode handle hammered by N threads
   doing full and region reads simultaneously.
 * ``regions``   — sub-region reads cold vs cached.
@@ -103,7 +101,7 @@ def read_parity(
     seed: int = 0,
     readers: int = CONCURRENT_READERS,
 ) -> ReadParityResult:
-    """Fingerprint every read route of one scenario file against cold serial."""
+    """Fingerprint every read route of one scenario file against the cold read."""
     import repro
 
     arrays = get_scenario(scenario).array_payload(seed=seed)
@@ -127,14 +125,6 @@ def read_parity(
                 [f[f"fields/{n}"][r] for n in names for r in regions]
             )
 
-        cache.clear()
-        with repro.open(path, "r", executor="thread") as f:
-            result.cells.append(
-                ReadParityCell(
-                    "parallel", _digest([f[f"fields/{n}"][...] for n in names])
-                )
-            )
-
         # Region reads, cold vs cached, must match the cold-region digest.
         cache.clear()
         with repro.open(path, "r") as f:
@@ -146,7 +136,7 @@ def read_parity(
                 result.errors.append("cached region reads diverged from cold")
 
         # Concurrent readers on one shared handle: every thread's full
-        # read must fingerprint identically to cold serial.
+        # read must fingerprint identically to the cold read.
         cache.clear()
         prints: "dict[int, str]" = {}
         errors: "list[str]" = []

@@ -26,7 +26,10 @@ from repro.verify.served import ServeParityResult
 #: read routes fingerprinted against cold serial).
 #: v3: added the ``serve_parity`` pillar (N concurrent clients through the
 #: ingest daemon vs the direct facade: byte-identical + certified).
-SCHEMA = "repro-verify/3"
+#: v4: the executor backends are gone — ``parity`` records one
+#: ``fingerprint`` per strategy (no ``per_backend``/``mismatches``) and
+#: ``read_parity`` has no ``parallel`` route.
+SCHEMA = "repro-verify/4"
 
 
 def git_sha() -> str:
@@ -71,10 +74,6 @@ def build_report(
                 f"bound={c.bound:.3e}" + (f" ({c.error})" if c.error else "")
             )
     if parity is not None:
-        for s in parity.mismatches:
-            failures.append(
-                f"parity: fingerprint mismatch for {s!r}: {parity.fingerprints(s)}"
-            )
         for s in parity.bound_violations:
             failures.append(f"parity: bound violation for strategy {s!r}")
     if codecs is not None:
@@ -91,7 +90,7 @@ def build_report(
         for key, rp in sorted(read_parity.items()):
             for route in rp.mismatches:
                 failures.append(
-                    f"read parity {key}: route {route!r} diverged from cold serial"
+                    f"read parity {key}: route {route!r} diverged from the cold read"
                 )
             for err in rp.errors:
                 failures.append(f"read parity {key}: {err}")

@@ -1,11 +1,11 @@
 """Shared write-side harness for the verification pillars.
 
-Certification, differential parity, and the scenario fuzzer all need the
+Certification, strategy parity, and the scenario fuzzer all need the
 same primitive: take one scenario's real-array payload, push it through a
-write strategy on some executor backend, and land a finished PHD5
-file on disk.  Centralizing it keeps the three pillars exercising the
-*production* write path (``RealDriver.write``: SPMD ranks + the file's
-background write pool), not a test-only shortcut.
+write strategy, and land a finished PHD5 file on disk.  Centralizing it
+keeps the three pillars exercising the *production* write path
+(``RealDriver.write``: SPMD ranks + the file's background write pool),
+not a test-only shortcut.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from repro.core.config import EXTRA_SPACE_MIN, PipelineConfig
 from repro.core.pipeline import RankWriteStats, RealDriver
 from repro.core.scenarios import ScenarioArrays, get_scenario
-from repro.exec import Executor
 from repro.hdf5.file import File
 from repro.hdf5.properties import FileAccessProps
 
@@ -38,7 +37,6 @@ def write_scenario_file(
     strategy: str,
     path: str,
     config: PipelineConfig | None = None,
-    executor: "Executor | str | None" = None,
     dtype: "np.dtype | None" = None,
 ) -> list[RankWriteStats]:
     """Write one scenario payload through a strategy into ``path``.
@@ -46,7 +44,7 @@ def write_scenario_file(
     ``dtype`` optionally casts the payload (the fuzzer sweeps float64);
     the returned per-rank stats expose predicted/actual/overflow bytes.
     """
-    driver = RealDriver(strategy, config=config, executor=executor)
+    driver = RealDriver(strategy, config=config)
     codecs = arrays.codecs if driver.strategy.compresses else None
     payload = arrays.payload
     if dtype is not None:
@@ -64,7 +62,6 @@ def write_scenario_file_facade(
     strategy: str,
     path: str,
     config: PipelineConfig | None = None,
-    executor: "Executor | str | None" = None,
 ) -> None:
     """Write one scenario payload through the :mod:`repro.api` facade.
 
@@ -77,7 +74,7 @@ def write_scenario_file_facade(
     """
     from repro import api
 
-    f = api.open(path, "w", strategy=strategy, executor=executor, config=config)
+    f = api.open(path, "w", strategy=strategy, config=config)
     try:
         datasets = {
             name: f.create_dataset(

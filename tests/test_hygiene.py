@@ -206,9 +206,9 @@ def _is_other_run(func: ast.Attribute) -> bool:
 
 def test_one_collective_write():
     """README's "one write path", checked: the SPMD fan-out
-    (``map_ranks``/``run_spmd``) is called only by the executor and MPI
-    layers and by ``RealDriver.write``, and ``RealDriver.run`` — the rank
-    body — only by ``RealDriver.write``.  Any ``.run(...)`` call this scan
+    (``map_ranks``/``run_spmd``) is called only by the MPI layer and by
+    ``RealDriver.write``, and ``RealDriver.run`` — the rank body — only by
+    ``RealDriver.write``.  Any ``.run(...)`` call this scan
     cannot prove to be something else counts as ``RealDriver.run``."""
     write = "RealDriver.write"
     stray = []
@@ -219,7 +219,7 @@ def test_one_collective_write():
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             in_write = rel == "core/pipeline.py" and (scope == write or scope.startswith(write + "."))
             if name in ("map_ranks", "run_spmd"):
-                if not (rel.startswith(("exec/", "mpi/")) or in_write):
+                if not (rel.startswith("mpi/") or in_write):
                     stray.append(f"{rel}::{scope or '<module>'} calls {name}")
             elif name == "run" and isinstance(func, ast.Attribute) and not _is_other_run(func):
                 if not in_write:

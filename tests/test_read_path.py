@@ -1,5 +1,5 @@
 """Read-side integration: decoded-partition cache, per-file read stats,
-parallel partition decode, and concurrent-reader safety of ``repro.open``.
+one-pass partition decode, and concurrent-reader safety of ``repro.open``.
 """
 
 from __future__ import annotations
@@ -129,54 +129,18 @@ class TestDecodedPartitionCache:
 
 
 class TestParallelReads:
-    def test_thread_executor_read_matches_serial(self, tmp_path, fresh_cache):
+    def test_parallel_decode_populates_cache(self, tmp_path, fresh_cache):
+        # A cold full read decodes every partition in one pass and caches
+        # each; the next read is all hits.
         path = str(tmp_path / "f.phd5")
         _write_file(path)
         with repro.open(path) as f:
-            serial = f["fields/rho"][...]
-        fresh_cache.clear()
-        with repro.open(path, executor="thread") as f:
-            parallel = f["fields/rho"][...]
-            region_s = serial[2:14, 3:9, 0:16]
-            fresh_cache.clear()  # force the region through parallel decode too
-            region_p = f["fields/rho"][2:14, 3:9, 0:16]
-        assert np.array_equal(serial, parallel)
-        assert np.array_equal(region_s, region_p)
-
-    def test_parallel_decode_populates_cache(self, tmp_path, fresh_cache):
-        path = str(tmp_path / "f.phd5")
-        _write_file(path)
-        with repro.open(path, executor="thread") as f:
             f["fields/rho"][...]
             stats = f.read_stats
             assert stats.partitions_decoded == 8
             f["fields/rho"][...]
             assert stats.partitions_decoded == 8
             assert stats.cache_hits == 8
-
-    def test_time_axis_read_uses_the_files_executor(self, tmp_path, fresh_cache):
-        # ``ds[t]`` decodes through the file's executor, as ``ds[...]`` does.
-        from repro.exec import ThreadPoolExecutor
-
-        class Recording(ThreadPoolExecutor):
-            calls = 0
-
-            def map_cells(self, fn, items):
-                self.calls += 1
-                return super().map_cells(fn, items)
-
-        path = str(tmp_path / "t.phd5")
-        data = make_smooth_field(shape=SHAPE, noise=0.01)
-        with repro.open(path, "w", nranks=4) as f:
-            f.create_dataset(
-                "rho", SHAPE, np.float32, maxshape=(None, *SHAPE), error_bound=BOUND
-            )
-            f.append_step({"rho": data})
-        fresh_cache.clear()
-        with Recording(max_workers=2) as ex, repro.open(path, executor=ex) as f:
-            step = f["rho"][0]
-        assert ex.calls >= 1
-        assert np.abs(step - data).max() <= BOUND * (1 + 1e-6)
 
 
 class TestConcurrentReaders:
@@ -221,7 +185,7 @@ class TestConcurrentReaders:
 
     def test_many_threads_private_handles_byte_identical(self, tmp_path, fresh_cache):
         # Each thread opens the file itself — the pattern of a parallel
-        # analysis script — including some through the thread executor.
+        # analysis script — and half of them start from a cold cache.
         path = str(tmp_path / "f.phd5")
         _write_file(path)
         with repro.open(path) as f:
@@ -233,8 +197,9 @@ class TestConcurrentReaders:
         def reader(tid: int) -> None:
             try:
                 start.wait()
-                executor = "thread" if tid % 2 else None
-                with repro.open(path, executor=executor) as f:
+                if tid % 2:
+                    fresh_cache.clear()
+                with repro.open(path) as f:
                     results[tid] = f["fields/rho"][...]
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)

@@ -374,6 +374,38 @@ class TestServedWrites:
         f.flush()
         f.close()
 
+    @pytest.mark.parametrize("first", ["good", "bad"])
+    def test_rejected_tenant_block_keeps_other_tenants_data(self, server, tmp_path, first):
+        """Two tenants each stage one dataset of one file and the bad
+        tenant's block holds a NaN: whichever handle commits, the good
+        dataset lands, only the bad handle hears of the rejection, and its
+        close never returns normally."""
+        path = str(tmp_path / "tenants.phd5")
+        shape = (16, 16, 16)
+        arrays = {"good": _field(shape, seed=1), "bad": _field(shape, seed=2)}
+        arrays["bad"][1, 2, 3] = np.nan
+        handles = {}
+        for name, arr in arrays.items():
+            handles[name] = open_remote(server.address, path, "w", tenant=name)
+            handles[name].create_dataset(f"fields/{name}", shape, np.float32, error_bound=1e-3)
+            handles[name][f"fields/{name}"][...] = arr
+        if first == "good":
+            assert [p.lstrip("/") for p in handles["good"].flush()] == ["fields/good"]
+            handles["good"].close()
+            with pytest.raises(RemoteOpError, match="CompressionError"):
+                handles["bad"].close()
+        else:
+            with pytest.raises(RemoteOpError, match="CompressionError"):
+                handles["bad"].flush()
+            assert handles["good"].flush() == []  # landed in the bad handle's commit
+            handles["good"].close()
+            with pytest.raises(RemoteOpError, match="fields/bad was rejected"):
+                handles["bad"].close()
+        with api.open(path, "r") as local:
+            assert list(local["fields"]) == ["good"]
+            err = np.abs(local["fields/good"][...].astype(np.float64) - arrays["good"])
+            assert err.max() <= 1e-3 * 1.0001
+
     def test_client_disconnect_drops_incomplete_only(self, server, tmp_path):
         path = str(tmp_path / "disc.phd5")
         arr = _field((8, 8, 8))

@@ -14,11 +14,9 @@ from repro.data.timesteps import TimestepSeries
 from repro.errors import VerificationError
 from repro.hdf5.file import File
 from repro.verify import (
-    CANONICAL_SCENARIO,
     SCHEMA,
     certify,
     certify_codecs,
-    differential_parity,
     draw_case,
     file_fingerprint,
     fuzz,
@@ -115,20 +113,6 @@ class TestCertify:
 
 
 class TestParity:
-    def test_serial_thread_identical(self):
-        result = differential_parity(
-            CANONICAL_SCENARIO,
-            strategies=list(STRATEGIES),
-            backends=("serial", "thread"),
-            seed=0,
-        )
-        assert result.passed, (result.mismatches, result.bound_violations)
-        for strategy in STRATEGIES:
-            prints = result.fingerprints(strategy)
-            assert set(prints) == {"serial", "thread"}
-            assert len(set(prints.values())) == 1
-            assert result.certifications[strategy].passed
-
     def test_fingerprint_is_content_sensitive(self, tmp_path, balanced_arrays):
         a = _write(tmp_path, balanced_arrays, name="a.phd5")
         b = _write(tmp_path, balanced_arrays, name="b.phd5")
@@ -235,26 +219,26 @@ class TestRelativeModeAndReportShapes:
         report = certify(path, reference_fields(balanced_arrays, dtype=np.float64))
         assert report.passed
 
-    def test_parity_result_failure_paths(self):
-        from repro.verify import ParityCell, ParityResult
+    def test_parity_result_failure_paths(self, tmp_path, balanced_arrays):
+        from repro.verify import ParityResult
 
+        path = _write(tmp_path, balanced_arrays)
+        wrong_reference = reference_fields(get_scenario("balanced").array_payload(seed=1))
         result = ParityResult(scenario="balanced", seed=0)
-        result.cells = [
-            ParityCell("reorder", "serial", "aaaa"),
-            ParityCell("reorder", "thread", "bbbb"),
-        ]
-        assert result.mismatches == ["reorder"]
+        result.fingerprints = {"nocomp": "aaaa", "reorder": file_fingerprint(path)}
+        result.certifications["reorder"] = certify(path, wrong_reference)
+        assert result.bound_violations == ["reorder"]
         assert not result.passed
-        with pytest.raises(VerificationError, match="fingerprint mismatch"):
+        with pytest.raises(VerificationError, match="bound violation for 'reorder'"):
             result.raise_on_failure()
         blob = result.to_json()
-        assert blob["strategies"]["reorder"]["identical"] is False
-        assert blob["strategies"]["reorder"]["certification"] is None
-        assert blob["mismatches"] == ["reorder"]
-        assert ParityCell("reorder", "serial", "aaaa").to_json()["backend"] == "serial"
+        assert blob["strategies"]["reorder"]["fingerprint"] == file_fingerprint(path)
+        assert blob["strategies"]["reorder"]["certification"]["passed"] is False
+        assert blob["strategies"]["nocomp"] == {"fingerprint": "aaaa", "certification": None}
+        assert blob["bound_violations"] == ["reorder"]
 
     def test_build_report_collects_all_failure_kinds(self, tmp_path, balanced_arrays):
-        from repro.verify import ParityCell, ParityResult, build_report
+        from repro.verify import ParityResult, build_report
         from repro.verify.certify import CodecCertificate
 
         path = _write(tmp_path, balanced_arrays)
@@ -262,10 +246,8 @@ class TestRelativeModeAndReportShapes:
             path, reference_fields(get_scenario("balanced").array_payload(seed=1))
         )
         parity = ParityResult(scenario="balanced", seed=0)
-        parity.cells = [
-            ParityCell("reorder", "serial", "aaaa"),
-            ParityCell("reorder", "thread", "bbbb"),
-        ]
+        parity.fingerprints["reorder"] = file_fingerprint(path)
+        parity.certifications["reorder"] = failing_cert
         bad_codec = CodecCertificate(
             codec="sz", params="x", mode="abs", bound=1e-3,
             max_error=1.0, deterministic=True, passed=False,
@@ -279,7 +261,7 @@ class TestRelativeModeAndReportShapes:
         assert report["passed"] is False
         kinds = "\n".join(report["failures"])
         assert "certification balanced/reorder" in kinds
-        assert "fingerprint mismatch" in kinds
+        assert "parity: bound violation for strategy 'reorder'" in kinds
         assert "codec sz" in kinds
         assert "fuzz" in kinds
         # The fuzz failure carries a shrunk minimal case and its json shape.
@@ -368,7 +350,6 @@ class TestCLI:
             "--quick",
             "--scenarios", "balanced",
             "--strategies", "reorder,nocomp",
-            "--backends", "serial",
             "--fuzz-cases", "1",
             "--out", str(tmp_path),
         ])
