@@ -8,7 +8,8 @@ Walks the three layers of the library in ~60 lines:
 3. the h5py-style facade: ``repro.open()`` + ``ds[...] = arr`` runs the
    full predictive pipeline — predicted offsets, extra space, overlapped
    async writes, overflow repair — on 4 thread ranks against a shared
-   PHD5 file, then reads back within the error bounds.
+   PHD5 file, then walks the file h5py-style and reads every field back
+   within its error bound, and prints the file's ``repro inspect summary``.
 
 Run:  python examples/quickstart.py
 """
@@ -21,6 +22,7 @@ import numpy as np
 import repro
 from repro.compression import evaluate_codec
 from repro.data import NyxGenerator
+from repro.tools.inspect import main as repro_inspect
 
 
 def main() -> None:
@@ -61,14 +63,27 @@ def main() -> None:
         assert report.passed, report.violations
     print(f"[3] file size: {os.path.getsize(path)} bytes")
 
+    verified = []
+
+    def check(name, obj):  # h5py-style walk: groups and datasets alike
+        if not isinstance(obj, repro.Dataset):
+            return None
+        n = name.rsplit("/", 1)[-1]
+        assert obj.shape == shape and obj.dtype == np.float32
+        assert obj.attrs["repro:strategy"] == "reorder"
+        bound = obj.declared_bound  # the bound the file itself promises
+        err = float(np.max(np.abs(obj[...].astype(np.float64) - gen.field(n))))
+        assert err <= bound * (1 + 1e-6)
+        verified.append(name)
+        return None
+
     with repro.open(path) as fr:
-        for n in names:
-            out = fr[f"fields/{n}"][...]
-            err = float(np.max(np.abs(out.astype(np.float64) - gen.field(n))))
-            assert err <= gen.error_bound(n) * (1 + 1e-6)
+        fr.visititems(check)
+        assert len(verified) == len(names)
         block = fr[f"fields/{names[0]}"][8:24, :, :]  # partition-aware read
         print(f"[3] verified: all {len(names)} fields read back within their "
-              f"error bounds (partial read {block.shape} too)")
+              f"error bounds (partial read {block.shape} too)\n")
+    repro_inspect(["summary", path])  # what `repro inspect summary` prints
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import numpy as np
 
 import repro
 from repro.data.timesteps import TimestepSeries
+from repro.tools.inspect import main as repro_inspect
 
 
 def main() -> None:
@@ -64,6 +65,8 @@ def main() -> None:
         print(f"verified: {n_steps} steps x {len(names)} fields read back within "
               f"bounds (worst error at {worst:.0%} of bound)")
         print(f"file size: {os.path.getsize(path)} bytes")
+    print()
+    repro_inspect(["summary", path])  # what `repro inspect summary` prints
 
 
 if __name__ == "__main__":

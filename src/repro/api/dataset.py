@@ -345,10 +345,6 @@ class Dataset:
         out = engine.read_region(tuple(slice(a, b) for a, b in regions))
         return out.reshape(value_shape)
 
-    def read(self) -> np.ndarray:
-        """The full array (``ds[...]``)."""
-        return self[...]
-
     def __array__(self, dtype=None) -> np.ndarray:
         data = self[...]
         return data if dtype is None else data.astype(dtype)

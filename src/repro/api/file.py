@@ -60,7 +60,6 @@ from repro.errors import (
 from repro.hdf5.dataset import Dataset as EngineDataset
 from repro.hdf5.file import File as EngineFile
 from repro.hdf5.group import Group as EngineGroup
-from repro.hdf5.properties import FileAccessProps
 
 
 def open(
@@ -313,9 +312,7 @@ class File(Group):
         self.default_strategy = validate_strategy(strategy)
         self.machine = machine
         self.mode = mode
-        self._engine = EngineFile(
-            path, mode, fapl=FileAccessProps(async_workers=self.config.async_workers)
-        )
+        self._engine = EngineFile(path, mode)
         self._datasets: dict[str, Dataset] = {}
         self._time: list[Dataset] = []
         #: every landed step's arrays, the reference :meth:`verify`
@@ -335,9 +332,6 @@ class File(Group):
         self._step_stage: dict[str, np.ndarray] = {}
         self._loaded_steps = 0
         self._lock = threading.Lock()
-        #: close-time certification report (``PipelineConfig(verify=True)``
-        #: or an explicit :meth:`verify` call); None until then.
-        self.verification = None
         super().__init__(self, "/")
         if mode in ("r", "r+"):
             self._load_existing()
@@ -380,25 +374,18 @@ class File(Group):
         """Time steps streamed into the file so far."""
         return self._loaded_steps + len(self._steps)
 
-    def close(self, verify: bool | None = None) -> None:
+    def close(self) -> None:
         """Flush staged writes, persist metadata, and close (idempotent).
-
-        ``verify`` (default: the config's ``verify`` flag) certifies every
-        written dataset against the retained reference data after the
-        footer lands — the closed file is reopened from its path, so the
-        serialized metadata is what gets exercised.
 
         A close with incompletely staged datasets raises
         :class:`~repro.errors.IncompleteWriteError` and leaves the file
         *open* on purpose: assign the missing region(s) and close again.
         """
-        self._close_impl(verify)
+        self._close_impl()
 
-    def _close_impl(self, verify: bool | None, on_error: bool = False) -> None:
+    def _close_impl(self, on_error: bool = False) -> None:
         if self._engine.storage.closed:
             return
-        do_verify = self.config.verify if verify is None else bool(verify)
-        wrote = False
         if self.writable and not on_error:
             if self._step_stage:
                 missing = sorted(
@@ -425,18 +412,7 @@ class File(Group):
                     "full extent — or reopen in 'w' mode to start over"
                 )
             self._persist_facade_metadata()
-            # "wrote" means written THIS session (staged blocks flushed, or
-            # steps streamed) — datasets merely loaded in "r+" mode have no
-            # reference data and must not trigger close-time certification.
-            wrote = any(
-                ds._blocks and ds._engine is not None
-                for ds in self._datasets.values()
-            ) or bool(self._steps)
         self._engine.close()
-        if do_verify and wrote and not on_error:
-            report = self.verify()
-            self.verification = report
-            report.raise_on_failure()
 
     def discard_incomplete(self, only: "set[str] | None" = None) -> list[str]:
         """Drop snapshot datasets whose staged blocks do not tile their
@@ -506,9 +482,9 @@ class File(Group):
         if exc_type is None:
             self.close()
             return
-        # Close without flushing half-staged state or verifying: a facade
-        # error must not be masked by close-time failures.
-        self._close_impl(False, on_error=True)
+        # Close without flushing half-staged state: a facade error must not
+        # be masked by close-time failures.
+        self._close_impl(on_error=True)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._engine.storage.closed else self.mode
@@ -877,17 +853,16 @@ class File(Group):
 
     # -- verification --------------------------------------------------------
 
-    def verify(self, reference: Mapping[str, np.ndarray] | None = None):
-        """Certify the file's contents; returns a
+    def verify(self):
+        """Certify what this handle wrote; returns a
         :class:`~repro.verify.certify.CertificationReport`.
 
-        Writable files certify every written dataset against the retained
-        reference data (and every streamed step against the retained
-        step arrays) — call before or after :meth:`close`; after
-        close the serialized footer is what gets exercised.  Read-mode
-        files have no references, so by default every dataset is decoded
-        end to end (readability, shapes, overflow reassembly); pass
-        ``reference={path: array}`` to assert bounds too.
+        Every dataset written through this handle is certified against its
+        retained staged data, and every streamed step against its retained
+        step arrays — call before or after :meth:`close`; after close the
+        serialized footer is what gets exercised.  A read-mode handle
+        retains no reference data: certify its file with
+        ``repro.verify.certify(path, arrays)`` instead.
         """
         from repro.verify.certify import (
             CertificationReport,
@@ -895,25 +870,18 @@ class File(Group):
             certify_dataset,
         )
 
+        if not self.writable:
+            raise InvalidStateError(
+                f"{self.path!r} is open read-only and retains no reference "
+                "data to certify against; use repro.verify.certify(path, "
+                "arrays) with the arrays that were written"
+            )
         closed = self._engine.storage.closed
-        if not closed and self.writable:
+        if not closed:
             self.flush()
         source = EngineFile(self.path, "r") if closed else self._engine
         try:
             report = CertificationReport(path=self.path)
-            if reference is not None:
-                for rel, ref in reference.items():
-                    engine_ds = source["/" + rel.lstrip("/")]
-                    report.certificates.append(
-                        certify_dataset(engine_ds, ref, label=rel.lstrip("/"))
-                    )
-                return report
-            if not self.writable:
-                for path, ds in self._datasets.items():
-                    report.certificates.append(
-                        self._readback_certificate(path, ds)
-                    )
-                return report
             for path, ds in self._datasets.items():
                 # Only datasets written *this session* carry reference
                 # blocks; datasets loaded from disk in "r+" mode have no
@@ -933,32 +901,3 @@ class File(Group):
         finally:
             if closed:
                 source.close()
-
-    def _readback_certificate(self, path: str, ds: Dataset):
-        """A structural certificate: the dataset decodes end to end."""
-        from repro.verify.certify import FieldCertificate
-
-        error = None
-        logical = 0
-        try:
-            data = ds[...]
-            logical = int(data.nbytes)
-            if tuple(data.shape) != ds.shape:
-                error = f"read-back shape {data.shape} != declared {ds.shape}"
-        except ReproError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        return FieldCertificate(
-            field=path.lstrip("/"),
-            mode="unbounded",
-            bound=float("nan"),
-            max_error=float("nan"),
-            psnr_db=float("nan"),
-            nrmse=float("nan"),
-            n_partitions=0,
-            overflowed_partitions=0,
-            overflow_nbytes=0,
-            compressed_nbytes=0,
-            logical_nbytes=logical,
-            passed=error is None,
-            error=error,
-        )

@@ -10,21 +10,20 @@ Strategy dispatch goes through the ``STRATEGIES`` table in
 name), so the breakdown, ratio sweep, and scaling figures cover the same
 four strategies in paper order.
 
-See DESIGN.md §4 for the experiment-to-module index and EXPERIMENTS.md for
-recorded paper-vs-measured comparisons.
+The ``benchmarks/`` pytest tree runs each function (README.md, "Benchmarks
+and the perf gate") and records its series as ``results/figNN_*.json``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from repro.bench.harness import ExperimentResult
 from repro.compression.sz import SZCompressor, parse_stream_info
 from repro.core.config import PipelineConfig, extra_space_for_weight
-from repro.core.scheduler import CompressionTask, optimize_order, queue_time
+from repro.core.scheduler import CompressionTask, optimize_order
 from repro.core.strategy import STRATEGIES
 from repro.core.workload import Workload, build_workload, scale_workload
 from repro.core.writers import SimResult, simulate_strategy

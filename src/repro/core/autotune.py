@@ -48,6 +48,7 @@ from repro.core.writers import (
     simulate_strategy,
 )
 from repro.errors import ConfigError
+from repro.modeling.sampling import DEFAULT_FRACTION
 from repro.sim.engine import Environment
 from repro.sim.machine import MachineProfile, get_machine
 
@@ -277,7 +278,7 @@ class _Estimator:
         if not self.warm_start:
             predict_max = float(
                 max(self.compress.sum(axis=0))
-                * self.config.sample_fraction
+                * DEFAULT_FRACTION
                 * PREDICT_OVERHEAD_FACTOR
             )
         else:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.errors import ConfigError
+from repro.hdf5.properties import FileAccessProps
+from repro.modeling.sampling import DEFAULT_FRACTION
 
 #: Supported extra-space interval (paper Section III-D).
 EXTRA_SPACE_MIN = 1.1
@@ -45,26 +47,19 @@ def extra_space_for_weight(performance_weight: float) -> float:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Configuration for the predictive compression-write pipeline."""
+    """Configuration for the predictive compression-write pipeline: the
+    paper's extra-space ratio, the one setting."""
 
     #: extra-space ratio Rspace in [1.1, 1.43].
     extra_space_ratio: float = EXTRA_SPACE_DEFAULT
-    #: sampling fraction for the ratio model.
-    sample_fraction: float = 0.05
-    #: alignment of partition slots in the shared file.
-    slot_alignment: int = 8
-    #: lossless estimator for the ratio model ("rle" is paper-faithful).
-    lossless_estimator: str = "rle"
-    #: async writer threads per rank group (real pipeline only).
-    async_workers: int = 4
-    #: not a setting: kept only for ``perfbench/layers.py``, which reads
-    #: it (the executor backends are gone; nothing in the package does).
+    #: not settings: the constants the pipeline uses (the ratio model's
+    #: sampling fraction and lossless estimator, the file's write-pool
+    #: width, the retired executor's name), kept only for
+    #: ``perfbench/layers.py``, which reads them; nothing in the package does.
+    sample_fraction: ClassVar[float] = DEFAULT_FRACTION
+    lossless_estimator: ClassVar[str] = "rle"
+    async_workers: ClassVar[int] = FileAccessProps.async_workers
     executor: ClassVar[str] = "serial"
-    #: certify the written file on the facade's ``File.close()``: every
-    #: written dataset and step is read back through the partition metadata
-    #: and asserted against the configured error bounds (raises
-    #: :class:`~repro.errors.VerificationError` on breach).
-    verify: bool = False
 
     def __post_init__(self) -> None:
         if not EXTRA_SPACE_MIN <= self.extra_space_ratio <= EXTRA_SPACE_MAX:
@@ -72,16 +67,8 @@ class PipelineConfig:
                 f"extra_space_ratio must be in [{EXTRA_SPACE_MIN}, {EXTRA_SPACE_MAX}] "
                 f"(paper Section III-D); got {self.extra_space_ratio}"
             )
-        if not 0.0 < self.sample_fraction <= 1.0:
-            raise ConfigError("sample_fraction must be in (0, 1]")
-        if self.slot_alignment <= 0:
-            raise ConfigError("slot_alignment must be positive")
-        if self.async_workers <= 0:
-            raise ConfigError("async_workers must be positive")
-        if not isinstance(self.verify, bool):
-            raise ConfigError(f"verify must be a bool; got {self.verify!r}")
 
     @classmethod
-    def from_weight(cls, performance_weight: float, **kwargs) -> "PipelineConfig":
+    def from_weight(cls, performance_weight: float) -> "PipelineConfig":
         """Build a config from the Fig. 9 performance/storage weight."""
-        return cls(extra_space_ratio=extra_space_for_weight(performance_weight), **kwargs)
+        return cls(extra_space_ratio=extra_space_for_weight(performance_weight))

@@ -99,7 +99,11 @@ class PredictPhase:
         config: PipelineConfig,
         hints: Mapping[str, int] | None = None,
     ) -> dict[str, int]:
-        """Predicted compressed bytes per field for one rank's partitions."""
+        """Predicted compressed bytes per field for one rank's partitions.
+
+        The ratio model runs at its fixed sampling constants; ``config`` is
+        unused and stays for the call shape ``perfbench/layers.py`` uses.
+        """
         if not self.enabled:
             return {name: int(data.nbytes) for name, data in fields.items()}
         if hints is not None:
@@ -109,12 +113,7 @@ class PredictPhase:
             return {name: int(hints[name]) for name in fields}
         out: dict[str, int] = {}
         for name, data in fields.items():
-            model = RatioQualityModel(
-                codecs[name],
-                fraction=config.sample_fraction,
-                lossless_estimator=config.lossless_estimator,
-            )
-            out[name] = model.predict(data).predicted_nbytes
+            out[name] = RatioQualityModel(codecs[name]).predict(data).predicted_nbytes
         return out
 
 
@@ -144,17 +143,8 @@ class PlanPhase:
         base_offset: int,
     ) -> OffsetTable:
         """Slot layout from all-gathered [nfields][nranks] size matrices."""
-        if self.extra_space:
-            return OffsetTable.compute(
-                sizes,
-                originals,
-                config.extra_space_ratio,
-                base_offset=base_offset,
-                alignment=config.slot_alignment,
-            )
-        return OffsetTable.compute(
-            sizes, originals, rspace=1.0, base_offset=base_offset, alignment=8
-        )
+        rspace = config.extra_space_ratio if self.extra_space else 1.0
+        return OffsetTable.compute(sizes, originals, rspace, base_offset=base_offset)
 
 
 @dataclass(frozen=True)

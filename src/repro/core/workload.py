@@ -10,8 +10,7 @@ Pure Python cannot compress terabytes, so scales beyond what is feasible
 are produced by :func:`scale_workload`: the measured per-partition
 statistics pool is tiled deterministically across more ranks and the value
 counts are scaled linearly (bit-rates, ratios and prediction errors — the
-quantities every experiment depends on — are preserved exactly).  This
-substitution is documented in DESIGN.md §2.
+quantities every experiment depends on — are preserved exactly).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.compression.huffman import build_code
 from repro.compression.sz import SZCompressor, parse_stream_info
 from repro.data.nyx import NyxGenerator
 from repro.data.partition import grid_partition, partition_particles

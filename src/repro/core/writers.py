@@ -37,6 +37,7 @@ from repro.core.overflow import OverflowPlan
 from repro.core.strategy import get_strategy, predict_phase_costs
 from repro.core.workload import Workload
 from repro.modeling.calibration import calibrate_write_throughput
+from repro.modeling.sampling import DEFAULT_FRACTION
 from repro.modeling.throughput_model import PowerLawThroughputModel
 from repro.modeling.write_model import StableWriteModel
 from repro.sim.engine import Environment
@@ -256,7 +257,7 @@ class _SimRun:
         """Ratio/throughput prediction overhead: the sampled fraction of the
         compression pass (paper: <10% of compression time)."""
         total = sum(self._compress_seconds(f, r) for f in range(self.w.nfields))
-        return total * self.config.sample_fraction * PREDICT_OVERHEAD_FACTOR
+        return total * DEFAULT_FRACTION * PREDICT_OVERHEAD_FACTOR
 
     def _field_orders(self) -> list[list[int]]:
         """Every rank's Algorithm 1 order."""

@@ -22,7 +22,7 @@ integration points:
   compressed.
 
 The on-disk container is self-describing (binary header + JSON footer) but
-deliberately *not* the HDF5 binary specification — see DESIGN.md §6.
+deliberately *not* the HDF5 binary specification.
 """
 
 from repro.hdf5.dataset import Dataset

@@ -7,7 +7,7 @@ explicit objects that can be logged and compared in experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -20,15 +20,11 @@ class FileAccessProps:
     #: write pool.  Kept only because ``perfbench/layers.py`` passes it.
     async_io: bool = False
     #: threads in the file's background write pool (``File.async_engine``).
-    async_workers: int = 2
-    #: byte alignment for allocations (HDF5's H5Pset_alignment).
-    alignment: int = 8
+    async_workers: int = 4
 
     def __post_init__(self) -> None:
         if self.async_workers <= 0:
             raise ConfigError("async_workers must be positive")
-        if self.alignment <= 0 or (self.alignment & (self.alignment - 1)):
-            raise ConfigError("alignment must be a positive power of two")
 
 
 @dataclass(frozen=True)

@@ -39,14 +39,7 @@ from repro.errors import ReproError
 from repro.serve.protocol import RemoteOpError, ServeError
 
 #: PipelineConfig fields clients may set over the wire.
-CONFIG_FIELDS = (
-    "extra_space_ratio",
-    "sample_fraction",
-    "slot_alignment",
-    "lossless_estimator",
-    "async_workers",
-    "verify",
-)
+CONFIG_FIELDS = ("extra_space_ratio",)
 
 def config_from_wire(spec: "dict | None") -> "PipelineConfig | None":
     """Rebuild a :class:`PipelineConfig` from its wire dict (None passes

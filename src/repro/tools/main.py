@@ -5,7 +5,7 @@ CLI it names — so ``repro verify --quick`` is exactly
 ``python -m repro.verify --quick`` without the ``PYTHONPATH`` dance::
 
     repro verify  [args...]   # round-trip certification / parity / fuzzing
-    repro inspect [args...]   # PHD5 container inspector (ls/stat/dump/...)
+    repro inspect [args...]   # PHD5 container summary (inspect summary FILE)
     repro serve   [args...]   # multi-tenant ingest daemon
 
 Registered in ``setup.py`` as ``console_scripts: repro=repro.tools.main:main``.

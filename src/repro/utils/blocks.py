@@ -36,18 +36,14 @@ def block_view_slices(
 
 
 def sample_block_slices(
-    shape: Sequence[int],
-    block: Sequence[int],
-    fraction: float,
-    rng: np.random.Generator | None = None,
+    shape: Sequence[int], block: Sequence[int], fraction: float
 ) -> list[tuple[slice, ...]]:
     """Select a deterministic, evenly spread subset of blocks.
 
     Used by the ratio-quality model: the paper's sampling strategy examines a
-    small fraction of blocks (<10% overhead relative to compression).  When
-    ``rng`` is None the subset is a uniform stride over the block sequence,
-    which keeps predictions reproducible; with an ``rng`` the subset is a
-    uniform random choice without replacement.
+    small fraction of blocks (<10% overhead relative to compression).  The
+    subset is a uniform stride over the block sequence, which keeps
+    predictions reproducible.
 
     At least one block is always returned for a non-empty array.
     """
@@ -57,9 +53,5 @@ def sample_block_slices(
     if not all_slices:
         return []
     k = max(1, int(round(fraction * len(all_slices))))
-    if rng is None:
-        stride = len(all_slices) / k
-        picks = [all_slices[min(int(i * stride), len(all_slices) - 1)] for i in range(k)]
-        return picks
-    idx = rng.choice(len(all_slices), size=k, replace=False)
-    return [all_slices[i] for i in sorted(idx)]
+    stride = len(all_slices) / k
+    return [all_slices[min(int(i * stride), len(all_slices) - 1)] for i in range(k)]

@@ -10,14 +10,14 @@ This package certifies exactly that, three ways:
 * :mod:`parity` — one canonical workload through every strategy, each
   finished file fingerprinted and certified;
 * :mod:`fuzz` — seeded property-based perturbation of the named scenario
-  regimes with failure shrinking.
+  regimes with failure shrinking, plus injected NaN/Inf blocks in facade
+  flush batches and streamed steps.
 
 ``python -m repro.verify`` runs all three and emits a schema-versioned
 ``VERIFY_<sha>.json`` (see :mod:`report`); the CI ``verify-smoke`` job
-gates on its exit status.  :meth:`repro.api.file.File.close` accepts
-``verify=True`` (or ``PipelineConfig(verify=True)``) to certify every
-dataset and streamed step a facade file wrote before handing it to the
-user.
+gates on its exit status.  A facade file certifies what it wrote with
+:meth:`repro.api.file.File.verify` (before or after close); any finished
+file certifies against given arrays with :func:`certify`.
 
 Note: the flagship callables :func:`certify` and :func:`fuzz` shadow
 their defining submodules on the package object, so
@@ -37,12 +37,15 @@ from repro.verify.certify import (
     declared_bound,
 )
 from repro.verify.fuzz import (
+    FaultCase,
     FuzzCase,
     FuzzFailure,
     FuzzReport,
     draw_case,
+    draw_fault,
     fuzz,
     run_case,
+    run_fault_case,
     shrink_case,
 )
 from repro.verify.parity import (
@@ -60,6 +63,7 @@ __all__ = [
     "CANONICAL_SCENARIO",
     "CertificationReport",
     "CodecCertificate",
+    "FaultCase",
     "FieldCertificate",
     "FuzzCase",
     "FuzzFailure",
@@ -72,10 +76,12 @@ __all__ = [
     "declared_bound",
     "differential_parity",
     "draw_case",
+    "draw_fault",
     "file_fingerprint",
     "fuzz",
     "reference_fields",
     "run_case",
+    "run_fault_case",
     "save_report",
     "shrink_case",
     "write_scenario_file",

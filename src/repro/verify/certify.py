@@ -57,11 +57,9 @@ class FieldCertificate:
 
     #: dataset path inside the file, e.g. ``fields/f00`` or ``steps/0003/f01``.
     field: str
-    #: certification mode: ``abs`` (point-wise bound) or ``exact`` (bitwise);
-    #: the facade's read-mode structural read-back, which has no reference
-    #: to compare against, says ``unbounded`` (only readability asserted).
+    #: certification mode: ``abs`` (point-wise bound) or ``exact`` (bitwise).
     mode: str
-    #: the asserted absolute bound (0.0 for exact, NaN for unbounded).
+    #: the asserted absolute bound (0.0 for exact).
     bound: float
     max_error: float
     psnr_db: float

@@ -216,7 +216,9 @@ def main(argv=None) -> int:
     if fuzz_report is not None:
         print(
             f"fuzz: {len(fuzz_report.cases)} cases, "
-            f"{len(fuzz_report.failures)} failures"
+            f"{len(fuzz_report.failures)} failures; "
+            f"{len(fuzz_report.faults)} injected-fault cases, "
+            f"{len(fuzz_report.fault_failures)} failures"
         )
     print(f"\nwrote {path}")
     if not report["passed"]:

@@ -14,6 +14,14 @@ locally from the case label alone.  Failing cases are *shrunk* — field
 count, rank count, shape, dtype and extra space are greedily reduced
 while the failure persists — so the report carries a minimal repro
 config, not a needle in a random haystack.
+
+Beside them run the injected-fault cases (:class:`FaultCase`, one per two
+scenario cases, from their own RNG stream): one NaN or Inf block in one
+error-bounded field of a multi-dataset facade flush batch, or of one
+``append_step``.  Each passes only if the call raises a typed
+:class:`~repro.errors.ReproError`, everything that landed before still
+certifies after close and reopen, and the rejected names (or step) can be
+written again.
 """
 
 from __future__ import annotations
@@ -33,12 +41,20 @@ from repro.core.config import (
     PipelineConfig,
 )
 from repro.core.scenarios import get_scenario, scenario_names
+from repro.core.session import step_group
 from repro.core.strategy import STRATEGIES
+from repro.errors import ReproError
 from repro.verify.certify import certify
 from repro.verify.workloads import reference_fields, write_scenario_file
 
 #: Domain separator for the fuzzer's RNG streams.
 _RNG_TAG = zlib.crc32(b"repro-verify-fuzz")
+#: The injected-fault cases' own stream, so every scenario case draws as
+#: it did before they existed.
+_FAULT_TAG = zlib.crc32(b"repro-verify-fuzz-fault")
+
+#: The non-finite values a fault case plants, by label.
+_FAULT_VALUES = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
 
 #: Shape-axis bounds for generated arrays (small enough for pure Python,
 #: large enough to produce multi-block streams and remainders).
@@ -103,6 +119,51 @@ class FuzzFailure:
         }
 
 
+@dataclass(frozen=True)
+class FaultCase:
+    """One injected-fault case: a non-finite block planted in one field of
+    a multi-dataset flush batch (``via="flush"``) or of one step
+    (``via="step"``)."""
+
+    index: int
+    seed: int
+    via: str  # "flush" | "step"
+    strategy: str
+    nfields: int
+    nranks: int
+    shape: tuple[int, int, int]
+    bound: float
+    #: the field that carries the bad block, and what it holds.
+    victim: int
+    value: str  # a key of _FAULT_VALUES
+    #: origin of the 2×2×2 bad block.
+    corner: tuple[int, int, int]
+
+    @property
+    def label(self) -> str:
+        """Stable human-readable id, e.g. ``fault#1 step/reorder ...``."""
+        return (
+            f"fault#{self.index} {self.via}/{self.strategy} "
+            f"f{self.nfields} r{self.nranks} {self.shape} eb={self.bound:.2e} "
+            f"f{self.victim:02d}{list(self.corner)}={self.value}"
+        )
+
+    def to_json(self) -> dict:
+        return {
+            "index": self.index,
+            "seed": self.seed,
+            "via": self.via,
+            "strategy": self.strategy,
+            "nfields": self.nfields,
+            "nranks": self.nranks,
+            "shape": list(self.shape),
+            "bound": self.bound,
+            "victim": self.victim,
+            "value": self.value,
+            "corner": list(self.corner),
+        }
+
+
 @dataclass
 class FuzzReport:
     """Outcome of one fuzzing run."""
@@ -110,11 +171,14 @@ class FuzzReport:
     seed: int
     cases: list[FuzzCase] = field(default_factory=list)
     failures: list[FuzzFailure] = field(default_factory=list)
+    faults: list[FaultCase] = field(default_factory=list)
+    #: failing injected-fault cases with their failure messages.
+    fault_failures: list[tuple[FaultCase, str]] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        """True when no generated case failed certification."""
-        return not self.failures
+        """True when no generated case failed."""
+        return not self.failures and not self.fault_failures
 
     def to_json(self) -> dict:
         return {
@@ -123,6 +187,10 @@ class FuzzReport:
             "passed": self.passed,
             "cases": [c.label for c in self.cases],
             "failures": [f.to_json() for f in self.failures],
+            "faults": [c.label for c in self.faults],
+            "fault_failures": [
+                {"case": c.to_json(), "error": error} for c, error in self.fault_failures
+            ],
         }
 
 
@@ -255,6 +323,100 @@ def shrink_case(
     return current
 
 
+def draw_fault(seed: int, index: int, strategies: Sequence[str]) -> FaultCase:
+    """Deterministically draw the ``index``-th injected-fault case; even
+    indices fault a flush batch, odd ones a step, so any two cases cover
+    both.  ``strategies`` must be compressing strategy names."""
+    rng = np.random.default_rng([_FAULT_TAG, seed, index])
+    nranks = int(rng.integers(1, 5))
+    shape = (
+        int(rng.integers(max(_MIN_EDGE, nranks), _MAX_EDGE + 1)),
+        int(rng.integers(_MIN_EDGE, _MAX_EDGE + 1)),
+        int(rng.integers(_MIN_EDGE, _MAX_EDGE + 1)),
+    )
+    nfields = int(rng.integers(2, 5))
+    return FaultCase(
+        index=index,
+        seed=seed,
+        via=("flush", "step")[index % 2],
+        strategy=strategies[int(rng.integers(len(strategies)))],
+        nfields=nfields,
+        nranks=nranks,
+        shape=shape,
+        bound=float(10.0 ** rng.uniform(-4.0, -2.0)),
+        victim=int(rng.integers(nfields)),
+        value=list(_FAULT_VALUES)[int(rng.integers(len(_FAULT_VALUES)))],
+        corner=tuple(int(rng.integers(0, s - 1)) for s in shape),
+    )
+
+
+def run_fault_case(case: FaultCase) -> str | None:
+    """Plant one case's fault between two clean writes; returns a failure
+    message or None.
+
+    A flush case lands a ``landed/`` batch, has the planted ``batch/``
+    flush rejected, then writes the same names again; a step case lands
+    step 0, has the planted step rejected, then appends it clean.  After
+    close, every group that landed is certified from the reopened file.
+    """
+    from repro import api
+
+    rng = np.random.default_rng([_FAULT_TAG, case.seed, case.index, 1])
+    grid = np.indices(case.shape, dtype=np.float64).sum(axis=0)
+    names = [f"f{i:02d}" for i in range(case.nfields)]
+
+    def arrays() -> dict[str, np.ndarray]:
+        return {
+            n: (np.sin(grid * rng.uniform(0.05, 0.5)) + rng.normal(0.0, 0.01, case.shape))
+            .astype(np.float32)
+            for n in names
+        }
+
+    first, second = arrays(), arrays()
+    planted = dict(second)
+    bad = planted[names[case.victim]].copy()
+    bad[tuple(slice(c, c + 2) for c in case.corner)] = _FAULT_VALUES[case.value]
+    planted[names[case.victim]] = bad
+
+    def write(f, group: str, batch: dict[str, np.ndarray]) -> None:
+        if case.via == "step":
+            f.append_step(batch)
+            return
+        for n, a in batch.items():
+            f.create_dataset(f"{group}/{n}", case.shape, np.float32,
+                             error_bound=case.bound)[...] = a
+        f.flush()
+
+    groups = ("landed", "batch") if case.via == "flush" else (step_group(0), step_group(1))
+    try:
+        with tempfile.TemporaryDirectory(prefix="repro-verify-fault-") as tmp:
+            path = os.path.join(tmp, "fault.phd5")
+            with api.open(path, "w", nranks=case.nranks, strategy=case.strategy) as f:
+                if case.via == "step":
+                    for n in names:
+                        f.create_dataset(n, case.shape, np.float32,
+                                         maxshape=(None, *case.shape),
+                                         error_bound=case.bound)
+                write(f, groups[0], first)
+                try:
+                    write(f, groups[1], planted)
+                except ReproError:
+                    pass
+                else:
+                    return f"the {case.value} block was accepted"
+                write(f, groups[1], second)  # the rejected names, or step, again
+            for group, reference in zip(groups, (first, second)):
+                report = certify(path, reference, group=group)
+                if not report.passed:
+                    return f"{group} failed certification after close: " + "; ".join(
+                        f"{c.field} ({c.error or f'max_error={c.max_error:.3e}'})"
+                        for c in report.violations
+                    )
+        return None
+    except Exception as exc:  # noqa: BLE001 - a fuzz failure, not a crash
+        return f"{type(exc).__name__}: {exc}"
+
+
 def fuzz(
     n_cases: int,
     seed: int = 0,
@@ -262,7 +424,9 @@ def fuzz(
     bases: Sequence[str] | None = None,
     shrink: bool = True,
 ) -> FuzzReport:
-    """Generate, run, and (on failure) shrink ``n_cases`` scenarios."""
+    """Generate, run, and (on failure) shrink ``n_cases`` scenarios, then
+    run one injected-fault case per two scenario cases (rounded up) over
+    the compressing strategies among ``strategies``."""
     report = FuzzReport(seed=seed)
     for index in range(n_cases):
         case = draw_case(seed, index, strategies=strategies, bases=bases)
@@ -274,4 +438,12 @@ def fuzz(
             report.failures.append(
                 FuzzFailure(case=case, minimal=minimal, error=final_error or error)
             )
+    names = list(strategies) if strategies is not None else list(STRATEGIES)
+    compressing = [s for s in names if s in STRATEGIES and STRATEGIES[s].compresses]
+    for index in range((n_cases + 1) // 2 if compressing else 0):
+        fault = draw_fault(seed, index, compressing)
+        report.faults.append(fault)
+        error = run_fault_case(fault)
+        if error is not None:
+            report.fault_failures.append((fault, error))
     return report

@@ -29,7 +29,9 @@ from repro.verify.served import ServeParityResult
 #: v4: the executor backends are gone — ``parity`` records one
 #: ``fingerprint`` per strategy (no ``per_backend``/``mismatches``) and
 #: ``read_parity`` has no ``parallel`` route.
-SCHEMA = "repro-verify/4"
+#: v5: ``fuzz`` lists its injected-fault cases (``faults``,
+#: ``fault_failures``).
+SCHEMA = "repro-verify/5"
 
 
 def git_sha() -> str:
@@ -86,6 +88,8 @@ def build_report(
     if fuzz is not None:
         for f in fuzz.failures:
             failures.append(f"fuzz {f.minimal.label}: {f.error}")
+        for case, error in fuzz.fault_failures:
+            failures.append(f"fuzz {case.label}: {error}")
     if read_parity is not None:
         for key, rp in sorted(read_parity.items()):
             for route in rp.mismatches:

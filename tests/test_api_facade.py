@@ -26,7 +26,6 @@ from repro.core.strategy import STRATEGIES
 from repro.data.partition import grid_partition, rank_payload, rank_regions
 from repro.data.timesteps import TimestepSeries
 from repro.hdf5.file import File as EngineFile
-from repro.hdf5.properties import FileAccessProps
 
 SHAPE = (16, 12, 12)
 
@@ -255,8 +254,7 @@ def test_facade_matches_timestep_session_bit_identically(tmp_path):
         predictive = driver.strategy.predictive
         codecs = {n: SZCompressor(bound=gen0.error_bound(n), mode="abs") for n in names}
         regions = rank_regions(shape, 4, slabs=not driver.strategy.compresses)
-        fapl = FileAccessProps(async_io=True, async_workers=config.async_workers)
-        with EngineFile(p_ref, "w", fapl=fapl) as ef:
+        with EngineFile(p_ref, "w") as ef:  # the facade's write pool
             prev = None
             for t in range(n_steps):
                 gen = series.snapshot_generator(t)
@@ -301,21 +299,32 @@ def test_facade_matches_timestep_session_bit_identically(tmp_path):
 def test_verify_write_mode_and_close_time(tmp_path):
     data = _field(6)
     path = str(tmp_path / "v.phd5")
-    with repro.open(path, "w",
-                    config=repro.PipelineConfig(verify=True)) as f:
-        f.create_dataset("d", SHAPE, error_bound=1e-3, data=data)
-        report = f.verify()
-        assert report.passed
-        assert len(report.certificates) == 1
-        assert report.certificates[0].mode == "abs"
-    # close() above certified through the serialized footer too.
+    f = repro.open(path, "w")
+    f.create_dataset("d", SHAPE, error_bound=1e-3, data=data)
+    report = f.verify()
+    assert report.passed
+    assert len(report.certificates) == 1
+    assert report.certificates[0].mode == "abs"
+    f.close()
+    # After close, the write handle certifies through the serialized footer.
+    report = f.verify()
+    assert report.passed and report.certificates[0].mode == "abs"
+
+
+def test_read_mode_verify_names_certify(tmp_path):
+    """A read-mode handle has no reference data: verify() refuses and
+    points at repro.verify.certify, which certifies against given arrays."""
+    from repro.errors import InvalidStateError
+    from repro.verify import certify
+
+    data = _field(7)
+    path = str(tmp_path / "r.phd5")
+    with repro.open(path, "w") as f:
+        f.create_dataset("fields/d", SHAPE, error_bound=1e-3, data=data)
     with repro.open(path) as f:
-        report = f.verify()  # read mode: structural readback
-        assert report.passed
-        assert report.certificates[0].mode == "unbounded"
-        # ...and with references, bounds are asserted for real.
-        report = f.verify(reference={"d": data})
-        assert report.passed and report.certificates[0].mode == "abs"
+        with pytest.raises(InvalidStateError, match=r"repro\.verify\.certify\(path, arrays\)"):
+            f.verify()
+    assert certify(path, {"d": data}).passed
 
 
 def test_verify_covers_steps(tmp_path):
@@ -427,7 +436,7 @@ def test_assignment_copies_like_h5py(tmp_path):
 
 def test_reopen_rplus_verify_skips_unreferenced(tmp_path):
     """Datasets loaded from disk in 'r+' mode have no retained reference;
-    verify()/close(verify=True) must not certify them against zeros."""
+    verify() must not certify them against zeros."""
     data = _field(12)
     path = str(tmp_path / "rplus.phd5")
     with repro.open(path, "w") as f:
@@ -438,7 +447,6 @@ def test_reopen_rplus_verify_skips_unreferenced(tmp_path):
         report = f.verify()
         assert report.passed
         assert {c.field for c in report.certificates} == {"new"}
-        f.close(verify=True)  # must not raise over the unreferenced "old"
     with repro.open(path) as f:
         assert np.abs(f["old"][...] - data).max() <= 1e-3 * (1 + 1e-6)
         assert np.abs(f["new"][...] - new).max() <= 1e-3 * (1 + 1e-6)

@@ -54,17 +54,6 @@ class TestSampleBlockSlices:
         b = sample_block_slices((16, 16), (2, 2), 0.25)
         assert a == b
 
-    def test_rng_sampling_is_subset(self):
-        rng = np.random.default_rng(0)
-        picks = sample_block_slices((16, 16), (4, 4), 0.5, rng=rng)
-        as_tuples = [tuple((s.start, s.stop) for s in sl) for sl in picks]
-        universe = {
-            tuple((s.start, s.stop) for s in sl)
-            for sl in block_view_slices((16, 16), (4, 4))
-        }
-        assert set(as_tuples) <= universe
-        assert len(as_tuples) == len(set(as_tuples))
-
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
             sample_block_slices((4,), (2,), 0.0)

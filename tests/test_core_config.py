@@ -1,5 +1,7 @@
 """Tests for pipeline config, extra-space policy (Eq. 3, Fig. 9)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.config import (
@@ -10,6 +12,8 @@ from repro.core.config import (
 )
 from repro.core.offsets import HIGH_RATIO_THRESHOLD, effective_extra_space
 from repro.errors import ConfigError
+from repro.hdf5.properties import FileAccessProps
+from repro.modeling.sampling import DEFAULT_FRACTION
 
 
 class TestExtraSpaceDomain:
@@ -74,16 +78,36 @@ class TestEq3:
 
 
 class TestConfigValidation:
+    """The extra-space ratio is the one setting; every retired field is a
+    ``TypeError``, and the constants it became stay readable."""
+
+    def test_one_setting(self):
+        assert [f.name for f in fields(PipelineConfig)] == ["extra_space_ratio"]
+
     def test_sample_fraction(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(sample_fraction=0.0)
-        with pytest.raises(ConfigError):
-            PipelineConfig(sample_fraction=1.5)
+        with pytest.raises(TypeError):
+            PipelineConfig(sample_fraction=0.1)
+        assert PipelineConfig.sample_fraction == DEFAULT_FRACTION
 
     def test_alignment(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(slot_alignment=0)
+        with pytest.raises(TypeError):
+            PipelineConfig(slot_alignment=16)
+        with pytest.raises(TypeError):
+            FileAccessProps(alignment=16)
 
     def test_async_workers(self):
+        with pytest.raises(TypeError):
+            PipelineConfig(async_workers=2)
+        # One write-pool width: the facade's file and a bare engine file agree.
+        assert PipelineConfig.async_workers == FileAccessProps().async_workers == 4
         with pytest.raises(ConfigError):
-            PipelineConfig(async_workers=0)
+            FileAccessProps(async_workers=0)
+
+    def test_lossless_estimator(self):
+        with pytest.raises(TypeError):
+            PipelineConfig(lossless_estimator="zlib-sample")
+        assert PipelineConfig.lossless_estimator == "rle"
+
+    def test_verify(self):
+        with pytest.raises(TypeError):
+            PipelineConfig(verify=True)

@@ -320,3 +320,27 @@ def test_docstring_cross_references_resolve():
     assert len(refs) > 100  # the scan itself still finds the references
     dangling = sorted({f"{where}: {target}" for where, target in refs if not _resolves(target)})
     assert not dangling, f"docstring references to names that do not exist: {dangling}"
+
+
+#: A markdown file named in source: a repo-relative path or a bare name.
+_MD_REF = re.compile(r"[\w./-]*\w\.md\b")
+
+
+def test_docstring_file_references_exist():
+    """Every ``*.md`` file named in ``src/`` — docstrings and comments —
+    exists in the repository (a path counts from the repository root; a
+    bare name may live in any directory), so no doc points at a file that
+    was never written or has been deleted."""
+    known = {
+        p.relative_to(ROOT).as_posix()
+        for p in ROOT.rglob("*.md")
+        if ".git" not in p.relative_to(ROOT).parts
+    }
+    basenames = {k.rsplit("/", 1)[-1] for k in known}
+    missing = sorted(
+        f"{path.relative_to(SRC).as_posix()}: {ref}"
+        for path in (SRC / "repro").rglob("*.py")
+        for ref in _MD_REF.findall(path.read_text(encoding="utf-8"))
+        if ref not in known and ("/" in ref or ref not in basenames)
+    )
+    assert not missing, f"source names markdown files that do not exist: {missing}"

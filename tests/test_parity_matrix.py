@@ -11,7 +11,6 @@ Marked ``slow``: each cell really compresses its arrays and runs the
 thread-rank driver, so the full matrix belongs to the nightly tier.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -48,8 +47,6 @@ def realized():
                 [local for local, _ in arrays.payload],
                 arrays.codecs,
                 name=sc.name,
-                sample_fraction=config.sample_fraction,
-                lossless_estimator=config.lossless_estimator,
             )
             cache[name] = (arrays, wl, config)
         return cache[name]

@@ -23,6 +23,7 @@ from repro.serve.protocol import (
     ProtocolError,
     QueueFullError,
     RemoteOpError,
+    ServeError,
 )
 from repro.serve.queue import FairWorkQueue
 from repro.verify.certify import certify
@@ -283,6 +284,21 @@ class TestServedWrites:
 
         with pytest.raises(ReadOnlyError):
             open_remote(server.address, str(tmp_path / "x.phd5"), "r")
+
+    @pytest.mark.parametrize("field", ["sample_fraction", "verify"])
+    def test_retired_config_field_is_rejected(self, server, tmp_path, field):
+        """The wire carries PipelineConfig's one setting; a client sending a
+        retired field is refused at open."""
+        client = ServeClient(server.address)
+        try:
+            with pytest.raises(ServeError, match=field):
+                client.request({
+                    "op": "open", "path": str(tmp_path / "x.phd5"), "mode": "w",
+                    "strategy": None, "nranks": None, "machine": None,
+                    "config": {field: 0.1 if field == "sample_fraction" else True},
+                })
+        finally:
+            client.close()
 
     def test_lookup_resolves_other_clients_datasets(self, server, tmp_path):
         path = str(tmp_path / "shared.phd5")

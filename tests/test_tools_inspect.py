@@ -1,6 +1,5 @@
 """Tests for the PHD5 inspection CLI."""
 
-import numpy as np
 import pytest
 
 from repro.compression import SZCompressor
@@ -30,51 +29,26 @@ def sample_file(tmp_path):
     return path, data
 
 
-class TestLs:
-    def test_tree_rendering(self, sample_file, capsys):
-        path, _ = sample_file
-        assert main(["ls", path]) == 0
-        out = capsys.readouterr().out
-        assert "fields/" in out
-        assert "raw" in out and "contiguous" in out
-        assert "dec" in out and "declared" in out
-        assert "sz" in out  # filter name shown
-
-
 class TestStat:
     def test_accounting(self, sample_file, capsys):
+        """The storage accounting is the summary's: stored and overflow
+        bytes per dataset, and a TOTAL row."""
         path, data = sample_file
-        assert main(["stat", path]) == 0
+        assert main(["summary", path, "--no-read-stats"]) == 0
         out = capsys.readouterr().out
-        assert "/fields/raw" in out
-        assert "/fields/dec" in out
-        assert "TOTAL" in out
-        # Raw dataset stores exactly its logical bytes.
-        raw_line = next(l for l in out.splitlines() if "/fields/raw" in l)
-        assert str(data.nbytes) in raw_line
+        assert "engine driver-written" in out
+        rows = {ln.split()[0]: ln.split() for ln in out.splitlines()[2:]}
+        assert set(rows) == {"fields/raw", "fields/dec", "TOTAL"}
+        # Raw dataset stores exactly its logical bytes, with no overflow.
+        stored, overflow, ratio = rows["fields/raw"][-3:]
+        assert (int(stored), int(overflow), ratio) == (data.nbytes, 0, "1.00")
+        dec_stored = int(rows["fields/dec"][-3])
+        assert int(rows["TOTAL"][-3]) == data.nbytes + dec_stored
 
-
-class TestDump:
-    def test_dump_values(self, sample_file, capsys):
-        path, data = sample_file
-        assert main(["dump", path, "fields/raw", "--limit", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "shape=(8, 8)" in out
-        assert "min=" in out and "max=" in out
-
-    def test_dump_group_errors(self, sample_file, capsys):
+    def test_retired_subcommands_exit_2(self, sample_file):
         path, _ = sample_file
-        assert main(["dump", path, "fields"]) == 2
-
-
-class TestParts:
-    def test_partition_table(self, sample_file, capsys):
-        path, _ = sample_file
-        assert main(["parts", path, "fields/dec"]) == 0
-        out = capsys.readouterr().out
-        assert "4096" in out  # offset column
-        assert "100" not in out or True  # table renders without error
-
-    def test_parts_on_contiguous_errors(self, sample_file):
-        path, _ = sample_file
-        assert main(["parts", path, "fields/raw"]) == 2
+        for command in (["ls", path], ["stat", path], ["dump", path, "fields/raw"],
+                        ["parts", path, "fields/dec"]):
+            with pytest.raises(SystemExit) as exc:
+                main(command)
+            assert exc.value.code == 2

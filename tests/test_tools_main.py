@@ -50,9 +50,38 @@ def test_dispatch_to_module_clis(monkeypatch):
 
 
 def test_inspect_ls_via_console(facade_file, capsys):
-    assert main(["inspect", "ls", facade_file]) == 0
-    out = capsys.readouterr().out
-    assert "density" in out and "steps/" in out
+    """``summary`` is the inspector's one command: ``repro inspect ls``
+    is a usage error (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["inspect", "ls", facade_file])
+    assert exc.value.code == 2
+    assert "invalid choice: 'ls'" in capsys.readouterr().err
+
+
+def test_inspect_summary_stored_overflow_and_total(tmp_path, capsys):
+    """Each row carries its stored and overflow bytes, as the engine
+    records them, and a TOTAL row sums them."""
+    from repro.hdf5 import File as EngineFile
+
+    path = str(tmp_path / "tight.phd5")
+    data = make_smooth_field(shape=SHAPE)
+    with repro.open(path, "w", nranks=4,
+                    config=repro.PipelineConfig(extra_space_ratio=1.1)) as f:
+        for i in range(3):
+            f.create_dataset(f"fields/f{i}", SHAPE, error_bound=1e-4,
+                             data=data * (i + 1))
+    assert main(["inspect", "summary", path, "--no-read-stats"]) == 0
+    rows = {ln.split()[0]: ln.split() for ln in capsys.readouterr().out.splitlines()[2:]}
+    with EngineFile(path, "r") as ef:
+        expected = {}
+        for i in range(3):
+            ds = ef[f"fields/f{i}"]
+            overflow = sum(ds.partition(p).overflow_nbytes for p in range(ds.n_partitions))
+            expected[f"fields/f{i}"] = (ds.stored_nbytes, overflow)
+    for name, (stored, overflow) in expected.items():
+        assert (int(rows[name][-3]), int(rows[name][-2])) == (stored, overflow)
+    assert int(rows["TOTAL"][-3]) == sum(s for s, _ in expected.values())
+    assert int(rows["TOTAL"][-2]) == sum(o for _, o in expected.values())
 
 
 def test_inspect_summary_pretty_prints_facade(facade_file, capsys):

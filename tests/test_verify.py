@@ -15,13 +15,16 @@ from repro.errors import VerificationError
 from repro.hdf5.file import File
 from repro.verify import (
     SCHEMA,
+    build_report,
     certify,
     certify_codecs,
     draw_case,
+    draw_fault,
     file_fingerprint,
     fuzz,
     reference_fields,
     run_case,
+    run_fault_case,
     shrink_case,
     write_scenario_file,
 )
@@ -109,7 +112,6 @@ class TestCertify:
         assert families == {"sz", "lossless"}
         # Every certificate asserts a bound or exact storage.
         assert all(c.mode in ("abs", "exact") for c in certs)
-        assert not any(c.mode == "unbounded" for c in certs)
 
 
 class TestParity:
@@ -145,6 +147,42 @@ class TestFuzz:
         report = fuzz(2, seed=0)
         assert report.passed
         assert len(report.cases) == 2
+        assert [c.via for c in report.faults] == ["flush"]
+
+    def test_scenario_draws_ignore_the_fault_axis(self):
+        """The fault cases draw from their own stream: the scenario cases
+        are the ones drawn before the fault axis existed."""
+        assert [draw_case(0, i).label for i in range(4)] == [
+            "#0 many-small-fields/overlap f3 r3 (6, 9, 16) eb=1.10e-05 float32 rspace=1.124",
+            "#1 ratio-drift/reorder f3 r3 (14, 4, 5) eb=1.85e-05 float32 rspace=1.218",
+            "#2 overflow-stress/filter f3 r1 (12, 14, 6) eb=5.57e-04 float64 rspace=1.100",
+            "#3 ratio-drift/nocomp f3 r4 (5, 10, 8) eb=2.19e-03 float32 rspace=1.338",
+        ]
+
+    def test_fault_cases_cover_flush_and_step(self):
+        compressing = ["filter", "overlap", "reorder"]
+        cases = [draw_fault(0, i, compressing) for i in range(2)]
+        assert cases == [draw_fault(0, i, compressing) for i in range(2)]
+        assert [c.via for c in cases] == ["flush", "step"]
+        for c in cases:
+            assert c.nfields >= 2 and c.value in ("nan", "+inf", "-inf")
+            assert run_fault_case(c) is None, c.label
+        # Only compressing strategies reject a non-finite block; without
+        # one in the run there are no fault cases.
+        assert fuzz(2, seed=0, strategies=["nocomp"]).faults == []
+
+    def test_accepted_fault_is_a_failure(self, monkeypatch):
+        """A planted block the write accepts fails the case."""
+        from repro.verify.fuzz import _FAULT_VALUES
+
+        for value in list(_FAULT_VALUES):
+            monkeypatch.setitem(_FAULT_VALUES, value, 0.0)
+        case = draw_fault(0, 1, ["reorder"])
+        assert "was accepted" in run_fault_case(case)
+        report = fuzz(2, seed=0, strategies=["reorder"])
+        assert not report.passed and len(report.fault_failures) == 1
+        built = build_report({}, None, None, report, quick=True, seed=0)
+        assert any(line.startswith("fuzz fault#0") for line in built["failures"])
 
     def test_shrink_finds_minimal_config(self):
         """Shrinking a synthetic failure converges to the smallest case
@@ -315,33 +353,25 @@ class TestRelativeModeAndReportShapes:
 
 
 class TestSessionVerify:
-    """Close-time certification of the steps a facade file streamed."""
+    """Certification of the steps a facade file streamed."""
 
     SERIES = TimestepSeries(shape=(12, 10, 8), n_steps=2, seed=5)
 
-    def _stream(self, path, n_steps, **kwargs):
-        f = open_series_file(path, self.SERIES, nranks=2, **kwargs)
-        for step in range(n_steps):
+    def test_verify_after_close_certifies_steps(self, tmp_path):
+        f = open_series_file(tmp_path / "s.phd5", self.SERIES, nranks=2)
+        for step in range(2):
             f.append_step(series_step(self.SERIES, step))
-        return f
-
-    def test_close_verifies_and_stores_report(self, tmp_path):
-        f = self._stream(tmp_path / "s.phd5", 2, config=PipelineConfig(verify=True))
         f.close()
-        assert f.verification is not None
-        assert f.verification.passed
+        report = f.verify()  # through the serialized footer
+        assert report.passed
         n_fields = len(self.SERIES.snapshot_generator(0).field_names)
-        assert len(f.verification.certificates) == 2 * n_fields
-
-    def test_close_verify_override_skips(self, tmp_path):
-        f = self._stream(tmp_path / "s.phd5", 1, config=PipelineConfig(verify=True))
-        f.close(verify=False)
-        assert f.verification is None
+        assert len(report.certificates) == 2 * n_fields
 
     def test_unwritten_session_close_verify_is_noop(self, tmp_path):
-        f = self._stream(tmp_path / "s.phd5", 0)
-        f.close(verify=True)  # nothing written: nothing to certify
-        assert f.verification is None
+        f = open_series_file(tmp_path / "s.phd5", self.SERIES, nranks=2)
+        f.close()
+        report = f.verify()  # nothing written: nothing to certify
+        assert report.passed and report.certificates == []
 
 
 class TestCLI:
