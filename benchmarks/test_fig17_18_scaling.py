@@ -1,6 +1,5 @@
 """Figs. 17c/d + 18c/d — weak scaling from 256 to 4096 processes."""
 
-import numpy as np
 import pytest
 
 from repro.bench.figures import fig17_scaling

@@ -18,8 +18,9 @@ bounds for the *upper* bound).  This module provides:
 * :func:`huffman_decode_many` — lane-parallel decoding of a batch of
   streams, NumPy playing the SIMD lanes of a GPU decoder.  A Huffman
   decoder started on a wrong bit falls into step with the true parse
-  within a few dozen symbols, so every stream is cut into lanes by bit
-  offset, every lane starts a warm-up before its cut, and the lanes of
+  within a few dozen symbols, so every non-empty stream, however short,
+  is cut into lanes by bit offset (a short one is a single lane from
+  bit 0), every lane starts a warm-up before its cut, and the lanes of
   *all* streams of the batch advance in lockstep, one symbol per lane per
   whole-array iteration, keeping the symbols that start inside their own
   span.  The streams lie end to end in one word array and each lane
@@ -661,31 +662,24 @@ def _lane_pass(streams: list, codes: list) -> list[np.ndarray | None]:
     return results
 
 
-#: Below this many values there are too few lanes to pay for their warm-up;
-#: use the scalar loop (identical output — the differential suite pins both).
-_VECTOR_MIN_VALUES = 1024
-
-
 def huffman_decode_many(blobs: Sequence[bytes]) -> list[tuple[np.ndarray, int]]:
     """Decode blobs produced by :func:`huffman_encode`, in one lane pass.
 
     Returns ``(symbols, bytes_consumed)`` per blob, in order, so callers can
-    embed each blob in a larger container.  Streams of ``_VECTOR_MIN_VALUES``
-    symbols or more are decoded together in lanes (more than
-    ``_BATCH_VALUES`` of them in a few passes), whose junction proof either
-    closes or hands that one stream to the scalar loop; tiny streams take
-    the scalar loop directly.  The two are pinned to identical output, and
-    to identical errors on damaged streams, by the differential test suite.
+    embed each blob in a larger container.  Every non-empty stream, however
+    short, is decoded in lanes together with the rest of the batch (more
+    than ``_BATCH_VALUES`` of them in a few passes), whose junction proof
+    either closes or hands that one stream to the scalar loop.  The two are
+    pinned to identical output, and to identical errors on damaged streams,
+    by the differential test suite.
     """
     parsed = [_parse_stream(blob) for blob in blobs]
     symbols: list = [None] * len(parsed)
     batches: list[list[int]] = []
     load = 0
-    for k, (code, nvalues, total_bits, payload, _) in enumerate(parsed):
+    for k, (_, nvalues, *_) in enumerate(parsed):
         if nvalues == 0:
             symbols[k] = np.empty(0, dtype=np.int64)
-        elif nvalues < _VECTOR_MIN_VALUES:
-            symbols[k] = _decode_scalar(code, nvalues, total_bits, payload)
         else:
             weight = max(nvalues, 1 << _SINGLE_LEVEL_BITS)
             if not batches or load + weight > _BATCH_VALUES:

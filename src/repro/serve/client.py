@@ -35,7 +35,7 @@ from repro.core.config import PipelineConfig
 from repro.errors import ConfigError, ReadOnlyError
 from repro.serve import protocol
 from repro.serve.coalescer import config_to_wire
-from repro.serve.protocol import QueueFullError, ServeError
+from repro.serve.protocol import ServeError
 
 
 def _connect(address: str, timeout: "float | None") -> socket.socket:

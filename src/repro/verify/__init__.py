@@ -7,13 +7,16 @@ This package certifies exactly that, three ways:
 
 * :mod:`certify` — round-trip certification of written files against the
   bounds their own metadata declares (plus the registered-codec sweep);
-* :mod:`parity` — one canonical workload through every strategy, each
-  finished file fingerprinted and certified;
+* :mod:`parity` — the canonical scenario's certification cells, one
+  file per strategy, each fingerprinted beside its certificate;
 * :mod:`fuzz` — seeded property-based perturbation of the named scenario
   regimes with failure shrinking, plus injected NaN/Inf blocks in facade
   flush batches and streamed steps.
 
-``python -m repro.verify`` runs all three and emits a schema-versioned
+``python -m repro.verify`` runs all three, plus read-route and
+served-write parity (:mod:`readpath`, :mod:`served`), writing each
+``(scenario, strategy)`` file once through the :mod:`repro.api` facade
+(:func:`write_scenario_file`), and emits a schema-versioned
 ``VERIFY_<sha>.json`` (see :mod:`report`); the CI ``verify-smoke`` job
 gates on its exit status.  A facade file certifies what it wrote with
 :meth:`repro.api.file.File.verify` (before or after close); any finished
@@ -51,8 +54,8 @@ from repro.verify.fuzz import (
 from repro.verify.parity import (
     CANONICAL_SCENARIO,
     ParityResult,
-    differential_parity,
     file_fingerprint,
+    strategy_parity,
 )
 from repro.verify.report import SCHEMA, build_report, save_report
 from repro.verify.workloads import reference_fields, write_scenario_file
@@ -74,7 +77,6 @@ __all__ = [
     "certify_codecs",
     "certify_dataset",
     "declared_bound",
-    "differential_parity",
     "draw_case",
     "draw_fault",
     "file_fingerprint",
@@ -84,5 +86,6 @@ __all__ = [
     "run_fault_case",
     "save_report",
     "shrink_case",
+    "strategy_parity",
     "write_scenario_file",
 ]

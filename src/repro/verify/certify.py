@@ -4,8 +4,9 @@ The paper's correctness contract is point-wise: every value read back from
 a predictively written file must sit within the configured absolute error
 bound of the original — through the reserved slot and through the overflow
 tail.  :func:`certify` makes that contract checkable: it reads every field
-of a written file back through the same partition metadata a parallel
-reader uses, compares against the reference data, and issues one
+of a written file back through the one read route every reader takes
+(:meth:`~repro.hdf5.dataset.Dataset.read`, a single batched decode per
+dataset), compares against the reference data, and issues one
 :class:`FieldCertificate` per field with the bound, the measured maximum
 error, PSNR/NRMSE distortion statistics, and the overflow traffic the read
 path had to reassemble.
@@ -193,29 +194,16 @@ def certify_dataset(
             bound = _effective_abs_bound(dataset, mode, bound)
             if mode == "rel":
                 mode = "abs"  # resolved to an absolute promise
-            recon = np.zeros(dataset.shape, dtype=dataset.dtype)
             for index in range(n_parts):
                 entry = dataset.partition(index)
-                if entry.region is None:
-                    raise VerificationError(
-                        f"{name}: partition {index} carries no region; "
-                        "cannot locate it in the reference array"
-                    )
-                block = dataset.read_partition_array(index)
-                sl = tuple(slice(a, b) for a, b in entry.region)
-                expected_shape = tuple(b - a for a, b in entry.region)
-                if tuple(block.shape) != expected_shape:
-                    raise VerificationError(
-                        f"{name}: partition {index} decoded shape "
-                        f"{tuple(block.shape)} != region shape {expected_shape}"
-                    )
-                recon[sl] = block
                 compressed += entry.actual
                 overflow_nbytes += entry.overflow_nbytes
                 overflowed += 1 if entry.overflow_nbytes else 0
         else:
-            recon = dataset.read()
             compressed = dataset.stored_nbytes
+        # The one read route: a region-less partition or a decoded shape
+        # that disagrees with its region raises here.
+        recon = dataset.read()
         if recon.shape != reference.shape:
             raise VerificationError(
                 f"{name}: read-back shape {recon.shape} != reference {reference.shape}"

@@ -1,29 +1,28 @@
 """``python -m repro.verify`` — the end-to-end verification suite.
 
-Four pillars, one schema-versioned artifact:
+Five pillars, one schema-versioned artifact.  Every ``(scenario,
+strategy)`` file is written once, through the :mod:`repro.api` facade
+(the production write), and the parity pillars read it:
 
 1. **Round-trip certification** — every requested scenario × strategy is
-   written through the production driver and read back; every field
-   must satisfy the error bound its own file metadata declares
-   (overflow-pressure scenarios run at the tightest extra-space ratio so
-   the repair path carries real traffic).  The codec families
-   (SZ, the lossless backends) get a direct compress→decompress sweep on
-   top, and every scenario is additionally written through the
-   :mod:`repro.api` facade (``<scenario>/facade[<strategy>]`` cells) so
-   the h5py-style surface is held to the same bounds as the drivers.
-2. **Strategy parity** — the canonical workload through every strategy,
-   written once each; every finished file is fingerprinted (the anchor of
-   a refactor's digest table) and must certify.
+   written through the facade and read back; every field must satisfy
+   the error bound its own file metadata declares (overflow-pressure
+   scenarios run at the tightest extra-space ratio so the repair path
+   carries real traffic).  The codec families (SZ, the lossless
+   backends) get a direct compress→decompress sweep on top.
+2. **Strategy parity** — the canonical scenario's cells, one per
+   strategy: every file is fingerprinted (the anchor of a refactor's
+   digest table) beside its certification.
 3. **Scenario fuzzing** — seeded perturbations of the named regimes
    (fields/ranks/shape/dtype/bound/extra-space), each written and
    certified, failures shrunk to minimal repro configs.
-4. **Read-route parity** — every scenario file read through every
-   read-side route (cached, >=4 concurrent readers, sub-regions)
-   fingerprinted against the cold read;
-   any divergence fails the run (see :mod:`repro.verify.readpath`).
+4. **Read-route parity** — every scenario's cell of the read strategy
+   read through every read-side route (cached, >=4 concurrent readers,
+   sub-regions) and fingerprinted against the cold read; any divergence
+   fails the run (see :mod:`repro.verify.readpath`).
 5. **Served-write parity** — three scenario regimes written by 4
    concurrent clients through an in-process ``repro.serve`` daemon must
-   be byte-identical to the direct facade file and independently
+   be byte-identical to the same scenario's cell and independently
    certify (see :mod:`repro.verify.served`).
 
 Usage::
@@ -49,59 +48,33 @@ from repro.core.scenarios import get_scenario, scenario_names
 from repro.core.strategy import STRATEGIES
 from repro.verify.certify import CertificationReport, certify, certify_codecs
 from repro.verify.fuzz import fuzz
-from repro.verify.parity import CANONICAL_SCENARIO, differential_parity
+from repro.verify.parity import CANONICAL_SCENARIO, strategy_parity
 from repro.verify.readpath import run_read_parity
 from repro.verify.report import build_report, save_report
 from repro.verify.served import SERVE_SCENARIOS, run_serve_parity
-from repro.verify.workloads import (
-    reference_fields,
-    scenario_config as _scenario_config,
-    write_scenario_file,
-    write_scenario_file_facade,
-)
+from repro.verify.workloads import reference_fields, scenario_config, write_scenario_file
 
 
 def run_certification(
     scenarios: "list[str]",
     strategies: "list[str]",
     seed: int,
+    directory: str,
 ) -> dict[str, CertificationReport]:
-    """The scenario × strategy certification matrix."""
-    out: dict[str, CertificationReport] = {}
-    for scenario in scenarios:
-        arrays = get_scenario(scenario).array_payload(seed=seed)
-        reference = reference_fields(arrays)
-        config = _scenario_config(scenario)
-        for strategy in strategies:
-            with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
-                path = os.path.join(tmp, "cert.phd5")
-                write_scenario_file(arrays, strategy, path, config=config)
-                out[f"{scenario}/{strategy}"] = certify(path, reference)
-    return out
+    """The scenario × strategy certification matrix.
 
-
-def run_facade_certification(
-    scenarios: "list[str]",
-    strategies: "list[str]",
-    seed: int,
-) -> dict[str, CertificationReport]:
-    """Certify facade-written files: every scenario through ``repro.open``.
-
-    The same payloads land via plain ``ds[region] = block`` assignments
-    instead of driver wiring (one representative strategy per scenario, so
-    the pillar stays smoke-sized), and must satisfy the same declared
-    bounds — proving the facade added routing, not a second write path.
+    Each cell's file is written once into ``directory`` and stays there
+    (its report's ``path``) for the parity pillars to read.
     """
     out: dict[str, CertificationReport] = {}
-    strategy = "reorder" if "reorder" in strategies else strategies[0]
     for scenario in scenarios:
         arrays = get_scenario(scenario).array_payload(seed=seed)
         reference = reference_fields(arrays)
-        config = _scenario_config(scenario)
-        with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
-            path = os.path.join(tmp, "cert.phd5")
-            write_scenario_file_facade(arrays, strategy, path, config=config)
-            out[f"{scenario}/facade[{strategy}]"] = certify(path, reference)
+        config = scenario_config(scenario)
+        for strategy in strategies:
+            path = os.path.join(directory, f"{scenario}-{strategy}.phd5")
+            write_scenario_file(arrays, strategy, path, config=config)
+            out[f"{scenario}/{strategy}"] = certify(path, reference)
     return out
 
 
@@ -121,16 +94,12 @@ def _parse_args(argv) -> argparse.Namespace:
                              "12 full; 0 disables)")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed for payload generation and fuzzing")
-    parser.add_argument("--skip-parity", action="store_true",
-                        help="skip the strategy parity pillar")
     parser.add_argument("--skip-read-parity", action="store_true",
                         help="skip the read-route parity pillar (cached / "
                              "concurrent / region reads vs cold)")
     parser.add_argument("--skip-serve", action="store_true",
                         help="skip the served-write parity pillar (concurrent "
-                             "daemon clients vs the direct facade)")
-    parser.add_argument("--skip-facade", action="store_true",
-                        help="skip the repro.open facade certification cells")
+                             "daemon clients vs the direct facade file)")
     parser.add_argument("--skip-codecs", action="store_true",
                         help="skip the registered-codec round-trip sweep")
     parser.add_argument("--out", default=None,
@@ -145,33 +114,25 @@ def main(argv=None) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     n_fuzz = args.fuzz_cases if args.fuzz_cases is not None else (4 if args.quick else 12)
 
-    certifications = run_certification(scenarios, strategies, args.seed)
-    if not args.skip_facade:
-        certifications.update(
-            run_facade_certification(scenarios, strategies, args.seed)
+    strategy = "reorder" if "reorder" in strategies else strategies[0]
+    with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
+        certifications = run_certification(scenarios, strategies, args.seed, tmp)
+        parity = strategy_parity(certifications, CANONICAL_SCENARIO, seed=args.seed)
+        cells = {sc: certifications[f"{sc}/{strategy}"].path for sc in scenarios}
+        read_parity = (
+            None if args.skip_read_parity else run_read_parity(cells, strategy=strategy)
         )
-    parity = (
-        None
-        if args.skip_parity
-        else differential_parity(CANONICAL_SCENARIO, strategies=strategies, seed=args.seed)
-    )
+        serve_cells = {sc: cells[sc] for sc in SERVE_SCENARIOS if sc in cells}
+        serve_parity = (
+            None
+            if args.skip_serve or not serve_cells
+            else run_serve_parity(serve_cells, strategy=strategy, seed=args.seed)
+        )
     codecs = None if args.skip_codecs else certify_codecs(seed=args.seed)
     fuzz_report = (
         fuzz(n_fuzz, seed=args.seed, strategies=strategies, bases=scenarios)
         if n_fuzz > 0
         else None
-    )
-    strategy = "reorder" if "reorder" in strategies else strategies[0]
-    read_parity = (
-        None
-        if args.skip_read_parity
-        else run_read_parity(scenarios, strategy=strategy, seed=args.seed)
-    )
-    serve_scenarios = [s for s in SERVE_SCENARIOS if s in scenarios]
-    serve_parity = (
-        None
-        if args.skip_serve or not serve_scenarios
-        else run_serve_parity(serve_scenarios, strategy=strategy, seed=args.seed)
     )
 
     report = build_report(

@@ -1,11 +1,11 @@
 """Strategy parity (pillar 2 of the verify engine).
 
-One canonical workload is written once through each of the four
-strategies.  Every finished file's byte fingerprint
-(:func:`file_fingerprint`) is recorded — the anchor a refactor's digest
-table compares against its parent — and every file is round-trip
-certified, so a strategy whose layout math regressed fails here even if
-it is internally consistent.
+The canonical workload's certification cells, one file per strategy
+written by the certification matrix, are read again: every file's byte
+fingerprint (:func:`file_fingerprint`) is recorded — the anchor a
+refactor's digest table compares against its parent — beside its
+certification, so a strategy whose layout math regressed fails here even
+if it is internally consistent.  The pillar writes nothing of its own.
 
 Raw (non-compressing) strategies certify bitwise-exactly; compressing
 strategies certify against their declared error bound.
@@ -14,17 +14,11 @@ strategies certify against their declared error bound.
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping
 
-from repro.core.config import PipelineConfig
-from repro.core.scenarios import get_scenario
-from repro.core.strategy import STRATEGIES
 from repro.errors import VerificationError
-from repro.verify.certify import CertificationReport, certify
-from repro.verify.workloads import reference_fields, write_scenario_file
+from repro.verify.certify import CertificationReport
 
 #: The canonical parity workload: the paper's target regime.
 CANONICAL_SCENARIO = "balanced"
@@ -93,22 +87,21 @@ class ParityResult:
         }
 
 
-def differential_parity(
+def strategy_parity(
+    cells: Mapping[str, CertificationReport],
     scenario: str = CANONICAL_SCENARIO,
-    strategies: Sequence[str] | None = None,
     seed: int = 0,
-    config: PipelineConfig | None = None,
-) -> ParityResult:
-    """Write one workload through each strategy; fingerprint and certify
-    every file."""
-    strategies = list(strategies) if strategies is not None else list(STRATEGIES)
-    arrays = get_scenario(scenario).array_payload(seed=seed)
-    reference = reference_fields(arrays)
+) -> ParityResult | None:
+    """Fingerprint the files of ``scenario``'s certification cells.
+
+    ``cells`` is the certification matrix, keyed ``<scenario>/<strategy>``;
+    each report's ``path`` is the cell's file, which must still exist.
+    None when the matrix holds no cell of ``scenario``.
+    """
     result = ParityResult(scenario=scenario, seed=seed)
-    with tempfile.TemporaryDirectory(prefix="repro-verify-parity-") as tmp:
-        for strategy in strategies:
-            path = os.path.join(tmp, f"{strategy}.phd5")
-            write_scenario_file(arrays, strategy, path, config=config)
-            result.fingerprints[strategy] = file_fingerprint(path)
-            result.certifications[strategy] = certify(path, reference)
-    return result
+    for key, report in cells.items():
+        cell_scenario, _, strategy = key.partition("/")
+        if cell_scenario == scenario:
+            result.fingerprints[strategy] = file_fingerprint(report.path)
+            result.certifications[strategy] = report
+    return result if result.fingerprints else None

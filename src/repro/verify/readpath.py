@@ -2,9 +2,10 @@
 
 The read-side scale-out machinery (decoded-partition LRU cache,
 concurrent readers) must be *invisible* in the data: every route to the
-same bytes has to produce the same bytes.  This pillar writes one
-scenario file through the production facade and then fingerprints the
-same reads through each route:
+same bytes has to produce the same bytes.  This pillar takes one
+scenario's certification cell — a file the matrix already wrote through
+the production facade — and fingerprints the same reads through each
+route:
 
 * ``cold``      — fresh open, empty cache: every partition decoded
   (the reference fingerprint).
@@ -15,22 +16,19 @@ same reads through each route:
 
 Any fingerprint diverging from ``cold`` fails verification.  Like the
 other pillars this is scenario-driven: it runs for whatever scenarios the
-CLI selects, not a hand-picked array.
+CLI selects, not a hand-picked array.  It writes nothing of its own.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 import threading
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
 from repro.cache import get_cache
-from repro.core.scenarios import get_scenario
-from repro.verify.workloads import write_scenario_file_facade
 
 #: Reader threads for the concurrent route (the acceptance bar is >= 4).
 CONCURRENT_READERS = 4
@@ -97,86 +95,82 @@ class ReadParityResult:
 
 def read_parity(
     scenario: str,
+    path: str,
     strategy: str = "reorder",
-    seed: int = 0,
     readers: int = CONCURRENT_READERS,
 ) -> ReadParityResult:
-    """Fingerprint every read route of one scenario file against the cold read."""
+    """Fingerprint every read route of one scenario file (written with
+    ``strategy``) against the cold read."""
     import repro
 
-    arrays = get_scenario(scenario).array_payload(seed=seed)
-    names = sorted(arrays.fields)
-    regions = _regions(arrays.shape)
     cache = get_cache()
+    cache.clear()
+    with repro.open(path, "r") as f:
+        names = sorted(f["fields"].keys())
+        regions = _regions(f[f"fields/{names[0]}"].shape)
+        cold = _digest([f[f"fields/{n}"][...] for n in names])
+        result = ReadParityResult(scenario, strategy, cold)
+        # Same handle again: now served from the decoded-partition LRU.
+        result.cells.append(
+            ReadParityCell("cached", _digest([f[f"fields/{n}"][...] for n in names]))
+        )
+        cold_regions = _digest(
+            [f[f"fields/{n}"][r] for n in names for r in regions]
+        )
 
-    with tempfile.TemporaryDirectory(prefix="repro-verify-read-") as tmp:
-        path = os.path.join(tmp, "read.phd5")
-        write_scenario_file_facade(arrays, strategy, path)
+    # Region reads, cold vs cached, must match the cold-region digest.
+    cache.clear()
+    with repro.open(path, "r") as f:
+        first = _digest([f[f"fields/{n}"][r] for n in names for r in regions])
+        again = _digest([f[f"fields/{n}"][r] for n in names for r in regions])
+        if first != cold_regions:
+            result.errors.append("region reads diverged across opens")
+        if again != first:
+            result.errors.append("cached region reads diverged from cold")
 
-        cache.clear()
-        with repro.open(path, "r") as f:
-            cold = _digest([f[f"fields/{n}"][...] for n in names])
-            result = ReadParityResult(scenario, strategy, cold)
-            # Same handle again: now served from the decoded-partition LRU.
-            result.cells.append(
-                ReadParityCell("cached", _digest([f[f"fields/{n}"][...] for n in names]))
-            )
-            cold_regions = _digest(
-                [f[f"fields/{n}"][r] for n in names for r in regions]
-            )
+    # Concurrent readers on one shared handle: every thread's full
+    # read must fingerprint identically to the cold read.
+    cache.clear()
+    prints: "dict[int, str]" = {}
+    errors: "list[str]" = []
+    start = threading.Barrier(readers)
 
-        # Region reads, cold vs cached, must match the cold-region digest.
-        cache.clear()
-        with repro.open(path, "r") as f:
-            first = _digest([f[f"fields/{n}"][r] for n in names for r in regions])
-            again = _digest([f[f"fields/{n}"][r] for n in names for r in regions])
-            if first != cold_regions:
-                result.errors.append("region reads diverged across opens")
-            if again != first:
-                result.errors.append("cached region reads diverged from cold")
+    def reader(tid: int, handle) -> None:
+        try:
+            start.wait()
+            key = regions[tid % len(regions)]
+            full = [handle[f"fields/{n}"][...] for n in names]
+            region = [handle[f"fields/{n}"][key] for n in names]
+            expect = [arr[key] for arr in full]
+            if any(not np.array_equal(a, b) for a, b in zip(region, expect)):
+                errors.append(f"reader {tid}: region/full disagreement")
+            prints[tid] = _digest(full)
+        except BaseException as exc:  # noqa: BLE001 - surfaced in report
+            errors.append(f"reader {tid}: {exc!r}")
 
-        # Concurrent readers on one shared handle: every thread's full
-        # read must fingerprint identically to the cold read.
-        cache.clear()
-        prints: "dict[int, str]" = {}
-        errors: "list[str]" = []
-        start = threading.Barrier(readers)
+    with repro.open(path, "r") as f:
+        threads = [
+            threading.Thread(target=reader, args=(t, f)) for t in range(readers)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    result.errors.extend(errors)
+    if len(prints) == readers and len(set(prints.values())) == 1:
+        result.cells.append(
+            ReadParityCell(f"concurrent[{readers}]", next(iter(prints.values())))
+        )
+    else:
+        result.cells.append(ReadParityCell(f"concurrent[{readers}]", "divergent"))
 
-        def reader(tid: int, handle) -> None:
-            try:
-                start.wait()
-                key = regions[tid % len(regions)]
-                full = [handle[f"fields/{n}"][...] for n in names]
-                region = [handle[f"fields/{n}"][key] for n in names]
-                expect = [arr[key] for arr in full]
-                if any(not np.array_equal(a, b) for a, b in zip(region, expect)):
-                    errors.append(f"reader {tid}: region/full disagreement")
-                prints[tid] = _digest(full)
-            except BaseException as exc:  # noqa: BLE001 - surfaced in report
-                errors.append(f"reader {tid}: {exc!r}")
-
-        with repro.open(path, "r") as f:
-            threads = [
-                threading.Thread(target=reader, args=(t, f)) for t in range(readers)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        result.errors.extend(errors)
-        if len(prints) == readers and len(set(prints.values())) == 1:
-            result.cells.append(
-                ReadParityCell(f"concurrent[{readers}]", next(iter(prints.values())))
-            )
-        else:
-            result.cells.append(ReadParityCell(f"concurrent[{readers}]", "divergent"))
-
-        cache.clear()
-        return result
+    cache.clear()
+    return result
 
 
 def run_read_parity(
-    scenarios: "list[str]", strategy: str = "reorder", seed: int = 0
+    paths: Mapping[str, str], strategy: str = "reorder"
 ) -> "dict[str, ReadParityResult]":
-    """The pillar entry point: read parity for every selected scenario."""
-    return {sc: read_parity(sc, strategy=strategy, seed=seed) for sc in scenarios}
+    """The pillar entry point: read parity for every scenario's file
+    (``paths`` maps scenario names to files written with ``strategy``)."""
+    return {sc: read_parity(sc, path, strategy=strategy) for sc, path in paths.items()}

@@ -31,7 +31,10 @@ from repro.verify.served import ServeParityResult
 #: ``read_parity`` has no ``parallel`` route.
 #: v5: ``fuzz`` lists its injected-fault cases (``faults``,
 #: ``fault_failures``).
-SCHEMA = "repro-verify/5"
+#: v6: every certification cell is facade-written, so the
+#: ``<scenario>/facade[<strategy>]`` cells are gone; ``parity`` is the
+#: canonical scenario's cells (null when that scenario is not selected).
+SCHEMA = "repro-verify/6"
 
 
 def git_sha() -> str:

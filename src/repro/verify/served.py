@@ -6,7 +6,9 @@ this pillar proves that a file written by **N concurrent clients through
 the daemon** is *byte-identical* to one written by the same payload
 through the local facade — same groups, same partitioning, same
 strategy, same config — and that the served file independently certifies
-against the scenario's declared error bounds.
+against the scenario's declared error bounds.  The direct file is the
+scenario's certification cell, which the matrix already wrote; only the
+served file is written here.
 
 Byte identity is a strong claim and it holds by construction: the daemon
 stages client blocks into an ordinary facade file and commits through
@@ -23,17 +25,14 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.core.scenarios import get_scenario
 from repro.errors import ReproError
 from repro.serve.daemon import ReproServer
 from repro.serve.client import open_remote
 from repro.verify.certify import CertificationReport, certify
-from repro.verify.workloads import (
-    reference_fields,
-    scenario_config,
-    write_scenario_file_facade,
-)
+from repro.verify.workloads import reference_fields, scenario_config
 
 #: Scenario regimes the serve pillar certifies (≥3, spanning the paper's
 #: target regime, heavy overflow traffic, and incompressible payloads).
@@ -102,7 +101,7 @@ def write_scenario_file_served(
     """Write one scenario payload through a running daemon.
 
     The served twin of
-    :func:`~repro.verify.workloads.write_scenario_file_facade`: a control
+    :func:`~repro.verify.workloads.write_scenario_file`: a control
     client creates the datasets (same ``fields/`` group, same creation
     order), then ``n_clients`` concurrent connections race the per-rank
     payload blocks in, interleaved round-robin, and the control client
@@ -149,33 +148,30 @@ def write_scenario_file_served(
 
 
 def run_serve_parity(
-    scenarios: "list[str] | tuple[str, ...]" = SERVE_SCENARIOS,
+    direct: Mapping[str, str],
     strategy: str = "reorder",
     seed: int = 0,
     n_clients: int = 4,
 ) -> dict[str, ServeParityResult]:
     """The served-write parity matrix: one in-process daemon, every
-    scenario written both ways, digests and certification compared."""
+    scenario of ``direct`` (scenario name to its facade-written file, with
+    ``strategy`` and the scenario's config) written again through it,
+    digests and certification compared."""
     out: dict[str, ServeParityResult] = {}
     server = ReproServer(port=0).start()
     try:
-        for scenario in scenarios:
+        for scenario, direct_path in direct.items():
             result = ServeParityResult(
                 scenario=scenario, strategy=strategy, n_clients=n_clients
             )
             out[f"{scenario}/served[{strategy}]"] = result
             arrays = get_scenario(scenario).array_payload(seed=seed)
-            config = scenario_config(scenario)
             with tempfile.TemporaryDirectory(prefix="repro-serve-verify-") as tmp:
-                direct_path = os.path.join(tmp, "direct.phd5")
                 served_path = os.path.join(tmp, "served.phd5")
                 try:
-                    write_scenario_file_facade(
-                        arrays, strategy, direct_path, config=config
-                    )
                     write_scenario_file_served(
                         arrays, strategy, served_path, server.address,
-                        config=config, n_clients=n_clients,
+                        config=scenario_config(scenario), n_clients=n_clients,
                     )
                     result.direct_digest = _file_digest(direct_path)
                     result.served_digest = _file_digest(served_path)

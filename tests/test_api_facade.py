@@ -368,18 +368,15 @@ def test_navigation_matches_h5py_shapes(tmp_path):
 
 
 def test_facade_written_scenario_certifies(tmp_path):
-    """The verify pillar's facade writer: scenario payloads land through
-    repro.open and certify against the driver-path references."""
+    """The verify pillars' writer: scenario payloads land through
+    repro.open and certify against the scenario's references."""
     from repro.core.scenarios import get_scenario
     from repro.verify.certify import certify
-    from repro.verify.workloads import (
-        reference_fields,
-        write_scenario_file_facade,
-    )
+    from repro.verify.workloads import reference_fields, write_scenario_file
 
     arrays = get_scenario("balanced").array_payload(seed=0)
     path = str(tmp_path / "cert.phd5")
-    write_scenario_file_facade(arrays, "reorder", path)
+    write_scenario_file(arrays, "reorder", path)
     report = certify(path, reference_fields(arrays))
     assert report.passed, [c.error for c in report.violations]
 
@@ -388,12 +385,12 @@ def test_run_facade_bench_cell_fingerprint_stable(tmp_path):
     """Two facade writes of one payload produce byte-identical files."""
     from repro.core.scenarios import get_scenario
     from repro.verify import file_fingerprint
-    from repro.verify.workloads import write_scenario_file_facade
+    from repro.verify.workloads import write_scenario_file
 
     arrays = get_scenario("balanced").array_payload(seed=0)
     paths = [str(tmp_path / name) for name in ("a.phd5", "b.phd5")]
     for path in paths:
-        write_scenario_file_facade(arrays, "reorder", path)
+        write_scenario_file(arrays, "reorder", path)
     assert file_fingerprint(paths[0]) == file_fingerprint(paths[1])
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import PipelineConfig
 from repro.core.autotune import (
     AutoTuner,
     choice_regret,

@@ -1,6 +1,5 @@
 """Tests for the compression cost model, comm model, machines, and traces."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError, SimulationError

@@ -338,8 +338,8 @@ def _encode_with_code(code, symbols: np.ndarray) -> bytes:
 
 
 def _lane_decode(code, nvalues, total_bits, payload):
-    """The lane decoder on one stream, a batch of one, without the public
-    entry point's routing of tiny streams to the scalar loop."""
+    """The lane decoder on one parsed stream, a batch of one (the
+    differential tests hand it payloads ``_parse_stream`` would refuse)."""
     return _decode_lanes([(code, nvalues, total_bits, payload)])[0]
 
 
@@ -360,9 +360,8 @@ class TestDifferentialVsScalarOracle:
         assert fast.dtype == slow.dtype
         assert np.array_equal(fast, slow)
         assert np.array_equal(fast, symbols)
-        # Also force the vectorized kernel directly: public huffman_decode
-        # routes tiny streams to the scalar path, which must not mask a
-        # small-stream bug in the kernel itself.
+        # Also run the lane kernel on the parsed stream directly, so an
+        # oracle fall-back inside huffman_decode cannot mask a kernel bug.
         code, nvalues, total_bits, payload, _ = _parse_stream(blob)
         if nvalues:
             assert np.array_equal(
@@ -423,8 +422,8 @@ class TestDifferentialVsScalarOracle:
         assert np.array_equal(fast, symbols)
 
     def test_large_stream_routes_through_vectorized(self):
-        # Above _VECTOR_MIN_VALUES the public entry point uses the hop
-        # decoder; equality with the oracle here is the acceptance check.
+        # Many lanes per stream, long warm-ups: equality with the oracle
+        # here is the acceptance check at scale.
         rng = np.random.default_rng(7)
         symbols = np.clip(rng.normal(100, 3, 200_000), 0, 255).astype(np.int64)
         blob = huffman_encode(symbols, 256)
@@ -673,7 +672,7 @@ class TestLaneDecoderAtScale:
 
 #: Unlike streams side by side: 17-bit codes (the tagged second level), equal
 #: lengths, factor-2 lengths, a long run the oracle ends up decoding, a
-#: stream short enough for the scalar loop and an empty one.
+#: stream of a few lanes and an empty one.
 _MIXED_BATCH = (
     ("wide_alphabet", 1 << 17),
     ("uniform256", 1 << 13),
@@ -771,7 +770,7 @@ class TestFastPathIsThePath:
         self._forbid_oracle(monkeypatch)
         assert np.array_equal(_lane_decode(code, nvalues, total_bits, payload), symbols)
 
-    @pytest.mark.parametrize("edge", [16, 32, 64])
+    @pytest.mark.parametrize("edge", [8, 16, 32, 64])
     def test_golden_fields_decode_without_the_oracle(self, edge, monkeypatch):
         # Bit-identity of these decodes is TestGoldenStreams' job (test_sz.py).
         from repro.compression import SZCompressor

@@ -1,7 +1,5 @@
 """Tests for the thread-backed SPMD runtime."""
 
-import os
-
 import numpy as np
 import pytest
 

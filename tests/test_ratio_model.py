@@ -68,18 +68,22 @@ class TestRatioPredictionAccuracy:
 
     def test_sampling_is_much_cheaper_than_compression(self):
         """Paper: prediction overhead <10% of compression time."""
-        import time
-
         data = make_smooth_field((48, 48, 48))
         codec = SZCompressor(bound=1e-3, mode="rel")
         model = RatioQualityModel(codec)
         model.predict(data)  # warm-up
-        # Best-of-3 de-noises scheduler/GC hiccups in the wall clocks.
-        t_pred = min(
-            self._timed(lambda: model.predict(data)) for _ in range(3)
-        )
-        t_comp = min(self._timed(lambda: codec.compress(data)) for _ in range(3))
-        assert t_pred < 0.5 * t_comp  # generous CI margin over the 10% claim
+        # Alternating pairs, best of each side: a slow spell of the host
+        # lands on both sides of a round instead of on one side only.
+        t_pred = t_comp = float("inf")
+        for _ in range(7):
+            t_pred = min(t_pred, self._timed(lambda: model.predict(data)))
+            t_comp = min(t_comp, self._timed(lambda: codec.compress(data)))
+        # Five times the paper's 10 %, but not a wide margin: once the
+        # process has freed a few-MB buffer (any earlier test does), glibc
+        # stops mmap-ing compress's temporaries, compress gets ~40 % faster
+        # and this ratio reads ~0.45 (the predictor's cost is an open item
+        # in ROADMAP.md).
+        assert t_pred < 0.5 * t_comp
 
     @staticmethod
     def _timed(fn):

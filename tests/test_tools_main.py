@@ -97,12 +97,14 @@ def test_inspect_summary_pretty_prints_facade(facade_file, capsys):
 
 def test_inspect_summary_engine_written_file(tmp_path, capsys):
     """Non-facade files still summarize (origin reported as engine)."""
+    from repro.core.pipeline import RealDriver
     from repro.core.scenarios import get_scenario
-    from repro.verify.workloads import write_scenario_file
+    from repro.hdf5.file import File
 
     arrays = get_scenario("balanced").array_payload(seed=0)
     path = str(tmp_path / "engine.phd5")
-    write_scenario_file(arrays, "reorder", path)
+    with File(path, "w") as f:
+        RealDriver("reorder").write(f, arrays.payload, arrays.shape, arrays.codecs)
     assert main(["inspect", "summary", path]) == 0
     out = capsys.readouterr().out
     assert "engine driver-written" in out

@@ -26,6 +26,7 @@ from repro.verify import (
     run_case,
     run_fault_case,
     shrink_case,
+    strategy_parity,
     write_scenario_file,
 )
 from repro.verify.cli import main as verify_main
@@ -84,6 +85,29 @@ class TestCertify:
         assert any(c.error is not None or c.max_error > c.bound
                    for c in report.violations)
 
+    @pytest.mark.parametrize("damage", ["no region", "wrong shape"])
+    def test_unplaceable_partition_fails_the_certificate(
+        self, tmp_path, balanced_arrays, damage
+    ):
+        """A partition the read route cannot place — no recorded region, or
+        a region the decoded block does not fit — fails that field's
+        certificate with the read error, not the run."""
+        path = _write(tmp_path, balanced_arrays)
+        name = sorted(balanced_arrays.fields)[0]
+        with File(path, "r") as f:
+            entry = f[f"fields/{name}"].partition(0)
+            if damage == "no region":
+                entry.region = None
+            else:
+                entry.region = [[a, b - 1] for a, b in entry.region]
+            report = certify(f, reference_fields(balanced_arrays))
+        (bad,) = report.violations
+        assert bad.field == f"fields/{name}"
+        expect = "HDF5Error" if damage == "no region" else "FilterError"
+        assert bad.error.startswith(expect)
+        assert bad.n_partitions == balanced_arrays.nranks
+        assert bad.compressed_nbytes > 0
+
     def test_overflow_stress_certifies_within_bound(self, tmp_path):
         """Satellite: an overflowed field still satisfies its error bound
         after read-back, and the certificates prove the overflow path ran."""
@@ -115,6 +139,26 @@ class TestCertify:
 
 
 class TestParity:
+    def test_strategy_parity_reads_the_canonical_cells(self, tmp_path, balanced_arrays):
+        """Parity writes nothing: it fingerprints the canonical scenario's
+        certification cells and carries their certificates."""
+        cells = {
+            f"balanced/{st}": certify(
+                _write(tmp_path, balanced_arrays, st, name=f"{st}.phd5"),
+                reference_fields(balanced_arrays),
+            )
+            for st in ("nocomp", "reorder")
+        }
+        cells["ratio-drift/reorder"] = cells["balanced/reorder"]
+        result = strategy_parity(cells, seed=3)
+        assert result.passed and result.seed == 3
+        assert result.fingerprints == {
+            st: file_fingerprint(str(tmp_path / f"{st}.phd5")) for st in ("nocomp", "reorder")
+        }
+        assert result.certifications["nocomp"] is cells["balanced/nocomp"]
+        # Without a cell of the canonical scenario the pillar is absent.
+        assert strategy_parity({"ratio-drift/reorder": cells["balanced/reorder"]}) is None
+
     def test_fingerprint_is_content_sensitive(self, tmp_path, balanced_arrays):
         a = _write(tmp_path, balanced_arrays, name="a.phd5")
         b = _write(tmp_path, balanced_arrays, name="b.phd5")
@@ -310,10 +354,15 @@ class TestRelativeModeAndReportShapes:
     def test_cli_skip_flags_and_failure_exit(self, tmp_path, monkeypatch, capsys):
         status = verify_main([
             "--quick", "--scenarios", "balanced", "--strategies", "nocomp",
-            "--skip-parity", "--skip-codecs", "--fuzz-cases", "0",
-            "--out", str(tmp_path / "a"),
+            "--skip-read-parity", "--skip-serve", "--skip-codecs",
+            "--fuzz-cases", "0", "--out", str(tmp_path / "a"),
         ])
         assert status == 0
+        (artifact,) = os.listdir(tmp_path / "a")
+        with open(tmp_path / "a" / artifact, encoding="utf-8") as f:
+            report = json.load(f)
+        assert report["read_parity"] is None and report["serve_parity"] is None
+        assert report["codecs"] is None and report["fuzz"] is None
         # A failing pillar flips the exit status and prints the problems.
         import repro.verify.cli as cli_mod
 
@@ -323,8 +372,8 @@ class TestRelativeModeAndReportShapes:
         monkeypatch.setattr(cli_mod, "fuzz", failing_fuzz)
         status = verify_main([
             "--quick", "--scenarios", "balanced", "--strategies", "nocomp",
-            "--skip-parity", "--skip-codecs", "--fuzz-cases", "1",
-            "--out", str(tmp_path / "b"),
+            "--skip-read-parity", "--skip-serve", "--skip-codecs",
+            "--fuzz-cases", "1", "--out", str(tmp_path / "b"),
         ])
         assert status == 1
         assert "VERIFICATION FAILED" in capsys.readouterr().out
@@ -390,26 +439,25 @@ class TestCLI:
             report = json.load(f)
         assert report["schema"] == SCHEMA
         assert report["passed"] is True
-        assert set(report["certification"]) == {
-            "balanced/reorder", "balanced/nocomp", "balanced/facade[reorder]",
-        }
+        assert set(report["certification"]) == {"balanced/reorder", "balanced/nocomp"}
         assert report["parity"]["passed"] is True
+        assert set(report["parity"]["strategies"]) == {"reorder", "nocomp"}
+        assert report["read_parity"]["balanced"]["passed"] is True
+        assert report["serve_parity"]["balanced/served[reorder]"]["passed"] is True
         assert report["fuzz"]["n_cases"] == 1
         out = capsys.readouterr().out
         assert "verification passed" in out
 
     @pytest.mark.slow
     def test_full_quick_matrix(self, tmp_path):
-        """The acceptance gate: all 9 scenarios x all registered strategies
-        certify on the serial backend under --quick."""
+        """The acceptance gate: all 9 scenarios x all four strategies
+        certify under --quick, and every parity pillar reads those cells."""
         status = verify_main(["--quick", "--out", str(tmp_path)])
         assert status == 0
         artifact = next(p for p in os.listdir(tmp_path) if p.startswith("VERIFY_"))
         with open(tmp_path / artifact, encoding="utf-8") as f:
             report = json.load(f)
-        expected = {
-            f"{sc}/{st}" for sc in scenario_names() for st in STRATEGIES
-        } | {f"{sc}/facade[reorder]" for sc in scenario_names()}
+        expected = {f"{sc}/{st}" for sc in scenario_names() for st in STRATEGIES}
         assert set(report["certification"]) == expected
         assert report["passed"] is True
         # Overflow-pressure regimes must actually exercise the repair path.
@@ -419,9 +467,6 @@ class TestCLI:
             and not k.endswith("filter")
         ]
         assert any(cell["total_overflow_nbytes"] > 0 for cell in stress)
-        # The facade cells ride the same write path: identical overflow
-        # traffic to the driver cells, scenario by scenario.
-        for sc in scenario_names():
-            facade = report["certification"][f"{sc}/facade[reorder]"]
-            direct = report["certification"][f"{sc}/reorder"]
-            assert facade["total_overflow_nbytes"] == direct["total_overflow_nbytes"]
+        assert set(report["parity"]["strategies"]) == set(STRATEGIES)
+        assert set(report["read_parity"]) == set(scenario_names())
+        assert len(report["serve_parity"]) == 3

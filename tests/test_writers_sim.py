@@ -1,6 +1,5 @@
 """Tests for the simulated write strategies (paper Fig. 4 semantics)."""
 
-import numpy as np
 import pytest
 
 from repro.core import PipelineConfig, build_workload, simulate_strategy
