@@ -10,10 +10,11 @@
 * :mod:`strategy` — the paper's four Fig. 4 strategies as fixed
   compositions of PredictPhase / PlanPhase / CompressWritePhase /
   OverflowPhase values, in one closed ``STRATEGIES`` table looked up by
-  name with ``get_strategy``;
-* :mod:`writers` — the SimDriver executing a strategy on the
-  discrete-event simulator (timing at scale);
-* :mod:`pipeline` — the RealDriver executing the same strategies for real
+  name with ``get_strategy``; each is one phase program
+  (``WriteStrategy.program``) the three interpreters below read;
+* :mod:`writers` — ``simulate_strategy``, which schedules a strategy's
+  program on the discrete-event simulator (timing at scale);
+* :mod:`pipeline` — the RealDriver running the same programs for real
   on thread ranks against a PHD5 file (functional correctness):
   ``RealDriver.write`` is the one collective write every caller goes
   through, ``RealDriver.run`` the SPMD rank body underneath it;
@@ -24,7 +25,7 @@
   synthetic datasets, plus deterministic stat-pool scaling for rank counts
   beyond what pure Python can compress in reasonable time;
 * :mod:`autotune` — the AutoTuner: analytic per-strategy makespan
-  estimates (calibrated models + the shared phase objects) selecting the
+  estimates (each program summed in closed form) selecting the
   best of the four strategies per workload/time-step, and ``tune_payload``,
   the probe → workload → evaluate step the facade's flush and steps share;
 * :mod:`scenarios` — deterministic named workload regimes (skew,
@@ -81,7 +82,7 @@ from repro.core.workload import (
     workload_from_arrays,
     workload_from_matrices,
 )
-from repro.core.writers import SimDriver, SimResult, simulate_strategy
+from repro.core.writers import SimResult, simulate_strategy
 
 __all__ = [
     "PipelineConfig",
@@ -122,7 +123,6 @@ __all__ = [
     "scenario_matrix",
     "scenario_names",
     "get_scenario",
-    "SimDriver",
     "SimResult",
     "simulate_strategy",
     "SweepCell",

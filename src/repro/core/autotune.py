@@ -8,24 +8,22 @@ itself stops paying on incompressible data.  The strategy engine from
 module closes the loop.
 
 :class:`AutoTuner` prices each of the four strategies' makespans *analytically*
-— no discrete-event simulation — from the same ingredients both drivers
-already use:
+— no discrete-event simulation — by summing the strategy's phase program
+(:meth:`~repro.core.strategy.WriteStrategy.program`) in closed form: the
+max over ranks of each segment, plus the all-gathers between segments.
+The simulator schedules the same program; the decisions both read (the
+offline plan, Algorithm 1's order, the prediction and plan prices) come
+from :mod:`repro.core.strategy`.  The two clocks differ by design: the
+simulator prices compression with the machine's cost model, the tuner
+with the calibrated Eq. (1) fit, and writes with the file system's
+steady-state rates (:func:`repro.core.writers.default_models` supplies
+the Eq. (1)/(2) models Algorithm 1 orders with).
 
-* the calibrated Eq. (1) compression-throughput model and Eq. (2) write
-  model (:func:`repro.core.writers.default_models`);
-* the machine profile's file-system and interconnect constants;
-* the **same phase objects**: ``PlanPhase.compute_table`` for reserved
-  slots, ``OverflowPhase.compute_plan`` for the repair traffic,
-  ``CompressWritePhase.field_order`` for Algorithm 1 ordering, and
-  :func:`repro.core.scheduler.queue_time` for the overlapped
-  compress/write completion time.
-
-Because the estimate mirrors :class:`~repro.core.writers.SimDriver`'s
-timing semantics term by term, the tuner's choice matches an exhaustive
-evaluate-every-strategy simulation on the generated scenario matrix (the
-acceptance tests assert ≥ 90% agreement) at a tiny fraction of the cost —
-cheap enough to re-tune every time-step from measured actuals, which is
-what :meth:`File.append_step <repro.api.file.File.append_step>` does in
+The tuner's choice matches an exhaustive evaluate-every-strategy
+simulation on the generated scenario matrix (the acceptance tests assert
+≥ 90% agreement) at a tiny fraction of the cost — cheap enough to re-tune
+every time-step from measured actuals, which is what
+:meth:`File.append_step <repro.api.file.File.append_step>` does in
 ``strategy="auto"`` mode.
 """
 
@@ -38,17 +36,18 @@ import numpy as np
 
 from repro.core.config import PipelineConfig
 from repro.core.scheduler import CompressionTask, queue_time
-from repro.core.strategy import STRATEGIES, PredictPhase, get_strategy, predict_phase_costs
-from repro.core.workload import Workload, workload_from_matrices
-from repro.core.writers import (
-    _BASE_OFFSET,
-    PLAN_SECONDS_PER_FIELD_SQ,
-    PREDICT_OVERHEAD_FACTOR,
-    default_models,
-    simulate_strategy,
+from repro.core.strategy import (
+    STRATEGIES,
+    PredictPhase,
+    gather_seconds,
+    get_strategy,
+    offline_plan,
+    predict_seconds,
+    rank_order,
 )
+from repro.core.workload import Workload, workload_from_matrices
+from repro.core.writers import default_models, simulate_strategy
 from repro.errors import ConfigError
-from repro.modeling.sampling import DEFAULT_FRACTION
 from repro.sim.engine import Environment
 from repro.sim.machine import MachineProfile, get_machine
 
@@ -108,8 +107,8 @@ class AutoTuner:
         Machine profile (or name) whose calibrated models and file-system
         constants price the phases.
     config:
-        Pipeline configuration (extra space, sampling fraction) shared
-        with the drivers that will execute the choice.
+        Pipeline configuration (the extra-space ratio) shared with the
+        drivers that will execute the choice.
     models:
         Explicit ``(throughput_model, write_model)`` pair; defaults to the
         offline-calibrated :func:`~repro.core.writers.default_models` at
@@ -141,7 +140,7 @@ class AutoTuner:
         sizes replace the sampling pass.
         """
         strat = get_strategy(strategy)
-        return _Estimator(strat, _WorkloadContext(workload, self), warm_start).estimate()
+        return _WorkloadContext(workload, self).estimate(strat, warm_start)
 
     def evaluate(self, workload: Workload, warm_start: bool = False) -> TuningDecision:
         """Estimate all four strategies and pick the fastest (ties keep the
@@ -150,9 +149,7 @@ class AutoTuner:
         # The models, file-system constants, and compress-time matrix
         # depend only on the workload — share them across candidates.
         ctx = _WorkloadContext(workload, self)
-        estimates = tuple(
-            _Estimator(STRATEGIES[name], ctx, warm_start).estimate() for name in names
-        )
+        estimates = tuple(ctx.estimate(STRATEGIES[name], warm_start) for name in names)
         choice = _first_minimum(names, [e.makespan_seconds for e in estimates])
         return TuningDecision(workload_name=workload.name, estimates=estimates, choice=choice)
 
@@ -170,15 +167,14 @@ def _rank_eq1_seconds(tmodel, n_values, actual) -> list[float]:
 
 
 class _WorkloadContext:
-    """Per-(workload, tuner) state shared by every candidate's estimate."""
+    """Per-(workload, tuner) state shared by every candidate's estimate,
+    and the closed-form sum of one candidate's program over it."""
 
     def __init__(self, workload: Workload, tuner: AutoTuner):
         self.w = workload
         self.config = tuner.config
         self.machine = tuner.machine
-        self.tmodel, self.wmodel = tuner.models or default_models(
-            tuner.machine, workload.nranks
-        )
+        self.models = tuner.models or default_models(tuner.machine, workload.nranks)
         # File-system constants at this job size (same sub-linear OST
         # scaling the simulator applies).
         fs = tuner.machine.make_filesystem(Environment(), nranks=workload.nranks)
@@ -195,148 +191,94 @@ class _WorkloadContext:
         # Eq. (1) compression seconds at each partition's actual bit-rate —
         # the tuner's per-rank hot loop.
         per_rank = [
-            _rank_eq1_seconds(self.tmodel, self.n_values[:, r], self.actual[:, r])
+            _rank_eq1_seconds(self.models[0], self.n_values[:, r], self.actual[:, r])
             for r in range(workload.nranks)
         ]
         self.compress = np.asarray(per_rank, dtype=float).T
-
-
-class _Estimator:
-    """One analytic evaluation of one strategy — the closed-form mirror
-    of :class:`repro.core.writers._SimRun`."""
-
-    def __init__(self, strat, ctx: _WorkloadContext, warm_start: bool):
-        self.strat = strat
-        self.warm_start = warm_start
-        self.ctx = ctx
-        self.w = ctx.w
-        self.config = ctx.config
-        self.machine = ctx.machine
-        self.tmodel, self.wmodel = ctx.tmodel, ctx.wmodel
-        self.latency = ctx.latency
-        self.collective_rate = ctx.collective_rate
-        self.collective_overhead = ctx.collective_overhead
-        self.ind_rate = ctx.ind_rate
-        self.n_values = ctx.n_values
-        self.original = ctx.original
-        self.actual = ctx.actual
-        self.predicted = ctx.predicted
-        self.compress = ctx.compress
+        self.compress_max = float(max(self.compress.sum(axis=0)))
 
     def _write_seconds(self, nbytes: float) -> float:
         """One independent write: per-op latency plus rate-capped drain."""
         return self.latency + float(nbytes) / self.ind_rate
 
-    def _allgather(self) -> float:
-        return self.machine.comm.allgather_seconds(self.w.nranks, 8.0 * self.w.nfields)
-
-    def estimate(self) -> StrategyEstimate:
-        strat = self.strat
-        if not strat.compresses:
-            return self._estimate_raw()
-        if not strat.predictive:
-            return self._estimate_postplanned()
-        return self._estimate_predictive()
-
-    # -- execution shapes (mirroring _SimRun) --------------------------------
-
-    def _estimate_raw(self) -> StrategyEstimate:
-        per_rank = [
-            sum(self._write_seconds(self.original[f, r]) for f in range(self.w.nfields))
-            for r in range(self.w.nranks)
+    def _queue_seconds(self, strat, stored: np.ndarray, r: int) -> float:
+        """One rank's overlapped compress/write queue through the TIME model."""
+        order = rank_order(strat, self.models, self.n_values[:, r], self.predicted[:, r])
+        tasks = [
+            CompressionTask(
+                field=str(f),
+                predicted_compress_seconds=float(self.compress[f, r]),
+                predicted_write_seconds=self._write_seconds(stored[f, r]),
+            )
+            for f in order
         ]
-        makespan = max(per_rank)
-        return StrategyEstimate(
-            strategy=self.strat.name,
-            makespan_seconds=makespan,
-            write_seconds=makespan,
-        )
+        return queue_time(tasks)
 
-    def _estimate_postplanned(self) -> StrategyEstimate:
-        compress_max = float(max(self.compress.sum(axis=0)))
-        ag = self._allgather()
-        drain = (
-            self.collective_overhead
-            + self.latency
-            + float(self.actual.sum()) / self.collective_rate
-        )
-        return StrategyEstimate(
-            strategy=self.strat.name,
-            makespan_seconds=compress_max + ag + drain,
-            allgather_seconds=ag,
-            compress_seconds=compress_max,
-            write_seconds=drain,
-        )
-
-    def _estimate_predictive(self) -> StrategyEstimate:
-        strat, w = self.strat, self.w
-        table = strat.plan.compute_table(self.predicted, self.original, self.config, _BASE_OFFSET)
-        reserved = table.reserved
-        plan = strat.overflow.compute_plan(self.actual, reserved, table.data_end)
-        stored = np.minimum(self.actual, reserved)
-        # Phase 1: sampling prediction (skipped on warm-started steps).
-        if not self.warm_start:
-            predict_max = float(
-                max(self.compress.sum(axis=0))
-                * DEFAULT_FRACTION
-                * PREDICT_OVERHEAD_FACTOR
-            )
-        else:
-            predict_max = 0.0
-        # Phase 2: all-gather + every rank's offset/Algorithm-1 computation.
-        ag1 = self._allgather() + PLAN_SECONDS_PER_FIELD_SQ * w.nfields * w.nfields
-        # Phase 3: per-rank compress/write queues through the TIME model.
-        per_rank = []
-        for r in range(w.nranks):
-            tasks = [
-                CompressionTask(
-                    field=str(f),
-                    predicted_compress_seconds=float(self.compress[f, r]),
-                    predicted_write_seconds=self._write_seconds(stored[f, r]),
+    def estimate(self, strat, warm_start: bool) -> StrategyEstimate:
+        """The program's makespan: each segment's slowest rank, plus the
+        all-gathers between segments."""
+        w = self.w
+        program = strat.program(warm_start)
+        gathers = gather_seconds(program, self.machine, w.nranks, w.nfields)
+        table, plan = offline_plan(strat, self.predicted, self.original, self.actual, self.config)
+        seconds = dict.fromkeys(("predict", "compress", "write", "overflow"), 0.0)
+        makespan = 0.0
+        for i, segment in enumerate(program):
+            if i:
+                makespan += gathers[i - 1]
+            if "predict" in segment:
+                seconds["predict"] = predict_seconds(self.compress_max)
+                makespan += seconds["predict"]
+            if {"compress", "write"} <= segment:
+                stored = np.minimum(self.actual, table.reserved)
+                per_rank = [self._queue_seconds(strat, stored, r) for r in range(w.nranks)]
+                primary_max = float(max(per_rank))
+                seconds["compress"] = self.compress_max
+                seconds["write"] = max(0.0, primary_max - self.compress_max)
+                makespan += primary_max
+            elif "compress" in segment:
+                seconds["compress"] = self.compress_max
+                makespan += self.compress_max
+            elif "write" in segment and i:
+                # The collective write of exact sizes.
+                seconds["write"] = (
+                    self.collective_overhead
+                    + self.latency
+                    + float(self.actual.sum()) / self.collective_rate
                 )
-                for f in self._field_order(r)
-            ]
-            per_rank.append(queue_time(tasks))
-        primary_max = float(max(per_rank))
-        compress_max = float(max(self.compress.sum(axis=0)))
-        # Phase 4/5: second all-gather + per-rank overflow tails.
-        ag2 = self._allgather()
-        overflow_max = max(
-            sum(
-                self._write_seconds(plan.tail_nbytes[f, r])
-                for f in range(w.nfields)
-                if plan.tail_nbytes[f, r] > 0
-            )
-            for r in range(w.nranks)
-        )
-        makespan = predict_max + ag1 + primary_max + ag2 + overflow_max
+                makespan += seconds["write"]
+            elif "write" in segment:
+                # Independent raw writes.
+                seconds["write"] = max(
+                    sum(self._write_seconds(self.original[f, r]) for f in range(w.nfields))
+                    for r in range(w.nranks)
+                )
+                makespan += seconds["write"]
+            if "overflow" in segment:
+                seconds["overflow"] = max(
+                    sum(
+                        self._write_seconds(plan.tail_nbytes[f, r])
+                        for f in range(w.nfields)
+                        if plan.tail_nbytes[f, r] > 0
+                    )
+                    for r in range(w.nranks)
+                )
+                makespan += seconds["overflow"]
         return StrategyEstimate(
             strategy=strat.name,
             makespan_seconds=makespan,
-            predict_seconds=predict_max,
-            allgather_seconds=ag1 + ag2,
-            compress_seconds=compress_max,
-            write_seconds=max(0.0, primary_max - compress_max),
-            overflow_seconds=overflow_max,
-            overflow_nbytes=int(plan.total_overflow),
+            predict_seconds=seconds["predict"],
+            allgather_seconds=sum(gathers, 0.0),
+            compress_seconds=seconds["compress"],
+            write_seconds=seconds["write"],
+            overflow_seconds=seconds["overflow"],
+            overflow_nbytes=int(plan.total_overflow) if plan is not None else 0,
         )
-
-    def _field_order(self, r: int) -> list[int]:
-        """Algorithm 1 ordering exactly as both drivers compute it."""
-        cw = self.strat.compress_write
-        if not cw.reorder:
-            return list(range(self.w.nfields))
-        compress_s, write_s = predict_phase_costs(
-            self.tmodel, self.wmodel, self.n_values[:, r], self.predicted[:, r]
-        )
-        names = [str(f) for f in range(self.w.nfields)]
-        return [int(n) for n in cw.field_order(names, compress_s, write_s)]
 
 
 # ---------------------------------------------------------------------------
 # Helpers shared by the facade's flush and steps and the acceptance tests
 # ---------------------------------------------------------------------------
-
 def measured_workload(
     field_names: Sequence[str],
     per_rank_actual: Sequence[Mapping[str, int]],

@@ -1,13 +1,15 @@
 """RealDriver: executes the four write strategies on thread ranks + PHD5.
 
-The *functional* counterpart of :class:`repro.core.writers.SimDriver`: the
-same :class:`~repro.core.strategy.WriteStrategy` phase objects (the same
-``OffsetTable``/``OverflowPlan`` math, the same Algorithm 1 ordering), but
-running real compression on real arrays, coordinating over a real
-communicator, and producing a real shared file that reads back within the
-error bounds.  Sim-vs-real parity — identical per-rank predicted/actual/
-overflow byte counts — is what the shared phase definitions guarantee and
-what the strategy-engine tests assert.
+The *functional* interpreter of a strategy's phase program
+(:meth:`~repro.core.strategy.WriteStrategy.program`), beside the
+simulator's :func:`repro.core.writers.simulate_strategy`: the same phase
+objects (the same ``OffsetTable``/``OverflowPlan`` math, the same
+:func:`~repro.core.strategy.rank_order`), but running real compression on
+real arrays, coordinating over a real communicator, and producing a real
+shared file that reads back within the error bounds.  The rank body stays
+straight-line code; the strategy-engine tests hold its phases, all-gathers
+and per-rank order to the program and to the simulator's, and its
+per-rank predicted/actual/overflow byte counts to the simulator's.
 
 There is one write path.  :meth:`RealDriver.write` is the collective
 write — it fans the per-rank payload out over SPMD thread ranks, and it is
@@ -37,7 +39,7 @@ from repro.compression.codec import compress_fields
 from repro.compression.sz import SZCompressor
 from repro.core.config import PipelineConfig
 from repro.core.offsets import OffsetTable
-from repro.core.strategy import field_index_map, get_strategy, predict_phase_costs
+from repro.core.strategy import BASE_OFFSET, field_index_map, get_strategy, rank_order
 from repro.core.writers import default_models
 from repro.errors import ConfigError
 from repro.exec import SPMD
@@ -47,9 +49,6 @@ from repro.hdf5.filters import FILTER_SZ
 from repro.hdf5.properties import DatasetCreateProps
 from repro.mpi.comm import RankComm
 from repro.mpi.executor import run_spmd
-
-#: Data region base: past the container header, aligned.
-_BASE_OFFSET = 4096
 
 #: Bound on waiting for one batch of queued writes, in seconds.
 _WRITE_TIMEOUT_S = 60.0
@@ -130,7 +129,7 @@ def _field_datasets(
 
 class RealDriver:
     """Executes one of the four strategies, by name, for real on thread
-    ranks against a shared PHD5 file (the functional world)."""
+    ranks against a shared PHD5 file."""
 
     #: Kept only for ``perfbench/layers.py``, which fans ranks out through
     #: it; :meth:`write` calls :func:`run_spmd` itself.
@@ -235,19 +234,16 @@ class RealDriver:
         # Phase 2: one all-gather; every rank computes the same offset table.
         table = self._plan(comm, file, datasets, fields, planned, region)
 
-        # Phase 3: optimize the compression order from predicted times.
+        # Phase 3: the compression order (Algorithm 1 for reorder).
         if order_hint is not None:
             if sorted(order_hint) != sorted(names):
                 raise ConfigError("order hint is not a permutation of the fields")
             order = list(order_hint)
-        elif strat.compress_write.reorder:
-            tmodel, wmodel = default_models(self.machine_name, comm.size)
-            compress_s, write_s = predict_phase_costs(
-                tmodel, wmodel, [fields[n].size for n in names], [planned[n] for n in names]
-            )
-            order = strat.compress_write.field_order(names, compress_s, write_s)
         else:
-            order = list(names)
+            models = default_models(self.machine_name, comm.size)
+            n_values = [fields[n].size for n in names]
+            indexes = rank_order(strat, models, n_values, [planned[n] for n in names])
+            order = [names[f] for f in indexes]
 
         # Phase 4: compress in order; a predictive strategy queues each write
         # on the file's background pool as soon as its field is compressed,
@@ -334,7 +330,7 @@ class RealDriver:
         # streaming file (one group per time-step) starts each step's region
         # past the all-gathered high-water mark, page-aligned.
         high = max(g["watermark"] for g in gathered)
-        base = max(_BASE_OFFSET, -(-high // _BASE_OFFSET) * _BASE_OFFSET)
+        base = max(BASE_OFFSET, -(-high // BASE_OFFSET) * BASE_OFFSET)
         table = self.strategy.plan.compute_table(size_matrix, orig_matrix, self.config, base)
         for f, name in enumerate(names):
             datasets[name].declare_partitions(

@@ -370,14 +370,6 @@ class Dataset:
             else None
         )
 
-    def read_partition_array(self, index: int) -> np.ndarray:
-        """Decode one partition through its SZ filter.
-
-        Decoded arrays are served **read-only** from the process-wide
-        decoded-partition cache (:mod:`repro.cache`); copy before mutating.
-        """
-        return self._partition_arrays([index])[0]
-
     def _partition_arrays(self, indexes: Sequence[int]) -> list[np.ndarray]:
         """Decoded (read-only) arrays for ``indexes``, in order — the one
         route every declared read takes.

@@ -6,7 +6,7 @@ bound, through every strategy, codec, read route and overflow case.
 This package certifies exactly that, three ways:
 
 * :mod:`certify` — round-trip certification of written files against the
-  bounds their own metadata declares (plus the registered-codec sweep);
+  bounds their own metadata declares (plus the codec round-trip sweep);
 * :mod:`parity` — the canonical scenario's certification cells, one
   file per strategy, each fingerprinted beside its certificate;
 * :mod:`fuzz` — seeded property-based perturbation of the named scenario

@@ -101,7 +101,7 @@ def _parse_args(argv) -> argparse.Namespace:
                         help="skip the served-write parity pillar (concurrent "
                              "daemon clients vs the direct facade file)")
     parser.add_argument("--skip-codecs", action="store_true",
-                        help="skip the registered-codec round-trip sweep")
+                        help="skip the codec round-trip sweep")
     parser.add_argument("--out", default=None,
                         help="output directory for VERIFY_<sha>.json "
                              "(default: results/)")

@@ -140,7 +140,7 @@ class TestFileCorruption:
             raw.write(b"\x00" * 16)  # clobber the stream header
         with File(path, "r") as f:
             with pytest.raises((CorruptStreamError, Exception)):
-                f["d"].read_partition_array(0)
+                f["d"].read()
 
 
 class TestSpmdFailures:

@@ -110,7 +110,7 @@ class TestVOLConnectors:
             ds.declare_partitions([4096], [len(stream) * 2], regions=[[[0, 8], [0, 8]]])
             vol = NativeVOL()
             assert vol.partition_write(ds, 0, stream) == 0
-            out = ds.read_partition_array(0)
+            out = ds.read()
             assert np.max(np.abs(out - data)) <= 1e-3
 
     def test_async_vol_tracks_event_set(self, tmp_path):
@@ -127,7 +127,7 @@ class TestVOLConnectors:
             ds.declare_partitions([4096], [len(stream) * 2], regions=[[[0, 8], [0, 8]]])
             fut = f.async_engine.submit(ds.write_partition, 0, stream)
             assert _wait_writes({"d#0": fut}, 10.0) == [0]
-            out = ds.read_partition_array(0)
+            out = ds.read()
             assert np.max(np.abs(out - data)) <= 1e-3
 
     def test_async_vol_slab(self, tmp_path):

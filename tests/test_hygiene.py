@@ -193,7 +193,7 @@ def _calls_with_scope(path: pathlib.Path):
 def _is_other_run(func: ast.Attribute) -> bool:
     """A ``.run(...)`` call that is provably not ``RealDriver.run``: the
     simulator clock (``env.run()``), ``subprocess.run`` or a method of a
-    freshly built object of another class (``SimDriver(...).run``)."""
+    freshly built object of another class (``Thread(...).run``)."""
     receiver = func.value
     if isinstance(receiver, ast.Name):
         return receiver.id in ("env", "subprocess")

@@ -5,7 +5,8 @@ identically (byte-wise) in both worlds.  The strategy-engine tests prove
 it for one hand-built payload; this sweep proves it for every *generated
 regime* — skewed fields, imbalanced ranks, incompressible noise,
 overflow pressure — per-rank predicted/actual/overflow byte counts must
-agree between :class:`SimDriver` and :class:`RealDriver` in every cell.
+agree between :func:`simulate_strategy` and :class:`RealDriver` in every
+cell.
 
 Marked ``slow``: each cell really compresses its arrays and runs the
 thread-rank driver, so the full matrix belongs to the nightly tier.

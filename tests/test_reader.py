@@ -2,8 +2,8 @@
 
 Each rank of a predictively written snapshot locates its own partition
 through the declared-partition table and decodes it independently
-(``hdf5.Dataset.read_partition_array``); ``Dataset.read`` reassembles the
-same partitions into the global array.
+(``hdf5.Dataset.read_region`` over its recorded region); ``Dataset.read``
+reassembles the same partitions into the global array.
 """
 
 import numpy as np
@@ -38,7 +38,7 @@ class TestParallelRead:
         path, gen, names, parts = written_file
         with File(path, "r") as f:
             ds = f[f"fields/{names[0]}"]
-            block = ds.read_partition_array(2)
+            block = ds.read_region(parts[2].slices)
             expected = parts[2].extract(gen.field(names[0]))
             assert block.shape == expected.shape
             err = np.max(np.abs(block.astype(np.float64) - expected))
@@ -50,7 +50,7 @@ class TestParallelRead:
             ds = f.create_dataset("d", shape=(4,))
             ds.write(np.zeros(4, np.float32))
             with pytest.raises(HDF5Error):
-                ds.read_partition_array(0)
+                ds.read_partition(0)
 
 
 class TestReaderEdgeCases:
@@ -73,9 +73,10 @@ class TestReaderEdgeCases:
         with File(path, "r") as f:
             ds = f["fields/a"]
             assert np.max(np.abs(ds.read() - data)) <= 1e-3 * (1 + 1e-6)
-            empty = ds.read_partition_array(1)
+            empty = SZCompressor(bound=1e-3, mode="abs").decompress(ds.read_partition(1))
             assert empty.shape == (0, 4)
             assert empty.dtype == np.float32
+            assert ds.read_region((slice(4, 4), slice(0, 4))).shape == (0, 4)
 
     def test_final_rank_remainder_shapes(self, tmp_path):
         """Non-divisible axis splits (final-rank remainders) read back exactly
@@ -89,7 +90,7 @@ class TestReaderEdgeCases:
         with File(path, "r") as f:
             ds = f["fields/a"]
             for p in parts:
-                block = ds.read_partition_array(p.rank)
+                block = ds.read_region(p.slices)
                 expected = p.extract(data)
                 assert block.shape == expected.shape
                 assert np.max(np.abs(block - expected)) <= 1e-3 * (1 + 1e-6)
@@ -103,7 +104,7 @@ class TestReaderEdgeCases:
         self._write(path, regions, shape, data)
         with File(path, "r") as f:
             with pytest.raises(HDF5Error, match="declares 2 partitions"):
-                f["fields/a"].read_partition_array(2)
+                f["fields/a"].partition(2)
 
     def test_float64_fields_keep_their_dtype(self, tmp_path):
         """Dataset metadata records the field dtype instead of forcing f32."""

@@ -1,11 +1,17 @@
-"""The strategy table + sim/real parity for each of the four strategies.
+"""The strategy table, its phase programs, and sim/real parity for each
+of the four strategies.
 
-The engine's contract: a strategy is defined once (phases in
-``repro.core.strategy``) and executed by two drivers — the simulator and
-the real thread-rank pipeline.  Parity means both worlds agree on the
-per-rank predicted/actual/overflow byte counts for the same data, codecs,
-and configuration, because they share the exact same phase math.
+The engine's contract: a strategy is defined once (phases and the phase
+program in ``repro.core.strategy``) and read by three interpreters — the
+simulator schedules the program, the tuner sums it, the real thread-rank
+pipeline runs it.  The interpreters see the same segments and the same
+per-rank compression order, and the simulator and the real run agree on
+the per-rank predicted/actual/overflow byte counts for the same data,
+codecs, and configuration, because they share the exact same phase math.
 """
+
+import threading
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -17,7 +23,6 @@ from repro.core import (
     AutoTuner,
     PipelineConfig,
     RealDriver,
-    SimDriver,
     WriteStrategy,
     field_index_map,
     get_scenario,
@@ -25,12 +30,16 @@ from repro.core import (
     simulate_strategy,
     workload_from_arrays,
 )
-from repro.core.strategy import PlanPhase
+from repro.core.strategy import PlanPhase, rank_order
+from repro.core.writers import default_models
 from repro.data import NyxGenerator
 from repro.data.partition import slab_partition
 from repro.errors import ConfigError, UnknownStrategyError
 from repro.hdf5 import File, FileAccessProps
+from repro.hdf5.dataset import Dataset
+from repro.modeling.ratio_model import RatioQualityModel
 from repro.mpi import run_spmd
+from repro.mpi.comm import RankComm
 from repro.sim.machine import BEBOP
 
 SHAPE = (24, 16, 16)
@@ -58,19 +67,18 @@ class TestRegistry:
         """Each table value pins (compresses, predictive, reorder) and all
         of its phase fields."""
         table = {
-            # name: (compresses, predictive, reorder), predict, plan, overlap, overflow
-            "nocomp": ((False, False, False), False, None, False, False),
-            "filter": ((True, False, False), False, ("actual", False), False, False),
-            "overlap": ((True, True, False), True, ("predicted", True), True, True),
-            "reorder": ((True, True, True), True, ("predicted", True), True, True),
+            # name: (compresses, predictive, reorder), predict, plan, overflow
+            "nocomp": ((False, False, False), False, None, False),
+            "filter": ((True, False, False), False, ("actual", False), False),
+            "overlap": ((True, True, False), True, ("predicted", True), True),
+            "reorder": ((True, True, True), True, ("predicted", True), True),
         }
-        for name, (flags, predict, plan, overlap, overflow) in table.items():
+        for name, (flags, predict, plan, overflow) in table.items():
             strat = STRATEGIES[name]
             assert (strat.compresses, strat.predictive, strat.compress_write.reorder) == flags
             assert strat.predict.enabled is predict
             plan_fields = strat.plan and (strat.plan.source, strat.plan.extra_space)
             assert plan_fields == plan
-            assert strat.compress_write.overlap is overlap
             assert strat.overflow.enabled is overflow
 
     def test_unknown_strategy_raises(self):
@@ -88,7 +96,7 @@ class TestRegistry:
         with pytest.raises(UnknownStrategyError):
             RealDriver(strat)
         with pytest.raises(UnknownStrategyError):
-            SimDriver(BEBOP).run(strat, None)
+            simulate_strategy(strat, None, BEBOP)
 
     def test_field_index_map(self):
         names = ["c", "a", "b"]
@@ -104,7 +112,7 @@ def _create_dataset(path, strategy):
 #: Every public way to name a strategy: (path, workload, name) -> call.
 ENTRY_POINTS = {
     "RealDriver": lambda path, wl, name: RealDriver(name),
-    "SimDriver.run": lambda path, wl, name: SimDriver(BEBOP).run(name, wl),
+    "simulate_strategy": lambda path, wl, name: simulate_strategy(name, wl, BEBOP),
     "AutoTuner.estimate": lambda path, wl, name: AutoTuner(BEBOP).estimate(name, wl),
     "repro.open": lambda path, wl, name: repro.open(path, "w", strategy=name).close(),
     "create_dataset": lambda path, wl, name: _create_dataset(path, name),
@@ -187,7 +195,6 @@ class TestSimRealParity:
         strategy name alone decides whether the order is optimized."""
         gen, codecs, payload, wl = setup
         from repro.core.strategy import predict_phase_costs
-        from repro.core.writers import default_models
 
         tmodel, wmodel = default_models(BEBOP, NRANKS)
         names = list(FIELDS)
@@ -195,7 +202,7 @@ class TestSimRealParity:
         pr = wl.matrix("predicted_nbytes")
         for strategy in ("overlap", "reorder"):
             stats = _run_real(tmp_path / f"{strategy}.phd5", strategy, payload, codecs)
-            sim = SimDriver(BEBOP).run(strategy, wl)
+            sim = simulate_strategy(strategy, wl, BEBOP)
             records = sorted(sim.trace.records, key=lambda rec: rec.start)
             cw = get_strategy(strategy).compress_write
             for r, s in enumerate(stats):
@@ -243,3 +250,129 @@ class TestSimRealParity:
                 bound = codecs[name].quantizer.requested_bound
                 err = np.max(np.abs(out.astype(np.float64) - gen.field(name)))
                 assert err <= bound * (1 + 1e-6), name
+
+
+def _segments(events):
+    """Per-rank phase kinds between all-gathers: ``(rank, kind)`` events in
+    the order each rank met them -> ``{rank: [set, ...]}``."""
+    out = defaultdict(lambda: [set()])
+    for rank, kind in events:
+        if kind == "allgather":
+            out[rank].append(set())
+        else:
+            out[rank][-1].add(kind)
+    return out
+
+
+class _PhaseSpy:
+    """What a real run does, per rank and in order: the all-gathers, the
+    predictor, the codec's compressions and the partition writes."""
+
+    def __init__(self, monkeypatch, payload):
+        self.events: list[tuple[int, str]] = []
+        self.order = defaultdict(list)
+        self._lock = threading.Lock()
+        owner = {
+            id(arr): (r, name)
+            for r, (local, _) in enumerate(payload)
+            for name, arr in local.items()
+        }
+
+        def spy(cls, method, kind, rank_of):
+            original = getattr(cls, method)
+
+            def wrapper(obj, *args, **kwargs):
+                rank = rank_of(obj, *args)
+                if rank is not None:
+                    with self._lock:
+                        self.events.append((rank, kind))
+                return original(obj, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        def compressed(codec, data, *args):
+            if id(data) not in owner:
+                return None
+            rank, name = owner[id(data)]
+            with self._lock:
+                self.order[rank].append(name)
+            return rank
+
+        def array_rank(obj, data, *args):
+            return owner[id(data)][0] if id(data) in owner else None
+
+        spy(RankComm, "allgather", "allgather", lambda comm, *args: comm.rank)
+        spy(RatioQualityModel, "predict", "predict", array_rank)
+        spy(SZCompressor, "compress", "compress", compressed)
+        spy(Dataset, "write_partition", "write", lambda ds, index, *args: index)
+        spy(Dataset, "write_slab", "write", array_rank)
+        spy(Dataset, "write_partition_overflow", "overflow", lambda ds, index, *args: index)
+
+
+class TestOneProgram:
+    """The simulator, a real run and the tuner follow each strategy's phase
+    program segment by segment, and compress in the same per-rank order.
+
+    The payload overflows every partition (Rspace 1.1 at a loose bound), so
+    every segment of every program has work on every rank.
+    """
+
+    CONFIG = PipelineConfig(extra_space_ratio=1.1)
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        gen, codecs, payload = _setup(seed=41, bound_scale=50.0)
+        return codecs, payload, workload_from_arrays([p[0] for p in payload], codecs)
+
+    @pytest.mark.parametrize(
+        "strategy, warm",
+        [("nocomp", False), ("filter", False), ("overlap", False), ("reorder", False),
+         ("reorder", True)],
+    )
+    def test_three_interpreters_one_program(self, setup, strategy, warm, tmp_path, monkeypatch):
+        codecs, payload, wl = setup
+        strat = get_strategy(strategy)
+        program = list(strat.program(warm_start=warm))
+        nv, predicted = wl.matrix("n_values"), wl.matrix("predicted_nbytes")
+        models = default_models(BEBOP, NRANKS)
+        orders = [
+            [FIELDS[f] for f in rank_order(strat, models, nv[:, r], predicted[:, r])]
+            if strat.compresses else []
+            for r in range(NRANKS)
+        ]
+
+        # The simulator's trace, records grouped between allgather records.
+        if not warm:
+            sim = simulate_strategy(strategy, wl, BEBOP, self.CONFIG)
+            sim_segments = _segments((rec.rank, rec.kind) for rec in sim.trace.records)
+            for r in range(NRANKS):
+                assert sim_segments[r] == program, (strategy, r)
+                assert [
+                    rec.label for rec in sim.trace.records
+                    if rec.rank == r and rec.kind == "compress"
+                ] == orders[r]
+
+        # A real run on thread ranks; a warm start carries the sizes the
+        # predictor would have produced.
+        hints = None
+        if warm:
+            hints = [
+                ({name: int(predicted[f, r]) for f, name in enumerate(FIELDS)}, None)
+                for r in range(NRANKS)
+            ]
+        spy = _PhaseSpy(monkeypatch, payload)
+        with File(str(tmp_path / "one.phd5"), "w", fapl=FileAccessProps(async_io=True)) as f:
+            RealDriver(strategy, config=self.CONFIG).write(f, payload, SHAPE, codecs, hints=hints)
+        monkeypatch.undo()
+        real_segments = _segments(spy.events)
+        for r in range(NRANKS):
+            assert real_segments[r] == program, (strategy, r)
+            assert spy.order[r] == orders[r]
+
+        # The tuner's breakdown is non-zero exactly on the program's kinds.
+        est = AutoTuner(BEBOP, self.CONFIG).estimate(strategy, wl, warm_start=warm)
+        priced = {
+            kind for kind in ("predict", "compress", "write", "overflow")
+            if getattr(est, f"{kind}_seconds")
+        }
+        assert priced == set().union(*program)
