@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from typing import Mapping
 
 import numpy as np
@@ -413,6 +414,15 @@ class File(Group):
                 )
             self._persist_facade_metadata()
         self._engine.close()
+        # A closed file's datasets, and the file as its own root group,
+        # refer to it weakly: the file <-> dataset cycle would keep every
+        # staged block (a full copy of the written data, the reference
+        # verify() certifies against) alive after the caller drops the
+        # file, until the cyclic garbage collector next runs.
+        closed = weakref.proxy(self)
+        self._file = closed
+        for ds in self._datasets.values():
+            ds._file = closed
 
     def discard_incomplete(self, only: "set[str] | None" = None) -> list[str]:
         """Drop snapshot datasets whose staged blocks do not tile their

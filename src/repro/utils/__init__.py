@@ -1,7 +1,6 @@
-"""Shared low-level utilities: bit packing, block iteration, statistics, RNG."""
+"""Shared low-level utilities: bit packing, statistics, RNG."""
 
 from repro.utils.bits import BitReader, BitWriter, pack_varlen_codes
-from repro.utils.blocks import block_view_slices, sample_block_slices
 from repro.utils.stats import (
     compression_ratio,
     bit_rate,
@@ -16,8 +15,6 @@ __all__ = [
     "BitReader",
     "BitWriter",
     "pack_varlen_codes",
-    "block_view_slices",
-    "sample_block_slices",
     "compression_ratio",
     "bit_rate",
     "max_abs_error",

@@ -111,3 +111,22 @@ def golden_field(edge, dtype, seed):
     steps = rs.randint(-3, 4, size=(edge, edge, edge))
     walk = steps.cumsum(axis=2) + rs.randint(-40, 41, size=(edge, edge, 1))
     return ((4 * walk + 1) * 2.0**-10).astype(dtype)
+
+
+def unique_delta_field(shape):
+    """A field whose codec Lorenzo deltas at an abs bound of 0.5 are
+    ``0 .. size-1`` in C order: every value is identifiable by its symbol."""
+    from repro.compression.predictors import lorenzo_inverse
+
+    codes = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
+    return lorenzo_inverse(codes).astype(np.float64)
+
+
+def sampled_deltas(data, **kwargs):
+    """The Lorenzo deltas ``sample_partition_stats`` examines (abs bound 0.5,
+    default radius), in its stream order; on a :func:`unique_delta_field`
+    they are the flat C-order indices of the sampled values."""
+    from repro.modeling.sampling import sample_partition_stats
+
+    stats = sample_partition_stats(data, 0.5, "abs", **kwargs)
+    return stats.sampled_symbols - 32768 - 1

@@ -311,6 +311,26 @@ def test_verify_write_mode_and_close_time(tmp_path):
     assert report.passed and report.certificates[0].mode == "abs"
 
 
+def test_dropped_closed_file_frees_its_staged_blocks(tmp_path):
+    """A closed write handle's staged blocks (a full copy of the written
+    data) are freed when the caller drops the handle, not whenever the
+    cyclic garbage collector next runs."""
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        with repro.open(str(tmp_path / "g.phd5"), "w", nranks=2) as f:
+            f.create_dataset("d", SHAPE, error_bound=1e-3, data=_field(8))
+            ds = f["d"]
+        staged = weakref.ref(ds._blocks[0][1])
+        assert f.verify().passed and ds.shape == SHAPE
+        del f, ds
+        assert staged() is None
+    finally:
+        gc.enable()
+
+
 def test_read_mode_verify_names_certify(tmp_path):
     """A read-mode handle has no reference data: verify() refuses and
     points at repro.verify.certify, which certifies against given arrays."""
