@@ -64,6 +64,17 @@ def _rle_compress(payload: bytes) -> bytes:
     return interleaved.tobytes()
 
 
+def _rle_nbytes(payload: bytes) -> int:
+    """``len(_rle_compress(payload))`` without building the stream: two
+    bytes per chunk, and a run of ``n`` bytes is ``ceil(n / 256)`` chunks."""
+    if not payload:
+        return 0
+    arr = np.frombuffer(payload, dtype=np.uint8)
+    change = np.flatnonzero(arr[1:] != arr[:-1]) + 1
+    run_len = np.diff(change, prepend=0, append=arr.size)
+    return 2 * int(((run_len + 255) // 256).sum())
+
+
 def _rle_decompress(payload: bytes, expected: int) -> bytes:
     """Inverse of :func:`_rle_compress`."""
     if not payload:

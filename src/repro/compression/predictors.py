@@ -19,7 +19,8 @@ formulation of the SZ algorithm).
 
 Deltas of int64 inputs can overflow int64 only if values approach 2**62;
 the quantizer guards its output range, so the transforms here assume safe
-inputs and are pure.
+inputs.  The forward transform never writes its input; the inverse
+accumulates into the one array it allocates.
 """
 
 from __future__ import annotations
@@ -31,12 +32,25 @@ def lorenzo_forward(q: np.ndarray) -> np.ndarray:
     """Forward n-D Lorenzo transform (prediction residuals) of integer ``q``.
 
     The output has the same shape and dtype int64; applying
-    :func:`lorenzo_inverse` reconstructs ``q`` exactly.
+    :func:`lorenzo_inverse` reconstructs ``q`` exactly.  ``q`` itself is
+    never written: each axis's difference goes into one of two buffers the
+    call allocates once and alternates between, so a 3-D array costs two
+    partition-sized allocations, not a ``prepend`` copy and a result per
+    axis.
     """
-    d = np.asarray(q, dtype=np.int64)
-    for axis in range(d.ndim):
-        d = np.diff(d, axis=axis, prepend=0)
-    return d
+    src = np.asarray(q, dtype=np.int64)
+    bufs = [np.empty_like(src)]
+    if src.ndim > 1:
+        bufs.append(np.empty_like(src))
+    for axis in range(src.ndim):
+        dst = bufs[axis % 2]
+        lead = (slice(None),) * axis
+        head, rest, prev = (lead + (s,) for s in (slice(0, 1), slice(1, None), slice(None, -1)))
+        # The first plane along ``axis`` has no predecessor (prepend 0).
+        dst[head] = src[head]
+        np.subtract(src[rest], src[prev], out=dst[rest])
+        src = dst
+    return src
 
 
 def lorenzo_inverse(d: np.ndarray) -> np.ndarray:

@@ -68,18 +68,26 @@ class LinearQuantizer:
         return QuantizerSpec(abs_bound=eb, mode=self.mode, requested_bound=self.requested_bound)
 
     def quantize(self, data: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
-        """Map ``data`` onto integer grid codes (int64)."""
-        if not np.issubdtype(np.asarray(data).dtype, np.floating):
+        """Map ``data`` onto integer grid codes (int64).
+
+        One float64 division, a min/max range check, and ``rint`` in place
+        in that one buffer; ``data`` is left untouched.  The NaN/Inf
+        scan runs only when the range check fails, to tell a non-finite
+        input from a code overflow.
+        """
+        data = np.asarray(data)
+        if not np.issubdtype(data.dtype, np.floating):
             raise CompressionError("quantizer expects floating-point input")
-        scaled = np.asarray(data, dtype=np.float64) / (2.0 * spec.abs_bound)
-        if not np.all(np.isfinite(scaled)):
-            raise CompressionError("data contains NaN/Inf or bound underflows")
-        if np.any(np.abs(scaled) > MAX_ABS_CODE):
+        scaled = np.divide(data, 2.0 * spec.abs_bound, dtype=np.float64)
+        # NaN fails both comparisons, so it lands in the slow branch too.
+        if scaled.size and not (-MAX_ABS_CODE <= scaled.min() and scaled.max() <= MAX_ABS_CODE):
+            if not np.isfinite(scaled).all():
+                raise CompressionError("data contains NaN/Inf or bound underflows")
             raise CompressionError(
                 "error bound too small relative to data magnitude: "
                 "quantization codes would overflow the exact integer pipeline"
             )
-        return np.rint(scaled).astype(np.int64)
+        return np.rint(scaled, out=scaled).astype(np.int64)
 
     def dequantize(self, codes: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
         """Reconstruct float64 values from grid codes."""

@@ -9,6 +9,15 @@ Pipeline (compression)::
                   └─ Huffman over s                             (exact)
                       └─ lossless backend (zlib / rle / none)   (exact)
 
+The encoder allocates each partition-sized intermediate once and drops it
+as soon as the next stage has its input: the quantizer divides into one
+float64 buffer, rounds it in place and converts it once to the int64
+codes; the Lorenzo transform alternates between two int64 buffers;
+symbolization shifts the deltas in place (escapes, when any, are gathered
+first); the Huffman stage gathers codes, and lengths from an int64 table,
+and the packer joins them in pairs.  Range checks are a min and a max,
+not a boolean mask per test.
+
 Decompression inverts each stage; reconstruction error is bounded by ``eb``
 point-wise by construction.  Outlier deltas (|d| > radius) are escaped to a
 dedicated symbol and their raw int64 values travel in a side stream, matching
@@ -149,8 +158,8 @@ class SZCompressor:
         if data.dtype not in _DTYPE_TAGS:
             raise CompressionError(f"unsupported dtype {data.dtype}; use float32/float64")
         spec = self.quantizer.resolve(data)
-        q = self.quantizer.quantize(data, spec)
-        d = self.predictor.forward(q)
+        # Nothing keeps the codes once the deltas exist.
+        d = self.predictor.forward(self.quantizer.quantize(data, spec))
         symbols, outliers = self._symbolize(d)
         huff = huffman_encode(symbols, 2 * self.radius + 1)
         body = huff + outliers.astype("<i8").tobytes()
@@ -214,14 +223,21 @@ class SZCompressor:
 
         Symbol layout: ``0`` = escape; ``1 .. 2*radius`` = delta + radius + 1
         for deltas in ``[-radius, radius - 1]``.
+
+        ``deltas`` is the encoder's own buffer and is overwritten: when a
+        min/max check finds nothing to escape (the common case) the shift
+        runs in place and the buffer is returned as the symbols.
         """
-        flat = deltas.ravel()
-        shifted = flat + self.radius
-        predictable = (shifted >= 0) & (shifted < 2 * self.radius)
-        shifted += 1
-        if predictable.all():  # the common case: nothing escapes
-            return shifted, flat[:0]
-        return np.where(predictable, shifted, 0), flat[~predictable]
+        flat = deltas.reshape(-1)
+        r = self.radius
+        if not flat.size or (-r <= flat.min() and flat.max() < r):
+            flat += r + 1
+            return flat, flat[:0]
+        escaped = (flat < -r) | (flat >= r)
+        outliers = flat[escaped]
+        flat += r + 1
+        flat[escaped] = 0
+        return flat, outliers
 
     @staticmethod
     def _desymbolize(

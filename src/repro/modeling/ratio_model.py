@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compression.huffman import build_code
-from repro.compression.lossless import _rle_compress
+from repro.compression.lossless import _rle_nbytes
 from repro.compression.sz import SZCompressor
 from repro.errors import ModelingError
 from repro.modeling.sampling import (
@@ -129,6 +129,7 @@ class RatioQualityModel:
     ) -> RatioPrediction:
         """Turn sampled statistics into a size prediction."""
         code = build_code(stats.symbol_counts)
+        n_unique = stats.n_unique_symbols  # a count over the whole alphabet
         huff_bits = code.mean_length(stats.symbol_counts)
         lossless_factor = self._estimate_lossless_factor(stats, code)
         outlier_bits = stats.outlier_fraction * 64.0
@@ -138,7 +139,7 @@ class RatioQualityModel:
         if self.codec.lossless == "none":
             table_bytes = stats.symbol_counts.size
         else:
-            table_bytes = 2 * stats.n_unique_symbols + 32
+            table_bytes = 2 * n_unique + 32
         payload_bits = stats.n_total * (huff_bits / lossless_factor + outlier_bits)
         nbytes = int(np.ceil(payload_bits / 8.0)) + table_bytes + _CONTAINER_OVERHEAD
         return RatioPrediction(
@@ -148,7 +149,7 @@ class RatioQualityModel:
             huffman_bits_per_value=huff_bits,
             lossless_factor=lossless_factor,
             outlier_fraction=stats.outlier_fraction,
-            n_unique_symbols=stats.n_unique_symbols,
+            n_unique_symbols=n_unique,
         )
 
     # -- internals ----------------------------------------------------------
@@ -171,7 +172,7 @@ class RatioQualityModel:
         if len(sample_bytes) < 16:
             return 1.0
         if self.lossless_estimator == "rle":
-            est = len(_rle_compress(sample_bytes))
+            est = _rle_nbytes(sample_bytes)
         else:  # zlib-sample
             est = len(zlib.compress(sample_bytes, 1))
         est = max(est, 1)

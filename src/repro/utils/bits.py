@@ -14,6 +14,17 @@ the whole pack with numpy:
 3. OR into the next word the high bits of the one code per word that can
    cross its end: the last code starting there.
 
+Huffman codes are mostly short, so before step 1 the packer joins
+neighbouring codes two by two whenever no code is longer than 28 bits
+(two of them fit the 57-bit limit): the three steps then run on half as
+many elements and lay down the same bits.  An array holding a longer code
+takes the same steps one code per element.  A Huffman code that long
+needs Fibonacci-skewed counts over at least F(31) = 1,346,269 symbols, so
+it is rare: none of the streams that ``perfbench``, ``repro.verify``, the
+examples and the figure benchmarks write has one (their longest code is
+23 bits).  Either way each partition-sized intermediate is allocated once,
+and the codes are shifted in the packer's own copy.
+
 Bit order is **LSB-first within each 64-bit little-endian word**, i.e. the
 bit at global position ``p`` lives in word ``p >> 6`` at in-word position
 ``p & 63``.  :class:`BitReader` consumes the same layout.
@@ -31,6 +42,10 @@ from repro.errors import CorruptStreamError
 
 _WORD_BITS = 64
 
+#: Longest code :func:`pack_varlen_codes` joins with its neighbour: two such
+#: codes make at most 56 bits, inside the 57-bit limit of one element.
+_PAIR_BITS = 28
+
 
 def pack_varlen_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     """Pack variable-length codes into an LSB-first bitstream.
@@ -41,9 +56,10 @@ def pack_varlen_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, in
         ``uint64`` array; element ``i`` holds the code value in its low
         ``lengths[i]`` bits.  Bits above ``lengths[i]`` must be zero.
     lengths:
-        integer array of code lengths in ``[1, 57]``.  (57 = 64 - 7 keeps a
-        single shifted code from spanning more than two words; Huffman codes
-        here are capped far below that.)
+        integer array of code lengths in ``[1, 57]``, any integer dtype
+        (the Huffman encoder passes the ``uint8`` lengths it gathers).
+        (57 = 64 - 7 keeps a single shifted code from spanning more than
+        two words; Huffman codes here are capped far below that.)
 
     Returns
     -------
@@ -51,39 +67,71 @@ def pack_varlen_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, in
         ``payload`` is the packed little-endian byte string, sized to the
         minimal whole number of 64-bit words; ``total_bits`` is the exact
         number of meaningful bits.
+
+    Codes of at most ``_PAIR_BITS`` bits are packed two to an element (see
+    the module docstring).  Neither ``codes`` nor ``lengths`` is written.
     """
     codes = np.ascontiguousarray(codes, dtype=np.uint64)
-    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
+    lengths = np.ascontiguousarray(lengths)
     if codes.shape != lengths.shape:
         raise ValueError("codes and lengths must have identical shapes")
+    codes, lengths = codes.ravel(), lengths.ravel()
     if codes.size == 0:
         return b"", 0
-    if lengths.min() < 1 or lengths.max() > 57:
+    longest = lengths.max()
+    if lengths.min() < 1 or longest > 57:
         raise ValueError("code lengths must be in [1, 57]")
+    if longest <= _PAIR_BITS and codes.size > 1:
+        return _pack(*_pair(codes, lengths))
+    return _pack(codes.copy(), lengths.astype(np.int64))
 
+
+def _pair(codes: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Join codes ``2k`` and ``2k + 1`` into one: the second above the first.
+
+    Returns the joined codes and their ``int64`` lengths.  The lengths are
+    checked to lie in ``[1, 28]``, so casting them is exact."""
+    half = codes.size // 2
+    odd = codes.size % 2
+    first_len, second_len = lengths[: 2 * half : 2], lengths[1 : 2 * half : 2]
+    joined = np.empty(half + odd, dtype=np.uint64)
+    np.left_shift(
+        codes[1 : 2 * half : 2], first_len, out=joined[:half], dtype=np.uint64, casting="unsafe"
+    )
+    joined[:half] |= codes[: 2 * half : 2]
+    joined_len = np.empty(half + odd, dtype=np.int64)
+    np.add(first_len, second_len, out=joined_len[:half], dtype=np.int64, casting="unsafe")
+    if odd:
+        joined[-1] = codes[-1]
+        joined_len[-1] = lengths[-1]
+    return joined, joined_len
+
+
+def _pack(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
+    """The three packing steps on codes of <= 57 bits; ``codes`` is the
+    caller's scratch and is shifted in place."""
     starts = np.cumsum(lengths)
     total_bits = int(starts[-1])
     starts -= lengths
     word_idx = starts >> 6
     starts &= 63
     shift = starts.view(np.uint64)
-    lo = codes << shift
 
     # Only the last code starting in a word can cross into the next one.
     last = np.flatnonzero(word_idx[1:] != word_idx[:-1])
     first = np.concatenate(([0], last + 1))
     last = np.append(last, codes.size - 1)
+    # Bits of the code above (64 - shift).  ``code >> (64 - shift)`` is UB
+    # for shift == 0 in C; numpy uint64 shifts by 64 also wrap, so split it
+    # into two well-defined shifts.  Taken before ``codes`` is shifted.
+    spill = (codes[last] >> np.uint64(1)) >> (np.uint64(63) - shift[last])
+    codes <<= shift
     nwords = (total_bits + _WORD_BITS - 1) // _WORD_BITS
     # One word past the final start: the final spill, or a guard word.
     words = np.zeros(first.size + 1, dtype=np.uint64)
-    np.bitwise_or.reduceat(lo, first, out=words[:-1])
-    # Bits of the code above (64 - shift).  ``code >> (64 - shift)`` is UB
-    # for shift == 0 in C; numpy uint64 shifts by 64 also wrap, so split it
-    # into two well-defined shifts.
-    words[1:] |= (codes[last] >> np.uint64(1)) >> (np.uint64(63) - shift[last])
-
-    payload = words[:nwords].tobytes()
-    return payload, total_bits
+    np.bitwise_or.reduceat(codes, first, out=words[:-1])
+    words[1:] |= spill
+    return words[:nwords].tobytes(), total_bits
 
 
 class BitWriter:

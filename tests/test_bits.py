@@ -192,6 +192,46 @@ class TestPackerVsBitWriter:
         _assert_matches_bit_writer([v & 0x155555555555555 for v in ones], lengths)
         _assert_matches_bit_writer([1 << (n - 1) for n in lengths], lengths)
 
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [28],  # one code: nothing to pair
+            [28, 28],  # the longest pair, 56 bits
+            [28, 28, 28],  # odd count: the last code stands alone
+            [28] * 7 + [1],
+            [29, 29],  # one bit past the seam: one code per element
+            [28, 29, 28],
+            [1, 28] * 5 + [3],
+            [27, 1, 28, 28, 1],
+        ],
+    )
+    def test_pairing_seam(self, lengths):
+        ones = [(1 << n) - 1 for n in lengths]
+        _assert_matches_bit_writer(ones, lengths)
+        _assert_matches_bit_writer([v & 0x5555555 for v in ones], lengths)
+        _assert_matches_bit_writer([1 << (n - 1) for n in lengths], lengths)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, (1 << 29) - 1), st.integers(1, 29)),
+            min_size=1,
+            max_size=301,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_codes_around_the_pairing_limit(self, fields):
+        # Mostly <= 28 bits (paired), sometimes a 29-bit code (unpaired);
+        # odd and even counts alike.
+        lengths = [n for _, n in fields]
+        _assert_matches_bit_writer([v & ((1 << n) - 1) for v, n in fields], lengths)
+
+    def test_inputs_unchanged(self):
+        for n in (28, 29):
+            codes = np.full(5, (1 << n) - 1, dtype=np.uint64)
+            lengths = np.full(5, n, dtype=np.int64)
+            pack_varlen_codes(codes, lengths)
+            assert codes.tolist() == [(1 << n) - 1] * 5 and lengths.tolist() == [n] * 5
+
     @given(
         st.lists(
             st.tuples(st.integers(0, (1 << 57) - 1), st.integers(1, 57)),

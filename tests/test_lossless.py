@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.compression.lossless import (
     _rle_compress,
     _rle_decompress,
+    _rle_nbytes,
     lossless_compress,
     lossless_decompress,
 )
@@ -60,6 +61,24 @@ class TestRLE:
     @settings(max_examples=50, deadline=None)
     def test_property_roundtrip(self, data):
         assert _rle_decompress(_rle_compress(data), len(data)) == data
+
+
+class TestRLESize:
+    """``_rle_nbytes`` is the length of ``_rle_compress``'s output."""
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 512, 513, 1000])
+    def test_single_run(self, n):
+        assert _rle_nbytes(b"z" * n) == len(_rle_compress(b"z" * n))
+
+    def test_mixed_runs(self):
+        data = b"a" * 300 + b"b" + b"a" * 256 + bytes(range(256)) + b"\0" * 600
+        assert _rle_nbytes(data) == len(_rle_compress(data))
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 700)), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_compress(self, runs):
+        data = b"".join(bytes((v,)) * n for v, n in runs)
+        assert _rle_nbytes(data) == len(_rle_compress(data))
 
 
 class TestWrapper:

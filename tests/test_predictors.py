@@ -1,6 +1,7 @@
 """Tests for the Lorenzo delta transforms."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -77,6 +78,32 @@ class TestLorenzoIdentity:
     @settings(max_examples=60, deadline=None)
     def test_property_roundtrip(self, q):
         assert np.array_equal(lorenzo_inverse(lorenzo_forward(q)), q)
+
+
+class TestForwardLeavesInputAlone:
+    """``lorenzo_forward`` writes only the buffers it allocates."""
+
+    @pytest.mark.parametrize(
+        "shape", [(7,), (1,), (5, 6), (4, 5, 3), (2, 3, 4, 5), (0,), (4, 0, 3), (3, 1, 2)]
+    )
+    def test_input_bytes_unchanged(self, shape):
+        rng = np.random.default_rng(5)
+        q = rng.integers(-1000, 1000, shape).astype(np.int64)
+        before = q.tobytes()
+        d = lorenzo_forward(q)
+        assert q.tobytes() == before
+        assert d.shape == q.shape and d.dtype == np.int64
+        assert not np.shares_memory(d, q)
+        assert np.array_equal(lorenzo_inverse(d), q)
+
+    def test_non_contiguous_and_narrow_input(self):
+        rng = np.random.default_rng(6)
+        base = rng.integers(-50, 50, (6, 8, 10)).astype(np.int32)
+        q = base[::2, :, ::3]
+        before = base.tobytes()
+        d = lorenzo_forward(q)
+        assert base.tobytes() == before
+        assert np.array_equal(d, lorenzo_forward(np.ascontiguousarray(q, dtype=np.int64)))
 
 
 class TestPredictorObjects:

@@ -45,15 +45,52 @@ class TestAbsMode:
         q = LinearQuantizer(0.5, "abs")
         data = np.array([1.0, np.nan])
         spec = q.resolve(data)
-        with pytest.raises(CompressionError):
+        with pytest.raises(CompressionError, match="NaN/Inf"):
             q.quantize(data, spec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rejects_non_finite_anywhere(self, bad, dtype):
+        q = LinearQuantizer(0.5, "abs")
+        spec = q.resolve(np.zeros(1))
+        for at in (0, 3, 6):
+            data = np.linspace(-3.0, 3.0, 7).astype(dtype)
+            data[at] = bad
+            with pytest.raises(CompressionError, match="NaN/Inf"):
+                q.quantize(data, spec)
 
     def test_rejects_code_overflow(self):
         q = LinearQuantizer(1e-300, "abs")
         data = np.array([1.0])
         spec = q.resolve(data)
-        with pytest.raises(CompressionError):
+        with pytest.raises(CompressionError, match="error bound too small"):
             q.quantize(data, spec)
+
+    def test_overflow_on_either_side(self):
+        q = LinearQuantizer(0.5, "abs")
+        spec = q.resolve(np.zeros(1))
+        for edge in (-1.0, 1.0):
+            ok = np.array([0.0, edge * MAX_ABS_CODE])  # scaled by 1/(2*0.5) = 1
+            assert q.quantize(ok, spec).tolist() == [0, int(edge) * MAX_ABS_CODE]
+            with pytest.raises(CompressionError, match="error bound too small"):
+                q.quantize(np.array([0.0, edge * 2.0 * MAX_ABS_CODE]), spec)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_bytes_unchanged(self, dtype):
+        rng = np.random.default_rng(4)
+        data = rng.normal(0, 10, (6, 7, 5)).astype(dtype)
+        before = data.tobytes()
+        q = LinearQuantizer(0.01, "abs")
+        codes = q.quantize(data, q.resolve(data))
+        assert data.tobytes() == before
+        assert codes.dtype == np.int64 and codes.shape == data.shape
+        assert not np.shares_memory(codes, data)
+
+    def test_zero_size_input(self):
+        q = LinearQuantizer(0.01, "abs")
+        for shape in [(0,), (0, 4), (4, 0, 3)]:
+            codes = q.quantize(np.zeros(shape, np.float32), q.resolve(np.zeros(1)))
+            assert codes.shape == shape and codes.dtype == np.int64
 
     def test_max_abs_code_sane(self):
         assert MAX_ABS_CODE < 2**62

@@ -233,6 +233,18 @@ _GOLDEN_DECODED = {
 #: the outlier and fixed-length streams hold the same field: one decode.
 _GOLDEN_DECODED_SEED7 = "1587ac9180226b70bb268a66f067b5d48c739fb00d2de7e894969a2b2889f04e"
 
+#: sha256 of ``compress`` on zero-size arrays (lossless "none"), recorded at
+#: 2966b4a.  ``RatioQualityModel.predict`` takes these exact bytes as the
+#: size of an empty rank share.
+_GOLDEN_EMPTY = {
+    ((0,), "float32"): "a6247a9cd6e6de5cb568984d7641a1aa4d77a8aa69f0925f431344c4a553d343",
+    ((0,), "float64"): "54e2f9b23c7dc4fbabcfe6b16008f9b7516a03c3a050057595e7209c512c8475",
+    ((0, 4), "float32"): "a2bbeddd891c9a4c2083388d5557c23774838ac61d4ce8f67942cb6de6711baf",
+    ((0, 4), "float64"): "cf81d56fb7cb6c3f19f598923cc6315a6452d8571e50fa0c5e8c83d697c3599c",
+    ((4, 0, 3), "float32"): "887f15bfb4ae7fe91da736c3f5319fce045380f610e62ec92fce9a4effcb39ed",
+    ((4, 0, 3), "float64"): "85d4507e7beb00993c2a9f52fa6f5cba58cb6ace56991140d4276bb9893b6695",
+}
+
 
 class TestGoldenStreams:
     """Byte-identity of the encoder, checked in seconds.
@@ -271,6 +283,14 @@ class TestGoldenStreams:
         assert stream[stream.index(b"HUF1") + 4] == 1  # the table's fixed flag
         assert hashlib.sha256(stream).hexdigest() == _GOLDEN_FIXED
         assert np.max(np.abs(codec.decompress(stream) - data)) <= 1e-3 * (1 + 1e-9)
+
+    @pytest.mark.parametrize(("shape", "dtype"), sorted(_GOLDEN_EMPTY))
+    def test_zero_size_arrays(self, shape, dtype):
+        codec = SZCompressor(1e-3, "abs", lossless="none")
+        stream = codec.compress(np.zeros(shape, dtype))
+        assert hashlib.sha256(stream).hexdigest() == _GOLDEN_EMPTY[shape, dtype]
+        recon = codec.decompress(stream)
+        assert recon.shape == shape and recon.dtype == np.dtype(dtype)
 
     @staticmethod
     def _decoded(codec: SZCompressor, stream: bytes) -> str:
