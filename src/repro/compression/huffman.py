@@ -14,7 +14,11 @@ bounds for the *upper* bound).  This module provides:
   order and internal nodes in creation order — the rule that fixes the
   code lengths, and so the bytes of every stream;
 * :func:`huffman_encode` — vectorized encoding using
-  :func:`repro.utils.bits.pack_varlen_codes`;
+  :func:`repro.utils.bits.pack_varlen_codes`, with the code built up to the
+  largest symbol present, and from the smallest when the symbols are fewer
+  than the table entries that saves (canonical codes depend on the order of
+  the present symbols, not on their numbers); only the serialized lengths
+  span the whole alphabet;
 * :func:`huffman_decode_many` — lane-parallel decoding of a batch of
   streams, NumPy playing the SIMD lanes of a GPU decoder.  A Huffman
   decoder started on a wrong bit falls into step with the true parse
@@ -282,14 +286,25 @@ def huffman_encode(symbols: np.ndarray, nsymbols: int) -> bytes:
     8-byte bit count, packed bitstream.
     """
     symbols = np.ascontiguousarray(symbols, dtype=np.int64).ravel()
-    # One pass checks both ends: a negative symbol is huge when unsigned.
-    if symbols.size and int(symbols.view(np.uint64).max()) >= nsymbols:
-        raise ValueError("symbol out of alphabet range")
-    code = _build(np.bincount(symbols, minlength=nsymbols))
-    head = serialize_code(code, symbols.size)
+    lengths = np.zeros(nsymbols, dtype=np.uint8)
     if symbols.size == 0:
-        return head + struct.pack("<Q", 0)
-    payload, total_bits = pack_varlen_codes(code.codes[symbols], code.lengths[symbols])
+        return serialize_code(HuffmanCode(lengths), 0) + struct.pack("<Q", 0)
+    # One pass checks both ends: a negative symbol is huge when unsigned.
+    if int(symbols.view(np.uint64).max()) >= nsymbols:
+        raise ValueError("symbol out of alphabet range")
+    # The code is built over [lo, max] only: canonical codes depend on the
+    # present symbols' order, not their numbers, so only the serialized
+    # lengths span the whole alphabet.  Shifting the symbols down to lo
+    # copies them, which pays only when they are fewer than the table
+    # entries below lo; otherwise the tables start at 0.
+    lo = int(symbols.min()) if symbols.size < nsymbols else 0
+    if symbols.size >= lo:
+        lo = 0
+    window = symbols - lo if lo else symbols
+    code = _build(np.bincount(window))
+    lengths[lo : lo + code.nsymbols] = code.lengths
+    head = serialize_code(HuffmanCode(lengths, fixed=code.fixed), symbols.size)
+    payload, total_bits = pack_varlen_codes(code.codes[window], code.lengths[window])
     return head + struct.pack("<Q", total_bits) + payload
 
 

@@ -19,11 +19,14 @@ formulation of the SZ algorithm).
 
 Deltas of int64 inputs can overflow int64 only if values approach 2**62;
 the quantizer guards its output range, so the transforms here assume safe
-inputs.  The forward transform never writes its input; the inverse
-accumulates into the one array it allocates.
+inputs.  Neither transform writes its input.  The inverse accumulates into
+the one array it allocates, and :func:`lorenzo_integrate` is that
+accumulation in place, for a decoder that already owns its deltas.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,12 +56,43 @@ def lorenzo_forward(q: np.ndarray) -> np.ndarray:
     return src
 
 
+#: :func:`lorenzo_integrate` sums an axis slab by slab when each slab holds
+#: at least ``_SLAB_MIN`` values in contiguous runs of at least ``_RUN_MIN``.
+#: Measured on 2-D to 4-D int64 arrays: thinner slabs or shorter runs make
+#: the per-slab call cost more than NumPy's strided accumulate (a 64x64x128
+#: partition's first two axes: 0.3 vs 2.6 ms and 1.3 vs 1.8 ms; the middle
+#: axis of 16x16x32, runs of 32: 74 vs 37 us).
+_SLAB_MIN = 512
+_RUN_MIN = 64
+
+
 def lorenzo_inverse(d: np.ndarray) -> np.ndarray:
-    """Inverse n-D Lorenzo transform: integrates residuals back to values."""
-    q = np.asarray(d, dtype=np.int64)
+    """Inverse n-D Lorenzo transform: integrates residuals back to values.
+
+    ``d`` is never written: the result is a fresh int64 copy integrated by
+    :func:`lorenzo_integrate`.
+    """
+    return lorenzo_integrate(np.array(d, dtype=np.int64))
+
+
+def lorenzo_integrate(q: np.ndarray) -> np.ndarray:
+    """:func:`lorenzo_inverse` in place in the int64 array ``q``; returns ``q``.
+
+    An axis whose slabs are large, with long contiguous runs, is summed by
+    adding each slab to the next (``q[i] += q[i-1]``): NumPy's accumulate
+    along such a strided axis runs several times slower.  Every other axis,
+    the last one always (its runs are single values), takes one ``cumsum``.
+    Integer sums commute, so the axis order does not change a bit of the
+    result.
+    """
     for axis in range(q.ndim - 1, -1, -1):
-        # The first sum allocates the result, the rest accumulate into it.
-        q = np.cumsum(q, axis=axis, dtype=np.int64, out=q if axis < q.ndim - 1 else None)
+        run = math.prod(q.shape[axis + 1 :])
+        if run < _RUN_MIN or q.size < _SLAB_MIN * q.shape[axis]:
+            np.cumsum(q, axis=axis, out=q)
+            continue
+        slabs = np.moveaxis(q, axis, 0)
+        for i in range(1, len(slabs)):
+            slabs[i] += slabs[i - 1]
     return q
 
 

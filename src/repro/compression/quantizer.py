@@ -89,6 +89,13 @@ class LinearQuantizer:
             )
         return np.rint(scaled, out=scaled).astype(np.int64)
 
-    def dequantize(self, codes: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
-        """Reconstruct float64 values from grid codes."""
-        return codes.astype(np.float64) * (2.0 * spec.abs_bound)
+    def dequantize(
+        self, codes: np.ndarray, spec: QuantizerSpec, dtype: np.dtype = np.float64
+    ) -> np.ndarray:
+        """Reconstruct values from grid codes into a fresh ``dtype`` array.
+
+        One multiply, computed in float64 and rounded once to ``dtype`` as
+        it is stored, so a float32 result needs no float64 intermediate.
+        """
+        out = np.empty(np.shape(codes), dtype=dtype)
+        return np.multiply(codes, 2.0 * spec.abs_bound, out=out, dtype=np.float64)

@@ -14,9 +14,18 @@ as soon as the next stage has its input: the quantizer divides into one
 float64 buffer, rounds it in place and converts it once to the int64
 codes; the Lorenzo transform alternates between two int64 buffers;
 symbolization shifts the deltas in place (escapes, when any, are gathered
-first); the Huffman stage gathers codes, and lengths from an int64 table,
-and the packer joins them in pairs.  Range checks are a min and a max,
+first); the Huffman stage builds its code over the window of symbols
+present, gathers codes and ``uint8`` lengths from window-sized tables, and
+the packer joins them in pairs.  Range checks are a min and a max,
 not a boolean mask per test.
+
+The decoder works in the buffers the Huffman stage hands it: a stream's
+int64 symbols (its slice of the batch's lane pass, or the scalar oracle's
+array) are desymbolized and integrated in place once every check of the
+stream has passed, and one multiply, computed in float64, writes the
+reconstruction straight into the fresh array of the stored dtype that is
+returned.  Past the Huffman stage that array is the only partition-sized
+allocation, and it owns its memory, so the read cache keeps it uncopied.
 
 Decompression inverts each stage; reconstruction error is bounded by ``eb``
 point-wise by construction.  Outlier deltas (|d| > radius) are escaped to a
@@ -49,7 +58,7 @@ import numpy as np
 
 from repro.compression.huffman import huffman_decode_many, huffman_encode
 from repro.compression.lossless import lossless_compress, lossless_decompress
-from repro.compression.predictors import LorenzoPredictor, lorenzo_inverse
+from repro.compression.predictors import LorenzoPredictor, lorenzo_integrate
 from repro.compression.quantizer import LinearQuantizer, QuantizerSpec
 from repro.errors import CompressionError, CorruptStreamError
 
@@ -203,20 +212,31 @@ class SZCompressor:
     def _rebuild(
         self, info: SZStreamInfo, body: bytes, symbols: np.ndarray, consumed: int
     ) -> np.ndarray:
-        """Outliers, Lorenzo inverse and dequantization of one decoded stream."""
+        """Outliers, Lorenzo inverse and dequantization of one decoded stream.
+
+        ``symbols`` is the Huffman stage's own int64 buffer (this stream's
+        slice of the lane pass's output, or the oracle's array); every
+        check runs before it is written, then it is desymbolized and
+        integrated in place.  The returned array is the one partition-sized
+        allocation.
+        """
         if symbols.size != info.n_values:
             raise CorruptStreamError("decoded symbol count mismatch")
         outlier_blob = body[consumed : consumed + 8 * info.n_outliers]
         if len(outlier_blob) != 8 * info.n_outliers:
             raise CorruptStreamError("outlier stream truncated")
-        outliers = np.frombuffer(outlier_blob, dtype="<i8")
-        d = self._desymbolize(symbols, outliers, info.radius).reshape(info.shape)
-        q = lorenzo_inverse(d)
+        if symbols.size - np.count_nonzero(symbols) != info.n_outliers:
+            raise CorruptStreamError("escape/outlier count mismatch")
+        # Inverse of _symbolize: the escape symbol 0 takes the next outlier.
+        escaped = np.flatnonzero(symbols == 0) if info.n_outliers else None
+        symbols -= info.radius + 1
+        if escaped is not None:
+            symbols[escaped] = np.frombuffer(outlier_blob, dtype="<i8")
+        q = lorenzo_integrate(symbols.reshape(info.shape))
         spec = QuantizerSpec(
             abs_bound=info.abs_bound, mode=info.mode, requested_bound=info.requested_bound
         )
-        recon = LinearQuantizer(info.requested_bound, info.mode).dequantize(q, spec)
-        return recon.astype(info.dtype, copy=False)
+        return LinearQuantizer(info.requested_bound, info.mode).dequantize(q, spec, info.dtype)
 
     def _symbolize(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map deltas to symbols; escape out-of-range deltas.
@@ -238,19 +258,6 @@ class SZCompressor:
         flat += r + 1
         flat[escaped] = 0
         return flat, outliers
-
-    @staticmethod
-    def _desymbolize(
-        symbols: np.ndarray, outliers: np.ndarray, radius: int
-    ) -> np.ndarray:
-        """Inverse of :meth:`_symbolize`."""
-        d = np.asarray(symbols, dtype=np.int64) - (radius + 1)
-        n_esc = symbols.size - np.count_nonzero(symbols)
-        if n_esc != outliers.size:
-            raise CorruptStreamError("escape/outlier count mismatch")
-        if n_esc:
-            d[symbols == 0] = outliers
-        return d
 
 
 def _parse_header(stream: bytes) -> tuple[SZStreamInfo, int]:

@@ -304,6 +304,47 @@ class TestEncodeDecode:
         assert consumed == len(blob)
 
 
+class TestOccupiedWindow:
+    """``huffman_encode`` builds its code over ``[0, max]`` or, for fewer
+    symbols than ``min``, over ``[min, max]``; either blob must equal one
+    built over the whole alphabet."""
+
+    @staticmethod
+    def _full_alphabet_blob(symbols: np.ndarray, nsymbols: int) -> bytes:
+        return _encode_with_code(build_code(np.bincount(symbols, minlength=nsymbols)), symbols)
+
+    @pytest.mark.parametrize(
+        ("nsymbols", "lo", "hi", "n"),
+        [
+            (65537, 32700, 32840, 20000),  # an SZ histogram around the radius
+            (65537, 65520, 65537, 300),  # a window at the top of the alphabet
+            (65537, 0, 40, 300),  # and at the bottom (the escape symbol)
+            (9, 4, 5, 17),  # one symbol present
+            (3, 0, 3, 2),
+            (5001, 3000, 3100, 4000),  # more symbols than min: no shift
+            (300, 100, 200, 1000),  # more symbols than the alphabet
+        ],
+    )
+    def test_windows(self, nsymbols, lo, hi, n):
+        symbols = np.random.default_rng(n).integers(lo, hi, n)
+        blob = huffman_encode(symbols, nsymbols)
+        assert blob == self._full_alphabet_blob(symbols, nsymbols)
+        assert np.array_equal(huffman_decode(blob)[0], symbols)
+
+    def test_fixed_fallback_window(self, monkeypatch):
+        symbols = _deep_tree_symbols(12) + 1000
+        monkeypatch.setattr("repro.compression.huffman.MAX_CODE_LEN", 6)
+        blob = huffman_encode(symbols, 4096)
+        assert blob[4] == 1  # the table's fixed flag
+        assert blob == self._full_alphabet_blob(symbols, 4096)
+
+    @given(st.lists(st.integers(0, 2000), min_size=1, max_size=500), st.integers(0, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_property_equals_full_alphabet(self, syms, offset):
+        symbols = np.array(syms, dtype=np.int64) + offset
+        assert huffman_encode(symbols, 5001) == self._full_alphabet_blob(symbols, 5001)
+
+
 def _deep_tree_symbols(nlevels: int) -> np.ndarray:
     """Symbols with Fibonacci-like frequencies: a maximally deep tree.
 

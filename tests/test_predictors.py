@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from repro.compression import predictors
 from repro.compression.predictors import (
     LorenzoPredictor,
     lorenzo_forward,
+    lorenzo_integrate,
     lorenzo_inverse,
 )
 
@@ -104,6 +106,70 @@ class TestForwardLeavesInputAlone:
         d = lorenzo_forward(q)
         assert base.tobytes() == before
         assert np.array_equal(d, lorenzo_forward(np.ascontiguousarray(q, dtype=np.int64)))
+
+
+def cumsum_oracle(d: np.ndarray) -> np.ndarray:
+    """The inverse as its definition: one ``np.cumsum`` per axis, last first."""
+    q = np.asarray(d, dtype=np.int64)
+    for axis in range(q.ndim - 1, -1, -1):
+        q = np.cumsum(q, axis=axis)
+    return q
+
+
+class TestInverseLeavesInputAlone:
+    """``lorenzo_inverse`` writes only the array it allocates."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(7,), (1,), (5, 6), (4, 5, 3), (2, 3, 4, 5), (0,), (4, 0, 3), (3, 1, 2), (40, 1, 40)],
+    )
+    def test_input_bytes_unchanged(self, shape):
+        rng = np.random.default_rng(7)
+        d = rng.integers(-1000, 1000, shape).astype(np.int64)
+        before = d.tobytes()
+        q = lorenzo_inverse(d)
+        assert d.tobytes() == before
+        assert q.shape == d.shape and q.dtype == np.int64
+        assert not np.shares_memory(q, d)
+        assert np.array_equal(q, cumsum_oracle(d))
+
+    def test_non_contiguous_and_narrow_input(self):
+        rng = np.random.default_rng(8)
+        base = rng.integers(-50, 50, (6, 8, 10)).astype(np.int32)
+        d = base[::2, :, ::3]
+        before = base.tobytes()
+        q = lorenzo_inverse(d)
+        assert base.tobytes() == before
+        assert not np.shares_memory(q, base)
+        assert np.array_equal(q, cumsum_oracle(d))
+
+    def test_slab_path_leaves_input_alone(self):
+        # Axis 0's 48 x 48 slabs take the slab adds, the other two cumsum.
+        rng = np.random.default_rng(9)
+        d = rng.integers(-(2**40), 2**40, (5, 48, 48))
+        before = d.tobytes()
+        assert np.array_equal(lorenzo_inverse(d), cumsum_oracle(d))
+        assert d.tobytes() == before
+
+    @given(
+        arrays(
+            dtype=np.int64,
+            shape=array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=9),
+            elements=st.integers(-(2**62), 2**62),
+        ),
+        st.sampled_from([(1, 2), (16, 4), (predictors._SLAB_MIN, predictors._RUN_MIN)]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_integration_equals_cumsum_oracle(self, d, thresholds):
+        # Lowered thresholds send small arrays down the slab adds; int64
+        # wraps the same way in both, so even overflow must agree.
+        expected = cumsum_oracle(d)
+        q = d.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(predictors, "_SLAB_MIN", thresholds[0])
+            patch.setattr(predictors, "_RUN_MIN", thresholds[1])
+            assert lorenzo_integrate(q) is q
+        assert np.array_equal(q, expected)
 
 
 class TestPredictorObjects:

@@ -1,13 +1,15 @@
 """Tests for the SZ-style compressor: round trips, error bounds, container."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import SZCompressor, parse_stream_info
+from repro.compression import SZCompressor, huffman, parse_stream_info, sz
+from repro.compression.lossless import lossless_compress, lossless_decompress
 from repro.compression.sz import DEFAULT_RADIUS
 from repro.errors import CompressionError, CorruptStreamError
 
@@ -325,3 +327,108 @@ def test_damaged_value_count_rejected(smooth3d):
         stream[count : count + 8] = nvalues.to_bytes(8, "little")
         with pytest.raises(CorruptStreamError, match="value count"):
             codec.decompress(bytes(stream))
+
+
+def _reframe(stream: bytes, n_outliers: int, cut: int = 0) -> bytes:
+    """``stream`` (lossless "none") with the header's outlier count set to
+    ``n_outliers`` and ``cut`` bytes dropped from the end of its body."""
+    info = parse_stream_info(stream)
+    body_off = info.total_nbytes - info.body_nbytes
+    body, _ = lossless_decompress(stream[body_off:])
+    wrapped = lossless_compress(body[: len(body) - cut], "none")
+    fields = list(sz._HEADER.unpack_from(stream, 4))
+    fields[7:9] = n_outliers, len(wrapped)  # n_outliers, body_nbytes
+    return stream[:4] + sz._HEADER.pack(*fields) + stream[4 + sz._HEADER.size : body_off] + wrapped
+
+
+class TestRebuildChecks:
+    """Every check of the rebuild raises its own message, alone and inside
+    a batch, before the symbol buffer it would rebuild in place is written."""
+
+    @staticmethod
+    def _damaged(damage: str) -> bytes:
+        codec = SZCompressor(1e-3, "abs", radius=4, lossless="none")
+        stream = codec.compress(make_smooth_field((16, 16, 32), noise=0.1, seed=4))
+        n = parse_stream_info(stream).n_outliers
+        assert n > 0
+        if damage == "escape/outlier count":
+            return _reframe(stream, n - 1)
+        if damage == "outlier stream truncated":
+            return _reframe(stream, n, cut=8)
+        count = stream.index(b"HUF1") + 9  # magic, flags, nsyms | nvalues
+        nvalues = int.from_bytes(stream[count : count + 8], "little")
+        return stream[:count] + (nvalues - 1).to_bytes(8, "little") + stream[count + 8 :]
+
+    @pytest.mark.parametrize(
+        "damage", ["escape/outlier count", "outlier stream truncated", "decoded symbol count"]
+    )
+    def test_raises_alone_and_in_a_batch(self, damage, monkeypatch):
+        bad = self._damaged(damage)
+        codec = SZCompressor()
+        good = [codec.compress(make_smooth_field((8, 16, 16), seed=seed)) for seed in range(2)]
+        handed = []
+
+        def spy(bodies):
+            decoded = huffman.huffman_decode_many(bodies)
+            handed.extend((symbols, symbols.copy()) for symbols, _ in decoded)
+            return decoded
+
+        monkeypatch.setattr(sz, "huffman_decode_many", spy)
+        with pytest.raises(CorruptStreamError, match=damage):
+            codec.decompress(bad)
+        for k in range(len(good) + 1):
+            with pytest.raises(CorruptStreamError, match=damage):
+                codec.decompress_many(good[:k] + [bad] + good[k:])
+        # Good streams around it are rebuilt (written) first; the damaged
+        # one's symbols, alone and at each of the three positions, are not.
+        n = parse_stream_info(bad).n_values
+        bad_symbols = [(got, kept) for got, kept in handed if got.size in (n, n - 1)]
+        assert len(bad_symbols) == len(good) + 2
+        assert all(np.array_equal(got, kept) for got, kept in bad_symbols)
+
+
+class TestDecodeBuffers:
+    """The rebuild writes the Huffman stage's buffer in place: each stream
+    must own its slice, and each result its memory."""
+
+    @staticmethod
+    def _streams() -> list[bytes]:
+        a = SZCompressor(1e-3, "abs").compress(make_smooth_field((12, 20, 24), seed=1))
+        b = SZCompressor(1e-3, "abs", radius=4).compress(
+            make_smooth_field((12, 20, 24), noise=0.1, seed=2, dtype=np.float64)
+        )
+        assert parse_stream_info(b).n_outliers > 0
+        return [a, b, a]
+
+    def test_batch_equals_each_stream_alone(self):
+        codec = SZCompressor()
+        streams = self._streams()
+        alone = [codec.decompress(s).tobytes() for s in streams]
+        batched = codec.decompress_many(streams)
+        assert [r.tobytes() for r in batched] == alone
+        for k, r in enumerate(batched):
+            assert r.base is None and r.flags.owndata
+            assert not any(np.shares_memory(r, other) for other in batched[k + 1 :])
+
+    def test_oracle_owned_buffers_decode_the_same(self, monkeypatch):
+        codec = SZCompressor()
+        streams = self._streams()
+        lanes = [r.tobytes() for r in codec.decompress_many(streams)]
+        monkeypatch.setattr(huffman, "_lane_pass", lambda streams, codes: [None] * len(streams))
+        assert [codec.decompress(s).tobytes() for s in streams] == lanes
+        assert [r.tobytes() for r in codec.decompress_many(streams)] == lanes
+
+    def test_peak_allocation_of_one_decode(self):
+        # A 2 MiB float32 partition: desymbolize, integrate and dequantize
+        # add no partition-sized temporary beyond the result.  The peak is
+        # 2.9x the int64 value bytes here, 4.6x when each stage allocated.
+        data = make_smooth_field((64, 64, 128))
+        codec = SZCompressor(1e-3, "abs")
+        stream = codec.compress(data)
+        tracemalloc.start()
+        try:
+            codec.decompress(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * data.size, f"{peak / (8 * data.size):.2f}x the int64 value bytes"
