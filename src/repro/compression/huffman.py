@@ -25,21 +25,28 @@ bounds for the *upper* bound).  This module provides:
   within a few dozen symbols, so every non-empty stream, however short,
   is cut into lanes by bit offset (a short one is a single lane from
   bit 0), every lane starts a warm-up before its cut, and the lanes of
-  *all* streams of the batch advance in lockstep, one symbol per lane per
-  whole-array iteration, keeping the symbols that start inside their own
-  span.  The streams lie end to end in one word array and each lane
-  carries its stream's table offset, so a read of several partitions pays
-  the loop's ~100 iterations once, not once per partition.  When no code
-  of the batch is longer than 16 bits the lookup is one level, a table as
-  wide as the batch's longest code; otherwise a 12-bit first level hands
-  longer codes to one ``searchsorted`` over keys tagged with their stream.
+  *all* streams of the batch advance in lockstep, one table lookup per
+  lane per whole-array iteration, keeping the symbols that start inside
+  their own span.  The streams lie end to end in one word array and each
+  lane carries its stream's table offset, so a read of several partitions
+  pays the loop's ~100 iterations once, not once per partition.  The loop
+  costs what its iterations cost, so a batch whose codes average at most
+  about half a window takes a *pair* table: up to 15 bits wide, each slot
+  holding its first code's symbol and, when the next code also ends inside
+  the window, that one's too, so a lane takes two symbols a step (a lane
+  whose first symbol already reaches its span's end gives the second
+  back).  Other batches take the single-symbol table, a pair table with
+  no pairs: one level as wide as the longest code when that is at most
+  16 bits, else 12 bits.  Codes longer than the first level go to one
+  ``searchsorted`` over keys tagged with their stream.
   The result is proved, not assumed, stream by stream: lane 0 of a stream
   starts at its bit 0, and a lane is right exactly when its first kept
   position is where the lane before it in the same stream left its span.
   A lane whose junction disagrees is re-run from that proven exit; a
-  stream that stays unproven, shows an invalid pattern or runs short goes
-  to the scalar decoder, which so raises every error, and takes no other
-  stream of its batch with it.  :func:`huffman_decode` is a batch of one;
+  stream that stays unproven, shows an invalid pattern, runs short or
+  holds a symbol of 2**21 or more goes to the scalar decoder, which so
+  raises every error, and takes no other stream of its batch with it.
+  :func:`huffman_decode` is a batch of one;
 * :func:`huffman_decode_scalar` — the retained per-symbol reference
   decoder: the differential-testing oracle for the lane decoder (the same
   pattern :mod:`repro.utils.bits` uses for the packer) and its fall-back.
@@ -192,7 +199,7 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     :func:`_read_header` checks parsed ones), so codes fit 64 bits.
     """
     codes = np.zeros(lengths.size, dtype=np.uint64)
-    present = np.flatnonzero(lengths)
+    present = np.flatnonzero(lengths != 0)  # several times faster on a bool mask
     if present.size == 0:
         return codes
     lens = lengths[present]
@@ -322,7 +329,7 @@ def _build_decode_tables(
     table_sym = np.full(size, -1, dtype=np.int64)
     table_len = np.zeros(size, dtype=np.int64)
     long_map: dict[tuple[int, int], int] = {}
-    for sym in np.flatnonzero(lengths):
+    for sym in np.flatnonzero(lengths != 0):
         ln = int(lengths[sym])
         rev = int(codes[sym])  # LSB-first pattern as it appears in stream
         if ln <= TABLE_BITS:
@@ -416,56 +423,84 @@ _LANE_SYMBOLS_MAX = 128
 _WARMUP_SYMBOLS = 48
 #: Rounds of re-running out-of-step lanes before the oracle takes a stream.
 _REPAIR_ROUNDS = 16
-#: A batch whose codes are all this short decodes with one table lookup.
+#: A single-table batch whose codes are all this short decodes with one
+#: table lookup.
 _SINGLE_LEVEL_BITS = 16
+#: Widest window of a pair table (see :func:`_lane_tables`).
+_PAIR_BITS = 15
 #: Values one lane pass decodes at most.  A stream counts as at least
 #: ``1 << _SINGLE_LEVEL_BITS``, the slots of its widest table, so a pass's
 #: tables and recorded symbols stay a few tens of MB.
 _BATCH_VALUES = 1 << 20
 
+# A lane table entry is one int64: the first symbol in bits 42-63 (signed,
+# -1 for a pseudo-code), the symbols the step takes (1 or 2) in bits 40-41,
+# the second symbol in bits 18-39, the first code's length in bits 6-11 and
+# the bits the step consumes in bits 0-5.  A lane's position counts the
+# symbols it took in bits 40 and up, so one add of ``entry & _STEP``
+# advances both; its bit position is ``pos & _AT``.  Bit positions of a
+# batch stay far below 2**40: every stream's payload is in memory.
+_FIRST = 42
+_SECOND = 18
+_TAKEN = 40
+_STEP = (3 << _TAKEN) | 63
+_AT = (1 << _TAKEN) - 1
+#: Symbols at or past this do not fit an entry; their streams take the oracle.
+_LANE_SYMBOLS_LIMIT = 1 << (_TAKEN - _SECOND - 1)
+
 
 def _lane_code(lengths: np.ndarray) -> tuple | None:
     """One code in canonical order, ``(lens, entries, starts, gcd)``, or
-    None for a code without symbols.
+    None for a code without symbols (or with one too large for an entry).
 
-    ``entries[i]`` packs the i-th canonical code as ``(symbol << 6) |
-    length`` and ``starts[i]`` is where it begins in the code space, in
-    units of ``2**-MAX_CODE_LEN``.  Canonical codes tile the code space
+    ``entries[i]`` is the single-symbol entry of the i-th canonical code
+    and ``starts[i]`` is where it begins in the code space, in units of
+    ``2**-MAX_CODE_LEN``.  Canonical codes tile the code space
     contiguously, so the last start at or below a window's top
     ``MAX_CODE_LEN`` bits names its code.  What an incomplete code leaves
     uncovered is one more entry, a pseudo-code of symbol -1 and length
     ``gcd``, that ``lens`` does not list; ``gcd`` is the gcd of the
     lengths, of which every symbol boundary of a stream is a multiple.
     """
-    present = np.flatnonzero(lengths)
-    if not present.size:
+    present = np.flatnonzero(lengths != 0)  # several times faster on a bool mask
+    if not present.size or int(present[-1]) >= _LANE_SYMBOLS_LIMIT:
         return None
     lens = lengths[present].astype(np.int64)
     order = np.argsort(lens, kind="stable")  # stable: ties by symbol
     lens = lens[order]
     gcd = int(np.gcd.reduce(lens))
-    entries = (present[order] << 6) | lens
+    entries = (present[order] << _FIRST) | (1 << _TAKEN) | (lens << 6) | lens
     ends = np.cumsum(np.left_shift(1, MAX_CODE_LEN - lens))
     starts = np.append(0, ends[:-1])
     if int(ends[-1]) < 1 << MAX_CODE_LEN:
-        entries = np.append(entries, (-1 << 6) | gcd)
+        entries = np.append(entries, (-1 << _FIRST) | (1 << _TAKEN) | (gcd << 6) | gcd)
         starts = np.append(starts, ends[-1])
     return lens, entries, starts, gcd
 
 
-def _lane_tables(codes: list) -> tuple:
-    """Decode tables ``(table, keys, entries, width)`` for a batch of codes.
+def _lane_tables(codes: list, mean_bits: float) -> tuple:
+    """Decode tables ``(table, keys, entries, width, pairs)`` for a batch
+    of codes whose streams average ``mean_bits`` a symbol.
 
     ``table`` holds one ``2**width``-slot table per code, end to end: each
     code of at most ``width`` bits repeated over the slots it owns, entry 0
-    (look further) where longer codes begin.  The width is the batch's
-    longest code when that is at most ``_SINGLE_LEVEL_BITS``, and then
-    nothing looks further.  Otherwise it is ``TABLE_BITS``, and ``keys``
-    tags every code's start with its stream, ``(stream << MAX_CODE_LEN) |
-    start``, so one ``searchsorted`` over them finds any lane's ``entries``.
+    (look further) where longer codes begin.  Pairs pay when two codes of
+    the mean length fit, to within a bit, a window as wide as the batch's
+    longest code but at most ``_PAIR_BITS``: then that is the width, and a
+    slot whose first code leaves room for the whole of the next one holds
+    both (a pseudo-code, a far code or a second code that overruns the
+    window never pairs).  Otherwise the table is the single-symbol one, as
+    wide as the longest code when that is at most ``_SINGLE_LEVEL_BITS``
+    and ``TABLE_BITS`` wide past it.  When some code is longer than the
+    width, ``keys`` tags every code's start with its stream, ``(stream <<
+    MAX_CODE_LEN) | start``, so one ``searchsorted`` over them finds any
+    lane's ``entries``; otherwise nothing looks further.
     """
     longest = max(int(lens[-1]) for lens, *_ in codes)
-    width = longest if longest <= _SINGLE_LEVEL_BITS else TABLE_BITS
+    width = min(longest, _PAIR_BITS)
+    pairs = 2 * mean_bits <= width + 1
+    if not pairs:
+        width = longest if longest <= _SINGLE_LEVEL_BITS else TABLE_BITS
     level1, slots = [], []
     for lens, entries, starts, _ in codes:
         # The codes of at most ``width`` bits are a prefix in canonical
@@ -479,11 +514,35 @@ def _lane_tables(codes: list) -> tuple:
         level1 += [entries[:k], [0]]
         slots.append(np.diff(bounds, append=1 << width))
     table = np.repeat(np.concatenate(level1), np.concatenate(slots))
-    if longest <= _SINGLE_LEVEL_BITS:
-        return table, None, None, width
+    if pairs:
+        # The bits after a slot's first code, zero-filled below, index the
+        # same stream's table: that slot's code is the second one when it
+        # ends inside the window.  Real single entries are positive, far
+        # ones 0 and pseudo-codes negative; a table code has at most
+        # ``width`` bits, so two lengths add up inside the low six bits.
+        # Shifted down to the second symbol's bits, a single entry leaves
+        # its count in spare bit 16.  ``work`` is the one slot-sized
+        # scratch array: fresh pages cost more than the arithmetic.
+        work = table & 63
+        grid = work.reshape(-1, 1 << width)
+        np.left_shift(np.arange(1 << width), grid, out=grid)
+        work &= (1 << width) - 1
+        grid += (np.arange(len(codes)) << width)[:, None]
+        second = table[work]
+        fits = np.minimum(table, second, out=work) > 0
+        np.add(table, second, out=work)
+        work &= 63
+        fits &= work <= width
+        np.bitwise_and(second, 63, out=work)
+        second >>= _FIRST - _SECOND
+        second += work
+        second += 1 << _TAKEN
+        np.add(table, second, out=table, where=fits)
+    if longest <= width:
+        return table, None, None, width, pairs
     keys = np.concatenate([(s << MAX_CODE_LEN) | code[2] for s, code in enumerate(codes)])
     entries = np.concatenate([code[1] for code in codes])
-    return table, keys.astype(np.uint64), entries, width
+    return table, keys.astype(np.uint64), entries, width, pairs
 
 
 def _run_lanes(
@@ -493,38 +552,42 @@ def _run_lanes(
     end: np.ndarray,
     tab: np.ndarray | None,
     record: bool = False,
-) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Step every lane from ``pos`` to its first symbol boundary at or past ``end``.
 
-    The lane loop: one symbol per lane per iteration, in lockstep, each
-    lane reading its own stream's table at offset ``tab`` (None for a
-    batch of one, whose table is at 0 and whose keys carry no tag: the
-    per-lane offsets cost a lone large stream ~5 %); a lane that has
-    arrived leaves the working set, so stragglers do not drag the others
-    along.  Returns the arrival positions, the symbols each lane took and,
-    with ``record``, per iteration the decoded entries and whose they are.
+    The lane loop: one table entry, one or two symbols, per lane per
+    iteration, in lockstep, each lane reading its own stream's table at
+    offset ``tab`` (None for a batch of one, whose table is at 0 and whose
+    keys carry no tag: the per-lane offsets cost a lone large stream
+    ~5 %); a lane that has arrived leaves the working set, so stragglers
+    do not drag the others along.  A lane whose last step was a pair
+    whose first symbol already reached ``end`` keeps that symbol alone
+    and exits after it.  Returns the arrival positions, the symbols each
+    lane took and, with ``record``, per iteration the decoded entries,
+    whose they are and their positions (symbols taken in the high bits).
     """
-    table, keys, entries, width = tables
-    exits = pos.copy()
-    counts = np.zeros(pos.size, dtype=np.int64)
+    table, keys, entries, width, _ = tables
+    exits, counts = np.empty_like(pos), np.empty_like(pos)  # every lane arrives
     lanes = np.arange(pos.size)
-    recorded = []
+    ends = end  # every lane's; ``end`` keeps the live lanes' only
+    recorded, left = [], []
     top = np.uint64(64 - width)
     tag = MAX_CODE_LEN - width  # ``tab << tag`` is the lane's stream tag
     low = np.uint64(64 - MAX_CODE_LEN)
-    step = 0
+    entry = np.zeros(pos.size, dtype=np.int64)  # before the first step: none
     while True:
-        live = pos < end
+        at = pos & _AT
+        live = at < end
         if not live.all():
-            exits[lanes[~live]] = pos[~live]
-            counts[lanes[~live]] = step
-            lanes, pos, end = lanes[live], pos[live], end[live]
+            gone = np.flatnonzero(~live)
+            left.append((lanes[gone], pos[gone], entry[gone]))
+            lanes, pos, end, at = lanes[live], pos[live], end[live], at[live]
             if tab is not None:
                 tab = tab[live]
             if not lanes.size:
-                return exits, counts, recorded
-        window = words[pos >> 4]
-        window <<= (pos & 15).view(np.uint64)
+                break
+        window = words[at >> 4]
+        window <<= (at & 15).view(np.uint64)
         index = (window >> top).view(np.int64)
         if tab is not None:
             index += tab
@@ -537,9 +600,16 @@ def _run_lanes(
                     key |= (tab[far] << tag).view(np.uint64)
                 entry[far] = entries[np.searchsorted(keys, key, side="right") - 1]
         if record:
-            recorded.append((entry, lanes))
-        pos = pos + (entry & 63)
-        step += 1
+            recorded.append((entry, lanes, pos))
+        pos = pos + (entry & _STEP)
+    # Each lane as it arrived, with the entry of its last step: a pair whose
+    # first symbol already reached ``end`` gives its second one back.
+    lanes, pos, entry = (np.concatenate(part) for part in zip(*left))
+    at = pos & _AT
+    after_first = at - (entry & 63) + (entry >> 6 & 63)
+    exits[lanes] = np.where(after_first >= ends[lanes], after_first, at)
+    counts[lanes] = (pos >> _TAKEN) - (exits[lanes] != at)
+    return exits, counts, recorded
 
 
 def _decode_lanes(streams: Sequence[tuple]) -> list[np.ndarray]:
@@ -573,30 +643,46 @@ def _decode_lanes(streams: Sequence[tuple]) -> list[np.ndarray]:
     return results
 
 
-def _lane_pass(streams: list, codes: list) -> list[np.ndarray | None]:
-    """One lockstep pass over the lanes of all ``streams``: per stream its
-    proved symbols, or None where the oracle has to decide."""
-    tables = _lane_tables(codes)
-    nstreams = len(streams)
+def _lane_words(streams: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The payloads of ``streams`` as lane windows: ``(words, origin)``.
 
-    # The streams end to end, each word-aligned and followed by one zero
-    # word: bit-reversed bytes read MSB-first through an unaligned
-    # big-endian view, bits past ``total_bits`` zeroed as BitReader.peek
-    # does.  The aligned copy ``words[i]`` = bits [16 i, 16 i + 64) has
-    # 49 >= MAX_CODE_LEN valid bits, and a lane short of its stream's end
-    # reads no further than that stream's zero word.
+    The streams lie end to end, each word-aligned and followed by one zero
+    word, from bit ``origin[s]``: bit-reversed bytes read MSB-first
+    through an unaligned big-endian view, bits past ``total_bits`` zeroed
+    as BitReader.peek does.  The aligned copy ``words[i]`` = bits
+    [16 i, 16 i + 64) has 49 >= MAX_CODE_LEN valid bits, and a lane short
+    of its stream's end reads no further than that stream's zero word.
+    """
     nwords = [-(-total_bits // 64) + 1 for _, _, total_bits, _ in streams]
-    origin = (np.cumsum(nwords) - nwords) * 64  # each stream's bit 0
+    origin = (np.cumsum(nwords) - nwords) * 64
     buf = np.zeros(sum(nwords) * 8, dtype=np.uint8)
     for (_, _, total_bits, payload), bit0 in zip(streams, origin.tolist()):
         nbytes = -(-total_bits // 8)
         buf[bit0 >> 3 : (bit0 >> 3) + nbytes] = np.frombuffer(payload, np.uint8, nbytes)
-    buf = _BYTE_REV[buf]
+    # Reverse the bits of every byte in place: swap nibbles, bit pairs, bits.
+    flip = buf.view(np.uint64)
+    swap = np.empty_like(flip)
+    for shift, mask in ((4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333), (1, 0x5555555555555555)):
+        np.right_shift(flip, shift, out=swap)
+        swap &= mask
+        flip &= mask
+        flip <<= shift
+        flip |= swap
     for (_, _, total_bits, _), bit0 in zip(streams, origin.tolist()):
         if total_bits & 7:
             buf[(bit0 + total_bits) >> 3] &= 0xFF00 >> (total_bits & 7) & 0xFF
     unaligned = np.ndarray((buf.size - 7,), dtype=">u8", buffer=buf, strides=(1,))
-    words = unaligned[::2].astype(np.uint64)
+    return unaligned[::2].astype(np.uint64), origin
+
+
+def _lane_pass(streams: list, codes: list) -> list[np.ndarray | None]:
+    """One lockstep pass over the lanes of all ``streams``: per stream its
+    proved symbols, or None where the oracle has to decide."""
+    bits = sum(total_bits for _, _, total_bits, _ in streams)
+    tables = _lane_tables(codes, bits / sum(nvalues for _, nvalues, _, _ in streams))
+    width, pairs = tables[3:]
+    nstreams = len(streams)
+    words, origin = _lane_words(streams)
 
     # Lanes of equal bit length per stream.  Cuts and warm-up are multiples
     # of the gcd of the code lengths, or equal- and even-length codes would
@@ -620,7 +706,7 @@ def _lane_pass(streams: list, codes: list) -> list[np.ndarray | None]:
     joined = np.ones(owner.size, dtype=bool)  # a lane of its stream before it
     joined[head] = False
     end = np.concatenate(ends)
-    tab = owner << tables[3] if nstreams > 1 else None
+    tab = owner << width if nstreams > 1 else None
     gave_up = np.zeros(nstreams, dtype=bool)
 
     def out_of_step() -> np.ndarray:
@@ -650,17 +736,34 @@ def _lane_pass(streams: list, codes: list) -> list[np.ndarray | None]:
     # Every junction of a proved stream agrees, so its lanes' symbols in
     # lane order are the stream's.  The oracle still owns a stream that
     # runs short, whose last symbol ends past ``total_bits`` or that shows
-    # an invalid pattern.  Lane j's t-th symbol goes to base[j] + t, what a
-    # later pass superseded past the end: one scatter per recorded
-    # iteration.
+    # an invalid pattern.  A lane's symbols go to base[j] onwards, what a
+    # later pass superseded past the end, each step's first symbol at the
+    # count taken before it and its second one place on.  A single step's
+    # second write is junk on the place of the lane's next first symbol,
+    # written by a later step, or of the next lane's first symbol: so the
+    # first symbols of each run's first step are written last.  Shifted
+    # to the first symbol's place, both come out of one final shift.
     total = int(counts.sum())
     base = np.cumsum(counts) - counts
-    out = np.empty(total + max(len(rec) for _, rec in passes), dtype=np.int64)
+    out = np.empty(total + 2 * max(len(rec) for _, rec in passes) + 2, dtype=np.int64)
+    second = out[1:]
+    heads = []
     for number, (which, recorded) in enumerate(passes):
         dest = np.where(final[which] == number, base[which], total)
-        for step, (entry, lanes) in enumerate(recorded):
-            out[dest[lanes] + step] = entry
-    out >>= 6
+        lanes = None
+        for step, (entry, live, pos) in enumerate(recorded):
+            if live is not lanes:  # the same lanes step after step, until one arrives
+                lanes, start = live, dest[live]
+            at = start + (pos >> _TAKEN)
+            if step:
+                out[at] = entry
+            else:
+                heads.append((at, entry))
+            if pairs:
+                second[at] = entry << (_FIRST - _SECOND)
+    for at, entry in heads:
+        out[at] = entry
+    out >>= _FIRST
     held = np.add.reduceat(counts, head).tolist()
     last_exit = exits[head + nlanes - 1].tolist()
     first_symbol = base[head].tolist()
@@ -684,7 +787,8 @@ def huffman_decode_many(blobs: Sequence[bytes]) -> list[tuple[np.ndarray, int]]:
     embed each blob in a larger container.  Every non-empty stream, however
     short, is decoded in lanes together with the rest of the batch (more
     than ``_BATCH_VALUES`` of them in a few passes), whose junction proof
-    either closes or hands that one stream to the scalar loop.  The two are
+    either closes or hands that one stream to the scalar loop, which also
+    takes a stream with a symbol of 2**21 or more.  The two are
     pinned to identical output, and to identical errors on damaged streams,
     by the differential test suite.
     """

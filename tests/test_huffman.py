@@ -794,6 +794,224 @@ class TestBatchedDecoder:
             assert str(batched.value) == str(alone.value)
 
 
+def _unpack(entry: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A lane table entry's fields: (symbols taken, first symbol, second
+    symbol, first code's length, bits consumed)."""
+    from repro.compression import huffman
+
+    second = (entry << (huffman._FIRST - huffman._SECOND)) >> huffman._FIRST
+    return (
+        entry >> huffman._TAKEN & 3,
+        entry >> huffman._FIRST,
+        second,
+        entry >> 6 & 63,
+        entry & 63,
+    )
+
+
+def _record_tables(monkeypatch) -> list:
+    """Every lane pass's tables from here on, in order."""
+    from repro.compression import huffman
+
+    lane_tables, seen = huffman._lane_tables, []
+
+    def recorded(codes, mean_bits):
+        seen.append(lane_tables(codes, mean_bits))
+        return seen[-1]
+
+    monkeypatch.setattr(huffman, "_lane_tables", recorded)
+    return seen
+
+
+def _pair_reference(lengths: np.ndarray, width: int) -> list:
+    """The pair table spelled out slot by slot from the canonical codes:
+    per ``width``-bit window (MSB first) None where no code of at most
+    ``width`` bits starts it, else ``(symbol, length, following)`` with
+    ``following`` the ``(symbol, length)`` of a whole code in the bits
+    left, or None."""
+    codes = _canonical_codes(lengths)
+    msb = {}
+    for sym in np.flatnonzero(lengths):
+        ln = int(lengths[sym])
+        msb[int(format(int(codes[sym]), f"0{ln}b")[::-1], 2), ln] = int(sym)
+
+    def match(bits: int, nbits: int):
+        for ln in range(1, nbits + 1):
+            sym = msb.get((bits >> (nbits - ln), ln))
+            if sym is not None:
+                return sym, ln
+        return None
+
+    rows = []
+    for slot in range(1 << width):
+        hit = match(slot, width)
+        if hit is not None:
+            rest = width - hit[1]
+            hit += (match(slot & ((1 << rest) - 1), rest),)
+        rows.append(hit)
+    return rows
+
+
+#: Codes whose pair tables the reference spells out, with a pair window
+#: (None: the default) and the kinds of slot each table must show: an
+#: incomplete code (its pseudo-code, 1101 to 1111, is followed by the code
+#: 10 in slot 1101), one whose 8-bit codes start a quarter of a lowered
+#: 6-bit window (so one follows the code 0 in slot 011000), and factor-2
+#: lengths, whose pairs all fill the window exactly.
+_PAIR_CODES = {
+    "holed": ([1, 2, 4, 0], None, {"pair", "full", "pseudo"}),
+    "far": ([1, 3, 3] + [8] * 64, 6, {"pair", "full", "far"}),
+    "factor2": ([2, 2, 2, 4, 4, 4, 4], None, {"full"}),
+}
+
+
+class TestPairStep:
+    """Two symbols a lane-step: the pair table, the lane exits and the
+    scatter, each held to the canonical codes or to the scalar oracle."""
+
+    @staticmethod
+    def _tables(lengths, mean_bits: float = 1.0):
+        from repro.compression import huffman
+
+        return huffman._lane_tables([huffman._lane_code(np.asarray(lengths, np.uint8))], mean_bits)
+
+    @pytest.mark.parametrize("name", sorted(_PAIR_CODES))
+    def test_table_against_the_canonical_codes(self, name, monkeypatch):
+        from repro.compression import huffman
+
+        lengths, window, kinds = _PAIR_CODES[name]
+        if window is not None:
+            monkeypatch.setattr(huffman, "_PAIR_BITS", window)
+        lengths = np.array(lengths, dtype=np.uint8)
+        table, keys, _, width, pairs = self._tables(lengths)
+        assert pairs and width == min(int(lengths.max()), huffman._PAIR_BITS)
+        assert (keys is not None) == (name == "far")
+        taken, first, second, first_len, advance = _unpack(table)
+        seen = set()
+        for slot, row in enumerate(_pair_reference(lengths, width)):
+            if row is None:  # a far code (look further) or the pseudo-code
+                seen.add("far" if table[slot] == 0 else "pseudo")
+                assert table[slot] == 0 or (first[slot] == -1 and taken[slot] == 1)
+                continue
+            sym, ln, following = row
+            assert (first[slot], first_len[slot]) == (sym, ln)
+            if following is None:  # what follows is far, a pseudo-code or overruns
+                assert (taken[slot], advance[slot]) == (1, ln)
+            else:
+                assert (taken[slot], second[slot]) == (2, following[0])
+                assert advance[slot] == ln + following[1]
+                seen.add("full" if advance[slot] == width else "pair")
+        assert seen == kinds
+
+    def test_exits_at_every_end_match_the_scalar_boundaries(self):
+        # A lane stops at its first boundary at or past ``end``: when ``end``
+        # falls inside a pair, after the pair's first symbol.  One lane per
+        # end bit, from bit 0 and from symbol boundaries further on.
+        from repro.compression import huffman
+
+        symbols, _, blob = _lane_stream("near_constant", 1 << 12)
+        code, nvalues, total_bits, payload, _ = _parse_stream(blob)
+        stream = (code, nvalues, total_bits, payload)
+        tables = huffman._lane_tables([huffman._lane_code(code.lengths)], total_bits / nvalues)
+        assert tables[4] and (_unpack(tables[0])[0] == 2).any()
+        words, _ = huffman._lane_words([stream])
+        bounds = np.append(0, np.cumsum(code.lengths[symbols].astype(np.int64)))
+        starts = np.concatenate([np.zeros(600, np.int64), np.repeat(bounds[1000:1100:7], 40)])
+        end = np.concatenate([np.arange(1, 601), np.tile(np.arange(1, 41), 15)]) + starts
+        exits, counts, _ = huffman._run_lanes(words, tables, starts, end, None)
+        k = np.searchsorted(bounds, end)
+        assert np.array_equal(exits, bounds[k])
+        assert np.array_equal(counts, k - np.searchsorted(bounds, starts))
+
+    @pytest.mark.parametrize("name", ["holed", "far"])
+    def test_streams_under_the_codes_equal_the_oracle(self, name, monkeypatch):
+        from repro.compression import huffman
+
+        lengths, window, _ = _PAIR_CODES[name]
+        if window is not None:
+            monkeypatch.setattr(huffman, "_PAIR_BITS", window)
+        present = np.flatnonzero(lengths)
+        weights = 0.5 ** np.array(lengths, dtype=np.float64)[present]
+        rng = np.random.default_rng(len(name))
+        symbols = present[rng.choice(present.size, 1 << 15, p=weights / weights.sum())]
+        lengths = np.array(lengths, dtype=np.uint8)
+        code = HuffmanCode(lengths, _canonical_codes(lengths))
+        blob = _encode_with_code(code, symbols)
+        out = huffman_decode(blob)[0]
+        assert np.array_equal(out, huffman_decode_scalar(blob)[0])
+        assert np.array_equal(out, symbols)
+
+    def test_a_pseudo_code_mid_stream_same_outcome(self):
+        # The incomplete table of a damaged header: a pattern no code spells
+        # halfway through, decoded on the pair table.
+        lengths = np.array([1, 2, 4, 4, 4, 4], dtype=np.uint8)
+        rng = np.random.default_rng(5)
+        symbols = rng.choice(3, 1 << 15, p=[0.5, 0.3, 0.2])
+        symbols[1 << 14] = 3
+        blob = _encode_with_code(HuffmanCode(lengths, _canonical_codes(lengths)), symbols)
+        code, nvalues, total_bits, payload, _ = _parse_stream(blob)
+        holed = _read_header(_blob_with_lengths(np.array([1, 2, 4, 0, 0, 0], np.uint8)))[0]
+        assert self._tables(holed.lengths, total_bits / nvalues)[4]
+        args = (holed, nvalues, total_bits, payload)
+        outcome = _outcome(_decode_scalar, *args)
+        assert outcome[0] == "error"
+        assert _outcome(_lane_decode, *args) == outcome
+
+    def test_far_codes_next_to_pairs(self, monkeypatch):
+        # 17-bit codes beside 1-bit ones: the tagged second level and pairs
+        # in one pass.
+        from repro.compression import huffman
+
+        symbols, _, blob = _lane_stream("regime_change", 1 << 16)
+        assert _parse_stream(blob)[0].max_length > huffman._PAIR_BITS
+        tables = _record_tables(monkeypatch)
+        out = huffman_decode(blob)[0]
+        assert tables[0][4] and tables[0][1] is not None
+        assert np.array_equal(out, symbols)
+
+    def test_one_batch_of_paired_and_unpaired_streams(self, monkeypatch):
+        # 8-bit codes never pair in a 12-bit window; the batch's mean pairs
+        # the others.  Every stream at every position.
+        from repro.compression import huffman
+
+        keys = [("factor2", 1 << 16), ("uniform256", 1 << 13), ("near_constant", 1 << 16)]
+        blobs = {key: _lane_stream(*key)[2] for key in keys}
+        tables = _record_tables(monkeypatch)
+        for order in (keys, keys[1:] + keys[:1], keys[::-1]):
+            decoded = huffman_decode_many([blobs[key] for key in order])
+            for key, (out, _) in zip(order, decoded):
+                assert np.array_equal(out, _lane_stream(*key)[0]), key
+            table, _, _, width, pairs = tables[-1]
+            taken = _unpack(table)[0].reshape(len(order), 1 << width)
+            assert pairs and width == 12
+            for key, row in zip(order, taken):
+                assert (row == 2).any() == (key[0] != "uniform256"), key
+
+    def test_a_repair_round_under_pairs(self, monkeypatch):
+        # One lane's warm-up arrives a bit late: its junction fails, a repair
+        # round re-runs it from the proven exit, and no oracle is needed.
+        from repro.compression import huffman
+
+        symbols, _, blob = _lane_stream("near_constant", 1 << 16)
+        code, nvalues, total_bits, payload, _ = _parse_stream(blob)
+        run_lanes, runs = huffman._run_lanes, []
+
+        def skewed(words, tables, pos, end, tab, record=False):
+            exits, counts, recorded = run_lanes(words, tables, pos, end, tab, record)
+            runs.append((record, tables[4], pos.size))
+            if not record:
+                exits[5] += 1
+            return exits, counts, recorded
+
+        monkeypatch.setattr(huffman, "_run_lanes", skewed)
+        TestFastPathIsThePath._forbid_oracle(monkeypatch)
+        out = _lane_decode(code, nvalues, total_bits, payload)
+        assert np.array_equal(out, symbols)
+        assert all(pairs for _, pairs, _ in runs)
+        assert [record for record, *_ in runs[:2]] == [False, True] and len(runs) >= 3
+        assert runs[2][2] < runs[1][2]  # the repair re-runs the bad lanes only
+
+
 class TestFastPathIsThePath:
     """A silent fall-back to the Python loop must not pass for the decoder."""
 
@@ -821,6 +1039,19 @@ class TestFastPathIsThePath:
         stream = codec.compress(data)
         self._forbid_oracle(monkeypatch)
         assert np.max(np.abs(codec.decompress(stream) - data)) <= 1e-3 * (1 + 1e-9)
+
+    @pytest.mark.parametrize(("edge", "pairs"), [(8, False), (16, True), (32, True), (64, True)])
+    def test_golden_fields_take_the_pair_table(self, edge, pairs, monkeypatch):
+        # ~5 bits a symbol: two fit a 12- to 15-bit window, not the 9-bit
+        # window of the 512-value cube.
+        from repro.compression import SZCompressor
+
+        codec = SZCompressor(1e-3, "abs", lossless="none")
+        stream = codec.compress(golden_field(edge, np.float32, edge))
+        tables = _record_tables(monkeypatch)
+        self._forbid_oracle(monkeypatch)
+        codec.decompress(stream)
+        assert [t[4] for t in tables] == [pairs]
 
     @staticmethod
     def _count_oracle_calls(monkeypatch) -> list:

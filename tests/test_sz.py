@@ -315,6 +315,23 @@ class TestGoldenStreams:
         assert self._decoded(codec, stream) == _GOLDEN_DECODED_SEED7
 
 
+class TestGoldenLongStream:
+    """What the lane decoder returns for one 2**19-value stream with codes
+    past 16 bits (far codes on the tagged second level, beside pairs):
+    sha256 of the decoded array, recorded at b1c6fd5."""
+
+    DECODED = "202f5416cbec7f6cd8df3373daf8e00bc7b2c484980075202fc63e69f2e28133"
+
+    def test_decoded_digest(self):
+        data = np.concatenate([golden_field(64, np.float32, seed) for seed in (64, 65)])
+        codec = SZCompressor(1e-3, "abs", lossless="none")
+        stream = codec.compress(data)
+        code, nvalues = huffman._parse_stream(stream[stream.index(b"HUF1") :])[:2]
+        assert nvalues == 1 << 19 and code.max_length > 16
+        recon = np.ascontiguousarray(codec.decompress(stream))
+        assert hashlib.sha256(recon.tobytes()).hexdigest() == self.DECODED
+
+
 def test_damaged_value_count_rejected(smooth3d):
     # The Huffman header's count drives every allocation of the decode: 2**50
     # used to ask numpy for 8 PiB (a bare MemoryError), and a count the
