@@ -12,7 +12,12 @@ bounds for the *upper* bound).  This module provides:
   from two queues, fill the full-alphabet arrays with one scatter.  Among
   equal weights a leaf merges before an internal node, leaves in symbol
   order and internal nodes in creation order — the rule that fixes the
-  code lengths, and so the bytes of every stream;
+  code lengths, and so the bytes of every stream.  Codes are length
+  limited: no code is longer than ``_PAIR_BITS`` = 15 bits, or than the
+  fewest bits that hold every present symbol when there are more than
+  2**15 of them.  An optimal code that is longer is limited as DEFLATE
+  limits its codes (RFC 1951 §3.2.2): clamp, then repair the Kraft sum;
+  a code that fits keeps its exact lengths;
 * :func:`huffman_encode` — vectorized encoding using
   :func:`repro.utils.bits.pack_varlen_codes`, with the code built up to the
   largest symbol present, and from the smallest when the symbols are fewer
@@ -29,16 +34,17 @@ bounds for the *upper* bound).  This module provides:
   lane per whole-array iteration, keeping the symbols that start inside
   their own span.  The streams lie end to end in one word array and each
   lane carries its stream's table offset, so a read of several partitions
-  pays the loop's ~100 iterations once, not once per partition.  The loop
-  costs what its iterations cost, so a batch whose codes average at most
-  about half a window takes a *pair* table: up to 15 bits wide, each slot
-  holding its first code's symbol and, when the next code also ends inside
-  the window, that one's too, so a lane takes two symbols a step (a lane
-  whose first symbol already reaches its span's end gives the second
-  back).  Other batches take the single-symbol table, a pair table with
-  no pairs: one level as wide as the longest code when that is at most
-  16 bits, else 12 bits.  Codes longer than the first level go to one
-  ``searchsorted`` over keys tagged with their stream.
+  pays the loop's ~100 iterations once, not once per partition.  A
+  batch's table is one level, as wide as its longest code, so every
+  lookup decodes.  The loop costs what its iterations cost, so a batch
+  whose codes average at most about half that width takes a *pair*
+  table: each slot holds its first code's symbol and, when the next code
+  also ends inside the window, that one's too, so a lane takes two
+  symbols a step (a lane whose first symbol already reaches its span's
+  end gives the second back).  Other batches take the single-symbol
+  table, a pair table with no pairs.  A stream with a code longer than
+  ``_PAIR_BITS`` (written before codes were limited, or with more than
+  2**15 distinct symbols) is the scalar decoder's.
   The result is proved, not assumed, stream by stream: lane 0 of a stream
   starts at its bit 0, and a lane is right exactly when its first kept
   position is where the lane before it in the same stream left its span.
@@ -54,11 +60,9 @@ bounds for the *upper* bound).  This module provides:
 Codes are generated MSB-first and stored bit-reversed so the LSB-first
 bitstream yields code bits in natural order — the same trick DEFLATE uses.
 
-If the optimal code for a very skewed distribution exceeds ``MAX_CODE_LEN``
-bits, construction falls back to a fixed-length code over the observed
-alphabet; this keeps the packer's two-word invariant and bounds worst-case
-decode work.  The fallback is lossless, merely suboptimal, and is recorded in
-the serialized table.
+The header's flags byte is written as 0 and not read: streams written
+before codes were limited may carry a fixed-length code flagged 1, whose
+lengths decode like any others.
 """
 
 from __future__ import annotations
@@ -73,12 +77,16 @@ import numpy as np
 from repro.errors import CorruptStreamError
 from repro.utils.bits import BitReader, pack_varlen_codes
 
-#: First-level decode-table width (bits) of the scalar decoder, and of the
-#: lane decoder when a batch holds a code longer than ``_SINGLE_LEVEL_BITS``.
+#: First-level decode-table width (bits) of the scalar decoder.
 TABLE_BITS = 12
 
-#: Hard cap on Huffman code length; above this we fall back to fixed-length.
+#: Longest code a stream's table may hold; :func:`_read_header` rejects
+#: longer ones.  Only streams written before codes were limited come near it.
 MAX_CODE_LEN = 48
+
+#: Longest code :func:`build_code` builds while the present symbols fit in
+#: as many bits, and the widest lane table (see :func:`_lane_tables`).
+_PAIR_BITS = 15
 
 _HDR = struct.Struct("<4sBIQ")  # magic, flags, nsyms, nvalues
 _MAGIC = b"HUF1"
@@ -92,7 +100,6 @@ class HuffmanCode:
     # uint64 per symbol, bit-reversed for LSB-first packing; None on the code
     # of a parsed stream, which the decoders derive from ``lengths``.
     codes: np.ndarray | None = None
-    fixed: bool = False  # True if the fixed-length fallback was used
 
     @property
     def nsymbols(self) -> int:
@@ -179,15 +186,28 @@ def _lengths_from_freqs(freqs: np.ndarray) -> np.ndarray:
     return lengths
 
 
-def _fixed_lengths(freqs: np.ndarray) -> np.ndarray:
-    """Fixed-length fallback: ceil(log2(#present)) bits for present symbols."""
-    nz = np.flatnonzero(freqs)
-    lengths = np.zeros(freqs.size, dtype=np.uint8)
-    if nz.size == 0:
-        return lengths
-    nbits = max(1, int(np.ceil(np.log2(nz.size))) if nz.size > 1 else 1)
-    lengths[nz] = nbits
-    return lengths
+def _limit_lengths(lens: np.ndarray, limit: int) -> np.ndarray:
+    """Optimal code lengths ``lens`` (of present symbols, in symbol order)
+    of a complete code, limited to ``limit`` bits as DEFLATE limits them.
+
+    Clamp every longer code to ``limit``, then, while the Kraft sum (in
+    units of ``2**-limit``) is over one, take one code out at the limit
+    and split the deepest shorter code into two: each repair lowers the
+    sum by one unit, so the code ends complete.  The lengths go to the
+    symbols in their (optimal length, symbol) order.
+    """
+    counts = np.bincount(np.minimum(lens, limit), minlength=limit + 1).tolist()
+    excess = sum(c << (limit - ln) for ln, c in enumerate(counts)) - (1 << limit)
+    for _ in range(excess):
+        bits = limit - 1
+        while not counts[bits]:
+            bits -= 1
+        counts[bits] -= 1
+        counts[bits + 1] += 2
+        counts[limit] -= 1
+    limited = np.empty_like(lens)
+    limited[np.argsort(lens, kind="stable")] = np.repeat(np.arange(limit + 1), counts)
+    return limited
 
 
 def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
@@ -226,16 +246,15 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
 def _build(freqs: np.ndarray) -> HuffmanCode:
     """:func:`build_code` on an already validated int64 histogram."""
     present = np.flatnonzero(freqs != 0)  # several times faster on a bool mask
-    counts = freqs[present]
-    lens = _lengths_from_freqs(counts)
-    fixed = bool(lens.size) and int(lens.max()) > MAX_CODE_LEN
-    if fixed:
-        lens = _fixed_lengths(counts)
+    lens = _lengths_from_freqs(freqs[present])
+    limit = max(_PAIR_BITS, (present.size - 1).bit_length())
+    if lens.size and int(lens.max()) > limit:
+        lens = _limit_lengths(lens, limit)
     lengths = np.zeros(freqs.size, dtype=np.uint8)
     codes = np.zeros(freqs.size, dtype=np.uint64)
     lengths[present] = lens
     codes[present] = _canonical_codes(lens)
-    return HuffmanCode(lengths=lengths, codes=codes, fixed=fixed)
+    return HuffmanCode(lengths=lengths, codes=codes)
 
 
 def build_code(freqs: np.ndarray) -> HuffmanCode:
@@ -252,10 +271,9 @@ def serialize_code(code: HuffmanCode, nvalues: int) -> bytes:
     """Serialize the code table and payload length into a header blob.
 
     The canonical property means only the lengths array is needed; the
-    decoder rebuilds identical codes.
+    decoder rebuilds identical codes.  The flags byte is 0.
     """
-    flags = 1 if code.fixed else 0
-    head = _HDR.pack(_MAGIC, flags, code.nsymbols, nvalues)
+    head = _HDR.pack(_MAGIC, 0, code.nsymbols, nvalues)
     return head + code.lengths.astype(np.uint8).tobytes()
 
 
@@ -269,7 +287,7 @@ def _read_header(blob: bytes) -> tuple[HuffmanCode, int, int]:
     """
     if len(blob) < _HDR.size:
         raise CorruptStreamError("huffman header truncated")
-    magic, flags, nsyms, nvalues = _HDR.unpack_from(blob, 0)
+    magic, _, nsyms, nvalues = _HDR.unpack_from(blob, 0)
     if magic != _MAGIC:
         raise CorruptStreamError("bad huffman magic")
     need = _HDR.size + nsyms
@@ -283,7 +301,7 @@ def _read_header(blob: bytes) -> tuple[HuffmanCode, int, int]:
     kraft = sum(c << (MAX_CODE_LEN - ln) for ln, c in enumerate(counts) if ln)
     if kraft > 1 << MAX_CODE_LEN:
         raise CorruptStreamError("huffman length table is over-subscribed")
-    return HuffmanCode(lengths=lengths, fixed=bool(flags & 1)), nvalues, need
+    return HuffmanCode(lengths=lengths), nvalues, need
 
 
 def huffman_encode(symbols: np.ndarray, nsymbols: int) -> bytes:
@@ -310,7 +328,7 @@ def huffman_encode(symbols: np.ndarray, nsymbols: int) -> bytes:
     window = symbols - lo if lo else symbols
     code = _build(np.bincount(window))
     lengths[lo : lo + code.nsymbols] = code.lengths
-    head = serialize_code(HuffmanCode(lengths, fixed=code.fixed), symbols.size)
+    head = serialize_code(HuffmanCode(lengths), symbols.size)
     payload, total_bits = pack_varlen_codes(code.codes[window], code.lengths[window])
     return head + struct.pack("<Q", total_bits) + payload
 
@@ -423,15 +441,11 @@ _LANE_SYMBOLS_MAX = 128
 _WARMUP_SYMBOLS = 48
 #: Rounds of re-running out-of-step lanes before the oracle takes a stream.
 _REPAIR_ROUNDS = 16
-#: A single-table batch whose codes are all this short decodes with one
-#: table lookup.
-_SINGLE_LEVEL_BITS = 16
-#: Widest window of a pair table (see :func:`_lane_tables`).
-_PAIR_BITS = 15
 #: Values one lane pass decodes at most.  A stream counts as at least
-#: ``1 << _SINGLE_LEVEL_BITS``, the slots of its widest table, so a pass's
-#: tables and recorded symbols stay a few tens of MB.
+#: ``_STREAM_WEIGHT`` values, twice the slots of its widest table, so a
+#: pass's tables and recorded symbols stay a few tens of MB.
 _BATCH_VALUES = 1 << 20
+_STREAM_WEIGHT = 1 << 16
 
 # A lane table entry is one int64: the first symbol in bits 42-63 (signed,
 # -1 for a pseudo-code), the symbols the step takes (1 or 2) in bits 40-41,
@@ -450,15 +464,14 @@ _LANE_SYMBOLS_LIMIT = 1 << (_TAKEN - _SECOND - 1)
 
 
 def _lane_code(lengths: np.ndarray) -> tuple | None:
-    """One code in canonical order, ``(lens, entries, starts, gcd)``, or
-    None for a code without symbols (or with one too large for an entry).
+    """One code in canonical order, ``(lens, entries, gcd)``, or None for a
+    code without symbols, with one too large for an entry or with a code
+    longer than ``_PAIR_BITS``.
 
-    ``entries[i]`` is the single-symbol entry of the i-th canonical code
-    and ``starts[i]`` is where it begins in the code space, in units of
-    ``2**-MAX_CODE_LEN``.  Canonical codes tile the code space
-    contiguously, so the last start at or below a window's top
-    ``MAX_CODE_LEN`` bits names its code.  What an incomplete code leaves
-    uncovered is one more entry, a pseudo-code of symbol -1 and length
+    ``entries[i]`` is the single-symbol entry of the i-th canonical code.
+    Canonical codes tile the code space contiguously in that order, so
+    they own consecutive table slots.  What an incomplete code leaves
+    uncovered is the last entry, a pseudo-code of symbol -1 and length
     ``gcd``, that ``lens`` does not list; ``gcd`` is the gcd of the
     lengths, of which every symbol boundary of a stream is a multiple.
     """
@@ -466,60 +479,42 @@ def _lane_code(lengths: np.ndarray) -> tuple | None:
     if not present.size or int(present[-1]) >= _LANE_SYMBOLS_LIMIT:
         return None
     lens = lengths[present].astype(np.int64)
+    if int(lens.max()) > _PAIR_BITS:
+        return None
     order = np.argsort(lens, kind="stable")  # stable: ties by symbol
     lens = lens[order]
     gcd = int(np.gcd.reduce(lens))
     entries = (present[order] << _FIRST) | (1 << _TAKEN) | (lens << 6) | lens
-    ends = np.cumsum(np.left_shift(1, MAX_CODE_LEN - lens))
-    starts = np.append(0, ends[:-1])
-    if int(ends[-1]) < 1 << MAX_CODE_LEN:
-        entries = np.append(entries, (-1 << _FIRST) | (1 << _TAKEN) | (gcd << 6) | gcd)
-        starts = np.append(starts, ends[-1])
-    return lens, entries, starts, gcd
+    entries = np.append(entries, (-1 << _FIRST) | (1 << _TAKEN) | (gcd << 6) | gcd)
+    return lens, entries, gcd
 
 
 def _lane_tables(codes: list, mean_bits: float) -> tuple:
-    """Decode tables ``(table, keys, entries, width, pairs)`` for a batch
-    of codes whose streams average ``mean_bits`` a symbol.
+    """Decode table ``(table, width, pairs)`` for a batch of codes whose
+    streams average ``mean_bits`` a symbol.
 
-    ``table`` holds one ``2**width``-slot table per code, end to end: each
-    code of at most ``width`` bits repeated over the slots it owns, entry 0
-    (look further) where longer codes begin.  Pairs pay when two codes of
-    the mean length fit, to within a bit, a window as wide as the batch's
-    longest code but at most ``_PAIR_BITS``: then that is the width, and a
-    slot whose first code leaves room for the whole of the next one holds
-    both (a pseudo-code, a far code or a second code that overruns the
-    window never pairs).  Otherwise the table is the single-symbol one, as
-    wide as the longest code when that is at most ``_SINGLE_LEVEL_BITS``
-    and ``TABLE_BITS`` wide past it.  When some code is longer than the
-    width, ``keys`` tags every code's start with its stream, ``(stream <<
-    MAX_CODE_LEN) | start``, so one ``searchsorted`` over them finds any
-    lane's ``entries``; otherwise nothing looks further.
+    ``table`` holds one ``2**width``-slot table per code, end to end, as
+    wide as the batch's longest code: each code repeated over the slots it
+    owns, the pseudo-code over what an incomplete code leaves, so every
+    slot decodes.  Pairs pay when two codes of the mean length fit the
+    window to within a bit: then a slot whose first code leaves room for
+    the whole of the next one holds both (a pseudo-code or a second code
+    that overruns the window never pairs).
     """
-    longest = max(int(lens[-1]) for lens, *_ in codes)
-    width = min(longest, _PAIR_BITS)
+    width = max(int(lens[-1]) for lens, _, _ in codes)
     pairs = 2 * mean_bits <= width + 1
-    if not pairs:
-        width = longest if longest <= _SINGLE_LEVEL_BITS else TABLE_BITS
-    level1, slots = [], []
-    for lens, entries, starts, _ in codes:
-        # The codes of at most ``width`` bits are a prefix in canonical
-        # order, and where they end is a slot boundary; so is the start of
-        # a pseudo-code that follows only such codes.
-        k = int(np.searchsorted(lens, width, side="right"))
-        if k == lens.size:
-            k = entries.size
-        end = starts[k] if k < entries.size else 1 << MAX_CODE_LEN
-        bounds = np.append(starts[:k], end) >> (MAX_CODE_LEN - width)
-        level1 += [entries[:k], [0]]
-        slots.append(np.diff(bounds, append=1 << width))
-    table = np.repeat(np.concatenate(level1), np.concatenate(slots))
+    entries, slots = [], []
+    for lens, code_entries, _ in codes:
+        owned = np.left_shift(1, width - lens)
+        entries.append(code_entries)
+        slots += [owned, [(1 << width) - int(owned.sum())]]
+    table = np.repeat(np.concatenate(entries), np.concatenate(slots))
     if pairs:
         # The bits after a slot's first code, zero-filled below, index the
         # same stream's table: that slot's code is the second one when it
-        # ends inside the window.  Real single entries are positive, far
-        # ones 0 and pseudo-codes negative; a table code has at most
-        # ``width`` bits, so two lengths add up inside the low six bits.
+        # ends inside the window.  Real entries are positive and
+        # pseudo-codes negative; a code has at most ``width`` bits, so two
+        # lengths add up inside the low six bits.
         # Shifted down to the second symbol's bits, a single entry leaves
         # its count in spare bit 16.  ``work`` is the one slot-sized
         # scratch array: fresh pages cost more than the arithmetic.
@@ -538,11 +533,7 @@ def _lane_tables(codes: list, mean_bits: float) -> tuple:
         second += work
         second += 1 << _TAKEN
         np.add(table, second, out=table, where=fits)
-    if longest <= width:
-        return table, None, None, width, pairs
-    keys = np.concatenate([(s << MAX_CODE_LEN) | code[2] for s, code in enumerate(codes)])
-    entries = np.concatenate([code[1] for code in codes])
-    return table, keys.astype(np.uint64), entries, width, pairs
+    return table, width, pairs
 
 
 def _run_lanes(
@@ -557,23 +548,22 @@ def _run_lanes(
 
     The lane loop: one table entry, one or two symbols, per lane per
     iteration, in lockstep, each lane reading its own stream's table at
-    offset ``tab`` (None for a batch of one, whose table is at 0 and whose
-    keys carry no tag: the per-lane offsets cost a lone large stream
-    ~5 %); a lane that has arrived leaves the working set, so stragglers
-    do not drag the others along.  A lane whose last step was a pair
-    whose first symbol already reached ``end`` keeps that symbol alone
-    and exits after it.  Returns the arrival positions, the symbols each
-    lane took and, with ``record``, per iteration the decoded entries,
-    whose they are and their positions (symbols taken in the high bits).
+    offset ``tab`` (None for a batch of one, whose table is at 0: the
+    per-lane offsets cost a lone large stream ~5 %).  Every entry
+    advances its lane by at least one code, and a lane that has arrived
+    leaves the working set, so stragglers do not drag the others along.
+    A lane whose last step was a pair whose first symbol already reached
+    ``end`` keeps that symbol alone and exits after it.  Returns the
+    arrival positions, the symbols each lane took and, with ``record``,
+    per iteration the decoded entries, whose they are and their positions
+    (symbols taken in the high bits).
     """
-    table, keys, entries, width, _ = tables
+    table, width, _ = tables
     exits, counts = np.empty_like(pos), np.empty_like(pos)  # every lane arrives
     lanes = np.arange(pos.size)
     ends = end  # every lane's; ``end`` keeps the live lanes' only
     recorded, left = [], []
     top = np.uint64(64 - width)
-    tag = MAX_CODE_LEN - width  # ``tab << tag`` is the lane's stream tag
-    low = np.uint64(64 - MAX_CODE_LEN)
     entry = np.zeros(pos.size, dtype=np.int64)  # before the first step: none
     while True:
         at = pos & _AT
@@ -592,13 +582,6 @@ def _run_lanes(
         if tab is not None:
             index += tab
         entry = table[index]
-        if keys is not None:
-            far = np.flatnonzero(entry == 0)
-            if far.size:
-                key = window[far] >> low
-                if tab is not None:
-                    key |= (tab[far] << tag).view(np.uint64)
-                entry[far] = entries[np.searchsorted(keys, key, side="right") - 1]
         if record:
             recorded.append((entry, lanes, pos))
         pos = pos + (entry & _STEP)
@@ -650,8 +633,9 @@ def _lane_words(streams: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
     word, from bit ``origin[s]``: bit-reversed bytes read MSB-first
     through an unaligned big-endian view, bits past ``total_bits`` zeroed
     as BitReader.peek does.  The aligned copy ``words[i]`` = bits
-    [16 i, 16 i + 64) has 49 >= MAX_CODE_LEN valid bits, and a lane short
-    of its stream's end reads no further than that stream's zero word.
+    [16 i, 16 i + 64) has 49 valid bits, more than a table is wide, and a
+    lane short of its stream's end reads no further than that stream's
+    zero word.
     """
     nwords = [-(-total_bits // 64) + 1 for _, _, total_bits, _ in streams]
     origin = (np.cumsum(nwords) - nwords) * 64
@@ -680,7 +664,7 @@ def _lane_pass(streams: list, codes: list) -> list[np.ndarray | None]:
     proved symbols, or None where the oracle has to decide."""
     bits = sum(total_bits for _, _, total_bits, _ in streams)
     tables = _lane_tables(codes, bits / sum(nvalues for _, nvalues, _, _ in streams))
-    width, pairs = tables[3:]
+    _, width, pairs = tables
     nstreams = len(streams)
     words, origin = _lane_words(streams)
 
@@ -691,7 +675,7 @@ def _lane_pass(streams: list, codes: list) -> list[np.ndarray | None]:
     # symbol.
     warms, cuts, ends = [], [], []
     for (_, nvalues, total_bits, _), code, bit0 in zip(streams, codes, origin.tolist()):
-        gcd = code[3]
+        gcd = code[2]
         expected = max(nvalues, total_bits >> 4)
         per_lane = min(max(math.isqrt(expected >> 5), _LANE_SYMBOLS_MIN), _LANE_SYMBOLS_MAX)
         span = -(-total_bits // (max(1, expected // per_lane) * gcd)) * gcd
@@ -800,7 +784,7 @@ def huffman_decode_many(blobs: Sequence[bytes]) -> list[tuple[np.ndarray, int]]:
         if nvalues == 0:
             symbols[k] = np.empty(0, dtype=np.int64)
         else:
-            weight = max(nvalues, 1 << _SINGLE_LEVEL_BITS)
+            weight = max(nvalues, _STREAM_WEIGHT)
             if not batches or load + weight > _BATCH_VALUES:
                 batches.append([])
                 load = 0

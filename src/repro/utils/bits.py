@@ -1,9 +1,11 @@
 """Vectorized variable-length bit packing.
 
-The Huffman encoder needs to concatenate, per element, a code of 1..57 bits
+The Huffman encoder needs to concatenate, per element, a code of 1..28 bits
 into a contiguous bitstream.  Doing this element-by-element in Python is far
 too slow for multi-megabyte partitions, so :func:`pack_varlen_codes` performs
-the whole pack with numpy:
+the whole pack with numpy.  It first joins neighbouring codes two by two
+(two codes of at most 28 bits make at most 56, inside the 57-bit limit of
+one element), so the three steps run on half as many elements:
 
 1. compute each element's starting bit offset (``cumsum`` of code lengths)
    and shift every code to its in-word position,
@@ -14,16 +16,10 @@ the whole pack with numpy:
 3. OR into the next word the high bits of the one code per word that can
    cross its end: the last code starting there.
 
-Huffman codes are mostly short, so before step 1 the packer joins
-neighbouring codes two by two whenever no code is longer than 28 bits
-(two of them fit the 57-bit limit): the three steps then run on half as
-many elements and lay down the same bits.  An array holding a longer code
-takes the same steps one code per element.  A Huffman code that long
-needs Fibonacci-skewed counts over at least F(31) = 1,346,269 symbols, so
-it is rare: none of the streams that ``perfbench``, ``repro.verify``, the
-examples and the figure benchmarks write has one (their longest code is
-23 bits).  Either way each partition-sized intermediate is allocated once,
-and the codes are shifted in the packer's own copy.
+Huffman codes are length limited to 15 bits (more only for partitions
+with more than 2**15 distinct symbols: ceil(log2) of their count), far
+inside the 28-bit limit.  Each partition-sized intermediate is allocated
+once, and the codes are shifted in the packer's own copy.
 
 Bit order is **LSB-first within each 64-bit little-endian word**, i.e. the
 bit at global position ``p`` lives in word ``p >> 6`` at in-word position
@@ -42,8 +38,9 @@ from repro.errors import CorruptStreamError
 
 _WORD_BITS = 64
 
-#: Longest code :func:`pack_varlen_codes` joins with its neighbour: two such
-#: codes make at most 56 bits, inside the 57-bit limit of one element.
+#: Longest code :func:`pack_varlen_codes` takes: it joins every code with its
+#: neighbour, and two such codes make at most 56 bits, inside the 57-bit
+#: limit of one element.
 _PAIR_BITS = 28
 
 
@@ -56,10 +53,8 @@ def pack_varlen_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, in
         ``uint64`` array; element ``i`` holds the code value in its low
         ``lengths[i]`` bits.  Bits above ``lengths[i]`` must be zero.
     lengths:
-        integer array of code lengths in ``[1, 57]``, any integer dtype
+        integer array of code lengths in ``[1, 28]``, any integer dtype
         (the Huffman encoder passes the ``uint8`` lengths it gathers).
-        (57 = 64 - 7 keeps a single shifted code from spanning more than
-        two words; Huffman codes here are capped far below that.)
 
     Returns
     -------
@@ -68,8 +63,8 @@ def pack_varlen_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, in
         minimal whole number of 64-bit words; ``total_bits`` is the exact
         number of meaningful bits.
 
-    Codes of at most ``_PAIR_BITS`` bits are packed two to an element (see
-    the module docstring).  Neither ``codes`` nor ``lengths`` is written.
+    Codes are packed two to an element (see the module docstring).
+    Neither ``codes`` nor ``lengths`` is written.
     """
     codes = np.ascontiguousarray(codes, dtype=np.uint64)
     lengths = np.ascontiguousarray(lengths)
@@ -78,12 +73,9 @@ def pack_varlen_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, in
     codes, lengths = codes.ravel(), lengths.ravel()
     if codes.size == 0:
         return b"", 0
-    longest = lengths.max()
-    if lengths.min() < 1 or longest > 57:
-        raise ValueError("code lengths must be in [1, 57]")
-    if longest <= _PAIR_BITS and codes.size > 1:
-        return _pack(*_pair(codes, lengths))
-    return _pack(codes.copy(), lengths.astype(np.int64))
+    if lengths.min() < 1 or lengths.max() > _PAIR_BITS:
+        raise ValueError(f"code lengths must be in [1, {_PAIR_BITS}]")
+    return _pack(*_pair(codes, lengths))
 
 
 def _pair(codes: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,8 +100,8 @@ def _pair(codes: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _pack(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
-    """The three packing steps on codes of <= 57 bits; ``codes`` is the
-    caller's scratch and is shifted in place."""
+    """The three packing steps on joined codes of <= 56 bits; ``codes`` is
+    the caller's scratch and is shifted in place."""
     starts = np.cumsum(lengths)
     total_bits = int(starts[-1])
     starts -= lengths

@@ -46,15 +46,17 @@ def series_step(series, step, fields=None):
     return {name: gen.field(name) for name in fields or gen.field_names}
 
 
-def reference_build_code(freqs, max_code_len):
+def reference_build_code(freqs, limit=15):
     """The retired Huffman construction, kept as the differential oracle.
 
     A ``(freq, node_id)`` heap (leaves carry their symbol as id, internal
     nodes ids past the alphabet in creation order), a per-leaf walk up a
-    ``dict`` of parents for the depth, the fixed-length fallback past
-    ``max_code_len``, and canonical codes assigned one symbol at a time in
-    (length, symbol) order, bit-reversed one bit at a time.  Returns
-    ``(lengths uint8, codes uint64, fixed)`` over the full alphabet.
+    ``dict`` of parents for the depth, DEFLATE's length limit applied one
+    code at a time, and canonical codes assigned one symbol at a time in
+    (length, symbol) order, bit-reversed one bit at a time.  ``limit`` is
+    the longest code while the present symbols fit in as many bits (None:
+    no limit, the layout of streams written before codes were limited).
+    Returns ``(lengths uint8, codes uint64)`` over the full alphabet.
     """
     import heapq
 
@@ -80,9 +82,28 @@ def reference_build_code(freqs, max_code_len):
                 node = parent[node]
                 depth += 1
             lengths[s] = depth
-    fixed = bool(lengths.size) and int(lengths.max()) > max_code_len
-    if fixed:
-        lengths[nz] = max(1, int(np.ceil(np.log2(nz.size))))
+    if limit is not None:
+        limit = max(limit, (int(nz.size) - 1).bit_length())
+    if limit is not None and nz.size and int(lengths.max()) > limit:
+        # Clamp, then while the code is over-full (Kraft sum in units of
+        # 2**-limit) move the deepest code shorter than the limit one bit
+        # down and one clamped code up beside it.
+        ranked = sorted(nz.tolist(), key=lambda s: (int(lengths[s]), s))
+        lens = [min(int(lengths[s]), limit) for s in ranked]
+        # ``lens`` stays sorted: the code after the deepest shorter one is a
+        # clamped one.
+        kraft = sum(1 << (limit - ln) for ln in lens)
+        i = len(lens) - 1
+        while kraft > 1 << limit:
+            while lens[i] >= limit:
+                i -= 1
+            kraft -= (1 << (limit - lens[i])) + 1
+            lens[i] += 1
+            lens[i + 1] = lens[i]
+            kraft += 2 << (limit - lens[i])
+            i += 1
+        for s, ln in zip(ranked, lens):
+            lengths[s] = ln
     codes = np.zeros(freqs.size, dtype=np.uint64)
     code, prev_len = 0, None
     for sym in sorted(nz.tolist(), key=lambda s: (int(lengths[s]), s)):
@@ -95,7 +116,7 @@ def reference_build_code(freqs, max_code_len):
             value >>= 1
         codes[sym] = rev
         code += 1
-    return lengths, codes, fixed
+    return lengths, codes
 
 
 def golden_field(edge, dtype, seed):

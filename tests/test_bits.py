@@ -110,20 +110,20 @@ class TestPackVarlenCodes:
 
     def test_matches_scalar_writer(self):
         rng = np.random.default_rng(3)
-        lengths = rng.integers(1, 33, 500)
+        lengths = rng.integers(1, 29, 500)
         codes = np.array(
             [rng.integers(0, 1 << int(l)) for l in lengths], dtype=np.uint64
         )
         _assert_matches_bit_writer(codes.tolist(), lengths.tolist())
 
     def test_word_boundary_spanning(self):
-        # Two 57-bit codes force a span across the first word boundary.
-        codes = np.array([(1 << 57) - 1, 0b1010101], dtype=np.uint64)
-        lengths = np.array([57, 7], dtype=np.int64)
+        # The third 28-bit code crosses the first word boundary.
+        codes = np.array([(1 << 28) - 1, 0, (1 << 28) - 1, 0b1010101], dtype=np.uint64)
+        lengths = np.array([28, 28, 28, 7], dtype=np.int64)
         payload, nbits = pack_varlen_codes(codes, lengths)
         r = BitReader(payload, nbits)
-        assert r.read(57) == (1 << 57) - 1
-        assert r.read(7) == 0b1010101
+        for c, n in zip(codes.tolist(), lengths.tolist()):
+            assert r.read(n) == c
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -131,13 +131,13 @@ class TestPackVarlenCodes:
 
     def test_length_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            pack_varlen_codes(np.zeros(1, np.uint64), np.array([58]))
+            pack_varlen_codes(np.zeros(1, np.uint64), np.array([29]))
         with pytest.raises(ValueError):
             pack_varlen_codes(np.zeros(1, np.uint64), np.array([0]))
 
     @given(
         st.lists(
-            st.tuples(st.integers(0, (1 << 30) - 1), st.integers(1, 30)),
+            st.tuples(st.integers(0, (1 << 28) - 1), st.integers(1, 28)),
             min_size=1,
             max_size=300,
         )
@@ -167,29 +167,29 @@ def _assert_matches_bit_writer(codes: list[int], lengths: list[int]) -> None:
 
 
 class TestPackerVsBitWriter:
-    """Differential suite over the full 1..57 range and the word seams."""
+    """Differential suite over the full 1..28 range and the word seams."""
 
     @pytest.mark.parametrize(
         "lengths",
         [
-            [32, 32],  # total an exact multiple of 64
-            [57, 7, 57, 7],
+            [28, 4, 28, 4],  # total an exact multiple of 64
+            [28, 28, 4, 4] * 2,  # joined codes of 56 and 8 bits
             [1] * 128,
-            [57] * 64,
-            [50, 14, 5],  # a code ending on bit 63
-            [57, 6, 1, 57],  # a one-bit code on bit 63
-            [57, 6, 57],  # a 57-bit code starting at bit 63, last in the stream
-            [57, 6, 57, 57, 57],  # ... and mid-stream
-            [57, 6, 2],  # a final word that holds only a spill
-            [64 - 7, 7, 57, 8],  # the spill's word gets a start as well
-            [57],
+            [28] * 64,
+            [28, 22, 14, 5],  # a code ending on bit 63
+            [28, 28, 7, 1, 28],  # a one-bit code on bit 63
+            [28, 28, 7, 28],  # a 28-bit code starting at bit 63, last in the stream
+            [28, 28, 7, 28, 28, 28],  # ... and mid-stream
+            [28, 28, 7, 2],  # a final word that holds only a spill
+            [28, 28, 8, 28, 28, 8],  # the spill's word gets a start as well
+            [28],
             [1],
         ],
     )
     def test_adversarial_alignments(self, lengths):
         ones = [(1 << n) - 1 for n in lengths]
         _assert_matches_bit_writer(ones, lengths)
-        _assert_matches_bit_writer([v & 0x155555555555555 for v in ones], lengths)
+        _assert_matches_bit_writer([v & 0x5555555 for v in ones], lengths)
         _assert_matches_bit_writer([1 << (n - 1) for n in lengths], lengths)
 
     @pytest.mark.parametrize(
@@ -199,8 +199,8 @@ class TestPackerVsBitWriter:
             [28, 28],  # the longest pair, 56 bits
             [28, 28, 28],  # odd count: the last code stands alone
             [28] * 7 + [1],
-            [29, 29],  # one bit past the seam: one code per element
-            [28, 29, 28],
+            [1, 1],  # the shortest pair
+            [27, 28, 28],
             [1, 28] * 5 + [3],
             [27, 1, 28, 28, 1],
         ],
@@ -213,20 +213,20 @@ class TestPackerVsBitWriter:
 
     @given(
         st.lists(
-            st.tuples(st.integers(0, (1 << 29) - 1), st.integers(1, 29)),
+            st.tuples(st.integers(0, (1 << 28) - 1), st.integers(22, 28)),
             min_size=1,
             max_size=301,
         )
     )
     @settings(max_examples=100, deadline=None)
     def test_codes_around_the_pairing_limit(self, fields):
-        # Mostly <= 28 bits (paired), sometimes a 29-bit code (unpaired);
-        # odd and even counts alike.
+        # Codes near the 28-bit limit: joined elements of 44 to 56 bits,
+        # most crossing a word; odd and even counts alike.
         lengths = [n for _, n in fields]
         _assert_matches_bit_writer([v & ((1 << n) - 1) for v, n in fields], lengths)
 
     def test_inputs_unchanged(self):
-        for n in (28, 29):
+        for n in (1, 28):
             codes = np.full(5, (1 << n) - 1, dtype=np.uint64)
             lengths = np.full(5, n, dtype=np.int64)
             pack_varlen_codes(codes, lengths)
@@ -234,7 +234,7 @@ class TestPackerVsBitWriter:
 
     @given(
         st.lists(
-            st.tuples(st.integers(0, (1 << 57) - 1), st.integers(1, 57)),
+            st.tuples(st.integers(0, (1 << 28) - 1), st.integers(1, 28)),
             min_size=1,
             max_size=400,
         )
@@ -245,8 +245,8 @@ class TestPackerVsBitWriter:
         _assert_matches_bit_writer([v & ((1 << n) - 1) for v, n in fields], lengths)
 
     @given(
-        st.lists(st.integers(1, 57), min_size=1, max_size=200),
-        st.integers(1, 57),
+        st.lists(st.integers(1, 28), min_size=1, max_size=200),
+        st.integers(1, 28),
     )
     @settings(max_examples=100, deadline=None)
     def test_padded_to_a_word_multiple(self, lengths, last):

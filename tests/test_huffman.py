@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.huffman import (
+    _PAIR_BITS,
     MAX_CODE_LEN,
     TABLE_BITS,
     HuffmanCode,
@@ -68,19 +69,13 @@ class TestBuildCode:
         assert entropy <= mean + 1e-9
         assert mean < entropy + 1.0  # Huffman is within 1 bit of entropy
 
-    def test_fixed_fallback_on_extreme_skew(self):
-        # Fibonacci-like frequencies give maximally deep trees; push past cap.
-        n = MAX_CODE_LEN + 4
-        freqs = np.ones(n, dtype=np.int64)
-        a, b = 1, 2
-        for i in range(n):
-            freqs[i] = a
-            a, b = b, a + b
-        code = build_code(freqs)
-        assert code.max_length <= MAX_CODE_LEN or code.fixed
-        if code.fixed:
-            present = code.lengths[code.lengths > 0]
-            assert len(set(present.tolist())) == 1
+    def test_length_limit_on_extreme_skew(self):
+        # Fibonacci-like frequencies give maximally deep trees (here 51
+        # levels): the code stops at the limit and stays complete.
+        code = build_code(np.array(_fibonacci(MAX_CODE_LEN + 4)))
+        assert code.max_length == _PAIR_BITS
+        present = code.lengths[code.lengths > 0]
+        assert np.sum(2.0 ** (-present.astype(float))) == 1.0
 
     def test_negative_frequencies_rejected(self):
         with pytest.raises(ValueError):
@@ -104,15 +99,15 @@ class TestBuildCodeVsHeapOracle:
 
     Code lengths under equal frequencies depend on the merge order, and
     every stream's bytes depend on the lengths, so the two-queue builder
-    must reproduce the heap's ``(freq, node_id)`` pop order exactly.
+    must reproduce the heap's ``(freq, node_id)`` pop order exactly, and
+    the length limit the reference's one-code-at-a-time repair.
     """
 
     @staticmethod
     def _assert_same(freqs) -> None:
         freqs = np.asarray(freqs, dtype=np.int64)
         code = build_code(freqs)
-        lengths, codes, fixed = reference_build_code(freqs, MAX_CODE_LEN)
-        assert code.fixed == fixed
+        lengths, codes = reference_build_code(freqs)
         assert code.lengths.dtype == lengths.dtype
         assert code.codes.dtype == codes.dtype
         assert np.array_equal(code.lengths, lengths)
@@ -140,8 +135,10 @@ class TestBuildCodeVsHeapOracle:
 
     @pytest.mark.parametrize("n", range(MAX_CODE_LEN - 2, MAX_CODE_LEN + 9))
     def test_fibonacci_skew_around_the_cap(self, n):
+        # Unlimited, these trees are n - 1 levels deep, around MAX_CODE_LEN.
         fib = _fibonacci(n)
-        assert build_code(np.array(fib)).fixed == (n - 1 > MAX_CODE_LEN)
+        assert int(reference_build_code(fib, None)[0].max()) == n - 1
+        assert build_code(np.array(fib)).max_length == _PAIR_BITS
         self._assert_same(fib)
         self._assert_same(fib[::-1])
         self._assert_same([0, *fib, 0, 1, 1])
@@ -163,6 +160,46 @@ class TestBuildCodeVsHeapOracle:
         where = rng.choice(freqs.size, n, replace=False)
         freqs[where] = 7 if flat else rng.geometric(0.02, n)
         self._assert_same(freqs)
+
+
+class TestLengthLimit:
+    """A code past the limit comes out complete, no longer than the limit
+    and ordered: listed in (optimal length, symbol) order, its lengths
+    never fall.  A code within the limit keeps its optimal lengths."""
+
+    @staticmethod
+    def _assert_limited(freqs) -> None:
+        freqs = np.asarray(freqs, dtype=np.int64)
+        present = np.flatnonzero(freqs)
+        limit = max(_PAIR_BITS, (present.size - 1).bit_length())
+        optimal = reference_build_code(freqs, None)[0]
+        lengths = build_code(freqs).lengths
+        if int(optimal.max()) <= limit:
+            assert np.array_equal(lengths, optimal)
+            return
+        lens = lengths[present].astype(np.int64)
+        assert int(lens.max()) == limit
+        assert int(np.sum(np.left_shift(1, limit - lens))) == 1 << limit  # complete
+        ranked = sorted(present.tolist(), key=lambda s: (int(optimal[s]), s))
+        assert np.all(np.diff(lengths[ranked].astype(np.int64)) >= 0)
+        assert freqs @ lengths >= freqs @ optimal.astype(np.int64)
+
+    @given(
+        depth=st.integers(_PAIR_BITS + 1, 60),
+        extra=st.lists(st.integers(1, 10**4), max_size=300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_deep_trees(self, depth, extra, seed):
+        freqs = np.array(_fibonacci(depth) + extra, dtype=np.int64)
+        np.random.default_rng(seed).shuffle(freqs)
+        self._assert_limited(freqs)
+
+    def test_more_symbols_than_the_limit_holds(self):
+        # 40,030 symbols need 16 bits: the limit rises to that, no further.
+        freqs = np.concatenate([np.ones(40000, np.int64), _fibonacci(30)])
+        assert build_code(freqs).max_length == 16
+        self._assert_limited(freqs)
 
 
 def _blob_with_lengths(lengths, nvalues: int = 4) -> bytes:
@@ -198,7 +235,9 @@ class TestCorruptLengthTable:
             [1, 1],
             [0, 1, 0],  # the single-symbol code (Kraft sum 1/2)
             [2, 2, 2, 2],
-            [3, 3, 3, 3, 3],  # a fixed-length fallback over five symbols
+            # What the encoder wrote before codes were limited: a fixed-length
+            # fallback over five symbols, and codes up to the cap.
+            [3, 3, 3, 3, 3],
             [1, 2, MAX_CODE_LEN, MAX_CODE_LEN],
         ],
     )
@@ -331,12 +370,13 @@ class TestOccupiedWindow:
         assert blob == self._full_alphabet_blob(symbols, nsymbols)
         assert np.array_equal(huffman_decode(blob)[0], symbols)
 
-    def test_fixed_fallback_window(self, monkeypatch):
-        symbols = _deep_tree_symbols(12) + 1000
-        monkeypatch.setattr("repro.compression.huffman.MAX_CODE_LEN", 6)
-        blob = huffman_encode(symbols, 4096)
-        assert blob[4] == 1  # the table's fixed flag
-        assert blob == self._full_alphabet_blob(symbols, 4096)
+    def test_limited_code_window(self):
+        # The limiter ranks the present symbols, so a window of the alphabet
+        # limits a 17-level tree exactly as the whole alphabet does.
+        symbols = _deep_tree_symbols(18) + 30000
+        blob = huffman_encode(symbols, 65537)
+        assert _parse_stream(blob)[0].max_length == _PAIR_BITS
+        assert blob == self._full_alphabet_blob(symbols, 65537)
 
     @given(st.lists(st.integers(0, 2000), min_size=1, max_size=500), st.integers(0, 3000))
     @settings(max_examples=40, deadline=None)
@@ -363,19 +403,30 @@ def _encode_with_code(code, symbols: np.ndarray) -> bytes:
     """Serialize ``symbols`` under an explicitly chosen ``code``.
 
     Mirrors :func:`huffman_encode`'s blob layout but with a caller-supplied
-    code, so tests can exercise code shapes (e.g. the fixed-length
-    fallback) whose natural frequency distributions would need billions of
-    symbols to arise from ``build_code`` on real data.
+    code, so tests can exercise code shapes ``build_code`` no longer
+    builds: the longer codes of streams written before codes were limited,
+    incomplete codes of damaged headers.  The packer takes codes of at
+    most 28 bits, so a longer one goes in as two pieces, low bits first.
     """
     import struct
 
     from repro.utils.bits import pack_varlen_codes
 
+    codes, lengths = code.codes[symbols], code.lengths[symbols].astype(np.int64)
+    low = np.minimum(lengths, 28).astype(np.uint64)
+    pieces = np.stack([codes & ((np.uint64(1) << low) - np.uint64(1)), codes >> low], axis=1)
+    piece_lengths = np.stack([low.astype(np.int64), lengths - low.astype(np.int64)], axis=1)
+    keep = piece_lengths > 0
     head = serialize_code(code, symbols.size)
-    payload, total_bits = pack_varlen_codes(
-        code.codes[symbols], code.lengths[symbols].astype(np.int64)
-    )
+    payload, total_bits = pack_varlen_codes(pieces[keep], piece_lengths[keep])
     return head + struct.pack("<Q", total_bits) + payload
+
+
+def _unlimited_code(freqs) -> HuffmanCode:
+    """The optimal code without the length limit: what the encoder built
+    before codes were limited."""
+    lengths, codes = reference_build_code(freqs, None)
+    return HuffmanCode(lengths, codes)
 
 
 def _lane_decode(code, nvalues, total_bits, payload):
@@ -390,7 +441,8 @@ class TestDifferentialVsScalarOracle:
     The scalar per-symbol loop is retained as ``huffman_decode_scalar``
     precisely so this suite can hold the hop-table decoder to bit-exact
     equivalence across every code-shape regime: skewed table-only codes,
-    long codes past ``TABLE_BITS``, and the fixed-length fallback.
+    long codes past ``TABLE_BITS``, and the code shapes of streams written
+    before codes were limited (past ``_PAIR_BITS``, fixed-length).
     """
 
     def _assert_identical(self, symbols: np.ndarray, nsymbols: int) -> None:
@@ -435,11 +487,12 @@ class TestDifferentialVsScalarOracle:
         self._assert_identical(symbols, nlevels)
 
     def test_very_long_codes_near_cap(self):
-        # Codes approaching MAX_CODE_LEN cannot arise from feasible symbol
-        # counts, so encode under a hand-picked deep code instead.
-        n = MAX_CODE_LEN + 2  # deep enough that build_code would overflow...
-        deep = build_code(np.array(_fibonacci(n)))  # ...but the builder caps or falls back
-        assert deep.max_length <= MAX_CODE_LEN
+        # Codes approaching MAX_CODE_LEN only come from streams written
+        # before codes were limited, under counts no array holds: encode
+        # under the unlimited code of such counts instead.
+        n = MAX_CODE_LEN
+        deep = _unlimited_code(_fibonacci(n))
+        assert deep.max_length == MAX_CODE_LEN - 1
         rng = np.random.default_rng(11)
         symbols = rng.integers(0, n, 4000).astype(np.int64)
         blob = _encode_with_code(deep, symbols)
@@ -449,14 +502,17 @@ class TestDifferentialVsScalarOracle:
         assert np.array_equal(fast, symbols)
 
     def test_fixed_fallback(self):
-        # Frequencies past the depth cap flip build_code to fixed-length
-        # codes; encode a feasible stream under that code explicitly.
+        # Before codes were limited, counts past the depth cap got a
+        # fixed-length code, flagged 1 in the header: the flag is not read
+        # and the code is one like any other.
         nlevels = MAX_CODE_LEN + 6
-        fixed = build_code(np.array(_fibonacci(nlevels)))
-        assert fixed.fixed
+        lengths = np.full(nlevels, 6, dtype=np.uint8)
+        fixed = HuffmanCode(lengths, _canonical_codes(lengths))
         rng = np.random.default_rng(13)
         symbols = rng.integers(0, nlevels, 5000).astype(np.int64)
-        blob = _encode_with_code(fixed, symbols)
+        blob = bytearray(_encode_with_code(fixed, symbols))
+        blob[4] = 1  # the fixed flag
+        blob = bytes(blob)
         fast, _ = huffman_decode(blob)
         slow, _ = huffman_decode_scalar(blob)
         assert np.array_equal(fast, slow)
@@ -575,7 +631,7 @@ def _lane_stream(name: str, n: int) -> tuple[np.ndarray, int, bytes]:
     def rare(m):  # one dominant symbol, the rest 8 to 10 bits
         return np.where(rng.random(m) < 0.97, 0, rng.integers(1, 300, m))
 
-    def wide(m):  # thousands of symbols, a sixth of the stream past TABLE_BITS
+    def wide(m):  # thousands of symbols, a sixth of the stream past TABLE_BITS, 15-bit codes
         return np.clip(np.rint(rng.standard_t(2.5, m) * 400 + 8000), 0, 16383).astype(np.int64)
 
     if name.startswith("uniform"):
@@ -645,9 +701,11 @@ class TestLaneDecoderAtScale:
         self._assert_matches_oracle(blob, symbols)
 
     def test_deep_fibonacci_code_near_the_cap(self):
-        nlevels = MAX_CODE_LEN  # depth MAX_CODE_LEN - 1: the deepest the builder keeps
-        deep = build_code(np.array(_fibonacci(nlevels)))
-        assert not deep.fixed and deep.max_length == MAX_CODE_LEN - 1
+        # Depth MAX_CODE_LEN - 1: the deepest code the builder kept before
+        # codes were limited.
+        nlevels = MAX_CODE_LEN
+        deep = _unlimited_code(_fibonacci(nlevels))
+        assert deep.max_length == MAX_CODE_LEN - 1
         rng = np.random.default_rng(3)
         weights = np.array(_fibonacci(nlevels), dtype=np.float64)
         symbols = rng.choice(nlevels, self.N, p=weights / weights.sum())
@@ -711,7 +769,7 @@ class TestLaneDecoderAtScale:
         assert _outcome(_lane_decode, *args) == outcome
 
 
-#: Unlike streams side by side: 17-bit codes (the tagged second level), equal
+#: Unlike streams side by side: 15-bit codes (the widest table), equal
 #: lengths, factor-2 lengths, a long run the oracle ends up decoding, a
 #: stream of a few lanes and an empty one.
 _MIXED_BATCH = (
@@ -760,18 +818,17 @@ class TestBatchedDecoder:
     def test_a_batch_past_the_pass_limit_splits_into_passes(self, monkeypatch):
         # Every stream weighs at least 2**16, so 17 of them are past
         # ``_BATCH_VALUES``: the call decodes in two lane passes, the first
-        # on the tagged second level for the wide one's long codes, and
-        # gathers them in order.
+        # on the wide one's 15-bit table, and gathers them in order.
         from repro.compression import huffman
 
         small = [(_LANE_CLASSES[i % len(_LANE_CLASSES)], 1 << 13) for i in range(16)]
         keys = small[:8] + [_MIXED_BATCH[0]] + small[8:]
         blobs = [_lane_stream(*key)[2] for key in keys]
-        assert _parse_stream(blobs[8])[0].max_length > huffman._SINGLE_LEVEL_BITS
+        assert _parse_stream(blobs[8])[0].max_length == _PAIR_BITS
         lane_pass, loads = huffman._lane_pass, []
 
         def counted(streams, codes):
-            loads.append(sum(max(s[1], 1 << huffman._SINGLE_LEVEL_BITS) for s in streams))
+            loads.append(sum(max(s[1], huffman._STREAM_WEIGHT) for s in streams))
             return lane_pass(streams, codes)
 
         monkeypatch.setattr(huffman, "_lane_pass", counted)
@@ -852,17 +909,17 @@ def _pair_reference(lengths: np.ndarray, width: int) -> list:
     return rows
 
 
-#: Codes whose pair tables the reference spells out, with a pair window
-#: (None: the default) and the kinds of slot each table must show: an
-#: incomplete code (its pseudo-code, 1101 to 1111, is followed by the code
-#: 10 in slot 1101), one whose 8-bit codes start a quarter of a lowered
-#: 6-bit window (so one follows the code 0 in slot 011000), and factor-2
-#: lengths, whose pairs all fill the window exactly.
+#: Codes whose pair tables the reference spells out, and the kinds of slot
+#: each table must show: an incomplete code (its pseudo-code, 1101 to 1111,
+#: is followed by the code 10 in slot 1101) and factor-2 lengths, whose
+#: pairs all fill the window exactly.
 _PAIR_CODES = {
-    "holed": ([1, 2, 4, 0], None, {"pair", "full", "pseudo"}),
-    "far": ([1, 3, 3] + [8] * 64, 6, {"pair", "full", "far"}),
-    "factor2": ([2, 2, 2, 4, 4, 4, 4], None, {"full"}),
+    "holed": ([1, 2, 4, 0], {"pair", "full", "pseudo"}),
+    "factor2": ([2, 2, 2, 4, 4, 4, 4], {"full"}),
 }
+#: 8-bit codes beside 1- and 3-bit ones: with ``_PAIR_BITS`` lowered to 6,
+#: longer than any lane table may be.
+_FAR_CODE = [1, 3, 3] + [8] * 64
 
 
 class TestPairStep:
@@ -876,26 +933,22 @@ class TestPairStep:
         return huffman._lane_tables([huffman._lane_code(np.asarray(lengths, np.uint8))], mean_bits)
 
     @pytest.mark.parametrize("name", sorted(_PAIR_CODES))
-    def test_table_against_the_canonical_codes(self, name, monkeypatch):
-        from repro.compression import huffman
-
-        lengths, window, kinds = _PAIR_CODES[name]
-        if window is not None:
-            monkeypatch.setattr(huffman, "_PAIR_BITS", window)
+    def test_table_against_the_canonical_codes(self, name):
+        lengths, kinds = _PAIR_CODES[name]
         lengths = np.array(lengths, dtype=np.uint8)
-        table, keys, _, width, pairs = self._tables(lengths)
-        assert pairs and width == min(int(lengths.max()), huffman._PAIR_BITS)
-        assert (keys is not None) == (name == "far")
+        table, width, pairs = self._tables(lengths)
+        assert pairs and width == int(lengths.max())
+        assert (table != 0).all()  # every slot advances its lane
         taken, first, second, first_len, advance = _unpack(table)
         seen = set()
         for slot, row in enumerate(_pair_reference(lengths, width)):
-            if row is None:  # a far code (look further) or the pseudo-code
-                seen.add("far" if table[slot] == 0 else "pseudo")
-                assert table[slot] == 0 or (first[slot] == -1 and taken[slot] == 1)
+            if row is None:  # the pseudo-code
+                seen.add("pseudo")
+                assert first[slot] == -1 and taken[slot] == 1
                 continue
             sym, ln, following = row
             assert (first[slot], first_len[slot]) == (sym, ln)
-            if following is None:  # what follows is far, a pseudo-code or overruns
+            if following is None:  # what follows is a pseudo-code or overruns
                 assert (taken[slot], advance[slot]) == (1, ln)
             else:
                 assert (taken[slot], second[slot]) == (2, following[0])
@@ -913,7 +966,7 @@ class TestPairStep:
         code, nvalues, total_bits, payload, _ = _parse_stream(blob)
         stream = (code, nvalues, total_bits, payload)
         tables = huffman._lane_tables([huffman._lane_code(code.lengths)], total_bits / nvalues)
-        assert tables[4] and (_unpack(tables[0])[0] == 2).any()
+        assert tables[2] and (_unpack(tables[0])[0] == 2).any()
         words, _ = huffman._lane_words([stream])
         bounds = np.append(0, np.cumsum(code.lengths[symbols].astype(np.int64)))
         starts = np.concatenate([np.zeros(600, np.int64), np.repeat(bounds[1000:1100:7], 40)])
@@ -925,11 +978,15 @@ class TestPairStep:
 
     @pytest.mark.parametrize("name", ["holed", "far"])
     def test_streams_under_the_codes_equal_the_oracle(self, name, monkeypatch):
+        # "far": codes longer than the lowered ``_PAIR_BITS`` are the
+        # oracle's; a lane table narrower than a code would spin.
         from repro.compression import huffman
 
-        lengths, window, _ = _PAIR_CODES[name]
-        if window is not None:
-            monkeypatch.setattr(huffman, "_PAIR_BITS", window)
+        if name == "far":
+            monkeypatch.setattr(huffman, "_PAIR_BITS", 6)
+            lengths = _FAR_CODE
+        else:
+            lengths = _PAIR_CODES[name][0]
         present = np.flatnonzero(lengths)
         weights = 0.5 ** np.array(lengths, dtype=np.float64)[present]
         rng = np.random.default_rng(len(name))
@@ -951,23 +1008,11 @@ class TestPairStep:
         blob = _encode_with_code(HuffmanCode(lengths, _canonical_codes(lengths)), symbols)
         code, nvalues, total_bits, payload, _ = _parse_stream(blob)
         holed = _read_header(_blob_with_lengths(np.array([1, 2, 4, 0, 0, 0], np.uint8)))[0]
-        assert self._tables(holed.lengths, total_bits / nvalues)[4]
+        assert self._tables(holed.lengths, total_bits / nvalues)[2]
         args = (holed, nvalues, total_bits, payload)
         outcome = _outcome(_decode_scalar, *args)
         assert outcome[0] == "error"
         assert _outcome(_lane_decode, *args) == outcome
-
-    def test_far_codes_next_to_pairs(self, monkeypatch):
-        # 17-bit codes beside 1-bit ones: the tagged second level and pairs
-        # in one pass.
-        from repro.compression import huffman
-
-        symbols, _, blob = _lane_stream("regime_change", 1 << 16)
-        assert _parse_stream(blob)[0].max_length > huffman._PAIR_BITS
-        tables = _record_tables(monkeypatch)
-        out = huffman_decode(blob)[0]
-        assert tables[0][4] and tables[0][1] is not None
-        assert np.array_equal(out, symbols)
 
     def test_one_batch_of_paired_and_unpaired_streams(self, monkeypatch):
         # 8-bit codes never pair in a 12-bit window; the batch's mean pairs
@@ -981,7 +1026,7 @@ class TestPairStep:
             decoded = huffman_decode_many([blobs[key] for key in order])
             for key, (out, _) in zip(order, decoded):
                 assert np.array_equal(out, _lane_stream(*key)[0]), key
-            table, _, _, width, pairs = tables[-1]
+            table, width, pairs = tables[-1]
             taken = _unpack(table)[0].reshape(len(order), 1 << width)
             assert pairs and width == 12
             for key, row in zip(order, taken):
@@ -998,7 +1043,7 @@ class TestPairStep:
 
         def skewed(words, tables, pos, end, tab, record=False):
             exits, counts, recorded = run_lanes(words, tables, pos, end, tab, record)
-            runs.append((record, tables[4], pos.size))
+            runs.append((record, tables[2], pos.size))
             if not record:
                 exits[5] += 1
             return exits, counts, recorded
@@ -1010,6 +1055,52 @@ class TestPairStep:
         assert all(pairs for _, pairs, _ in runs)
         assert [record for record, *_ in runs[:2]] == [False, True] and len(runs) >= 3
         assert runs[2][2] < runs[1][2]  # the repair re-runs the bad lanes only
+
+
+class TestLongCodesTakeTheOracle:
+    """A code longer than ``_PAIR_BITS`` (in a stream written before codes
+    were limited, or with more than 2**15 distinct symbols) never reaches
+    the lane loop, where a table slot of 0 would advance no bit and the loop
+    would never end: its stream is the oracle's, and the rest of its batch
+    keeps its lane decodes."""
+
+    def test_a_long_code_in_a_mixed_batch(self, monkeypatch):
+        from repro.compression import huffman
+
+        old = _deep_tree_symbols(20)
+        old_blob = _encode_with_code(_unlimited_code(np.bincount(old)), old)
+        assert _parse_stream(old_blob)[0].max_length == 19
+        keys = [("factor2", 1 << 13), ("near_constant", 1 << 13), ("wide_alphabet", 1 << 13)]
+        blobs = [_lane_stream(*key)[2] for key in keys]
+        lane_pass, passes = huffman._lane_pass, []
+
+        def checked(streams, codes):
+            assert all(code.max_length <= huffman._PAIR_BITS for code, *_ in streams)
+            passes.append(len(streams))
+            return lane_pass(streams, codes)
+
+        monkeypatch.setattr(huffman, "_lane_pass", checked)
+        tables = _record_tables(monkeypatch)
+        calls = TestFastPathIsThePath._count_oracle_calls(monkeypatch)
+        for k in range(len(keys) + 1):
+            decoded = huffman_decode_many(blobs[:k] + [old_blob] + blobs[k:])
+            outs = [out for out, _ in decoded]
+            assert np.array_equal(outs.pop(k), old)
+            for key, out in zip(keys, outs):
+                assert np.array_equal(out, _lane_stream(*key)[0]), key
+        assert passes == [len(keys)] * (len(keys) + 1)
+        assert [args[1] for args in calls] == [old.size] * (len(keys) + 1)
+        for table, width, _ in tables:
+            assert width <= huffman._PAIR_BITS and (table != 0).all()
+
+    def test_more_distinct_symbols_than_the_widest_table(self, monkeypatch):
+        # 32,769 symbols once each: the limit is the 16 bits that hold them.
+        symbols = np.random.default_rng(17).permutation((1 << 15) + 1)
+        blob = huffman_encode(symbols, 1 << 16)
+        assert _parse_stream(blob)[0].max_length == 16
+        calls = TestFastPathIsThePath._count_oracle_calls(monkeypatch)
+        assert np.array_equal(huffman_decode(blob)[0], symbols)
+        assert len(calls) == 1
 
 
 class TestFastPathIsThePath:
@@ -1051,7 +1142,7 @@ class TestFastPathIsThePath:
         tables = _record_tables(monkeypatch)
         self._forbid_oracle(monkeypatch)
         codec.decompress(stream)
-        assert [t[4] for t in tables] == [pairs]
+        assert [t[2] for t in tables] == [pairs]
 
     @staticmethod
     def _count_oracle_calls(monkeypatch) -> list:

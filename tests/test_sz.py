@@ -1,6 +1,7 @@
 """Tests for the SZ-style compressor: round trips, error bounds, container."""
 
 import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,9 @@ from repro.compression import SZCompressor, huffman, parse_stream_info, sz
 from repro.compression.lossless import lossless_compress, lossless_decompress
 from repro.compression.sz import DEFAULT_RADIUS
 from repro.errors import CompressionError, CorruptStreamError
+from repro.utils.bits import pack_varlen_codes
 
-from helpers import golden_field, make_smooth_field
+from helpers import golden_field, make_smooth_field, reference_build_code
 
 
 class TestRoundTrip:
@@ -208,14 +210,22 @@ class TestContainer:
 
 #: sha256 of ``SZCompressor(1e-3, "abs", lossless="none", **kw).compress``
 #: over ``golden_field(edge, dtype, seed=edge)``, recorded at the commit
-#: before the encode kernels were rewritten (d8dd7f6).  The lossless stage
-#: is left out so a different zlib build cannot move them; it wraps these
+#: before the encode kernels were rewritten (d8dd7f6).  The two 64-cubes,
+#: whose optimal codes run to 18 bits, were re-pinned when codes were
+#: limited to 15 bits (a4aaa08's digests are ``_GOLDEN_OLD_LAYOUT``); the
+#: others' codes fit and their bytes did not move.  The lossless stage is
+#: left out so a different zlib build cannot move them; it wraps these
 #: exact bytes.
 _GOLDEN = {
     (16, "float32"): "015f92c4fa209fd810b8174bdb338b3e6bfdafa8db908391479e3c8e7fcbc81d",
     (16, "float64"): "a404c64708942a050abceb6b798e6f2368aea4e796087d6a9eaa9d793ec5f19b",
     (32, "float32"): "044070922a933c7ee47d35e5752d745965619d89ad7290e94cbec475ffd8c2aa",
     (32, "float64"): "a535947ba1118ab1ffda9e18c9cee3b39ed0948629e12247942f470acc0676d1",
+    (64, "float32"): "1010aa45fab952ca4908390300f413a48811f9237d2c1a7936e1fc4b4191dda5",
+    (64, "float64"): "e63e368538d0112c67c3e16739520eb1387f2a4fd188e77bb2387e559e70d210",
+}
+#: The 64-cubes' streams as written before codes were limited.
+_GOLDEN_OLD_LAYOUT = {
     (64, "float32"): "fd6c36dfb1638dbe934e14f383c7adba57f91e31ce842d2a69aca3c2c5d886d4",
     (64, "float64"): "3b8535bd9d578f7b489a12dc05ebf0ce68665c63a25ab44d57b0e0cd7280ce19",
 }
@@ -248,12 +258,54 @@ _GOLDEN_EMPTY = {
 }
 
 
+def _with_body(stream: bytes, body: bytes, n_outliers: int | None = None) -> bytes:
+    """``stream`` (lossless "none") with ``body`` for its body and, unless
+    None, ``n_outliers`` for the header's outlier count."""
+    info = parse_stream_info(stream)
+    body_off = info.total_nbytes - info.body_nbytes
+    wrapped = lossless_compress(body, "none")
+    fields = list(sz._HEADER.unpack_from(stream, 4))
+    if n_outliers is not None:
+        fields[7] = n_outliers
+    fields[8] = len(wrapped)  # body_nbytes
+    return stream[:4] + sz._HEADER.pack(*fields) + stream[4 + sz._HEADER.size : body_off] + wrapped
+
+
+def _recoded(stream: bytes, lengths_for, flags: int = 0) -> bytes:
+    """``stream`` (lossless "none") with its Huffman stage re-encoded by
+    hand under the per-symbol lengths ``lengths_for(histogram)`` returns,
+    and ``flags`` in the table's flags byte: the bytes an encoder that
+    built that code wrote."""
+    info = parse_stream_info(stream)
+    body, _ = lossless_decompress(stream[info.total_nbytes - info.body_nbytes :])
+    symbols, used = huffman.huffman_decode(body)
+    nsymbols = huffman._parse_stream(body)[0].nsymbols
+    lengths = lengths_for(np.bincount(symbols, minlength=nsymbols)).astype(np.uint8)
+    codes = huffman._canonical_codes(lengths)
+    payload, total_bits = pack_varlen_codes(codes[symbols], lengths[symbols])
+    head = bytearray(huffman.serialize_code(huffman.HuffmanCode(lengths), symbols.size))
+    head[4] = flags
+    return _with_body(stream, bytes(head) + struct.pack("<Q", total_bits) + payload + body[used:])
+
+
+def _unlimited_lengths(freqs: np.ndarray) -> np.ndarray:
+    """The optimal code's lengths without the length limit."""
+    return reference_build_code(freqs, None)[0]
+
+
+def _fixed_lengths(freqs: np.ndarray) -> np.ndarray:
+    """The fixed-length code the encoder fell back to, before codes were
+    limited, when the optimal one ran past 48 bits: ceil(log2(#present))
+    bits for every present symbol."""
+    return np.where(freqs > 0, max(1, (int(np.count_nonzero(freqs)) - 1).bit_length()), 0)
+
+
 class TestGoldenStreams:
     """Byte-identity of the encoder, checked in seconds.
 
     The histograms of these integer-built fields are full of equal counts
-    (177 to 461 symbols, codes up to 18 bits), so a changed Huffman
-    tie-break or a misplaced packed bit moves a digest.
+    (177 to 461 symbols, codes up to 15 bits, 18 before the limit), so a
+    changed Huffman tie-break or a misplaced packed bit moves a digest.
     """
 
     @staticmethod
@@ -274,17 +326,24 @@ class TestGoldenStreams:
         assert parse_stream_info(codec.compress(data)).n_outliers == 20516
         assert self._digest(codec, data) == _GOLDEN_OUTLIERS
 
-    def test_fixed_length_fallback(self, monkeypatch):
-        # No array that fits in memory drives a Huffman code past 48 bits,
-        # so lower the cap to make this field's 15-bit code fall back.
+    def test_fixed_length_fallback(self):
+        # Before codes were limited, a code past 48 bits fell back to fixed
+        # lengths, flagged 1 in the table; this is that stream of this field
+        # (recorded with the cap lowered to 8 bits), rebuilt by hand.  The
+        # flag is not read, and the stream decodes like any other.
         data = golden_field(32, np.float32, 7)
         codec = SZCompressor(1e-3, "abs", lossless="none")
-        with monkeypatch.context() as lowered:
-            lowered.setattr("repro.compression.huffman.MAX_CODE_LEN", 8)
-            stream = codec.compress(data)
-        assert stream[stream.index(b"HUF1") + 4] == 1  # the table's fixed flag
+        stream = _recoded(codec.compress(data), _fixed_lengths, flags=1)
         assert hashlib.sha256(stream).hexdigest() == _GOLDEN_FIXED
         assert np.max(np.abs(codec.decompress(stream) - data)) <= 1e-3 * (1 + 1e-9)
+
+    @pytest.mark.parametrize(("edge", "dtype"), sorted(_GOLDEN_OLD_LAYOUT))
+    def test_old_layout_cubes(self, edge, dtype):
+        # The 18-bit codes these cubes had before the limit are the oracle's.
+        codec = SZCompressor(1e-3, "abs", lossless="none")
+        stream = _recoded(codec.compress(golden_field(edge, dtype, edge)), _unlimited_lengths)
+        assert hashlib.sha256(stream).hexdigest() == _GOLDEN_OLD_LAYOUT[edge, dtype]
+        assert self._decoded(codec, stream) == _GOLDEN_DECODED[edge, dtype]
 
     @pytest.mark.parametrize(("shape", "dtype"), sorted(_GOLDEN_EMPTY))
     def test_zero_size_arrays(self, shape, dtype):
@@ -304,32 +363,49 @@ class TestGoldenStreams:
         stream = codec.compress(golden_field(edge, dtype, edge))
         assert self._decoded(codec, stream) == _GOLDEN_DECODED[edge, dtype]
 
-    def test_decoded_outliers_and_fixed_length_fallback(self, monkeypatch):
+    def test_decoded_outliers_and_fixed_length_fallback(self):
         data = golden_field(32, np.float32, 7)
         small = SZCompressor(1e-3, "abs", radius=4, lossless="none")
         assert self._decoded(small, small.compress(data)) == _GOLDEN_DECODED_SEED7
         codec = SZCompressor(1e-3, "abs", lossless="none")
-        with monkeypatch.context() as lowered:
-            lowered.setattr("repro.compression.huffman.MAX_CODE_LEN", 8)
-            stream = codec.compress(data)
+        stream = _recoded(codec.compress(data), _fixed_lengths, flags=1)
         assert self._decoded(codec, stream) == _GOLDEN_DECODED_SEED7
 
 
 class TestGoldenLongStream:
-    """What the lane decoder returns for one 2**19-value stream with codes
-    past 16 bits (far codes on the tagged second level, beside pairs):
-    sha256 of the decoded array, recorded at b1c6fd5."""
+    """What the decoder returns for one 2**19-value stream: sha256 of the
+    decoded array, recorded at b1c6fd5, when its codes ran to 19 bits.
+    They are limited to 15 bits now, and the stream as written before
+    (``OLD_STREAM``, its sha256 at a4aaa08) decodes to the same array."""
 
     DECODED = "202f5416cbec7f6cd8df3373daf8e00bc7b2c484980075202fc63e69f2e28133"
+    OLD_STREAM = "c0968283afabfc432bdf99eea9691554df492c6629d4f4f567088590bd964bd1"
+
+    @staticmethod
+    def _compressed() -> bytes:
+        data = np.concatenate([golden_field(64, np.float32, seed) for seed in (64, 65)])
+        return SZCompressor(1e-3, "abs", lossless="none").compress(data)
+
+    def _assert_decoded(self, stream: bytes) -> None:
+        recon = np.ascontiguousarray(SZCompressor().decompress(stream))
+        assert hashlib.sha256(recon.tobytes()).hexdigest() == self.DECODED
 
     def test_decoded_digest(self):
-        data = np.concatenate([golden_field(64, np.float32, seed) for seed in (64, 65)])
-        codec = SZCompressor(1e-3, "abs", lossless="none")
-        stream = codec.compress(data)
+        stream = self._compressed()
         code, nvalues = huffman._parse_stream(stream[stream.index(b"HUF1") :])[:2]
-        assert nvalues == 1 << 19 and code.max_length > 16
-        recon = np.ascontiguousarray(codec.decompress(stream))
-        assert hashlib.sha256(recon.tobytes()).hexdigest() == self.DECODED
+        assert nvalues == 1 << 19 and code.max_length <= 15
+        self._assert_decoded(stream)
+
+    def test_old_layout_decodes_to_the_same_array(self, monkeypatch):
+        # Its 16- to 19-bit codes take the scalar oracle.
+        stream = _recoded(self._compressed(), _unlimited_lengths)
+        assert hashlib.sha256(stream).hexdigest() == self.OLD_STREAM
+        code = huffman._parse_stream(stream[stream.index(b"HUF1") :])[0]
+        assert code.max_length == 19
+        oracle, calls = huffman._decode_scalar, []
+        monkeypatch.setattr(huffman, "_decode_scalar", lambda *a: calls.append(a) or oracle(*a))
+        self._assert_decoded(stream)
+        assert len(calls) == 1
 
 
 def test_damaged_value_count_rejected(smooth3d):
@@ -350,12 +426,8 @@ def _reframe(stream: bytes, n_outliers: int, cut: int = 0) -> bytes:
     """``stream`` (lossless "none") with the header's outlier count set to
     ``n_outliers`` and ``cut`` bytes dropped from the end of its body."""
     info = parse_stream_info(stream)
-    body_off = info.total_nbytes - info.body_nbytes
-    body, _ = lossless_decompress(stream[body_off:])
-    wrapped = lossless_compress(body[: len(body) - cut], "none")
-    fields = list(sz._HEADER.unpack_from(stream, 4))
-    fields[7:9] = n_outliers, len(wrapped)  # n_outliers, body_nbytes
-    return stream[:4] + sz._HEADER.pack(*fields) + stream[4 + sz._HEADER.size : body_off] + wrapped
+    body, _ = lossless_decompress(stream[info.total_nbytes - info.body_nbytes :])
+    return _with_body(stream, body[: len(body) - cut], n_outliers)
 
 
 class TestRebuildChecks:
