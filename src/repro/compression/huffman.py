@@ -304,16 +304,27 @@ def _read_header(blob: bytes) -> tuple[HuffmanCode, int, int]:
     return HuffmanCode(lengths=lengths), nvalues, need
 
 
-def huffman_encode(symbols: np.ndarray, nsymbols: int) -> bytes:
-    """Encode ``symbols`` (ints in [0, nsymbols)) into a self-contained blob.
+def skewed(freqs: np.ndarray) -> bool:
+    """Whether the most frequent symbol holds at least half of ``freqs``.
 
-    Layout: header (magic, flags, alphabet size, value count, lengths table),
-    8-byte bit count, packed bitstream.
+    Below that share a Huffman code's redundancy over the entropy is under
+    p_max + 0.086 bit a symbol, so a general-purpose lossless pass over the
+    bitstream finds next to nothing; at or above it every symbol still costs
+    a whole bit, and the pass gains.  The SZ container wraps the bitstream
+    exactly when this holds, and the ratio model prices the wrap only then.
     """
+    n = int(freqs.sum())
+    return n > 0 and 2 * int(freqs.max()) >= n
+
+
+def huffman_encode_parts(symbols: np.ndarray, nsymbols: int) -> tuple[bytes, bytes, bool]:
+    """:func:`huffman_encode` in its two parts, ``(table, bits, skewed)``:
+    the header with its lengths table, the 8-byte bit count with the packed
+    bitstream, and :func:`skewed` of the histogram the code is built from."""
     symbols = np.ascontiguousarray(symbols, dtype=np.int64).ravel()
     lengths = np.zeros(nsymbols, dtype=np.uint8)
     if symbols.size == 0:
-        return serialize_code(HuffmanCode(lengths), 0) + struct.pack("<Q", 0)
+        return serialize_code(HuffmanCode(lengths), 0), struct.pack("<Q", 0), False
     # One pass checks both ends: a negative symbol is huge when unsigned.
     if int(symbols.view(np.uint64).max()) >= nsymbols:
         raise ValueError("symbol out of alphabet range")
@@ -326,11 +337,32 @@ def huffman_encode(symbols: np.ndarray, nsymbols: int) -> bytes:
     if symbols.size >= lo:
         lo = 0
     window = symbols - lo if lo else symbols
-    code = _build(np.bincount(window))
+    freqs = np.bincount(window)
+    code = _build(freqs)
     lengths[lo : lo + code.nsymbols] = code.lengths
-    head = serialize_code(HuffmanCode(lengths), symbols.size)
+    table = serialize_code(HuffmanCode(lengths), symbols.size)
     payload, total_bits = pack_varlen_codes(code.codes[window], code.lengths[window])
-    return head + struct.pack("<Q", total_bits) + payload
+    return table, struct.pack("<Q", total_bits) + payload, skewed(freqs)
+
+
+def huffman_encode(symbols: np.ndarray, nsymbols: int) -> bytes:
+    """Encode ``symbols`` (ints in [0, nsymbols)) into a self-contained blob.
+
+    Layout: header (magic, flags, alphabet size, value count, lengths table),
+    8-byte bit count, packed bitstream.
+    """
+    table, bits, _ = huffman_encode_parts(symbols, nsymbols)
+    return table + bits
+
+
+def table_nbytes(blob: bytes) -> int:
+    """Bytes of the code table (header and lengths) that starts ``blob``."""
+    if len(blob) < _HDR.size:
+        raise CorruptStreamError("huffman header truncated")
+    need = _HDR.size + _HDR.unpack_from(blob, 0)[2]
+    if len(blob) < need:
+        raise CorruptStreamError("huffman length table truncated")
+    return need
 
 
 def _build_decode_tables(

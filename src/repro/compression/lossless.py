@@ -1,7 +1,13 @@
 """Byte-level lossless backends for the final SZ stage.
 
 SZ applies a general-purpose lossless compressor (zstd/gzip) after Huffman
-coding.  We provide three interchangeable backends behind a one-byte tag:
+coding.  Here the SZ container (:mod:`repro.compression.sz`) hands it what
+it can shrink: the Huffman code table (a length byte per alphabet symbol,
+nearly all zero) and the outlier values.  The Huffman bitstream is wrapped
+too only when one symbol holds at least half the partition
+(:func:`repro.compression.huffman.skewed`); otherwise it is stored as it is,
+since a general-purpose pass gains next to nothing on it.  We provide three
+interchangeable backends behind a one-byte tag:
 
 ``zlib``
     The stdlib DEFLATE implementation (default; closest to SZ's behaviour).

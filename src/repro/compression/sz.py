@@ -8,6 +8,7 @@ Pipeline (compression)::
               └─ symbolization  s = d + radius, outliers → ESC  (exact)
                   └─ Huffman over s                             (exact)
                       └─ lossless backend (zlib / rle / none)   (exact)
+                         over the code table and the outliers
 
 The encoder allocates each partition-sized intermediate once and drops it
 as soon as the next stage has its input: the quantizer divides into one
@@ -35,14 +36,30 @@ pins compression throughput at its *lower* bound, while near-degenerate
 symbol distributions at huge error bounds pin the *upper* bound (paper Fig. 5
 discussion).
 
-Stream container layout (little-endian)::
+Stream container layout (little-endian), version 1::
 
     magic  "SZR1"                      4 bytes
     header                             fixed struct (see _HEADER)
     shape                              ndim * uint64
-    lossless-wrapped body:
-        huffman blob  (table + bitstream)
-        outlier values (int64 * n_outliers)
+    body (body_nbytes):
+        lossless-wrapped part (wrapped_nbytes):
+            huffman code table (header + one length byte per symbol)
+            [huffman bit count + bitstream, when skewed]
+            outlier values (int64 * n_outliers)
+        raw part, unless skewed:
+            huffman bit count (uint64) + bitstream
+
+The header's version byte is 1; its last two fields are ``wrapped_nbytes``
+and the CRC32 of the raw part, which the read checks before the Huffman
+stage sees a bit.  The lossless pass crushes the code table (65,537 length
+bytes at the default radius, nearly all zero) but gains next to nothing on
+a Huffman bitstream, so the bitstream stays outside the wrap, except where
+:func:`repro.compression.huffman.skewed` holds: when one symbol is at
+least half the partition (near-degenerate data at a large error bound)
+the code spends a whole bit where the data needs less, and the pass over
+the bitstream gains.  Version 0 streams (version byte 0, last two fields
+0) wrap the whole body: table, bitstream and outliers; they still decode.
+Either way the read rebuilds that version 0 body before the Huffman stage.
 
 The container is self-describing: :func:`parse_stream_info` recovers sizes
 and parameters without decompressing, which the benchmark harness uses.
@@ -51,21 +68,24 @@ and parameters without decompressing, which the benchmark harness uses.
 from __future__ import annotations
 
 import struct
+import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.huffman import huffman_decode_many, huffman_encode
+from repro.compression.huffman import huffman_decode_many, huffman_encode_parts, table_nbytes
 from repro.compression.lossless import lossless_compress, lossless_decompress
 from repro.compression.predictors import LorenzoPredictor, lorenzo_integrate
 from repro.compression.quantizer import LinearQuantizer, QuantizerSpec
 from repro.errors import CompressionError, CorruptStreamError
 
 _MAGIC = b"SZR1"
-# dtype char, ndim, mode char, reserved, abs_bound, requested_bound,
-# radius, n_outliers, body_nbytes
-_HEADER = struct.Struct("<ccccdd4sQQQ")
+# dtype char, ndim, mode char, version, abs_bound, requested_bound,
+# radius, n_outliers, body_nbytes, wrapped_nbytes, raw part's CRC32
+_HEADER = struct.Struct("<ccccdd4sQQII")
+#: The layout :meth:`SZCompressor.compress` writes; every version up to it reads.
+_VERSION = 1
 
 _DTYPE_TAGS = {np.dtype(np.float32): b"f", np.dtype(np.float64): b"d"}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
@@ -90,6 +110,12 @@ class SZStreamInfo:
     n_outliers: int
     body_nbytes: int
     total_nbytes: int
+    #: container layout: 0 wraps the whole body, 1 leaves the bitstream raw
+    version: int
+    #: leading body bytes inside the lossless wrap (all of a version 0 body)
+    wrapped_nbytes: int
+    #: CRC32 of the body bytes after the wrap (0 when there are none)
+    raw_crc32: int
 
     @property
     def n_values(self) -> int:
@@ -170,23 +196,29 @@ class SZCompressor:
         # Nothing keeps the codes once the deltas exist.
         d = self.predictor.forward(self.quantizer.quantize(data, spec))
         symbols, outliers = self._symbolize(d)
-        huff = huffman_encode(symbols, 2 * self.radius + 1)
-        body = huff + outliers.astype("<i8").tobytes()
-        wrapped = lossless_compress(body, self.lossless, self.lossless_level)
+        table, bits, skewed = huffman_encode_parts(symbols, 2 * self.radius + 1)
+        if skewed:  # the lossless pass still gains on this bitstream
+            table, bits = table + bits, b""
+        wrapped = lossless_compress(
+            table + outliers.astype("<i8").tobytes(), self.lossless, self.lossless_level
+        )
+        if len(wrapped) >> 32:
+            raise CompressionError("the lossless-wrapped part exceeds 4 GiB")
         header = _HEADER.pack(
             _DTYPE_TAGS[data.dtype],
             bytes((data.ndim,)),
             _MODE_TAGS[spec.mode],
-            b"\x00",
+            bytes((_VERSION,)),
             spec.abs_bound,
             spec.requested_bound,
             struct.pack("<I", self.radius),
             len(outliers),
+            len(wrapped) + len(bits),
             len(wrapped),
-            0,
+            zlib.crc32(bits),
         )
         shape_blob = np.asarray(data.shape, dtype="<u8").tobytes()
-        return _MAGIC + header + shape_blob + wrapped
+        return b"".join((_MAGIC, header, shape_blob, wrapped, bits))
 
     def decompress(self, stream: bytes) -> np.ndarray:
         """Reconstruct the array from a stream built by :meth:`compress`."""
@@ -200,7 +232,7 @@ class SZCompressor:
         for stream in streams:
             info, body_off = _parse_header(stream)
             infos.append(info)
-            bodies.append(lossless_decompress(stream[body_off : body_off + info.body_nbytes])[0])
+            bodies.append(_body(stream, info, body_off))
         decoded = huffman_decode_many(bodies)
         return [
             self._rebuild(info, body, symbols, consumed)
@@ -260,6 +292,21 @@ class SZCompressor:
         return flat, outliers
 
 
+def _body(stream: bytes, info: SZStreamInfo, body_off: int) -> bytes:
+    """The stream's body in the version 0 layout: the Huffman blob (code
+    table, bit count, bitstream), then the outlier values.  A version 1
+    raw part is checked against its CRC32 before anything is unwrapped."""
+    split = body_off + info.wrapped_nbytes
+    raw = memoryview(stream)[split : body_off + info.body_nbytes]
+    if zlib.crc32(raw) != info.raw_crc32:
+        raise CorruptStreamError("sz bitstream checksum mismatch")
+    wrapped = lossless_decompress(stream[body_off:split])[0]
+    if not raw:
+        return wrapped
+    table = table_nbytes(wrapped)
+    return b"".join((wrapped[:table], raw, wrapped[table:]))
+
+
 def _parse_header(stream: bytes) -> tuple[SZStreamInfo, int]:
     """Parse the container header; returns (info, body offset)."""
     if len(stream) < 4 + _HEADER.size:
@@ -270,19 +317,28 @@ def _parse_header(stream: bytes) -> tuple[SZStreamInfo, int]:
         dtag,
         ndim_b,
         mtag,
-        _reserved,
+        version_b,
         abs_bound,
         req_bound,
         radius_blob,
         n_outliers,
         body_nbytes,
-        _zero,
+        wrapped_nbytes,
+        raw_crc32,
     ) = _HEADER.unpack_from(stream, 4)
-    ndim = ndim_b[0]
+    ndim, version = ndim_b[0], version_b[0]
     if dtag not in _TAG_DTYPES:
         raise CorruptStreamError(f"unknown dtype tag {dtag!r}")
     if mtag not in _TAG_MODES:
         raise CorruptStreamError(f"unknown mode tag {mtag!r}")
+    if version > _VERSION:
+        raise CorruptStreamError(f"unknown sz layout version {version}")
+    if version == 0:
+        if wrapped_nbytes or raw_crc32:
+            raise CorruptStreamError("sz version 0 header has a nonzero trailing field")
+        wrapped_nbytes = body_nbytes
+    elif wrapped_nbytes > body_nbytes:
+        raise CorruptStreamError("sz wrapped length exceeds the body")
     (radius,) = struct.unpack("<I", radius_blob)
     shape_off = 4 + _HEADER.size
     shape_end = shape_off + 8 * ndim
@@ -299,6 +355,9 @@ def _parse_header(stream: bytes) -> tuple[SZStreamInfo, int]:
         n_outliers=int(n_outliers),
         body_nbytes=int(body_nbytes),
         total_nbytes=shape_end + int(body_nbytes),
+        version=version,
+        wrapped_nbytes=int(wrapped_nbytes),
+        raw_crc32=int(raw_crc32),
     )
     if len(stream) < info.total_nbytes:
         raise CorruptStreamError("sz stream truncated (body)")

@@ -12,7 +12,11 @@ the paper leans on (Section III-B): from a small sample of blocks,
    weak part: "the compression-ratio model is based on run-length encoding
    to analyze the lossless encoding efficiency, which naturally features
    lower estimation accuracy" — our default estimator is the same RLE
-   analysis and inherits the same failure mode at extreme ratios);
+   analysis and inherits the same failure mode at extreme ratios).  The
+   SZ container wraps the bitstream only when the histogram is
+   :func:`~repro.compression.huffman.skewed` (one symbol is at least half
+   of it); otherwise the bitstream is stored as it is, and a factor of 1.0
+   is exact, so the analysis runs only on a skewed sampled histogram;
 3. add the outlier (unpredictable-value) payload and container overhead.
 
 The alternative ``"zlib-sample"`` estimator compresses the sampled stream
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.huffman import build_code
+from repro.compression.huffman import build_code, skewed
 from repro.compression.lossless import _rle_nbytes
 from repro.compression.sz import SZCompressor
 from repro.errors import ModelingError
@@ -131,7 +135,9 @@ class RatioQualityModel:
         code = build_code(stats.symbol_counts)
         n_unique = stats.n_unique_symbols  # a count over the whole alphabet
         huff_bits = code.mean_length(stats.symbol_counts)
-        lossless_factor = self._estimate_lossless_factor(stats, code)
+        lossless_factor = 1.0
+        if skewed(stats.symbol_counts):
+            lossless_factor = self._estimate_lossless_factor(stats, code)
         outlier_bits = stats.outlier_fraction * 64.0
         # The serialized code table is a lengths byte per alphabet symbol,
         # but the final lossless pass crushes its long zero runs; what

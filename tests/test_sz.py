@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.compression import SZCompressor, huffman, parse_stream_info, sz
 from repro.compression.lossless import lossless_compress, lossless_decompress
 from repro.compression.sz import DEFAULT_RADIUS
+from repro.data.nyx import NyxGenerator
 from repro.errors import CompressionError, CorruptStreamError
 from repro.utils.bits import pack_varlen_codes
 
@@ -209,14 +210,26 @@ class TestContainer:
 
 
 #: sha256 of ``SZCompressor(1e-3, "abs", lossless="none", **kw).compress``
-#: over ``golden_field(edge, dtype, seed=edge)``, recorded at the commit
-#: before the encode kernels were rewritten (d8dd7f6).  The two 64-cubes,
-#: whose optimal codes run to 18 bits, were re-pinned when codes were
-#: limited to 15 bits (a4aaa08's digests are ``_GOLDEN_OLD_LAYOUT``); the
-#: others' codes fit and their bytes did not move.  The lossless stage is
-#: left out so a different zlib build cannot move them; it wraps these
-#: exact bytes.
+#: over ``golden_field(edge, dtype, seed=edge)`` in the version 1 layout
+#: (code table and outliers wrapped, bitstream raw), recorded when that
+#: layout was introduced.  The lossless stage is left out so a different
+#: zlib build cannot move them; it wraps the same bytes.
 _GOLDEN = {
+    (16, "float32"): "697b2deae1a635f50e4d75d8419660a115d0acce89476cd146f7544b37a19135",
+    (16, "float64"): "871a2c3a29005073bac3c682d21cdfe6b6ce3725d1a82a9ac51e38ac50b5f98f",
+    (32, "float32"): "5e47596f41067c31a7d327510a17d31be199d33f4fb8e0b3b734beb46de1bfe8",
+    (32, "float64"): "953f5a12988a8f151b6f064dbd79cbd81a2bd1fd990aade43511225dc6d3be01",
+    (64, "float32"): "c62340c40117c27ed9b92fb1dbcc22b26e76a6fd23591083a27df91d342bbfce",
+    (64, "float64"): "122d67e6dcfac755d2bfd7fcf5fb7c6d2636a52232f2c65169602f1eb30be6c6",
+}
+_GOLDEN_OUTLIERS = "d8e05dd34d6b249923cb93363f73455386e7adc5b5d753d7116b188f6fd4b345"
+
+#: The same streams in the version 0 layout (the whole body wrapped), as
+#: :func:`_as_v0` rebuilds them: recorded at the commit before the encode
+#: kernels were rewritten (d8dd7f6), the two 64-cubes, whose optimal codes
+#: run to 18 bits, re-pinned when codes were limited to 15 bits (a4aaa08's
+#: digests are ``_GOLDEN_OLD_LAYOUT``).
+_GOLDEN_V0 = {
     (16, "float32"): "015f92c4fa209fd810b8174bdb338b3e6bfdafa8db908391479e3c8e7fcbc81d",
     (16, "float64"): "a404c64708942a050abceb6b798e6f2368aea4e796087d6a9eaa9d793ec5f19b",
     (32, "float32"): "044070922a933c7ee47d35e5752d745965619d89ad7290e94cbec475ffd8c2aa",
@@ -224,12 +237,12 @@ _GOLDEN = {
     (64, "float32"): "1010aa45fab952ca4908390300f413a48811f9237d2c1a7936e1fc4b4191dda5",
     (64, "float64"): "e63e368538d0112c67c3e16739520eb1387f2a4fd188e77bb2387e559e70d210",
 }
-#: The 64-cubes' streams as written before codes were limited.
+#: The 64-cubes' version 0 streams as written before codes were limited.
 _GOLDEN_OLD_LAYOUT = {
     (64, "float32"): "fd6c36dfb1638dbe934e14f383c7adba57f91e31ce842d2a69aca3c2c5d886d4",
     (64, "float64"): "3b8535bd9d578f7b489a12dc05ebf0ce68665c63a25ab44d57b0e0cd7280ce19",
 }
-_GOLDEN_OUTLIERS = "c8bd15f9cdf025e016482dc4b95f091d4998361a4385040993c52d8acccaea80"
+_GOLDEN_OUTLIERS_V0 = "c8bd15f9cdf025e016482dc4b95f091d4998361a4385040993c52d8acccaea80"
 _GOLDEN_FIXED = "0ee43965452dea1057072549cdde0679a20c7dd8b1e150a55e562febf609115a"
 
 #: sha256 of the bytes of the array ``decompress`` returns for each of those
@@ -245,10 +258,19 @@ _GOLDEN_DECODED = {
 #: the outlier and fixed-length streams hold the same field: one decode.
 _GOLDEN_DECODED_SEED7 = "1587ac9180226b70bb268a66f067b5d48c739fb00d2de7e894969a2b2889f04e"
 
-#: sha256 of ``compress`` on zero-size arrays (lossless "none"), recorded at
-#: 2966b4a.  ``RatioQualityModel.predict`` takes these exact bytes as the
-#: size of an empty rank share.
+#: sha256 of ``compress`` on zero-size arrays (lossless "none") in the
+#: version 1 layout.  ``RatioQualityModel.predict`` takes these exact bytes
+#: as the size of an empty rank share.
 _GOLDEN_EMPTY = {
+    ((0,), "float32"): "732de3005f0c2b7a2d94a7507604b93584c3d0b38b29650269c104552b99f7d9",
+    ((0,), "float64"): "13c8eaaa1934365b2ba6384e84536543c6f4f2c077b4cf0ef4230f1155166716",
+    ((0, 4), "float32"): "aaf35a07a259f7178431aad3fbfb3243be2d7beb1724c126d7d20935f282392b",
+    ((0, 4), "float64"): "f27f1e5aef37dc32f303f2af74be689fbf0a4827b198b772dc4bad1ed26b8592",
+    ((4, 0, 3), "float32"): "c47257415ac502964c1c23562aa348edc1eb46ed7774c4611f53bada114186ee",
+    ((4, 0, 3), "float64"): "3bfdab40865564dd93bf358b9b9b5218856c21f1178aade6200ced4cc1be3265",
+}
+#: The same in the version 0 layout, recorded at 2966b4a.
+_GOLDEN_EMPTY_V0 = {
     ((0,), "float32"): "a6247a9cd6e6de5cb568984d7641a1aa4d77a8aa69f0925f431344c4a553d343",
     ((0,), "float64"): "54e2f9b23c7dc4fbabcfe6b16008f9b7516a03c3a050057595e7209c512c8475",
     ((0, 4), "float32"): "a2bbeddd891c9a4c2083388d5557c23774838ac61d4ce8f67942cb6de6711baf",
@@ -258,26 +280,40 @@ _GOLDEN_EMPTY = {
 }
 
 
+def _v0_body(stream: bytes) -> bytes:
+    """The body of ``stream``, of either layout, as version 0 stores it
+    inside the wrap: Huffman table, bit count, bitstream, outliers."""
+    info, body_off = sz._parse_header(stream)
+    return sz._body(stream, info, body_off)
+
+
 def _with_body(stream: bytes, body: bytes, n_outliers: int | None = None) -> bytes:
-    """``stream`` (lossless "none") with ``body`` for its body and, unless
-    None, ``n_outliers`` for the header's outlier count."""
+    """``stream`` in the version 0 layout (lossless "none"), with ``body``
+    for its body and, unless None, ``n_outliers`` for the header's outlier
+    count: the bytes the version 0 encoder wrote for that body."""
     info = parse_stream_info(stream)
     body_off = info.total_nbytes - info.body_nbytes
     wrapped = lossless_compress(body, "none")
     fields = list(sz._HEADER.unpack_from(stream, 4))
     if n_outliers is not None:
         fields[7] = n_outliers
+    fields[3] = b"\x00"  # version
     fields[8] = len(wrapped)  # body_nbytes
+    fields[9] = fields[10] = 0  # the trailing u64
     return stream[:4] + sz._HEADER.pack(*fields) + stream[4 + sz._HEADER.size : body_off] + wrapped
+
+
+def _as_v0(stream: bytes) -> bytes:
+    """``stream`` (lossless "none") as the version 0 encoder wrote it."""
+    return _with_body(stream, _v0_body(stream))
 
 
 def _recoded(stream: bytes, lengths_for, flags: int = 0) -> bytes:
     """``stream`` (lossless "none") with its Huffman stage re-encoded by
     hand under the per-symbol lengths ``lengths_for(histogram)`` returns,
-    and ``flags`` in the table's flags byte: the bytes an encoder that
-    built that code wrote."""
-    info = parse_stream_info(stream)
-    body, _ = lossless_decompress(stream[info.total_nbytes - info.body_nbytes :])
+    and ``flags`` in the table's flags byte: the version 0 bytes an
+    encoder that built that code wrote."""
+    body = _v0_body(stream)
     symbols, used = huffman.huffman_decode(body)
     nsymbols = huffman._parse_stream(body)[0].nsymbols
     lengths = lengths_for(np.bincount(symbols, minlength=nsymbols)).astype(np.uint8)
@@ -320,11 +356,24 @@ class TestGoldenStreams:
         codec = SZCompressor(1e-3, "abs", lossless="none")
         assert self._digest(codec, golden_field(edge, dtype, edge)) == _GOLDEN[edge, dtype]
 
+    @pytest.mark.parametrize(("edge", "dtype"), sorted(_GOLDEN_V0))
+    def test_v0_cubes(self, edge, dtype):
+        # Version 0 streams of the same fields read by the version 0 path.
+        codec = SZCompressor(1e-3, "abs", lossless="none")
+        stream = _as_v0(codec.compress(golden_field(edge, dtype, edge)))
+        assert hashlib.sha256(stream).hexdigest() == _GOLDEN_V0[edge, dtype]
+        assert parse_stream_info(stream).version == 0
+        assert self._decoded(codec, stream) == _GOLDEN_DECODED[edge, dtype]
+
     def test_outliers_forced_by_a_small_radius(self):
         codec = SZCompressor(1e-3, "abs", radius=4, lossless="none")
         data = golden_field(32, np.float32, 7)
-        assert parse_stream_info(codec.compress(data)).n_outliers == 20516
+        stream = codec.compress(data)
+        assert parse_stream_info(stream).n_outliers == 20516
         assert self._digest(codec, data) == _GOLDEN_OUTLIERS
+        v0 = _as_v0(stream)
+        assert hashlib.sha256(v0).hexdigest() == _GOLDEN_OUTLIERS_V0
+        assert self._decoded(codec, v0) == _GOLDEN_DECODED_SEED7
 
     def test_fixed_length_fallback(self):
         # Before codes were limited, a code past 48 bits fell back to fixed
@@ -350,8 +399,11 @@ class TestGoldenStreams:
         codec = SZCompressor(1e-3, "abs", lossless="none")
         stream = codec.compress(np.zeros(shape, dtype))
         assert hashlib.sha256(stream).hexdigest() == _GOLDEN_EMPTY[shape, dtype]
-        recon = codec.decompress(stream)
-        assert recon.shape == shape and recon.dtype == np.dtype(dtype)
+        v0 = _as_v0(stream)
+        assert hashlib.sha256(v0).hexdigest() == _GOLDEN_EMPTY_V0[shape, dtype]
+        for s in (stream, v0):
+            recon = codec.decompress(s)
+            assert recon.shape == shape and recon.dtype == np.dtype(dtype)
 
     @staticmethod
     def _decoded(codec: SZCompressor, stream: bytes) -> str:
@@ -376,7 +428,8 @@ class TestGoldenLongStream:
     """What the decoder returns for one 2**19-value stream: sha256 of the
     decoded array, recorded at b1c6fd5, when its codes ran to 19 bits.
     They are limited to 15 bits now, and the stream as written before
-    (``OLD_STREAM``, its sha256 at a4aaa08) decodes to the same array."""
+    (``OLD_STREAM``, its sha256 at a4aaa08, in the version 0 layout)
+    decodes to the same array."""
 
     DECODED = "202f5416cbec7f6cd8df3373daf8e00bc7b2c484980075202fc63e69f2e28133"
     OLD_STREAM = "c0968283afabfc432bdf99eea9691554df492c6629d4f4f567088590bd964bd1"
@@ -423,11 +476,20 @@ def test_damaged_value_count_rejected(smooth3d):
 
 
 def _reframe(stream: bytes, n_outliers: int, cut: int = 0) -> bytes:
-    """``stream`` (lossless "none") with the header's outlier count set to
-    ``n_outliers`` and ``cut`` bytes dropped from the end of its body."""
-    info = parse_stream_info(stream)
-    body, _ = lossless_decompress(stream[info.total_nbytes - info.body_nbytes :])
-    return _with_body(stream, body[: len(body) - cut], n_outliers)
+    """``stream`` (version 1, lossless "none") with the header's outlier
+    count set to ``n_outliers`` and ``cut`` bytes dropped from the end of
+    its wrapped part (the outliers); the raw part and its CRC stay."""
+    info, body_off = sz._parse_header(stream)
+    split = body_off + info.wrapped_nbytes
+    inner, _ = lossless_decompress(stream[body_off:split])
+    wrapped = lossless_compress(inner[: len(inner) - cut], "none")
+    raw = stream[split:]
+    fields = list(sz._HEADER.unpack_from(stream, 4))
+    fields[7] = n_outliers
+    fields[8] = len(wrapped) + len(raw)  # body_nbytes
+    fields[9] = len(wrapped)  # wrapped_nbytes
+    head = stream[:4] + sz._HEADER.pack(*fields) + stream[4 + sz._HEADER.size : body_off]
+    return head + wrapped + raw
 
 
 class TestRebuildChecks:
@@ -474,6 +536,114 @@ class TestRebuildChecks:
         bad_symbols = [(got, kept) for got, kept in handed if got.size in (n, n - 1)]
         assert len(bad_symbols) == len(good) + 2
         assert all(np.array_equal(got, kept) for got, kept in bad_symbols)
+
+
+class TestLayoutChecks:
+    """The version byte and the trailing fields are read: each damage
+    raises its own message, alone and at every position of a batch, before
+    the batch's lane pass."""
+
+    @staticmethod
+    def _damaged(damage: str) -> bytes:
+        codec = SZCompressor(1e-3, "abs")
+        stream = codec.compress(make_smooth_field((16, 16, 32), noise=0.1, seed=5))
+        info, body_off = sz._parse_header(stream)
+        assert info.version == 1 and info.wrapped_nbytes < info.body_nbytes
+        fields = list(sz._HEADER.unpack_from(stream, 4))
+        if damage == "unknown sz layout version":
+            fields[3] = b"\x02"
+        elif damage == "wrapped length exceeds":
+            fields[9] = info.body_nbytes + 1
+        elif damage == "checksum mismatch":  # one bit of the raw bitstream
+            flipped = bytearray(stream)
+            flipped[-20] ^= 0x10
+            return bytes(flipped)
+        else:  # a version 0 stream whose trailing u64 is not 0
+            stream = _as_v0(stream)
+            fields = list(sz._HEADER.unpack_from(stream, 4))
+            fields[10] = 1
+        return stream[:4] + sz._HEADER.pack(*fields) + stream[4 + sz._HEADER.size :]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "unknown sz layout version",
+            "wrapped length exceeds",
+            "checksum mismatch",
+            "version 0 header has a nonzero trailing field",
+        ],
+    )
+    def test_raises_alone_and_in_a_batch(self, damage, monkeypatch):
+        bad = self._damaged(damage)
+        codec = SZCompressor()
+        good = [codec.compress(make_smooth_field((8, 16, 16), seed=seed)) for seed in range(2)]
+        expected = [a.tobytes() for a in codec.decompress_many(good)]
+        passes = []
+        monkeypatch.setattr(sz, "huffman_decode_many", lambda bodies: passes.append(bodies))
+        with pytest.raises(CorruptStreamError, match=damage):
+            codec.decompress(bad)
+        for k in range(len(good) + 1):
+            with pytest.raises(CorruptStreamError, match=damage):
+                codec.decompress_many(good[:k] + [bad] + good[k:])
+        assert passes == []
+        monkeypatch.undo()
+        assert [a.tobytes() for a in codec.decompress_many(good)] == expected
+
+    def test_a_wrapped_part_past_4_gib_is_refused(self, monkeypatch):
+        # The header stores its length in 32 bits.
+        class Huge(bytes):
+            def __len__(self):
+                return 1 << 32
+
+        monkeypatch.setattr(sz, "lossless_compress", lambda *args: Huge())
+        with pytest.raises(CompressionError, match="exceeds 4 GiB"):
+            SZCompressor().compress(make_smooth_field((8, 8, 8)))
+
+    def test_every_flipped_byte_of_the_raw_part_is_caught(self):
+        codec = SZCompressor(1e-3, "abs")
+        stream = codec.compress(make_smooth_field((16, 16, 32), noise=0.1, seed=5))
+        info = parse_stream_info(stream)
+        for at in range(info.total_nbytes - info.body_nbytes + info.wrapped_nbytes, len(stream)):
+            flipped = bytearray(stream)
+            flipped[at] ^= 1 << (at % 8)
+            with pytest.raises(CorruptStreamError, match="checksum mismatch"):
+                codec.decompress(bytes(flipped))
+
+
+class TestSkewRule:
+    """The bitstream is wrapped exactly when one symbol holds at least half
+    of the partition (``huffman.skewed``)."""
+
+    def test_a_skewed_field_keeps_its_ratio(self):
+        # At a 10x bound most deltas are 0: below one bit a value, which no
+        # Huffman bitstream reaches alone (ratio 32 for float32).
+        g = NyxGenerator((48, 48, 48), seed=12)
+        data = g.field("baryon_density")
+        codec = SZCompressor(bound=10 * g.error_bound("baryon_density"), mode="abs")
+        stream = codec.compress(data)
+        info = parse_stream_info(stream)
+        assert info.wrapped_nbytes == info.body_nbytes
+        assert data.nbytes / len(stream) > 32
+        assert np.max(np.abs(codec.decompress(stream) - data)) <= codec.max_error() * (1 + 1e-9)
+
+    def test_a_spread_stream_carries_its_bitstream_verbatim(self):
+        # Radius 256 escapes 502 deltas: outliers inside the wrap too.
+        codec = SZCompressor(1e-3, "abs", radius=256)
+        stream = codec.compress(make_smooth_field((16, 16, 32), noise=0.1, seed=5))
+        info, body_off = sz._parse_header(stream)
+        assert info.n_outliers == 502
+        symbols, _ = huffman.huffman_decode(_v0_body(stream))
+        assert not huffman.skewed(np.bincount(symbols))
+        table, bits, skewed = huffman.huffman_encode_parts(symbols, 2 * 256 + 1)
+        assert not skewed
+        assert stream[body_off + info.wrapped_nbytes :] == bits
+        inner, _ = lossless_decompress(stream[body_off : body_off + info.wrapped_nbytes])
+        assert inner[: len(table)] == table and len(inner) == len(table) + 8 * 502
+
+    def test_the_rule_is_half(self):
+        assert huffman.skewed(np.array([0, 5, 5]))
+        assert not huffman.skewed(np.array([4, 5, 2]))
+        assert not huffman.skewed(np.zeros(3, dtype=np.int64))
 
 
 class TestDecodeBuffers:
