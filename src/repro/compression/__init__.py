@@ -12,7 +12,7 @@ prediction-based compression pipeline the paper builds on (SZ/SZ3):
 ``huffman``
     Capped canonical Huffman coding with table-driven decoding.
 ``lossless``
-    Byte-level lossless backends applied after entropy coding (zlib / RLE /
+    Byte-level lossless backends applied after entropy coding (zlib /
     identity), mirroring SZ's final lossless stage.
 ``sz``
     The full :class:`~repro.compression.sz.SZCompressor` pipeline and its

@@ -7,7 +7,7 @@ Pipeline (compression)::
           └─ Lorenzo forward  deltas d                          (exact)
               └─ symbolization  s = d + radius, outliers → ESC  (exact)
                   └─ Huffman over s                             (exact)
-                      └─ lossless backend (zlib / rle / none)   (exact)
+                      └─ lossless backend (zlib / none)         (exact)
                          over the code table and the outliers
 
 The encoder allocates each partition-sized intermediate once and drops it
@@ -156,10 +156,12 @@ class SZCompressor:
         escaped to the outlier stream.  The symbol alphabet has
         ``2 * radius + 1`` entries (the extra one is the escape symbol).
     lossless:
-        Final lossless backend: ``"zlib"`` (default), ``"rle"`` or ``"none"``.
-    lossless_level:
-        zlib compression level when the zlib backend is active.
+        Final lossless backend: ``"zlib"`` (default) or ``"none"``.
     """
+
+    #: zlib level of the lossless pass; a constant, read by
+    #: ``perfbench/layers.py``.
+    lossless_level = 1
 
     def __init__(
         self,
@@ -167,7 +169,6 @@ class SZCompressor:
         mode: str = "rel",
         radius: int = DEFAULT_RADIUS,
         lossless: str = "zlib",
-        lossless_level: int = 1,
     ) -> None:
         if radius < 2:
             raise CompressionError("radius must be >= 2")
@@ -175,7 +176,6 @@ class SZCompressor:
         self.predictor = LorenzoPredictor()
         self.radius = int(radius)
         self.lossless = lossless
-        self.lossless_level = int(lossless_level)
 
     # -- public API ---------------------------------------------------------
 

@@ -109,27 +109,20 @@ class Workload:
 
 
 def _measure_partition(
-    data: np.ndarray,
-    field: str,
-    rank: int,
-    codec: SZCompressor,
-    sample_fraction: float,
-    lossless_estimator: str,
+    data: np.ndarray, field: str, rank: int, codec: SZCompressor
 ) -> FieldPartitionStats:
     """Compress one partition for real and predict its size."""
     stream = codec.compress(data)
     info = parse_stream_info(stream)
-    model = RatioQualityModel(
-        codec, fraction=sample_fraction, lossless_estimator=lossless_estimator
-    )
     sampled = sample_partition_stats(
         data,
         bound=codec.quantizer.requested_bound,
         mode=codec.quantizer.mode,
         radius=codec.radius,
-        fraction=sample_fraction,
     )
-    pred = model.predict_from_stats(sampled, bytes_per_value=data.dtype.itemsize)
+    pred = RatioQualityModel(codec).predict_from_stats(
+        sampled, bytes_per_value=data.dtype.itemsize
+    )
     return FieldPartitionStats(
         field=field,
         rank=rank,
@@ -149,8 +142,6 @@ def build_workload(
     n_particles: int = 1 << 20,
     bound_scale: float = 1.0,
     seed: int | None = None,
-    sample_fraction: float = 0.05,
-    lossless_estimator: str = "rle",
     include_particles: bool = False,
     growth: float = 1.0,
 ) -> Workload:
@@ -177,14 +168,7 @@ def build_workload(
         bound = gen.error_bound(field) * bound_scale
         codec = SZCompressor(bound=bound, mode=mode)
         row = tuple(
-            _measure_partition(
-                np.ascontiguousarray(p.extract(global_field)),
-                field,
-                p.rank,
-                codec,
-                sample_fraction,
-                lossless_estimator,
-            )
+            _measure_partition(np.ascontiguousarray(p.extract(global_field)), field, p.rank, codec)
             for p in parts
         )
         rows.append(row)
@@ -197,8 +181,6 @@ def workload_from_arrays(
     per_rank_fields: list[dict[str, np.ndarray]],
     codecs: dict,
     name: str = "arrays",
-    sample_fraction: float = 0.05,
-    lossless_estimator: str = "rle",
 ) -> Workload:
     """Build a workload from explicit per-rank field partitions.
 
@@ -218,14 +200,7 @@ def workload_from_arrays(
     rows = []
     for fname in fields:
         row = tuple(
-            _measure_partition(
-                np.ascontiguousarray(local[fname]),
-                fname,
-                rank,
-                codecs[fname],
-                sample_fraction,
-                lossless_estimator,
-            )
+            _measure_partition(np.ascontiguousarray(local[fname]), fname, rank, codecs[fname])
             for rank, local in enumerate(per_rank_fields)
         )
         rows.append(row)

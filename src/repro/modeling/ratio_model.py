@@ -11,17 +11,13 @@ the paper leans on (Section III-B): from a small sample of blocks,
    would-be encoded stream (the paper's Section III-D explains this is the
    weak part: "the compression-ratio model is based on run-length encoding
    to analyze the lossless encoding efficiency, which naturally features
-   lower estimation accuracy" — our default estimator is the same RLE
-   analysis and inherits the same failure mode at extreme ratios).  The
-   SZ container wraps the bitstream only when the histogram is
+   lower estimation accuracy" — this model runs the same RLE analysis and
+   inherits the same failure mode at extreme ratios).  The SZ container
+   wraps the bitstream only when the histogram is
    :func:`~repro.compression.huffman.skewed` (one symbol is at least half
    of it); otherwise the bitstream is stored as it is, and a factor of 1.0
    is exact, so the analysis runs only on a skewed sampled histogram;
 3. add the outlier (unpredictable-value) payload and container overhead.
-
-The alternative ``"zlib-sample"`` estimator compresses the sampled stream
-with the real backend; it is included for the ablation benchmark comparing
-estimator choices.
 """
 
 from __future__ import annotations
@@ -30,19 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.huffman import build_code, skewed
-from repro.compression.lossless import _rle_nbytes
+from repro.compression.huffman import HuffmanCode, build_code, skewed
 from repro.compression.sz import SZCompressor
 from repro.errors import ModelingError
-from repro.modeling.sampling import (
-    DEFAULT_BLOCK_EDGE,
-    DEFAULT_FRACTION,
-    SampleStats,
-    sample_partition_stats,
-)
+from repro.modeling.sampling import DEFAULT_FRACTION, SampleStats, sample_partition_stats
 from repro.utils.bits import pack_varlen_codes
-
-import zlib
 
 #: Fixed container overhead: sz header + shape + huffman/lossless framing.
 _CONTAINER_OVERHEAD = 96
@@ -73,6 +61,18 @@ class RatioPrediction:
         return self.n_values * self.bytes_per_value / self.predicted_nbytes
 
 
+def _rle_nbytes(payload: bytes) -> int:
+    """Size of ``payload`` under a byte run-length code: a (count - 1, byte)
+    pair per run of at most 256 equal bytes, so a run of ``n`` bytes costs
+    ``2 * ceil(n / 256)``."""
+    if not payload:
+        return 0
+    arr = np.frombuffer(payload, dtype=np.uint8)
+    change = np.flatnonzero(arr[1:] != arr[:-1]) + 1
+    run_len = np.diff(change, prepend=0, append=arr.size)
+    return 2 * int(((run_len + 255) // 256).sum())
+
+
 class RatioQualityModel:
     """Predicts compressed size of a partition without compressing it.
 
@@ -80,27 +80,24 @@ class RatioQualityModel:
     ----------
     codec:
         The :class:`~repro.compression.sz.SZCompressor` whose configuration
-        (bound, mode, radius) the prediction must match.
-    fraction / block_edge:
-        Sampling density and block size.
+        (bound, mode, radius, lossless backend) the prediction must match.
+    fraction:
+        Sampling density (the share of blocks sampled).
     lossless_estimator:
-        ``"rle"`` (paper-faithful run-length analysis, default) or
-        ``"zlib-sample"`` (compress the sample with the real backend).
+        Not a setting: ``"rle"``, the one estimator, is the only value
+        accepted.  Kept only for ``perfbench/layers.py``, which passes it.
     """
 
     def __init__(
         self,
         codec: SZCompressor,
         fraction: float = DEFAULT_FRACTION,
-        block_edge: int = DEFAULT_BLOCK_EDGE,
         lossless_estimator: str = "rle",
     ) -> None:
-        if lossless_estimator not in ("rle", "zlib-sample", "none"):
+        if lossless_estimator != "rle":
             raise ModelingError(f"unknown lossless estimator {lossless_estimator!r}")
         self.codec = codec
         self.fraction = fraction
-        self.block_edge = block_edge
-        self.lossless_estimator = lossless_estimator
 
     def predict(self, data: np.ndarray) -> RatioPrediction:
         """Predict the compressed stream size of ``data``."""
@@ -124,20 +121,17 @@ class RatioQualityModel:
             mode=self.codec.quantizer.mode,
             radius=self.codec.radius,
             fraction=self.fraction,
-            block_edge=self.block_edge,
         )
         return self.predict_from_stats(stats, bytes_per_value=data.dtype.itemsize)
 
-    def predict_from_stats(
-        self, stats: SampleStats, bytes_per_value: int = 4
-    ) -> RatioPrediction:
+    def predict_from_stats(self, stats: SampleStats, bytes_per_value: int = 4) -> RatioPrediction:
         """Turn sampled statistics into a size prediction."""
         code = build_code(stats.symbol_counts)
         n_unique = stats.n_unique_symbols  # a count over the whole alphabet
         huff_bits = code.mean_length(stats.symbol_counts)
         lossless_factor = 1.0
         if skewed(stats.symbol_counts):
-            lossless_factor = self._estimate_lossless_factor(stats, code)
+            lossless_factor = self._lossless_factor(stats, code)
         outlier_bits = stats.outlier_fraction * 64.0
         # The serialized code table is a lengths byte per alphabet symbol,
         # but the final lossless pass crushes its long zero runs; what
@@ -158,28 +152,16 @@ class RatioQualityModel:
             n_unique_symbols=n_unique,
         )
 
-    # -- internals ----------------------------------------------------------
-
-    def _encode_sample(self, stats: SampleStats, code) -> bytes:
-        """Huffman-encode the sampled stream (for lossless-stage analysis)."""
+    def _lossless_factor(self, stats: SampleStats, code: HuffmanCode) -> float:
+        """Estimated shrink factor (>= 1) of the lossless pass: the sampled
+        stream Huffman-encoded with ``code``, over its run-length size."""
+        if self.codec.lossless == "none":
+            return 1.0
         syms = stats.sampled_symbols
-        per_code = code.codes[syms]
-        per_len = code.lengths[syms].astype(np.int64)
-        if per_len.size == 0 or per_len.max() == 0:
-            return b""
-        payload, _ = pack_varlen_codes(per_code, per_len)
-        return payload
-
-    def _estimate_lossless_factor(self, stats: SampleStats, code) -> float:
-        """Estimated shrink factor of the post-Huffman lossless pass (>= 1)."""
-        if self.lossless_estimator == "none" or self.codec.lossless == "none":
+        lengths = code.lengths[syms].astype(np.int64)
+        if lengths.size == 0 or lengths.max() == 0:
             return 1.0
-        sample_bytes = self._encode_sample(stats, code)
-        if len(sample_bytes) < 16:
+        encoded, _ = pack_varlen_codes(code.codes[syms], lengths)
+        if len(encoded) < 16:
             return 1.0
-        if self.lossless_estimator == "rle":
-            est = _rle_nbytes(sample_bytes)
-        else:  # zlib-sample
-            est = len(zlib.compress(sample_bytes, 1))
-        est = max(est, 1)
-        return max(1.0, len(sample_bytes) / est)
+        return max(1.0, len(encoded) / max(_rle_nbytes(encoded), 1))

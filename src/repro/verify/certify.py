@@ -332,7 +332,7 @@ def certify_codecs(seed: int = 0) -> list[CodecCertificate]:
         data = _codec_test_array(seed, np.dtype(dtype))
         # -- SZ: the error-bounded family ------------------------------------
         for mode, bound in (("abs", 1e-3), ("abs", 1e-1), ("rel", 1e-4)):
-            for lossless in ("zlib", "rle", "none"):
+            for lossless in ("zlib", "none"):
                 params = f"mode={mode} bound={bound:g} lossless={lossless} {dtype.__name__}"
                 try:
                     codec = SZCompressor(bound=bound, mode=mode, lossless=lossless)
@@ -358,7 +358,7 @@ def certify_codecs(seed: int = 0) -> list[CodecCertificate]:
                     ))
     # -- lossless backends: exact byte round-trips ---------------------------
     payload = _codec_test_array(seed, np.dtype(np.float32)).tobytes()
-    for backend in ("zlib", "rle", "none"):
+    for backend in ("zlib", "none"):
         params = f"backend={backend}"
         try:
             stream = lossless_compress(payload, backend, 1)

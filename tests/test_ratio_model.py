@@ -105,17 +105,25 @@ class TestRatioPredictionAccuracy:
 
 
 class TestEstimatorVariants:
-    def test_zlib_sample_estimator_runs(self):
-        data = make_smooth_field((24, 24, 24))
-        codec = SZCompressor(bound=1e-2, mode="rel")
-        pred = RatioQualityModel(codec, lossless_estimator="zlib-sample").predict(data)
-        assert pred.predicted_nbytes > 0
+    #: (edge, field) -> (predicted_nbytes, lossless_factor) of
+    #: ``NyxGenerator((edge,) * 3, seed=14)`` at 30x the field's bound, abs
+    #: mode: the cells whose sampled histogram is skewed and whose RLE
+    #: factor exceeds 1 (every other field there predicts a factor of 1.0).
+    SKEWED = {
+        (48, "baryon_density"): (8779, 1.7454545454545454),
+        (48, "dark_matter_density"): (3446, 4.2823529411764705),
+        (24, "baryon_density"): (425, 6.0),
+        (24, "dark_matter_density"): (184, 32.0),
+    }
 
-    def test_none_estimator_factor_is_one(self):
-        data = make_smooth_field((24, 24, 24))
-        codec = SZCompressor(bound=1e-2, mode="rel")
-        pred = RatioQualityModel(codec, lossless_estimator="none").predict(data)
-        assert pred.lossless_factor == 1.0
+    @pytest.mark.parametrize("edge", [48, 24])
+    def test_rle_factor_on_skewed_cells(self, edge):
+        gen = NyxGenerator((edge,) * 3, seed=14)
+        for name in gen.field_names:
+            codec = SZCompressor(bound=gen.error_bound(name) * 30, mode="abs")
+            pred = RatioQualityModel(codec).predict(gen.field(name))
+            got = (pred.predicted_nbytes, pred.lossless_factor)
+            assert got == self.SKEWED.get((edge, name), (got[0], 1.0)), name
 
     def test_lossless_none_codec_factor_is_one(self):
         data = make_smooth_field((24, 24, 24))
@@ -124,9 +132,12 @@ class TestEstimatorVariants:
         assert pred.lossless_factor == 1.0
 
     def test_unknown_estimator_rejected(self):
+        # "rle" is the one estimator; the retired "zlib-sample" and "none"
+        # are refused like any other name.
         codec = SZCompressor()
-        with pytest.raises(ModelingError):
-            RatioQualityModel(codec, lossless_estimator="lz4")
+        for name in ("lz4", "zlib-sample", "none"):
+            with pytest.raises(ModelingError):
+                RatioQualityModel(codec, lossless_estimator=name)
 
     def test_prediction_independent_of_instance(self):
         data = make_smooth_field((16, 16, 16))

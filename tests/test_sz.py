@@ -64,7 +64,7 @@ class TestRoundTrip:
         eb = 1e-4 * float(rough3d.max() - rough3d.min())
         assert np.max(np.abs(recon - rough3d)) <= eb * (1 + 1e-9)
 
-    @pytest.mark.parametrize("lossless", ["zlib", "rle", "none"])
+    @pytest.mark.parametrize("lossless", ["zlib", "none"])
     def test_all_lossless_backends(self, smooth3d, lossless):
         codec = SZCompressor(bound=1e-3, mode="rel", lossless=lossless)
         recon = codec.decompress(codec.compress(smooth3d))
@@ -180,7 +180,7 @@ class TestContainer:
         with pytest.raises(CorruptStreamError):
             codec.decompress(bytes(stream))
 
-    @pytest.mark.parametrize("damage", ["truncated", "table", "count"])
+    @pytest.mark.parametrize("damage", ["truncated", "table", "count", "lossless tag"])
     def test_damaged_stream_in_a_batch_raises_its_own_error(self, damage):
         # ``decompress_many`` decodes a batch's Huffman stages in one lane
         # pass: a damaged stream at any position must fail exactly as alone.
@@ -196,11 +196,15 @@ class TestContainer:
         elif damage == "table":  # an absent symbol's length over-subscribes the code
             table = huf + 17  # magic, flags, nsyms, nvalues
             bad[table + bytes(bad[table : table + 2 * DEFAULT_RADIUS + 1]).index(0)] = 1
-        else:  # a value count the bitstream cannot hold
+        elif damage == "count":  # a value count the bitstream cannot hold
             bad[huf + 9 : huf + 17] = (8 * len(bad)).to_bytes(8, "little")
+        else:  # the wrap tagged 2, the retired run-length backend's tag
+            bad[sz._parse_header(bytes(bad))[1]] = 2
         bad = bytes(bad)
         with pytest.raises(CorruptStreamError) as alone:
             codec.decompress(bad)
+        if damage == "lossless tag":
+            assert str(alone.value) == "unknown lossless tag 2"
         for k in range(len(good) + 1):
             with pytest.raises(CorruptStreamError) as batched:
                 codec.decompress_many(good[:k] + [bad] + good[k:])
