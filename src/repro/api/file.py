@@ -44,7 +44,7 @@ from repro.api.settings import AUTO, DatasetSettings, validate_strategy
 from repro.compression.sz import SZCompressor
 from repro.core.autotune import AutoTuner, tune_payload
 from repro.core.config import PipelineConfig
-from repro.core.pipeline import RealDriver
+from repro.core.pipeline import RealDriver, warm_slot_ratios
 from repro.core.session import AUTO_INITIAL_STRATEGY, StepResult, step_group
 from repro.core.strategy import get_strategy
 from repro.data.partition import rank_payload, rank_regions
@@ -322,7 +322,8 @@ class File(Group):
         # Step state, fixed or measured by the steps themselves: the
         # series' codecs, ranks and config (set by the first step), the
         # strategy the next step runs, and the last compressing step's
-        # per-rank actual sizes and Algorithm 1 orders (its warm start).
+        # per-rank actual sizes, Algorithm 1 orders and slot ratios (the
+        # next step's warm start; the ratios carry the miss it observed).
         self._step_codecs: dict[str, SZCompressor] | None = None
         self._step_nranks = self.nranks
         self._step_config = self.config
@@ -330,6 +331,7 @@ class File(Group):
         self._step_strategy = AUTO_INITIAL_STRATEGY
         self._prev_actual: list[dict[str, int]] | None = None
         self._prev_orders: list[list[str]] | None = None
+        self._prev_ratios: list[dict[str, float]] | None = None
         self._step_stage: dict[str, np.ndarray] = {}
         self._loaded_steps = 0
         self._lock = threading.Lock()
@@ -771,7 +773,7 @@ class File(Group):
         hints = None
         if warm:
             orders = self._prev_orders or [None] * len(self._prev_actual)
-            hints = list(zip(self._prev_actual, orders))
+            hints = list(zip(self._prev_actual, orders, self._prev_ratios))
         t0 = time.perf_counter()
         strategy, payload, stats = self._collective_write(
             group, self._time[0]._base_shape, arrays, self._step_codecs,
@@ -784,7 +786,11 @@ class File(Group):
         if strategy.compresses:
             # Raw-write actuals are partition sizes, useless as compressed-
             # size hints — only compressing steps refresh the warm state.
-            self._prev_actual = [dict(s.actual_nbytes) for s in stats]
+            actual = [dict(s.actual_nbytes) for s in stats]
+            self._prev_ratios = warm_slot_ratios(
+                actual, self._prev_actual, self._step_config.extra_space_ratio
+            )
+            self._prev_actual = actual
             # Only an Algorithm-1 step produces an optimized order worth
             # reusing; seeding a later reorder step with another strategy's
             # insertion order would silently disable the optimization.

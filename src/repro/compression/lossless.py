@@ -34,7 +34,8 @@ from repro.errors import CorruptStreamError
 _TAG_RAW = 0
 _TAG_ZLIB = 1
 
-_BACKENDS = ("zlib", "none")
+#: The backend names :func:`lossless_compress` accepts.
+BACKENDS = ("zlib", "none")
 
 _LEN = struct.Struct("<Q")
 
@@ -46,8 +47,8 @@ def lossless_compress(payload: bytes, backend: str = "zlib", level: int = 1) -> 
     body.  If the backend output is not smaller than the input, the raw bytes
     are stored instead (tag ``raw``).
     """
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown lossless backend {backend!r}; choose from {_BACKENDS}")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown lossless backend {backend!r}; choose from {BACKENDS}")
     head = _LEN.pack(len(payload))
     if backend == "zlib":
         body = zlib.compress(payload, level)

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compression.huffman import huffman_decode_many, huffman_encode_parts, table_nbytes
-from repro.compression.lossless import lossless_compress, lossless_decompress
+from repro.compression.lossless import BACKENDS, lossless_compress, lossless_decompress
 from repro.compression.predictors import LorenzoPredictor, lorenzo_integrate
 from repro.compression.quantizer import LinearQuantizer, QuantizerSpec
 from repro.errors import CompressionError, CorruptStreamError
@@ -172,6 +172,8 @@ class SZCompressor:
     ) -> None:
         if radius < 2:
             raise CompressionError("radius must be >= 2")
+        if lossless not in BACKENDS:
+            raise CompressionError(f"unknown lossless backend {lossless!r}; choose from {BACKENDS}")
         self.quantizer = LinearQuantizer(bound, mode)
         self.predictor = LorenzoPredictor()
         self.radius = int(radius)

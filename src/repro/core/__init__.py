@@ -51,7 +51,7 @@ from repro.core.config import (
 )
 from repro.core.offsets import OffsetTable, effective_extra_space
 from repro.core.overflow import OverflowPlan
-from repro.core.pipeline import RankWriteStats, RealDriver
+from repro.core.pipeline import RankWriteStats, RealDriver, WarmHint, warm_slot_ratios
 from repro.core.scenarios import (
     SCENARIOS,
     Scenario,
@@ -128,6 +128,8 @@ __all__ = [
     "SweepCell",
     "simulate_matrix",
     "RealDriver",
+    "WarmHint",
+    "warm_slot_ratios",
     "RankWriteStats",
     "StepResult",
 ]

@@ -5,14 +5,17 @@ computes the same offset table** — determinism is the correctness
 requirement, and these functions are pure so thread ranks and the
 simulator share them bit-for-bit.
 
-Each (field, rank) partition gets a *slot*::
+Each (field, rank) partition ``(f, k)`` gets a *slot*::
 
-    reserved = align( ceil(predicted * rspace_effective) )
+    reserved[f, k] = align( ceil(predicted[f, k] * Eq3(r[f, k])) )
 
-where ``rspace_effective`` applies the paper's Eq. (3): partitions whose
-*predicted* compression ratio exceeds 32 (bit-rate < 1) get their extra
-space boosted to ``min(2, 1 + (Rspace - 1) * 4)`` because the ratio model
-is least accurate there.
+where ``r[f, k]`` is that slot's extra-space ratio and ``Eq3`` the paper's
+Eq. (3): a partition whose *predicted* compression ratio exceeds 32
+(bit-rate < 1) gets its extra space boosted to ``min(2, 1 + (r - 1) * 4)``
+because the ratio model is least accurate there.  ``r`` is the configured
+Rspace for every slot of a cold write; a warm-started streamed step passes
+one ratio per slot, sized from the miss last observed on that field and
+rank (:func:`repro.core.pipeline.warm_slot_ratios`), never above Rspace.
 
 Slots are laid out field-major (all ranks of field 0, then field 1, ...),
 matching one dataset per field in the shared file.  The table also reports
@@ -32,13 +35,18 @@ from repro.errors import ConfigError
 HIGH_RATIO_THRESHOLD = 32.0
 
 
-def effective_extra_space(rspace: float, predicted_ratio: float) -> float:
-    """Eq. (3): the per-partition extra-space ratio actually applied."""
-    if rspace < 1.0:
+def effective_extra_space(rspace, predicted_ratio):
+    """Eq. (3): the per-partition extra-space ratio actually applied.
+
+    Both arguments broadcast against each other, so one call boosts a whole
+    [nfields][nranks] table; two scalars give a float.
+    """
+    rspace = np.asarray(rspace, dtype=np.float64)
+    if not np.all(rspace >= 1.0):
         raise ConfigError("extra-space ratio must be >= 1")
-    if predicted_ratio > HIGH_RATIO_THRESHOLD:
-        return min(2.0, 1.0 + (rspace - 1.0) * 4.0)
-    return rspace
+    boosted = np.minimum(2.0, 1.0 + (rspace - 1.0) * 4.0)
+    out = np.where(np.asarray(predicted_ratio) > HIGH_RATIO_THRESHOLD, boosted, rspace)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,7 @@ class OffsetTable:
         cls,
         predicted_nbytes: np.ndarray,
         original_nbytes: np.ndarray,
-        rspace: float,
+        rspace: "float | np.ndarray",
         base_offset: int,
         alignment: int = 8,
     ) -> "OffsetTable":
@@ -100,7 +108,8 @@ class OffsetTable:
         original_nbytes:
             Same shape; uncompressed partition sizes (for Eq. (3) ratios).
         rspace:
-            The configured extra-space ratio.
+            The extra-space ratio: one for every slot, or an array of the
+            same shape, one per slot.
         base_offset:
             Where the first slot may start (past header/metadata).
         alignment:
@@ -117,8 +126,9 @@ class OffsetTable:
             raise ConfigError("predicted sizes must be positive, originals non-negative")
         if base_offset < 0 or alignment <= 0:
             raise ConfigError("invalid base offset or alignment")
-        ratios = orig / pred
-        boost = np.vectorize(lambda r: effective_extra_space(rspace, r))(ratios)
+        if np.ndim(rspace) and np.shape(rspace) != pred.shape:
+            raise ConfigError("per-slot extra-space ratios must match the size matrix")
+        boost = effective_extra_space(rspace, orig / pred)
         reserved = np.ceil(pred * boost).astype(np.int64)
         reserved = ((reserved + alignment - 1) // alignment) * alignment
         # Field-major running layout.

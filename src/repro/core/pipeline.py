@@ -22,22 +22,26 @@ runs under :func:`repro.mpi.executor.run_spmd` may call
 :meth:`RealDriver.run` with its own communicator; inside the package
 :meth:`RealDriver.write` is its only caller.
 
-Warm-start hints let a caller seed the predict and reorder phases from a
-previous time-step's measured sizes — the hot path of the facade's
-:meth:`~repro.api.file.File.append_step`.
+Warm-start hints (:class:`WarmHint`) let a caller seed the predict,
+plan and reorder phases from a previous time-step's measured sizes — the
+hot path of the facade's :meth:`~repro.api.file.File.append_step`.  Each
+hint carries one extra-space ratio per slot next to its sizes, drawn by
+:func:`warm_slot_ratios` from the miss last observed on that field and
+rank (closed-loop extra space): a warm size prediction that has missed by
+little keeps little padding, and the configured Rspace stays the ceiling.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Future, wait
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.compression.codec import compress_fields
 from repro.compression.sz import SZCompressor
-from repro.core.config import PipelineConfig
+from repro.core.config import EXTRA_SPACE_MIN, PipelineConfig
 from repro.core.offsets import OffsetTable
 from repro.core.strategy import BASE_OFFSET, field_index_map, get_strategy, rank_order
 from repro.core.writers import default_models
@@ -68,6 +72,41 @@ def _wait_writes(writes: Mapping[str, Future], timeout: float = _WRITE_TIMEOUT_S
         stragglers = [label for label, fut in writes.items() if fut in pending]
         raise TimeoutError(f"queued writes still running after {timeout:g} s: {stragglers}")
     return [fut.result() for fut in writes.values()]
+
+
+class WarmHint(NamedTuple):
+    """One rank's warm start for a streamed step: the previous step's
+    compressed sizes, its Algorithm-1 order (None: run Algorithm 1 again)
+    and each slot's extra-space ratio (None: the configured Rspace)."""
+
+    sizes: Mapping[str, int]
+    order: Sequence[str] | None = None
+    ratios: Mapping[str, float] | None = None
+
+
+def warm_slot_ratios(
+    actual: Sequence[Mapping[str, int]],
+    previous: Sequence[Mapping[str, int]] | None,
+    rspace: float,
+) -> list[dict[str, float]]:
+    """Per-rank, per-field extra-space ratios for the step after one that
+    landed with compressed sizes ``actual[rank][field]``.
+
+    The next step predicts each slot from ``actual``, so the miss to expect
+    is the one the same prediction made this step: ``miss = |actual -
+    previous| / previous``, with ``previous`` the sizes of the compressing
+    step before (None after the first).  The slot's ratio is
+    ``clamp(1 + 2 * miss, EXTRA_SPACE_MIN, rspace)``; with no miss observed
+    it is ``rspace``, so ``rspace = 1.1`` stays a fixed 1.1.
+    """
+
+    def ratio(size: int, before: int | None) -> float:
+        if before is None:
+            return rspace
+        return min(max(1.0 + 2.0 * abs(size - before) / before, EXTRA_SPACE_MIN), rspace)
+
+    befores = previous or [{}] * len(actual)
+    return [{n: ratio(s, b.get(n)) for n, s in sizes.items()} for sizes, b in zip(actual, befores)]
 
 
 @dataclass
@@ -153,19 +192,20 @@ class RealDriver:
         codecs: Mapping[str, SZCompressor] | None = None,
         *,
         group: str = "fields",
-        hints: "Sequence[tuple[Mapping[str, int] | None, Sequence[str] | None]] | None" = None,
+        hints: "Sequence[WarmHint | tuple] | None" = None,
     ) -> list[RankWriteStats]:
         """One collective write: ``payload[r]`` is rank *r*'s
         ``(fields, region)`` and the SPMD width is ``len(payload)``.
 
         Every rank runs :meth:`run` on its own :func:`run_spmd` thread;
         the per-rank stats come back in rank order.  ``hints[r]`` optionally
-        warm-starts rank *r* with ``(predicted_hint, order_hint)``.
+        warm-starts rank *r* with a :class:`WarmHint` (or the plain tuple
+        ``(sizes, order[, ratios])``).
         """
 
         def rank_fn(comm: RankComm) -> RankWriteStats:
             fields, region = payload[comm.rank]
-            predicted_hint, order_hint = hints[comm.rank] if hints else (None, None)
+            hint = WarmHint(*hints[comm.rank]) if hints else WarmHint(None)
             return self.run(
                 comm,
                 file,
@@ -174,8 +214,9 @@ class RealDriver:
                 shape,
                 codecs,
                 group=group,
-                predicted_hint=predicted_hint,
-                order_hint=order_hint,
+                predicted_hint=hint.sizes,
+                order_hint=hint.order,
+                ratio_hint=hint.ratios,
             )
 
         return run_spmd(len(payload), rank_fn)
@@ -192,6 +233,7 @@ class RealDriver:
         group: str = "fields",
         predicted_hint: Mapping[str, int] | None = None,
         order_hint: Sequence[str] | None = None,
+        ratio_hint: Mapping[str, float] | None = None,
     ) -> RankWriteStats:
         """Run this rank's share of the strategy.
 
@@ -207,8 +249,9 @@ class RealDriver:
         group:
             Group path the field datasets live under (nested paths are
             created on demand — per-time-step groups use ``steps/NNNN``).
-        predicted_hint / order_hint:
-            Warm-start values for the predict/reorder phases (streaming).
+        predicted_hint / order_hint / ratio_hint:
+            Warm-start values for the predict/reorder phases and the
+            per-slot extra-space ratios of the plan (streaming).
         """
         strat, config = self.strategy, self.config
         if not strat.compresses:
@@ -232,7 +275,11 @@ class RealDriver:
             planned = {n: len(streams[n]) for n in names}
 
         # Phase 2: one all-gather; every rank computes the same offset table.
-        table = self._plan(comm, file, datasets, fields, planned, region)
+        ratios = ratio_hint or dict.fromkeys(names, config.extra_space_ratio)
+        missing = set(names) - set(ratios)
+        if missing:
+            raise ConfigError(f"warm-start ratios missing fields: {sorted(missing)}")
+        table = self._plan(comm, file, datasets, fields, planned, region, ratios)
 
         # Phase 3: the compression order (Algorithm 1 for reorder).
         if order_hint is not None:
@@ -310,14 +357,17 @@ class RealDriver:
         fields: Mapping[str, np.ndarray],
         sizes: Mapping[str, int],
         region: list[list[int]],
+        ratios: Mapping[str, float],
     ) -> OffsetTable:
         """The planning step every compressing strategy shares: all-gather
-        the per-field ``sizes`` (predicted or exact), compute the offset
-        table every rank derives identically, declare the partitions."""
+        the per-field ``sizes`` (predicted or exact) and extra-space
+        ``ratios``, compute the offset table every rank derives
+        identically, declare the partitions."""
         names = list(fields)
         gathered = comm.allgather(
             {
                 "sizes": [sizes[n] for n in names],
+                "ratios": [ratios[n] for n in names],
                 "original": [int(fields[n].nbytes) for n in names],
                 "region": region,
                 "watermark": int(file.storage.end_of_data),
@@ -325,13 +375,16 @@ class RealDriver:
         )
         size_matrix = np.array([[g["sizes"][f] for g in gathered] for f in range(len(names))])
         orig_matrix = np.array([[g["original"][f] for g in gathered] for f in range(len(names))])
+        ratio_matrix = np.array([[g["ratios"][f] for g in gathered] for f in range(len(names))])
         regions = [g["region"] for g in gathered]
         # Fresh files land at the fixed 4096 header gap; a persistent
         # streaming file (one group per time-step) starts each step's region
         # past the all-gathered high-water mark, page-aligned.
         high = max(g["watermark"] for g in gathered)
         base = max(BASE_OFFSET, -(-high // BASE_OFFSET) * BASE_OFFSET)
-        table = self.strategy.plan.compute_table(size_matrix, orig_matrix, self.config, base)
+        table = self.strategy.plan.compute_table(
+            size_matrix, orig_matrix, self.config, base, ratios=ratio_matrix
+        )
         for f, name in enumerate(names):
             datasets[name].declare_partitions(
                 offsets=table.offsets[f].tolist(),

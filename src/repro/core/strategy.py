@@ -159,9 +159,21 @@ class PlanPhase:
         originals: np.ndarray,
         config: PipelineConfig,
         base_offset: int,
+        ratios: np.ndarray | None = None,
     ) -> OffsetTable:
-        """Slot layout from all-gathered [nfields][nranks] size matrices."""
-        rspace = config.extra_space_ratio if self.extra_space else 1.0
+        """Slot layout from all-gathered [nfields][nranks] size matrices.
+
+        ``ratios`` is an all-gathered [nfields][nranks] matrix of per-slot
+        extra-space ratios (a warm-started step's hints carry them); without
+        it every slot takes the configured Rspace.  A plan without extra
+        space ignores it.
+        """
+        if not self.extra_space:
+            rspace = 1.0
+        elif ratios is None:
+            rspace = config.extra_space_ratio
+        else:
+            rspace = ratios
         return OffsetTable.compute(sizes, originals, rspace, base_offset=base_offset)
 
 

@@ -20,7 +20,7 @@ import repro
 from helpers import make_smooth_field
 from repro.compression.sz import SZCompressor
 from repro.core.config import PipelineConfig
-from repro.core.pipeline import RealDriver
+from repro.core.pipeline import RealDriver, WarmHint, warm_slot_ratios
 from repro.core.session import step_group
 from repro.core.strategy import STRATEGIES
 from repro.data.partition import grid_partition, rank_payload, rank_regions
@@ -235,7 +235,8 @@ def test_facade_matches_timestep_session_bit_identically(tmp_path):
     """Acceptance: a facade-streamed multi-field multi-step file is the same
     file a plain loop of ``RealDriver.write`` calls makes of the same steps
     — one group per step, warm hints computed here from the previous
-    step's actual sizes (and Algorithm 1 orders) — per step and field the
+    step's actual sizes (and Algorithm 1 orders) and its slot ratios by the
+    facade's own rule, ``warm_slot_ratios`` — per step and field the
     same partition table (offset, reserved, actual and overflow sizes,
     region), the same *stored* bytes in every partition, and the same
     decoded arrays, under each of the four strategies (one test, not a
@@ -255,17 +256,21 @@ def test_facade_matches_timestep_session_bit_identically(tmp_path):
         codecs = {n: SZCompressor(bound=gen0.error_bound(n), mode="abs") for n in names}
         regions = rank_regions(shape, 4, slabs=not driver.strategy.compresses)
         with EngineFile(p_ref, "w") as ef:  # the facade's write pool
-            prev = None
+            prev = actual = ratios = None
             for t in range(n_steps):
                 gen = series.snapshot_generator(t)
                 payload = rank_payload({n: gen.field(n) for n in names}, shape, regions)
-                hints = None if prev is None or not predictive else [
-                    (dict(s.actual_nbytes),
-                     list(s.order) if strategy == "reorder" else None)
-                    for s in prev
-                ]
+                hints = None
+                if prev is not None and predictive:
+                    hints = [
+                        WarmHint(sizes, list(s.order) if strategy == "reorder" else None, r)
+                        for sizes, s, r in zip(actual, prev, ratios)
+                    ]
                 prev = driver.write(ef, payload, shape, codecs,
                                     group=step_group(t), hints=hints)
+                landed = [dict(s.actual_nbytes) for s in prev]
+                ratios = warm_slot_ratios(landed, actual, config.extra_space_ratio)
+                actual = landed
 
         p_fac = str(tmp_path / f"facade-{strategy}.phd5")
         with repro.open(p_fac, "w", nranks=4, strategy=strategy) as f:

@@ -2,6 +2,7 @@
 
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from repro.core.config import (
@@ -75,6 +76,20 @@ class TestEq3:
     def test_validation(self):
         with pytest.raises(ConfigError):
             effective_extra_space(0.9, 10.0)
+        with pytest.raises(ConfigError):
+            effective_extra_space(np.array([1.25, 0.9]), np.array([10.0, 10.0]))
+
+    def test_boost_applies_per_slot(self):
+        """Per-slot ratios broadcast: each slot is boosted from its own r,
+        and only where its own predicted ratio exceeds 32."""
+        rspace = np.array([[1.1, 1.25], [1.2, 1.43]])
+        ratios = np.array([[100.0, 100.0], [10.0, 50.0]])
+        got = effective_extra_space(rspace, ratios)
+        assert got.shape == (2, 2)
+        np.testing.assert_allclose(got, [[1.4, 2.0], [1.2, 2.0]])
+        for ix in np.ndindex(got.shape):  # the scalar rule, one slot at a time
+            r = float(rspace[ix])
+            assert got[ix] == (min(2.0, 1.0 + (r - 1.0) * 4.0) if ratios[ix] > 32.0 else r)
 
 
 class TestConfigValidation:

@@ -1,5 +1,7 @@
 """Tests for offset tables and overflow planning."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,42 @@ class TestOffsetTable:
             OffsetTable.compute(np.ones((2, 2)), np.ones((2, 3)), 1.25, 0)
         with pytest.raises(ConfigError):
             OffsetTable.compute(np.ones((2, 2)), np.ones((2, 2)), 1.25, -1)
+
+    def test_constant_per_slot_ratios_give_the_scalar_table(self):
+        rng = np.random.default_rng(7)
+        pred = rng.integers(100, 10**5, (3, 5))
+        orig = pred * rng.integers(2, 64, (3, 5))  # some ratios past 32
+        for rspace in (1.1, 1.25, 1.43):
+            scalar = OffsetTable.compute(pred, orig, rspace, 4096)
+            slots = OffsetTable.compute(pred, orig, np.full(pred.shape, rspace), 4096)
+            assert np.array_equal(scalar.offsets, slots.offsets)
+            assert np.array_equal(scalar.reserved, slots.reserved)
+            assert scalar.data_end == slots.data_end
+
+    def test_per_slot_ratios_size_each_slot(self):
+        pred = np.array([[1000, 1000], [100, 100]])
+        orig = np.array([[4000, 4000], [10000, 10000]])  # field 1 at ratio 100
+        t = OffsetTable.compute(pred, orig, np.array([[1.1, 1.25], [1.1, 1.25]]), 4096)
+        # Eq. (3) boosts field 1 from each slot's own ratio: 1.4 and 2.0.
+        assert t.reserved.tolist() == [[1104, 1256], [144, 200]]
+        assert t.data_end == 4096 + 1104 + 1256 + 144 + 200
+
+    def test_per_slot_ratios_match_a_slot_by_slot_loop(self):
+        rng = np.random.default_rng(11)
+        pred = rng.integers(100, 10**5, (3, 6))
+        orig = pred * rng.integers(2, 64, (3, 6))
+        rspace = rng.uniform(1.1, 1.43, (3, 6))
+        t = OffsetTable.compute(pred, orig, rspace, 4096)
+        for f, r in np.ndindex(pred.shape):
+            ratio, x = orig[f, r] / pred[f, r], float(rspace[f, r])
+            boost = min(2.0, 1.0 + (x - 1.0) * 4.0) if ratio > 32.0 else x
+            assert t.reserved[f, r] == -(-math.ceil(pred[f, r] * boost) // 8) * 8
+
+    def test_per_slot_ratios_must_match_the_size_matrix(self):
+        with pytest.raises(ConfigError):
+            OffsetTable.compute(np.ones((2, 2)), np.ones((2, 2)), np.full((2, 3), 1.2), 0)
+        with pytest.raises(ConfigError):
+            OffsetTable.compute(np.ones((1, 2)), np.ones((1, 2)), np.array([[1.2, 0.5]]), 0)
 
     @given(
         st.integers(1, 4),

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.core.session import step_group
 from repro.errors import ConfigError, HDF5Error, ShapeMismatchError
+from repro.hdf5.file import File as EngineFile
 from repro.serve import protocol
 from repro.serve.client import ServeClient, open_remote
 from repro.serve.daemon import ReproServer
@@ -337,6 +339,39 @@ class TestServedWrites:
             assert ds.shape[0] == 3
             got = ds[2]
         assert np.max(np.abs(got.astype(np.float64) - steps[2])) <= 1e-3 * 1.0001
+
+    def test_remote_steps_get_the_local_slots(self, server, tmp_path):
+        """A served stream runs the facade's ``append_step``, so its warm
+        slots follow the same observed misses: every step's partition table
+        equals a local stream's of the same steps."""
+        shape, n_steps = (16, 16, 16), 4
+        base = _field(shape, seed=7)
+        steps = [np.roll(base, t, axis=0) * np.float32(1 + 0.02 * t) for t in range(n_steps)]
+        tables = []
+        for kind in ("local", "served"):
+            path = str(tmp_path / f"{kind}.phd5")
+            if kind == "served":
+                f = open_remote(server.address, path, "w", nranks=4, strategy="reorder")
+            else:
+                f = api.open(path, "w", nranks=4, strategy="reorder")
+            f.create_dataset("u", shape, np.float32, maxshape=(None, *shape), error_bound=1e-3)
+            for s in steps:
+                f.append_step({"u": s})
+            f.close()
+            with EngineFile(path, "r") as ef:
+                tables.append([
+                    [ds.partition(r).to_json() for r in range(ds.n_partitions)]
+                    for ds in (ef[f"{step_group(t)}/u"] for t in range(n_steps))
+                ])
+        assert tables[0] == tables[1]
+        # From step 2 on, slots sit below the configured 1.25 x the
+        # previous step's actual size (the warm prediction).
+        local = tables[0]
+        assert all(
+            p["reserved"] < 1.2 * q["actual"]
+            for step, prev in zip(local[2:], local[1:])
+            for p, q in zip(step, prev)
+        )
 
     def test_rejected_step_does_not_wedge_the_stream(self, server, tmp_path):
         """A step the codec rejects surfaces at the next commit; the next

@@ -129,6 +129,13 @@ class TestValidation:
         with pytest.raises(CompressionError):
             SZCompressor(radius=1)
 
+    @pytest.mark.parametrize("name", ["rle", "ZLIB", ""])
+    def test_rejects_unknown_lossless_backend_at_construction(self, name):
+        """An unknown backend fails before a size model could price it,
+        not at the first compress with the backend's ValueError."""
+        with pytest.raises(CompressionError, match="unknown lossless backend"):
+            SZCompressor(lossless=name)
+
     def test_max_error_reporting(self):
         assert SZCompressor(bound=0.5, mode="abs").max_error() == 0.5
         assert SZCompressor(bound=0.5, mode="rel").max_error() is None
